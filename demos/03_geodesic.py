@@ -15,7 +15,9 @@ import math
 
 from kk6 import closed_form_exprs, closed_form_state, integrate, \
     interval_along, scalar_metric
-from kk6.dynamics import GeodesicState, connection_evaluator
+from kk6.dynamics import (
+    GeodesicState, closed_form_deviation, connection_evaluator,
+)
 from kk6.expr import ZERO, to_text
 
 P = (1.25, 0.0, 0.0, 0.75)          # on shell with m0 = 1: p0^2 = p3^2 + 1
@@ -37,10 +39,7 @@ def main():
     s0 = closed_form_state(0.0, P, M0, CONST)
 
     path = integrate(s0, 1.0, 1000, gamma)
-    dev = max(abs(a - b)
-              for st in path.states
-              for a, b in zip(st.x, closed_form_state(st.tau, P, M0,
-                                                      CONST).x))
+    dev = closed_form_deviation(path, P, M0, CONST)
     print(f"integrator vs closed form, 1000 steps: max deviation {dev:.3e}")
 
     v = list(s0.v)

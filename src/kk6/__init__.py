@@ -8,12 +8,12 @@ geodesics and interference predictions attached to them, cross-checking
 every symbolic result against an independent finite-difference oracle.
 """
 from .expr import (
-    add, conj, coords, diff, evaluate, exp, mul, num, power, simplify,
-    sqrt, subs, sym, to_text,
+    add, conj, coords, diff, exp, mul, num, power, simplify, sqrt, subs,
+    sym, to_text,
 )
 from .parse import ParseError, parse_expression
 from .symbols import DEFAULT_TABLE, Symbol, SymbolTable
-from .zeros import ZeroResult, is_zero
+from .zeros import ZeroResult, evaluate, is_zero
 
 __version__ = "0.1.0"
 

@@ -51,26 +51,21 @@ from .ansatz import (
 )
 from .curvature import einstein, ricci_scalar
 from .dynamics import (
-    DynamicsError, closed_form_state, connection_evaluator, integrate,
-    two_path_fringes,
+    DynamicsError, closed_form_deviation, closed_form_state,
+    connection_evaluator, integrate, two_path_fringes,
 )
 from .expr import ZERO, num, sym, to_text
 from .parse import ParseError, parse_expression
 from .report import Report, to_json
-from .tensor import DIM, identity_residual, verify_claimed_inverse
+from .tensor import DIM, verify_claimed_inverse
 from .verify import (
     ClaimParamError, REGISTRY, UnknownClaimError, refuted_must_pass,
     run_suite,
 )
-from .zeros import is_zero
 
 __all__ = ["RunConfig", "CliError", "parse_config", "emit", "main"]
 
 COMMANDS = ("curvature", "verify", "geodesic", "fringes")
-
-ANSATZ_IDS = ("scalar", "photon", "proca", "dirac1", "dirac2", "dirac3",
-              "dirac4", "coupled", "gravity-scalar", "gravity-proca",
-              "gravity-dirac")
 
 # parameter name -> value kind
 _PARAM_KINDS = {
@@ -97,6 +92,7 @@ _ANSATZ_PARAMS = {
     "gravity-dirac": frozenset({"sol", "p1", "p2", "p3", "m0", "eps",
                                 "kappa"}),
 }
+ANSATZ_IDS = tuple(_ANSATZ_PARAMS)
 _GEODESIC_PARAMS = frozenset({"p1", "p2", "p3", "m0", "steps", "tau_end"})
 _FRINGE_PARAMS = frozenset({"d", "L", "wavelength", "ymax", "points"})
 
@@ -416,12 +412,10 @@ def _run_curvature(cfg: RunConfig):
     if claimed is not None:
         chk = verify_claimed_inverse(metric, claimed, seed=cfg.seed,
                                      tol=cfg.tol)
-        residual = identity_residual(metric, claimed)
         data["claimed_inverse"] = {
             "exact": chk.exact,
             "max_residual": chk.max_residual,
-            "structural_zero_entries": sum(
-                1 for row in residual for e in row if e == ZERO),
+            "structural_zero_entries": chk.structural_zeros,
         }
     return (), data, None
 
@@ -467,11 +461,7 @@ def _run_geodesic(cfg: RunConfig):
     if path.aborted:
         raise _runtime("geodesic integration aborted (coordinate blow-up)")
 
-    deviation = 0.0
-    for st in path.states:
-        exact = closed_form_state(st.tau, (p0, p1, p2, p3), m0, (0,) * 6)
-        deviation = max(deviation,
-                        max(abs(a - b) for a, b in zip(st.x, exact.x)))
+    deviation = closed_form_deviation(path, (p0, p1, p2, p3), m0, (0,) * 6)
     data = {
         "p": [p0, p1, p2, p3], "m0": m0,
         "steps": steps, "tau_end": tau_end,
@@ -504,21 +494,11 @@ def _run_fringes(cfg: RunConfig):
     grid = np.linspace(-ymax, ymax, points)
     profile = two_path_fringes(d, length, lam, grid)
     peak = max(profile.density)
-
-    def density_at(y):
-        k = 2.0 * math.pi / lam
-        r1 = math.hypot(length, y - 0.5 * d)
-        r2 = math.hypot(length, y + 0.5 * d)
-        amp = complex(math.cos(k * r1) + math.cos(k * r2),
-                      math.sin(k * r1) + math.sin(k * r2))
-        return abs(amp) ** 2
-
-    minima_density = [density_at(y) for y in profile.minima]
     data = {
         "d": d, "L": length, "wavelength": lam,
         "points": points, "peak_density": peak,
         "minima": [float(y) for y in profile.minima],
-        "minima_density": minima_density,
+        "minima_density": list(profile.minima_density),
     }
     if cfg.format == "json":
         data["y"] = [float(y) for y in profile.y]
@@ -527,7 +507,7 @@ def _run_fringes(cfg: RunConfig):
     rows = [[repr(float(y)), repr(float(v))]
             for y, v in zip(profile.y, profile.density)]
     rows += [[repr(float(y)), repr(float(v))]
-             for y, v in zip(profile.minima, minima_density)]
+             for y, v in zip(profile.minima, profile.minima_density)]
     return (), data, ("fringes", header, rows)
 
 

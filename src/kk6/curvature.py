@@ -12,14 +12,11 @@ and mirrored (its symmetry is a theorem here, checked by tests through
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .expr import Expr, HALF, MINUS_ONE, ZERO, add, diff, mul, simplify
 from .tensor import DIM, Metric6, Tensor, build
 
 __all__ = [
-    "CurvatureBundle", "christoffel", "ricci", "ricci_entry_raw",
-    "ricci_scalar", "einstein", "curvature_bundle",
+    "christoffel", "ricci", "ricci_entry_raw", "ricci_scalar", "einstein",
 ]
 
 
@@ -180,22 +177,3 @@ def einstein(metric: Metric6) -> Tensor:
     tensor = Tensor(("l", "l"), build(2, fn), name=f"einstein({metric.name})")
     metric._cache["einstein"] = tensor
     return tensor
-
-
-@dataclass(frozen=True)
-class CurvatureBundle:
-    metric: Metric6
-    christoffel: Tensor
-    ricci: Tensor
-    ricci_scalar: Expr
-    einstein: Tensor
-
-
-def curvature_bundle(metric: Metric6) -> CurvatureBundle:
-    return CurvatureBundle(
-        metric=metric,
-        christoffel=christoffel(metric),
-        ricci=ricci(metric),
-        ricci_scalar=ricci_scalar(metric),
-        einstein=einstein(metric),
-    )

@@ -34,7 +34,8 @@ from .ansatz import onshell_energy, scalar_metric
 __all__ = [
     "DynamicsError", "GeodesicState", "Path", "StepInterval",
     "ClosedForm", "closed_form_exprs", "closed_form_state",
-    "connection_evaluator", "geodesic_rhs", "integrate", "interval_along",
+    "closed_form_deviation", "connection_evaluator", "geodesic_rhs",
+    "integrate", "interval_along",
     "DensityProfile", "x4_density", "FringeProfile", "two_path_fringes",
 ]
 
@@ -162,6 +163,16 @@ def closed_form_state(tau: float, p, m0: float, constants) -> GeodesicState:
     v[5] = -1j * tau * m0
     v[4] = slope
     return GeodesicState(x=tuple(x), v=tuple(v), tau=float(tau))
+
+
+def closed_form_deviation(path: Path, p, m0: float, constants) -> float:
+    """Largest coordinate gap between a path's states and the closed form
+    at the same affine parameters."""
+    dev = 0.0
+    for st in path.states:
+        exact = closed_form_state(st.tau, p, m0, constants)
+        dev = max(dev, max(abs(a - b) for a, b in zip(st.x, exact.x)))
+    return dev
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +351,7 @@ class FringeProfile:
     L: float
     wavelength: float
     minima: tuple[float, ...]    # detector positions of density zeros
+    minima_density: tuple[float, ...]   # density at each minimum
 
 
 def _path_difference(y: float, d: float, L: float) -> float:
@@ -382,5 +394,7 @@ def two_path_fringes(d: float, L: float, wavelength: float,
         if gap(lo) * gap(hi) > 0:
             continue
         minima.append(float(brentq(gap, lo, hi, xtol=1e-14, rtol=1e-15)))
+    minima.sort()
     return FringeProfile(y=tuple(ys), density=tuple(dens), d=d, L=L,
-                         wavelength=wavelength, minima=tuple(sorted(minima)))
+                         wavelength=wavelength, minima=tuple(minima),
+                         minima_density=tuple(density(y) for y in minima))

@@ -25,17 +25,16 @@ compare equal iff construction produced the same tree.
 """
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .symbols import DEFAULT_TABLE, Symbol, SymbolTable
 
 __all__ = [
     "Expr", "Num", "Sym", "Pow", "Exp", "Sqrt", "Conj", "Mul", "Add",
     "num", "sym", "coords", "add", "mul", "power", "exp", "sqrt", "conj",
-    "diff", "subs", "simplify", "evaluate", "free_symbols", "to_text",
+    "diff", "subs", "simplify", "free_symbols", "to_text",
     "ZERO", "ONE", "MINUS_ONE", "TWO", "HALF", "I",
     "ExprError", "DomainError", "EvalError",
 ]
@@ -608,59 +607,6 @@ def free_symbols(e: Expr) -> frozenset[Symbol]:
     return out
 
 
-def evaluate(e: Expr, env: Mapping[str, complex]) -> complex:
-    """Evaluate numerically over complex doubles.
-
-    Unbound symbols and non-finite intermediate results raise
-    :class:`EvalError` naming the offending subtree.
-    """
-    values: dict[str, complex] = {}
-    for k, v in env.items():
-        values[k.name if isinstance(k, Symbol) else k] = complex(v)
-    memo: dict[Expr, complex] = {}
-
-    def ev(node: Expr) -> complex:
-        got = memo.get(node)
-        if got is not None:
-            return got
-        if isinstance(node, Num):
-            v = complex(node.re, node.im)
-        elif isinstance(node, Sym):
-            try:
-                v = values[node.symbol.name]
-            except KeyError:
-                raise EvalError(f"unbound symbol '{node.symbol.name}'", node) from None
-        elif isinstance(node, Add):
-            v = sum(ev(t) for t in node.terms)
-        elif isinstance(node, Mul):
-            v = 1 + 0j
-            for f in node.factors:
-                v *= ev(f)
-        elif isinstance(node, Pow):
-            try:
-                v = ev(node.base) ** node.n
-            except ZeroDivisionError:
-                raise EvalError(
-                    f"zero base at negative power in {_clip(node)}", node) from None
-        elif isinstance(node, Exp):
-            try:
-                v = cmath.exp(ev(node.arg))
-            except OverflowError:
-                raise EvalError(f"exp overflow in {_clip(node)}", node) from None
-        elif isinstance(node, Sqrt):
-            v = cmath.sqrt(ev(node.arg))
-        elif isinstance(node, Conj):
-            v = ev(node.arg).conjugate()
-        else:  # pragma: no cover
-            raise TypeError(f"evaluate of unsupported node {type(node).__name__}")
-        if not cmath.isfinite(v):
-            raise EvalError(f"non-finite value in {_clip(node)}", node)
-        memo[node] = v
-        return v
-
-    return ev(e)
-
-
 # ---------------------------------------------------------------------------
 # printing (round-trips through kk6.parse)
 
@@ -742,11 +688,6 @@ def _render(e: Expr) -> tuple[str, int]:
 
 def to_text(e: Expr) -> str:
     return _render(e)[0]
-
-
-def _clip(e: Expr, limit: int = 80) -> str:
-    s = to_text(e)
-    return s if len(s) <= limit else s[: limit - 3] + "..."
 
 
 # ---------------------------------------------------------------------------

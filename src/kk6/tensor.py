@@ -1,4 +1,4 @@
-"""Dense 6x6 metrics and index bookkeeping.
+"""Dense 6x6 metrics, exact inversion and dense tensors.
 
 Metrics are symmetric grids of canonical expressions over the six
 coordinates.  Inversion is exact adjugate-over-determinant with memoized
@@ -11,17 +11,16 @@ import random
 from dataclasses import dataclass
 
 from .expr import (
-    Expr, MINUS_ONE, ONE, ZERO, add, mul, num, power, simplify, to_text,
+    Expr, MINUS_ONE, ONE, ZERO, add, free_symbols, mul, power, simplify,
+    to_text,
 )
 from .symbols import DEFAULT_TABLE, Symbol
-from .zeros import ZeroResult, is_zero, sample_env
-from .expr import free_symbols
+from .zeros import is_zero, sample_env
 
 __all__ = [
     "DIM", "Metric6", "Tensor", "SingularMetricError", "InverseCheck",
     "determinant", "adjugate", "invert_metric", "verify_claimed_inverse",
-    "matmul", "identity_residual", "build", "raise_index", "lower_index",
-    "diagonal_metric", "flat6",
+    "matmul", "identity_residual", "build", "diagonal_metric", "flat6",
 ]
 
 DIM = 6
@@ -195,6 +194,7 @@ class InverseCheck:
     exact: bool
     max_residual: float
     failures: tuple[tuple[int, int, float], ...]
+    structural_zeros: int        # entries that simplified to literal 0
     seed: int
     trials: int
     tol: float
@@ -217,8 +217,10 @@ def verify_claimed_inverse(metric: Metric6, claimed_upper, seed: int = 0,
             max_resid = max(max_resid, r.max_residual)
             if r.verdict != "zero":
                 failures.append((a, b, r.max_residual))
+    structural = sum(1 for row in residual for e in row if e == ZERO)
     return InverseCheck(exact=not failures, max_residual=max_resid,
-                        failures=tuple(failures), seed=seed, trials=trials, tol=tol)
+                        failures=tuple(failures), structural_zeros=structural,
+                        seed=seed, trials=trials, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -258,34 +260,3 @@ class Tensor:
         for i in idx:
             node = node[i]
         return node
-
-
-def _swap_slot(t: Tensor, metric_grid: Grid, slot: int, new_var: str) -> Tensor:
-    rank = t.rank
-
-    def fn(*idx):
-        parts = []
-        for k in range(DIM):
-            g = metric_grid[idx[slot]][k]
-            if g == ZERO:
-                continue
-            inner = t.entry(*idx[:slot], k, *idx[slot + 1:])
-            if inner == ZERO:
-                continue
-            parts.append(mul(g, inner))
-        return simplify(add(*parts))
-
-    variance = t.variance[:slot] + (new_var,) + t.variance[slot + 1:]
-    return Tensor(variance, build(rank, fn), name=t.name)
-
-
-def raise_index(t: Tensor, metric: Metric6, slot: int) -> Tensor:
-    if t.variance[slot] != "l":
-        raise ValueError(f"slot {slot} is already upper")
-    return _swap_slot(t, metric.upper(), slot, "u")
-
-
-def lower_index(t: Tensor, metric: Metric6, slot: int) -> Tensor:
-    if t.variance[slot] != "u":
-        raise ValueError(f"slot {slot} is already lower")
-    return _swap_slot(t, metric.lower, slot, "l")

@@ -18,7 +18,6 @@ before residual formation and stated in each report's assumptions.
 from __future__ import annotations
 
 import cmath
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,8 +34,8 @@ from .ansatz import (
 )
 from .curvature import einstein, ricci_scalar
 from .dynamics import (
-    closed_form_exprs, closed_form_state, connection_evaluator, integrate,
-    interval_along,
+    closed_form_deviation, closed_form_exprs, closed_form_state,
+    connection_evaluator, integrate, interval_along,
 )
 from .expr import (
     Expr, MINUS_ONE, ONE, ZERO, add, conj, coords, diff, exp, mul, num,
@@ -47,7 +46,7 @@ from .parse import parse_expression
 from .report import (
     CONDITIONAL, CONFIRMED, INCONCLUSIVE, REFUTED, ClaimReport,
 )
-from .tensor import DIM, Metric6, identity_residual, verify_claimed_inverse
+from .tensor import DIM, Metric6, identity_residual
 from .zeros import is_zero
 
 __all__ = [
@@ -96,6 +95,13 @@ def _grade(pairs, seed: int, tol: float, trials: int,
             return _Outcome(v.verdict, worst, total, structural, v.witness,
                             label, v.note)
     return _Outcome("zero", worst, total, structural, None, None)
+
+
+def _keep(pairs, formed: list):
+    """Pass ``pairs`` through lazily, appending each one to ``formed``."""
+    for pair in pairs:
+        formed.append(pair)
+        yield pair
 
 
 _VERDICT_OF = {"zero": CONFIRMED, "nonzero": REFUTED,
@@ -379,29 +385,25 @@ def _dirac_bundle(sol: int):
     return mode, f, t
 
 
-def _stress_candidates(mode):
-    """The four sign candidates for the momentum-product stress form."""
+def _momentum_products(mode, signs=(1, -1)):
+    """The momentum-product stress form P_A P_B Phi^2, one per sign ``s5``
+    of the extra momentum component ``s5 m0``."""
     p1, p2, p3 = mode.components.p
     m0 = mode.components.m0
     p_low = (mode.components.p0, mul(MINUS_ONE, p1), mul(MINUS_ONE, p2),
              mul(MINUS_ONE, p3))
     phase2 = simplify(power(mode.phase, 2))
-    out = {}
-    for s5 in (1, -1):
-        pp = momentum_product(p_low + (mul(num(s5), m0),), phase2)
-        for coeff in (1, -1):
-            out[(coeff, s5)] = pp
-    return out
+    return {s5: momentum_product(p_low + (mul(num(s5), m0),), phase2)
+            for s5 in signs}
 
 
 def _stress_residuals(t, pp, coeff):
-    pairs = []
+    """Labelled residuals T - coeff P_A P_B Phi^2, each simplified only
+    when the consumer asks for it."""
     for i in range(5):
         for j in range(i, 5):
-            pairs.append((f"stress component ({IDX5[i]},{IDX5[j]})",
-                          simplify(add(t[i][j],
-                                       mul(num(-coeff), pp[i][j])))))
-    return pairs
+            yield (f"stress component ({IDX5[i]},{IDX5[j]})",
+                   simplify(add(t[i][j], mul(num(-coeff), pp[i][j]))))
 
 
 def _dirac_rows(mode):
@@ -466,7 +468,7 @@ def _check_dirac(sol: int):
         pairs.append((f"adjoint normalization equals {nsign:+d}",
                       simplify(add(norm, num(-nsign)))))
         s5 = mode.family_sign
-        pp = _stress_candidates(mode)[(-1, s5)]
+        pp = _momentum_products(mode, (s5,))[s5]
         pairs.extend(_stress_residuals(t, pp, -1))
 
         out = _grade(pairs, seed, tol, trials, positive=_POS_M0)
@@ -487,55 +489,50 @@ def _check_dirac(sol: int):
 
 def check_dirac_stress(seed, tol, trials, params) -> ClaimReport:
     scan_trials = min(6, trials)
-    worst, samples, structural = 0.0, 0, 0
+    samples = 0
     notes = []
     conventions = {}
     for sol in (1, 2, 3, 4):
         mode, f, t = _dirac_bundle(sol)
+        products = _momentum_products(mode)
         winners = []
-        for key, pp in _stress_candidates(mode).items():
-            coeff, s5 = key
-            ok = True
-            for label, r in _stress_residuals(t, pp, coeff):
-                if r == ZERO:
-                    continue
-                v = is_zero(r, seed=seed, trials=scan_trials, tol=tol,
-                            positive=_POS_M0)
-                samples += v.samples
-                if v.verdict != "zero":
-                    ok = False
-                    break
-            if ok:
-                winners.append(key)
+        for s5 in (1, -1):
+            for coeff in (1, -1):
+                # a wrong candidate stops at its first nonzero residual
+                formed = []
+                scan = _grade(_keep(_stress_residuals(t, products[s5], coeff),
+                                    formed),
+                              seed, tol, scan_trials, positive=_POS_M0)
+                samples += scan.samples
+                if scan.status == "zero":
+                    winners.append((coeff, s5))
+                    if sol == 1:
+                        # full-resolution confirmation of the scan's own
+                        # residuals; grading them here rather than after
+                        # the scan keeps one candidate's residuals alive
+                        out = _grade(formed, seed, tol, trials,
+                                     positive=_POS_M0)
         if len(winners) != 1:
             return ClaimReport(
                 claim_id="dirac.stress",
                 anchor="half-spin stress tensor equals a momentum-product "
                        "form with a unique sign convention",
                 verdict=REFUTED if not winners else INCONCLUSIVE,
-                max_residual=worst, samples=samples, seed=seed,
+                max_residual=0.0, samples=samples, seed=seed,
                 assumptions=_DIRAC_ASSUMPTIONS,
                 notes=(f"solution {sol}: {len(winners)} candidate "
                        "conventions survive the scan",),
                 witness={} if not winners else None)
         conventions[sol] = winners[0]
 
-    # full-resolution confirmation on the first solution
-    mode, f, t = _dirac_bundle(1)
-    coeff, s5 = conventions[1]
-    pp = _stress_candidates(mode)[(coeff, s5)]
-    out = _grade(_stress_residuals(t, pp, coeff), seed, tol, trials,
-                 positive=_POS_M0)
-    worst = max(worst, out.max_residual)
-    samples += out.samples
     for sol, (coeff, s5) in sorted(conventions.items()):
         notes.append(f"solution {sol}: T = {'+' if coeff > 0 else '-'}"
                      f"P_A P_B Phi^2 with extra momentum component "
                      f"{'+' if s5 > 0 else '-'}m0")
     notes.append("the extra momentum component tracks the plane-wave "
                  "family sign")
-    out = _Outcome(out.status, worst, samples, out.structural, out.witness,
-                   out.label, out.note)
+    out = _Outcome(out.status, out.max_residual, samples + out.samples,
+                   out.structural, out.witness, out.label, out.note)
     return _close(out, "dirac.stress",
                   "half-spin stress tensor equals a momentum-product form "
                   "with a unique sign convention",
@@ -547,16 +544,12 @@ def check_dirac_stress(seed, tol, trials, params) -> ClaimReport:
 
 def check_inverse_photon(seed, tol, trials, params) -> ClaimReport:
     mode = photon_metric()
-    chk = verify_claimed_inverse(mode.metric, mode.claimed_upper,
-                                 seed=seed, trials=trials, tol=tol)
     residual = identity_residual(mode.metric, mode.claimed_upper)
     pairs = [(f"inverse residual entry ({a},{b})", residual[a][b])
              for a in range(DIM) for b in range(DIM)]
     out = _grade(pairs, seed, tol, trials)
     notes = [f"{out.structural} of 36 inverse residual entries vanish at "
              "the expression level"]
-    if not chk.exact:
-        notes.append(f"sampled entry failures: {chk.failures}")
     return _close(out, "inverse.photon",
                   "claimed inverse of the massless vector metric",
                   seed, (), notes)
@@ -705,10 +698,7 @@ def check_geodesic_closedform(seed, tol, trials, params) -> ClaimReport:
         gam = connection_evaluator(mode.metric)
         s0 = closed_form_state(0.0, _GEO_P, _GEO_M0, _GEO_CONST)
         path = integrate(s0, 1.0, steps, gam)
-        dev = 0.0
-        for st in path.states:
-            ex = closed_form_state(st.tau, _GEO_P, _GEO_M0, _GEO_CONST)
-            dev = max(dev, max(abs(a - b) for a, b in zip(st.x, ex.x)))
+        dev = closed_form_deviation(path, _GEO_P, _GEO_M0, _GEO_CONST)
         ratio_err = 0.0
         for iv, s_lo, s_hi in zip(interval_along(path, mode.metric),
                                   path.states, path.states[1:]):
@@ -754,14 +744,9 @@ def check_interference_minima(seed, tol, trials, params) -> ClaimReport:
     peak = max(fp.density)
     worst = 0.0
     bad = None
-    for y in fp.minima:
+    for y, depth in zip(fp.minima, fp.minima_density):
         gap = _path_difference(y, d, length) / lam - 0.5
         phase_resid = abs(gap - round(gap))
-        r1 = math.hypot(length, y - 0.5 * d)
-        r2 = math.hypot(length, y + 0.5 * d)
-        k = 2.0 * math.pi / lam
-        depth = abs(complex(math.cos(k * r1) + math.cos(k * r2),
-                            math.sin(k * r1) + math.sin(k * r2))) ** 2
         worst = max(worst, depth / peak, phase_resid)
         if depth > tol * peak or phase_resid > 1e-9:
             bad = y

@@ -14,13 +14,32 @@ sequences are stable across Python versions).  Magnitudes are uniform in
 phase.  Principal-branch ``sqrt`` is sampled consistently: identical
 radicands share one evaluation, so identities whose proofs only need
 ``sqrt(a)**2 == a`` or common ``sqrt`` factors are branch-safe.
+
+Error model.  A ``nonzero`` verdict is certain up to roundoff: the witness
+point is returned and the residual there exceeds the threshold.  A
+``zero`` verdict can be false.  For a residual that is a nonzero
+polynomial of total degree d (or a rational function whose numerator is
+one), one point drawn from a set S misses it with probability at most
+d/|S| (Schwartz, J. ACM 1980; Zippel, EUROSAM 1979), so ``trials``
+independent points miss it with probability at most (d/|S|)**trials,
+negligible when S is the ~2**52 doubles of a sampling range.  Residuals
+containing ``exp`` or ``sqrt`` are not polynomials and that bound does
+not cover them: a nonzero analytic residual vanishes only on a
+measure-zero set, but nothing bounds how close to zero it comes at the
+sampled points.  For them the guarantee is ``tol`` and ``trials``
+themselves: at every sampled point the residual was below ``tol``
+relative to its scale.
+
+:func:`scaled_eval` is the engine's one expression evaluator (the
+finite-difference oracle compiles expressions on its own, so that it stays
+independent); :func:`evaluate` returns its value alone.
 """
 from __future__ import annotations
 
 import cmath
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .expr import (
@@ -30,7 +49,7 @@ from .expr import (
 from .symbols import Symbol
 
 __all__ = ["ZeroResult", "ZERO_VERDICT", "NONZERO_VERDICT", "INCONCLUSIVE_VERDICT",
-           "sample_env", "scaled_eval", "is_zero"]
+           "sample_env", "scaled_eval", "evaluate", "is_zero"]
 
 ZERO_VERDICT = "zero"
 NONZERO_VERDICT = "nonzero"
@@ -132,6 +151,17 @@ def scaled_eval(e: Expr, env: Mapping[str, complex]) -> tuple[complex, float]:
         return r
 
     return ev(e)
+
+
+def evaluate(e: Expr, env: Mapping) -> complex:
+    """Evaluate ``e`` numerically over complex doubles.
+
+    ``env`` maps symbol names (or :class:`Symbol` objects) to values.
+    Unbound symbols and non-finite intermediate results raise
+    :class:`EvalError` carrying the offending subtree."""
+    values = {k.name if isinstance(k, Symbol) else k: v
+              for k, v in env.items()}
+    return scaled_eval(e, values)[0]
 
 
 def is_zero(e: Expr, seed: int = 0, trials: int = 32, tol: float = 1e-9,

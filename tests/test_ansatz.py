@@ -13,11 +13,11 @@ from kk6.ansatz import (
     proca_metric, scalar_metric, stress_tensor, weak_field_block,
 )
 from kk6.expr import (
-    MINUS_ONE, ONE, ZERO, add, conj, coords, diff, evaluate, mul, num,
-    power, simplify, sym, to_text,
+    MINUS_ONE, ONE, ZERO, add, conj, coords, diff, mul, num, power,
+    simplify, sym, to_text,
 )
 from kk6.tensor import DIM, identity_residual
-from kk6.zeros import is_zero
+from kk6.zeros import evaluate, is_zero
 
 x = coords()
 _POS = frozenset({"m0"})

@@ -234,6 +234,22 @@ def test_fringes_json_includes_profile_arrays(capsys):
     assert len(data["y"]) == len(data["density"]) == 5
 
 
+def test_parameter_tables_cover_every_parameter():
+    # the CLI keeps its own value-kind table beside the claim registry and
+    # the ansatz parameter sets; every name they accept needs a kind
+    from kk6.cli import (
+        ANSATZ_IDS, _ANSATZ_PARAMS, _FRINGE_PARAMS, _GEODESIC_PARAMS,
+        _PARAM_KINDS,
+    )
+    from kk6.verify import REGISTRY
+    names = set().union(*(c.param_names for c in REGISTRY.values()),
+                        *_ANSATZ_PARAMS.values(), _GEODESIC_PARAMS,
+                        _FRINGE_PARAMS)
+    assert sorted(names - set(_PARAM_KINDS)) == []
+    for aid in ANSATZ_IDS:
+        assert parse_config(f"command=curvature\nansatz={aid}").ansatz == aid
+
+
 # ---------------------------------------------------------------------------
 # determinism
 

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from kk6.ansatz import (
-    dirac_metric, onshell_energy, photon_metric, proca_metric, scalar_metric,
+    dirac_metric, gravity_metric, onshell_energy, photon_metric,
+    proca_metric, scalar_metric, weak_field_block,
 )
 from kk6.curvature import (
-    christoffel, curvature_bundle, einstein, ricci, ricci_scalar,
+    christoffel, einstein, ricci, ricci_entry_raw, ricci_scalar,
 )
 from kk6.expr import ZERO, coords, exp, mul, num, simplify, sym
 from kk6.oracle import (
@@ -73,9 +74,32 @@ def _smooth_diagonal(seed=3):
 
 
 def test_flat_curvature_vanishes():
-    b = curvature_bundle(flat6())
-    assert b.ricci_scalar == ZERO
-    assert all(e == ZERO for row in b.einstein.comps for e in row)
+    assert ricci_scalar(flat6()) == ZERO
+    assert all(e == ZERO for row in einstein(flat6()).comps for e in row)
+
+
+def _symbolic_gravity_scalar():
+    p1, p2, p3, m0 = sym("p1"), sym("p2"), sym("p3"), sym("m0")
+    return gravity_metric("scalar", weak_field_block(), None,
+                          p=(onshell_energy(p1, p2, p3, m0), p1, p2, p3),
+                          m0=m0).metric
+
+
+@pytest.mark.parametrize("build", [
+    lambda: scalar_metric().metric,
+    lambda: photon_metric().metric,
+    lambda: proca_metric().metric,
+    _symbolic_gravity_scalar,
+], ids=["scalar", "photon", "proca", "gravity-scalar"])
+def test_ricci_mirror_matches_raw_formula(build):
+    # ricci() fills a <= b and mirrors; the literal formula at (b, a) must
+    # agree with the mirrored entry
+    m = build()
+    r = ricci(m)
+    for a in range(DIM):
+        for b in range(a + 1, DIM):
+            gap = ricci_entry_raw(m, b, a) - r.entry(a, b)
+            assert is_zero(gap).verdict == "zero", (a, b)
 
 
 def test_scalar_mode_ricci_scalar_structurally_zero():

@@ -7,9 +7,9 @@ import pytest
 
 from kk6.ansatz import onshell_energy, scalar_metric
 from kk6.dynamics import (
-    DynamicsError, GeodesicState, closed_form_exprs, closed_form_state,
-    connection_evaluator, geodesic_rhs, integrate, interval_along,
-    two_path_fringes, x4_density,
+    DynamicsError, GeodesicState, closed_form_deviation, closed_form_exprs,
+    closed_form_state, connection_evaluator, geodesic_rhs, integrate,
+    interval_along, two_path_fringes, x4_density,
 )
 from kk6.expr import ZERO, exp, mul, num, simplify, sym
 from kk6.zeros import is_zero
@@ -82,6 +82,7 @@ def test_integration_reproduces_closed_form_to_roundoff():
     # the trajectory is quadratic in tau: classical RK4 is exact up to
     # floating-point roundoff
     assert dev < 1e-12
+    assert closed_form_deviation(path, P, M0, CONST) == dev
     assert max(path.residuals) < 1e-10
 
 
@@ -174,8 +175,9 @@ def test_fringe_minima_sit_at_half_integer_path_difference():
     grid = np.linspace(-15.0, 15.0, 1201)
     prof = two_path_fringes(d, L, lam, grid)
     assert prof.minima                       # at least one in range
+    assert len(prof.minima_density) == len(prof.minima)
     peak = max(prof.density)
-    for y in prof.minima:
+    for y, reported in zip(prof.minima, prof.minima_density):
         r1 = math.hypot(L, y - d / 2)
         r2 = math.hypot(L, y + d / 2)
         frac = (r2 - r1) / lam - 0.5
@@ -183,6 +185,7 @@ def test_fringe_minima_sit_at_half_integer_path_difference():
         k = 2 * math.pi / lam
         depth = abs(cmath.exp(1j * k * r1) + cmath.exp(1j * k * r2)) ** 2
         assert depth < 1e-9 * peak
+        assert reported == pytest.approx(depth, rel=1e-12, abs=1e-15)
         # far-field estimate lands within one grid cell
         cell = grid[1] - grid[0]
         n = round((abs(y) * d / L / lam) - 0.5)

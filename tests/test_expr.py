@@ -6,10 +6,10 @@ import pytest
 
 from kk6.expr import (
     Add, Conj, DomainError, EvalError, Exp, HALF, I, MINUS_ONE, Mul, Num,
-    ONE, Pow, Sqrt, TWO, ZERO, add, conj, coords, diff, evaluate, exp,
-    free_symbols, mul, num, power, simplify, sqrt, subs, sym, to_text,
+    ONE, Pow, Sqrt, TWO, ZERO, add, conj, coords, diff, exp, free_symbols,
+    mul, num, power, simplify, sqrt, subs, sym, to_text,
 )
-from kk6.zeros import is_zero
+from kk6.zeros import evaluate, is_zero
 
 X = coords()
 x0, x1, x2, x3, x4, x5 = X

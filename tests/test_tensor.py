@@ -1,11 +1,10 @@
-"""6x6 metric container: symmetry, inverse machinery, index algebra."""
+"""6x6 metric container: symmetry, inverse machinery, dense tensors."""
 import pytest
 
 from kk6.expr import ONE, ZERO, coords, exp, mul, num, power, sym, to_text
 from kk6.tensor import (
     DIM, Metric6, build, determinant, diagonal_metric, flat6,
-    identity_residual, invert_metric, lower_index, matmul, raise_index,
-    verify_claimed_inverse,
+    identity_residual, invert_metric, matmul, verify_claimed_inverse,
 )
 from kk6.curvature import christoffel
 from kk6.ansatz import photon_metric, scalar_metric
@@ -67,6 +66,7 @@ def test_verify_claimed_inverse_exact_for_photon():
     assert chk.exact
     assert chk.failures == ()
     assert chk.max_residual < chk.tol
+    assert chk.structural_zeros == 36    # every entry is literally zero
 
 
 def test_verify_claimed_inverse_reports_failing_entries():
@@ -77,6 +77,7 @@ def test_verify_claimed_inverse_reports_failing_entries():
     assert not chk.exact
     assert (5, 5) in {(a, b) for a, b, _ in chk.failures}
     assert chk.max_residual >= chk.tol
+    assert chk.structural_zeros == 36 - len(chk.failures)
 
 
 def test_build_and_entry_access():
@@ -85,18 +86,6 @@ def test_build_and_entry_access():
     g = christoffel(flat6())
     assert all(g.comps[a][b][c] == ZERO
                for a in range(DIM) for b in range(DIM) for c in range(DIM))
-
-
-def test_raise_then_lower_roundtrips():
-    m = scalar_metric().metric
-    gamma = christoffel(m)               # slot 0 is already raised
-    lowered = lower_index(gamma, m, 0)
-    back = raise_index(lowered, m, 0)
-    for a in range(DIM):
-        for b in range(DIM):
-            for c in range(DIM):
-                d = back.comps[a][b][c] - gamma.comps[a][b][c]
-                assert is_zero(d, trials=4).verdict == "zero"
 
 
 def test_metric_requires_six_rows():

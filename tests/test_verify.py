@@ -79,6 +79,9 @@ def test_dirac_stress_reports_per_solution_conventions():
     for sol, sign in ((1, "-"), (2, "-"), (3, "+"), (4, "+")):
         assert any(f"solution {sol}:" in n and f"{sign}m0" in n
                    for n in r.notes), (sol, sign)
+    # the sign scan and the confirmation draw exactly these samples; a
+    # scan that skipped or repeated a zero test would change the count
+    assert r.samples == 648
 
 
 def test_inverse_photon_structurally_exact():
