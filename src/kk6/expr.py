@@ -20,11 +20,25 @@ principal-branch semantics on the sampled domains.  Exponent merging is
 restricted to ``exp`` because integer powers commute with it exactly,
 whereas merging exponents of general bases would smuggle in branch choices.
 
-Structural equality and hashing are by canonical form: two expressions
-compare equal iff construction produced the same tree.
+Nodes are hash-consed: every constructor goes through one process-wide
+intern table, so two expressions with the same canonical tree are the same
+object, and ``==`` and ``hash`` are identity (O(1), whatever the size).
+The table is a ``weakref.WeakValueDictionary``: it holds no node alive, so
+memory is bounded by the nodes the caller still references.  It is keyed
+by a node's tag and its children's ids (``Num`` by its exact numerator and
+denominator integers, ``Sym`` by its ``Symbol``), so a lookup never hashes
+a ``Fraction`` or a subtree.  The structural key ``_key`` survives only as
+the sort order of sums and products, which therefore does not depend on
+construction history.
+
+:func:`simplify` caches its result on each node it simplifies, input and
+subexpressions alike.  The cache depends only on the node's structure and
+lives as long as the node, so simplifying a live expression again, in a
+later claim or pass, costs one attribute read.
 """
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from math import isqrt
 from typing import Mapping, Union
@@ -67,25 +81,7 @@ def _frac(value) -> Fraction:
 # nodes
 
 class Expr:
-    __slots__ = ("_key", "_hash", "_free")
-
-    def _init_key(self, key: tuple) -> None:
-        self._key = key
-        self._hash = hash(key)
-        self._free = None
-
-    def key(self) -> tuple:
-        return self._key
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Expr):
-            return NotImplemented
-        return self._hash == other._hash and self._key == other._key
+    __slots__ = ("_key", "_free", "_simp", "__weakref__")
 
     def __repr__(self) -> str:
         return to_text(self)
@@ -126,21 +122,49 @@ class Expr:
         return mul(MINUS_ONE, self)
 
 
+# The intern table: one live node per structure.  Keys hold only small ints,
+# tags and ``Symbol``s: a composite is keyed by its children's ids, which
+# are unique while the node (and so each child) is alive, and the table
+# drops the entry when the node dies.
+_TABLE: "weakref.WeakValueDictionary[tuple, Expr]" = weakref.WeakValueDictionary()
+# ``_simp`` of a node that simplifies to itself (a self-reference would make
+# every such node a reference cycle).
+_SELF = object()
+_F0 = Fraction(0)
+
+
+def _new(cls, ikey: tuple, key: tuple):
+    node = object.__new__(cls)
+    node._key = key
+    node._free = None
+    node._simp = None
+    _TABLE[ikey] = node
+    return node
+
+
 class Num(Expr):
     __slots__ = ("re", "im")
 
-    def __init__(self, re: Fraction, im: Fraction = Fraction(0)):
-        self.re = re
-        self.im = im
-        self._init_key((0, re, im))
+    def __new__(cls, re: Fraction, im: Fraction = _F0):
+        ikey = (0, re.numerator, re.denominator, im.numerator, im.denominator)
+        node = _TABLE.get(ikey)
+        if node is None:
+            node = _new(cls, ikey, (0, re, im))
+            node.re = re
+            node.im = im
+        return node
 
 
 class Sym(Expr):
     __slots__ = ("symbol",)
 
-    def __init__(self, symbol: Symbol):
-        self.symbol = symbol
-        self._init_key((1, symbol.name))
+    def __new__(cls, symbol: Symbol):
+        ikey = (1, symbol)
+        node = _TABLE.get(ikey)
+        if node is None:
+            node = _new(cls, ikey, (1, symbol.name))
+            node.symbol = symbol
+        return node
 
 
 class Pow(Expr):
@@ -148,50 +172,66 @@ class Pow(Expr):
 
     __slots__ = ("base", "n")
 
-    def __init__(self, base: Expr, n: int):
-        self.base = base
-        self.n = n
-        self._init_key((2, base._key, n))
+    def __new__(cls, base: Expr, n: int):
+        ikey = (2, id(base), n)
+        node = _TABLE.get(ikey)
+        if node is None:
+            node = _new(cls, ikey, (2, base._key, n))
+            node.base = base
+            node.n = n
+        return node
 
 
-class Exp(Expr):
+class _Unary(Expr):
     __slots__ = ("arg",)
+    _tag: int  # set by each subclass
 
-    def __init__(self, arg: Expr):
-        self.arg = arg
-        self._init_key((3, arg._key))
-
-
-class Sqrt(Expr):
-    __slots__ = ("arg",)
-
-    def __init__(self, arg: Expr):
-        self.arg = arg
-        self._init_key((4, arg._key))
+    def __new__(cls, arg: Expr):
+        ikey = (cls._tag, id(arg))
+        node = _TABLE.get(ikey)
+        if node is None:
+            node = _new(cls, ikey, (cls._tag, arg._key))
+            node.arg = arg
+        return node
 
 
-class Conj(Expr):
-    __slots__ = ("arg",)
+class Exp(_Unary):
+    __slots__ = ()
+    _tag = 3
 
-    def __init__(self, arg: Expr):
-        self.arg = arg
-        self._init_key((5, arg._key))
+
+class Sqrt(_Unary):
+    __slots__ = ()
+    _tag = 4
+
+
+class Conj(_Unary):
+    __slots__ = ()
+    _tag = 5
 
 
 class Mul(Expr):
     __slots__ = ("factors",)
 
-    def __init__(self, factors: tuple):
-        self.factors = factors
-        self._init_key((6, tuple(f._key for f in factors)))
+    def __new__(cls, factors: tuple):
+        ikey = (6, *map(id, factors))
+        node = _TABLE.get(ikey)
+        if node is None:
+            node = _new(cls, ikey, (6, tuple(f._key for f in factors)))
+            node.factors = factors
+        return node
 
 
 class Add(Expr):
     __slots__ = ("terms",)
 
-    def __init__(self, terms: tuple):
-        self.terms = terms
-        self._init_key((7, tuple(t._key for t in terms)))
+    def __new__(cls, terms: tuple):
+        ikey = (7, *map(id, terms))
+        node = _TABLE.get(ikey)
+        if node is None:
+            node = _new(cls, ikey, (7, tuple(t._key for t in terms)))
+            node.terms = terms
+        return node
 
 
 def _keyfn(e: Expr) -> tuple:
@@ -442,46 +482,49 @@ def _resolve_symbol(s, table: SymbolTable | None) -> Symbol:
 
 
 def diff(e: Expr, s, table: SymbolTable | None = None) -> Expr:
-    target = _resolve_symbol(s, table)
-    memo: dict[Expr, Expr] = {}
+    return _diff(e, _resolve_symbol(s, table), {})
 
-    def d(node: Expr) -> Expr:
-        got = memo.get(node)
-        if got is not None:
-            return got
-        if isinstance(node, Num):
-            r = ZERO
-        elif isinstance(node, Sym):
-            r = ONE if node.symbol == target else ZERO
-        elif isinstance(node, Conj):
-            if node.arg.symbol == target:
-                raise DomainError(
-                    f"conj({target.name}) is not differentiable in {target.name}")
-            r = ZERO
-        elif isinstance(node, Add):
-            r = add(*(d(t) for t in node.terms))
-        elif isinstance(node, Mul):
-            fs = node.factors
-            parts = []
-            for i, f in enumerate(fs):
-                df = d(f)
-                if df is ZERO or df == ZERO:
-                    continue
-                parts.append(mul(*fs[:i], df, *fs[i + 1:]))
-            r = add(*parts)
-        elif isinstance(node, Pow):
-            r = mul(num(node.n), power(node.base, node.n - 1), d(node.base))
-        elif isinstance(node, Exp):
-            r = mul(node, d(node.arg))
-        elif isinstance(node, Sqrt):
-            # d sqrt(a) = a' / (2 sqrt(a))
-            r = mul(HALF, power(node, -1), d(node.arg))
-        else:  # pragma: no cover
-            raise TypeError(f"diff of unsupported node {type(node).__name__}")
-        memo[node] = r
-        return r
 
-    return d(e)
+# The walkers below are module-level functions that take their memo as an
+# argument: a closure that calls itself is a reference cycle, which would
+# keep the memo, and every node in it, alive until the cyclic collector ran.
+
+def _diff(node: Expr, target: Symbol, memo: dict) -> Expr:
+    got = memo.get(node)
+    if got is not None:
+        return got
+    if isinstance(node, Num):
+        r = ZERO
+    elif isinstance(node, Sym):
+        r = ONE if node.symbol == target else ZERO
+    elif isinstance(node, Conj):
+        if node.arg.symbol == target:
+            raise DomainError(
+                f"conj({target.name}) is not differentiable in {target.name}")
+        r = ZERO
+    elif isinstance(node, Add):
+        r = add(*(_diff(t, target, memo) for t in node.terms))
+    elif isinstance(node, Mul):
+        fs = node.factors
+        parts = []
+        for i, f in enumerate(fs):
+            df = _diff(f, target, memo)
+            if df is ZERO:
+                continue
+            parts.append(mul(*fs[:i], df, *fs[i + 1:]))
+        r = add(*parts)
+    elif isinstance(node, Pow):
+        r = mul(num(node.n), power(node.base, node.n - 1),
+                _diff(node.base, target, memo))
+    elif isinstance(node, Exp):
+        r = mul(node, _diff(node.arg, target, memo))
+    elif isinstance(node, Sqrt):
+        # d sqrt(a) = a' / (2 sqrt(a))
+        r = mul(HALF, power(node, -1), _diff(node.arg, target, memo))
+    else:  # pragma: no cover
+        raise TypeError(f"diff of unsupported node {type(node).__name__}")
+    memo[node] = r
+    return r
 
 
 def subs(e: Expr, mapping: Mapping, table: SymbolTable | None = None) -> Expr:
@@ -492,34 +535,33 @@ def subs(e: Expr, mapping: Mapping, table: SymbolTable | None = None) -> Expr:
         if value is None:
             raise TypeError(f"substitution for {name} is not an expression: {v!r}")
         repl[name] = value
-    memo: dict[Expr, Expr] = {}
+    return _subs(e, repl, {})
 
-    def walk(node: Expr) -> Expr:
-        got = memo.get(node)
-        if got is not None:
-            return got
-        if isinstance(node, Num):
-            r = node
-        elif isinstance(node, Sym):
-            r = repl.get(node.symbol.name, node)
-        elif isinstance(node, Add):
-            r = add(*(walk(t) for t in node.terms))
-        elif isinstance(node, Mul):
-            r = mul(*(walk(f) for f in node.factors))
-        elif isinstance(node, Pow):
-            r = power(walk(node.base), node.n)
-        elif isinstance(node, Exp):
-            r = exp(walk(node.arg))
-        elif isinstance(node, Sqrt):
-            r = sqrt(walk(node.arg))
-        elif isinstance(node, Conj):
-            r = conj(walk(node.arg))
-        else:  # pragma: no cover
-            raise TypeError(f"subs of unsupported node {type(node).__name__}")
-        memo[node] = r
-        return r
 
-    return walk(e)
+def _subs(node: Expr, repl: dict, memo: dict) -> Expr:
+    got = memo.get(node)
+    if got is not None:
+        return got
+    if isinstance(node, Num):
+        r = node
+    elif isinstance(node, Sym):
+        r = repl.get(node.symbol.name, node)
+    elif isinstance(node, Add):
+        r = add(*(_subs(t, repl, memo) for t in node.terms))
+    elif isinstance(node, Mul):
+        r = mul(*(_subs(f, repl, memo) for f in node.factors))
+    elif isinstance(node, Pow):
+        r = power(_subs(node.base, repl, memo), node.n)
+    elif isinstance(node, Exp):
+        r = exp(_subs(node.arg, repl, memo))
+    elif isinstance(node, Sqrt):
+        r = sqrt(_subs(node.arg, repl, memo))
+    elif isinstance(node, Conj):
+        r = conj(_subs(node.arg, repl, memo))
+    else:  # pragma: no cover
+        raise TypeError(f"subs of unsupported node {type(node).__name__}")
+    memo[node] = r
+    return r
 
 
 _EXPAND_POW_CAP = 8
@@ -550,40 +592,40 @@ def _distribute(a: Expr, b: Expr) -> Expr:
 def simplify(e: Expr) -> Expr:
     """Expand products over sums, expand small positive powers of sums,
     and collect like monomials.  Negative powers of sums stay atomic.
-    Value-preserving and idempotent."""
-    memo: dict[Expr, Expr] = {}
+    Value-preserving and idempotent.  The result is cached on ``e`` (and on
+    each subexpression visited), so simplifying a live node again is free."""
+    return _simplified(e)
 
-    def s(node: Expr) -> Expr:
-        got = memo.get(node)
-        if got is not None:
-            return got
-        if isinstance(node, (Num, Sym, Conj)):
-            r = node
-        elif isinstance(node, Add):
-            r = add(*(s(t) for t in node.terms))
-        elif isinstance(node, Mul):
-            fs = [s(f) for f in node.factors]
-            r = fs[0]
-            for f in fs[1:]:
-                r = _distribute(r, f)
-        elif isinstance(node, Pow):
-            b = s(node.base)
-            if isinstance(b, Add) and 2 <= node.n <= _EXPAND_POW_CAP:
-                r = b
-                for _ in range(node.n - 1):
-                    r = _distribute(r, b)
-            else:
-                r = _expand_monomial(power(b, node.n))
-        elif isinstance(node, Exp):
-            r = exp(s(node.arg))
-        elif isinstance(node, Sqrt):
-            r = sqrt(s(node.arg))
-        else:  # pragma: no cover
-            raise TypeError(f"simplify of unsupported node {type(node).__name__}")
-        memo[node] = r
-        return r
 
-    return s(e)
+def _simplified(node: Expr) -> Expr:
+    got = node._simp
+    if got is not None:
+        return node if got is _SELF else got
+    if isinstance(node, (Num, Sym, Conj)):
+        r = node
+    elif isinstance(node, Add):
+        r = add(*(_simplified(t) for t in node.terms))
+    elif isinstance(node, Mul):
+        fs = [_simplified(f) for f in node.factors]
+        r = fs[0]
+        for f in fs[1:]:
+            r = _distribute(r, f)
+    elif isinstance(node, Pow):
+        b = _simplified(node.base)
+        if isinstance(b, Add) and 2 <= node.n <= _EXPAND_POW_CAP:
+            r = b
+            for _ in range(node.n - 1):
+                r = _distribute(r, b)
+        else:
+            r = _expand_monomial(power(b, node.n))
+    elif isinstance(node, Exp):
+        r = exp(_simplified(node.arg))
+    elif isinstance(node, Sqrt):
+        r = sqrt(_simplified(node.arg))
+    else:  # pragma: no cover
+        raise TypeError(f"simplify of unsupported node {type(node).__name__}")
+    node._simp = _SELF if r is node else r
+    return r
 
 
 def free_symbols(e: Expr) -> frozenset[Symbol]:

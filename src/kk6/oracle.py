@@ -37,6 +37,37 @@ H_CONNECTION = 3e-3
 _COORD_INDEX = {f"x{i}": i for i in range(DIM)}
 
 
+def _emit(node: Expr, names: dict, lines: list) -> str:
+    # module-level with its state passed in, so that compiling leaves no
+    # reference cycle pinning the visited nodes
+    got = names.get(node)
+    if got is not None:
+        return got
+    if isinstance(node, Num):
+        ref = f"complex({float(node.re)!r}, {float(node.im)!r})"
+    elif isinstance(node, Sym):
+        ref = f"x[{_COORD_INDEX[node.symbol.name]}]"
+    else:
+        if isinstance(node, Add):
+            src = " + ".join(_emit(t, names, lines) for t in node.terms)
+        elif isinstance(node, Mul):
+            src = " * ".join(_emit(f, names, lines) for f in node.factors)
+        elif isinstance(node, Pow):
+            src = f"{_emit(node.base, names, lines)} ** {node.n}"
+        elif isinstance(node, Exp):
+            src = f"_exp({_emit(node.arg, names, lines)})"
+        elif isinstance(node, Sqrt):
+            src = f"_sqrt({_emit(node.arg, names, lines)})"
+        elif isinstance(node, Conj):
+            src = f"({_emit(node.arg, names, lines)}).conjugate()"
+        else:  # pragma: no cover
+            raise TypeError(f"cannot compile node {type(node).__name__}")
+        ref = f"t{len(lines) + 1}"
+        lines.append(f"{ref} = {src}")
+    names[node] = ref
+    return ref
+
+
 def compile_expr(e: Expr) -> Callable[[Sequence[complex]], complex]:
     """Compile to a function of the six coordinates.
 
@@ -47,40 +78,7 @@ def compile_expr(e: Expr) -> Callable[[Sequence[complex]], complex]:
         raise ValueError(f"non-coordinate symbols in compiled expression: {stray}")
 
     lines: list[str] = []
-    names: dict[Expr, str] = {}
-    counter = 0
-
-    def emit(node: Expr) -> str:
-        nonlocal counter
-        got = names.get(node)
-        if got is not None:
-            return got
-        if isinstance(node, Num):
-            ref = f"complex({float(node.re)!r}, {float(node.im)!r})"
-        elif isinstance(node, Sym):
-            ref = f"x[{_COORD_INDEX[node.symbol.name]}]"
-        else:
-            if isinstance(node, Add):
-                src = " + ".join(emit(t) for t in node.terms)
-            elif isinstance(node, Mul):
-                src = " * ".join(emit(f) for f in node.factors)
-            elif isinstance(node, Pow):
-                src = f"{emit(node.base)} ** {node.n}"
-            elif isinstance(node, Exp):
-                src = f"_exp({emit(node.arg)})"
-            elif isinstance(node, Sqrt):
-                src = f"_sqrt({emit(node.arg)})"
-            elif isinstance(node, Conj):
-                src = f"({emit(node.arg)}).conjugate()"
-            else:  # pragma: no cover
-                raise TypeError(f"cannot compile node {type(node).__name__}")
-            counter += 1
-            ref = f"t{counter}"
-            lines.append(f"{ref} = {src}")
-        names[node] = ref
-        return ref
-
-    root = emit(e)
+    root = _emit(e, {}, lines)
     body = "\n    ".join(lines + [f"return {root}"])
     source = f"def _f(x):\n    {body}\n"
     ns: dict = {}

@@ -13,7 +13,7 @@ Numbers are decimal (``0.5`` is exact: 1/2) or integer; rationals are
 spelled with '/'.  ``i`` is the imaginary unit.  Identifiers must be
 registered symbols; unknown names raise :class:`ParseError` with a column.
 The printer in :mod:`kk6.expr` emits this grammar, so
-``parse_expression(to_text(e)) == e``.
+``parse_expression(to_text(e)) is e``.
 """
 from __future__ import annotations
 

@@ -93,64 +93,65 @@ def scaled_eval(e: Expr, env: Mapping[str, complex]) -> tuple[complex, float]:
     """Evaluate ``e`` returning ``(value, scale)`` where scale tracks the
     magnitude that roundoff noise is proportional to."""
     values: dict[str, complex] = {k: complex(v) for k, v in env.items()}
-    memo: dict[Expr, tuple[complex, float]] = {}
+    return _scaled(e, values, {})
 
-    def ev(node: Expr) -> tuple[complex, float]:
-        got = memo.get(node)
-        if got is not None:
-            return got
-        if isinstance(node, Num):
-            v = complex(node.re, node.im)
-            r = (v, abs(v))
-        elif isinstance(node, Sym):
-            try:
-                v = values[node.symbol.name]
-            except KeyError:
-                raise EvalError(f"unbound symbol '{node.symbol.name}'", node) from None
-            r = (v, abs(v))
-        elif isinstance(node, Add):
-            v = 0j
-            s = 0.0
-            for t in node.terms:
-                tv, ts = ev(t)
-                v += tv
-                s += ts
-            r = (v, s)
-        elif isinstance(node, Mul):
-            v = 1 + 0j
-            s = 1.0
-            for f in node.factors:
-                fv, fs = ev(f)
-                v *= fv
-                s *= fs
-            r = (v, s)
-        elif isinstance(node, Pow):
-            bv, _ = ev(node.base)
-            try:
-                v = bv ** node.n
-            except ZeroDivisionError:
-                raise EvalError("zero base at negative power", node) from None
-            r = (v, abs(v))
-        elif isinstance(node, Exp):
-            try:
-                v = cmath.exp(ev(node.arg)[0])
-            except OverflowError:
-                raise EvalError("exp overflow", node) from None
-            r = (v, abs(v))
-        elif isinstance(node, Sqrt):
-            v = cmath.sqrt(ev(node.arg)[0])
-            r = (v, abs(v))
-        elif isinstance(node, Conj):
-            v = ev(node.arg)[0].conjugate()
-            r = (v, abs(v))
-        else:  # pragma: no cover
-            raise TypeError(f"scaled_eval of unsupported node {type(node).__name__}")
-        if not cmath.isfinite(r[0]):
-            raise EvalError("non-finite value", node)
-        memo[node] = r
-        return r
 
-    return ev(e)
+def _scaled(node: Expr, values: dict, memo: dict) -> tuple[complex, float]:
+    # module-level with the memo passed in, so that a call leaves no
+    # reference cycle pinning the memo's nodes
+    got = memo.get(node)
+    if got is not None:
+        return got
+    if isinstance(node, Num):
+        v = complex(node.re, node.im)
+        r = (v, abs(v))
+    elif isinstance(node, Sym):
+        try:
+            v = values[node.symbol.name]
+        except KeyError:
+            raise EvalError(f"unbound symbol '{node.symbol.name}'", node) from None
+        r = (v, abs(v))
+    elif isinstance(node, Add):
+        v = 0j
+        s = 0.0
+        for t in node.terms:
+            tv, ts = _scaled(t, values, memo)
+            v += tv
+            s += ts
+        r = (v, s)
+    elif isinstance(node, Mul):
+        v = 1 + 0j
+        s = 1.0
+        for f in node.factors:
+            fv, fs = _scaled(f, values, memo)
+            v *= fv
+            s *= fs
+        r = (v, s)
+    elif isinstance(node, Pow):
+        bv, _ = _scaled(node.base, values, memo)
+        try:
+            v = bv ** node.n
+        except ZeroDivisionError:
+            raise EvalError("zero base at negative power", node) from None
+        r = (v, abs(v))
+    elif isinstance(node, Exp):
+        try:
+            v = cmath.exp(_scaled(node.arg, values, memo)[0])
+        except OverflowError:
+            raise EvalError("exp overflow", node) from None
+        r = (v, abs(v))
+    elif isinstance(node, Sqrt):
+        v = cmath.sqrt(_scaled(node.arg, values, memo)[0])
+        r = (v, abs(v))
+    elif isinstance(node, Conj):
+        v = _scaled(node.arg, values, memo)[0].conjugate()
+        r = (v, abs(v))
+    else:  # pragma: no cover
+        raise TypeError(f"scaled_eval of unsupported node {type(node).__name__}")
+    if not cmath.isfinite(r[0]):
+        raise EvalError("non-finite value", node)
+    memo[node] = r
+    return r
 
 
 def evaluate(e: Expr, env: Mapping) -> complex:

@@ -1,15 +1,20 @@
-"""Expression kernel: canonical construction, calculus, evaluation."""
+"""Expression kernel: canonical construction, interning, calculus,
+evaluation."""
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from kk6 import expr as kernel
 from kk6.expr import (
     Add, Conj, DomainError, EvalError, Exp, HALF, I, MINUS_ONE, Mul, Num,
     ONE, Pow, Sqrt, TWO, ZERO, add, conj, coords, diff, exp, free_symbols,
     mul, num, power, simplify, sqrt, subs, sym, to_text,
 )
-from kk6.zeros import evaluate, is_zero
+from kk6.oracle import compile_expr
+from kk6.zeros import evaluate, is_zero, scaled_eval
 
 X = coords()
 x0, x1, x2, x3, x4, x5 = X
@@ -251,3 +256,93 @@ def test_free_symbols():
     e = exp(num(0, -1) * _px()) + sqrt(power(m0, 2) + ONE)
     names = {s.name for s in free_symbols(e)}
     assert names == {"p0", "p1", "p2", "p3", "x0", "x1", "x2", "x3", "m0"}
+
+
+# --- interning ----------------------------------------------------------------
+
+def _fresh(tag: int):
+    # a structure no other test builds: the coefficient is unique to ``tag``
+    c = num(Fraction(104729 + tag, 7919))
+    return add(mul(c, x0, power(add(x1, c), 3)), sqrt(add(x2, c)), exp(mul(c, x3)))
+
+
+def test_equal_constructions_are_identical():
+    assert add(x0, x1) is add(x1, x0)
+    assert num(Fraction(2, 4)) is HALF
+    assert num(0.5) is HALF
+    assert mul(p0, x0, num(3)) is mul(num(3), x0, p0)
+    assert mul(exp(x0), exp(x1)) is exp(add(x0, x1))
+    assert sym("x0") is x0
+    assert _fresh(0) is _fresh(0)
+    assert _fresh(0) is not _fresh(1)
+
+
+def test_equality_is_identity():
+    a = add(mul(p1, x1), num(3))
+    assert a == add(num(3), mul(x1, p1))
+    assert a != add(mul(p1, x1), num(4))
+    assert hash(a) == object.__hash__(a)
+    assert ZERO != 0
+
+
+def test_dead_nodes_leave_the_intern_table():
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(kernel._TABLE)
+        e = _fresh(2)
+        simplify(e)
+        diff(e, "x1")
+        subs(e, {"x2": x1})
+        scaled_eval(e, {f"x{i}": 0.5 for i in range(4)})
+        assert len(kernel._TABLE) > before
+        probe = weakref.ref(e)
+        del e
+        assert probe() is None
+        assert len(kernel._TABLE) == before
+    finally:
+        gc.enable()
+
+
+_ENV = {f"x{i}": 0.25 * (i + 1) for i in range(4)}
+WALKERS = {
+    "simplify": simplify,
+    "diff": lambda e: diff(e, "x1"),
+    "subs": lambda e: subs(e, {"x2": x1}),
+    "scaled_eval": lambda e: scaled_eval(e, _ENV),
+    "compile_expr": lambda e: compile_expr(e)([0.5] * 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALKERS))
+def test_walkers_leave_no_reference_cycles(name):
+    gc.collect()
+    gc.disable()
+    try:
+        e = _fresh(3 + sorted(WALKERS).index(name))
+        WALKERS[name](e)
+        del e
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_repeated_simplify_reuses_the_cached_result(monkeypatch):
+    e = _fresh(10)
+    first = simplify(e)
+    calls = []
+    for name in ("add", "mul"):
+        original = getattr(kernel, name)
+        monkeypatch.setattr(
+            kernel, name,
+            lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+    assert simplify(e) is first
+    assert calls == []
+    simplify(_fresh(11))  # the patch is live: a new input does call them
+    assert "add" in calls and "mul" in calls
+
+
+def test_sort_order_is_structural():
+    # the canonical order compares structure, never node identity
+    assert to_text(add(x1, x0, num(2))) == "2 + x0 + x1"
+    assert to_text(mul(x2, p0, num(-3), exp(x0))) == "-3*p0*x2*exp(x0)"

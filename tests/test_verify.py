@@ -1,8 +1,14 @@
 """Claim catalog semantics: verdicts, witnesses, seed stability, and the
 serialized report format."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import kk6
 
 from kk6.ansatz import AnsatzError
 from kk6.report import (
@@ -241,3 +247,36 @@ def test_identical_runs_serialize_identically():
                      records=recs)
         return to_json(rep, include_timing=False)
     assert once() == once()
+
+
+# Claims whose records must not depend on what ran before them in the
+# process: the intern table and the ``simplify`` cache on each node are
+# process-wide.
+HISTORY_CLAIMS = ("kg.reduction", "maxwell.reduction", "proca.reduction",
+                  "inverse.photon", "ricci.scalar.zero")
+_RECORDS_SCRIPT = """
+import json, sys
+from kk6.report import record_dict
+from kk6.verify import run_claim
+print(json.dumps({c: record_dict(run_claim(c, seed=3)) for c in sys.argv[1:]},
+                 sort_keys=True))
+"""
+
+
+def _records_in_fresh_interpreter(order):
+    src = str(Path(kk6.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", _RECORDS_SCRIPT, *order],
+                         capture_output=True, text=True, env=env, timeout=600,
+                         check=True)
+    return json.loads(out.stdout)
+
+
+def test_records_do_not_depend_on_claim_order():
+    forward = _records_in_fresh_interpreter(HISTORY_CLAIMS)
+    backward = _records_in_fresh_interpreter(HISTORY_CLAIMS[::-1])
+    assert sorted(forward) == sorted(HISTORY_CLAIMS)
+    for cid in HISTORY_CLAIMS:
+        assert forward[cid] == backward[cid], cid
