@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import (
-    Expr, HALF, I, MINUS_ONE, ONE, TWO, ZERO, add, conj, coords, diff,
+    Expr, HALF, I, MINUS_ONE, ONE, TWO, ZERO, add, coords, diff,
     exp, mul, num, power, simplify, sqrt, subs, sym,
 )
 from .symbols import DEFAULT_TABLE
@@ -140,19 +140,16 @@ def fsq(f: tuple) -> Expr:
     return simplify(add(*parts))
 
 
-def stress_tensor(f: tuple, g5: tuple | None = None) -> tuple:
-    """T_AB = (1/4) g_AB F^2 - F_A^C F_BC, flat raising inside."""
+def stress_tensor(f: tuple) -> tuple:
+    """T_AB = (1/4) eta_AB F^2 - F_A^C F_BC, flat raising inside."""
     f2 = fsq(f)
-    if g5 is None:
-        g5 = tuple(tuple(ETA5[i] if i == j else ZERO for j in range(5))
-                   for i in range(5))
     out = []
     for i in range(5):
         row = []
         for j in range(5):
             parts = []
-            if g5[i][j] != ZERO and f2 != ZERO:
-                parts.append(mul(num(Fraction(1, 4)), g5[i][j], f2))
+            if i == j and f2 != ZERO:
+                parts.append(mul(num(Fraction(1, 4)), ETA5[i], f2))
             for k in range(5):
                 if f[i][k] == ZERO or f[j][k] == ZERO:
                     continue
@@ -463,11 +460,8 @@ def gravity_metric(family: str, g4: Grid | None = None, kappa=None,
                 rows[a][b] = g4v[a][b]
         rows[4][4] = base.g44
         rows[5][5] = MINUS_ONE
-    elif family in ("photon", "proca"):
-        if family == "photon":
-            base = photon_metric(params.get("A"))
-        else:
-            base = proca_metric(params.get("A"), params.get("m0"))
+    elif family == "proca":
+        base = proca_metric(params.get("A"), params.get("m0"))
         ahat = base.Ahat[:4]
         for a in range(4):
             for b in range(4):

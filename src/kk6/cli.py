@@ -33,7 +33,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import math
 import os
 import sys
@@ -59,8 +58,8 @@ from .parse import ParseError, parse_expression
 from .report import Report, to_json
 from .tensor import DIM, verify_claimed_inverse
 from .verify import (
-    ClaimParamError, REGISTRY, UnknownClaimError, refuted_must_pass,
-    run_suite,
+    ClaimParamError, REGISTRY, UnknownClaimError, must_pass_ids,
+    refuted_must_pass, run_suite,
 )
 
 __all__ = ["RunConfig", "CliError", "parse_config", "emit", "main"]
@@ -266,8 +265,7 @@ def _resolve(items) -> RunConfig:
         if ansatz is not None:
             raise _config_err("command 'verify' does not take an ansatz; "
                               "select claims instead")
-        selection = claims if claims is not None else \
-            [c for c in sorted(REGISTRY) if REGISTRY[c].must_pass]
+        selection = claims if claims is not None else must_pass_ids()
         allowed = set()
         for cid in selection:
             allowed |= REGISTRY[cid].param_names

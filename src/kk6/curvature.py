@@ -13,6 +13,7 @@ and mirrored (its symmetry is a theorem here, checked by tests through
 from __future__ import annotations
 
 from .expr import Expr, HALF, MINUS_ONE, ZERO, add, diff, mul, simplify
+from .symbols import COORDS
 from .tensor import DIM, Metric6, Tensor, build
 
 __all__ = [
@@ -23,13 +24,12 @@ __all__ = [
 def _metric_derivatives(metric: Metric6) -> tuple:
     got = metric._cache.get("dg")
     if got is None:
-        coords = metric.coords
         g = metric.lower
         dg = [[[None] * DIM for _ in range(DIM)] for _ in range(DIM)]
         for c in range(DIM):
             for a in range(DIM):
                 for b in range(a, DIM):
-                    d = simplify(diff(g[a][b], coords[c]))
+                    d = simplify(diff(g[a][b], COORDS[c]))
                     dg[c][a][b] = d
                     dg[c][b][a] = d
         got = tuple(tuple(tuple(r) for r in plane) for plane in dg)
@@ -73,13 +73,12 @@ def _gamma_div(metric: Metric6) -> tuple:
     got = metric._cache.get("gamma_div")
     if got is None:
         gamma = christoffel(metric)
-        coords = metric.coords
         out = []
         for c in range(DIM):
             plane = [[None] * DIM for _ in range(DIM)]
             for a in range(DIM):
                 for b in range(a, DIM):
-                    d = simplify(diff(gamma.entry(c, a, b), coords[c]))
+                    d = simplify(diff(gamma.entry(c, a, b), COORDS[c]))
                     plane[a][b] = d
                     plane[b][a] = d
             out.append(tuple(tuple(r) for r in plane))
@@ -103,11 +102,10 @@ def _ricci_formula(metric: Metric6, a: int, b: int) -> Expr:
     gamma = christoffel(metric)
     dgamma = _gamma_div(metric)
     trace = _gamma_trace(metric)
-    coords = metric.coords
     parts = []
     for c in range(DIM):
         parts.append(dgamma[c][a][b])
-    parts.append(simplify(mul(MINUS_ONE, diff(trace[a], coords[b]))))
+    parts.append(simplify(mul(MINUS_ONE, diff(trace[a], COORDS[b]))))
     for c in range(DIM):
         e = gamma.entry(c, a, b)
         if e == ZERO or trace[c] == ZERO:

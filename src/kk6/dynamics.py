@@ -77,7 +77,7 @@ class ClosedForm:
     residual: tuple[Expr, ...]   # a^A + Gamma^A_BC v^B v^C, simplified
 
 
-def closed_form_exprs(metric: Metric6 | None = None) -> ClosedForm:
+def closed_form_exprs() -> ClosedForm:
     """Symbolic closed-form geodesic of the scalar-mode metric, energy on
     shell, with its geodesic-equation residual formed and simplified.
 
@@ -106,9 +106,7 @@ def closed_form_exprs(metric: Metric6 | None = None) -> ClosedForm:
     v = tuple(simplify(diff(e, t)) for e in x)
     acc = tuple(simplify(diff(e, t)) for e in v)
 
-    if metric is None:
-        metric = scalar_metric(
-            p=(_onshell_expr(), p[1], p[2], p[3])).metric
+    metric = scalar_metric(p=(_onshell_expr(), p[1], p[2], p[3])).metric
     gamma = christoffel(metric).comps
     coord_map = {f"x{i}": x[i] for i in range(DIM)}
     residual = []

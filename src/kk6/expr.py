@@ -43,7 +43,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Mapping, Union
 
-from .symbols import DEFAULT_TABLE, Symbol, SymbolTable
+from .symbols import DEFAULT_TABLE, Symbol
 
 __all__ = [
     "Expr", "Num", "Sym", "Pow", "Exp", "Sqrt", "Conj", "Mul", "Add",
@@ -162,6 +162,10 @@ class Sym(Expr):
         ikey = (1, symbol)
         node = _TABLE.get(ikey)
         if node is None:
+            # printing, sorting and evaluation know a symbol by its name
+            if DEFAULT_TABLE.lookup(symbol.name) != symbol:
+                raise ValueError(f"symbol {symbol.name!r} is registered "
+                                 "with different flags")
             node = _new(cls, ikey, (1, symbol.name))
             node.symbol = symbol
         return node
@@ -288,14 +292,14 @@ def _coerce(value) -> Expr | None:
     return None
 
 
-def sym(name: str | Symbol, table: SymbolTable | None = None) -> Sym:
-    if isinstance(name, Symbol):
-        return Sym(name)
-    return Sym((table or DEFAULT_TABLE).lookup(name))
+def sym(name: str) -> Sym:
+    """The symbol registered under ``name`` in ``DEFAULT_TABLE``; every
+    symbol comes from that one registry, so a name has one meaning."""
+    return Sym(DEFAULT_TABLE.lookup(name))
 
 
-def coords(table: SymbolTable | None = None) -> tuple[Sym, ...]:
-    return tuple(Sym(s) for s in (table or DEFAULT_TABLE).coordinates)
+def coords() -> tuple[Sym, ...]:
+    return tuple(Sym(s) for s in DEFAULT_TABLE.coordinates)
 
 
 def add(*terms: Expr) -> Expr:
@@ -473,16 +477,16 @@ def conj(e: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 # calculus and rewriting
 
-def _resolve_symbol(s, table: SymbolTable | None) -> Symbol:
+def _resolve_symbol(s) -> Symbol:
     if isinstance(s, Sym):
         return s.symbol
     if isinstance(s, Symbol):
         return s
-    return (table or DEFAULT_TABLE).lookup(s)
+    return DEFAULT_TABLE.lookup(s)
 
 
-def diff(e: Expr, s, table: SymbolTable | None = None) -> Expr:
-    return _diff(e, _resolve_symbol(s, table), {})
+def diff(e: Expr, s) -> Expr:
+    return _diff(e, _resolve_symbol(s), {})
 
 
 # The walkers below are module-level functions that take their memo as an
@@ -527,10 +531,10 @@ def _diff(node: Expr, target: Symbol, memo: dict) -> Expr:
     return r
 
 
-def subs(e: Expr, mapping: Mapping, table: SymbolTable | None = None) -> Expr:
+def subs(e: Expr, mapping: Mapping) -> Expr:
     repl: dict[str, Expr] = {}
     for k, v in mapping.items():
-        name = _resolve_symbol(k, table).name
+        name = _resolve_symbol(k).name
         value = _coerce(v)
         if value is None:
             raise TypeError(f"substitution for {name} is not an expression: {v!r}")

@@ -115,23 +115,23 @@ def _d1(f, x, c: int, h: float) -> np.ndarray:
             - 8 * f(_shift(x, c, -h)) + f(_shift(x, c, -2 * h))) / (12 * h)
 
 
-def christoffel_fd(gf, x, h: float = H_METRIC) -> np.ndarray:
+def christoffel_fd(gf, x) -> np.ndarray:
     """Gamma[c, a, b] from central differences of the metric closure."""
     g = gf(x)
     ginv = np.linalg.inv(g)
-    dg = np.stack([_d1(gf, x, c, h) for c in range(DIM)])
+    dg = np.stack([_d1(gf, x, c, H_METRIC) for c in range(DIM)])
     # S[a, d, b] = d_a g_db + d_b g_da - d_d g_ab
     s = dg + dg.transpose(2, 1, 0) - dg.transpose(1, 0, 2)
     return 0.5 * np.einsum("cd,adb->cab", ginv, s)
 
 
-def ricci_fd(gf, x, h: float = H_METRIC, h_outer: float = H_CONNECTION) -> np.ndarray:
-    gamma = christoffel_fd(gf, x, h)
+def ricci_fd(gf, x) -> np.ndarray:
+    gamma = christoffel_fd(gf, x)
 
     def gamma_at(pt):
-        return christoffel_fd(gf, pt, h)
+        return christoffel_fd(gf, pt)
 
-    dgamma = np.stack([_d1(gamma_at, x, e, h_outer) for e in range(DIM)])
+    dgamma = np.stack([_d1(gamma_at, x, e, H_CONNECTION) for e in range(DIM)])
     term1 = np.einsum("ccab->ab", dgamma)
     term2 = np.einsum("bcac->ab", dgamma)
     trace = np.einsum("dcd->c", gamma)
@@ -140,16 +140,14 @@ def ricci_fd(gf, x, h: float = H_METRIC, h_outer: float = H_CONNECTION) -> np.nd
     return term1 - term2 + term3 - term4
 
 
-def ricci_scalar_fd(gf, x, h: float = H_METRIC,
-                    h_outer: float = H_CONNECTION) -> complex:
-    r = ricci_fd(gf, x, h, h_outer)
+def ricci_scalar_fd(gf, x) -> complex:
+    r = ricci_fd(gf, x)
     ginv = np.linalg.inv(gf(x))
     return complex(np.einsum("ab,ab->", ginv, r))
 
 
-def einstein_fd(gf, x, h: float = H_METRIC,
-                h_outer: float = H_CONNECTION) -> np.ndarray:
+def einstein_fd(gf, x) -> np.ndarray:
     g = gf(x)
-    r = ricci_fd(gf, x, h, h_outer)
+    r = ricci_fd(gf, x)
     rs = np.einsum("ab,ab->", np.linalg.inv(g), r)
     return r - 0.5 * rs * g

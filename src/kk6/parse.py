@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import Expr, I, add, conj, exp, mul, num, power, sqrt, sym
-from .symbols import DEFAULT_TABLE, SymbolTable, UnknownSymbolError
+from .symbols import UnknownSymbolError
 
 __all__ = ["ParseError", "parse_expression", "tokenize"]
 
@@ -69,10 +69,9 @@ def tokenize(text: str) -> list[Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], table: SymbolTable):
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
-        self.table = table
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -144,7 +143,7 @@ class _Parser:
                 self.expect_op(")")
                 return fn(inner)
             try:
-                return sym(tok.text, self.table)
+                return sym(tok.text)
             except UnknownSymbolError:
                 raise ParseError(f"unknown symbol {tok.text!r}", tok.pos) from None
         if tok.kind == "OP" and tok.text == "(":
@@ -154,8 +153,8 @@ class _Parser:
         raise ParseError("expected a number, symbol or '('", tok.pos)
 
 
-def parse_expression(text: str, table: SymbolTable | None = None) -> Expr:
-    parser = _Parser(tokenize(text), table or DEFAULT_TABLE)
+def parse_expression(text: str) -> Expr:
+    parser = _Parser(tokenize(text))
     result = parser.expr()
     tail = parser.peek()
     if tail.kind != "END":

@@ -14,7 +14,6 @@ from .expr import (
     Expr, MINUS_ONE, ONE, ZERO, add, free_symbols, mul, power, simplify,
     to_text,
 )
-from .symbols import DEFAULT_TABLE, Symbol
 from .zeros import is_zero, sample_env
 
 __all__ = [
@@ -52,8 +51,7 @@ def _as_grid(rows) -> Grid:
 class Metric6:
     """Symmetric 6x6 metric with cached derived data (inverse, connection)."""
 
-    def __init__(self, rows, name: str = "metric",
-                 coords: tuple[Symbol, ...] | None = None):
+    def __init__(self, rows, name: str = "metric"):
         grid = _as_grid(rows)
         for a in range(DIM):
             for b in range(a):
@@ -63,7 +61,6 @@ class Metric6:
                         f"{to_text(grid[a][b])} vs {to_text(grid[b][a])}")
         self.lower = grid
         self.name = name
-        self.coords = coords or DEFAULT_TABLE.coordinates
         self._cache: dict[str, object] = {}
 
     def entry(self, a: int, b: int) -> Expr:
@@ -150,15 +147,15 @@ def adjugate(grid: Grid) -> Grid:
     return tuple(out)
 
 
-def invert_metric(metric: Metric6, seed: int = 0) -> Grid:
+def invert_metric(metric: Metric6) -> Grid:
     """Exact inverse by adjugate over determinant.
 
     Raises :class:`SingularMetricError` when the determinant is zero
     (structurally or under random evaluation)."""
     det = metric.det()
-    if det == ZERO or is_zero(det, seed=seed, trials=16).verdict == "zero":
+    if det == ZERO or is_zero(det, seed=0, trials=16).verdict == "zero":
         syms = sorted(free_symbols(det), key=lambda s: s.name)
-        witness = sample_env(syms, random.Random(seed))
+        witness = sample_env(syms, random.Random(0))
         raise SingularMetricError(det, witness)
     inv_det = power(det, -1)
     adj = adjugate(metric.lower)

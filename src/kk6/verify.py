@@ -14,12 +14,16 @@ Verdicts:
 
 Dispersion substitutions (p0 = sqrt(p1^2+p2^2+p3^2+m0^2)) are applied
 before residual formation and stated in each report's assumptions.
+
+Each claim is stated once, as a row of :data:`REGISTRY` (id, anchor,
+must-pass flag, parameters).  A check returns only what it measured;
+:func:`run_claim` adds the id, anchor and seed to build the record.
 """
 from __future__ import annotations
 
 import cmath
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
@@ -71,12 +75,12 @@ class ClaimParamError(ValueError):
 
 @dataclass(frozen=True)
 class _Outcome:
-    status: str                  # zero | nonzero | inconclusive
+    status: str                  # zero | nonzero | inconclusive | measured
     max_residual: float
     samples: int
-    structural: int              # residuals that simplified to literal 0
-    witness: dict | None
-    label: str | None
+    structural: int = 0          # residuals that simplified to literal 0
+    witness: dict | None = None
+    label: str | None = None
     note: str | None = None
 
 
@@ -94,7 +98,7 @@ def _grade(pairs, seed: int, tol: float, trials: int,
         if v.verdict != "zero":
             return _Outcome(v.verdict, worst, total, structural, v.witness,
                             label, v.note)
-    return _Outcome("zero", worst, total, structural, None, None)
+    return _Outcome("zero", worst, total, structural)
 
 
 def _keep(pairs, formed: list):
@@ -105,15 +109,17 @@ def _keep(pairs, formed: list):
 
 
 _VERDICT_OF = {"zero": CONFIRMED, "nonzero": REFUTED,
-               "inconclusive": INCONCLUSIVE}
+               "inconclusive": INCONCLUSIVE, "measured": CONDITIONAL}
 
 
-def _close(out: _Outcome, claim_id: str, anchor: str, seed: int,
-           assumptions=(), notes=(), extra_witness=None) -> ClaimReport:
+def _close(out: _Outcome, assumptions=(), notes=(),
+           extra_witness=None) -> dict:
+    """What a check measured: the ``ClaimReport`` fields except the claim
+    id, anchor and seed, which :func:`run_claim` adds."""
     notes = tuple(notes)
-    if out.status == "nonzero":
+    if out.status == "nonzero" and out.label:
         notes += (f"residual nonzero: {out.label}",)
-    elif out.status == "inconclusive":
+    elif out.status == "inconclusive" and out.label:
         notes += (f"undecided: {out.label}" + (f" ({out.note})" if out.note
                                                else ""),)
     witness = out.witness
@@ -121,10 +127,9 @@ def _close(out: _Outcome, claim_id: str, anchor: str, seed: int,
         witness = {**extra_witness, **witness}
     elif witness is None and out.status == "nonzero":
         witness = extra_witness or {}
-    return ClaimReport(
-        claim_id=claim_id, anchor=anchor, verdict=_VERDICT_OF[out.status],
-        max_residual=out.max_residual, samples=out.samples, seed=seed,
-        assumptions=tuple(assumptions), notes=notes, witness=witness)
+    return dict(verdict=_VERDICT_OF[out.status],
+                max_residual=out.max_residual, samples=out.samples,
+                assumptions=tuple(assumptions), notes=notes, witness=witness)
 
 
 def _num_param(params, name):
@@ -135,18 +140,12 @@ def _num_param(params, name):
                else Fraction(v))
 
 
-def _box4(e: Expr) -> Expr:
+def _div(v) -> Expr:
+    """Flat divergence ``eta^ii d_i v_i`` over the first ``len(v)`` of the
+    five non-compact indices (four: the 4d divergence)."""
     x = coords()
-    parts = []
-    for a in range(4):
-        parts.append(mul(ETA4[a], diff(diff(e, x[a].symbol), x[a].symbol)))
-    return simplify(add(*parts))
-
-
-def _div5(field, x) -> Expr:
-    """Flat-raised divergence over the five non-compact indices."""
-    return simplify(add(*(mul(ETA5[i], diff(field[i], x[IDX5[i]].symbol))
-                          for i in range(5))))
+    return simplify(add(*(mul(ETA5[i], diff(e, x[IDX5[i]]))
+                          for i, e in enumerate(v))))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +155,7 @@ _ONSHELL_NOTE = "p0 = sqrt(p1^2 + p2^2 + p3^2 + m0^2) substituted before " \
     "residual formation"
 
 
-def check_klein_gordon(seed, tol, trials, params) -> ClaimReport:
+def check_klein_gordon(seed, tol, trials, params) -> dict:
     x = coords()
     pv = [_num_param(params, f"p{i}") or sym(f"p{i}") for i in range(4)]
     m0 = _num_param(params, "m0") or sym("m0")
@@ -168,7 +167,8 @@ def check_klein_gordon(seed, tol, trials, params) -> ClaimReport:
     phi = exp(mul(num(0, -1), add(mul(pv[0], x[0]), mul(MINUS_ONE, pv[1], x[1]),
                                   mul(MINUS_ONE, pv[2], x[2]),
                                   mul(MINUS_ONE, pv[3], x[3]))))
-    kg = simplify(add(_box4(phi), mul(power(m0, 2), phi)))
+    box = _div([diff(phi, x[a]) for a in range(4)])
+    kg = simplify(add(box, mul(power(m0, 2), phi)))
 
     g = einstein(mode.metric).comps
     p_low = mode.grad[:4]        # lower four-momentum = 4d phase gradient
@@ -214,13 +214,10 @@ def check_klein_gordon(seed, tol, trials, params) -> ClaimReport:
         v = _num_param(params, f"p{i}")
         if v is not None:
             extra[f"p{i}"] = complex(float(v.re), float(v.im))
-    return _close(out, "kg.reduction",
-                  "scalar mode reduces to the free wave equation, with the "
-                  "4d Einstein block equal to p_a p_b",
-                  seed, assumptions, notes, extra_witness=extra or None)
+    return _close(out, assumptions, notes, extra_witness=extra or None)
 
 
-def check_ricci_scalar_zero(seed, tol, trials, params) -> ClaimReport:
+def check_ricci_scalar_zero(seed, tol, trials, params) -> dict:
     m0 = _num_param(params, "m0") or sym("m0")
     pv = [_num_param(params, f"p{i}") or sym(f"p{i}") for i in range(4)]
     if "p0" not in params:
@@ -241,25 +238,18 @@ def check_ricci_scalar_zero(seed, tol, trials, params) -> ClaimReport:
     out = _grade(pairs, seed, tol, trials)
     if perturb is None and out.structural == 1:
         notes.append("curvature scalar vanishes at the expression level")
-    return _close(out, "ricci.scalar.zero",
-                  "scalar curvature of the scalar-mode metric vanishes",
-                  seed, ["hbar = 1", _ONSHELL_NOTE], notes)
+    return _close(out, ["hbar = 1", _ONSHELL_NOTE], notes)
 
 
 # ---------------------------------------------------------------------------
 # vector-mode claims
 
-def _vector_pairs(ahat5, label_prefix: str):
-    x = coords()
-    f = field_strength(ahat5)
-    pairs = []
-    for j in range(5):
-        d = simplify(add(*(mul(ETA5[i], diff(f[i][j], x[IDX5[i]].symbol))
-                           for i in range(5))))
-        pairs.append((f"{label_prefix} field equation, component {IDX5[j]}",
-                      d))
-    pairs.append((f"{label_prefix} field invariant F^2", simplify(fsq(f))))
-    return f, pairs
+def _vector_pairs(f, equation: str, invariant: str):
+    """The five flat field equations of ``f`` and its invariant F^2."""
+    pairs = [(f"{equation}, component {IDX5[j]}",
+              _div([f[i][j] for i in range(5)])) for j in range(5)]
+    pairs.append((invariant, fsq(f)))
+    return pairs
 
 
 _MAXWELL_ASSUMPTIONS = (
@@ -281,9 +271,11 @@ def _maxwell_potential(params):
     raise ClaimParamError(f"unknown potential preset {kind!r}")
 
 
-def check_maxwell(seed, tol, trials, params) -> ClaimReport:
+def check_maxwell(seed, tol, trials, params) -> dict:
     a4, kind = _maxwell_potential(params)
-    _, pairs = _vector_pairs(tuple(a4) + (ZERO,), "massless")
+    pairs = _vector_pairs(field_strength(tuple(a4) + (ZERO,)),
+                          "massless field equation",
+                          "massless field invariant F^2")
     out = _grade(pairs, seed, tol, trials)
     notes = [f"potential preset: {kind}",
              f"{out.structural} of {len(pairs)} residuals vanish at the "
@@ -292,23 +284,18 @@ def check_maxwell(seed, tol, trials, params) -> ClaimReport:
         notes.append("expected: a non-null wave vector breaks the "
                      "massless-field identities")
     assumptions = _MAXWELL_ASSUMPTIONS if kind == "null" else ()
-    return _close(out, "maxwell.reduction",
-                  "massless vector mode obeys the flat-space field "
-                  "equations", seed, assumptions, notes)
+    return _close(out, assumptions, notes)
 
 
-def check_fsq_null(seed, tol, trials, params) -> ClaimReport:
+def check_fsq_null(seed, tol, trials, params) -> dict:
     a4 = null_wave_potential(_num_param(params, "omega"))
     f = field_strength(tuple(a4) + (ZERO,))
-    out = _grade([("field invariant F^2", simplify(fsq(f)))],
-                 seed, tol, trials)
+    out = _grade([("field invariant F^2", fsq(f))], seed, tol, trials)
     notes = ["transverse null wave: electric and magnetic contributions "
              "cancel exactly"]
     if out.structural == 1:
         notes.append("invariant vanishes at the expression level")
-    return _close(out, "fsq.null",
-                  "null transverse wave has vanishing field-strength "
-                  "invariant", seed, _MAXWELL_ASSUMPTIONS, notes)
+    return _close(out, _MAXWELL_ASSUMPTIONS, notes)
 
 
 _PROCA_ASSUMPTIONS = (
@@ -318,7 +305,7 @@ _PROCA_ASSUMPTIONS = (
 )
 
 
-def check_proca(seed, tol, trials, params) -> ClaimReport:
+def check_proca(seed, tol, trials, params) -> dict:
     x = coords()
     k3 = _num_param(params, "k3")
     m0 = _num_param(params, "m0") or sym("m0")
@@ -332,17 +319,11 @@ def check_proca(seed, tol, trials, params) -> ClaimReport:
         ahat = tuple(simplify(mul(a, twist)) for a in a4) + (ZERO,)
         f = field_strength(ahat)
 
-    pairs = []
-    for j in range(5):
-        d = simplify(add(*(mul(ETA5[i], diff(f[i][j], x[IDX5[i]].symbol))
-                           for i in range(5))))
-        pairs.append((f"field equation, component {IDX5[j]}", d))
-    pairs.append(("field invariant F^2 over all five indices",
-                  simplify(fsq(f))))
+    pairs = _vector_pairs(f, "field equation",
+                          "field invariant F^2 over all five indices")
     # 4d reading: the compact phase turns into the mass term
     for b in range(4):
-        div4 = simplify(add(*(mul(ETA4[i], diff(f[i][b], x[i].symbol))
-                              for i in range(4))))
+        div4 = _div([f[i][b] for i in range(4)])
         pairs.append((f"4d divergence plus m0^2 A, component {b}",
                       simplify(add(div4, mul(power(m0, 2), ahat[b])))))
     f2g = simplify(add(*(mul(ETA4[i], ETA4[j], power(f[i][j], 2))
@@ -361,10 +342,7 @@ def check_proca(seed, tol, trials, params) -> ClaimReport:
     if phase_factor != 1:
         notes.append(f"compact phase factor {phase_factor} (mass term "
                      "scales quadratically; mismatch expected)")
-    return _close(out, "proca.reduction",
-                  "massive vector mode obeys the field equations with the "
-                  "mass supplied by the compact phase",
-                  seed, _PROCA_ASSUMPTIONS, notes)
+    return _close(out, _PROCA_ASSUMPTIONS, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +355,16 @@ _DIRAC_ASSUMPTIONS = (
 )
 
 
+_HALFSPIN_PARAMS = ("p1", "p2", "p3", "m0")
+
+
+# Momenta are interned nodes (None: symbolic), so equal values share a
+# cache entry.
 @lru_cache(maxsize=8)
-def _dirac_bundle(sol: int):
-    mode = dirac_metric(sol=sol)
+def _dirac_bundle(sol: int, p1, p2, p3, m0):
+    mode = dirac_metric(sol, p1, p2, p3, m0)
     f = field_strength(mode.K)
-    t = stress_tensor(f)
-    return mode, f, t
+    return mode, f, stress_tensor(f)
 
 
 def _momentum_products(mode, signs=(1, -1)):
@@ -434,28 +416,18 @@ def _dirac_rows(mode):
 
 
 def _check_dirac(sol: int):
-    def run(seed, tol, trials, params) -> ClaimReport:
+    def run(seed, tol, trials, params) -> dict:
         x = coords()
-        if any(k in params for k in ("p1", "p2", "p3", "m0")):
-            mode = dirac_metric(sol, _num_param(params, "p1"),
-                                _num_param(params, "p2"),
-                                _num_param(params, "p3"),
-                                _num_param(params, "m0"))
-            f = field_strength(mode.K)
-            t = stress_tensor(f)
-        else:
-            mode, f, t = _dirac_bundle(sol)
+        mode, f, t = _dirac_bundle(sol, *(_num_param(params, k)
+                                          for k in _HALFSPIN_PARAMS))
         comps = mode.components
 
-        pairs = []
-        for i in range(5):
-            box = simplify(add(*(
-                mul(ETA5[j], diff(diff(mode.K[i], x[IDX5[j]].symbol),
-                                  x[IDX5[j]].symbol)) for j in range(5))))
-            pairs.append((f"plane-wave condition, component {IDX5[i]}", box))
-        div = _div5(mode.K, x)
+        pairs = [(f"plane-wave condition, component {IDX5[i]}",
+                  _div([diff(k, x[j]) for j in IDX5]))
+                 for i, k in enumerate(mode.K)]
+        div = _div(mode.K)
         pairs.append(("divergence of the five-component field", div))
-        pairs.append(("field invariant F^2", simplify(fsq(f))))
+        pairs.append(("field invariant F^2", fsq(f)))
         rhs = mul(comps.C, exp(mul(num(0, 1), comps.m0, x[5])),
                   _dirac_rows(mode))
         pairs.append(("divergence equals the component equation row",
@@ -480,20 +452,17 @@ def _check_dirac(sol: int):
             f"component {'+' if s5 > 0 else '-'}m0 (family sign)",
         ]
         notes.extend(mode.notes)
-        return _close(out, f"dirac.sol{sol}",
-                      f"half-spin solution {sol}: plane-wave condition, "
-                      "divergence, field invariant, component equation, "
-                      "and stress form", seed, _DIRAC_ASSUMPTIONS, notes)
+        return _close(out, _DIRAC_ASSUMPTIONS, notes)
     return run
 
 
-def check_dirac_stress(seed, tol, trials, params) -> ClaimReport:
+def check_dirac_stress(seed, tol, trials, params) -> dict:
     scan_trials = min(6, trials)
     samples = 0
     notes = []
     conventions = {}
     for sol in (1, 2, 3, 4):
-        mode, f, t = _dirac_bundle(sol)
+        mode, f, t = _dirac_bundle(sol, None, None, None, None)
         products = _momentum_products(mode)
         winners = []
         for s5 in (1, -1):
@@ -513,16 +482,12 @@ def check_dirac_stress(seed, tol, trials, params) -> ClaimReport:
                         out = _grade(formed, seed, tol, trials,
                                      positive=_POS_M0)
         if len(winners) != 1:
-            return ClaimReport(
-                claim_id="dirac.stress",
-                anchor="half-spin stress tensor equals a momentum-product "
-                       "form with a unique sign convention",
-                verdict=REFUTED if not winners else INCONCLUSIVE,
-                max_residual=0.0, samples=samples, seed=seed,
-                assumptions=_DIRAC_ASSUMPTIONS,
-                notes=(f"solution {sol}: {len(winners)} candidate "
-                       "conventions survive the scan",),
-                witness={} if not winners else None)
+            return _close(
+                _Outcome("inconclusive" if winners else "nonzero", 0.0,
+                         samples),
+                _DIRAC_ASSUMPTIONS,
+                [f"solution {sol}: {len(winners)} candidate conventions "
+                 "survive the scan"])
         conventions[sol] = winners[0]
 
     for sol, (coeff, s5) in sorted(conventions.items()):
@@ -531,18 +496,14 @@ def check_dirac_stress(seed, tol, trials, params) -> ClaimReport:
                      f"{'+' if s5 > 0 else '-'}m0")
     notes.append("the extra momentum component tracks the plane-wave "
                  "family sign")
-    out = _Outcome(out.status, out.max_residual, samples + out.samples,
-                   out.structural, out.witness, out.label, out.note)
-    return _close(out, "dirac.stress",
-                  "half-spin stress tensor equals a momentum-product form "
-                  "with a unique sign convention",
-                  seed, _DIRAC_ASSUMPTIONS, notes)
+    return _close(replace(out, samples=samples + out.samples),
+                  _DIRAC_ASSUMPTIONS, notes)
 
 
 # ---------------------------------------------------------------------------
 # inverse claims
 
-def check_inverse_photon(seed, tol, trials, params) -> ClaimReport:
+def check_inverse_photon(seed, tol, trials, params) -> dict:
     mode = photon_metric()
     residual = identity_residual(mode.metric, mode.claimed_upper)
     pairs = [(f"inverse residual entry ({a},{b})", residual[a][b])
@@ -550,12 +511,10 @@ def check_inverse_photon(seed, tol, trials, params) -> ClaimReport:
     out = _grade(pairs, seed, tol, trials)
     notes = [f"{out.structural} of 36 inverse residual entries vanish at "
              "the expression level"]
-    return _close(out, "inverse.photon",
-                  "claimed inverse of the massless vector metric",
-                  seed, (), notes)
+    return _close(out, (), notes)
 
 
-def check_inverse_halfspin(seed, tol, trials, params) -> ClaimReport:
+def check_inverse_halfspin(seed, tol, trials, params) -> dict:
     sol = int(params.get("sol", 1))
     mode = dirac_metric(sol=sol)
     full = identity_residual(mode.metric, mode.claimed_upper)
@@ -583,15 +542,12 @@ def check_inverse_halfspin(seed, tol, trials, params) -> ClaimReport:
         "exactness requires the compact-compact entry to subtract the "
         "square of the fifth field component",
     ]
-    return ClaimReport(
-        claim_id="inverse.halfspin",
-        anchor="claimed inverse of the half-spin metric, measured under "
-               "both trace readings",
-        verdict=CONDITIONAL, max_residual=worst, samples=samples, seed=seed,
-        assumptions=_DIRAC_ASSUMPTIONS + (
-            "the printed inverse does not state which indices the "
-            "compact-entry trace runs over; both readings are measured",),
-        notes=tuple(notes))
+    return _close(_Outcome("measured", worst, samples),
+                  _DIRAC_ASSUMPTIONS + (
+                      "the printed inverse does not state which indices the "
+                      "compact-entry trace runs over; both readings are "
+                      "measured",),
+                  notes)
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +571,7 @@ def _gravity_params(family):
 
 
 def _check_gravity_split(family: str):
-    def run(seed, tol, trials, params) -> ClaimReport:
+    def run(seed, tol, trials, params) -> dict:
         eps = float(params.get("eps", 1e-3))
         kappa = num(Fraction(str(params.get("kappa", 1))))
         npoints = int(params.get("points", 3))
@@ -663,17 +619,11 @@ def _check_gravity_split(family: str):
                 "field-part extra-diagonal source equals m0^2 "
                 + ("(exact at the expression level)" if exact == ZERO
                    else "(NOT exact)"))
-        return ClaimReport(
-            claim_id=f"gravity.split.{family}",
-            anchor=f"Einstein tensor of the gravity-coupled {family} "
-                   "metric separates into background plus field parts",
-            verdict=CONDITIONAL, max_residual=worst, samples=npoints,
-            seed=seed,
-            assumptions=("separability is asserted without proof; this "
-                         "check measures the residual numerically",
-                         f"coupling constant kappa = "
-                         f"{params.get('kappa', 1)}"),
-            notes=tuple(notes))
+        return _close(_Outcome("measured", worst, npoints),
+                      ("separability is asserted without proof; this "
+                       "check measures the residual numerically",
+                       f"coupling constant kappa = {params.get('kappa', 1)}"),
+                      notes)
     return run
 
 
@@ -685,7 +635,7 @@ _GEO_M0 = 1.0
 _GEO_CONST = (0.1 + 0.05j, -0.2j, 0.3, 0.02 + 0.01j, 0.0, 0.04 - 0.1j)
 
 
-def check_geodesic_closedform(seed, tol, trials, params) -> ClaimReport:
+def check_geodesic_closedform(seed, tol, trials, params) -> dict:
     steps = int(params.get("steps", 1000))
     cf = closed_form_exprs()
     pairs = [(f"geodesic equation, component {a}", cf.residual[a])
@@ -720,19 +670,15 @@ def check_geodesic_closedform(seed, tol, trials, params) -> ClaimReport:
                            "form")
         else:
             out = _Outcome("zero", max(out.max_residual, dev, ratio_err),
-                           out.samples + len(path.states), out.structural,
-                           None, None)
-    return _close(out, "geodesic.closedform",
-                  "closed-form geodesic of the scalar-mode metric "
-                  "(symbolic residual and numeric integration)",
-                  seed,
+                           out.samples + len(path.states), out.structural)
+    return _close(out,
                   ("real affine parameter", _ONSHELL_NOTE,
                    "the exponential in the compact coordinate uses "
                    "same-parameter coordinates"),
                   notes)
 
 
-def check_interference_minima(seed, tol, trials, params) -> ClaimReport:
+def check_interference_minima(seed, tol, trials, params) -> dict:
     from .dynamics import two_path_fringes, _path_difference
     lam = float(params.get("wavelength", 0.5))
     d = float(params.get("d", 10.0))
@@ -763,10 +709,7 @@ def check_interference_minima(seed, tol, trials, params) -> ClaimReport:
         "the extra-coordinate density is dropped (special coordinate "
         "choice) and recorded here",
     ]
-    return _close(out, "interference.minima",
-                  "two-path density minima sit exactly at half-integer "
-                  "path differences",
-                  seed,
+    return _close(out,
                   ("straight-ray path lengths (far-field regime)",
                    "unit amplitude per path"),
                   notes)
@@ -792,7 +735,8 @@ _P4 = ("p0", "p1", "p2", "p3", "m0")
 
 REGISTRY: dict[str, Claim] = {c.claim_id: c for c in [
     _claim("kg.reduction",
-           "scalar mode reduces to the free wave equation",
+           "scalar mode reduces to the free wave equation, with the 4d "
+           "Einstein block equal to p_a p_b",
            True, check_klein_gordon, _P4),
     _claim("ricci.scalar.zero",
            "scalar curvature of the scalar-mode metric vanishes",
@@ -804,31 +748,37 @@ REGISTRY: dict[str, Claim] = {c.claim_id: c for c in [
            "null transverse wave has vanishing field-strength invariant",
            True, check_fsq_null, ("omega",)),
     _claim("proca.reduction",
-           "massive vector mode with the mass from the compact phase",
+           "massive vector mode obeys the field equations with the mass "
+           "supplied by the compact phase",
            True, check_proca, ("k3", "m0", "pol", "phase_factor")),
     *[_claim(f"dirac.sol{s}",
-             f"half-spin solution {s}: all five sub-checks",
-             True, _check_dirac(s), ("p1", "p2", "p3", "m0"))
+             f"half-spin solution {s}: plane-wave condition, divergence, "
+             "field invariant, component equation, and stress form",
+             True, _check_dirac(s), _HALFSPIN_PARAMS)
       for s in (1, 2, 3, 4)],
     _claim("dirac.stress",
-           "half-spin stress tensor equals the momentum-product form",
+           "half-spin stress tensor equals a momentum-product form with a "
+           "unique sign convention",
            True, check_dirac_stress, ()),
     _claim("inverse.photon",
            "claimed inverse of the massless vector metric",
            True, check_inverse_photon, ()),
     _claim("inverse.halfspin",
-           "claimed inverse of the half-spin metric (measured)",
+           "claimed inverse of the half-spin metric, measured under both "
+           "trace readings",
            False, check_inverse_halfspin, ("sol",)),
     *[_claim(f"gravity.split.{fam}",
-             f"background/field split of the {fam} gravity metric "
-             "(measured)",
+             f"Einstein tensor of the gravity-coupled {fam} metric "
+             "separates into background plus field parts",
              False, _check_gravity_split(fam), ("eps", "kappa", "points"))
       for fam in ("scalar", "proca", "dirac")],
     _claim("geodesic.closedform",
-           "closed-form geodesic of the scalar-mode metric",
+           "closed-form geodesic of the scalar-mode metric (symbolic "
+           "residual and numeric integration)",
            True, check_geodesic_closedform, ("steps",)),
     _claim("interference.minima",
-           "two-path density minima at half-integer path differences",
+           "two-path density minima sit exactly at half-integer path "
+           "differences",
            True, check_interference_minima,
            ("wavelength", "d", "L", "ymax", "points")),
 ]}
@@ -850,7 +800,8 @@ def run_claim(claim_id: str, seed: int = 0, tol: float = 1e-9,
         raise UnknownClaimError(f"unknown claim id {claim_id!r}")
     params = params or {}
     own = {k: v for k, v in params.items() if k in claim.param_names}
-    return claim.runner(seed, tol, trials, own)
+    return ClaimReport(claim_id=claim_id, anchor=claim.anchor, seed=seed,
+                       **claim.runner(seed, tol, trials, own))
 
 
 def run_suite(claims=None, seed: int = 0, tol: float = 1e-9,

@@ -132,6 +132,23 @@ def test_diff_wrt_conjugated_symbol_raises():
     assert diff(conj(z), "x0") == ZERO
 
 
+def test_a_symbol_name_has_one_meaning():
+    # Every Sym comes from the one registry, which refuses to give a name a
+    # second set of flags, so two nodes never print the same.
+    from kk6.symbols import DEFAULT_TABLE, Symbol, UnknownSymbolError
+    DEFAULT_TABLE.register("q_test", real=True)
+    with pytest.raises(ValueError, match="different flags"):
+        DEFAULT_TABLE.register("q_test", real=False)
+    with pytest.raises(ValueError, match="different flags"):
+        DEFAULT_TABLE.register("x0", real=True)
+    with pytest.raises(UnknownSymbolError):
+        sym(Symbol("q_test", real=False))
+    with pytest.raises(ValueError, match="different flags"):
+        kernel.Sym(Symbol("q_test", real=False))
+    assert sym("q_test") is sym("q_test")
+    assert to_text(add(sym("q_test"), sym("q_test"))) == "2*q_test"
+
+
 # --- conjugation --------------------------------------------------------------
 
 def test_conj_pushes_to_leaves_and_involutes():

@@ -14,12 +14,12 @@ from kk6.expr import (  # noqa: E402
     simplify, sqrt, sym, to_text,
 )
 from kk6.parse import parse_expression  # noqa: E402
-from kk6.symbols import SymbolTable  # noqa: E402
+from kk6.symbols import DEFAULT_TABLE  # noqa: E402
 from kk6.zeros import evaluate, sample_env, scaled_eval  # noqa: E402
 
-TABLE = SymbolTable()
-W = sym(TABLE.register("w", real=False))
-X0, X1, X2 = coords(TABLE)[:3]
+DEFAULT_TABLE.register("w", real=False)
+W = sym("w")
+X0, X1, X2 = coords()[:3]
 SYMS = (X0, X1, X2, W)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
@@ -74,7 +74,7 @@ def test_simplify_is_idempotent(e):
 @PROPERTY
 @given(exprs)
 def test_text_round_trips_through_the_parser(e):
-    assert parse_expression(to_text(e), TABLE) is e
+    assert parse_expression(to_text(e)) is e
 
 
 @PROPERTY
