@@ -12,7 +12,7 @@ from .expr import (
     sym, to_text,
 )
 from .parse import ParseError, parse_expression
-from .symbols import DEFAULT_TABLE, Symbol, SymbolTable
+from .symbols import DEFAULT_TABLE, Symbol
 from .zeros import ZeroResult, evaluate, is_zero
 
 __version__ = "0.1.0"

@@ -140,9 +140,9 @@ def fsq(f: tuple) -> Expr:
     return simplify(add(*parts))
 
 
-def stress_tensor(f: tuple) -> tuple:
-    """T_AB = (1/4) eta_AB F^2 - F_A^C F_BC, flat raising inside."""
-    f2 = fsq(f)
+def stress_tensor(f: tuple, f2: Expr) -> tuple:
+    """T_AB = (1/4) eta_AB F^2 - F_A^C F_BC, flat raising inside; ``f2``
+    is ``fsq(f)``, which the caller forms once and keeps."""
     out = []
     for i in range(5):
         row = []

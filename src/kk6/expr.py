@@ -29,7 +29,22 @@ by a node's tag and its children's ids (``Num`` by its exact numerator and
 denominator integers, ``Sym`` by its ``Symbol``), so a lookup never hashes
 a ``Fraction`` or a subtree.  The structural key ``_key`` survives only as
 the sort order of sums and products, which therefore does not depend on
-construction history.
+construction history.  A ``Num`` key puts a float before each exact part;
+the float never orders two values against their exact order, so sorting
+compares floats and reaches a ``Fraction`` only on a tie, and a zero part
+is the one ``_F0`` object, so equal zero parts tie by identity.
+
+Only the constructors in this module build nodes, so every node they are
+handed is already canonical: a product carries at most one numeric factor,
+first and never 1, and a sum at most one numeric term, first and never 0.
+:func:`add` and :func:`mul` rely on that and never rebuild what they are
+given.  ``add`` buckets terms by their factor tuple with the coefficient
+held apart and passes a term that meets no like term through as the same
+object; coefficients are summed, and a ``Num``/``Mul`` built, only where
+two terms merge.  ``mul`` drops unit factors and returns ``ZERO`` at a
+zero factor, both by identity against the interned constants (a product
+of nonzero exact numbers is never zero), and forms the numeric product
+once.
 
 :func:`simplify` caches its result on each node it simplifies, input and
 subexpressions alike.  The cache depends only on the node's structure and
@@ -41,6 +56,7 @@ from __future__ import annotations
 import weakref
 from fractions import Fraction
 from math import isqrt
+from operator import attrgetter
 from typing import Mapping, Union
 
 from .symbols import DEFAULT_TABLE, Symbol
@@ -142,6 +158,15 @@ def _new(cls, ikey: tuple, key: tuple):
     return node
 
 
+def _rough(f: Fraction) -> float:
+    # correctly rounded, so monotone in ``f``; beyond the float range the
+    # exact part after it breaks the tie
+    try:
+        return float(f)
+    except OverflowError:
+        return float("inf") if f > 0 else float("-inf")
+
+
 class Num(Expr):
     __slots__ = ("re", "im")
 
@@ -149,7 +174,9 @@ class Num(Expr):
         ikey = (0, re.numerator, re.denominator, im.numerator, im.denominator)
         node = _TABLE.get(ikey)
         if node is None:
-            node = _new(cls, ikey, (0, re, im))
+            # one zero object, so equal zero parts compare by identity
+            re, im = re or _F0, im or _F0
+            node = _new(cls, ikey, (0, _rough(re), re, _rough(im), im))
             node.re = re
             node.im = im
         return node
@@ -238,18 +265,18 @@ class Add(Expr):
         return node
 
 
-def _keyfn(e: Expr) -> tuple:
-    return e._key
+_keyfn = attrgetter("_key")
 
 
 # ---------------------------------------------------------------------------
 # exact complex-rational arithmetic on (re, im) Fraction pairs
 
-_C_ZERO = (Fraction(0), Fraction(0))
-_C_ONE = (Fraction(1), Fraction(0))
+_C_ONE = (Fraction(1), _F0)
 
 
 def _cmul(a, b):
+    if a[1] is _F0 and b[1] is _F0:  # both real: a ``Num``'s zero part is _F0
+        return (a[0] * b[0], _F0)
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
@@ -302,42 +329,70 @@ def coords() -> tuple[Sym, ...]:
     return tuple(Sym(s) for s in DEFAULT_TABLE.coordinates)
 
 
+def _lead(t: Expr) -> Num:
+    """The numeric coefficient of a canonical term."""
+    if isinstance(t, Mul) and isinstance(t.factors[0], Num):
+        return t.factors[0]
+    return ONE
+
+
 def add(*terms: Expr) -> Expr:
-    cre, cim = Fraction(0), Fraction(0)
-    buckets: dict[Expr, tuple[Fraction, Fraction]] = {}
+    """Flattened, collected, canonically ordered sum.
+
+    Every incoming term is canonical, because only the constructors in
+    this module build nodes.  A term is therefore its coefficient (the
+    leading ``Num`` of a ``Mul``, else 1) times its factor tuple, and terms
+    are bucketed by that tuple with the coefficient held apart.  A bucket
+    that one term lands in yields that term object unchanged; only when a
+    second term lands are the coefficients summed and a ``Num``/``Mul``
+    built, and the unit and zero tests on the sum are identity tests
+    against the interned ``ONE``/``ZERO``."""
+    nums: list[Num] = []
+    # factor tuple -> the bucket's only term, or its [re, im] running sum
+    buckets: dict[tuple, Expr | list] = {}
     stack = list(reversed(terms))
     while stack:
         t = stack.pop()
         if isinstance(t, Add):
             stack.extend(reversed(t.terms))
-        elif isinstance(t, Num):
-            cre += t.re
-            cim += t.im
+            continue
+        if isinstance(t, Num):
+            nums.append(t)
+            continue
+        if isinstance(t, Mul):
+            key = t.factors[1:] if isinstance(t.factors[0], Num) else t.factors
         else:
-            if isinstance(t, Mul) and isinstance(t.factors[0], Num):
-                coeff = t.factors[0]
-                rest = t.factors[1:]
-                key = rest[0] if len(rest) == 1 else Mul(rest)
-                pair = (coeff.re, coeff.im)
-            else:
-                key = t
-                pair = _C_ONE
-            acc = buckets.get(key)
-            buckets[key] = pair if acc is None else (acc[0] + pair[0], acc[1] + pair[1])
+            key = (t,)
+        got = buckets.get(key)
+        if got is None:
+            buckets[key] = t
+            continue
+        if not isinstance(got, list):
+            c = _lead(got)
+            got = buckets[key] = [c.re, c.im]
+        c = _lead(t)
+        got[0] += c.re
+        if c.im is not _F0:
+            got[1] += c.im
 
     out: list[Expr] = []
-    for key, (re_, im_) in buckets.items():
-        if re_ == 0 and im_ == 0:
+    for key, got in buckets.items():
+        if not isinstance(got, list):
+            out.append(got)
             continue
-        if re_ == 1 and im_ == 0:
-            out.append(key)
-        elif isinstance(key, Mul):
-            out.append(Mul((Num(re_, im_),) + key.factors))
+        c = Num(*got)
+        if c is ZERO:
+            continue
+        if c is not ONE:
+            out.append(Mul((c, *key)))
+        elif len(key) == 1:
+            out.append(key[0])
         else:
-            out.append(Mul((Num(re_, im_), key)))
+            out.append(Mul(key))
     out.sort(key=_keyfn)
-    if cre != 0 or cim != 0:
-        out.insert(0, Num(cre, cim))
+    c = _num_sum(nums)
+    if c is not ZERO:
+        out.insert(0, c)
     if not out:
         return ZERO
     if len(out) == 1:
@@ -345,8 +400,35 @@ def add(*terms: Expr) -> Expr:
     return Add(tuple(out))
 
 
+def _num_sum(nums: list) -> Num:
+    if not nums:
+        return ZERO
+    if len(nums) == 1:
+        return nums[0]
+    return Num(sum(n.re for n in nums), sum(n.im for n in nums))
+
+
+def _num_product(nums: list) -> Num:
+    # ``mul`` passes only factors other than 1 and 0
+    if not nums:
+        return ONE
+    if len(nums) == 1:
+        return nums[0]
+    c = (nums[0].re, nums[0].im)
+    for n in nums[1:]:
+        c = _cmul(c, (n.re, n.im))
+    return Num(*c)
+
+
 def mul(*factors: Expr) -> Expr:
-    coeff = _C_ONE
+    """Flattened, merged, canonically ordered product.
+
+    A factor that is ``ZERO`` ends the product at once: the numeric
+    factors are exact Gaussian rationals, so a product of nonzero ones is
+    never zero and no running coefficient needs a zero test.  Unit factors
+    are dropped by identity, the others are kept as nodes, and their
+    product is formed once at the end (a single one is reused as is)."""
+    nums: list[Num] = []
     exp_terms: list[Expr] = []
     powmap: dict[Expr, int] = {}
     stack = list(reversed(factors))
@@ -355,9 +437,10 @@ def mul(*factors: Expr) -> Expr:
         if isinstance(f, Mul):
             stack.extend(reversed(f.factors))
         elif isinstance(f, Num):
-            coeff = _cmul(coeff, (f.re, f.im))
-            if coeff[0] == 0 and coeff[1] == 0:
+            if f is ZERO:
                 return ZERO
+            if f is not ONE:
+                nums.append(f)
         elif isinstance(f, Exp):
             exp_terms.append(f.arg)
         elif isinstance(f, Pow):
@@ -375,9 +458,10 @@ def mul(*factors: Expr) -> Expr:
             continue
         p = power(base, n)
         if isinstance(p, Num):
-            coeff = _cmul(coeff, (p.re, p.im))
-            if coeff[0] == 0 and coeff[1] == 0:
-                return ZERO
+            # a sqrt fold of a numeric radicand; never 0, since sqrt(0)
+            # folds to 0 at construction
+            if p is not ONE:
+                nums.append(p)
         elif isinstance(p, Exp):
             exp_terms.append(p.arg)
         elif isinstance(p, (Mul, Add)):
@@ -387,26 +471,19 @@ def mul(*factors: Expr) -> Expr:
         else:
             atoms.append(p)
     if pending:
-        parts: list[Expr] = [Num(*coeff)]
-        parts.extend(exp(t) for t in exp_terms)
-        parts.extend(atoms)
-        parts.extend(pending)
-        return mul(*parts)
+        return mul(*nums, *(exp(t) for t in exp_terms), *atoms, *pending)
 
     if exp_terms:
         ex = exp(add(*exp_terms))
-        if isinstance(ex, Num):
-            coeff = _cmul(coeff, (ex.re, ex.im))
-            if coeff[0] == 0 and coeff[1] == 0:
-                return ZERO
-        else:
+        if ex is not ONE:  # the only number exp() returns
             atoms.append(ex)
 
+    c = _num_product(nums)
     atoms.sort(key=_keyfn)
     if not atoms:
-        return Num(*coeff)
-    if coeff != _C_ONE:
-        atoms.insert(0, Num(*coeff))
+        return c
+    if c is not ONE:
+        atoms.insert(0, c)
     if len(atoms) == 1:
         return atoms[0]
     return Mul(tuple(atoms))
@@ -438,7 +515,7 @@ def power(base: Expr, n: int) -> Expr:
 
 
 def exp(arg: Expr) -> Expr:
-    if isinstance(arg, Num) and arg.re == 0 and arg.im == 0:
+    if arg is ZERO:
         return ONE
     return Exp(arg)  # exp of a nonzero constant stays symbolic (exactness)
 

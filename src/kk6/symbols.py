@@ -1,8 +1,11 @@
 """Symbol registry for the six-dimensional engine.
 
-Every symbol that may appear in an expression is registered in a
-:class:`SymbolTable` with a declared-real flag.  The table always carries
-exactly six coordinates ``x0 .. x5``; everything else is a parameter.
+Every symbol that may appear in an expression is registered in
+``DEFAULT_TABLE`` with a declared-real flag.  It is the one table
+(``expr.Sym`` refuses any symbol that is not its entry); the
+:class:`SymbolTable` class is only its type and is not exported from
+``kk6``.  The table always carries exactly six coordinates ``x0 .. x5``;
+everything else is a parameter.
 Sampling and conjugation honor the real flag, so registration is the one
 place where "this quantity is real" is stated.
 """

@@ -359,12 +359,14 @@ _HALFSPIN_PARAMS = ("p1", "p2", "p3", "m0")
 
 
 # Momenta are interned nodes (None: symbolic), so equal values share a
-# cache entry.
+# cache entry.  F^2 is formed once here: the stress tensor and the
+# field-invariant check both use this node.
 @lru_cache(maxsize=8)
 def _dirac_bundle(sol: int, p1, p2, p3, m0):
     mode = dirac_metric(sol, p1, p2, p3, m0)
     f = field_strength(mode.K)
-    return mode, f, stress_tensor(f)
+    f2 = fsq(f)
+    return mode, f, f2, stress_tensor(f, f2)
 
 
 def _momentum_products(mode, signs=(1, -1)):
@@ -418,8 +420,8 @@ def _dirac_rows(mode):
 def _check_dirac(sol: int):
     def run(seed, tol, trials, params) -> dict:
         x = coords()
-        mode, f, t = _dirac_bundle(sol, *(_num_param(params, k)
-                                          for k in _HALFSPIN_PARAMS))
+        mode, _, f2, t = _dirac_bundle(sol, *(_num_param(params, k)
+                                              for k in _HALFSPIN_PARAMS))
         comps = mode.components
 
         pairs = [(f"plane-wave condition, component {IDX5[i]}",
@@ -427,7 +429,7 @@ def _check_dirac(sol: int):
                  for i, k in enumerate(mode.K)]
         div = _div(mode.K)
         pairs.append(("divergence of the five-component field", div))
-        pairs.append(("field invariant F^2", fsq(f)))
+        pairs.append(("field invariant F^2", f2))
         rhs = mul(comps.C, exp(mul(num(0, 1), comps.m0, x[5])),
                   _dirac_rows(mode))
         pairs.append(("divergence equals the component equation row",
@@ -462,7 +464,7 @@ def check_dirac_stress(seed, tol, trials, params) -> dict:
     notes = []
     conventions = {}
     for sol in (1, 2, 3, 4):
-        mode, f, t = _dirac_bundle(sol, None, None, None, None)
+        mode, _, _, t = _dirac_bundle(sol, None, None, None, None)
         products = _momentum_products(mode)
         winners = []
         for s5 in (1, -1):

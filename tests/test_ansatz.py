@@ -112,7 +112,7 @@ def test_photon_claimed_inverse_structurally_exact():
 def test_stress_tensor_is_symmetric():
     f = field_strength(tuple(sym(f"A{i}") * x[(i + 1) % 4]
                              for i in range(4)) + (ZERO,))
-    t = stress_tensor(f)
+    t = stress_tensor(f, fsq(f))
     for i in range(5):
         for j in range(5):
             assert simplify(t[i][j] - t[j][i]) == ZERO

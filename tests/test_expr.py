@@ -32,6 +32,11 @@ def test_unit_and_zero_rules():
     assert power(x0, 1) == x0
     assert mul(ZERO, x0) == ZERO
     assert mul(ONE, x0) == x0
+    e = add(x0, mul(p1, x1))
+    assert mul(ONE, e) is e
+    assert mul(num(2), HALF, e) is e
+    assert mul(ZERO, e) is ZERO
+    assert mul(e, ZERO) is ZERO
     assert add(ZERO, x0) == x0
     assert exp(ZERO) == ONE
 
@@ -359,7 +364,65 @@ def test_repeated_simplify_reuses_the_cached_result(monkeypatch):
     assert "add" in calls and "mul" in calls
 
 
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(kernel, name)
+    monkeypatch.setattr(
+        kernel, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+def test_add_passes_distinct_terms_through(monkeypatch):
+    # canonical terms with distinct factor tuples are not rebuilt: the only
+    # node ``add`` makes is the sum itself
+    c = num(Fraction(104729, 7907))
+    root = sqrt(add(x2, c))
+    terms = (mul(c, x0, root), mul(num(-3), x1, root), power(x3, 2),
+             exp(mul(c, x4)), root, c)
+    built = _count_calls(monkeypatch, "_new")
+    s = add(*reversed(terms))
+    assert [args[0] for args in built] == [Add]
+    assert len(s.terms) == len(terms)
+    assert all(any(t is u for u in s.terms) for t in terms)
+
+
+def test_add_builds_only_merged_buckets(monkeypatch):
+    c = num(Fraction(104723, 7907))
+    root = sqrt(add(x2, c))
+    a, b = mul(c, x0, root), mul(c, root)
+    terms = (a, b, mul(TWO, a), mul(MINUS_ONE, b))
+    built = _count_calls(monkeypatch, "_new")
+    s = add(*terms)
+    # 3c x0 sqrt(x2 + c): one new number, one new product, no sum
+    assert [args[0] for args in built] == [Num, Mul]
+    assert s is mul(num(3), a)
+
+
+def test_mul_does_no_arithmetic_with_unit_or_zero(monkeypatch):
+    e = mul(p1, x1)
+    products = _count_calls(monkeypatch, "_cmul")
+    assert mul(ONE, num(3), e, ONE) is mul(num(3), p1, x1)
+    assert mul(num(3), ZERO, e) is ZERO
+    assert mul(e, num(3), ZERO, num(5)) is ZERO
+    assert products == []
+    assert mul(num(2), e, HALF) is e
+    assert len(products) == 1
+
+
 def test_sort_order_is_structural():
     # the canonical order compares structure, never node identity
     assert to_text(add(x1, x0, num(2))) == "2 + x0 + x1"
     assert to_text(mul(x2, p0, num(-3), exp(x0))) == "-3*p0*x2*exp(x0)"
+
+
+def test_number_sort_key_follows_exact_value():
+    # floats lead the key; values they cannot tell apart (or cannot hold)
+    # fall back to the exact parts
+    big = Fraction(10**400)
+    tiny = Fraction(1, 10**30)
+    values = [(big, 0), (-big, 0), (big + 1, 0), (1 + tiny, 0), (1, 0),
+              (1, tiny), (1, -tiny), (1 - tiny, 0), (0, 0), (-tiny, 0),
+              (Fraction(1, 3), 2), (Fraction(1, 3), -big)]
+    nodes = [num(re, im) for re, im in values]
+    by_key = sorted(nodes, key=lambda n: n._key)
+    assert by_key == sorted(nodes, key=lambda n: (n.re, n.im))

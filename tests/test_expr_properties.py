@@ -1,6 +1,8 @@
-"""Property tests of the expression kernel's invariants: ``simplify`` is
-value-preserving and idempotent, printing round-trips through the parser,
-and ``diff`` agrees with central finite differences."""
+"""Property tests of the expression kernel's invariants: ``add`` and
+``mul`` ignore the order and grouping of their arguments and a term minus
+itself is zero, ``simplify`` is value-preserving and idempotent, printing
+round-trips through the parser, and ``diff`` agrees with central finite
+differences."""
 import random
 from fractions import Fraction
 
@@ -10,8 +12,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
 from kk6.expr import (  # noqa: E402
-    ONE, add, conj, coords, diff, exp, free_symbols, mul, num, power,
-    simplify, sqrt, sym, to_text,
+    MINUS_ONE, ONE, ZERO, Add, add, conj, coords, diff, exp, free_symbols,
+    mul, num, power, simplify, sqrt, sym, to_text,
 )
 from kk6.parse import parse_expression  # noqa: E402
 from kk6.symbols import DEFAULT_TABLE  # noqa: E402
@@ -53,6 +55,27 @@ seeds = st.integers(0, 2**32 - 1)
 
 def _point(e, seed):
     return sample_env(free_symbols(e), random.Random(seed))
+
+
+@PROPERTY
+@given(st.lists(exprs, min_size=3, max_size=3), st.permutations(range(3)))
+def test_add_and_mul_ignore_order_and_grouping(es, perm):
+    a, b, c = es
+    shuffled = [es[i] for i in perm]
+    assert add(*shuffled) is add(a, b, c)
+    assert add(a, add(b, c)) is add(add(a, b), c) is add(a, b, c)
+    assert mul(*shuffled) is mul(a, b, c)
+    assert mul(a, mul(b, c)) is mul(mul(a, b), c) is mul(a, b, c)
+
+
+@PROPERTY
+@given(exprs)
+def test_a_term_minus_itself_is_zero(e):
+    # ``add`` collects like terms; a sum times -1 is one term, a product,
+    # until ``simplify`` distributes it
+    if not isinstance(e, Add):
+        assert add(e, mul(MINUS_ONE, e)) is ZERO
+    assert simplify(add(e, mul(MINUS_ONE, e))) is ZERO
 
 
 @PROPERTY

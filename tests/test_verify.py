@@ -36,6 +36,25 @@ def test_registry_enumerates_every_claim():
         "gravity.split.dirac"}
 
 
+def test_halfspin_bundle_forms_f2_once(monkeypatch):
+    # the stress tensor and the field-invariant check share one F^2
+    from kk6 import ansatz, verify
+    calls = []
+    original = ansatz.fsq
+
+    def counting(f):
+        calls.append(f)
+        return original(f)
+
+    monkeypatch.setattr(verify, "fsq", counting)
+    monkeypatch.setattr(ansatz, "fsq", counting)
+    verify._dirac_bundle.cache_clear()
+    run_claim("dirac.sol1", seed=0)
+    assert len(calls) == 1
+    run_claim("dirac.sol1", seed=1)
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # confirmations
 
