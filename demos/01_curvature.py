@@ -20,8 +20,8 @@ def show_nonzero(name, metric):
     count = 0
     for a in range(6):
         for b in range(a, 6):
-            if g.comps[a][b] != ZERO:
-                print(f"  G[{a}][{b}] = {to_text(g.comps[a][b])}")
+            if g[a][b] != ZERO:
+                print(f"  G[{a}][{b}] = {to_text(g[a][b])}")
                 count += 1
     if count == 0:
         print("  (all 21 entries vanish identically)")

@@ -25,7 +25,7 @@ from .ansatz import (  # noqa: E402
 )
 from .dynamics import (  # noqa: E402
     DynamicsError, closed_form_exprs, closed_form_state, geodesic_rhs,
-    integrate, interval_along, two_path_fringes, x4_density,
+    integrate, interval_along, two_path_fringes,
 )
 from .report import ClaimReport, Report, to_json  # noqa: E402
 from .verify import claim_ids, must_pass_ids, run_claim, run_suite  # noqa: E402

@@ -2,12 +2,22 @@
 
 Each constructor returns the 6x6 metric together with the field data it
 was built from, so the verification layer can form residuals against the
-same objects.  Families:
+same objects.  Every family except the scalar mode is one modified
+Kaluza-Klein metric (:func:`kk_rows`): a 4d block ``g4`` with a field
+``K`` (lower, over {0,1,2,3}, fifth component ``K5``) mixed into the
+compact row at coupling ``kappa``,
 
-* scalar mode -- a unit-modulus phase carried by the compact direction,
-* photon / Proca -- a vector potential mixed into the compact row, the
-  massive case carrying an extra x5 phase,
-* half-spin -- five-component fields assembled from Dirac spinor
+    g_ab = g4_ab + kappa^2 K_a K_b      g_a4 = kappa K_a
+    g_a5 = kappa^2 K_a K5               g_44 = 1
+    g_45 = kappa K5                     g_55 = -1 + kappa^2 K5^2
+
+Families:
+
+* scalar mode -- a unit-modulus phase in the compact slot g_44 of the
+  field-free (K = 0) form,
+* photon / Proca -- K is the vector potential (K5 = 0), the massive case
+  carrying an extra x5 phase,
+* half-spin -- K is a five-component field assembled from Dirac spinor
   components, one metric per spinor solution,
 * gravity-coupled -- any of the above over a curved 4d block with the
   field scaled by a coupling constant.
@@ -21,7 +31,7 @@ from fractions import Fraction
 
 from .expr import (
     Expr, HALF, I, MINUS_ONE, ONE, TWO, ZERO, add, coords, diff,
-    exp, mul, num, power, simplify, sqrt, subs, sym,
+    exp, mul, num, power, simplify, sqrt, sym,
 )
 from .symbols import DEFAULT_TABLE
 from .tensor import DIM, Grid, Metric6
@@ -33,14 +43,17 @@ __all__ = [
     "null_wave_potential", "massive_wave_potential",
     "SpinorComponents", "dirac_components",
     "SpinorMode", "dirac_metric", "CoupledMode", "coupled_metric",
-    "GravityMode", "gravity_metric", "weak_field_block",
+    "GravityMode", "gravity_metric", "weak_field_block", "kk_rows",
     "field_strength", "fsq", "stress_tensor", "momentum_product",
-    "onshell_energy", "onshell_subs",
+    "onshell_energy",
 ]
 
 IDX5 = (0, 1, 2, 3, 5)
 ETA4 = (ONE, MINUS_ONE, MINUS_ONE, MINUS_ONE)
 ETA5 = (ONE, MINUS_ONE, MINUS_ONE, MINUS_ONE, MINUS_ONE)
+_FLAT4 = tuple(tuple(ETA4[a] if a == b else ZERO for b in range(4))
+               for a in range(4))
+_NO_FIELD = (ZERO,) * 4
 
 # parameters introduced by the families
 for _name in ("omega", "k0", "k1", "k2", "k3", "eps"):
@@ -60,18 +73,44 @@ def _E(v) -> Expr:
     return num(v)
 
 
-def _x() -> tuple:
-    return coords()
-
-
 def onshell_energy(p1: Expr, p2: Expr, p3: Expr, m0: Expr) -> Expr:
     return sqrt(add(power(p1, 2), power(p2, 2), power(p3, 2), power(m0, 2)))
 
 
-def onshell_subs(e: Expr) -> Expr:
-    """Substitute the positive-energy dispersion p0 -> sqrt(p^2 + m0^2)."""
-    shell = onshell_energy(sym("p1"), sym("p2"), sym("p3"), sym("m0"))
-    return subs(e, {"p0": shell})
+def kk_rows(g4: Grid, K: tuple, K5: Expr = ZERO, kappa: Expr = ONE) -> list:
+    """Rows of the modified Kaluza-Klein metric (module docstring) for a
+    4d block ``g4`` and a field ``K`` over {0,1,2,3} with fifth component
+    ``K5``."""
+    k2 = power(kappa, 2)
+    rows = [[ZERO] * DIM for _ in range(DIM)]
+    for a in range(4):
+        for b in range(4):
+            rows[a][b] = simplify(add(g4[a][b], mul(k2, K[a], K[b])))
+        rows[a][4] = rows[4][a] = simplify(mul(kappa, K[a]))
+        rows[a][5] = rows[5][a] = simplify(mul(k2, K[a], K5))
+    rows[4][4] = ONE
+    rows[4][5] = rows[5][4] = simplify(mul(kappa, K5))
+    rows[5][5] = simplify(add(MINUS_ONE, mul(k2, power(K5, 2))))
+    return rows
+
+
+def _claimed_upper(K: tuple, K5: Expr, trace: Expr) -> Grid:
+    """The printed inverse of a flat-block, unit-coupling :func:`kk_rows`
+    metric: flat 4d block, -K^alpha mixing, 1 + ``trace`` in the compact
+    slot and K5 at (4,5)."""
+    up = [[ZERO] * DIM for _ in range(DIM)]
+    for a in range(4):
+        up[a][a] = ETA4[a]
+        up[a][4] = up[4][a] = simplify(mul(MINUS_ONE, ETA4[a], K[a]))
+    up[4][4] = simplify(add(ONE, trace))
+    up[4][5] = up[5][4] = K5
+    up[5][5] = MINUS_ONE
+    return tuple(tuple(r) for r in up)
+
+
+def _trace4(K: tuple) -> Expr:
+    """K_a K^a over the 4d indices, flat raising."""
+    return add(*(mul(ETA4[a], K[a], K[a]) for a in range(4)))
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +128,7 @@ class ScalarMode:
 
 
 def scalar_metric(p=None, m0=None, hbar=None) -> ScalarMode:
-    x = _x()
+    x = coords()
     pv = tuple(_E(v) for v in p) if p is not None else tuple(
         sym(f"p{i}") for i in range(4))
     if len(pv) != 4:
@@ -102,10 +141,8 @@ def scalar_metric(p=None, m0=None, hbar=None) -> ScalarMode:
                 power(hv, -1) if hv != ONE else ONE)
     g44 = exp(mul(num(0, -2), theta))
     grad = tuple(simplify(diff(theta, x[a].symbol)) for a in IDX5)
-    rows = [[ZERO] * DIM for _ in range(DIM)]
-    diag = (ONE, MINUS_ONE, MINUS_ONE, MINUS_ONE, g44, MINUS_ONE)
-    for a in range(DIM):
-        rows[a][a] = diag[a]
+    rows = kk_rows(_FLAT4, _NO_FIELD)
+    rows[4][4] = g44
     metric = Metric6(rows, name="scalar")
     return ScalarMode(p=pv, m0=m0v, hbar=hv, phase=theta, g44=g44,
                       grad=grad, metric=metric)
@@ -116,7 +153,7 @@ def scalar_metric(p=None, m0=None, hbar=None) -> ScalarMode:
 
 def field_strength(a5: tuple) -> tuple:
     """F_AB = d_A a_B - d_B a_A for a five-component lower field over IDX5."""
-    x = _x()
+    x = coords()
     if len(a5) != 5:
         raise AnsatzError("field must have five components (indices 0..3, 5)")
     out = [[ZERO] * 5 for _ in range(5)]
@@ -179,7 +216,7 @@ class VectorMode:
 
 
 def _vector_mode(a4, m0v, name: str) -> VectorMode:
-    x = _x()
+    x = coords()
     a4 = tuple(_E(v) for v in a4)
     if len(a4) != 4:
         raise AnsatzError("potential must have four components")
@@ -189,31 +226,11 @@ def _vector_mode(a4, m0v, name: str) -> VectorMode:
         x5phase = exp(mul(I, m0v, x[5]))
         ahat4 = tuple(simplify(mul(v, x5phase)) for v in a4)
     ahat5 = ahat4 + (ZERO,)
-
-    rows = [[ZERO] * DIM for _ in range(DIM)]
-    for a in range(4):
-        for b in range(4):
-            eta = ETA4[a] if a == b else ZERO
-            rows[a][b] = simplify(add(eta, mul(ahat4[a], ahat4[b])))
-    for a in range(4):
-        rows[a][4] = rows[4][a] = ahat4[a]
-    rows[4][4] = ONE
-    rows[5][5] = MINUS_ONE
-    metric = Metric6(rows, name=name)
-
-    # claimed inverse: flat 4d block, -A^alpha mixing, 1 + A.A in the
-    # compact slot, untouched x5 row
-    a_up = tuple(simplify(mul(ETA4[a], ahat4[a])) for a in range(4))
-    claimed = [[ZERO] * DIM for _ in range(DIM)]
-    for a in range(4):
-        claimed[a][a] = ETA4[a]
-        claimed[a][4] = claimed[4][a] = simplify(mul(MINUS_ONE, a_up[a]))
-    claimed[4][4] = simplify(add(ONE, *(mul(ahat4[a], a_up[a]) for a in range(4))))
-    claimed[5][5] = MINUS_ONE
-
     return VectorMode(A=a4, m0=m0v, Ahat=ahat5,
-                      F=field_strength(ahat5), metric=metric,
-                      claimed_upper=tuple(tuple(r) for r in claimed))
+                      F=field_strength(ahat5),
+                      metric=Metric6(kk_rows(_FLAT4, ahat4), name=name),
+                      claimed_upper=_claimed_upper(ahat4, ZERO,
+                                                   _trace4(ahat4)))
 
 
 def photon_metric(a4=None) -> VectorMode:
@@ -231,7 +248,7 @@ def proca_metric(a4=None, m0=None) -> VectorMode:
 
 def null_wave_potential(omega=None, pol: int = 2) -> tuple:
     """Transverse plane wave on a null wave vector k = (w, 0, 0, w)."""
-    x = _x()
+    x = coords()
     w = _E(omega) if omega is not None else sym("omega")
     if pol not in (1, 2):
         raise AnsatzError("transverse polarization must be along x1 or x2")
@@ -242,7 +259,7 @@ def null_wave_potential(omega=None, pol: int = 2) -> tuple:
 
 def massive_wave_potential(k3=None, m0=None, pol: int = 1) -> tuple:
     """Transverse wave on k = (sqrt(k3^2 + m0^2), 0, 0, k3)."""
-    x = _x()
+    x = coords()
     k3v = _E(k3) if k3 is not None else sym("k3")
     m0v = _E(m0) if m0 is not None else sym("m0")
     if pol not in (1, 2):
@@ -317,40 +334,6 @@ def _k_coefficients(phi: tuple, sol: int) -> tuple:
     return (f3, mul(MINUS_ONE, f0), mul(num(0, -1), f0), f1, f3)
 
 
-def _spin_block(k5: tuple) -> tuple[list, Grid, Grid]:
-    """Metric rows and both claimed-inverse readings for a five-component
-    field K (lower, over IDX5) mixed into the compact row."""
-    kk = k5[:4]
-    k55 = k5[4]
-    rows = [[ZERO] * DIM for _ in range(DIM)]
-    for a in range(4):
-        for b in range(4):
-            eta = ETA4[a] if a == b else ZERO
-            rows[a][b] = simplify(add(eta, mul(kk[a], kk[b])))
-    for a in range(4):
-        rows[a][4] = rows[4][a] = kk[a]
-        rows[a][5] = rows[5][a] = simplify(mul(kk[a], k55))
-    rows[4][4] = ONE
-    rows[4][5] = rows[5][4] = k55
-    rows[5][5] = simplify(add(MINUS_ONE, power(k55, 2)))
-
-    k_up4 = tuple(simplify(mul(ETA4[a], kk[a])) for a in range(4))
-    trace_greek = add(*(mul(kk[a], k_up4[a]) for a in range(4)))
-    trace_full = add(trace_greek, mul(MINUS_ONE, power(k55, 2)))
-
-    def claimed(trace: Expr) -> Grid:
-        up = [[ZERO] * DIM for _ in range(DIM)]
-        for a in range(4):
-            up[a][a] = ETA4[a]
-            up[a][4] = up[4][a] = simplify(mul(MINUS_ONE, k_up4[a]))
-        up[4][4] = simplify(add(ONE, trace))
-        up[4][5] = up[5][4] = k55
-        up[5][5] = MINUS_ONE
-        return tuple(tuple(r) for r in up)
-
-    return rows, claimed(trace_full), claimed(trace_greek)
-
-
 @dataclass(frozen=True)
 class SpinorMode:
     sol: int
@@ -372,7 +355,7 @@ _SPINOR_NOTES_NEG = (
 
 def dirac_metric(sol: int = 1, p1=None, p2=None, p3=None, m0=None) -> SpinorMode:
     comps = dirac_components(p1, p2, p3, m0, sol=sol)
-    x = _x()
+    x = coords()
     s = -1 if sol in (1, 2) else 1
     p1v, p2v, p3v = comps.p
     px = add(mul(comps.p0, x[0]), mul(MINUS_ONE, p1v, x[1]),
@@ -380,12 +363,16 @@ def dirac_metric(sol: int = 1, p1=None, p2=None, p3=None, m0=None) -> SpinorMode
     phase = exp(add(mul(num(0, s), px), mul(I, comps.m0, x[5])))
     coeff = _k_coefficients(comps.phi, sol)
     k5 = tuple(simplify(mul(comps.C, c, phase)) for c in coeff)
-    rows, claimed_full, claimed_greek = _spin_block(k5)
+    kk, k55 = k5[:4], k5[4]
+    greek = _trace4(kk)
+    full = add(greek, mul(MINUS_ONE, power(k55, 2)))
     notes = _SPINOR_NOTES_NEG if s == 1 else ()
     return SpinorMode(sol=sol, components=comps, family_sign=s, phase=phase,
-                      K=k5, metric=Metric6(rows, name=f"halfspin{sol}"),
-                      claimed_upper=claimed_full,
-                      claimed_upper_greek=claimed_greek, notes=notes)
+                      K=k5, metric=Metric6(kk_rows(_FLAT4, kk, k55),
+                                           name=f"halfspin{sol}"),
+                      claimed_upper=_claimed_upper(kk, k55, full),
+                      claimed_upper_greek=_claimed_upper(kk, k55, greek),
+                      notes=notes)
 
 
 @dataclass(frozen=True)
@@ -401,13 +388,13 @@ def coupled_metric(sol: int = 1, p1=None, p2=None, p3=None, m0=None,
     """Half-spin metric with the field carrying an extra compact-direction
     phase exp(-i gamma x4); gamma -> 0 reduces to the plain half-spin case."""
     base = dirac_metric(sol, p1, p2, p3, m0)
-    x = _x()
+    x = coords()
     gv = _E(gamma) if gamma is not None else sym("gamma")
     twist = exp(mul(num(0, -1), gv, x[4]))
     k5 = tuple(simplify(mul(k, twist)) for k in base.K)
-    rows, _, _ = _spin_block(k5)
     return CoupledMode(base=base, gamma=gv, K=k5,
-                       metric=Metric6(rows, name=f"coupled{sol}"))
+                       metric=Metric6(kk_rows(_FLAT4, k5[:4], k5[4]),
+                                      name=f"coupled{sol}"))
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +402,7 @@ def coupled_metric(sol: int = 1, p1=None, p2=None, p3=None, m0=None,
 
 def weak_field_block(eps=None) -> Grid:
     """Static weak-field 4d block: g_00 = 1 + 2 eps x1, spatial part flat."""
-    x = _x()
+    x = coords()
     ev = _E(eps) if eps is not None else sym("eps")
     g00 = add(ONE, mul(TWO, ev, x[1]))
     rows = [[ZERO] * 4 for _ in range(4)]
@@ -434,11 +421,6 @@ class GravityMode:
     metric: Metric6
 
 
-def _flat4() -> Grid:
-    return tuple(tuple(ETA4[a] if a == b else ZERO for b in range(4))
-                 for a in range(4))
-
-
 def gravity_metric(family: str, g4: Grid | None = None, kappa=None,
                    **params) -> GravityMode:
     """Curved-4d-block version of a field family.
@@ -446,44 +428,24 @@ def gravity_metric(family: str, g4: Grid | None = None, kappa=None,
     With a flat block and kappa = 1 this reproduces the plain family
     metric exactly."""
     g4v = tuple(tuple(_E(e) for e in row) for row in g4) if g4 is not None \
-        else _flat4()
+        else _FLAT4
     if len(g4v) != 4 or any(len(r) != 4 for r in g4v):
         raise AnsatzError("g4 must be a 4x4 block")
     kv = _E(kappa) if kappa is not None else sym("kappa")
-    rows = [[ZERO] * DIM for _ in range(DIM)]
 
     if family == "scalar":
         base = scalar_metric(p=params.get("p"), m0=params.get("m0"),
                              hbar=params.get("hbar"))
-        for a in range(4):
-            for b in range(4):
-                rows[a][b] = g4v[a][b]
+        rows = kk_rows(g4v, _NO_FIELD)
         rows[4][4] = base.g44
-        rows[5][5] = MINUS_ONE
     elif family == "proca":
         base = proca_metric(params.get("A"), params.get("m0"))
-        ahat = base.Ahat[:4]
-        for a in range(4):
-            for b in range(4):
-                rows[a][b] = simplify(add(g4v[a][b],
-                                          mul(power(kv, 2), ahat[a], ahat[b])))
-            rows[a][4] = rows[4][a] = simplify(mul(kv, ahat[a]))
-        rows[4][4] = ONE
-        rows[5][5] = MINUS_ONE
+        rows = kk_rows(g4v, base.Ahat[:4], kappa=kv)
     elif family == "dirac":
         base = dirac_metric(params.get("sol", 1), params.get("p1"),
                             params.get("p2"), params.get("p3"),
                             params.get("m0"))
-        kk, k55 = base.K[:4], base.K[4]
-        for a in range(4):
-            for b in range(4):
-                rows[a][b] = simplify(add(g4v[a][b],
-                                          mul(power(kv, 2), kk[a], kk[b])))
-            rows[a][4] = rows[4][a] = simplify(mul(kv, kk[a]))
-            rows[a][5] = rows[5][a] = simplify(mul(power(kv, 2), kk[a], k55))
-        rows[4][4] = ONE
-        rows[4][5] = rows[5][4] = simplify(mul(kv, k55))
-        rows[5][5] = simplify(add(MINUS_ONE, mul(power(kv, 2), power(k55, 2))))
+        rows = kk_rows(g4v, base.K[:4], base.K[4], kv)
     else:
         raise AnsatzError(f"unknown family {family!r}")
 

@@ -395,7 +395,7 @@ def build_ansatz(aid: str, params: dict):
 def _run_curvature(cfg: RunConfig):
     aid = cfg.ansatz or "scalar"
     metric, claimed, notes = build_ansatz(aid, cfg.params)
-    ein = einstein(metric).comps
+    ein = einstein(metric)
     data = {
         "ansatz": aid,
         "metric": {f"{a}{b}": to_text(metric.lower[a][b])
@@ -439,8 +439,8 @@ def _run_geodesic(cfg: RunConfig):
     m0 = _geo_value(cfg.params, "m0", 1.0)
     steps = int(cfg.params.get("steps", 1000))
     tau_end = _geo_value(cfg.params, "tau_end", 1.0)
-    if steps < 1:
-        raise _config_err("steps must be at least 1")
+    if steps < 2:
+        raise _config_err("steps must be at least 2")
     if not tau_end > 0:
         raise _config_err("tau_end must be positive")
     if m0 == 0.0:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .expr import Expr, HALF, MINUS_ONE, ZERO, add, diff, mul, simplify
 from .symbols import COORDS
-from .tensor import DIM, Metric6, Tensor, build
+from .tensor import DIM, Metric6
 
 __all__ = [
     "christoffel", "ricci", "ricci_entry_raw", "ricci_scalar", "einstein",
@@ -37,8 +37,9 @@ def _metric_derivatives(metric: Metric6) -> tuple:
     return got
 
 
-def christoffel(metric: Metric6) -> Tensor:
-    """Gamma^C_AB, variance ('u','l','l'), symmetric in the lower pair."""
+def christoffel(metric: Metric6) -> tuple:
+    """Gamma^C_AB as nested tuples indexed [C][A][B], symmetric in the
+    lower pair."""
     got = metric._cache.get("christoffel")
     if got is not None:
         return got
@@ -60,11 +61,9 @@ def christoffel(metric: Metric6) -> Tensor:
                 entry = simplify(mul(HALF, add(*parts))) if parts else ZERO
                 comps[c][a][b] = entry
                 comps[c][b][a] = entry
-    tensor = Tensor(("u", "l", "l"),
-                    tuple(tuple(tuple(r) for r in plane) for plane in comps),
-                    name=f"christoffel({metric.name})")
-    metric._cache["christoffel"] = tensor
-    return tensor
+    got = tuple(tuple(tuple(r) for r in plane) for plane in comps)
+    metric._cache["christoffel"] = got
+    return got
 
 
 def _gamma_div(metric: Metric6) -> tuple:
@@ -78,7 +77,7 @@ def _gamma_div(metric: Metric6) -> tuple:
             plane = [[None] * DIM for _ in range(DIM)]
             for a in range(DIM):
                 for b in range(a, DIM):
-                    d = simplify(diff(gamma.entry(c, a, b), COORDS[c]))
+                    d = simplify(diff(gamma[c][a][b], COORDS[c]))
                     plane[a][b] = d
                     plane[b][a] = d
             out.append(tuple(tuple(r) for r in plane))
@@ -92,7 +91,7 @@ def _gamma_trace(metric: Metric6) -> tuple:
     got = metric._cache.get("gamma_trace")
     if got is None:
         gamma = christoffel(metric)
-        got = tuple(simplify(add(*(gamma.entry(c, a, c) for c in range(DIM))))
+        got = tuple(simplify(add(*(gamma[c][a][c] for c in range(DIM))))
                     for a in range(DIM))
         metric._cache["gamma_trace"] = got
     return got
@@ -107,16 +106,16 @@ def _ricci_formula(metric: Metric6, a: int, b: int) -> Expr:
         parts.append(dgamma[c][a][b])
     parts.append(simplify(mul(MINUS_ONE, diff(trace[a], COORDS[b]))))
     for c in range(DIM):
-        e = gamma.entry(c, a, b)
+        e = gamma[c][a][b]
         if e == ZERO or trace[c] == ZERO:
             continue
         parts.append(mul(e, trace[c]))
     for c in range(DIM):
         for d in range(DIM):
-            e1 = gamma.entry(c, a, d)
+            e1 = gamma[c][a][d]
             if e1 == ZERO:
                 continue
-            e2 = gamma.entry(d, b, c)
+            e2 = gamma[d][b][c]
             if e2 == ZERO:
                 continue
             parts.append(mul(MINUS_ONE, e1, e2))
@@ -128,7 +127,8 @@ def ricci_entry_raw(metric: Metric6, a: int, b: int) -> Expr:
     return _ricci_formula(metric, a, b)
 
 
-def ricci(metric: Metric6) -> Tensor:
+def ricci(metric: Metric6) -> tuple:
+    """R_AB as nested tuples indexed [A][B]."""
     got = metric._cache.get("ricci")
     if got is not None:
         return got
@@ -138,10 +138,9 @@ def ricci(metric: Metric6) -> Tensor:
             e = _ricci_formula(metric, a, b)
             comps[a][b] = e
             comps[b][a] = e
-    tensor = Tensor(("l", "l"), tuple(tuple(r) for r in comps),
-                    name=f"ricci({metric.name})")
-    metric._cache["ricci"] = tensor
-    return tensor
+    got = tuple(tuple(r) for r in comps)
+    metric._cache["ricci"] = got
+    return got
 
 
 def ricci_scalar(metric: Metric6) -> Expr:
@@ -152,26 +151,24 @@ def ricci_scalar(metric: Metric6) -> Expr:
         parts = []
         for a in range(DIM):
             for b in range(DIM):
-                if gu[a][b] == ZERO or r.entry(a, b) == ZERO:
+                if gu[a][b] == ZERO or r[a][b] == ZERO:
                     continue
-                parts.append(mul(gu[a][b], r.entry(a, b)))
+                parts.append(mul(gu[a][b], r[a][b]))
         got = simplify(add(*parts))
         metric._cache["ricci_scalar"] = got
     return got
 
 
-def einstein(metric: Metric6) -> Tensor:
+def einstein(metric: Metric6) -> tuple:
+    """G_AB = R_AB - R g_AB / 2 as nested tuples indexed [A][B]."""
     got = metric._cache.get("einstein")
-    if got is not None:
-        return got
-    r = ricci(metric)
-    rs = ricci_scalar(metric)
-    g = metric.lower
-
-    def fn(a, b):
-        return simplify(add(r.entry(a, b),
-                            mul(MINUS_ONE, HALF, rs, g[a][b])))
-
-    tensor = Tensor(("l", "l"), build(2, fn), name=f"einstein({metric.name})")
-    metric._cache["einstein"] = tensor
-    return tensor
+    if got is None:
+        r = ricci(metric)
+        rs = ricci_scalar(metric)
+        g = metric.lower
+        got = tuple(tuple(simplify(add(r[a][b],
+                                       mul(MINUS_ONE, HALF, rs, g[a][b])))
+                          for b in range(DIM))
+                    for a in range(DIM))
+        metric._cache["einstein"] = got
+    return got

@@ -5,8 +5,8 @@ ordinary coordinates and a compact coordinate that grows linearly with a
 unit-modulus slope.  This module carries both sides of that statement —
 the symbolic residual of the closed form in the geodesic equation, and a
 fixed-step numeric integrator to compare against — plus the interval
-bookkeeping (ds, |ds|) and the x4-density / two-slit fringe profiles
-built from plane-wave superposition.
+bookkeeping (ds, |ds|) and the two-slit fringe profiles built from
+plane-wave superposition.
 
 The complexified ODE state is handled as 24 real components (six complex
 coordinates and six complex velocities, real and imaginary parts), so a
@@ -35,8 +35,7 @@ __all__ = [
     "DynamicsError", "GeodesicState", "Path", "StepInterval",
     "ClosedForm", "closed_form_exprs", "closed_form_state",
     "closed_form_deviation", "connection_evaluator", "geodesic_rhs",
-    "integrate", "interval_along",
-    "DensityProfile", "x4_density", "FringeProfile", "two_path_fringes",
+    "integrate", "interval_along", "FringeProfile", "two_path_fringes",
 ]
 
 for _name in ("tau",):
@@ -107,7 +106,7 @@ def closed_form_exprs() -> ClosedForm:
     acc = tuple(simplify(diff(e, t)) for e in v)
 
     metric = scalar_metric(p=(_onshell_expr(), p[1], p[2], p[3])).metric
-    gamma = christoffel(metric).comps
+    gamma = christoffel(metric)
     coord_map = {f"x{i}": x[i] for i in range(DIM)}
     residual = []
     for A in range(DIM):
@@ -179,7 +178,7 @@ def closed_form_deviation(path: Path, p, m0: float, constants) -> float:
 def connection_evaluator(metric: Metric6):
     """Compile the metric's connection coefficients to a numeric closure
     mapping six complex coordinates to a 6x6x6 array."""
-    gamma = christoffel(metric).comps
+    gamma = christoffel(metric)
     entries = []
     for A in range(DIM):
         for B in range(DIM):
@@ -311,35 +310,7 @@ def interval_along(path: Path, metric: Metric6) -> tuple[StepInterval, ...]:
 
 
 # ---------------------------------------------------------------------------
-# density profiles
-
-@dataclass(frozen=True)
-class DensityProfile:
-    centers: tuple[float, ...]
-    density: tuple[float, ...]
-
-
-def x4_density(region: tuple[float, float], bins: int, p_alpha: float,
-               psi=None) -> DensityProfile:
-    """Compact-coordinate density accumulated over an interval of one
-    ordinary coordinate: |2 / p^alpha| |psi|^2 dx per bin.
-
-    ``psi`` maps the coordinate to a complex amplitude; omitted, a
-    unit-modulus plane wave is assumed and the profile is flat."""
-    if p_alpha == 0:
-        raise DynamicsError("density is undefined for p^alpha = 0")
-    if bins < 1:
-        raise DynamicsError("need at least one bin")
-    a, b = float(region[0]), float(region[1])
-    width = (b - a) / bins
-    centers = [a + (j + 0.5) * width for j in range(bins)]
-    scale = abs(2.0 / p_alpha)
-    if psi is None:
-        dens = [scale * abs(width) for _ in centers]
-    else:
-        dens = [scale * abs(psi(xc)) ** 2 * abs(width) for xc in centers]
-    return DensityProfile(centers=tuple(centers), density=tuple(dens))
-
+# fringe profiles
 
 @dataclass(frozen=True)
 class FringeProfile:

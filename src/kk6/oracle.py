@@ -28,7 +28,7 @@ from .tensor import DIM, Metric6
 
 __all__ = [
     "compile_expr", "metric_evaluator", "christoffel_fd", "ricci_fd",
-    "ricci_scalar_fd", "einstein_fd", "H_METRIC", "H_CONNECTION",
+    "einstein_fd", "H_METRIC", "H_CONNECTION",
 ]
 
 H_METRIC = 1e-4
@@ -138,12 +138,6 @@ def ricci_fd(gf, x) -> np.ndarray:
     term3 = np.einsum("cab,c->ab", gamma, trace)
     term4 = np.einsum("cad,dbc->ab", gamma, gamma)
     return term1 - term2 + term3 - term4
-
-
-def ricci_scalar_fd(gf, x) -> complex:
-    r = ricci_fd(gf, x)
-    ginv = np.linalg.inv(gf(x))
-    return complex(np.einsum("ab,ab->", ginv, r))
 
 
 def einstein_fd(gf, x) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Dense 6x6 metrics, exact inversion and dense tensors.
+"""Dense 6x6 metrics and exact inversion.
 
 Metrics are symmetric grids of canonical expressions over the six
 coordinates.  Inversion is exact adjugate-over-determinant with memoized
@@ -11,15 +11,15 @@ import random
 from dataclasses import dataclass
 
 from .expr import (
-    Expr, MINUS_ONE, ONE, ZERO, add, free_symbols, mul, power, simplify,
+    Expr, MINUS_ONE, ZERO, add, free_symbols, mul, power, simplify,
     to_text,
 )
 from .zeros import is_zero, sample_env
 
 __all__ = [
-    "DIM", "Metric6", "Tensor", "SingularMetricError", "InverseCheck",
+    "DIM", "Metric6", "SingularMetricError", "InverseCheck",
     "determinant", "adjugate", "invert_metric", "verify_claimed_inverse",
-    "matmul", "identity_residual", "build", "diagonal_metric", "flat6",
+    "matmul", "identity_residual",
 ]
 
 DIM = 6
@@ -82,18 +82,6 @@ class Metric6:
 
     def __repr__(self) -> str:
         return f"Metric6({self.name})"
-
-
-def diagonal_metric(entries, name: str = "diagonal") -> Metric6:
-    entries = tuple(entries)
-    rows = tuple(tuple(entries[a] if a == b else ZERO for b in range(DIM))
-                 for a in range(DIM))
-    return Metric6(rows, name=name)
-
-
-def flat6() -> Metric6:
-    return diagonal_metric(
-        (ONE, MINUS_ONE, MINUS_ONE, MINUS_ONE, ONE, MINUS_ONE), name="flat")
 
 
 # ---------------------------------------------------------------------------
@@ -219,41 +207,3 @@ def verify_claimed_inverse(metric: Metric6, claimed_upper, seed: int = 0,
                         failures=tuple(failures), structural_zeros=structural,
                         seed=seed, trials=trials, tol=tol)
 
-
-# ---------------------------------------------------------------------------
-# dense tensors
-
-def build(rank: int, fn) -> tuple:
-    if rank == 0:
-        return fn()
-
-    def rec(prefix):
-        if len(prefix) == rank - 1:
-            return tuple(fn(*prefix, i) for i in range(DIM))
-        return tuple(rec(prefix + (i,)) for i in range(DIM))
-
-    return rec(())
-
-
-@dataclass(frozen=True)
-class Tensor:
-    """Dense rank-n tensor of expressions with index variance tags
-    ('u' upper / 'l' lower)."""
-
-    variance: tuple[str, ...]
-    comps: tuple
-    name: str = ""
-
-    def __post_init__(self):
-        if any(v not in ("u", "l") for v in self.variance):
-            raise ValueError(f"bad variance {self.variance!r}")
-
-    @property
-    def rank(self) -> int:
-        return len(self.variance)
-
-    def entry(self, *idx: int) -> Expr:
-        node = self.comps
-        for i in idx:
-            node = node[i]
-        return node

@@ -32,7 +32,7 @@ import numpy as np
 
 from .ansatz import (
     ETA4, ETA5, IDX5, dirac_metric, field_strength, fsq, gravity_metric,
-    massive_wave_potential, momentum_product, null_wave_potential,
+    kk_rows, massive_wave_potential, momentum_product, null_wave_potential,
     onshell_energy, photon_metric, proca_metric, scalar_metric,
     stress_tensor, weak_field_block,
 )
@@ -42,7 +42,7 @@ from .dynamics import (
     connection_evaluator, integrate, interval_along,
 )
 from .expr import (
-    Expr, MINUS_ONE, ONE, ZERO, add, conj, coords, diff, exp, mul, num,
+    Expr, MINUS_ONE, ZERO, add, conj, coords, diff, exp, mul, num,
     power, simplify, sym,
 )
 from .oracle import einstein_fd, metric_evaluator
@@ -170,7 +170,7 @@ def check_klein_gordon(seed, tol, trials, params) -> dict:
     box = _div([diff(phi, x[a]) for a in range(4)])
     kg = simplify(add(box, mul(power(m0, 2), phi)))
 
-    g = einstein(mode.metric).comps
+    g = einstein(mode.metric)
     p_low = mode.grad[:4]        # lower four-momentum = 4d phase gradient
     pairs = [("wave equation: box phi + m0^2 phi", kg)]
     for a in range(4):
@@ -582,13 +582,8 @@ def _check_gravity_split(family: str):
 
         gm_full = gravity_metric(family, g4, kappa, **fields)
         gm_q = gravity_metric(family, None, kappa, **fields)
-        rows_e = [[ZERO] * DIM for _ in range(DIM)]
-        for a in range(4):
-            for b in range(4):
-                rows_e[a][b] = g4[a][b]
-        rows_e[4][4] = ONE
-        rows_e[5][5] = MINUS_ONE
-        gm_e = Metric6(rows_e, name=f"{family}-background")
+        gm_e = Metric6(kk_rows(g4, (ZERO,) * 4),
+                       name=f"{family}-background")
 
         ev_full = metric_evaluator(gm_full.metric)
         ev_q = metric_evaluator(gm_q.metric)
@@ -615,7 +610,7 @@ def _check_gravity_split(family: str):
             mode = scalar_metric(p=(onshell_energy(sym("p1"), sym("p2"),
                                                    sym("p3"), sym("m0")),
                                     sym("p1"), sym("p2"), sym("p3")))
-            g55 = einstein(mode.metric).comps[5][5]
+            g55 = einstein(mode.metric)[5][5]
             exact = simplify(add(g55, mul(MINUS_ONE, power(sym("m0"), 2))))
             notes.append(
                 "field-part extra-diagonal source equals m0^2 "
@@ -639,6 +634,8 @@ _GEO_CONST = (0.1 + 0.05j, -0.2j, 0.3, 0.02 + 0.01j, 0.0, 0.04 - 0.1j)
 
 def check_geodesic_closedform(seed, tol, trials, params) -> dict:
     steps = int(params.get("steps", 1000))
+    if steps < 2:
+        raise ClaimParamError("steps must be at least 2")
     cf = closed_form_exprs()
     pairs = [(f"geodesic equation, component {a}", cf.residual[a])
              for a in range(DIM)]

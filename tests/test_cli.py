@@ -138,6 +138,11 @@ def test_exit_2_on_usage_errors(capsys):
     assert code == 2 and err.startswith("error[usage]: ")
     code, _, err = run(["verify", "stray"], capsys)
     assert code == 2 and "expected key=value" in err
+    for argv in (["geodesic", "steps=1"],
+                 ["verify", "--claim", "geodesic.closedform", "steps=1"]):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err == "error[config]: steps must be at least 2\n"
 
 
 def test_exit_3_on_unwritable_output(capsys):

@@ -1,4 +1,4 @@
-"""Geodesic closed form, fixed-step integration, intervals and densities."""
+"""Geodesic closed form, fixed-step integration, intervals and fringes."""
 import cmath
 import math
 
@@ -9,7 +9,7 @@ from kk6.ansatz import onshell_energy, scalar_metric
 from kk6.dynamics import (
     DynamicsError, GeodesicState, closed_form_deviation, closed_form_exprs,
     closed_form_state, connection_evaluator, geodesic_rhs, integrate,
-    interval_along, two_path_fringes, x4_density,
+    interval_along, two_path_fringes,
 )
 from kk6.expr import ZERO, exp, mul, num, simplify, sym
 from kk6.zeros import is_zero
@@ -139,28 +139,7 @@ def test_interval_slope_matches_inverse_phase_factor():
 
 
 # ---------------------------------------------------------------------------
-# densities and fringes
-
-def test_x4_density_flat_profile_scales_inversely_with_momentum():
-    prof = x4_density((0.0, 1.0), 4, 2.0)
-    assert prof.centers == (0.125, 0.375, 0.625, 0.875)
-    assert prof.density == (0.25, 0.25, 0.25, 0.25)
-    double = x4_density((0.0, 1.0), 4, 4.0)
-    assert all(abs(a - b / 2) < 1e-15
-               for a, b in zip(double.density, prof.density))
-
-
-def test_x4_density_zero_width_region_is_empty():
-    prof = x4_density((0.3, 0.3), 2, 1.0)
-    assert all(v == 0.0 for v in prof.density)
-
-
-def test_x4_density_validates_inputs():
-    with pytest.raises(DynamicsError):
-        x4_density((0.0, 1.0), 0, 1.0)
-    with pytest.raises(DynamicsError):
-        x4_density((0.0, 1.0), 4, 0.0)
-
+# fringes
 
 def test_fringes_reduce_to_flat_profile_as_separation_vanishes():
     grid = np.linspace(-15.0, 15.0, 31)

@@ -13,23 +13,37 @@ and finite differences.
 Christoffel, Ricci and Einstein entries are printed canonical forms, so
 a kernel change that alters any canonical form shows here.
 
-Regenerate both (only when a record is meant to change, and say why)::
+``golden_metrics.json`` holds one sha256 per metric family, of the
+printed metric entries and claimed inverse(s) at default (symbolic)
+parameters: photon, Proca, the four half-spin solutions with both
+inverse readings, the coupled family, and the gravity-coupled families
+over the symbolic weak-field block with symbolic ``kappa``.  The texts
+themselves run to about 258 kB, so only their digests are stored.
+
+Regenerate all three (only when a record is meant to change, and say why)::
 
     PYTHONPATH=src python3 tests/test_golden_records.py
 """
 import contextlib
+import hashlib
 import io
 import json
 import pathlib
 
 import pytest
 
+from kk6.ansatz import (
+    coupled_metric, dirac_metric, gravity_metric, photon_metric,
+    proca_metric, weak_field_block,
+)
 from kk6.cli import main
+from kk6.expr import to_text
 from kk6.report import record_dict
 from kk6.verify import run_claim
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_records.json")
 GOLDEN_CURVATURE = pathlib.Path(__file__).with_name("golden_curvature.json")
+GOLDEN_METRICS = pathlib.Path(__file__).with_name("golden_metrics.json")
 
 # label -> (claim id, parameters); parameter values are the strings the
 # CLI would pass
@@ -91,6 +105,37 @@ def test_curvature_report_matches_golden(aid):
     assert _curvature_text(aid) == json.dumps(golden[aid], indent=1)
 
 
+def _dirac_grids(sol: int):
+    mode = dirac_metric(sol)
+    return mode.metric.lower, mode.claimed_upper, mode.claimed_upper_greek
+
+
+# family -> the grids whose printed entries are pinned
+METRICS = {
+    "photon": lambda: (photon_metric().metric.lower,
+                       photon_metric().claimed_upper),
+    "proca": lambda: (proca_metric().metric.lower,
+                      proca_metric().claimed_upper),
+    **{f"dirac{s}": (lambda s=s: _dirac_grids(s)) for s in (1, 2, 3, 4)},
+    "coupled": lambda: (coupled_metric(1).metric.lower,),
+    **{f"gravity-{fam}": (lambda fam=fam: (
+        gravity_metric(fam, weak_field_block()).metric.lower,))
+       for fam in ("scalar", "proca", "dirac")},
+}
+
+
+def _metric_digest(family: str) -> str:
+    text = "\n".join(to_text(e) for grid in METRICS[family]()
+                     for row in grid for e in row)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("family", sorted(METRICS))
+def test_metric_family_matches_golden(family):
+    golden = json.loads(GOLDEN_METRICS.read_text())
+    assert _metric_digest(family) == golden[family]
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(
         {label: json.loads(_record_text(label)) for label in sorted(CASES)},
@@ -98,3 +143,5 @@ if __name__ == "__main__":
     GOLDEN_CURVATURE.write_text(json.dumps(
         {aid: json.loads(_curvature_text(aid)) for aid in sorted(CURVATURE)},
         indent=1) + "\n")
+    GOLDEN_METRICS.write_text(json.dumps(
+        {f: _metric_digest(f) for f in sorted(METRICS)}, indent=1) + "\n")

@@ -1,10 +1,10 @@
-"""6x6 metric container: symmetry, inverse machinery, dense tensors."""
+"""6x6 metric container: symmetry and inverse machinery."""
 import pytest
 
-from kk6.expr import ONE, ZERO, coords, exp, mul, num, power, sym, to_text
+from kk6.expr import MINUS_ONE, ONE, ZERO, coords, mul, power, to_text
 from kk6.tensor import (
-    DIM, Metric6, build, determinant, diagonal_metric, flat6,
-    identity_residual, invert_metric, matmul, verify_claimed_inverse,
+    DIM, Metric6, identity_residual, invert_metric, matmul,
+    verify_claimed_inverse,
 )
 from kk6.curvature import christoffel
 from kk6.ansatz import photon_metric, scalar_metric
@@ -13,8 +13,17 @@ from kk6.zeros import is_zero
 x0, x1, x2, x3, x4, x5 = coords()
 
 
+def _diagonal(entries) -> Metric6:
+    return Metric6([[entries[a] if a == b else ZERO for b in range(DIM)]
+                    for a in range(DIM)])
+
+
+def _flat() -> Metric6:
+    return _diagonal((ONE, MINUS_ONE, MINUS_ONE, MINUS_ONE, ONE, MINUS_ONE))
+
+
 def test_flat_metric_shape_and_det():
-    f = flat6()
+    f = _flat()
     assert [to_text(f.lower[a][a]) for a in range(DIM)] == [
         "1", "-1", "-1", "-1", "1", "-1"]
     assert f.det() == ONE
@@ -31,7 +40,7 @@ def test_asymmetric_rows_rejected():
 
 
 def test_diagonal_metric_det_is_product():
-    m = diagonal_metric((ONE, x0, ONE, ONE, ONE, x1))
+    m = _diagonal((ONE, x0, ONE, ONE, ONE, x1))
     assert is_zero(m.det() - mul(x0, x1)).verdict == "zero"
 
 
@@ -80,11 +89,9 @@ def test_verify_claimed_inverse_reports_failing_entries():
     assert chk.structural_zeros == 36 - len(chk.failures)
 
 
-def test_build_and_entry_access():
-    t = build(2, lambda a, b: num(a * 10 + b))
-    assert to_text(t[2][3]) == "23"
-    g = christoffel(flat6())
-    assert all(g.comps[a][b][c] == ZERO
+def test_flat_connection_vanishes():
+    g = christoffel(_flat())
+    assert all(g[a][b][c] == ZERO
                for a in range(DIM) for b in range(DIM) for c in range(DIM))
 
 
