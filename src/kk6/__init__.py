@@ -24,8 +24,8 @@ from .ansatz import (  # noqa: E402
     gravity_metric, photon_metric, proca_metric, scalar_metric,
 )
 from .dynamics import (  # noqa: E402
-    DynamicsError, closed_form_exprs, closed_form_state, geodesic_rhs,
-    integrate, interval_along, two_path_fringes,
+    DynamicsError, closed_form_exprs, closed_form_state, integrate,
+    interval_along, two_path_fringes,
 )
 from .report import ClaimReport, Report, to_json  # noqa: E402
 from .verify import claim_ids, must_pass_ids, run_claim, run_suite  # noqa: E402

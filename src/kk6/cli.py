@@ -14,6 +14,15 @@ Numbers accept integer, decimal, scientific and ``a/b`` rational forms;
 physics parameters also accept the word ``symbolic`` to leave them
 unbound.  Diagnostics are first-error-wins with line and column.
 
+Parameters are stated once, in :mod:`kk6.verify`: each value is parsed
+by its kind in ``PARAM_KINDS``; a command accepts the names of its
+target (the selected claims' ``REGISTRY`` rows, the ansatz's row in
+``_ANSATZ_PARAMS``, or ``GEODESIC_DEFAULTS`` / ``FRINGE_DEFAULTS``); and
+``read_params`` fills in defaults and runs the range checks.  All of it
+happens while the configuration is read, before anything is computed,
+for the commands and the claims alike, and ``run_claim`` reads its
+parameters the same way.
+
 Output is written once at the end.  JSON reports have a stable schema and
 key order; all timing lives under the single ``timing`` key, so identical
 config and seed reproduce the report byte-for-byte once that key is
@@ -38,46 +47,30 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
-
-import numpy as np
 
 from . import __version__
 from .ansatz import (
     AnsatzError, coupled_metric, dirac_metric, gravity_metric,
-    massive_wave_potential, null_wave_potential, onshell_energy,
-    photon_metric, proca_metric, scalar_metric, weak_field_block,
+    massive_wave_potential, null_wave_potential, photon_metric,
+    proca_metric, scalar_metric, weak_field_block,
 )
 from .curvature import einstein, ricci_scalar
 from .dynamics import (
     DynamicsError, closed_form_deviation, closed_form_state,
-    connection_evaluator, integrate, two_path_fringes,
+    connection_evaluator, integrate,
 )
-from .expr import ZERO, num, sym, to_text
-from .parse import ParseError, parse_expression
+from .expr import ZERO, to_text
 from .report import Report, to_json
 from .tensor import DIM, verify_claimed_inverse
 from .verify import (
-    ClaimParamError, REGISTRY, UnknownClaimError, must_pass_ids,
-    refuted_must_pass, run_suite,
+    FRINGE_DEFAULTS, GEODESIC_DEFAULTS, PARAM_KINDS, REGISTRY,
+    ClaimParamError, coerce_param, fringe_profile, must_pass_ids,
+    read_params, refuted_must_pass, run_suite, scalar_momenta,
 )
 
 __all__ = ["RunConfig", "CliError", "parse_config", "emit", "main"]
 
 COMMANDS = ("curvature", "verify", "geodesic", "fringes")
-
-# parameter name -> value kind
-_PARAM_KINDS = {
-    "p0": "param", "p1": "param", "p2": "param", "p3": "param",
-    "m0": "param", "hbar": "param", "omega": "param", "k3": "param",
-    "gamma": "param", "eps": "param", "kappa": "param",
-    "sol": "int", "pol": "int", "phase_factor": "int",
-    "steps": "int", "points": "int",
-    "tau_end": "real", "d": "real", "L": "real", "wavelength": "real",
-    "ymax": "real",
-    "perturb": "expr", "potential": "choice",
-}
-_POTENTIALS = ("null", "constant", "massive")
 
 _ANSATZ_PARAMS = {
     "scalar": frozenset({"p0", "p1", "p2", "p3", "m0", "hbar"}),
@@ -92,8 +85,6 @@ _ANSATZ_PARAMS = {
                                 "kappa"}),
 }
 ANSATZ_IDS = tuple(_ANSATZ_PARAMS)
-_GEODESIC_PARAMS = frozenset({"p1", "p2", "p3", "m0", "steps", "tau_end"})
-_FRINGE_PARAMS = frozenset({"d", "L", "wavelength", "ymax", "points"})
 
 
 class CliError(Exception):
@@ -157,49 +148,11 @@ def _lex_config(text: str):
     return items
 
 
-def _parse_number(text: str, where: str, key: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise _config_err(f"{key} expects a number, got {text!r}", where) \
-            from None
-
-
-def _parse_param(key: str, value: str, where: str):
-    """Typed value for a parameter binding, or None for 'symbolic'."""
-    kind = _PARAM_KINDS[key]
-    if kind == "param":
-        if value == "symbolic":
-            return None
-        return _parse_number(value, where, key)
-    if value == "symbolic":
-        raise _config_err(f"{key} does not admit a symbolic value", where)
-    if kind == "real":
-        return _parse_number(value, where, key)
-    if kind == "int":
-        try:
-            return int(value, 10)
-        except ValueError:
-            raise _config_err(f"{key} expects an integer, got {value!r}",
-                              where) from None
-    if kind == "choice":
-        if value not in _POTENTIALS:
-            raise _config_err(
-                f"{key} must be one of {', '.join(_POTENTIALS)}", where)
-        return value
-    # expression text: validated eagerly so errors carry a position
-    try:
-        parse_expression(value)
-    except ParseError as err:
-        raise _config_err(f"{key}: {err}", where) from None
-    return value
-
-
 def _resolve(items) -> RunConfig:
     command = ansatz = out = None
     claims: list[str] | None = None
     seed, tol, fmt = 0, 1e-9, "json"
-    params: dict = {}
+    given: dict = {}                  # typed values; None for symbolic
     echo: dict = {}
     positions: dict = {}
 
@@ -241,12 +194,11 @@ def _resolve(items) -> RunConfig:
             for cid in claims:
                 if cid not in REGISTRY:
                     raise _config_err(f"unknown claim id {cid!r}", where)
-        elif key in _PARAM_KINDS:
-            v = _parse_param(key, value, where)
-            if v is None:
-                params.pop(key, None)
-            else:
-                params[key] = v
+        elif key in PARAM_KINDS:
+            try:
+                given[key] = coerce_param(key, value)
+            except ClaimParamError as err:
+                raise _config_err(str(err), where) from None
             positions[key] = key_where
         else:
             raise _config_err(f"unknown key {key!r}", key_where)
@@ -257,31 +209,23 @@ def _resolve(items) -> RunConfig:
         raise _usage("no command given (expected one of "
                      + ", ".join(COMMANDS) + ")")
 
-    # cross-field validation: every binding must be consumed by the command
-    def reject(key, message):
-        raise _config_err(message, positions.get(key))
-
+    # cross-field validation: the command's targets (reader -> accepted
+    # name -> default) must take every bound parameter
+    params = {k: v for k, v in given.items() if v is not None}
     if command == "verify":
         if ansatz is not None:
             raise _config_err("command 'verify' does not take an ansatz; "
                               "select claims instead")
         selection = claims if claims is not None else must_pass_ids()
-        allowed = set()
-        for cid in selection:
-            allowed |= REGISTRY[cid].param_names
-        for key in params:
-            if key not in allowed:
-                reject(key, f"parameter {key!r} is not accepted by any "
-                       "selected claim")
+        targets = {cid: REGISTRY[cid].params for cid in selection}
+        stray = "is not accepted by any selected claim"
     elif command == "curvature":
         if claims is not None:
             raise _config_err("command 'curvature' does not use claim "
                               "selection")
-        allowed = _ANSATZ_PARAMS[ansatz or "scalar"]
-        for key in params:
-            if key not in allowed:
-                reject(key, f"parameter {key!r} is not declared by ansatz "
-                       f"{ansatz or 'scalar'!r}")
+        aid = ansatz or "scalar"
+        targets = {aid: dict.fromkeys(_ANSATZ_PARAMS[aid])}
+        stray = f"is not declared by ansatz {aid!r}"
     elif command == "geodesic":
         if ansatz not in (None, "scalar"):
             raise _config_err("command 'geodesic' integrates the scalar "
@@ -289,26 +233,27 @@ def _resolve(items) -> RunConfig:
         if claims is not None:
             raise _config_err("command 'geodesic' does not use claim "
                               "selection")
-        for key in params:
-            if key not in _GEODESIC_PARAMS:
-                reject(key, f"parameter {key!r} is not used by the geodesic "
-                       "command")
-        for key in ("p1", "p2", "p3", "m0"):
-            if key in echo and echo[key] == "symbolic":
-                reject(key, "geodesic integration requires numeric "
-                       "parameters")
+        targets = {"geodesic integration": GEODESIC_DEFAULTS}
+        stray = "is not used by the geodesic command"
     else:  # fringes
         if ansatz is not None or claims is not None:
             raise _config_err("command 'fringes' takes only geometry "
                               "parameters")
-        for key in params:
-            if key not in _FRINGE_PARAMS:
-                reject(key, f"parameter {key!r} is not used by the fringes "
-                       "command")
+        targets = {"fringes": FRINGE_DEFAULTS}
+        stray = "is not used by the fringes command"
+    for key in params:
+        if not any(key in spec for spec in targets.values()):
+            raise _config_err(f"parameter {key!r} {stray}",
+                              positions.get(key))
 
     if fmt == "csv" and command in ("curvature", "verify"):
         raise _config_err("csv output applies to the geodesic and fringes "
                           "commands")
+    try:
+        for reader, spec in targets.items():
+            read_params(spec, given, reader)
+    except ClaimParamError as err:
+        raise _config_err(str(err)) from None
 
     echo["seed"] = seed
     echo["tol"] = tol
@@ -331,60 +276,45 @@ def parse_config(text: str) -> RunConfig:
 # ansatz construction by name
 
 def _scalar_p(params):
-    def e(v, name):
-        return sym(name) if v is None else num(v)
-    p123 = [e(params.get(k), k) for k in ("p1", "p2", "p3")]
-    m0 = e(params.get("m0"), "m0")
-    if "p0" in params:
-        return (num(params["p0"]), *p123), m0, "explicit energy component"
-    p0 = onshell_energy(p123[0], p123[1], p123[2], m0)
-    return (p0, *p123), m0, \
-        "p0 = sqrt(p1^2 + p2^2 + p3^2 + m0^2) installed"
+    p, m0, explicit = scalar_momenta(params)
+    return p, m0, ("explicit energy component" if explicit else
+                   "p0 = sqrt(p1^2 + p2^2 + p3^2 + m0^2) installed")
 
 
 def build_ansatz(aid: str, params: dict):
-    """Named metric constructor; returns (metric, claimed_upper, notes)."""
-    notes = []
+    """Named metric constructor; returns (metric, claimed_upper, notes).
+    ``params`` binds only names of the ansatz's row, which are the
+    keyword names of its constructors, so unbound ones take the
+    constructors' own defaults."""
+    kw = dict(params)
     if aid == "scalar":
-        p, m0, note = _scalar_p(params)
-        mode = scalar_metric(p=p, m0=m0, hbar=params.get("hbar"))
+        p, m0, note = _scalar_p(kw)
+        mode = scalar_metric(p=p, m0=m0, hbar=kw.get("hbar"))
         return mode.metric, None, [note]
     if aid == "photon":
-        a4 = null_wave_potential(params.get("omega"),
-                                 pol=int(params.get("pol", 2)))
-        mode = photon_metric(a4)
-        return mode.metric, mode.claimed_upper, notes
+        mode = photon_metric(null_wave_potential(**kw))
+        return mode.metric, mode.claimed_upper, []
     if aid == "proca":
-        a4 = massive_wave_potential(params.get("k3"), params.get("m0"),
-                                    pol=int(params.get("pol", 1)))
-        mode = proca_metric(a4, params.get("m0"))
-        return mode.metric, mode.claimed_upper, notes
+        mode = proca_metric(massive_wave_potential(**kw), kw.get("m0"))
+        return mode.metric, mode.claimed_upper, []
     if aid.startswith("dirac"):
-        mode = dirac_metric(int(aid[-1]), params.get("p1"), params.get("p2"),
-                            params.get("p3"), params.get("m0"))
-        notes.extend(mode.notes)
-        return mode.metric, mode.claimed_upper, notes
+        mode = dirac_metric(int(aid[-1]), **kw)
+        return mode.metric, mode.claimed_upper, list(mode.notes)
     if aid == "coupled":
-        mode = coupled_metric(int(params.get("sol", 1)), params.get("p1"),
-                              params.get("p2"), params.get("p3"),
-                              params.get("m0"), params.get("gamma"))
-        return mode.metric, None, notes
+        return coupled_metric(**kw).metric, None, []
     family = aid.split("-", 1)[1]
-    g4 = weak_field_block(params.get("eps"))
-    kappa = params.get("kappa")
+    g4 = weak_field_block(kw.pop("eps", None))
+    kappa = kw.pop("kappa", None)
+    notes = []
     if family == "scalar":
-        p, m0, note = _scalar_p(params)
+        p, m0, note = _scalar_p(kw)
         mode = gravity_metric("scalar", g4, kappa, p=p, m0=m0)
         notes.append(note)
     elif family == "proca":
-        a4 = massive_wave_potential(params.get("k3"), params.get("m0"),
-                                    pol=int(params.get("pol", 1)))
-        mode = gravity_metric("proca", g4, kappa, A=a4, m0=params.get("m0"))
+        mode = gravity_metric("proca", g4, kappa,
+                              A=massive_wave_potential(**kw), m0=kw.get("m0"))
     else:
-        mode = gravity_metric("dirac", g4, kappa,
-                              sol=int(params.get("sol", 1)),
-                              p1=params.get("p1"), p2=params.get("p2"),
-                              p3=params.get("p3"), m0=params.get("m0"))
+        mode = gravity_metric("dirac", g4, kappa, **kw)
     notes.append("static weak-field background block")
     return mode.metric, None, notes
 
@@ -419,39 +349,22 @@ def _run_curvature(cfg: RunConfig):
 
 
 def _run_verify(cfg: RunConfig):
-    try:
-        records = run_suite(claims=cfg.claims, seed=cfg.seed, tol=cfg.tol,
-                            params=cfg.params)
-    except (UnknownClaimError, ClaimParamError) as err:
-        raise _config_err(str(err)) from None
-    return records, None, None
-
-
-def _geo_value(params, key, default):
-    v = params.get(key)
-    return float(v) if v is not None else default
+    # the claim ids and parameters were checked with the configuration
+    return run_suite(claims=cfg.claims, seed=cfg.seed, tol=cfg.tol,
+                     params=cfg.params), None, None
 
 
 def _run_geodesic(cfg: RunConfig):
-    p1 = _geo_value(cfg.params, "p1", 0.0)
-    p2 = _geo_value(cfg.params, "p2", 0.0)
-    p3 = _geo_value(cfg.params, "p3", 0.75)
-    m0 = _geo_value(cfg.params, "m0", 1.0)
-    steps = int(cfg.params.get("steps", 1000))
-    tau_end = _geo_value(cfg.params, "tau_end", 1.0)
-    if steps < 2:
-        raise _config_err("steps must be at least 2")
-    if not tau_end > 0:
-        raise _config_err("tau_end must be positive")
+    g = read_params(GEODESIC_DEFAULTS, cfg.params, "geodesic integration")
+    p1, p2, p3, m0, tau_end = (float(g[k]) for k in
+                               ("p1", "p2", "p3", "m0", "tau_end"))
+    steps = g["steps"]
     if m0 == 0.0:
         raise _config_err("geodesic integration needs m0 != 0 (the compact "
                           "phase degenerates otherwise)")
 
-    frac = {k: num(cfg.params.get(k, d)) for k, d in
-            (("p1", 0), ("p2", 0), ("p3", Fraction(3, 4)), ("m0", 1))}
-    p0_sym = onshell_energy(*(frac[k] for k in ("p1", "p2", "p3", "m0")))
-    mode = scalar_metric(p=(p0_sym, frac["p1"], frac["p2"], frac["p3"]),
-                         m0=frac["m0"])
+    p_sym, m0_sym, _ = scalar_momenta(g)
+    mode = scalar_metric(p=p_sym, m0=m0_sym)
     gamma = connection_evaluator(mode.metric)
     p0 = math.sqrt(p1 * p1 + p2 * p2 + p3 * p3 + m0 * m0)
     start = closed_form_state(0.0, (p0, p1, p2, p3), m0, (0,) * 6)
@@ -479,18 +392,7 @@ def _run_geodesic(cfg: RunConfig):
 
 
 def _run_fringes(cfg: RunConfig):
-    d = _geo_value(cfg.params, "d", 10.0)
-    length = _geo_value(cfg.params, "L", 400.0)
-    lam = _geo_value(cfg.params, "wavelength", 0.5)
-    ymax = _geo_value(cfg.params, "ymax", 15.0)
-    points = int(cfg.params.get("points", 1201))
-    if d <= 0 or length <= 0 or lam <= 0 or ymax <= 0:
-        raise _config_err("d, L, wavelength and ymax must all be positive")
-    if points < 2:
-        raise _config_err("points must be at least 2")
-
-    grid = np.linspace(-ymax, ymax, points)
-    profile = two_path_fringes(d, length, lam, grid)
+    (d, length, lam, points), profile = fringe_profile(cfg.params)
     peak = max(profile.density)
     data = {
         "d": d, "L": length, "wavelength": lam,
@@ -626,8 +528,6 @@ def main(argv=None) -> int:
             records, data, csv_table = _RUNNERS[cfg.command](cfg)
         except AnsatzError as err:
             raise CliError("ansatz", str(err), 2) from None
-        except ParseError as err:
-            raise _config_err(str(err)) from None
         except (DynamicsError, OverflowError) as err:
             raise _runtime(str(err)) from None
         report = Report(version=__version__, command=cfg.command,

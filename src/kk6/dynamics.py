@@ -34,8 +34,8 @@ from .ansatz import onshell_energy, scalar_metric
 __all__ = [
     "DynamicsError", "GeodesicState", "Path", "StepInterval",
     "ClosedForm", "closed_form_exprs", "closed_form_state",
-    "closed_form_deviation", "connection_evaluator", "geodesic_rhs",
-    "integrate", "interval_along", "FringeProfile", "two_path_fringes",
+    "closed_form_deviation", "connection_evaluator", "integrate",
+    "interval_along", "FringeProfile", "two_path_fringes",
 ]
 
 for _name in ("tau",):
@@ -196,17 +196,6 @@ def connection_evaluator(metric: Metric6):
         return out
 
     return ev
-
-
-def geodesic_rhs(state: GeodesicState, gamma) -> tuple[tuple[complex, ...],
-                                                        tuple[complex, ...]]:
-    """dx/dtau = v; dv^A/dtau = -Gamma^A_BC v^B v^C at the state's point."""
-    g = gamma(state.x)
-    if not np.all(np.isfinite(g.view(np.float64))):
-        raise DynamicsError(f"connection not finite at x = {state.x}")
-    v = np.asarray(state.v, dtype=complex)
-    dv = -np.einsum("abc,b,c->a", g, v, v)
-    return state.v, tuple(dv)
 
 
 _BLOWUP = 1e12

@@ -706,6 +706,8 @@ def _simplified(node: Expr) -> Expr:
     else:  # pragma: no cover
         raise TypeError(f"simplify of unsupported node {type(node).__name__}")
     node._simp = _SELF if r is node else r
+    if r._simp is None:         # simplify is idempotent: r is its own result
+        r._simp = _SELF
     return r
 
 

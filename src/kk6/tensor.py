@@ -63,9 +63,6 @@ class Metric6:
         self.name = name
         self._cache: dict[str, object] = {}
 
-    def entry(self, a: int, b: int) -> Expr:
-        return self.lower[a][b]
-
     def det(self) -> Expr:
         got = self._cache.get("det")
         if got is None:

@@ -18,6 +18,11 @@ before residual formation and stated in each report's assumptions.
 Each claim is stated once, as a row of :data:`REGISTRY` (id, anchor,
 must-pass flag, parameters).  A check returns only what it measured;
 :func:`run_claim` adds the id, anchor and seed to build the record.
+
+Each parameter is stated once too: its kind of value in
+:data:`PARAM_KINDS`, which the command line parses against as well, and
+its range check in :func:`read_params`, which reads a claim's or a
+command's parameters before anything is computed.
 """
 from __future__ import annotations
 
@@ -39,14 +44,14 @@ from .ansatz import (
 from .curvature import einstein, ricci_scalar
 from .dynamics import (
     closed_form_deviation, closed_form_exprs, closed_form_state,
-    connection_evaluator, integrate, interval_along,
+    connection_evaluator, integrate, interval_along, two_path_fringes,
 )
 from .expr import (
     Expr, MINUS_ONE, ZERO, add, conj, coords, diff, exp, mul, num,
     power, simplify, sym,
 )
 from .oracle import einstein_fd, metric_evaluator
-from .parse import parse_expression
+from .parse import ParseError, parse_expression
 from .report import (
     CONDITIONAL, CONFIRMED, INCONCLUSIVE, REFUTED, ClaimReport,
 )
@@ -57,6 +62,8 @@ __all__ = [
     "Claim", "UnknownClaimError", "ClaimParamError",
     "REGISTRY", "claim_ids", "must_pass_ids",
     "run_claim", "run_suite", "refuted_must_pass",
+    "PARAM_KINDS", "GEODESIC_DEFAULTS", "FRINGE_DEFAULTS", "coerce_param",
+    "read_params", "scalar_momenta", "fringe_profile",
 ]
 
 _POS_M0 = frozenset({"m0"})
@@ -68,6 +75,133 @@ class UnknownClaimError(ValueError):
 
 class ClaimParamError(ValueError):
     pass
+
+
+# ---------------------------------------------------------------------------
+# parameters
+
+# Every parameter a claim, an ansatz or a command reads, by the kind of
+# value it takes: "param" a number, or ``symbolic`` to leave it unbound;
+# "real" a number that fits a float; "int" an integer; "expr" expression
+# text; "choice" a potential preset.
+PARAM_KINDS = {
+    **dict.fromkeys(("p0", "p1", "p2", "p3", "m0", "hbar", "omega", "k3",
+                     "gamma", "eps", "kappa"), "param"),
+    **dict.fromkeys(("sol", "pol", "phase_factor", "steps", "points"),
+                    "int"),
+    **dict.fromkeys(("tau_end", "d", "L", "wavelength", "ymax"), "real"),
+    "perturb": "expr", "potential": "choice",
+}
+_POTENTIALS = ("null", "constant", "massive")
+
+# The parameters of the geodesic and fringes commands, with defaults; the
+# claims that integrate a geodesic or lay a fringe grid share them.
+GEODESIC_DEFAULTS = {"p1": 0, "p2": 0, "p3": 0.75, "m0": 1, "steps": 1000,
+                     "tau_end": 1}
+FRINGE_DEFAULTS = {"d": 10, "L": 400, "wavelength": 0.5, "ymax": 15,
+                   "points": 1201}
+
+
+def coerce_param(name: str, value, real: bool = False):
+    """The typed value of parameter ``name``: a ``Fraction`` for a number,
+    read from its text (so ``3/4``, ``"3/4"``, ``0.75`` and
+    ``Fraction(3, 4)`` agree), an ``int`` for an integral number,
+    expression text or a preset; None for ``symbolic``.  With ``real`` a
+    "param" is read as a "real"."""
+    kind = PARAM_KINDS[name]
+    if kind == "param" and real:
+        kind = "real"
+    if value is None or value == "symbolic":
+        if kind == "param":
+            return None
+        raise ClaimParamError(f"{name} does not admit a symbolic value")
+    if kind == "choice":
+        if value not in _POTENTIALS:
+            raise ClaimParamError(
+                f"{name} must be one of {', '.join(_POTENTIALS)}")
+        return value
+    if kind == "expr":
+        try:
+            parse_expression(str(value))
+        except ParseError as err:
+            raise ClaimParamError(f"{name}: {err}") from None
+        return str(value)
+    try:
+        v = Fraction(str(value))
+        if kind == "int":
+            if v.denominator != 1:
+                raise ValueError
+            v = int(v)
+        elif kind == "real":
+            float(v)
+    except (ValueError, ZeroDivisionError):
+        raise ClaimParamError(f"{name} expects "
+                              f"{'an integer' if kind == 'int' else 'a number'}"
+                              f", got {value!r}") from None
+    except OverflowError:
+        raise ClaimParamError(f"{name} is too large for a float") from None
+    return v
+
+
+def read_params(spec: dict, given: dict, reader: str) -> dict:
+    """The parameters ``reader`` (a claim id or a command) takes: for each
+    name of ``spec``, the value ``given`` binds, coerced by its kind, or
+    else the name's default in ``spec`` (None: unbound).  A name with a
+    default is numeric and refuses ``symbolic``.  Unbound names are left
+    out.  Raises :class:`ClaimParamError` for a value of the wrong kind or
+    out of range."""
+    out = {}
+    for name, default in spec.items():
+        if name not in given and default is None:
+            continue
+        value = given.get(name, default)
+        if default is not None and (value is None or value == "symbolic"):
+            raise ClaimParamError(f"{reader} requires numeric parameters, "
+                                  f"got {name}=symbolic")
+        value = coerce_param(name, value, real=default is not None)
+        if value is not None:
+            out[name] = value
+    if "steps" in out and out["steps"] < 2:
+        raise ClaimParamError("steps must be at least 2")
+    if "tau_end" in out and not float(out["tau_end"]) > 0:
+        raise ClaimParamError("tau_end must be positive")
+    if "ymax" in out and min(float(out[k]) for k in
+                             ("d", "L", "wavelength", "ymax")) <= 0:
+        raise ClaimParamError("d, L, wavelength and ymax must all be "
+                              "positive")
+    least = 2 if "ymax" in out else 1   # a fringe grid, else a sample count
+    if "points" in out and out["points"] < least:
+        raise ClaimParamError(f"points must be at least {least}")
+    return out
+
+
+def _bound(params, name) -> Expr:
+    """Parameter ``name`` as an expression: its value, or its symbol when
+    unbound."""
+    v = params.get(name)
+    return sym(name) if v is None else num(v)
+
+
+def scalar_momenta(params):
+    """The scalar mode's momenta (p0, p1, p2, p3) and m0, symbolic where
+    unbound, with p0 on shell unless ``params`` gives it; returns
+    (p, m0, whether p0 was given)."""
+    p1, p2, p3, m0 = (_bound(params, k) for k in ("p1", "p2", "p3", "m0"))
+    explicit = "p0" in params
+    p0 = _bound(params, "p0") if explicit else onshell_energy(p1, p2, p3, m0)
+    return (p0, p1, p2, p3), m0, explicit
+
+
+def fringe_profile(params):
+    """The two-path fringe profile on the grid of ``params``, read and
+    range-checked through :data:`FRINGE_DEFAULTS`, with its geometry
+    (d, L, wavelength as floats, points)."""
+    g = read_params(FRINGE_DEFAULTS, params, "fringes")
+    d, length, lam, ymax = (float(g[k]) for k in ("d", "L", "wavelength",
+                                                  "ymax"))
+    grid = np.linspace(-ymax, ymax, g["points"])
+    return (d, length, lam, g["points"]), two_path_fringes(d, length, lam,
+                                                           grid)
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +266,6 @@ def _close(out: _Outcome, assumptions=(), notes=(),
                 assumptions=tuple(assumptions), notes=notes, witness=witness)
 
 
-def _num_param(params, name):
-    v = params.get(name)
-    if v is None:
-        return None
-    return num(Fraction(str(v)) if not isinstance(v, float)
-               else Fraction(v))
-
-
 def _div(v) -> Expr:
     """Flat divergence ``eta^ii d_i v_i`` over the first ``len(v)`` of the
     five non-compact indices (four: the 4d divergence)."""
@@ -157,12 +283,8 @@ _ONSHELL_NOTE = "p0 = sqrt(p1^2 + p2^2 + p3^2 + m0^2) substituted before " \
 
 def check_klein_gordon(seed, tol, trials, params) -> dict:
     x = coords()
-    pv = [_num_param(params, f"p{i}") or sym(f"p{i}") for i in range(4)]
-    m0 = _num_param(params, "m0") or sym("m0")
-    explicit = "p0" in params
-    if not explicit:
-        pv[0] = onshell_energy(pv[1], pv[2], pv[3], m0)
-    mode = scalar_metric(p=tuple(pv), m0=m0)
+    pv, m0, explicit = scalar_momenta(params)
+    mode = scalar_metric(p=pv, m0=m0)
 
     phi = exp(mul(num(0, -1), add(mul(pv[0], x[0]), mul(MINUS_ONE, pv[1], x[1]),
                                   mul(MINUS_ONE, pv[2], x[2]),
@@ -209,26 +331,20 @@ def check_klein_gordon(seed, tol, trials, params) -> dict:
                            "dispersion relation not assumed")
     else:
         assumptions.append(_ONSHELL_NOTE)
-    extra = {}
-    for i in range(4):
-        v = _num_param(params, f"p{i}")
-        if v is not None:
-            extra[f"p{i}"] = complex(float(v.re), float(v.im))
+    extra = {f"p{i}": complex(params[f"p{i}"]) for i in range(4)
+             if f"p{i}" in params}
     return _close(out, assumptions, notes, extra_witness=extra or None)
 
 
 def check_ricci_scalar_zero(seed, tol, trials, params) -> dict:
-    m0 = _num_param(params, "m0") or sym("m0")
-    pv = [_num_param(params, f"p{i}") or sym(f"p{i}") for i in range(4)]
-    if "p0" not in params:
-        pv[0] = onshell_energy(pv[1], pv[2], pv[3], m0)
-    mode = scalar_metric(p=tuple(pv), m0=m0)
+    pv, m0, _ = scalar_momenta(params)
+    mode = scalar_metric(p=pv, m0=m0)
     notes = []
     perturb = params.get("perturb")
     if perturb is None:
         metric = mode.metric
     else:
-        factor = parse_expression(str(perturb))
+        factor = parse_expression(perturb)
         rows = [list(r) for r in mode.metric.lower]
         rows[4][4] = simplify(mul(rows[4][4], factor))
         metric = Metric6(rows, name="scalar-perturbed")
@@ -260,15 +376,13 @@ _MAXWELL_ASSUMPTIONS = (
 
 
 def _maxwell_potential(params):
-    kind = str(params.get("potential", "null"))
+    kind = params["potential"]
     if kind == "null":
-        return null_wave_potential(_num_param(params, "omega")), kind
+        return null_wave_potential(params.get("omega")), kind
     if kind == "constant":
         return tuple(sym(f"A{i}") for i in range(4)), kind
-    if kind == "massive":
-        return massive_wave_potential(_num_param(params, "k3"),
-                                      _num_param(params, "m0"), pol=1), kind
-    raise ClaimParamError(f"unknown potential preset {kind!r}")
+    return massive_wave_potential(params.get("k3"), params.get("m0"),
+                                  pol=1), kind
 
 
 def check_maxwell(seed, tol, trials, params) -> dict:
@@ -288,7 +402,7 @@ def check_maxwell(seed, tol, trials, params) -> dict:
 
 
 def check_fsq_null(seed, tol, trials, params) -> dict:
-    a4 = null_wave_potential(_num_param(params, "omega"))
+    a4 = null_wave_potential(params.get("omega"))
     f = field_strength(tuple(a4) + (ZERO,))
     out = _grade([("field invariant F^2", fsq(f))], seed, tol, trials)
     notes = ["transverse null wave: electric and magnetic contributions "
@@ -307,10 +421,9 @@ _PROCA_ASSUMPTIONS = (
 
 def check_proca(seed, tol, trials, params) -> dict:
     x = coords()
-    k3 = _num_param(params, "k3")
-    m0 = _num_param(params, "m0") or sym("m0")
-    a4 = massive_wave_potential(k3, m0, pol=int(params.get("pol", 1)))
-    phase_factor = int(params.get("phase_factor", 1))
+    m0 = _bound(params, "m0")
+    a4 = massive_wave_potential(params.get("k3"), m0, pol=params["pol"])
+    phase_factor = params["phase_factor"]
     if phase_factor == 1:
         mode = proca_metric(a4, m0)
         ahat, f = mode.Ahat, mode.F
@@ -358,8 +471,8 @@ _DIRAC_ASSUMPTIONS = (
 _HALFSPIN_PARAMS = ("p1", "p2", "p3", "m0")
 
 
-# Momenta are interned nodes (None: symbolic), so equal values share a
-# cache entry.  F^2 is formed once here: the stress tensor and the
+# Momenta are Fractions (None: symbolic), so equal values share a cache
+# entry.  F^2 is formed once here: the stress tensor and the
 # field-invariant check both use this node.
 @lru_cache(maxsize=8)
 def _dirac_bundle(sol: int, p1, p2, p3, m0):
@@ -420,7 +533,7 @@ def _dirac_rows(mode):
 def _check_dirac(sol: int):
     def run(seed, tol, trials, params) -> dict:
         x = coords()
-        mode, _, f2, t = _dirac_bundle(sol, *(_num_param(params, k)
+        mode, _, f2, t = _dirac_bundle(sol, *(params.get(k)
                                               for k in _HALFSPIN_PARAMS))
         comps = mode.components
 
@@ -517,8 +630,7 @@ def check_inverse_photon(seed, tol, trials, params) -> dict:
 
 
 def check_inverse_halfspin(seed, tol, trials, params) -> dict:
-    sol = int(params.get("sol", 1))
-    mode = dirac_metric(sol=sol)
+    mode = dirac_metric(sol=params["sol"])
     full = identity_residual(mode.metric, mode.claimed_upper)
     full_exact = all(e == ZERO for row in full for e in row)
     greek = identity_residual(mode.metric, mode.claimed_upper_greek)
@@ -555,29 +667,22 @@ def check_inverse_halfspin(seed, tol, trials, params) -> dict:
 # ---------------------------------------------------------------------------
 # gravity-coupled claims (numeric measurement)
 
-_GRAVITY_PRESETS = {
-    "scalar": dict(p=(Fraction(5, 4), 0, 0, Fraction(3, 4)), m0=num(1)),
-    "proca": dict(m0=num(1)),
-    "dirac": dict(sol=1, p1=num(0), p2=num(0), p3=num(Fraction(3, 4)),
-                  m0=num(1)),
-}
-
-
-def _gravity_params(family):
-    p = dict(_GRAVITY_PRESETS[family])
+def _gravity_fields(family: str) -> dict:
+    """The field each measurement couples to the background: on-shell
+    momenta (5/4, 0, 0, 3/4) at m0 = 1, or a Proca wave with k3 = 1/2."""
     if family == "scalar":
-        p["p"] = tuple(num(v) for v in p["p"])
+        return dict(p=(Fraction(5, 4), 0, 0, Fraction(3, 4)), m0=1)
     if family == "proca":
-        p["A"] = massive_wave_potential(num(Fraction(1, 2)), num(1), pol=1)
-    return p
+        return dict(A=massive_wave_potential(Fraction(1, 2), 1), m0=1)
+    return dict(p1=0, p2=0, p3=Fraction(3, 4), m0=1)
 
 
 def _check_gravity_split(family: str):
     def run(seed, tol, trials, params) -> dict:
-        eps = float(params.get("eps", 1e-3))
-        kappa = num(Fraction(str(params.get("kappa", 1))))
-        npoints = int(params.get("points", 3))
-        fields = _gravity_params(family)
+        eps = float(params["eps"])
+        kappa = num(params["kappa"])
+        npoints = params["points"]
+        fields = _gravity_fields(family)
         g4 = weak_field_block(num(Fraction(str(eps))))
 
         gm_full = gravity_metric(family, g4, kappa, **fields)
@@ -619,7 +724,7 @@ def _check_gravity_split(family: str):
         return _close(_Outcome("measured", worst, npoints),
                       ("separability is asserted without proof; this "
                        "check measures the residual numerically",
-                       f"coupling constant kappa = {params.get('kappa', 1)}"),
+                       f"coupling constant kappa = {params['kappa']}"),
                       notes)
     return run
 
@@ -633,9 +738,7 @@ _GEO_CONST = (0.1 + 0.05j, -0.2j, 0.3, 0.02 + 0.01j, 0.0, 0.04 - 0.1j)
 
 
 def check_geodesic_closedform(seed, tol, trials, params) -> dict:
-    steps = int(params.get("steps", 1000))
-    if steps < 2:
-        raise ClaimParamError("steps must be at least 2")
+    steps = params["steps"]
     cf = closed_form_exprs()
     pairs = [(f"geodesic equation, component {a}", cf.residual[a])
              for a in range(DIM)]
@@ -643,7 +746,7 @@ def check_geodesic_closedform(seed, tol, trials, params) -> dict:
     notes = [f"{out.structural} of 6 closed-form residual components vanish "
              "at the expression level"]
     if out.status == "zero":
-        mode = scalar_metric(p=(Fraction(5, 4), 0, 0, Fraction(3, 4)), m0=1)
+        mode = scalar_metric(p=_GEO_P, m0=_GEO_M0)   # binary-exact floats
         gam = connection_evaluator(mode.metric)
         s0 = closed_form_state(0.0, _GEO_P, _GEO_M0, _GEO_CONST)
         path = integrate(s0, 1.0, steps, gam)
@@ -678,14 +781,8 @@ def check_geodesic_closedform(seed, tol, trials, params) -> dict:
 
 
 def check_interference_minima(seed, tol, trials, params) -> dict:
-    from .dynamics import two_path_fringes, _path_difference
-    lam = float(params.get("wavelength", 0.5))
-    d = float(params.get("d", 10.0))
-    length = float(params.get("L", 400.0))
-    ymax = float(params.get("ymax", 15.0))
-    npts = int(params.get("points", 1201))
-    grid = np.linspace(-ymax, ymax, npts)
-    fp = two_path_fringes(d, length, lam, grid)
+    from .dynamics import _path_difference
+    (d, length, lam, _), fp = fringe_profile(params)
     peak = max(fp.density)
     worst = 0.0
     bad = None
@@ -723,11 +820,12 @@ class Claim:
     anchor: str
     must_pass: bool
     runner: Callable
-    param_names: frozenset
+    params: dict                 # accepted name -> default (None: unbound)
 
 
-def _claim(cid, anchor, must_pass, runner, names=()):
-    return Claim(cid, anchor, must_pass, runner, frozenset(names))
+def _claim(cid, anchor, must_pass, runner, names=(), **defaults):
+    return Claim(cid, anchor, must_pass, runner,
+                 {**dict.fromkeys(names), **defaults})
 
 
 _P4 = ("p0", "p1", "p2", "p3", "m0")
@@ -742,14 +840,14 @@ REGISTRY: dict[str, Claim] = {c.claim_id: c for c in [
            True, check_ricci_scalar_zero, _P4 + ("perturb",)),
     _claim("maxwell.reduction",
            "massless vector mode obeys the flat-space field equations",
-           True, check_maxwell, ("potential", "omega", "k3", "m0")),
+           True, check_maxwell, ("omega", "k3", "m0"), potential="null"),
     _claim("fsq.null",
            "null transverse wave has vanishing field-strength invariant",
            True, check_fsq_null, ("omega",)),
     _claim("proca.reduction",
            "massive vector mode obeys the field equations with the mass "
            "supplied by the compact phase",
-           True, check_proca, ("k3", "m0", "pol", "phase_factor")),
+           True, check_proca, ("k3", "m0"), pol=1, phase_factor=1),
     *[_claim(f"dirac.sol{s}",
              f"half-spin solution {s}: plane-wave condition, divergence, "
              "field invariant, component equation, and stress form",
@@ -765,21 +863,21 @@ REGISTRY: dict[str, Claim] = {c.claim_id: c for c in [
     _claim("inverse.halfspin",
            "claimed inverse of the half-spin metric, measured under both "
            "trace readings",
-           False, check_inverse_halfspin, ("sol",)),
+           False, check_inverse_halfspin, sol=1),
     *[_claim(f"gravity.split.{fam}",
              f"Einstein tensor of the gravity-coupled {fam} metric "
              "separates into background plus field parts",
-             False, _check_gravity_split(fam), ("eps", "kappa", "points"))
+             False, _check_gravity_split(fam), eps=1e-3, kappa=1, points=3)
       for fam in ("scalar", "proca", "dirac")],
     _claim("geodesic.closedform",
            "closed-form geodesic of the scalar-mode metric (symbolic "
            "residual and numeric integration)",
-           True, check_geodesic_closedform, ("steps",)),
+           True, check_geodesic_closedform,
+           steps=GEODESIC_DEFAULTS["steps"]),
     _claim("interference.minima",
            "two-path density minima sit exactly at half-integer path "
            "differences",
-           True, check_interference_minima,
-           ("wavelength", "d", "L", "ymax", "points")),
+           True, check_interference_minima, **FRINGE_DEFAULTS),
 ]}
 
 
@@ -797,8 +895,7 @@ def run_claim(claim_id: str, seed: int = 0, tol: float = 1e-9,
     claim = REGISTRY.get(claim_id)
     if claim is None:
         raise UnknownClaimError(f"unknown claim id {claim_id!r}")
-    params = params or {}
-    own = {k: v for k, v in params.items() if k in claim.param_names}
+    own = read_params(claim.params, params or {}, claim_id)
     return ClaimReport(claim_id=claim_id, anchor=claim.anchor, seed=seed,
                        **claim.runner(seed, tol, trials, own))
 
@@ -816,12 +913,13 @@ def run_suite(claims=None, seed: int = 0, tol: float = 1e-9,
             if cid not in REGISTRY:
                 raise UnknownClaimError(f"unknown claim id {cid!r}")
     params = params or {}
-    known = set().union(*(REGISTRY[c].param_names for c in selected)) \
-        if selected else set()
+    known = set().union(*(REGISTRY[c].params for c in selected))
     stray = sorted(k for k in params if k not in known)
     if stray:
         raise ClaimParamError(
             f"parameters {stray} not accepted by any selected claim")
+    for cid in selected:          # every range check before any claim runs
+        read_params(REGISTRY[cid].params, params, cid)
     return tuple(run_claim(cid, seed=seed, tol=tol, trials=trials,
                            params=params) for cid in selected)
 

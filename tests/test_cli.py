@@ -1,6 +1,8 @@
 """Command-line behaviour: config parsing, exit codes, report and CSV
 emission, and determinism of the serialized output."""
 import json
+import pathlib
+import shlex
 from fractions import Fraction
 
 import pytest
@@ -138,11 +140,36 @@ def test_exit_2_on_usage_errors(capsys):
     assert code == 2 and err.startswith("error[usage]: ")
     code, _, err = run(["verify", "stray"], capsys)
     assert code == 2 and "expected key=value" in err
-    for argv in (["geodesic", "steps=1"],
-                 ["verify", "--claim", "geodesic.closedform", "steps=1"]):
+    # a claim runs the range checks of the command it shares parameters
+    # with, and refuses symbolic or float-overflowing numeric inputs
+    positive = "d, L, wavelength and ymax must all be positive"
+    fringe = ["verify", "--claim", "interference.minima"]
+    split = ["verify", "--claim", "gravity.split.scalar"]
+    for argv, message in (
+            (["geodesic", "steps=1"], "steps must be at least 2"),
+            (["verify", "--claim", "geodesic.closedform", "steps=1"],
+             "steps must be at least 2"),
+            (["fringes", "d=-1"], positive),
+            (fringe + ["d=-1"], positive),
+            (fringe + ["ymax=-3"], positive),
+            (["fringes", "points=1"], "points must be at least 2"),
+            (fringe + ["points=0"], "points must be at least 2"),
+            (fringe + ["points=1"], "points must be at least 2"),
+            (split + ["points=0"], "points must be at least 1"),
+            (split + ["points=-2"], "points must be at least 1"),
+            (split + ["eps=symbolic"], "gravity.split.scalar requires "
+             "numeric parameters, got eps=symbolic"),
+            (["verify", "--claim", "gravity.split.proca", "kappa=symbolic"],
+             "gravity.split.proca requires numeric parameters, got "
+             "kappa=symbolic"),
+            (split + ["eps=1e400"], "eps is too large for a float"),
+            (["fringes", "wavelength=1e400"], "argument 'wavelength=1e400': "
+             "wavelength is too large for a float"),
+            (["geodesic", "tau_end=1e400"], "argument 'tau_end=1e400': "
+             "tau_end is too large for a float")):
         code, out, err = run(argv, capsys)
         assert code == 2 and out == ""
-        assert err == "error[config]: steps must be at least 2\n"
+        assert err == f"error[config]: {message}\n"
 
 
 def test_exit_3_on_unwritable_output(capsys):
@@ -240,19 +267,43 @@ def test_fringes_json_includes_profile_arrays(capsys):
 
 
 def test_parameter_tables_cover_every_parameter():
-    # the CLI keeps its own value-kind table beside the claim registry and
-    # the ansatz parameter sets; every name they accept needs a kind
-    from kk6.cli import (
-        ANSATZ_IDS, _ANSATZ_PARAMS, _FRINGE_PARAMS, _GEODESIC_PARAMS,
-        _PARAM_KINDS,
+    # one kinds table serves the claim rows, the ansatz rows and the two
+    # numeric commands: every name a target accepts has a kind, and every
+    # kind is accepted by some target
+    from kk6.cli import ANSATZ_IDS, _ANSATZ_PARAMS
+    from kk6.verify import (
+        FRINGE_DEFAULTS, GEODESIC_DEFAULTS, PARAM_KINDS, REGISTRY,
     )
-    from kk6.verify import REGISTRY
-    names = set().union(*(c.param_names for c in REGISTRY.values()),
-                        *_ANSATZ_PARAMS.values(), _GEODESIC_PARAMS,
-                        _FRINGE_PARAMS)
-    assert sorted(names - set(_PARAM_KINDS)) == []
+    names = set().union(*(c.params for c in REGISTRY.values()),
+                        *_ANSATZ_PARAMS.values(), GEODESIC_DEFAULTS,
+                        FRINGE_DEFAULTS)
+    assert sorted(names - set(PARAM_KINDS)) == []
+    assert sorted(set(PARAM_KINDS) - names) == []
     for aid in ANSATZ_IDS:
         assert parse_config(f"command=curvature\nansatz={aid}").ansatz == aid
+
+
+# ---------------------------------------------------------------------------
+# README quick start
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _quick_start_lines():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Quick start — CLI", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [ln for ln in block.splitlines() if ln.startswith("kk6 ")]
+
+
+@pytest.mark.parametrize("line", _quick_start_lines())
+def test_readme_quick_start_line_runs(line, tmp_path, monkeypatch, capsys):
+    # each documented invocation runs and exits as the README says
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("command=verify\nclaims=fsq.null\n")
+    argv = shlex.split(line, comments=True)[1:]
+    code, _, err = run(argv, capsys)
+    assert code == (1 if "# exit 1" in line else 0), err
 
 
 # ---------------------------------------------------------------------------

@@ -364,6 +364,20 @@ def test_repeated_simplify_reuses_the_cached_result(monkeypatch):
     assert "add" in calls and "mul" in calls
 
 
+def test_simplify_result_is_cached_as_its_own_result(monkeypatch):
+    # a simplify output is a fixed point: simplifying it again is a lookup
+    # on the output itself, not a second walk of a tree never seen as input
+    out = simplify(power(add(_fresh(12), p1), 2))
+    calls = []
+    for name in ("add", "mul"):
+        original = getattr(kernel, name)
+        monkeypatch.setattr(
+            kernel, name,
+            lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+    assert simplify(out) is out
+    assert calls == []
+
+
 def _count_calls(monkeypatch, name):
     calls = []
     original = getattr(kernel, name)

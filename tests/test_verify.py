@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -197,6 +198,44 @@ def test_unknown_claim_is_rejected():
 def test_stray_parameter_is_rejected():
     with pytest.raises(ClaimParamError, match="bogus"):
         run_suite(claims=["kg.reduction"], params={"bogus": 1})
+
+
+OUT_OF_RANGE = [
+    ("interference.minima", {"d": -1}, "must all be positive"),
+    ("interference.minima", {"ymax": "-3"}, "must all be positive"),
+    ("interference.minima", {"points": 0}, "points must be at least 2"),
+    ("interference.minima", {"points": 1}, "points must be at least 2"),
+    ("gravity.split.scalar", {"points": 0}, "points must be at least 1"),
+    ("gravity.split.proca", {"points": -2}, "points must be at least 1"),
+    ("gravity.split.scalar", {"eps": "symbolic"}, "requires numeric"),
+    ("gravity.split.dirac", {"kappa": None}, "requires numeric"),
+    ("gravity.split.scalar", {"eps": "1e400"}, "too large for a float"),
+    ("interference.minima", {"wavelength": "1e400"},
+     "too large for a float"),
+    ("geodesic.closedform", {"steps": 1}, "steps must be at least 2"),
+]
+
+
+@pytest.mark.parametrize(
+    "cid,params,message", OUT_OF_RANGE,
+    ids=[f"{cid}:{k}={v}" for cid, p, _ in OUT_OF_RANGE for k, v in p.items()])
+def test_out_of_range_parameters_are_rejected(cid, params, message):
+    # checked before the claim computes anything, and by run_suite before
+    # any selected claim runs
+    with pytest.raises(ClaimParamError, match=message):
+        run_claim(cid, params=params)
+    with pytest.raises(ClaimParamError, match=message):
+        run_suite(claims=["inverse.photon", cid], params=params)
+
+
+def test_parameter_forms_read_as_one_value():
+    # text, Fraction, int and float forms of one number give one record
+    recs = {json.dumps(record_dict(run_claim(
+        "kg.reduction", params={"p0": p0, "p1": 0, "p2": 0, "p3": p3,
+                                "m0": 1})))
+        for p0, p3 in (("5/4", "3/4"), (Fraction(5, 4), Fraction(3, 4)),
+                       (1.25, 0.75), ("1.25", "0.75"))}
+    assert len(recs) == 1
 
 
 def test_empty_selection_returns_empty_report():
