@@ -73,16 +73,19 @@ __all__ = ["RunConfig", "CliError", "parse_config", "emit", "main"]
 COMMANDS = ("curvature", "verify", "geodesic", "fringes")
 
 _ANSATZ_PARAMS = {
-    "scalar": frozenset({"p0", "p1", "p2", "p3", "m0", "hbar"}),
-    "photon": frozenset({"omega", "pol"}),
-    "proca": frozenset({"k3", "m0", "pol"}),
-    **{f"dirac{s}": frozenset({"p1", "p2", "p3", "m0"}) for s in range(1, 5)},
-    "coupled": frozenset({"sol", "p1", "p2", "p3", "m0", "gamma"}),
-    "gravity-scalar": frozenset({"p0", "p1", "p2", "p3", "m0", "eps",
-                                 "kappa"}),
-    "gravity-proca": frozenset({"k3", "m0", "pol", "eps", "kappa"}),
-    "gravity-dirac": frozenset({"sol", "p1", "p2", "p3", "m0", "eps",
-                                "kappa"}),
+    # name -> default (None: unbound, the symbol); the scalar report is the
+    # hbar = 1 metric unless hbar is given
+    "scalar": {**dict.fromkeys(("p0", "p1", "p2", "p3", "m0")), "hbar": 1},
+    "photon": dict.fromkeys(("omega", "pol")),
+    "proca": dict.fromkeys(("k3", "m0", "pol")),
+    **{f"dirac{s}": dict.fromkeys(("p1", "p2", "p3", "m0"))
+       for s in range(1, 5)},
+    "coupled": dict.fromkeys(("sol", "p1", "p2", "p3", "m0", "gamma")),
+    "gravity-scalar": dict.fromkeys(("p0", "p1", "p2", "p3", "m0", "eps",
+                                     "kappa")),
+    "gravity-proca": dict.fromkeys(("k3", "m0", "pol", "eps", "kappa")),
+    "gravity-dirac": dict.fromkeys(("sol", "p1", "p2", "p3", "m0", "eps",
+                                    "kappa")),
 }
 ANSATZ_IDS = tuple(_ANSATZ_PARAMS)
 
@@ -210,7 +213,7 @@ def _resolve(items) -> RunConfig:
                      + ", ".join(COMMANDS) + ")")
 
     # cross-field validation: the command's targets (reader -> accepted
-    # name -> default) must take every bound parameter
+    # name -> default) must take every given parameter, symbolic or bound
     params = {k: v for k, v in given.items() if v is not None}
     if command == "verify":
         if ansatz is not None:
@@ -224,7 +227,7 @@ def _resolve(items) -> RunConfig:
             raise _config_err("command 'curvature' does not use claim "
                               "selection")
         aid = ansatz or "scalar"
-        targets = {aid: dict.fromkeys(_ANSATZ_PARAMS[aid])}
+        targets = {aid: _ANSATZ_PARAMS[aid]}
         stray = f"is not declared by ansatz {aid!r}"
     elif command == "geodesic":
         if ansatz not in (None, "scalar"):
@@ -241,7 +244,7 @@ def _resolve(items) -> RunConfig:
                               "parameters")
         targets = {"fringes": FRINGE_DEFAULTS}
         stray = "is not used by the fringes command"
-    for key in params:
+    for key in given:
         if not any(key in spec for spec in targets.values()):
             raise _config_err(f"parameter {key!r} {stray}",
                               positions.get(key))

@@ -9,7 +9,8 @@ returns a canonical tree:
 * ``exp(a)*exp(b) -> exp(a+b)``, ``exp(0) -> 1``, ``exp(a)**n -> exp(n*a)``,
 * ``x**0 -> 1`` (including ``0**0`` by convention), ``0*x -> 0``,
 * identical bases merge to integer powers inside products, and even powers
-  of ``sqrt`` fold away: ``sqrt(a)**(2q+r) -> a**q * sqrt(a)**r``,
+  of ``sqrt`` fold away: ``sqrt(a)**(2q+r) -> a**q * sqrt(a)**r``, with
+  what a fold yields merged with the other factors,
 * conjugation is pushed to the leaves, so ``Conj`` only ever wraps symbols
   not declared real.
 
@@ -46,6 +47,24 @@ zero factor, both by identity against the interned constants (a product
 of nonzero exact numbers is never zero), and forms the numeric product
 once.
 
+:func:`simplify` expands products over sums, and positive powers of sums
+up to ``_EXPAND_POW_CAP``, in one sparse-polynomial kernel (the technique
+of Monagan and Pearce's packed exponent vectors).  Each simplified operand
+is read once into a dict from monomials to coefficients.  A monomial is the
+exponent of each atom (a symbol, a conjugate, or a sum under a power left
+atomic: negative, or above the cap) as a signed field of one int, one bit
+per ``sqrt`` atom and one for ``i`` (a root carries exponent 0 or 1 in
+canonical form), and the merged ``exp`` argument.  Coefficients are
+integers over one denominator per polynomial.  A product adds the exponent
+ints, adds ``exp`` arguments with :func:`add` (memoized for the call) and
+multiplies coefficients, and applies ``mul``'s folds in the dict: a root met
+twice folds, ``sqrt(a)^2 -> a`` with ``a`` merged like any other factor,
+``i*i -> -1``, and a sum that reaches exponent 1 is expanded as a sum factor
+is.  Each output monomial becomes one canonical term, built once, so the
+result is the tree that ``mul`` and ``add`` give pair by pair.  The field
+layout and memos live for one top-level call; a field that would overflow
+restarts the call with wider fields.
+
 :func:`simplify` caches its result on each node it simplifies, input and
 subexpressions alike.  The cache depends only on the node's structure and
 lives as long as the node, so simplifying a live expression again, in a
@@ -55,7 +74,7 @@ from __future__ import annotations
 
 import weakref
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from operator import attrgetter
 from typing import Mapping, Union
 
@@ -455,21 +474,12 @@ def mul(*factors: Expr) -> Expr:
             continue
         if n == 1:
             atoms.append(base)
-            continue
-        p = power(base, n)
-        if isinstance(p, Num):
-            # a sqrt fold of a numeric radicand; never 0, since sqrt(0)
-            # folds to 0 at construction
-            if p is not ONE:
-                nums.append(p)
-        elif isinstance(p, Exp):
-            exp_terms.append(p.arg)
-        elif isinstance(p, (Mul, Add)):
-            # sqrt folds can resolve a power into a product or a sum
-            # (sqrt(a)**2 -> a); rerun the pipeline so bases re-merge.
-            pending.append(p)
+        elif isinstance(base, Sqrt):
+            # sqrt(a)**(2q+r) -> a**q * sqrt(a)**r: rerun the pipeline on
+            # every fold so its result merges with the other factors
+            pending.append(power(base, n))
         else:
-            atoms.append(p)
+            atoms.append(Pow(base, n))  # a symbol, conjugate or sum
     if pending:
         return mul(*nums, *(exp(t) for t in exp_terms), *atoms, *pending)
 
@@ -645,64 +655,387 @@ def _subs(node: Expr, repl: dict, memo: dict) -> Expr:
     return r
 
 
+# A sum under a power that ``simplify`` leaves atomic: a negative power, or
+# one above this cap.  Smaller positive powers of sums are expanded.
 _EXPAND_POW_CAP = 8
 
 
-def _terms_of(e: Expr) -> tuple:
-    return e.terms if isinstance(e, Add) else (e,)
+class _Widen(Exception):
+    """An exponent outgrew the packed field width; the call restarts wider."""
 
 
-def _expand_monomial(m: Expr) -> Expr:
-    # sqrt folds inside mul() can hand back a product with a sum factor
-    # (sqrt(a)**2 -> a); push distribution through until none remain.
-    if isinstance(m, Mul) and any(isinstance(f, Add) for f in m.factors):
-        r: Expr = m.factors[0]
-        for f in m.factors[1:]:
-            r = _distribute(r, f)
-        return r
-    return m
+class _Poly:
+    """A sparse polynomial inside one ``simplify`` call.
+
+    ``groups`` maps ``(exp argument, root bits)`` to a dict from packed
+    exponents to integer numerators over the shared denominator ``den``.
+    ``mx`` bounds the magnitude of every packed exponent."""
+
+    __slots__ = ("den", "groups", "mx")
+
+    def __init__(self, den: int, groups: dict, mx: int):
+        self.den = den
+        self.groups = groups
+        self.mx = mx
 
 
-def _distribute(a: Expr, b: Expr) -> Expr:
-    ta, tb = _terms_of(a), _terms_of(b)
-    if len(ta) == 1 and len(tb) == 1:
-        return _expand_monomial(mul(a, b))
-    return add(*(_expand_monomial(mul(x, y)) for x in ta for y in tb))
+class _Ctx:
+    """The layout and memos of one top-level ``simplify`` call.
+
+    Exponents of field atoms (symbols, conjugates, sums under a power) are
+    signed ``width``-bit fields of one int, so a product adds two ints.
+    Square roots carry exponent 0 or 1 in canonical form, so each is one
+    bit of a separate int; bit 0 stands for ``i``.  A product whose root
+    bits overlap folds them as ``mul`` does.  Nothing here outlives the
+    call."""
+
+    __slots__ = ("width", "half", "mask", "bias", "polys", "exps", "fkeys",
+                 "factors", "fields", "atoms", "roots", "watch")
+
+    def __init__(self, width: int):
+        self.width = width
+        self.half = 1 << (width - 1)
+        self.mask = (1 << width) - 1
+        self.bias: list[int] = []   # field i -> half added to fields 0..i
+        self.polys: dict = {}       # tree -> its _Poly
+        self.exps: dict = {}        # (a, b) -> add(a, b) of exp arguments
+        self.fkeys: dict = {}       # factor -> _factor_key
+        self.factors: dict = {}     # (exp arg, root bits, packed) -> factors
+        self.fields: dict = {}      # field atom -> index
+        self.atoms: list = []       # index -> field atom
+        self.roots: list = [None]   # bit index -> Sqrt atom (0 is i)
+        self.watch: list[int] = []  # sums read under a positive power
+
+
+def _field(ctx: _Ctx, atom: Expr) -> int:
+    i = ctx.fields.get(atom)
+    if i is None:
+        i = ctx.fields[atom] = len(ctx.atoms)
+        ctx.atoms.append(atom)
+        ctx.bias.append((ctx.bias[-1] if i else 0)
+                        + (ctx.half << (ctx.width * i)))
+    return i
+
+
+def _exponent(ctx: _Ctx, k: int, i: int) -> int:
+    # biasing fields 0..i keeps the lower ones from borrowing out of field i
+    return (((k + ctx.bias[i]) >> (ctx.width * i)) & ctx.mask) - ctx.half
+
+
+def _factor_key(ctx: _Ctx, f: Expr) -> tuple:
+    """(exp argument, root bit, packed exponent, |exponent|) of one factor
+    of a canonical term, registering its atom on first sight."""
+    got = ctx.fkeys.get(f)
+    if got is None:
+        if isinstance(f, Exp):
+            got = (f.arg, 0, 0, 0)
+        elif isinstance(f, Sqrt):
+            got = (ZERO, 1 << len(ctx.roots), 0, 0)
+            ctx.roots.append(f)
+        else:
+            base, n = (f.base, f.n) if isinstance(f, Pow) else (f, 1)
+            i = _field(ctx, base)
+            if n > 0 and isinstance(base, Add) and i not in ctx.watch:
+                ctx.watch.append(i)
+            got = (ZERO, 0, n << (ctx.width * i), abs(n))
+        ctx.fkeys[f] = got
+    return got
+
+
+def _read(ctx: _Ctx, e: Expr) -> _Poly:
+    """A simplified tree as a polynomial (read once per call).  A product
+    that still has a sum factor (a power's sqrt fold can leave one) is the
+    product of its factors, taken left to right."""
+    got = ctx.polys.get(e)
+    if got is not None:
+        return got
+    if isinstance(e, Mul) and any(isinstance(f, Add) for f in e.factors):
+        p = _read(ctx, e.factors[0])
+        for f in e.factors[1:]:
+            p = _times(ctx, p, _read(ctx, f))
+    else:
+        rows, den, mx = [], 1, 0
+        for t in (e.terms if isinstance(e, Add) else (e,)):
+            if isinstance(t, Num):
+                c, fs = t, ()
+            elif isinstance(t, Mul):
+                fs = t.factors
+                c = ONE
+                if isinstance(fs[0], Num):
+                    c, fs = fs[0], fs[1:]
+            else:
+                c, fs = ONE, (t,)
+            ex, bits, k = ZERO, 0, 0
+            for f in fs:
+                fe, fb, fk, fm = _factor_key(ctx, f)
+                if fe is not ZERO:
+                    ex = fe
+                bits |= fb
+                k += fk
+                mx = max(mx, fm)
+            ctx.factors[ex, bits, k] = fs
+            rows.append((ex, bits, k, c))
+            den = lcm(den, c.re.denominator, c.im.denominator)
+        if mx >= ctx.half:
+            raise _Widen
+        groups: dict = {}
+        for ex, bits, k, c in rows:
+            if c.re:
+                groups.setdefault((ex, bits), {})[k] = \
+                    c.re.numerator * (den // c.re.denominator)
+            if c.im:
+                groups.setdefault((ex, bits | 1), {})[k] = \
+                    c.im.numerator * (den // c.im.denominator)
+        p = _Poly(den, groups, mx)
+    ctx.polys[e] = p
+    return p
+
+
+def _times(ctx: _Ctx, p: _Poly, q: _Poly) -> _Poly:
+    """``p*q`` as ``mul`` forms each monomial product, then every sum that
+    reached exponent 1 expanded, as ``simplify`` expands a sum factor."""
+    landed = list(ctx.watch)
+    r = _merge(ctx, p, q, landed)
+    return _land(ctx, r, landed) if landed else r
+
+
+def _merge(ctx: _Ctx, p: _Poly, q: _Poly, landed: list) -> _Poly:
+    # exponents add, exp arguments add, coefficients multiply; a doubled
+    # root folds, sqrt(a)^2 -> a, with ``a`` merged like any factor (a sum
+    # radicand raises its field, which ``_land`` settles afterwards)
+    mx = p.mx + q.mx
+    if mx >= ctx.half:
+        raise _Widen
+    den = p.den * q.den
+    exps = ctx.exps
+    out: dict = {}
+    folds = []
+    for (ea, ba), da in p.groups.items():
+        for (eb, bb), db in q.groups.items():
+            if ea is ZERO:
+                ex = eb
+            elif eb is ZERO:
+                ex = ea
+            else:
+                ex = exps.get((ea, eb))
+                if ex is None:
+                    ex = exps[ea, eb] = add(ea, eb)
+            ov = ba & bb
+            if ov & 1:                          # i*i = -1
+                db = {k: -n for k, n in db.items()}
+            gk = (ex, ba ^ bb)
+            if ov > 1:
+                tgt: dict = {}
+                folds.append((gk, tgt, ov >> 1))
+            else:
+                tgt = out.get(gk)
+                if tgt is None:
+                    tgt = out[gk] = {}
+            get = tgt.get
+            pairs = db.items()
+            for ka, na in da.items():
+                for kb, nb in pairs:
+                    k = ka + kb
+                    tgt[k] = get(k, 0) + na * nb
+    parts = [_Poly(den, out, mx)]
+    for gk, tgt, ov in folds:
+        r = _Poly(den, {gk: tgt}, mx)
+        j = 1
+        while ov:
+            if ov & 1:
+                a = ctx.roots[j].arg
+                if isinstance(a, Add):
+                    i = _field(ctx, a)
+                    if i not in landed:
+                        landed.append(i)
+                    r = _shift(ctx, r, i)
+                else:
+                    r = _merge(ctx, r, _read(ctx, a), landed)
+            ov >>= 1
+            j += 1
+        parts.append(r)
+    return _sum(parts)
+
+
+def _shift(ctx: _Ctx, p: _Poly, i: int) -> _Poly:
+    """``p`` times field atom ``i``."""
+    if p.mx + 1 >= ctx.half:
+        raise _Widen
+    unit = 1 << (ctx.width * i)
+    return _Poly(p.den, {gk: {k + unit: n for k, n in d.items()}
+                         for gk, d in p.groups.items()}, p.mx + 1)
+
+
+def _land(ctx: _Ctx, p: _Poly, fields: list) -> _Poly:
+    """Expand the sums among ``fields`` that stand at exponent 1 in a
+    monomial of ``p``: the rest of the monomial times each such sum in
+    canonical factor order, as ``simplify`` distributes a sum factor."""
+    keep: dict = {}
+    parts = []
+    for gk, d in p.groups.items():
+        for k, n in d.items():
+            ones = [ctx.atoms[i] for i in fields if _exponent(ctx, k, i) == 1]
+            if not ones:
+                keep.setdefault(gk, {})[k] = n
+                continue
+            for a in ones:
+                k -= 1 << (ctx.width * ctx.fields[a])
+            r = _Poly(p.den, {gk: {k: n}}, p.mx)
+            for a in sorted(ones, key=_keyfn):
+                r = _times(ctx, r, _read(ctx, a))
+            parts.append(r)
+    if not parts:
+        return p
+    parts.append(_Poly(p.den, keep, p.mx))
+    return _sum(parts)
+
+
+def _sum(parts: list) -> _Poly:
+    """The sum of polynomials over their least common denominator, with
+    cancelled monomials dropped."""
+    if len(parts) == 1:
+        den, out = parts[0].den, parts[0].groups
+    else:
+        den = lcm(*(p.den for p in parts))
+        out = {}
+        for p in parts:
+            s = den // p.den
+            for gk, d in p.groups.items():
+                tgt = out.get(gk)
+                if tgt is None:
+                    tgt = out[gk] = {}
+                get = tgt.get
+                for k, n in d.items():
+                    tgt[k] = get(k, 0) + n * s
+    groups = {}
+    for gk, d in out.items():
+        d = {k: n for k, n in d.items() if n}
+        if d:
+            groups[gk] = d
+    return _Poly(den, groups, max(p.mx for p in parts))
+
+
+def _factors(ctx: _Ctx, ex: Expr, bits: int, k: int) -> tuple:
+    """The canonical factor tuple of one monomial (memoized per call)."""
+    key = (ex, bits, k)
+    got = ctx.factors.get(key)
+    if got is not None:
+        return got
+    fs = []
+    w, half, mask = ctx.width, ctx.half, ctx.mask
+    i = 0
+    while k:
+        n = ((k + half) & mask) - half
+        if n:
+            a = ctx.atoms[i]
+            fs.append(a if n == 1 else Pow(a, n))
+        k = (k - n) >> w
+        i += 1
+    j = 1
+    bits >>= 1
+    while bits:
+        if bits & 1:
+            fs.append(ctx.roots[j])
+        bits >>= 1
+        j += 1
+    if ex is not ZERO:
+        fs.append(Exp(ex))
+    fs.sort(key=_keyfn)
+    got = ctx.factors[key] = tuple(fs)
+    return got
+
+
+_NO_TERMS: dict = {}
+
+
+def _build(ctx: _Ctx, p: _Poly) -> Expr:
+    """The canonical tree of ``p``: each monomial becomes one term, built
+    once, in ``add``'s order (the numeric term first, then by ``_key``)."""
+    den, groups = p.den, p.groups
+    const = None
+    terms = []
+    for (ex, bits), d in groups.items():
+        if bits & 1:
+            if (ex, bits ^ 1) in groups:
+                continue                        # taken with its real part
+            re_d, im_d, bits = _NO_TERMS, d, bits ^ 1
+            ks = d.keys()
+        else:
+            re_d, im_d = d, groups.get((ex, bits | 1), _NO_TERMS)
+            ks = d.keys() | im_d.keys() if im_d else d.keys()
+        for k in ks:
+            nr, ni = re_d.get(k, 0), im_d.get(k, 0)
+            c = Num(Fraction(nr, den) if nr else _F0,
+                    Fraction(ni, den) if ni else _F0)
+            fs = _factors(ctx, ex, bits, k)
+            if not fs:
+                const = c
+            elif c is not ONE:
+                terms.append(Mul((c, *fs)))
+            elif len(fs) == 1:
+                terms.append(fs[0])
+            else:
+                terms.append(Mul(fs))
+    terms.sort(key=_keyfn)
+    if const is not None:
+        terms.insert(0, const)
+    if not terms:
+        r = ZERO
+    elif len(terms) == 1:
+        r = terms[0]
+    else:
+        r = Add(tuple(terms))
+    ctx.polys[r] = p
+    return r
 
 
 def simplify(e: Expr) -> Expr:
-    """Expand products over sums, expand small positive powers of sums,
-    and collect like monomials.  Negative powers of sums stay atomic.
+    """Expand products over sums and small positive powers of sums, and
+    collect like monomials.  Negative powers of sums stay atomic.
     Value-preserving and idempotent.  The result is cached on ``e`` (and on
     each subexpression visited), so simplifying a live node again is free."""
-    return _simplified(e)
+    got = e._simp
+    if got is not None:
+        return e if got is _SELF else got
+    width = 32
+    while True:
+        try:
+            return _simplified(e, _Ctx(width))
+        except _Widen:
+            width *= 2
 
 
-def _simplified(node: Expr) -> Expr:
+def _simplified(node: Expr, ctx: _Ctx) -> Expr:
     got = node._simp
     if got is not None:
         return node if got is _SELF else got
     if isinstance(node, (Num, Sym, Conj)):
         r = node
     elif isinstance(node, Add):
-        r = add(*(_simplified(t) for t in node.terms))
+        r = _build(ctx, _sum([_read(ctx, _simplified(t, ctx))
+                              for t in node.terms]))
     elif isinstance(node, Mul):
-        fs = [_simplified(f) for f in node.factors]
-        r = fs[0]
+        fs = node.factors
+        p = _read(ctx, _simplified(fs[0], ctx))
         for f in fs[1:]:
-            r = _distribute(r, f)
+            p = _times(ctx, p, _read(ctx, _simplified(f, ctx)))
+        r = _build(ctx, p)
     elif isinstance(node, Pow):
-        b = _simplified(node.base)
+        b = _simplified(node.base, ctx)
         if isinstance(b, Add) and 2 <= node.n <= _EXPAND_POW_CAP:
-            r = b
+            p = q = _read(ctx, b)
             for _ in range(node.n - 1):
-                r = _distribute(r, b)
+                p = _times(ctx, p, q)
+            r = _build(ctx, p)
         else:
-            r = _expand_monomial(power(b, node.n))
+            r = power(b, node.n)
+            if isinstance(r, Mul) and any(isinstance(f, Add)
+                                          for f in r.factors):
+                r = _build(ctx, _read(ctx, r))
     elif isinstance(node, Exp):
-        r = exp(_simplified(node.arg))
+        r = exp(_simplified(node.arg, ctx))
     elif isinstance(node, Sqrt):
-        r = sqrt(_simplified(node.arg))
+        r = sqrt(_simplified(node.arg, ctx))
     else:  # pragma: no cover
         raise TypeError(f"simplify of unsupported node {type(node).__name__}")
     node._simp = _SELF if r is node else r

@@ -166,10 +166,26 @@ def test_exit_2_on_usage_errors(capsys):
             (["fringes", "wavelength=1e400"], "argument 'wavelength=1e400': "
              "wavelength is too large for a float"),
             (["geodesic", "tau_end=1e400"], "argument 'tau_end=1e400': "
-             "tau_end is too large for a float")):
+             "tau_end is too large for a float"),
+            # the scalar report is the hbar = 1 metric unless hbar is bound
+            (["curvature", "ansatz=scalar", "hbar=symbolic"],
+             "scalar requires numeric parameters, got hbar=symbolic")):
         code, out, err = run(argv, capsys)
         assert code == 2 and out == ""
         assert err == f"error[config]: {message}\n"
+    # a name the target does not take is refused whether it is bound or
+    # symbolic, with the same line
+    for argv, name, value, message in (
+            (["curvature", "ansatz=photon"], "kappa", "1",
+             "is not declared by ansatz 'photon'"),
+            (["verify"], "eps", "1", "is not accepted by any selected claim"),
+            (["verify", "--claim", "kg.reduction"], "hbar", "2",
+             "is not accepted by any selected claim")):
+        for v in (value, "symbolic"):
+            code, out, err = run(argv + [f"{name}={v}"], capsys)
+            assert code == 2 and out == ""
+            assert err == (f"error[config]: argument '{name}={v}': "
+                           f"parameter '{name}' {message}\n")
 
 
 def test_exit_3_on_unwritable_output(capsys):

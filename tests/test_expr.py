@@ -81,6 +81,14 @@ def test_sqrt_power_folds():
     assert mul(a, sqrt(a), sqrt(a)) == power(a, 2)
 
 
+def test_sqrt_fold_merges_with_the_other_factors():
+    # a fold to a symbol meets that symbol's other powers in the product
+    assert mul(sqrt(p1), sqrt(p1), power(p1, -1)) is ONE
+    e = mul(mul(sqrt(p1), p2), mul(sqrt(p1), power(p1, -2)))
+    assert e is mul(p2, power(p1, -1))
+    assert to_text(e) == "p2*p1^-1"
+
+
 def test_sqrt_no_unsound_merges():
     # distinct radicands never merge, and sqrt(x^2) never collapses to x
     e = mul(sqrt(x0), sqrt(x1))
@@ -353,15 +361,15 @@ def test_repeated_simplify_reuses_the_cached_result(monkeypatch):
     e = _fresh(10)
     first = simplify(e)
     calls = []
-    for name in ("add", "mul"):
+    for name in ("add", "mul", "_build"):
         original = getattr(kernel, name)
         monkeypatch.setattr(
             kernel, name,
             lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
     assert simplify(e) is first
     assert calls == []
-    simplify(_fresh(11))  # the patch is live: a new input does call them
-    assert "add" in calls and "mul" in calls
+    simplify(_fresh(11))  # the patch is live: a new input does build
+    assert "_build" in calls
 
 
 def test_simplify_result_is_cached_as_its_own_result(monkeypatch):
@@ -410,6 +418,67 @@ def test_add_builds_only_merged_buckets(monkeypatch):
     # 3c x0 sqrt(x2 + c): one new number, one new product, no sum
     assert [args[0] for args in built] == [Num, Mul]
     assert s is mul(num(3), a)
+
+
+def test_simplify_builds_each_output_term_once(monkeypatch):
+    # a product of two 6-term sums is expanded in one polynomial: each of
+    # the 21 output terms is built once, as one product over its atoms
+    # (x_i^2 are the new atoms), and no pair of terms goes through ``mul``
+    cs = [num(Fraction(104743 + i, 7927)) for i in range(12)]
+    a = add(*(mul(cs[i], X[i]) for i in range(6)))
+    b = add(*(mul(cs[6 + i], X[i]) for i in range(6)))
+    e = mul(a, b)
+    built = _count_calls(monkeypatch, "_new")
+    products = _count_calls(monkeypatch, "mul")
+    s = simplify(e)
+    kinds = [args[0] for args in built]
+    assert len(s.terms) == 21
+    assert set(kinds) <= {Num, Pow, Mul, Add}
+    assert kinds.count(Mul) <= len(s.terms)
+    assert kinds.count(Pow) <= 6
+    assert kinds.count(Add) == 1
+    assert products == []
+
+
+def test_simplify_folds_a_root_as_mul_does():
+    # sqrt(a)^2 -> a meets a^-1 before the sum a would be expanded
+    a = add(x0, x1)
+    e = mul(add(x3, sqrt(a)), sqrt(a), power(a, -1))
+    assert simplify(e) is add(ONE, mul(x3, sqrt(a), power(a, -1)))
+
+
+def test_simplify_expands_a_sum_that_reaches_exponent_one():
+    # a^9 * a^-8 and a power's fold sqrt(a)^3 -> a*sqrt(a) both leave the
+    # sum a at exponent 1, which is expanded like a sum factor
+    a = add(x0, x1)
+    e = mul(power(a, 9), add(x2, power(a, -8)))
+    assert simplify(e) is add(x0, x1, mul(x2, power(a, 9)))
+    b = add(mul(sqrt(a), add(ONE, x2)), mul(MINUS_ONE, x2, sqrt(a)))
+    assert simplify(power(b, 3)) is add(mul(x0, sqrt(a)), mul(x1, sqrt(a)))
+
+
+def test_simplify_distributes_folded_sums_in_factor_order():
+    # sqrt(a)^2 sqrt(b)^2 leaves the sums a and b as factors, distributed in
+    # canonical factor order: a's sqrt(c) folds against the sqrt(c) already
+    # there, so c is expanded before b brings c^-1 (the other order would
+    # cancel c against c^-1 and print another form of the same value)
+    c = add(x2, ONE)
+    a, b = add(x0, sqrt(c)), add(x1, power(c, -1))
+    e = mul(add(mul(sqrt(a), sqrt(b), sqrt(c)), x3), sqrt(a), sqrt(b))
+    assert to_text(simplify(e)) == (
+        "x1 + (1 + x2)^-1 + x0*x1*sqrt(1 + x2) + x0*(1 + x2)^-1*sqrt(1 + x2)"
+        " + x1*x2 + x2*(1 + x2)^-1 + x3*sqrt(x0 + sqrt(1 + x2))*"
+        "sqrt(x1 + (1 + x2)^-1)")
+
+
+def test_simplify_takes_exponents_of_any_size():
+    # exponents far beyond a packed field's first width still add exactly
+    big = 2 ** 40
+    assert simplify(mul(power(x0, big), add(x0, x1))) is \
+        add(power(x0, big + 1), mul(x1, power(x0, big)))
+    half = 2 ** 30
+    assert simplify(power(add(power(x0, half), x1), 2)) is add(
+        power(x0, 2 * half), mul(TWO, x1, power(x0, half)), power(x1, 2))
 
 
 def test_mul_does_no_arithmetic_with_unit_or_zero(monkeypatch):
