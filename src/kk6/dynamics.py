@@ -20,13 +20,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .curvature import christoffel
 from .expr import (
     Expr, MINUS_ONE, ZERO, add, diff, exp, mul, num, simplify, subs, sym,
 )
-from .oracle import compile_expr, metric_evaluator
+from .oracle import metric_evaluator, tensor_evaluator
 from .symbols import DEFAULT_TABLE
 from .tensor import DIM, Metric6
 from .ansatz import onshell_energy, scalar_metric
@@ -179,23 +178,10 @@ def connection_evaluator(metric: Metric6):
     """Compile the metric's connection coefficients to a numeric closure
     mapping six complex coordinates to a 6x6x6 array."""
     gamma = christoffel(metric)
-    entries = []
-    for A in range(DIM):
-        for B in range(DIM):
-            for C in range(B, DIM):
-                if gamma[A][B][C] != ZERO:
-                    entries.append((A, B, C, compile_expr(gamma[A][B][C])))
-
-    def ev(x) -> np.ndarray:
-        out = np.zeros((DIM, DIM, DIM), dtype=complex)
-        for A, B, C, fn in entries:
-            val = fn(x)
-            out[A, B, C] = val
-            if B != C:
-                out[A, C, B] = val
-        return out
-
-    return ev
+    # Gamma^A_BC for B > C is the B <= C entry, mirrored
+    return tensor_evaluator([gamma[A][min(B, C)][max(B, C)]
+                             for A in range(DIM) for B in range(DIM)
+                             for C in range(DIM)], (DIM, DIM, DIM))
 
 
 _BLOWUP = 1e12
@@ -351,8 +337,62 @@ def two_path_fringes(d: float, L: float, wavelength: float,
 
         if gap(lo) * gap(hi) > 0:
             continue
-        minima.append(float(brentq(gap, lo, hi, xtol=1e-14, rtol=1e-15)))
+        minima.append(float(_brentq(gap, lo, hi, xtol=1e-14, rtol=1e-15)))
     minima.sort()
     return FringeProfile(y=tuple(ys), density=tuple(dens), d=d, L=L,
                          wavelength=wavelength, minima=tuple(minima),
                          minima_density=tuple(density(y) for y in minima))
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
+            maxiter: int = 100) -> float:
+    """Root of ``f`` in the sign-changing bracket [xa, xb] by Brent's method.
+
+    A line-for-line port of the C loop behind ``scipy.optimize.brentq``
+    (same steps in the same floating-point order, so the same root bit for
+    bit): it stops when the bracket's half-width is below
+    ``(xtol + rtol * |x|) / 2`` or ``f(x) == 0``, and raises after
+    ``maxiter`` iterations without convergence."""
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise DynamicsError("root finder needs a sign change over the bracket")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if (fpre != 0 and fcur != 0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:               # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                stry = math.inf     # C's x/0 is inf or nan: bisect
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry     # good short step
+            else:
+                spre = scur = sbis          # bisect
+        else:
+            spre = scur = sbis              # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise DynamicsError(
+        f"root finder did not converge in {maxiter} iterations")

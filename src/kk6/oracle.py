@@ -1,9 +1,12 @@
 """Independent numeric oracle for curvature.
 
-Compiles metric entries to plain ``cmath`` closures (with common-subtree
-elimination) and rebuilds the connection and curvature purely numerically:
-five-point (fourth-order) central differences for the metric and
-connection derivatives, ``numpy.linalg.inv`` for the metric inverse,
+Compiles expressions to plain ``cmath`` code with common-subtree
+elimination: :func:`compile_expr` one expression, :func:`tensor_evaluator`
+all nonzero entries of a tensor into one function that returns them at
+once (the metric here, the connection in ``dynamics``), with one emitter
+for both.  From the metric it rebuilds the connection and curvature purely
+numerically: five-point (fourth-order) central differences for the metric
+and connection derivatives, ``numpy.linalg.inv`` for the metric inverse,
 einsum contractions for the tensor algebra.
 
 Step sizes: with a fourth-order stencil the truncation error at
@@ -17,6 +20,7 @@ outer truncation at ~2e-7, well inside the 1e-6 oracle-agreement bound.
 """
 from __future__ import annotations
 
+import cmath
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,8 +31,8 @@ from .expr import (
 from .tensor import DIM, Metric6
 
 __all__ = [
-    "compile_expr", "metric_evaluator", "christoffel_fd", "ricci_fd",
-    "einstein_fd", "H_METRIC", "H_CONNECTION",
+    "compile_expr", "tensor_evaluator", "metric_evaluator", "christoffel_fd",
+    "ricci_fd", "einstein_fd", "H_METRIC", "H_CONNECTION",
 ]
 
 H_METRIC = 1e-4
@@ -73,34 +77,53 @@ def compile_expr(e: Expr) -> Callable[[Sequence[complex]], complex]:
 
     All free symbols must be coordinates; bind parameters numerically
     (``subs``) before compiling."""
-    stray = sorted(s.name for s in free_symbols(e) if s.name not in _COORD_INDEX)
+    return _compile([e], lambda refs: refs[0])
+
+
+def tensor_evaluator(entries: Sequence[Expr], shape: tuple
+                     ) -> Callable[[Sequence[complex]], np.ndarray]:
+    """One compiled function for a whole tensor: ``entries`` in C order of
+    ``shape``.  The closure maps six coordinates to the filled array.
+
+    The nonzero entries share one straight-line body, so a subtree common
+    to several entries is computed once; each value is the one
+    :func:`compile_expr` gives for its entry, bit for bit."""
+    nonzero = [i for i, e in enumerate(entries) if e is not ZERO]
+    fn = _compile([entries[i] for i in nonzero],
+                  lambda refs: f"({''.join(r + ', ' for r in refs)})")
+    where = np.array(nonzero, dtype=np.intp)
+    size = len(entries)
+
+    def ev(x) -> np.ndarray:
+        out = np.zeros(size, dtype=complex)
+        out[where] = fn(x)
+        return out.reshape(shape)
+
+    return ev
+
+
+def _compile(roots: Sequence[Expr], result: Callable[[list], str]):
+    # one function of the coordinates; ``result`` writes its return
+    # expression from the roots' references
+    stray = sorted({s.name for e in roots for s in free_symbols(e)
+                    if s.name not in _COORD_INDEX})
     if stray:
         raise ValueError(f"non-coordinate symbols in compiled expression: {stray}")
 
+    names: dict = {}
     lines: list[str] = []
-    root = _emit(e, {}, lines)
-    body = "\n    ".join(lines + [f"return {root}"])
+    refs = [_emit(e, names, lines) for e in roots]
+    body = "\n    ".join(lines + [f"return {result(refs)}"])
     source = f"def _f(x):\n    {body}\n"
     ns: dict = {}
-    import cmath
     exec(compile(source, "<kk6-oracle>", "exec"),
          {"_exp": cmath.exp, "_sqrt": cmath.sqrt}, ns)
     return ns["_f"]
 
 
 def metric_evaluator(metric: Metric6) -> Callable[[Sequence[complex]], np.ndarray]:
-    fns = [[None if metric.lower[a][b] == ZERO else compile_expr(metric.lower[a][b])
-            for b in range(DIM)] for a in range(DIM)]
-
-    def gf(x) -> np.ndarray:
-        out = np.zeros((DIM, DIM), dtype=complex)
-        for a in range(DIM):
-            for b in range(DIM):
-                if fns[a][b] is not None:
-                    out[a, b] = fns[a][b](x)
-        return out
-
-    return gf
+    return tensor_evaluator([e for row in metric.lower for e in row],
+                            (DIM, DIM))
 
 
 def _shift(x, c: int, h: float):

@@ -32,13 +32,25 @@ relative to its scale.
 
 :func:`scaled_eval` is the engine's one expression evaluator (the
 finite-difference oracle compiles expressions on its own, so that it stays
-independent); :func:`evaluate` returns its value alone.
+independent); :func:`evaluate` returns its value alone, and :func:`is_zero`
+calls it once per sample.  It runs a post-order tape: one entry per
+distinct node (op code, child slots, constant), each after its children,
+built once per expression and reused for every sample.  The tape is cached
+weakly on the expression and holds no node, so it keeps nothing alive.
+Each node's value is the CPython complex arithmetic of a recursive walk in
+the same order, so results are bit for bit what such a walk gives.  The
+first node in post-order that fails names the error (:class:`EvalError`
+with that subtree): an unbound symbol, a zero base at a negative power, a
+non-finite value, or an overflow (``exp``, ``**``, a constant or a
+magnitude beyond the float range), which :func:`is_zero` reports as an
+inconclusive verdict with a note.  The error model above is unchanged.
 """
 from __future__ import annotations
 
 import cmath
 import math
 import random
+import weakref
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -93,65 +105,150 @@ def scaled_eval(e: Expr, env: Mapping[str, complex]) -> tuple[complex, float]:
     """Evaluate ``e`` returning ``(value, scale)`` where scale tracks the
     magnitude that roundoff noise is proportional to."""
     values: dict[str, complex] = {k: complex(v) for k, v in env.items()}
-    return _scaled(e, values, {})
+    try:
+        return _run(_tape(e), values)
+    except _Fault as f:
+        raise EvalError(f.args[1], _postorder(e)[f.args[0]]) from None
 
 
-def _scaled(node: Expr, values: dict, memo: dict) -> tuple[complex, float]:
-    # module-level with the memo passed in, so that a call leaves no
-    # reference cycle pinning the memo's nodes
-    got = memo.get(node)
-    if got is not None:
-        return got
+# Tape op codes.  An entry is ``(op, arg, const)``: ``arg`` is the child's
+# slot (a tuple of slots for sums and products), ``const`` the symbol name,
+# the exponent, the ``(value, scale)`` of a number, or a failure message.
+_NUM, _SYM, _ADD, _MUL, _POW, _EXP, _SQRT, _CONJ, _FAIL = range(9)
+_UNARY = {Exp: _EXP, Sqrt: _SQRT, Conj: _CONJ}
+_OVERFLOW = {_POW: "power overflow", _EXP: "exp overflow"}
+
+# expression -> its tape; keyed weakly, and a tape holds no node, so the
+# cache keeps nothing alive
+_TAPES: "weakref.WeakKeyDictionary[Expr, tuple]" = weakref.WeakKeyDictionary()
+
+
+class _Fault(Exception):
+    """Evaluation failed at a tape slot: ``args == (slot, message)``."""
+
+
+def _kids(node: Expr) -> tuple:
+    if isinstance(node, Add):
+        return node.terms
+    if isinstance(node, Mul):
+        return node.factors
+    if isinstance(node, Pow):
+        return (node.base,)
+    if isinstance(node, (Exp, Sqrt, Conj)):
+        return (node.arg,)
+    return ()
+
+
+def _postorder(e: Expr) -> list:
+    """The distinct nodes of ``e``, each after its children, in the order a
+    depth-first walk over the children in turn finishes them."""
+    order, seen = [], {e}
+    stack = [(e, iter(_kids(e)))]
+    while stack:
+        node, kids = stack[-1]
+        for k in kids:
+            if k not in seen:
+                seen.add(k)
+                stack.append((k, iter(_kids(k))))
+                break
+        else:
+            stack.pop()
+            order.append(node)
+    return order
+
+
+def _tape(e: Expr) -> tuple:
+    """``e`` as straight-line code: one entry per node of its post-order,
+    built once per expression and reused for every sample."""
+    tape = _TAPES.get(e)
+    if tape is None:
+        order = _postorder(e)
+        slot = {n: i for i, n in enumerate(order)}
+        tape = tuple(_entry(n, slot) for n in order)
+        _TAPES[e] = tape
+    return tape
+
+
+def _entry(node: Expr, slot: dict) -> tuple:
     if isinstance(node, Num):
-        v = complex(node.re, node.im)
-        r = (v, abs(v))
-    elif isinstance(node, Sym):
         try:
-            v = values[node.symbol.name]
-        except KeyError:
-            raise EvalError(f"unbound symbol '{node.symbol.name}'", node) from None
-        r = (v, abs(v))
-    elif isinstance(node, Add):
-        v = 0j
-        s = 0.0
-        for t in node.terms:
-            tv, ts = _scaled(t, values, memo)
-            v += tv
-            s += ts
-        r = (v, s)
-    elif isinstance(node, Mul):
-        v = 1 + 0j
-        s = 1.0
-        for f in node.factors:
-            fv, fs = _scaled(f, values, memo)
-            v *= fv
-            s *= fs
-        r = (v, s)
-    elif isinstance(node, Pow):
-        bv, _ = _scaled(node.base, values, memo)
-        try:
-            v = bv ** node.n
-        except ZeroDivisionError:
-            raise EvalError("zero base at negative power", node) from None
-        r = (v, abs(v))
-    elif isinstance(node, Exp):
-        try:
-            v = cmath.exp(_scaled(node.arg, values, memo)[0])
+            v = complex(node.re, node.im)
+            return (_NUM, None, (v, abs(v)))
         except OverflowError:
-            raise EvalError("exp overflow", node) from None
-        r = (v, abs(v))
-    elif isinstance(node, Sqrt):
-        v = cmath.sqrt(_scaled(node.arg, values, memo)[0])
-        r = (v, abs(v))
-    elif isinstance(node, Conj):
-        v = _scaled(node.arg, values, memo)[0].conjugate()
-        r = (v, abs(v))
-    else:  # pragma: no cover
-        raise TypeError(f"scaled_eval of unsupported node {type(node).__name__}")
-    if not cmath.isfinite(r[0]):
-        raise EvalError("non-finite value", node)
-    memo[node] = r
-    return r
+            return (_FAIL, None, "constant overflow")
+    if isinstance(node, Sym):
+        return (_SYM, None, node.symbol.name)
+    if isinstance(node, Add):
+        return (_ADD, tuple(slot[t] for t in node.terms), None)
+    if isinstance(node, Mul):
+        return (_MUL, tuple(slot[f] for f in node.factors), None)
+    if isinstance(node, Pow):
+        return (_POW, slot[node.base], node.n)
+    if type(node) in _UNARY:
+        return (_UNARY[type(node)], slot[node.arg], None)
+    raise TypeError(  # pragma: no cover
+        f"scaled_eval of unsupported node {type(node).__name__}")
+
+
+def _run(tape: tuple, values: dict) -> tuple[complex, float]:
+    # Ops are tested in order of frequency.  CPython complex arithmetic in
+    # the order of a recursive walk: sums from 0j, products from 1+0j, ``**``
+    # for powers, ``cmath`` for exp and sqrt, ``abs`` for the scale, so
+    # every sample is bit for bit what the walk gave.
+    val: list = []
+    sc: list = []
+    put_v, put_s = val.append, sc.append
+    isfinite, cexp, csqrt = cmath.isfinite, cmath.exp, cmath.sqrt
+    try:
+        for op, a, c in tape:
+            if op == _MUL:
+                v = 1 + 0j
+                s = 1.0
+                for i in a:
+                    v *= val[i]
+                    s *= sc[i]
+            elif op == _POW:
+                v = val[a] ** c
+                s = abs(v)
+            elif op == _SYM:
+                v = values[c]
+                s = abs(v)
+            elif op == _NUM:
+                put_v(c[0])
+                put_s(c[1])
+                continue
+            elif op == _ADD:
+                v = 0j
+                s = 0.0
+                for i in a:
+                    v += val[i]
+                    s += sc[i]
+            elif op == _EXP:
+                v = cexp(val[a])
+                s = abs(v)
+            elif op == _SQRT:
+                v = csqrt(val[a])
+                s = abs(v)
+            elif op == _CONJ:
+                v = val[a].conjugate()
+                s = abs(v)
+            else:
+                raise _Fault(len(val), c)
+            if not isfinite(v):
+                raise _Fault(len(val), "non-finite value")
+            put_v(v)
+            put_s(s)
+    except KeyError:
+        name = tape[len(val)][2]
+        raise _Fault(len(val), f"unbound symbol '{name}'") from None
+    except ZeroDivisionError:
+        raise _Fault(len(val), "zero base at negative power") from None
+    except OverflowError:
+        # ``**`` and ``cmath.exp`` past the float range, or ``abs`` of a
+        # finite value whose magnitude is not a float
+        raise _Fault(len(val), _OVERFLOW.get(tape[len(val)][0],
+                                             "magnitude overflow")) from None
+    return val[-1], sc[-1]
 
 
 def evaluate(e: Expr, env: Mapping) -> complex:

@@ -127,6 +127,18 @@ def test_exit_1_when_a_must_pass_claim_is_refuted(capsys):
     assert rec["verdict"] == "Refuted" and rec["witness"]
 
 
+def test_exit_0_when_the_zero_test_overflows(capsys):
+    # a constant beyond the float range makes the verdict undecided, not
+    # a runtime failure
+    code, out, err = run(["verify", "--claim", "ricci.scalar.zero",
+                          "perturb=1+(10^200+x1)^3"], capsys)
+    assert code == 0 and err == ""
+    rec = json.loads(out)["records"][0]
+    assert rec["verdict"] == "Inconclusive"
+    assert rec["notes"][1].startswith(
+        "undecided: scalar curvature (constant overflow in ")
+
+
 def test_exit_2_on_ansatz_domain_error(capsys):
     code, out, err = run(["curvature", "ansatz=dirac1", "p3=0"], capsys)
     assert code == 2 and out == ""

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from kk6.ansatz import (
-    dirac_metric, gravity_metric, onshell_energy, photon_metric,
-    proca_metric, scalar_metric, weak_field_block,
+    coupled_metric, dirac_metric, gravity_metric, onshell_energy,
+    photon_metric, proca_metric, scalar_metric, weak_field_block,
 )
 from kk6.curvature import (
     christoffel, einstein, ricci, ricci_entry_raw, ricci_scalar,
 )
+from kk6.dynamics import connection_evaluator
 from kk6.expr import MINUS_ONE, ONE, ZERO, coords, exp, mul, num, simplify, sym
 from kk6.oracle import (
     christoffel_fd, compile_expr, einstein_fd, metric_evaluator, ricci_fd,
@@ -60,6 +61,23 @@ def _numeric_dirac():
     return dirac_metric(1, num("1/5"), num("1/4"), num("3/5"), num(1)).metric
 
 
+def _numeric_coupled():
+    return coupled_metric(1, num("1/5"), num("1/4"), num("3/5"), num(1),
+                          gamma=num("1/2")).metric
+
+
+def _numeric_gravity_proca():
+    from kk6.ansatz import massive_wave_potential
+    return gravity_metric("proca", weak_field_block(num("1/10")), num("1/2"),
+                          A=massive_wave_potential(num("1/2"), num(1)),
+                          m0=num(1)).metric
+
+
+def _numeric_gravity_dirac():
+    return gravity_metric("dirac", weak_field_block(num("1/10")), num(1),
+                          p1=0, p2=0, p3=num("3/4"), m0=num(1)).metric
+
+
 def _diagonal(entries, name) -> Metric6:
     return Metric6([[entries[a] if a == b else ZERO for b in range(DIM)]
                     for a in range(DIM)], name=name)
@@ -82,6 +100,7 @@ def test_flat_curvature_vanishes():
                      "flat")
     assert ricci_scalar(flat) == ZERO
     assert all(e == ZERO for row in einstein(flat) for e in row)
+    assert not connection_evaluator(flat)([0.5j] * DIM).any()
 
 
 def _symbolic_gravity_scalar():
@@ -132,14 +151,20 @@ def test_offshell_scalar_curvature_is_nonzero():
 
 @pytest.mark.parametrize("factory", [
     _numeric_scalar, _numeric_photon, _numeric_proca, _numeric_dirac,
+    _numeric_coupled, _numeric_gravity_proca, _numeric_gravity_dirac,
     _smooth_diagonal,
 ])
 def test_christoffel_matches_fd_oracle(factory):
     metric = factory()
     gf = metric_evaluator(metric)
     gamma = christoffel(metric)
+    conn = connection_evaluator(metric)
     for pt in _sample_points(11, 3):
+        # one compiled function per tensor gives each entry's own compiled
+        # value, bit for bit
+        assert np.array_equal(gf(pt), _tensor_eval(metric.lower, 2, pt))
         sym_val = _tensor_eval(gamma, 3, pt)
+        assert np.array_equal(conn(pt), sym_val)
         fd_val = christoffel_fd(gf, pt)
         assert np.max(np.abs(sym_val - fd_val)) < 1e-7
 

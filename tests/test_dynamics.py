@@ -9,7 +9,7 @@ from kk6.ansatz import onshell_energy, scalar_metric
 from kk6.dynamics import (
     DynamicsError, GeodesicState, closed_form_deviation, closed_form_exprs,
     closed_form_state, connection_evaluator, integrate, interval_along,
-    two_path_fringes,
+    two_path_fringes, _brentq, _path_difference,
 )
 from kk6.expr import ZERO, exp, mul, num, simplify, sym
 from kk6.zeros import is_zero
@@ -181,3 +181,61 @@ def test_fringes_validate_geometry():
             two_path_fringes(kw["d"], kw["L"], kw["wavelength"], grid)
     with pytest.raises(DynamicsError):
         two_path_fringes(1.0, 10.0, 0.5, np.array([]))
+
+
+def _brackets(rng):
+    # the fringe-minima brackets of random geometries, then generic roots:
+    # smooth, multiple, steep, flat-tiny (so that f's differences reach
+    # zero) and oscillating
+    for _ in range(150):
+        d, L, lam = rng.uniform(0.05, 5), rng.uniform(1, 200), \
+            rng.uniform(0.005, 2)
+        lo, hi = -rng.uniform(0.5, 50), rng.uniform(0.5, 50)
+        dlo, dhi = _path_difference(lo, d, L), _path_difference(hi, d, L)
+        for n in range(math.ceil(min(dlo, dhi) / lam - 0.5),
+                       math.floor(max(dlo, dhi) / lam - 0.5) + 1)[:8]:
+            def gap(y, t=(n + 0.5) * lam, d=d, L=L):
+                return _path_difference(y, d, L) - t
+            if gap(lo) * gap(hi) <= 0:
+                yield gap, lo, hi, 1e-14, 1e-15
+    fs = (lambda x: x**3 - 2 * x - 5, lambda x: math.cos(x) - x,
+          lambda x: (x - 0.3)**5, lambda x: math.tanh(20 * (x - 0.1)),
+          lambda x: 1e-300 * (x - 0.2), lambda x: math.sin(7 * x) + 0.3)
+    for _ in range(600):
+        f, a, b = rng.choice(fs), rng.uniform(-4, 0.3), rng.uniform(0.3, 4)
+        if f(a) * f(b) <= 0:
+            yield (f, a, b, rng.choice((2e-12, 1e-14, 1e-6, 1e-3)),
+                   rng.choice((8.881784197001252e-16, 1e-15, 1e-10)))
+
+
+def test_root_finder_matches_scipy_brentq_bit_for_bit():
+    optimize = pytest.importorskip("scipy.optimize")
+    import random
+    import struct
+    seen = 0
+    for f, a, b, xtol, rtol in _brackets(random.Random(5)):
+        try:
+            want = optimize.brentq(f, a, b, xtol=xtol, rtol=rtol)
+        except (RuntimeError, ValueError) as err:
+            # not converged in 100 iterations, or f(a) f(b) underflowed to
+            # zero with one sign
+            why = "did not converge" if isinstance(err, RuntimeError) \
+                else "needs a sign change"
+            with pytest.raises(DynamicsError, match=why):
+                _brentq(f, a, b, xtol, rtol)
+            continue
+        got = _brentq(f, a, b, xtol, rtol)
+        assert struct.pack("d", got) == struct.pack("d", want), (a, b)
+        seen += 1
+    assert seen > 500
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is a test-only dependency: start-up must not pay its import
+    import subprocess
+    import sys
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, kk6, kk6.cli; print(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -2,9 +2,12 @@
 ``mul`` ignore the order and grouping of their arguments, a product holds
 each base once and a term minus itself is zero, ``simplify`` is
 value-preserving and idempotent and agrees with the tree expansion it
-replaced, printing round-trips through the parser, and ``diff`` agrees with
-central finite differences."""
+replaced, printing round-trips through the parser, ``diff`` agrees with
+central finite differences, and ``scaled_eval``'s tape gives the recursive
+walk's numbers and failures bit for bit."""
+import cmath
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -13,9 +16,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
 from kk6.expr import (  # noqa: E402
-    MINUS_ONE, ONE, ZERO, Add, Conj, Exp, Expr, Mul, Num, Pow, Sqrt, Sym, add,
-    conj, coords, diff, exp, free_symbols, mul, num, power, simplify, sqrt,
-    sym, to_text,
+    MINUS_ONE, ONE, ZERO, Add, Conj, EvalError, Exp, Expr, Mul, Num, Pow,
+    Sqrt, Sym, add, conj, coords, diff, exp, free_symbols, mul, num, power,
+    simplify, sqrt, sym, to_text,
 )
 from kk6.parse import parse_expression  # noqa: E402
 from kk6.symbols import DEFAULT_TABLE  # noqa: E402
@@ -215,3 +218,113 @@ def test_diff_matches_central_difference(e, seed):
     # roundoff in the difference quotient grows with |e| / h
     tol = 1e-5 * (1 + scaled_eval(d, env)[1]) + 1e-7 * scaled_eval(e, env)[1]
     assert abs(evaluate(d, env) - fd) <= tol
+
+
+# The recursive walk ``scaled_eval`` used before its post-order tape, with
+# its memo passed in.
+def _reference_scaled(node: Expr, values: dict, memo: dict):
+    got = memo.get(node)
+    if got is not None:
+        return got
+    if isinstance(node, Num):
+        v = complex(node.re, node.im)
+        r = (v, abs(v))
+    elif isinstance(node, Sym):
+        try:
+            v = values[node.symbol.name]
+        except KeyError:
+            raise EvalError(f"unbound symbol '{node.symbol.name}'", node) \
+                from None
+        r = (v, abs(v))
+    elif isinstance(node, Add):
+        v = 0j
+        s = 0.0
+        for t in node.terms:
+            tv, ts = _reference_scaled(t, values, memo)
+            v += tv
+            s += ts
+        r = (v, s)
+    elif isinstance(node, Mul):
+        v = 1 + 0j
+        s = 1.0
+        for f in node.factors:
+            fv, fs = _reference_scaled(f, values, memo)
+            v *= fv
+            s *= fs
+        r = (v, s)
+    elif isinstance(node, Pow):
+        bv, _ = _reference_scaled(node.base, values, memo)
+        try:
+            v = bv ** node.n
+        except ZeroDivisionError:
+            raise EvalError("zero base at negative power", node) from None
+        r = (v, abs(v))
+    elif isinstance(node, Exp):
+        try:
+            v = cmath.exp(_reference_scaled(node.arg, values, memo)[0])
+        except OverflowError:
+            raise EvalError("exp overflow", node) from None
+        r = (v, abs(v))
+    elif isinstance(node, Sqrt):
+        v = cmath.sqrt(_reference_scaled(node.arg, values, memo)[0])
+        r = (v, abs(v))
+    else:
+        v = _reference_scaled(node.arg, values, memo)[0].conjugate()
+        r = (v, abs(v))
+    if not cmath.isfinite(r[0]):
+        raise EvalError("non-finite value", node)
+    memo[node] = r
+    return r
+
+
+def _bits(value: complex, scale: float) -> bytes:
+    # equal bytes: equal values, signs of zero included
+    return struct.pack("ddd", value.real, value.imag, scale)
+
+
+@PROPERTY
+@given(exprs, seeds)
+def test_scaled_eval_matches_the_recursive_walk(e, seed):
+    env = _point(e, seed)
+    want = _reference_scaled(e, dict(env), {})
+    assert _bits(*scaled_eval(e, env)) == _bits(*want)
+
+
+def test_scaled_eval_keeps_the_sign_of_zero():
+    # each term is a positive real with imaginary part -0.0; a sum from 0j
+    # makes it +0.0
+    e = add(mul(MINUS_ONE, X0), mul(MINUS_ONE, X1))
+    env = {"x0": -0.5 + 0j, "x1": -0.25 + 0j}
+    want = _reference_scaled(e, dict(env), {})
+    assert struct.pack("d", want[0].imag) == struct.pack("d", 0.0)
+    assert _bits(*scaled_eval(e, env)) == _bits(*want)
+
+
+DEFAULT_TABLE.register("zbad", real=False)
+ZBAD = sym("zbad")
+# failing subtree -> the value of ``zbad`` that makes it fail
+FAILURES = (
+    (power(ZBAD, -2), 0j),                          # zero base, negative power
+    (exp(mul(num(1000), ZBAD)), 1 + 0j),            # exp overflow
+    (mul(num(10**200), ZBAD, ZBAD), 1e150 + 0j),    # non-finite product
+    (add(ZBAD, conj(ZBAD)), 1.5e308 + 0j),          # non-finite sum
+)
+
+
+@PROPERTY
+@given(st.lists(exprs, min_size=1, max_size=3), st.sampled_from(FAILURES),
+       st.integers(0, 3), st.booleans(), seeds)
+def test_scaled_eval_fails_where_the_recursive_walk_fails(
+        es, failure, at, as_sum, seed):
+    bad, value = failure
+    parts = [p for p in es if p is not ZERO]   # 0 * bad would drop bad
+    parts.insert(at % (len(parts) + 1), bad)
+    e = add(*parts) if as_sum else mul(*parts)
+    env = _point(e, seed)
+    env["zbad"] = value
+    with pytest.raises(EvalError) as want:
+        _reference_scaled(e, dict(env), {})
+    with pytest.raises(EvalError) as got:
+        scaled_eval(e, env)
+    assert str(got.value) == str(want.value)
+    assert got.value.subtree is want.value.subtree

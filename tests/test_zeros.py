@@ -2,7 +2,7 @@
 import pytest
 
 from kk6.expr import (
-    ONE, ZERO, add, coords, exp, mul, num, power, sqrt, subs, sym,
+    ONE, ZERO, EvalError, add, coords, exp, mul, num, power, sqrt, subs, sym,
 )
 from kk6.zeros import is_zero, sample_env, scaled_eval
 from kk6.symbols import DEFAULT_TABLE
@@ -74,6 +74,29 @@ def test_overflow_is_inconclusive_with_note():
     r = is_zero(e)
     assert r.verdict == "inconclusive"
     assert r.note == "exp overflow in exp(1000000000*x0^2)"
+
+
+def test_constant_beyond_the_float_range_is_inconclusive():
+    r = is_zero(num(10**400))
+    assert r.verdict == "inconclusive"
+    assert r.note == f"constant overflow in {10**400}"
+    # both parts are floats, the modulus (the scale) is not
+    r = is_zero(num(1.5e308, 1.5e308))
+    assert r.verdict == "inconclusive"
+    assert r.note.startswith("constant overflow in ")
+
+
+def test_power_overflow_is_inconclusive_with_note():
+    r = is_zero(power(add(num(10**200), x0), 3))
+    assert r.verdict == "inconclusive"
+    assert r.note == f"power overflow in ({10**200} + x0)^3"
+    assert set(r.witness) == {"x0"}
+
+
+def test_magnitude_overflow_names_the_node():
+    with pytest.raises(EvalError, match="^magnitude overflow$") as err:
+        scaled_eval(add(x0, ONE), {"x0": complex(1.5e308, 1.5e308)})
+    assert err.value.subtree is x0
 
 
 def test_real_symbols_sampled_real_complex_sampled_complex():
