@@ -8,11 +8,22 @@ directly from the connection,
 
 never via an intermediate Riemann tensor.  Ricci is filled in for A <= B
 and mirrored (its symmetry is a theorem here, checked by tests through
-:func:`ricci_entry_raw`).  Every contraction is simplified before use.
+:func:`ricci_entry_raw`).
+
+Every entry is one :func:`~kk6.expr.contract` call: its products are
+expanded once in the polynomial kernel and the canonical tree is built
+once, with no tree per product and none for the sum, and the result is
+the tree that simplifying that sum would give.  Each stage call
+(:func:`christoffel`; :func:`ricci` with the divergence and trace of the
+connection; :func:`ricci_scalar`; :func:`einstein`) runs in one kernel
+context, so each connection entry is read once for all 21 Ricci entries.
+The context lives for the call; the metric's cache keeps only trees.
+A product whose factors share a sum or root base (which ``mul`` would
+merge) takes the tree route inside ``contract``.
 """
 from __future__ import annotations
 
-from .expr import Expr, HALF, MINUS_ONE, ZERO, add, diff, mul, simplify
+from .expr import Expr, HALF, MINUS_ONE, ZERO, context, contract, diff, mul
 from .symbols import COORDS
 from .tensor import DIM, Metric6
 
@@ -20,8 +31,10 @@ __all__ = [
     "christoffel", "ricci", "ricci_entry_raw", "ricci_scalar", "einstein",
 ]
 
+_MINUS_HALF = mul(MINUS_ONE, HALF)
 
-def _metric_derivatives(metric: Metric6) -> tuple:
+
+def _metric_derivatives(metric: Metric6, ctx) -> tuple:
     got = metric._cache.get("dg")
     if got is None:
         g = metric.lower
@@ -29,7 +42,7 @@ def _metric_derivatives(metric: Metric6) -> tuple:
         for c in range(DIM):
             for a in range(DIM):
                 for b in range(a, DIM):
-                    d = simplify(diff(g[a][b], COORDS[c]))
+                    d = contract([(diff(g[a][b], COORDS[c]),)], ctx)
                     dg[c][a][b] = d
                     dg[c][b][a] = d
         got = tuple(tuple(tuple(r) for r in plane) for plane in dg)
@@ -43,7 +56,8 @@ def christoffel(metric: Metric6) -> tuple:
     got = metric._cache.get("christoffel")
     if got is not None:
         return got
-    dg = _metric_derivatives(metric)
+    ctx = context()
+    dg = _metric_derivatives(metric, ctx)
     gu = metric.upper()
     comps = [[[ZERO] * DIM for _ in range(DIM)] for _ in range(DIM)]
     for c in range(DIM):
@@ -51,14 +65,10 @@ def christoffel(metric: Metric6) -> tuple:
             for b in range(a, DIM):
                 parts = []
                 for d in range(DIM):
-                    if gu[c][d] == ZERO:
-                        continue
-                    bracket = add(dg[a][d][b], dg[b][d][a],
-                                  mul(MINUS_ONE, dg[d][a][b]))
-                    if bracket == ZERO:
-                        continue
-                    parts.append(mul(gu[c][d], bracket))
-                entry = simplify(mul(HALF, add(*parts))) if parts else ZERO
+                    parts += ((HALF, gu[c][d], dg[a][d][b]),
+                              (HALF, gu[c][d], dg[b][d][a]),
+                              (_MINUS_HALF, gu[c][d], dg[d][a][b]))
+                entry = contract(parts, ctx)
                 comps[c][a][b] = entry
                 comps[c][b][a] = entry
     got = tuple(tuple(tuple(r) for r in plane) for plane in comps)
@@ -66,7 +76,7 @@ def christoffel(metric: Metric6) -> tuple:
     return got
 
 
-def _gamma_div(metric: Metric6) -> tuple:
+def _gamma_div(metric: Metric6, ctx) -> tuple:
     # d_C Gamma^C_AB, indexed [c][a][b]; only the diagonal derivative
     # enters the Ricci formula.
     got = metric._cache.get("gamma_div")
@@ -77,7 +87,7 @@ def _gamma_div(metric: Metric6) -> tuple:
             plane = [[None] * DIM for _ in range(DIM)]
             for a in range(DIM):
                 for b in range(a, DIM):
-                    d = simplify(diff(gamma[c][a][b], COORDS[c]))
+                    d = contract([(diff(gamma[c][a][b], COORDS[c]),)], ctx)
                     plane[a][b] = d
                     plane[b][a] = d
             out.append(tuple(tuple(r) for r in plane))
@@ -86,45 +96,32 @@ def _gamma_div(metric: Metric6) -> tuple:
     return got
 
 
-def _gamma_trace(metric: Metric6) -> tuple:
+def _gamma_trace(metric: Metric6, ctx) -> tuple:
     # t_A = Gamma^C_AC
     got = metric._cache.get("gamma_trace")
     if got is None:
         gamma = christoffel(metric)
-        got = tuple(simplify(add(*(gamma[c][a][c] for c in range(DIM))))
+        got = tuple(contract([(gamma[c][a][c],) for c in range(DIM)], ctx)
                     for a in range(DIM))
         metric._cache["gamma_trace"] = got
     return got
 
 
-def _ricci_formula(metric: Metric6, a: int, b: int) -> Expr:
+def _ricci_formula(metric: Metric6, a: int, b: int, ctx) -> Expr:
     gamma = christoffel(metric)
-    dgamma = _gamma_div(metric)
-    trace = _gamma_trace(metric)
-    parts = []
-    for c in range(DIM):
-        parts.append(dgamma[c][a][b])
-    parts.append(simplify(mul(MINUS_ONE, diff(trace[a], COORDS[b]))))
-    for c in range(DIM):
-        e = gamma[c][a][b]
-        if e == ZERO or trace[c] == ZERO:
-            continue
-        parts.append(mul(e, trace[c]))
-    for c in range(DIM):
-        for d in range(DIM):
-            e1 = gamma[c][a][d]
-            if e1 == ZERO:
-                continue
-            e2 = gamma[d][b][c]
-            if e2 == ZERO:
-                continue
-            parts.append(mul(MINUS_ONE, e1, e2))
-    return simplify(add(*parts))
+    dgamma = _gamma_div(metric, ctx)
+    trace = _gamma_trace(metric, ctx)
+    parts = [(dgamma[c][a][b],) for c in range(DIM)]
+    parts.append((MINUS_ONE, diff(trace[a], COORDS[b])))
+    parts += ((gamma[c][a][b], trace[c]) for c in range(DIM))
+    parts += ((MINUS_ONE, gamma[c][a][d], gamma[d][b][c])
+              for c in range(DIM) for d in range(DIM))
+    return contract(parts, ctx)
 
 
 def ricci_entry_raw(metric: Metric6, a: int, b: int) -> Expr:
     """The Ricci formula evaluated literally at (a, b), no symmetry shortcut."""
-    return _ricci_formula(metric, a, b)
+    return _ricci_formula(metric, a, b, context())
 
 
 def ricci(metric: Metric6) -> tuple:
@@ -132,10 +129,11 @@ def ricci(metric: Metric6) -> tuple:
     got = metric._cache.get("ricci")
     if got is not None:
         return got
+    ctx = context()
     comps = [[ZERO] * DIM for _ in range(DIM)]
     for a in range(DIM):
         for b in range(a, DIM):
-            e = _ricci_formula(metric, a, b)
+            e = _ricci_formula(metric, a, b, ctx)
             comps[a][b] = e
             comps[b][a] = e
     got = tuple(tuple(r) for r in comps)
@@ -148,13 +146,8 @@ def ricci_scalar(metric: Metric6) -> Expr:
     if got is None:
         r = ricci(metric)
         gu = metric.upper()
-        parts = []
-        for a in range(DIM):
-            for b in range(DIM):
-                if gu[a][b] == ZERO or r[a][b] == ZERO:
-                    continue
-                parts.append(mul(gu[a][b], r[a][b]))
-        got = simplify(add(*parts))
+        got = contract([(gu[a][b], r[a][b]) for a in range(DIM)
+                        for b in range(DIM)], context())
         metric._cache["ricci_scalar"] = got
     return got
 
@@ -166,8 +159,9 @@ def einstein(metric: Metric6) -> tuple:
         r = ricci(metric)
         rs = ricci_scalar(metric)
         g = metric.lower
-        got = tuple(tuple(simplify(add(r[a][b],
-                                       mul(MINUS_ONE, HALF, rs, g[a][b])))
+        ctx = context()
+        got = tuple(tuple(contract([(r[a][b],),
+                                    (_MINUS_HALF, rs, g[a][b])], ctx)
                           for b in range(DIM))
                     for a in range(DIM))
         metric._cache["einstein"] = got

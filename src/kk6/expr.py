@@ -65,6 +65,12 @@ result is the tree that ``mul`` and ``add`` give pair by pair.  The field
 layout and memos live for one top-level call; a field that would overflow
 restarts the call with wider fields.
 
+:func:`contract` is the entry point for sums of products (tensor
+contractions): its result is ``simplify`` of the ``add`` of the ``mul`` of
+each product, computed in the same kernel without building those trees.
+Calls that share a :func:`context` share its layout and memos, so an
+operand is read once for all of them.
+
 :func:`simplify` caches its result on each node it simplifies, input and
 subexpressions alike.  The cache depends only on the node's structure and
 lives as long as the node, so simplifying a live expression again, in a
@@ -83,7 +89,8 @@ from .symbols import DEFAULT_TABLE, Symbol
 __all__ = [
     "Expr", "Num", "Sym", "Pow", "Exp", "Sqrt", "Conj", "Mul", "Add",
     "num", "sym", "coords", "add", "mul", "power", "exp", "sqrt", "conj",
-    "diff", "subs", "simplify", "free_symbols", "to_text",
+    "diff", "subs", "simplify", "context", "contract", "free_symbols",
+    "to_text",
     "ZERO", "ONE", "MINUS_ONE", "TWO", "HALF", "I",
     "ExprError", "DomainError", "EvalError",
 ]
@@ -1042,6 +1049,73 @@ def _simplified(node: Expr, ctx: _Ctx) -> Expr:
     if r._simp is None:         # simplify is idempotent: r is its own result
         r._simp = _SELF
     return r
+
+
+def context() -> _Ctx:
+    """A fresh kernel context for a run of :func:`contract` calls."""
+    return _Ctx(32)
+
+
+def contract(products, ctx: _Ctx) -> Expr:
+    """The simplified sum of products: by definition
+    ``simplify(add(*(mul(*p) for p in products)))``, node for node.
+
+    It is computed in the polynomial kernel without building a ``Mul`` per
+    product or the outer ``Add``: the factors of each product (``Mul``
+    operands flattened) are read in ``mul``'s order and multiplied, the
+    products summed, and the result built once.  Calls that share ``ctx``
+    share its reads, so an operand met again costs one dict lookup, and
+    its ``exp`` argument sums.  A product in which ``mul`` would merge two
+    factors with the same sum or root as base (``S*S^-1 -> 1``,
+    ``S^9*S^-1 -> S^8``, ``sqrt(a)^2 -> a``) takes the tree route instead,
+    as the kernel would expand or fold them in another order.  On an
+    exponent beyond the field width only this call restarts, wider."""
+    products = list(products)
+    while True:
+        try:
+            return _contract(products, ctx)
+        except _Widen:
+            ctx = _Ctx(ctx.width * 2)
+
+
+def _contract(products, ctx: _Ctx) -> Expr:
+    parts = []
+    for p in products:
+        fs = []
+        for f in p:
+            fs.extend(f.factors if isinstance(f, Mul) else (f,))
+        if not fs:
+            fs.append(ONE)              # the empty product
+        elif ZERO in fs:
+            continue
+        if _merges(fs):
+            parts.append(_read(ctx, _simplified(mul(*p), ctx)))
+            continue
+        fs.sort(key=_keyfn)
+        q = _read(ctx, _simplified(fs[0], ctx))
+        for f in fs[1:]:
+            q = _times(ctx, q, _read(ctx, _simplified(f, ctx)))
+        parts.append(q)
+    if not parts:
+        return ZERO
+    r = _build(ctx, _sum(parts))
+    if r._simp is None:
+        r._simp = _SELF
+    return r
+
+
+def _merges(factors: list) -> bool:
+    """Whether ``mul`` would merge two of ``factors`` on a sum or root
+    base.  Other merges are the kernel's own: exponents of symbols add,
+    ``exp`` arguments add and numbers multiply, in any order."""
+    seen = set()
+    for f in factors:
+        b = f.base if isinstance(f, Pow) else f
+        if isinstance(b, (Add, Sqrt)):
+            if b in seen:
+                return True
+            seen.add(b)
+    return False
 
 
 def free_symbols(e: Expr) -> frozenset[Symbol]:

@@ -4,6 +4,12 @@ Metrics are symmetric grids of canonical expressions over the six
 coordinates.  Inversion is exact adjugate-over-determinant with memoized
 minor expansion (block sparsity keeps this cheap for the engine's metric
 families, whose determinants collapse to +-1 or a single phase factor).
+Minors and the determinant are built as trees and simplified.  Each entry
+of the inverse and of :func:`matmul` is one :func:`~kk6.expr.contract`
+call, expanded once in the polynomial kernel, with one kernel context per
+call of :func:`invert_metric` or :func:`matmul`.  An adjugate entry can be
+the determinant's own sum, which ``mul`` cancels against its inverse: such
+a product takes the tree route inside ``contract``.
 """
 from __future__ import annotations
 
@@ -11,8 +17,8 @@ import random
 from dataclasses import dataclass
 
 from .expr import (
-    Expr, MINUS_ONE, ZERO, add, free_symbols, mul, power, simplify,
-    to_text,
+    Expr, MINUS_ONE, ZERO, add, context, contract, free_symbols, mul, power,
+    simplify, to_text,
 )
 from .zeros import is_zero, sample_env
 
@@ -144,23 +150,17 @@ def invert_metric(metric: Metric6) -> Grid:
         raise SingularMetricError(det, witness)
     inv_det = power(det, -1)
     adj = adjugate(metric.lower)
-    return tuple(tuple(simplify(mul(adj[a][b], inv_det)) for b in range(DIM))
+    ctx = context()
+    return tuple(tuple(contract([(adj[a][b], inv_det)], ctx)
+                       for b in range(DIM))
                  for a in range(DIM))
 
 
 def matmul(a: Grid, b: Grid) -> Grid:
-    out = []
-    for i in range(DIM):
-        row = []
-        for j in range(DIM):
-            parts = []
-            for k in range(DIM):
-                if a[i][k] == ZERO or b[k][j] == ZERO:
-                    continue
-                parts.append(mul(a[i][k], b[k][j]))
-            row.append(simplify(add(*parts)))
-        out.append(tuple(row))
-    return tuple(out)
+    ctx = context()
+    return tuple(tuple(contract([(a[i][k], b[k][j]) for k in range(DIM)], ctx)
+                       for j in range(DIM))
+                 for i in range(DIM))
 
 
 def identity_residual(metric: Metric6, claimed_upper: Grid) -> Grid:

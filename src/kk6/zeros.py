@@ -43,7 +43,9 @@ first node in post-order that fails names the error (:class:`EvalError`
 with that subtree): an unbound symbol, a zero base at a negative power, a
 non-finite value, or an overflow (``exp``, ``**``, a constant or a
 magnitude beyond the float range), which :func:`is_zero` reports as an
-inconclusive verdict with a note.  The error model above is unchanged.
+inconclusive verdict with a note naming the subtree (its text cut after
+512 characters, with the full length appended).  The error model above is
+unchanged.
 """
 from __future__ import annotations
 
@@ -262,6 +264,17 @@ def evaluate(e: Expr, env: Mapping) -> complex:
     return scaled_eval(e, values)[0]
 
 
+# an inconclusive note cuts the failing subtree's text at this length
+_NOTE_CHARS = 512
+
+
+def _note_text(e: Expr) -> str:
+    s = to_text(e)
+    if len(s) <= _NOTE_CHARS:
+        return s
+    return f"{s[:_NOTE_CHARS]}... ({len(s)} characters)"
+
+
 def is_zero(e: Expr, seed: int = 0, trials: int = 32, tol: float = 1e-9,
             positive: frozenset[str] = frozenset()) -> ZeroResult:
     """Zero/nonzero/inconclusive verdict for ``e`` by random evaluation.
@@ -279,7 +292,7 @@ def is_zero(e: Expr, seed: int = 0, trials: int = 32, tol: float = 1e-9,
         try:
             value, scale = scaled_eval(e, env)
         except EvalError as err:
-            sub = to_text(err.subtree) if err.subtree is not None else "?"
+            sub = _note_text(err.subtree) if err.subtree is not None else "?"
             return ZeroResult(INCONCLUSIVE_VERDICT, max_resid, n_trials, seed, tol,
                               witness=env or None, note=f"{err} in {sub}")
         resid = abs(value) / (1.0 + scale)

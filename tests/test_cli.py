@@ -139,6 +139,19 @@ def test_exit_0_when_the_zero_test_overflows(capsys):
         "undecided: scalar curvature (constant overflow in ")
 
 
+def test_overflow_note_is_bounded(capsys):
+    # the failing subtree is a 1,402-character constant: the note keeps its
+    # first 512 characters and states the full length
+    code, out, _ = run(["verify", "--claim", "ricci.scalar.zero",
+                        "perturb=1+(10^200+x1)^3"], capsys)
+    assert code == 0
+    note = json.loads(out)["records"][0]["notes"][1]
+    head = "undecided: scalar curvature (constant overflow in "
+    assert note.startswith(head)
+    assert note.endswith("... (1402 characters))")
+    assert len(note) == len(head) + 512 + len("... (1402 characters))")
+
+
 def test_exit_2_on_ansatz_domain_error(capsys):
     code, out, err = run(["curvature", "ansatz=dirac1", "p3=0"], capsys)
     assert code == 2 and out == ""

@@ -1,7 +1,9 @@
 """Connection and curvature: symbolic identities and the independent
 finite-difference oracle agree on every metric family we can evaluate."""
 import cmath
+import gc
 import random
+import types
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from kk6.curvature import (
     christoffel, einstein, ricci, ricci_entry_raw, ricci_scalar,
 )
 from kk6.dynamics import connection_evaluator
-from kk6.expr import MINUS_ONE, ONE, ZERO, coords, exp, mul, num, simplify, sym
+from kk6.expr import (
+    MINUS_ONE, ONE, ZERO, _Ctx, coords, exp, mul, num, simplify, sym,
+)
 from kk6.oracle import (
     christoffel_fd, compile_expr, einstein_fd, metric_evaluator, ricci_fd,
 )
@@ -191,6 +195,35 @@ def test_curvature_results_are_cached_per_metric():
     m = _numeric_scalar()
     assert christoffel(m) is christoffel(m)
     assert einstein(m) is einstein(m)
+
+
+def _reachable(root):
+    # everything reachable from ``root`` through containers and nodes; a
+    # class, module or function would lead to the whole interpreter
+    seen, stack = {}, [root]
+    while stack:
+        o = stack.pop()
+        if id(o) in seen or isinstance(o, (type, types.ModuleType,
+                                           types.FunctionType)):
+            continue
+        seen[id(o)] = o
+        stack.extend(gc.get_referents(o))
+    return seen.values()
+
+
+def test_curvature_keeps_no_kernel_context():
+    # each stage's kernel context lives for the stage call only, and what
+    # the stages keep is canonical: every entry is its own simplify result
+    m = _numeric_proca()
+    ein = einstein(m)
+    assert not any(isinstance(o, _Ctx) for o in _reachable(m._cache))
+    gamma = christoffel(m)
+    entries = [*(e for plane in gamma for row in plane for e in row),
+               *(e for row in ricci(m) for e in row),
+               *(e for row in ein for e in row)]
+    assert any(e is not ZERO for e in entries)
+    for e in entries:
+        assert simplify(e) is e
 
 
 def test_perturbed_compact_entry_breaks_flatness():

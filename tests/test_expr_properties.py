@@ -2,7 +2,8 @@
 ``mul`` ignore the order and grouping of their arguments, a product holds
 each base once and a term minus itself is zero, ``simplify`` is
 value-preserving and idempotent and agrees with the tree expansion it
-replaced, printing round-trips through the parser, ``diff`` agrees with
+replaced, ``contract`` is the tree route it stands for, node for node,
+printing round-trips through the parser, ``diff`` agrees with
 central finite differences, and ``scaled_eval``'s tape gives the recursive
 walk's numbers and failures bit for bit."""
 import cmath
@@ -17,8 +18,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E
 
 from kk6.expr import (  # noqa: E402
     MINUS_ONE, ONE, ZERO, Add, Conj, EvalError, Exp, Expr, Mul, Num, Pow,
-    Sqrt, Sym, add, conj, coords, diff, exp, free_symbols, mul, num, power,
-    simplify, sqrt, sym, to_text,
+    Sqrt, Sym, add, conj, context, contract, coords, diff, exp, free_symbols,
+    mul, num, power, simplify, sqrt, sym, to_text,
 )
 from kk6.parse import parse_expression  # noqa: E402
 from kk6.symbols import DEFAULT_TABLE  # noqa: E402
@@ -196,6 +197,78 @@ def _reference_simplify(e: Expr, memo: dict) -> Expr:
 @given(exprs)
 def test_simplify_matches_the_tree_expansion(e):
     assert simplify(e) is _reference_simplify(e, {})
+
+
+def _tree_route(products) -> Expr:
+    return simplify(add(*(mul(*p) for p in products)))
+
+
+products = st.lists(st.lists(exprs, min_size=1, max_size=3).map(tuple),
+                    min_size=1, max_size=4)
+
+
+@PROPERTY
+@given(products)
+def test_contract_is_the_tree_route(ps):
+    assert contract(ps, context()) is _tree_route(ps)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(st.lists(products, min_size=2, max_size=3))
+def test_contract_in_a_shared_context_is_the_tree_route(calls):
+    # reads, exp sums and registered atoms carry over between calls
+    ctx = context()
+    for ps in calls:
+        assert contract(ps, ctx) is _tree_route(ps)
+
+
+_S = add(X1, ONE)
+_T = add(X2, ONE)
+_R = add(mul(X1, X1), ONE)
+
+
+@pytest.mark.parametrize("ps", [
+    # a sum times its own inverse: mul cancels it, the kernel would
+    # expand the sum against an atomic inverse
+    [(_S, power(_S, -1))],
+    [(MINUS_ONE, mul(X0, _S)), (power(_S, -1), X2)],
+    # nine copies of one sum: mul makes an atomic ninth power
+    [(_S,) * 9],
+    # S^9 S^-1 = S^8, which is expanded
+    [(power(_S, 9), power(_S, -1))],
+    # a root met twice folds to its radicand, which meets its inverse
+    [(sqrt(mul(X2, _S)), sqrt(mul(X2, _S)), power(_S, -1))],
+    # two roots that fold to a sum, beside another sum
+    [(sqrt(_S), sqrt(_S), _T)],
+], ids=["inverse", "inverse-in-a-product", "nine-copies", "ninth-power",
+        "root-of-a-product", "root-of-a-sum"])
+def test_contract_takes_the_tree_route_where_mul_merges(ps):
+    assert contract(ps, context()) is _tree_route(ps)
+
+
+def test_contract_multiplies_in_muls_order():
+    # sqrt(R) meets sqrt(R) in the first two sums and R^-1 in the third:
+    # mul's order takes the third first, so the fold meets R^-1 and
+    # cancels; the written order would expand R before it meets R^-1
+    ps = [(add(X1, sqrt(_R)), add(X2, sqrt(_R)), add(X0, power(_R, -1)))]
+    assert contract(ps, context()) is _tree_route(ps)
+
+
+def test_contract_widens_only_the_call_that_overflows():
+    ctx = context()
+    big = [(power(X1, 2**31 + 5), power(X2, 3)), (power(X1, 2**30),) * 2]
+    assert contract(big, ctx) is _tree_route(big)
+    assert ctx.width == 32
+    # the shared context goes on at its own width
+    small = [(X1, _S), (MINUS_ONE, X1, X2)]
+    assert contract(small, ctx) is _tree_route(small)
+    assert contract(iter(big), ctx) is _tree_route(big)
+
+
+def test_contract_of_nothing_is_zero_and_an_empty_product_is_one():
+    assert contract([], context()) is ZERO
+    assert contract([(X1, ZERO), (ZERO,)], context()) is ZERO
+    assert contract([(), (X1,)], context()) is _tree_route([(), (X1,)])
 
 
 @PROPERTY

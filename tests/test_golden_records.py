@@ -13,6 +13,11 @@ and finite differences.
 Christoffel, Ricci and Einstein entries are printed canonical forms, so
 a kernel change that alters any canonical form shows here.
 
+``golden_symbolic.json`` holds the sha256 of the ``kk6 curvature
+ansatz=dirac1`` report (without ``timing``) at default, symbolic
+parameters: its 0.64 MB of canonical forms come from the inverse,
+Christoffel, Ricci and Einstein contractions over symbolic momenta.
+
 ``golden_metrics.json`` holds one sha256 per metric family, of the
 printed metric entries and claimed inverse(s) at default (symbolic)
 parameters: photon, Proca, the four half-spin solutions with both
@@ -20,7 +25,7 @@ inverse readings, the coupled family, and the gravity-coupled families
 over the symbolic weak-field block with symbolic ``kappa``.  The texts
 themselves run to about 258 kB, so only their digests are stored.
 
-Regenerate all three (only when a record is meant to change, and say why)::
+Regenerate all four (only when a record is meant to change, and say why)::
 
     PYTHONPATH=src python3 tests/test_golden_records.py
 """
@@ -44,6 +49,7 @@ from kk6.verify import run_claim
 GOLDEN = pathlib.Path(__file__).with_name("golden_records.json")
 GOLDEN_CURVATURE = pathlib.Path(__file__).with_name("golden_curvature.json")
 GOLDEN_METRICS = pathlib.Path(__file__).with_name("golden_metrics.json")
+GOLDEN_SYMBOLIC = pathlib.Path(__file__).with_name("golden_symbolic.json")
 
 # label -> (claim id, parameters); parameter values are the strings the
 # CLI would pass
@@ -88,11 +94,11 @@ def test_record_matches_golden(label):
     assert _record_text(label) == json.dumps(golden[label], indent=1)
 
 
-def _curvature_text(aid: str) -> str:
+def _curvature_text(aid: str, args=None) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["curvature", f"ansatz={aid}", *CURVATURE[aid],
-                     "--seed=0"])
+        code = main(["curvature", f"ansatz={aid}",
+                     *(CURVATURE[aid] if args is None else args), "--seed=0"])
     assert code == 0
     rep = json.loads(out.getvalue())
     rep.pop("timing", None)
@@ -103,6 +109,21 @@ def _curvature_text(aid: str) -> str:
 def test_curvature_report_matches_golden(aid):
     golden = json.loads(GOLDEN_CURVATURE.read_text())
     assert _curvature_text(aid) == json.dumps(golden[aid], indent=1)
+
+
+# ansatz inputs at default parameters whose report digest is pinned; the
+# ``coupled`` and ``gravity-dirac`` ones take 4-10 s each, too long here
+SYMBOLIC = ("dirac1",)
+
+
+def _symbolic_digest(aid: str) -> str:
+    return hashlib.sha256(_curvature_text(aid, ()).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("aid", SYMBOLIC)
+def test_symbolic_curvature_report_matches_golden(aid):
+    golden = json.loads(GOLDEN_SYMBOLIC.read_text())
+    assert _symbolic_digest(aid) == golden[aid]
 
 
 def _dirac_grids(sol: int):
@@ -145,3 +166,5 @@ if __name__ == "__main__":
         indent=1) + "\n")
     GOLDEN_METRICS.write_text(json.dumps(
         {f: _metric_digest(f) for f in sorted(METRICS)}, indent=1) + "\n")
+    GOLDEN_SYMBOLIC.write_text(json.dumps(
+        {aid: _symbolic_digest(aid) for aid in SYMBOLIC}, indent=1) + "\n")

@@ -86,6 +86,17 @@ def test_constant_beyond_the_float_range_is_inconclusive():
     assert r.note.startswith("constant overflow in ")
 
 
+def test_note_cuts_a_long_subtree():
+    # 10^600 prints as 601 digits: the note keeps 512 and the length
+    r = is_zero(num(10**600))
+    assert r.verdict == "inconclusive"
+    assert r.note == (f"constant overflow in {str(10**600)[:512]}"
+                      "... (601 characters)")
+    # 512 characters are kept whole
+    r = is_zero(num(10**511))
+    assert r.note == f"constant overflow in {10**511}"
+
+
 def test_power_overflow_is_inconclusive_with_note():
     r = is_zero(power(add(num(10**200), x0), 3))
     assert r.verdict == "inconclusive"
