@@ -120,7 +120,6 @@ def _trace4(K: tuple) -> Expr:
 class ScalarMode:
     p: tuple[Expr, Expr, Expr, Expr]
     m0: Expr
-    hbar: Expr
     phase: Expr                 # (p.x - m0 x5) / hbar
     g44: Expr
     grad: tuple[Expr, ...]      # lower phase gradient over IDX5
@@ -135,6 +134,8 @@ def scalar_metric(p=None, m0=None, hbar=None) -> ScalarMode:
         raise AnsatzError("p must have four components")
     m0v = _E(m0) if m0 is not None else sym("m0")
     hv = _E(hbar) if hbar is not None else ONE
+    if hv is ZERO:
+        raise AnsatzError("hbar must be nonzero")
     theta = mul(add(mul(pv[0], x[0]), mul(MINUS_ONE, pv[1], x[1]),
                     mul(MINUS_ONE, pv[2], x[2]), mul(MINUS_ONE, pv[3], x[3]),
                     mul(MINUS_ONE, m0v, x[5])),
@@ -144,7 +145,7 @@ def scalar_metric(p=None, m0=None, hbar=None) -> ScalarMode:
     rows = kk_rows(_FLAT4, _NO_FIELD)
     rows[4][4] = g44
     metric = Metric6(rows, name="scalar")
-    return ScalarMode(p=pv, m0=m0v, hbar=hv, phase=theta, g44=g44,
+    return ScalarMode(p=pv, m0=m0v, phase=theta, g44=g44,
                       grad=grad, metric=metric)
 
 
@@ -378,7 +379,6 @@ def dirac_metric(sol: int = 1, p1=None, p2=None, p3=None, m0=None) -> SpinorMode
 @dataclass(frozen=True)
 class CoupledMode:
     base: SpinorMode
-    gamma: Expr
     K: tuple
     metric: Metric6
 
@@ -392,7 +392,7 @@ def coupled_metric(sol: int = 1, p1=None, p2=None, p3=None, m0=None,
     gv = _E(gamma) if gamma is not None else sym("gamma")
     twist = exp(mul(num(0, -1), gv, x[4]))
     k5 = tuple(simplify(mul(k, twist)) for k in base.K)
-    return CoupledMode(base=base, gamma=gv, K=k5,
+    return CoupledMode(base=base, K=k5,
                        metric=Metric6(kk_rows(_FLAT4, k5[:4], k5[4]),
                                       name=f"coupled{sol}"))
 
@@ -414,9 +414,6 @@ def weak_field_block(eps=None) -> Grid:
 
 @dataclass(frozen=True)
 class GravityMode:
-    family: str
-    kappa: Expr
-    g4: Grid
     base: object
     metric: Metric6
 
@@ -449,5 +446,5 @@ def gravity_metric(family: str, g4: Grid | None = None, kappa=None,
     else:
         raise AnsatzError(f"unknown family {family!r}")
 
-    return GravityMode(family=family, kappa=kv, g4=g4v, base=base,
+    return GravityMode(base=base,
                        metric=Metric6(rows, name=f"gravity-{family}"))

@@ -61,7 +61,7 @@ from .dynamics import (
 )
 from .expr import ZERO, to_text
 from .report import Report, to_json
-from .tensor import DIM, verify_claimed_inverse
+from .tensor import DIM, SingularMetricError, verify_claimed_inverse
 from .verify import (
     FRINGE_DEFAULTS, GEODESIC_DEFAULTS, PARAM_KINDS, REGISTRY,
     ClaimParamError, coerce_param, fringe_profile, must_pass_ids,
@@ -529,7 +529,7 @@ def main(argv=None) -> int:
         cfg = _resolve(_gather_items(ns))
         try:
             records, data, csv_table = _RUNNERS[cfg.command](cfg)
-        except AnsatzError as err:
+        except (AnsatzError, SingularMetricError) as err:
             raise CliError("ansatz", str(err), 2) from None
         except (DynamicsError, OverflowError) as err:
             raise _runtime(str(err)) from None

@@ -57,8 +57,6 @@ class GeodesicState:
 @dataclass(frozen=True)
 class Path:
     states: tuple[GeodesicState, ...]
-    h: float
-    integrator: str
     residuals: tuple[float, ...]    # per-step trapezoid defect of dv/dtau
     aborted: bool = False
 
@@ -226,8 +224,8 @@ def integrate(initial: GeodesicState, tau_end: float, steps: int,
     # overflow chatter numpy would otherwise emit on a blowing-up orbit
     with np.errstate(over="ignore", invalid="ignore"):
         aborted = _advance(rhs, y, snap, states, residuals, initial, steps, h)
-    return Path(states=tuple(states), h=h, integrator="rk4",
-                residuals=tuple(residuals), aborted=aborted)
+    return Path(states=tuple(states), residuals=tuple(residuals),
+                aborted=aborted)
 
 
 def _advance(rhs, y, snap, states, residuals, initial, steps, h) -> bool:
@@ -291,9 +289,6 @@ def interval_along(path: Path, metric: Metric6) -> tuple[StepInterval, ...]:
 class FringeProfile:
     y: tuple[float, ...]
     density: tuple[float, ...]
-    d: float
-    L: float
-    wavelength: float
     minima: tuple[float, ...]    # detector positions of density zeros
     minima_density: tuple[float, ...]   # density at each minimum
 
@@ -312,10 +307,20 @@ def two_path_fringes(d: float, L: float, wavelength: float,
     lengths carry the phase k = 2 pi / wavelength.  Minima are located by
     root-finding the half-integer path-difference condition between grid
     ends, so each reported position satisfies the destructive-interference
-    equation to root tolerance rather than grid resolution."""
+    equation to root tolerance rather than grid resolution.  A grid cannot
+    resolve more fringes than it has points: more half-integer orders
+    between its ends than points is refused before any root is sought."""
     ys = [float(v) for v in grid]
     if d <= 0 or L <= 0 or wavelength <= 0 or not ys:
         raise DynamicsError("degenerate fringe geometry")
+    lo, hi = min(ys), max(ys)
+    dlo, dhi = _path_difference(lo, d, L), _path_difference(hi, d, L)
+    k_lo = math.ceil(min(dlo, dhi) / wavelength - 0.5)
+    k_hi = math.floor(max(dlo, dhi) / wavelength - 0.5)
+    if k_hi - k_lo + 1 > len(ys):
+        raise DynamicsError(
+            f"more fringe orders between the grid ends than its {len(ys)} "
+            "grid points can resolve")
     k = 2.0 * math.pi / wavelength
 
     def density(y: float) -> float:
@@ -323,12 +328,7 @@ def two_path_fringes(d: float, L: float, wavelength: float,
                    + cmath.exp(1j * k * math.hypot(L, y + 0.5 * d))) ** 2
 
     dens = [density(y) for y in ys]
-
-    lo, hi = min(ys), max(ys)
-    dlo, dhi = _path_difference(lo, d, L), _path_difference(hi, d, L)
     minima = []
-    k_lo = math.ceil(min(dlo, dhi) / wavelength - 0.5)
-    k_hi = math.floor(max(dlo, dhi) / wavelength - 0.5)
     for n in range(k_lo, k_hi + 1):
         target = (n + 0.5) * wavelength
 
@@ -339,8 +339,8 @@ def two_path_fringes(d: float, L: float, wavelength: float,
             continue
         minima.append(float(_brentq(gap, lo, hi, xtol=1e-14, rtol=1e-15)))
     minima.sort()
-    return FringeProfile(y=tuple(ys), density=tuple(dens), d=d, L=L,
-                         wavelength=wavelength, minima=tuple(minima),
+    return FringeProfile(y=tuple(ys), density=tuple(dens),
+                         minima=tuple(minima),
                          minima_density=tuple(density(y) for y in minima))
 
 

@@ -5,14 +5,19 @@ coordinates.  Inversion is exact adjugate-over-determinant with memoized
 minor expansion (block sparsity keeps this cheap for the engine's metric
 families, whose determinants collapse to +-1 or a single phase factor).
 Minors and the determinant are built as trees and simplified.  Each entry
-of the inverse and of :func:`matmul` is one :func:`~kk6.expr.contract`
-call, expanded once in the polynomial kernel, with one kernel context per
-call of :func:`invert_metric` or :func:`matmul`.  An adjugate entry can be
-the determinant's own sum, which ``mul`` cancels against its inverse: such
-a product takes the tree route inside ``contract``.
+of the inverse, and each entry of a claimed inverse's residual
+``claimed * g - I`` (its row-column products, with -1 on the diagonal), is
+one :func:`~kk6.expr.contract` call, expanded once in the polynomial
+kernel, with one kernel context per call of :func:`invert_metric` or
+:func:`identity_residual`.  An adjugate entry can be the determinant's own
+sum, which ``mul`` cancels against its inverse: such a product takes the
+tree route inside ``contract``.  :func:`verify_claimed_inverse` grades a
+residual: entries that are literally zero count as structural zeros, and
+every other entry gets a seeded zero test.
 """
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -25,10 +30,11 @@ from .zeros import is_zero, sample_env
 __all__ = [
     "DIM", "Metric6", "SingularMetricError", "InverseCheck",
     "determinant", "adjugate", "invert_metric", "verify_claimed_inverse",
-    "matmul", "identity_residual",
+    "identity_residual",
 ]
 
 DIM = 6
+_IDX = tuple(range(DIM))
 
 Grid = tuple[tuple[Expr, ...], ...]
 
@@ -54,6 +60,20 @@ def _as_grid(rows) -> Grid:
     return grid
 
 
+def _memo(fn):
+    """Keep ``fn(metric, ...)`` in ``metric._cache`` under ``fn``'s name;
+    extra arguments (a kernel context) are used on the first call only."""
+    key = fn.__name__
+
+    @functools.wraps(fn)
+    def cached(metric, *args):
+        got = metric._cache.get(key)
+        if got is None:
+            got = metric._cache[key] = fn(metric, *args)
+        return got
+    return cached
+
+
 class Metric6:
     """Symmetric 6x6 metric with cached derived data (inverse, connection)."""
 
@@ -69,19 +89,13 @@ class Metric6:
         self.name = name
         self._cache: dict[str, object] = {}
 
+    @_memo
     def det(self) -> Expr:
-        got = self._cache.get("det")
-        if got is None:
-            got = determinant(self.lower)
-            self._cache["det"] = got
-        return got
+        return determinant(self.lower)
 
+    @_memo
     def upper(self) -> Grid:
-        got = self._cache.get("upper")
-        if got is None:
-            got = invert_metric(self)
-            self._cache["upper"] = got
-        return got
+        return invert_metric(self)
 
     def __repr__(self) -> str:
         return f"Metric6({self.name})"
@@ -117,19 +131,17 @@ def _minor(grid: Grid, rows: tuple[int, ...], cols: tuple[int, ...],
 
 
 def determinant(grid: Grid) -> Expr:
-    idx = tuple(range(DIM))
-    return simplify(_minor(grid, idx, idx, {}))
+    return simplify(_minor(grid, _IDX, _IDX, {}))
 
 
 def adjugate(grid: Grid) -> Grid:
-    idx = tuple(range(DIM))
     memo: dict = {}
     out = []
     for i in range(DIM):
         row = []
         for j in range(DIM):
-            rows = tuple(r for r in idx if r != j)
-            cols = tuple(c for c in idx if c != i)
+            rows = tuple(r for r in _IDX if r != j)
+            cols = tuple(c for c in _IDX if c != i)
             m = _minor(grid, rows, cols, memo)
             if (i + j) % 2:
                 m = mul(MINUS_ONE, m)
@@ -156,19 +168,17 @@ def invert_metric(metric: Metric6) -> Grid:
                  for a in range(DIM))
 
 
-def matmul(a: Grid, b: Grid) -> Grid:
-    ctx = context()
-    return tuple(tuple(contract([(a[i][k], b[k][j]) for k in range(DIM)], ctx)
-                       for j in range(DIM))
-                 for i in range(DIM))
-
-
 def identity_residual(metric: Metric6, claimed_upper: Grid) -> Grid:
-    """claimed^{AC} g_{CB} - delta^A_B, entrywise simplified."""
-    prod = matmul(claimed_upper, metric.lower)
-    return tuple(tuple(simplify(add(prod[a][b], MINUS_ONE if a == b else ZERO))
-                       for b in range(DIM))
-                 for a in range(DIM))
+    """claimed^{AC} g_{CB} - delta^A_B, one contraction per entry."""
+    g = metric.lower
+    ctx = context()
+
+    def entry(a, b):
+        parts = [(claimed_upper[a][c], g[c][b]) for c in range(DIM)]
+        if a == b:
+            parts.append((MINUS_ONE,))
+        return contract(parts, ctx)
+    return tuple(tuple(entry(a, b) for b in range(DIM)) for a in range(DIM))
 
 
 @dataclass(frozen=True)
@@ -177,30 +187,33 @@ class InverseCheck:
     max_residual: float
     failures: tuple[tuple[int, int, float], ...]
     structural_zeros: int        # entries that simplified to literal 0
-    seed: int
-    trials: int
-    tol: float
+    samples: int                 # zero-test samples over the other entries
 
 
 def verify_claimed_inverse(metric: Metric6, claimed_upper, seed: int = 0,
-                           trials: int = 32, tol: float = 1e-9) -> InverseCheck:
+                           trials: int = 32, tol: float = 1e-9,
+                           positive: frozenset = frozenset()) -> InverseCheck:
     """Measure whether a claimed inverse actually inverts the metric.
 
-    Every entry of ``claimed * g - I`` gets a zero verdict; the check is
-    exact when all 36 verdicts are zero, otherwise the failing entries and
-    their residuals are reported (never silently patched)."""
-    claimed = _as_grid(claimed_upper)
-    residual = identity_residual(metric, claimed)
-    max_resid = 0.0
+    Every entry of ``claimed * g - I`` that is not literally zero gets a
+    zero verdict (``positive`` names the symbols sampled as positive
+    reals); the check is exact when all of them are zero, otherwise the
+    failing entries and their residuals are reported (never silently
+    patched)."""
+    residual = identity_residual(metric, _as_grid(claimed_upper))
+    max_resid, samples, structural = 0.0, 0, 0
     failures: list[tuple[int, int, float]] = []
     for a in range(DIM):
         for b in range(DIM):
-            r = is_zero(residual[a][b], seed=seed, trials=trials, tol=tol)
+            if residual[a][b] is ZERO:
+                structural += 1
+                continue
+            r = is_zero(residual[a][b], seed=seed, trials=trials, tol=tol,
+                        positive=positive)
+            samples += r.samples
             max_resid = max(max_resid, r.max_residual)
             if r.verdict != "zero":
                 failures.append((a, b, r.max_residual))
-    structural = sum(1 for row in residual for e in row if e == ZERO)
     return InverseCheck(exact=not failures, max_residual=max_resid,
                         failures=tuple(failures), structural_zeros=structural,
-                        seed=seed, trials=trials, tol=tol)
-
+                        samples=samples)

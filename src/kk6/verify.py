@@ -55,7 +55,7 @@ from .parse import ParseError, parse_expression
 from .report import (
     CONDITIONAL, CONFIRMED, INCONCLUSIVE, REFUTED, ClaimReport,
 )
-from .tensor import DIM, Metric6, identity_residual
+from .tensor import DIM, Metric6, identity_residual, verify_claimed_inverse
 from .zeros import is_zero
 
 __all__ = [
@@ -633,30 +633,22 @@ def check_inverse_halfspin(seed, tol, trials, params) -> dict:
     mode = dirac_metric(sol=params["sol"])
     full = identity_residual(mode.metric, mode.claimed_upper)
     full_exact = all(e == ZERO for row in full for e in row)
-    greek = identity_residual(mode.metric, mode.claimed_upper_greek)
-    worst, samples, bad = 0.0, 0, []
-    for a in range(DIM):
-        for b in range(DIM):
-            if greek[a][b] == ZERO:
-                continue
-            v = is_zero(greek[a][b], seed=seed, trials=trials, tol=tol,
-                        positive=_POS_M0)
-            samples += v.samples
-            worst = max(worst, v.max_residual)
-            if v.verdict != "zero":
-                bad.append((a, b))
+    greek = verify_claimed_inverse(mode.metric, mode.claimed_upper_greek,
+                                   seed=seed, trials=trials, tol=tol,
+                                   positive=_POS_M0)
+    bad = [(a, b) for a, b, _ in greek.failures]
     notes = [
         "reading A (compact-compact entry carries the trace over all five "
         "field components): " + ("exact — all 36 residual entries vanish "
                                  "at the expression level" if full_exact
                                  else "NOT exact"),
         f"reading B (4d trace only): {len(bad)} of 36 entries nonzero, "
-        f"max sampled residual {worst:.3e}, at "
+        f"max sampled residual {greek.max_residual:.3e}, at "
         + (", ".join(f"({a},{b})" for a, b in bad) if bad else "none"),
         "exactness requires the compact-compact entry to subtract the "
         "square of the fifth field component",
     ]
-    return _close(_Outcome("measured", worst, samples),
+    return _close(_Outcome("measured", greek.max_residual, greek.samples),
                   _DIRAC_ASSUMPTIONS + (
                       "the printed inverse does not state which indices the "
                       "compact-entry trace runs over; both readings are "

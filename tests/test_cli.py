@@ -1,14 +1,18 @@
 """Command-line behaviour: config parsing, exit codes, report and CSV
 emission, and determinism of the serialized output."""
 import json
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from kk6.cli import CliError, main, parse_config
 
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 GEO_HEADER = "tau," + ",".join(f"re_x{a},im_x{a}" for a in range(6))
 
 
@@ -153,11 +157,34 @@ def test_overflow_note_is_bounded(capsys):
 
 
 def test_exit_2_on_ansatz_domain_error(capsys):
-    code, out, err = run(["curvature", "ansatz=dirac1", "p3=0"], capsys)
-    assert code == 2 and out == ""
-    assert err.startswith("error[ansatz]: ")
-    assert "normalization C is undefined at p3 = 0" in err
-    assert err.count("\n") == 1       # single line
+    # a degenerate input (a zero hbar, a vanishing determinant) is refused
+    # with one error[ansatz] line, never as an internal error
+    for argv, message in (
+            (["curvature", "ansatz=dirac1", "p3=0"],
+             "normalization C is undefined at p3 = 0"),
+            (["curvature", "ansatz=scalar", "hbar=0"], "hbar must be nonzero"),
+            (["verify", "--claim", "ricci.scalar.zero", "perturb=0"],
+             "metric determinant vanishes: det = 0")):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err == f"error[ansatz]: {message}\n"   # single line
+
+
+@pytest.mark.parametrize("argv", [
+    ["fringes", "wavelength=1e-300"],
+    ["verify", "--claim", "interference.minima", "wavelength=1e-12"],
+])
+def test_more_fringe_orders_than_grid_points_fail_fast(argv):
+    # 1e-300 asks for ~1e300 half-integer orders on 1201 points; the child
+    # runs under a time limit so that a search over all of them fails the
+    # test instead of hanging it
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-m", "kk6", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == ("error[runtime]: more fringe orders between the "
+                           "grid ends than its 1201 grid points can "
+                           "resolve\n")
 
 
 def test_exit_2_on_usage_errors(capsys):

@@ -2,12 +2,14 @@
 finite-difference oracle agree on every metric family we can evaluate."""
 import cmath
 import gc
+import inspect
 import random
 import types
 
 import numpy as np
 import pytest
 
+import kk6.curvature
 from kk6.ansatz import (
     coupled_metric, dirac_metric, gravity_metric, onshell_energy,
     photon_metric, proca_metric, scalar_metric, weak_field_block,
@@ -194,7 +196,35 @@ def test_ricci_and_einstein_match_fd_oracle(factory):
 def test_curvature_results_are_cached_per_metric():
     m = _numeric_scalar()
     assert christoffel(m) is christoffel(m)
+    assert ricci(m) is ricci(m)
+    assert ricci_scalar(m) is ricci_scalar(m)
     assert einstein(m) is einstein(m)
+
+
+def test_curvature_stages_are_plain_functions_of_the_module():
+    # tracers wrap the public functions of ``kk6.curvature`` by module
+    for fn, params in ((christoffel, ["metric"]), (ricci, ["metric"]),
+                       (ricci_entry_raw, ["metric", "a", "b"]),
+                       (ricci_scalar, ["metric"]), (einstein, ["metric"])):
+        assert inspect.isfunction(fn)
+        assert fn.__module__ == "kk6.curvature"
+        assert list(inspect.signature(fn).parameters) == params
+
+
+def test_ricci_entry_raw_reuses_the_cached_connection_terms(monkeypatch):
+    # after ``ricci`` the divergence and trace of the connection are cached:
+    # one raw entry is one contraction
+    m = _numeric_proca()
+    ric = ricci(m)
+    calls = []
+    real = kk6.curvature.contract
+
+    def counting(products, ctx):
+        calls.append(ctx)
+        return real(products, ctx)
+    monkeypatch.setattr(kk6.curvature, "contract", counting)
+    assert ricci_entry_raw(m, 0, 3) is ric[0][3]
+    assert len(calls) == 1
 
 
 def _reachable(root):

@@ -230,6 +230,16 @@ def test_root_finder_matches_scipy_brentq_bit_for_bit():
     assert seen > 500
 
 
+def test_fringe_orders_must_fit_on_the_grid():
+    # the default geometry has two half-integer orders between +-15: two
+    # grid points resolve them, four orders need four points
+    assert len(two_path_fringes(10.0, 400.0, 0.5, [-15.0, 15.0]).minima) == 2
+    assert len(two_path_fringes(10.0, 400.0, 0.2,
+                                np.linspace(-15, 15, 4)).minima) == 4
+    with pytest.raises(DynamicsError, match="than its 2 grid points"):
+        two_path_fringes(10.0, 400.0, 0.2, [-15.0, 15.0])
+
+
 def test_import_leaves_scipy_unloaded():
     # scipy is a test-only dependency: start-up must not pay its import
     import subprocess

@@ -1,13 +1,18 @@
 """6x6 metric container: symmetry and inverse machinery."""
 import pytest
 
-from kk6.expr import MINUS_ONE, ONE, ZERO, coords, mul, power, to_text
+import kk6.tensor
+from kk6.expr import (
+    MINUS_ONE, ONE, ZERO, add, coords, mul, power, simplify, to_text,
+)
 from kk6.tensor import (
-    DIM, Metric6, identity_residual, invert_metric, matmul,
-    verify_claimed_inverse,
+    DIM, Metric6, identity_residual, invert_metric, verify_claimed_inverse,
 )
 from kk6.curvature import christoffel
-from kk6.ansatz import photon_metric, scalar_metric
+from kk6.ansatz import (
+    coupled_metric, dirac_metric, gravity_metric, photon_metric,
+    proca_metric, scalar_metric, weak_field_block,
+)
 from kk6.zeros import is_zero
 
 x0, x1, x2, x3, x4, x5 = coords()
@@ -52,14 +57,41 @@ def test_upper_inverts_scalar_mode_metric():
     assert is_zero(m.upper()[4][4] - power(m.lower[4][4], -1)).verdict == "zero"
 
 
-def test_determinant_expansion_matches_matmul_identity():
+def test_determinant_expansion_matches_identity_residual():
     m = scalar_metric().metric
     assert is_zero(m.det() - m.lower[4][4]).verdict == "zero"
-    prod = matmul(m.upper(), m.lower)
-    for a in range(DIM):
-        for b in range(DIM):
-            want = ONE if a == b else ZERO
-            assert is_zero(prod[a][b] - want).verdict == "zero"
+    res = identity_residual(m, m.upper())
+    assert all(is_zero(e).verdict == "zero" for row in res for e in row)
+
+
+# every family of ``golden_metrics.json``, with its printed inverse(s)
+FAMILIES = {
+    "photon": photon_metric,
+    "proca": proca_metric,
+    **{f"dirac{s}": (lambda s=s: dirac_metric(s)) for s in (1, 2, 3, 4)},
+    "coupled": lambda: coupled_metric(1),
+    **{f"gravity-{fam}": (lambda fam=fam: gravity_metric(
+        fam, weak_field_block())) for fam in ("scalar", "proca", "dirac")},
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_identity_residual_is_the_tree_route(family):
+    # one contraction per entry gives the node that simplifying the
+    # row-column sum minus the identity gives
+    mode = FAMILIES[family]()
+    g = mode.metric.lower
+    grids = [getattr(mode, k) for k in ("claimed_upper", "claimed_upper_greek")
+             if hasattr(mode, k)]
+    grids.append(mode.metric.upper())
+    for up in grids:
+        res = identity_residual(mode.metric, up)
+        for a in range(DIM):
+            for b in range(DIM):
+                tree = simplify(add(*(mul(up[a][c], g[c][b])
+                                      for c in range(DIM)),
+                                    MINUS_ONE if a == b else ZERO))
+                assert res[a][b] is tree, (a, b)
 
 
 def test_invert_metric_equals_adjugate_route():
@@ -74,8 +106,9 @@ def test_verify_claimed_inverse_exact_for_photon():
     chk = verify_claimed_inverse(mode.metric, mode.claimed_upper)
     assert chk.exact
     assert chk.failures == ()
-    assert chk.max_residual < chk.tol
+    assert chk.max_residual < 1e-9
     assert chk.structural_zeros == 36    # every entry is literally zero
+    assert chk.samples == 0
 
 
 def test_verify_claimed_inverse_reports_failing_entries():
@@ -85,8 +118,32 @@ def test_verify_claimed_inverse_reports_failing_entries():
     chk = verify_claimed_inverse(mode.metric, wrong)
     assert not chk.exact
     assert (5, 5) in {(a, b) for a, b, _ in chk.failures}
-    assert chk.max_residual >= chk.tol
+    assert chk.max_residual >= 1e-9
     assert chk.structural_zeros == 36 - len(chk.failures)
+
+
+def test_verify_claimed_inverse_tests_only_entries_not_literally_zero(
+        monkeypatch):
+    # the 4d-trace reading of a half-spin inverse leaves some entries
+    # nonzero; only those are sampled, with ``positive`` passed through
+    mode = dirac_metric(1)
+    seen = []
+
+    def counting(e, **kw):
+        seen.append((e, kw["positive"]))
+        return is_zero(e, **kw)
+    monkeypatch.setattr(kk6.tensor, "is_zero", counting)
+    pos = frozenset({"m0"})
+    chk = verify_claimed_inverse(mode.metric, mode.claimed_upper_greek,
+                                 seed=3, trials=8, positive=pos)
+    res = identity_residual(mode.metric, mode.claimed_upper_greek)
+    nonzero = [e for row in res for e in row if e is not ZERO]
+    assert seen and all(e is not ZERO and p == pos for e, p in seen)
+    assert [e for e, _ in seen] == nonzero
+    assert chk.structural_zeros == 36 - len(nonzero)
+    assert chk.samples == sum(is_zero(e, seed=3, trials=8,
+                                      positive=pos).samples for e in nonzero)
+    assert chk.failures
 
 
 def test_flat_connection_vanishes():
