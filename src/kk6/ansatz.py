@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import (
-    Expr, HALF, I, MINUS_ONE, ONE, TWO, ZERO, add, coords, diff,
-    exp, mul, num, power, simplify, sqrt, sym,
+    Expr, HALF, I, MINUS_ONE, ONE, TWO, ZERO, add, context, coords, derive,
+    diff, exp, mul, num, power, simplify, sqrt, sym,
 )
 from .symbols import DEFAULT_TABLE
 from .tensor import DIM, Grid, Metric6
@@ -141,7 +141,7 @@ def scalar_metric(p=None, m0=None, hbar=None) -> ScalarMode:
                     mul(MINUS_ONE, m0v, x[5])),
                 power(hv, -1) if hv != ONE else ONE)
     g44 = exp(mul(num(0, -2), theta))
-    grad = tuple(simplify(diff(theta, x[a].symbol)) for a in IDX5)
+    grad = tuple(derive(theta, x[a].symbol, context()) for a in IDX5)
     rows = kk_rows(_FLAT4, _NO_FIELD)
     rows[4][4] = g44
     metric = Metric6(rows, name="scalar")

@@ -8,17 +8,24 @@ directly from the connection,
 
 never via an intermediate Riemann tensor.  Every symmetric grid (the
 metric derivatives, each Christoffel plane, the divergence of the
-connection, Ricci) is filled in for A <= B and mirrored by one helper;
+connection, Ricci) is filled in for A <= B and mirrored by
+``tensor._mirror``, which also fills the adjugate and the inverse;
 Ricci's symmetry is a theorem here, checked by tests through
 :func:`ricci_entry_raw`.
 
-Every entry is one :func:`~kk6.expr.contract` call: its products are
-expanded once in the polynomial kernel and the canonical tree is built
-once, with no tree per product and none for the sum, and the result is
-the tree that simplifying that sum would give.  Each stage call
+Every derivative (d_C g_AB, d_C Gamma^C_AB and d_B Gamma^C_AC) is one
+:func:`~kk6.expr.derive` call, computed in the polynomial kernel from the
+terms of the entry with no ``diff`` tree; a monomial whose derivative
+factor shares a sum or root with the rest of it takes the tree route
+there.  Every other entry is one :func:`~kk6.expr.contract` call: its
+products are expanded once in the polynomial kernel and the canonical
+tree is built once, with no tree per product and none for the sum, and
+the result is the tree that simplifying that sum would give.  Each stage
+call
 (:func:`christoffel`; :func:`ricci` with the divergence and trace of the
 connection; :func:`ricci_scalar`; :func:`einstein`) runs in one kernel
-context, so each connection entry is read once for all 21 Ricci entries.
+context, so each connection entry is read, and each of its inner sums
+differentiated, once for all 21 Ricci entries.
 Each stage's result is kept in the metric's cache by one memo; the
 context lives for the call, and the cache keeps only trees.
 A product whose factors share a sum or root base (which ``mul`` would
@@ -26,9 +33,9 @@ merge) takes the tree route inside ``contract``.
 """
 from __future__ import annotations
 
-from .expr import Expr, HALF, MINUS_ONE, context, contract, diff, mul
+from .expr import Expr, HALF, MINUS_ONE, context, contract, derive, mul
 from .symbols import COORDS
-from .tensor import DIM, Metric6, _memo
+from .tensor import DIM, Metric6, _memo, _mirror
 
 __all__ = [
     "christoffel", "ricci", "ricci_entry_raw", "ricci_scalar", "einstein",
@@ -37,20 +44,10 @@ __all__ = [
 _MINUS_HALF = mul(MINUS_ONE, HALF)
 
 
-def _mirror(entry, *head) -> tuple:
-    """The symmetric 6x6 grid of ``entry(*head, a, b)``, computed for
-    a <= b."""
-    grid = [[None] * DIM for _ in range(DIM)]
-    for a in range(DIM):
-        for b in range(a, DIM):
-            grid[a][b] = grid[b][a] = entry(*head, a, b)
-    return tuple(tuple(r) for r in grid)
-
-
 def _derivatives(grids, ctx) -> tuple:
     # d_C of the symmetric grid grids[C], indexed [c][a][b]
     def entry(c, a, b):
-        return contract([(diff(grids[c][a][b], COORDS[c]),)], ctx)
+        return derive(grids[c][a][b], COORDS[c], ctx)
     return tuple(_mirror(entry, c) for c in range(DIM))
 
 
@@ -87,7 +84,7 @@ def _ricci_formula(metric: Metric6, ctx, a: int, b: int) -> Expr:
     gamma = christoffel(metric)
     div, trace = _connection_terms(metric, ctx)
     parts = [(div[c][a][b],) for c in range(DIM)]
-    parts.append((MINUS_ONE, diff(trace[a], COORDS[b])))
+    parts.append((MINUS_ONE, derive(trace[a], COORDS[b], ctx)))
     parts += ((gamma[c][a][b], trace[c]) for c in range(DIM))
     parts += ((MINUS_ONE, gamma[c][a][d], gamma[d][b][c])
               for c in range(DIM) for d in range(DIM))

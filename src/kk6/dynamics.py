@@ -23,7 +23,8 @@ import numpy as np
 
 from .curvature import christoffel
 from .expr import (
-    Expr, MINUS_ONE, ZERO, add, diff, exp, mul, num, simplify, subs, sym,
+    Expr, MINUS_ONE, ZERO, add, context, derive, exp, mul, num, simplify, subs,
+    sym,
 )
 from .oracle import metric_evaluator, tensor_evaluator
 from .symbols import DEFAULT_TABLE
@@ -99,8 +100,8 @@ def closed_form_exprs() -> ClosedForm:
     x[4] = add(c[4], mul(t, exp(mul(num(0, 1), theta))))
     x = [simplify(subs(e, shell)) for e in x]
 
-    v = tuple(simplify(diff(e, t)) for e in x)
-    acc = tuple(simplify(diff(e, t)) for e in v)
+    v = tuple(derive(e, t, context()) for e in x)
+    acc = tuple(derive(e, t, context()) for e in v)
 
     metric = scalar_metric(p=(_onshell_expr(), p[1], p[2], p[3])).metric
     gamma = christoffel(metric)

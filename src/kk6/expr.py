@@ -71,6 +71,22 @@ each product, computed in the same kernel without building those trees.
 Calls that share a :func:`context` share its layout and memos, so an
 operand is read once for all of them.
 
+:func:`derive` is the entry point for derivatives: its result is
+``simplify`` of :func:`diff`, computed in the same kernel from the terms of
+its input with no derivative tree.  A symbol's exponent field shifts and
+scales the coefficient, an ``exp`` group gains its argument's derivative, a
+root ``sqrt(a)`` gains ``a^-1 * a' / 2`` and a sum atom ``S^n`` becomes
+``n * S^(n-1) * S'``, with the derivatives of inner sums, arguments and
+radicands memoized in the context.  Its guard follows ``contract``'s: a
+monomial in which ``mul`` could merge a sum or root of the rest with one
+that its derivative factor brings takes the tree route, and so does an
+input that is not its own ``simplify`` result.  :func:`diff` keeps building
+the derivative tree for its other callers; both return ``ZERO`` at once for
+a symbol that is not free in the input.
+
+:func:`to_text` renders each distinct node once per call, however often the
+tree shares it.
+
 :func:`simplify` caches its result on each node it simplifies, input and
 subexpressions alike.  The cache depends only on the node's structure and
 lives as long as the node, so simplifying a live expression again, in a
@@ -89,7 +105,8 @@ from .symbols import DEFAULT_TABLE, Symbol
 __all__ = [
     "Expr", "Num", "Sym", "Pow", "Exp", "Sqrt", "Conj", "Mul", "Add",
     "num", "sym", "coords", "add", "mul", "power", "exp", "sqrt", "conj",
-    "diff", "subs", "simplify", "context", "contract", "free_symbols",
+    "diff", "derive", "subs", "simplify", "context", "contract",
+    "free_symbols",
     "to_text",
     "ZERO", "ONE", "MINUS_ONE", "TWO", "HALF", "I",
     "ExprError", "DomainError", "EvalError",
@@ -580,7 +597,13 @@ def _resolve_symbol(s) -> Symbol:
 
 
 def diff(e: Expr, s) -> Expr:
-    return _diff(e, _resolve_symbol(s), {})
+    """The derivative tree, built by the product and chain rules; ``ZERO``
+    at once when ``s`` is not a free symbol of ``e``, which is what every
+    rule gives then."""
+    target = _resolve_symbol(s)
+    if target not in free_symbols(e):
+        return ZERO
+    return _diff(e, target, {})
 
 
 # The walkers below are module-level functions that take their memo as an
@@ -697,7 +720,8 @@ class _Ctx:
     call."""
 
     __slots__ = ("width", "half", "mask", "bias", "polys", "exps", "fkeys",
-                 "factors", "fields", "atoms", "roots", "watch")
+                 "factors", "fields", "atoms", "roots", "watch", "derivs",
+                 "dtrees", "nests")
 
     def __init__(self, width: int):
         self.width = width
@@ -712,6 +736,9 @@ class _Ctx:
         self.atoms: list = []       # index -> field atom
         self.roots: list = [None]   # bit index -> Sqrt atom (0 is i)
         self.watch: list[int] = []  # sums read under a positive power
+        self.derivs: dict = {}      # (tree, symbol) -> its derivative's _Poly
+        self.dtrees: dict = {}      # (tree, symbol) -> its derivative's tree
+        self.nests: dict = {}       # tree -> the sums and roots inside it
 
 
 def _field(ctx: _Ctx, atom: Expr) -> int:
@@ -761,7 +788,7 @@ def _read(ctx: _Ctx, e: Expr) -> _Poly:
         for f in e.factors[1:]:
             p = _times(ctx, p, _read(ctx, f))
     else:
-        rows, den, mx = [], 1, 0
+        rows, mx = [], 0
         for t in (e.terms if isinstance(e, Add) else (e,)):
             if isinstance(t, Num):
                 c, fs = t, ()
@@ -781,21 +808,27 @@ def _read(ctx: _Ctx, e: Expr) -> _Poly:
                 k += fk
                 mx = max(mx, fm)
             ctx.factors[ex, bits, k] = fs
-            rows.append((ex, bits, k, c))
-            den = lcm(den, c.re.denominator, c.im.denominator)
-        if mx >= ctx.half:
-            raise _Widen
-        groups: dict = {}
-        for ex, bits, k, c in rows:
-            if c.re:
-                groups.setdefault((ex, bits), {})[k] = \
-                    c.re.numerator * (den // c.re.denominator)
-            if c.im:
-                groups.setdefault((ex, bits | 1), {})[k] = \
-                    c.im.numerator * (den // c.im.denominator)
-        p = _Poly(den, groups, mx)
+            rows.append((ex, bits, k, c.re, c.im))
+        p = _rows(ctx, rows, mx)
     ctx.polys[e] = p
     return p
+
+
+def _rows(ctx: _Ctx, rows: list, mx: int) -> _Poly:
+    """The polynomial of distinct monomials ``(exp argument, root bits,
+    packed exponent, re, im)``, over their least common denominator."""
+    if mx >= ctx.half:
+        raise _Widen
+    den = lcm(*(f.denominator for row in rows for f in row[3:]))
+    groups: dict = {}
+    for ex, bits, k, re, im in rows:
+        if re:
+            groups.setdefault((ex, bits), {})[k] = \
+                re.numerator * (den // re.denominator)
+        if im:
+            groups.setdefault((ex, bits | 1), {})[k] = \
+                im.numerator * (den // im.denominator)
+    return _Poly(den, groups, mx)
 
 
 def _times(ctx: _Ctx, p: _Poly, q: _Poly) -> _Poly:
@@ -1118,6 +1151,161 @@ def _merges(factors: list) -> bool:
     return False
 
 
+def derive(e: Expr, s, ctx: _Ctx) -> Expr:
+    """The simplified derivative: by definition ``simplify(diff(e, s))``,
+    node for node.
+
+    It is computed in the polynomial kernel from the terms of ``e``,
+    without a derivative tree.  In each monomial a power of the symbol
+    shifts its exponent field and scales the coefficient; an ``exp``
+    factor stays and gains its argument's derivative; a root
+    ``sqrt(a)`` stays and gains ``HALF * a^-1 * a'``, which is what
+    ``power(sqrt(a), -1)`` expands to; a sum atom ``S^n`` becomes
+    ``n * S^(n-1) * S'``.  The derivatives of sums, arguments and
+    radicands are memoized in ``ctx``.  Two cases take the tree route,
+    ``simplify`` of ``diff``: an ``e`` that is not its own ``simplify``
+    result, whole; and a monomial in which ``mul`` could merge a sum or
+    root of the rest with one its derivative factor brings (the rule of
+    :func:`contract`'s guard), or which holds a sum at a power that
+    ``simplify`` would expand, alone.  ``e`` free of ``s`` gives ``ZERO``
+    at once."""
+    target = _resolve_symbol(s)
+    if target not in free_symbols(e):
+        return ZERO
+    while True:
+        try:
+            if _simplified(e, ctx) is not e:
+                return _simplified(_diff(e, target, {}), ctx)
+            r = _build(ctx, _dpoly(ctx, e, target))
+            break
+        except _Widen:
+            ctx = _Ctx(ctx.width * 2)
+    if r._simp is None:
+        r._simp = _SELF
+    return r
+
+
+def _dpoly(ctx: _Ctx, e: Expr, target: Symbol) -> _Poly:
+    """The polynomial of ``simplify(diff(e, target))`` for an ``e`` that is
+    its own ``simplify`` result (memoized per context)."""
+    key = (e, target)
+    got = ctx.derivs.get(key)
+    if got is not None:
+        return got
+    parts: list = []
+    for t in (e.terms if isinstance(e, Add) else (e,)):
+        if target not in free_symbols(t):
+            continue
+        d = _dterm(ctx, t, target)
+        if d is None:
+            d = [_read(ctx, _simplified(_diff(t, target, {}), ctx))]
+        parts += d
+    got = ctx.derivs[key] = _sum(parts) if parts else _Poly(1, {}, 0)
+    return got
+
+
+def _dterm(ctx: _Ctx, t: Expr, target: Symbol):
+    """The derivative of one canonical term as polynomials to be summed:
+    one per factor in which the symbol is free (a power of the symbol
+    itself shifts its exponent), or ``None`` where the term takes the tree
+    route."""
+    if isinstance(t, Mul):
+        fs = t.factors
+        c = ONE
+        if isinstance(fs[0], Num):
+            c, fs = fs[0], fs[1:]
+    else:
+        c, fs = ONE, (t,)
+    ex, bits, k, mx = ZERO, 0, 0, 0
+    bases = []
+    for f in fs:
+        b, n = (f.base, f.n) if isinstance(f, Pow) else (f, 1)
+        if isinstance(b, Add):
+            if 1 <= n <= _EXPAND_POW_CAP:
+                return None             # ``simplify`` would expand it
+            bases.append(b)
+        elif isinstance(b, Sqrt):
+            bases.append(b)
+        fe, fb, fk, fm = _factor_key(ctx, f)
+        if fe is not ZERO:
+            ex = fe
+        bits |= fb
+        k += fk
+        mx = max(mx, fm)
+    mx += 1                             # a shift moves one field by one
+    rows, polys = [], []
+    for f in fs:
+        if target not in free_symbols(f):
+            continue
+        b, n = (f.base, f.n) if isinstance(f, Pow) else (f, 1)
+        if isinstance(b, Sym):
+            unit = 1 << (ctx.width * ctx.fields[b])
+            rows.append((ex, bits, k - unit, c.re * n, c.im * n))
+            continue
+        if isinstance(b, Add):
+            if n == _EXPAND_POW_CAP + 1:
+                return None             # S^(n-1) would be expanded
+            inner, re, im = b, c.re * n, c.im * n
+        elif isinstance(f, Exp):
+            inner, re, im, n = f.arg, c.re, c.im, 0
+        elif isinstance(f, Sqrt) and isinstance(f.arg, (Add, Sym)):
+            inner, re, im, n = f.arg, c.re / 2, c.im / 2, -1
+        else:
+            return None                 # conj(target) raises there
+        if _tangled(ctx, b, bases, target):
+            return None
+        shift = -1 << (ctx.width * _field(ctx, inner)) if n else 0
+        mono = _rows(ctx, [(ex, bits, k + shift, re, im)], mx)
+        polys.append(_times(ctx, mono, _dpoly(ctx, inner, target)))
+    if rows:
+        polys.append(_rows(ctx, rows, mx))
+    return polys
+
+
+def _tangled(ctx: _Ctx, own: Expr, bases: list, target: Symbol) -> bool:
+    """Whether ``mul`` could merge a sum or root base of the rest of a
+    term (``bases`` without ``own``) with one that the derivative of the
+    factor on base ``own`` brings: a sum or root inside it, or the
+    derivative of a sum inside it."""
+    rest = [b for b in bases if b is not own]
+    if not rest:
+        return False
+    inner = _nest(ctx, own)
+    if any(b in inner for b in rest):
+        return True
+    sums = [b for b in rest if isinstance(b, Add)]
+    for u in inner if sums else ():
+        if isinstance(u, Add) and target in free_symbols(u):
+            key = (u, target)
+            d = ctx.dtrees.get(key)
+            if d is None:
+                d = ctx.dtrees[key] = _build(ctx, _dpoly(ctx, u, target))
+            if d in sums:
+                return True
+    return False
+
+
+def _nest(ctx: _Ctx, e: Expr) -> frozenset:
+    """The sums and roots in ``e``, itself included (memoized per context)."""
+    got = ctx.nests.get(e)
+    if got is None:
+        if isinstance(e, Add):
+            kids = e.terms
+        elif isinstance(e, Mul):
+            kids = e.factors
+        elif isinstance(e, Pow):
+            kids = (e.base,)
+        elif isinstance(e, (Exp, Sqrt)):
+            kids = (e.arg,)
+        else:
+            kids = ()
+        got = frozenset().union(*(_nest(ctx, x) for x in kids))
+        if isinstance(e, (Add, Sqrt)):
+            got |= {e}
+        ctx.nests[e] = got
+    return got
+
+
 def free_symbols(e: Expr) -> frozenset[Symbol]:
     if e._free is not None:
         return e._free
@@ -1171,19 +1359,27 @@ def _num_text(node: Num) -> tuple[str, int]:
     return f"({_rat_text(re_)}{op}{_imag_text(abs(im_))})", _P_ATOM
 
 
-def _render(e: Expr) -> tuple[str, int]:
+def _text(e: Expr, memo: dict) -> tuple[str, int]:
+    # each distinct node is rendered once per ``to_text`` call
+    got = memo.get(e)
+    if got is None:
+        got = memo[e] = _render(e, memo)
+    return got
+
+
+def _render(e: Expr, memo: dict) -> tuple[str, int]:
     if isinstance(e, Num):
         return _num_text(e)
     if isinstance(e, Sym):
         return e.symbol.name, _P_ATOM
     if isinstance(e, Exp):
-        return f"exp({_render(e.arg)[0]})", _P_ATOM
+        return f"exp({_text(e.arg, memo)[0]})", _P_ATOM
     if isinstance(e, Sqrt):
-        return f"sqrt({_render(e.arg)[0]})", _P_ATOM
+        return f"sqrt({_text(e.arg, memo)[0]})", _P_ATOM
     if isinstance(e, Conj):
-        return f"conj({_render(e.arg)[0]})", _P_ATOM
+        return f"conj({_text(e.arg, memo)[0]})", _P_ATOM
     if isinstance(e, Pow):
-        bs, bp = _render(e.base)
+        bs, bp = _text(e.base, memo)
         if bp < _P_POW:
             bs = f"({bs})"
         return f"{bs}^{e.n}", _P_POW
@@ -1193,13 +1389,13 @@ def _render(e: Expr) -> tuple[str, int]:
         if isinstance(factors[0], Num) and factors[0] == MINUS_ONE:
             prefix, factors = "-", factors[1:]
             if len(factors) == 1:
-                s, p = _render(factors[0])
+                s, p = _text(factors[0], memo)
                 if p < _P_MUL:
                     s = f"({s})"
                 return prefix + s, _P_UNARY
         parts = []
         for f in factors:
-            s, p = _render(f)
+            s, p = _text(f, memo)
             if p < _P_MUL:
                 s = f"({s})"
             parts.append(s)
@@ -1207,7 +1403,7 @@ def _render(e: Expr) -> tuple[str, int]:
     if isinstance(e, Add):
         out = []
         for i, t in enumerate(e.terms):
-            s, _ = _render(t)
+            s, _ = _text(t, memo)
             if i == 0:
                 out.append(s)
             elif s.startswith("-"):
@@ -1219,7 +1415,9 @@ def _render(e: Expr) -> tuple[str, int]:
 
 
 def to_text(e: Expr) -> str:
-    return _render(e)[0]
+    """The text of ``e``, which ``kk6.parse`` reads back to ``e``; a node
+    shared within ``e`` is rendered once."""
+    return _text(e, {})[0]
 
 
 # ---------------------------------------------------------------------------

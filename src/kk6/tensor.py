@@ -4,14 +4,18 @@ Metrics are symmetric grids of canonical expressions over the six
 coordinates.  Inversion is exact adjugate-over-determinant with memoized
 minor expansion (block sparsity keeps this cheap for the engine's metric
 families, whose determinants collapse to +-1 or a single phase factor).
-Minors and the determinant are built as trees and simplified.  Each entry
-of the inverse, and each entry of a claimed inverse's residual
-``claimed * g - I`` (its row-column products, with -1 on the diagonal), is
-one :func:`~kk6.expr.contract` call, expanded once in the polynomial
-kernel, with one kernel context per call of :func:`invert_metric` or
-:func:`identity_residual`.  An adjugate entry can be the determinant's own
-sum, which ``mul`` cancels against its inverse: such a product takes the
-tree route inside ``contract``.  :func:`verify_claimed_inverse` grades a
+Minors and the determinant are built as trees and simplified.  The
+adjugate and the inverse of a symmetric grid are symmetric, so both are
+computed for i <= j and mirrored by ``_mirror``, which fills every
+symmetric grid of the curvature stages too: 21 minors and 21 inverse
+entries, not 36; a test checks each mirrored adjugate entry against the
+transposed minor.  Each entry of the inverse, and each entry of a claimed
+inverse's residual ``claimed * g - I`` (its row-column products, with -1
+on the diagonal), is one :func:`~kk6.expr.contract` call, expanded once
+in the polynomial kernel, with one kernel context per call of
+:func:`invert_metric` or :func:`identity_residual`.  An adjugate entry
+can be the determinant's own sum, which ``mul`` cancels against its
+inverse: such a product takes the tree route inside ``contract``.  :func:`verify_claimed_inverse` grades a
 residual: entries that are literally zero count as structural zeros, and
 every other entry gets a seeded zero test.
 """
@@ -134,20 +138,30 @@ def determinant(grid: Grid) -> Expr:
     return simplify(_minor(grid, _IDX, _IDX, {}))
 
 
+def _mirror(entry, *head) -> Grid:
+    """The symmetric 6x6 grid of ``entry(*head, a, b)``, computed for
+    a <= b."""
+    grid = [[None] * DIM for _ in range(DIM)]
+    for a in range(DIM):
+        for b in range(a, DIM):
+            grid[a][b] = grid[b][a] = entry(*head, a, b)
+    return tuple(tuple(r) for r in grid)
+
+
 def adjugate(grid: Grid) -> Grid:
+    """The adjugate of ``grid``, which must be symmetric, as
+    ``Metric6.lower`` is: the adjugate of a symmetric matrix is symmetric,
+    so its signed minors are simplified for i <= j and mirrored."""
     memo: dict = {}
-    out = []
-    for i in range(DIM):
-        row = []
-        for j in range(DIM):
-            rows = tuple(r for r in _IDX if r != j)
-            cols = tuple(c for c in _IDX if c != i)
-            m = _minor(grid, rows, cols, memo)
-            if (i + j) % 2:
-                m = mul(MINUS_ONE, m)
-            row.append(simplify(m))
-        out.append(tuple(row))
-    return tuple(out)
+
+    def entry(i, j):
+        rows = tuple(r for r in _IDX if r != j)
+        cols = tuple(c for c in _IDX if c != i)
+        m = _minor(grid, rows, cols, memo)
+        if (i + j) % 2:
+            m = mul(MINUS_ONE, m)
+        return simplify(m)
+    return _mirror(entry)
 
 
 def invert_metric(metric: Metric6) -> Grid:
@@ -163,9 +177,7 @@ def invert_metric(metric: Metric6) -> Grid:
     inv_det = power(det, -1)
     adj = adjugate(metric.lower)
     ctx = context()
-    return tuple(tuple(contract([(adj[a][b], inv_det)], ctx)
-                       for b in range(DIM))
-                 for a in range(DIM))
+    return _mirror(lambda a, b: contract([(adj[a][b], inv_det)], ctx))
 
 
 def identity_residual(metric: Metric6, claimed_upper: Grid) -> Grid:

@@ -10,8 +10,8 @@ import pytest
 from kk6 import expr as kernel
 from kk6.expr import (
     Add, Conj, DomainError, EvalError, Exp, HALF, I, MINUS_ONE, Mul, Num,
-    ONE, Pow, Sqrt, TWO, ZERO, add, conj, coords, diff, exp, free_symbols,
-    mul, num, power, simplify, sqrt, subs, sym, to_text,
+    ONE, Pow, Sqrt, TWO, ZERO, add, conj, context, coords, derive, diff, exp,
+    free_symbols, mul, num, power, simplify, sqrt, subs, sym, to_text,
 )
 from kk6.oracle import compile_expr
 from kk6.zeros import evaluate, is_zero, scaled_eval
@@ -140,8 +140,12 @@ def test_diff_wrt_conjugated_symbol_raises():
     from kk6.symbols import DEFAULT_TABLE
     DEFAULT_TABLE.register("zc_test", real=False)
     z = sym("zc_test")
-    with pytest.raises(DomainError):
-        diff(conj(z), "zc_test")
+    # the symbol is free in each, so no shortcut skips the walk
+    for e in (conj(z), mul(x0, conj(z)), exp(conj(z)), sqrt(conj(z))):
+        with pytest.raises(DomainError):
+            diff(e, "zc_test")
+        with pytest.raises(DomainError):
+            derive(simplify(e), "zc_test", context())
     assert diff(conj(z), "x0") == ZERO
 
 
@@ -338,6 +342,7 @@ _ENV = {f"x{i}": 0.25 * (i + 1) for i in range(4)}
 WALKERS = {
     "simplify": simplify,
     "diff": lambda e: diff(e, "x1"),
+    "derive": lambda e: derive(e, "x1", context()),
     "subs": lambda e: subs(e, {"x2": x1}),
     "scaled_eval": lambda e: scaled_eval(e, _ENV),
     "compile_expr": lambda e: compile_expr(e)([0.5] * 6),
@@ -392,6 +397,56 @@ def _count_calls(monkeypatch, name):
     monkeypatch.setattr(
         kernel, name, lambda *args: calls.append(args) or original(*args))
     return calls
+
+
+def test_diff_of_an_absent_symbol_builds_nothing(monkeypatch):
+    # every rule gives 0 when the symbol is not free, so neither walks
+    e = _fresh(14)
+    assert x5.symbol not in free_symbols(e)
+    sums = _count_calls(monkeypatch, "add")
+    products = _count_calls(monkeypatch, "mul")
+    assert diff(e, "x5") is ZERO
+    assert derive(e, "x5", context()) is ZERO
+    assert sums == [] and products == []
+    diff(e, "x1")                       # the patch is live
+    assert sums and products
+
+
+class _Forget(dict):
+    """A memo that keeps nothing, so a shared node is rendered on every
+    path that reaches it."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _distinct(e) -> set:
+    seen, stack = set(), [e]
+    while stack:
+        n = stack.pop()
+        if n in seen:
+            continue
+        seen.add(n)
+        if isinstance(n, Add):
+            stack.extend(n.terms)
+        elif isinstance(n, Mul):
+            stack.extend(n.factors)
+        elif isinstance(n, Pow):
+            stack.append(n.base)
+        elif isinstance(n, (Exp, Sqrt, Conj)):
+            stack.append(n.arg)
+    return seen
+
+
+def test_to_text_renders_each_distinct_node_once(monkeypatch):
+    # every level uses the one below three times: 3^8 paths from the top
+    e = x0
+    for i in range(8):
+        e = add(mul(e, exp(e)), mul(num(i + 2), e))
+    renders = _count_calls(monkeypatch, "_render")
+    text = to_text(e)
+    assert len(renders) == len(_distinct(e))
+    assert text == kernel._text(e, _Forget())[0]
 
 
 def test_add_passes_distinct_terms_through(monkeypatch):

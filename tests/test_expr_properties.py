@@ -2,8 +2,8 @@
 ``mul`` ignore the order and grouping of their arguments, a product holds
 each base once and a term minus itself is zero, ``simplify`` is
 value-preserving and idempotent and agrees with the tree expansion it
-replaced, ``contract`` is the tree route it stands for, node for node,
-printing round-trips through the parser, ``diff`` agrees with
+replaced, ``contract`` and ``derive`` are the tree routes they stand for,
+node for node, printing round-trips through the parser, ``diff`` agrees with
 central finite differences, and ``scaled_eval``'s tape gives the recursive
 walk's numbers and failures bit for bit."""
 import cmath
@@ -17,9 +17,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
 from kk6.expr import (  # noqa: E402
-    MINUS_ONE, ONE, ZERO, Add, Conj, EvalError, Exp, Expr, Mul, Num, Pow,
-    Sqrt, Sym, add, conj, context, contract, coords, diff, exp, free_symbols,
-    mul, num, power, simplify, sqrt, sym, to_text,
+    MINUS_ONE, ONE, ZERO, Add, Conj, DomainError, EvalError, Exp, Expr, Mul,
+    Num, Pow, Sqrt, Sym, add, conj, context, contract, coords, derive, diff,
+    exp, free_symbols, mul, num, power, simplify, sqrt, sym, to_text,
 )
 from kk6.parse import parse_expression  # noqa: E402
 from kk6.symbols import DEFAULT_TABLE  # noqa: E402
@@ -199,6 +199,9 @@ def test_simplify_matches_the_tree_expansion(e):
     assert simplify(e) is _reference_simplify(e, {})
 
 
+# The tree route goes first in each check: ``contract`` marks its result as
+# its own ``simplify`` result, so a wrong result met first would be served
+# from that cache to the tree route.
 def _tree_route(products) -> Expr:
     return simplify(add(*(mul(*p) for p in products)))
 
@@ -210,7 +213,7 @@ products = st.lists(st.lists(exprs, min_size=1, max_size=3).map(tuple),
 @PROPERTY
 @given(products)
 def test_contract_is_the_tree_route(ps):
-    assert contract(ps, context()) is _tree_route(ps)
+    assert _tree_route(ps) is contract(ps, context())
 
 
 @settings(PROPERTY, max_examples=40)
@@ -219,7 +222,7 @@ def test_contract_in_a_shared_context_is_the_tree_route(calls):
     # reads, exp sums and registered atoms carry over between calls
     ctx = context()
     for ps in calls:
-        assert contract(ps, ctx) is _tree_route(ps)
+        assert _tree_route(ps) is contract(ps, ctx)
 
 
 _S = add(X1, ONE)
@@ -243,7 +246,7 @@ _R = add(mul(X1, X1), ONE)
 ], ids=["inverse", "inverse-in-a-product", "nine-copies", "ninth-power",
         "root-of-a-product", "root-of-a-sum"])
 def test_contract_takes_the_tree_route_where_mul_merges(ps):
-    assert contract(ps, context()) is _tree_route(ps)
+    assert _tree_route(ps) is contract(ps, context())
 
 
 def test_contract_multiplies_in_muls_order():
@@ -251,18 +254,18 @@ def test_contract_multiplies_in_muls_order():
     # mul's order takes the third first, so the fold meets R^-1 and
     # cancels; the written order would expand R before it meets R^-1
     ps = [(add(X1, sqrt(_R)), add(X2, sqrt(_R)), add(X0, power(_R, -1)))]
-    assert contract(ps, context()) is _tree_route(ps)
+    assert _tree_route(ps) is contract(ps, context())
 
 
 def test_contract_widens_only_the_call_that_overflows():
     ctx = context()
     big = [(power(X1, 2**31 + 5), power(X2, 3)), (power(X1, 2**30),) * 2]
-    assert contract(big, ctx) is _tree_route(big)
+    assert _tree_route(big) is contract(big, ctx)
     assert ctx.width == 32
     # the shared context goes on at its own width
     small = [(X1, _S), (MINUS_ONE, X1, X2)]
-    assert contract(small, ctx) is _tree_route(small)
-    assert contract(iter(big), ctx) is _tree_route(big)
+    assert _tree_route(small) is contract(small, ctx)
+    assert _tree_route(big) is contract(iter(big), ctx)
 
 
 def test_contract_of_nothing_is_zero_and_an_empty_product_is_one():
@@ -401,3 +404,102 @@ def test_scaled_eval_fails_where_the_recursive_walk_fails(
         scaled_eval(e, env)
     assert str(got.value) == str(want.value)
     assert got.value.subtree is want.value.subtree
+
+
+# ``derive`` against the tree route it stands for.  Its strategy adds sums
+# under negative powers and roots of sums to ``exprs``, from a pool in
+# which one sum is another's derivative, so that the derivative factor of a
+# monomial meets a sum or root of the rest of it.
+_DERIVED = add(mul(X0, X1), X0)            # d/dx0 is _S = x1 + 1
+_POOL = (_S, _DERIVED, _R, add(mul(X0, X0), X2))
+pooled = st.one_of(
+    st.builds(power, st.sampled_from(_POOL), st.sampled_from((-2, -1, 9))),
+    st.sampled_from(_POOL).map(sqrt),
+)
+
+
+def _extend_derivable(children):
+    sums = st.lists(children, min_size=2, max_size=3).map(lambda ts: add(*ts))
+    return st.one_of(
+        _extend(children),
+        # a sum that collapsed to a number stays as it is: 0^-1 is no node
+        st.builds(lambda u, n: u if isinstance(u, Num) else power(u, n),
+                  sums, st.integers(-2, -1)),
+        sums.map(sqrt),
+    )
+
+
+derivables = st.one_of(
+    st.recursive(st.one_of(leaves, pooled), _extend_derivable, max_leaves=6),
+    st.lists(st.one_of(pooled, exprs), min_size=2, max_size=3).map(
+        lambda fs: mul(*fs)),
+)
+TARGETS = (X0, X1, W)
+
+
+def _tree_derivative(e, s):
+    try:
+        return simplify(diff(e, s))
+    except DomainError:
+        return DomainError
+
+
+def _derivative(e, s, ctx):
+    try:
+        return derive(e, s, ctx)
+    except DomainError:
+        return DomainError
+
+
+# As for ``contract``, the tree route goes first in each check.
+@PROPERTY
+@given(derivables)
+def test_derive_is_the_tree_route(e):
+    for x in (e, simplify(e)):
+        for s in TARGETS:
+            want = _tree_derivative(x, s)
+            assert _derivative(x, s, context()) is want
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.lists(st.tuples(derivables, st.sampled_from(TARGETS)),
+                min_size=2, max_size=4))
+def test_derive_in_a_shared_context_is_the_tree_route(calls):
+    # derivatives of sums, arguments and radicands carry over
+    ctx = context()
+    for e, s in calls:
+        x = simplify(e)
+        want = _tree_derivative(x, s)
+        assert _derivative(x, s, ctx) is want
+
+
+_A = add(X0, X1)
+
+
+@pytest.mark.parametrize("e, s", [
+    # d/dx0 of x0 + x0*x1 is 1 + x1, which mul merges with its inverse
+    (mul(power(_DERIVED, -1), power(_S, -1)), X0),
+    # S^9 gives 9*S^8*S', and simplify expands S^8
+    (mul(power(_S, 9), X2), X1),
+    # the root's derivative brings R^-1, and R^9 R^-1 = R^8 is expanded
+    (mul(power(_R, 9), sqrt(_R)), X1),
+    # a root of the rest meets the same root in the derivative factor
+    (mul(sqrt(_R), power(add(X2, sqrt(_R)), -1)), X1),
+    # the derivative factor brings S^-2, and S^10 S^-2 = S^8 is expanded
+    (mul(power(_S, 10), power(add(mul(X0, power(_S, -2)), X2), -1)), X0),
+    # simplify leaves (x0 + x1)^8 unexpanded here, and expands it when it
+    # meets it again in a fresh tree
+    (mul(power(_A, 9), add(X2, power(_A, -1))), X0),
+], ids=["derived-sum", "ninth-power", "root-at-ninth-power", "shared-root",
+        "sum-inside", "unexpanded-power"])
+def test_derive_takes_the_tree_route_where_mul_merges(e, s):
+    x = simplify(e)
+    want = simplify(diff(x, s))
+    assert derive(x, s, context()) is want
+
+
+def test_derive_of_an_unsimplified_input_is_the_tree_route():
+    e = mul(add(X0, X1), exp(mul(X0, X1)), power(_S, -1))
+    assert simplify(e) is not e
+    want = simplify(diff(e, X1))
+    assert derive(e, X1, context()) is want

@@ -16,7 +16,9 @@ a kernel change that alters any canonical form shows here.
 ``golden_symbolic.json`` holds the sha256 of the ``kk6 curvature
 ansatz=dirac1`` report (without ``timing``) at default, symbolic
 parameters: its 0.64 MB of canonical forms come from the inverse,
-Christoffel, Ricci and Einstein contractions over symbolic momenta.
+Christoffel, Ricci and Einstein contractions over symbolic momenta.  It
+also holds the digest of the report at ``p1=1/2 p2=1/3 p3=1/4 m0=1``,
+whose on-shell ``p0 = sqrt(205)/12`` puts a root in every entry.
 
 ``golden_metrics.json`` holds one sha256 per metric family, of the
 printed metric entries and claimed inverse(s) at default (symbolic)
@@ -111,19 +113,26 @@ def test_curvature_report_matches_golden(aid):
     assert _curvature_text(aid) == json.dumps(golden[aid], indent=1)
 
 
-# ansatz inputs at default parameters whose report digest is pinned; the
-# ``coupled`` and ``gravity-dirac`` ones take 4-10 s each, too long here
-SYMBOLIC = ("dirac1",)
+# label -> (ansatz, CLI arguments) of the symbolic reports whose digest is
+# pinned: ``dirac1`` at default parameters, and at a point with p2 != 0 and
+# an irrational p0, which the benchmark inputs never reach; the default
+# ``coupled`` and ``gravity-dirac`` reports take 4-10 s each, too long here
+SYMBOLIC = {
+    "dirac1": ("dirac1", ()),
+    "dirac1 p1=1/2 p2=1/3 p3=1/4 m0=1": (
+        "dirac1", ("p1=1/2", "p2=1/3", "p3=1/4", "m0=1")),
+}
 
 
-def _symbolic_digest(aid: str) -> str:
-    return hashlib.sha256(_curvature_text(aid, ()).encode()).hexdigest()
+def _symbolic_digest(label: str) -> str:
+    aid, args = SYMBOLIC[label]
+    return hashlib.sha256(_curvature_text(aid, args).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("aid", SYMBOLIC)
-def test_symbolic_curvature_report_matches_golden(aid):
+@pytest.mark.parametrize("label", sorted(SYMBOLIC))
+def test_symbolic_curvature_report_matches_golden(label):
     golden = json.loads(GOLDEN_SYMBOLIC.read_text())
-    assert _symbolic_digest(aid) == golden[aid]
+    assert _symbolic_digest(label) == golden[label]
 
 
 def _dirac_grids(sol: int):
@@ -167,4 +176,5 @@ if __name__ == "__main__":
     GOLDEN_METRICS.write_text(json.dumps(
         {f: _metric_digest(f) for f in sorted(METRICS)}, indent=1) + "\n")
     GOLDEN_SYMBOLIC.write_text(json.dumps(
-        {aid: _symbolic_digest(aid) for aid in SYMBOLIC}, indent=1) + "\n")
+        {label: _symbolic_digest(label) for label in sorted(SYMBOLIC)},
+        indent=1) + "\n")

@@ -1,12 +1,14 @@
 """6x6 metric container: symmetry and inverse machinery."""
 import pytest
 
+import kk6.expr
 import kk6.tensor
 from kk6.expr import (
     MINUS_ONE, ONE, ZERO, add, coords, mul, power, simplify, to_text,
 )
 from kk6.tensor import (
-    DIM, Metric6, identity_residual, invert_metric, verify_claimed_inverse,
+    DIM, Metric6, adjugate, identity_residual, invert_metric,
+    verify_claimed_inverse,
 )
 from kk6.curvature import christoffel
 from kk6.ansatz import (
@@ -92,6 +94,45 @@ def test_identity_residual_is_the_tree_route(family):
                                       for c in range(DIM)),
                                     MINUS_ONE if a == b else ZERO))
                 assert res[a][b] is tree, (a, b)
+
+
+def _full_adjugate(grid):
+    # all 36 signed minors, each expanded along its own first row
+    memo = {}
+    out = []
+    for i in range(DIM):
+        row = []
+        for j in range(DIM):
+            m = kk6.tensor._minor(grid, tuple(r for r in range(DIM) if r != j),
+                                  tuple(c for c in range(DIM) if c != i), memo)
+            row.append(simplify(mul(MINUS_ONE, m) if (i + j) % 2 else m))
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_mirrored_adjugate_is_the_full_minor_expansion(family):
+    # the transposed minor, expanded along the other index, simplifies to
+    # the same node
+    grid = FAMILIES[family]().metric.lower
+    full = _full_adjugate(grid)
+    adj = adjugate(grid)
+    for a in range(DIM):
+        for b in range(DIM):
+            assert adj[a][b] is full[a][b], (a, b)
+
+
+def test_invert_metric_contracts_each_mirrored_pair_once(monkeypatch):
+    calls = []
+
+    def counted(products, ctx):
+        calls.append(products)
+        return kk6.expr.contract(products, ctx)
+    monkeypatch.setattr(kk6.tensor, "contract", counted)
+    m = coupled_metric(1).metric
+    up = invert_metric(m)
+    assert len(calls) == DIM * (DIM + 1) // 2
+    assert all(up[a][b] is up[b][a] for a in range(DIM) for b in range(a))
 
 
 def test_invert_metric_equals_adjugate_route():
