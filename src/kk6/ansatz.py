@@ -23,6 +23,9 @@ Families:
   field scaled by a coupling constant.
 
 Capital indices range over {0,1,2,3,5}; index 4 is the compact direction.
+Each entry a builder forms is one :func:`~kk6.expr.contract` call over its
+products and each derivative one :func:`~kk6.expr.derive` call, with one
+kernel context per builder call.
 """
 from __future__ import annotations
 
@@ -30,8 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import (
-    Expr, HALF, I, MINUS_ONE, ONE, TWO, ZERO, add, context, coords, derive,
-    diff, exp, mul, num, power, simplify, sqrt, sym,
+    Expr, HALF, I, MINUS_ONE, ONE, TWO, ZERO, add, context, contract, coords,
+    derive, exp, mul, num, power, sqrt, sym,
 )
 from .symbols import DEFAULT_TABLE
 from .tensor import DIM, Grid, Metric6
@@ -44,8 +47,7 @@ __all__ = [
     "SpinorComponents", "dirac_components",
     "SpinorMode", "dirac_metric", "CoupledMode", "coupled_metric",
     "GravityMode", "gravity_metric", "weak_field_block", "kk_rows",
-    "field_strength", "fsq", "stress_tensor", "momentum_product",
-    "onshell_energy",
+    "field_strength", "fsq", "stress_tensor", "onshell_energy",
 ]
 
 IDX5 = (0, 1, 2, 3, 5)
@@ -54,6 +56,8 @@ ETA5 = (ONE, MINUS_ONE, MINUS_ONE, MINUS_ONE, MINUS_ONE)
 _FLAT4 = tuple(tuple(ETA4[a] if a == b else ZERO for b in range(4))
                for a in range(4))
 _NO_FIELD = (ZERO,) * 4
+_QUARTER = num(Fraction(1, 4))
+_MINUS_I = num(0, -1)
 
 # parameters introduced by the families
 for _name in ("omega", "k0", "k1", "k2", "k3", "eps"):
@@ -81,36 +85,38 @@ def kk_rows(g4: Grid, K: tuple, K5: Expr = ZERO, kappa: Expr = ONE) -> list:
     """Rows of the modified Kaluza-Klein metric (module docstring) for a
     4d block ``g4`` and a field ``K`` over {0,1,2,3} with fifth component
     ``K5``."""
+    ctx = context()
     k2 = power(kappa, 2)
     rows = [[ZERO] * DIM for _ in range(DIM)]
     for a in range(4):
         for b in range(4):
-            rows[a][b] = simplify(add(g4[a][b], mul(k2, K[a], K[b])))
-        rows[a][4] = rows[4][a] = simplify(mul(kappa, K[a]))
-        rows[a][5] = rows[5][a] = simplify(mul(k2, K[a], K5))
+            rows[a][b] = contract([(g4[a][b],), (k2, K[a], K[b])], ctx)
+        rows[a][4] = rows[4][a] = contract([(kappa, K[a])], ctx)
+        rows[a][5] = rows[5][a] = contract([(k2, K[a], K5)], ctx)
     rows[4][4] = ONE
-    rows[4][5] = rows[5][4] = simplify(mul(kappa, K5))
-    rows[5][5] = simplify(add(MINUS_ONE, mul(k2, power(K5, 2))))
+    rows[4][5] = rows[5][4] = contract([(kappa, K5)], ctx)
+    rows[5][5] = contract([(MINUS_ONE,), (k2, power(K5, 2))], ctx)
     return rows
 
 
-def _claimed_upper(K: tuple, K5: Expr, trace: Expr) -> Grid:
+def _claimed_upper(K: tuple, K5: Expr, trace: list) -> Grid:
     """The printed inverse of a flat-block, unit-coupling :func:`kk_rows`
-    metric: flat 4d block, -K^alpha mixing, 1 + ``trace`` in the compact
-    slot and K5 at (4,5)."""
+    metric: flat 4d block, -K^alpha mixing, 1 + ``trace`` (a list of
+    products) in the compact slot and K5 at (4,5)."""
+    ctx = context()
     up = [[ZERO] * DIM for _ in range(DIM)]
     for a in range(4):
         up[a][a] = ETA4[a]
-        up[a][4] = up[4][a] = simplify(mul(MINUS_ONE, ETA4[a], K[a]))
-    up[4][4] = simplify(add(ONE, trace))
+        up[a][4] = up[4][a] = contract([(MINUS_ONE, ETA4[a], K[a])], ctx)
+    up[4][4] = contract([(ONE,), *trace], ctx)
     up[4][5] = up[5][4] = K5
     up[5][5] = MINUS_ONE
     return tuple(tuple(r) for r in up)
 
 
-def _trace4(K: tuple) -> Expr:
-    """K_a K^a over the 4d indices, flat raising."""
-    return add(*(mul(ETA4[a], K[a], K[a]) for a in range(4)))
+def _trace4(K: tuple) -> list:
+    """K_a K^a over the 4d indices, flat raising, as a list of products."""
+    return [(ETA4[a], K[a], K[a]) for a in range(4)]
 
 
 # ---------------------------------------------------------------------------
@@ -157,50 +163,36 @@ def field_strength(a5: tuple) -> tuple:
     x = coords()
     if len(a5) != 5:
         raise AnsatzError("field must have five components (indices 0..3, 5)")
+    ctx = context()
     out = [[ZERO] * 5 for _ in range(5)]
     for i in range(5):
         for j in range(i + 1, 5):
-            f = simplify(add(diff(a5[j], x[IDX5[i]].symbol),
-                             mul(MINUS_ONE, diff(a5[i], x[IDX5[j]].symbol))))
+            f = contract([(derive(a5[j], x[IDX5[i]], ctx),),
+                          (MINUS_ONE, derive(a5[i], x[IDX5[j]], ctx))], ctx)
             out[i][j] = f
-            out[j][i] = simplify(mul(MINUS_ONE, f))
+            out[j][i] = contract([(MINUS_ONE, f)], ctx)
     return tuple(tuple(r) for r in out)
 
 
 def fsq(f: tuple) -> Expr:
     """F_AB F^AB with flat raising."""
-    parts = []
-    for i in range(5):
-        for j in range(5):
-            if f[i][j] == ZERO:
-                continue
-            parts.append(mul(ETA5[i], ETA5[j], power(f[i][j], 2)))
-    return simplify(add(*parts))
+    return contract([(ETA5[i], ETA5[j], power(f[i][j], 2))
+                     for i in range(5) for j in range(5)], context())
 
 
 def stress_tensor(f: tuple, f2: Expr) -> tuple:
     """T_AB = (1/4) eta_AB F^2 - F_A^C F_BC, flat raising inside; ``f2``
-    is ``fsq(f)``, which the caller forms once and keeps."""
-    out = []
+    is ``fsq(f)``, which the caller forms once and keeps.  T is symmetric:
+    (A, B) and (B, A) have the same products, so each is formed once."""
+    ctx = context()
+    out = [[ZERO] * 5 for _ in range(5)]
     for i in range(5):
-        row = []
-        for j in range(5):
-            parts = []
-            if i == j and f2 != ZERO:
-                parts.append(mul(num(Fraction(1, 4)), ETA5[i], f2))
-            for k in range(5):
-                if f[i][k] == ZERO or f[j][k] == ZERO:
-                    continue
-                parts.append(mul(MINUS_ONE, ETA5[k], f[i][k], f[j][k]))
-            row.append(simplify(add(*parts)))
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def momentum_product(p5: tuple, phase2: Expr) -> tuple:
-    """T_AB = P_A P_B * phase2 for a lower five-momentum over IDX5."""
-    return tuple(tuple(simplify(mul(p5[i], p5[j], phase2)) for j in range(5))
-                 for i in range(5))
+        for j in range(i, 5):
+            parts = [(MINUS_ONE, ETA5[k], f[i][k], f[j][k]) for k in range(5)]
+            if i == j:
+                parts.append((_QUARTER, ETA5[i], f2))
+            out[i][j] = out[j][i] = contract(parts, ctx)
+    return tuple(tuple(r) for r in out)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +203,6 @@ class VectorMode:
     A: tuple                    # four lower potential components
     m0: Expr | None             # None for the massless case
     Ahat: tuple                 # five components over IDX5 (index 5 absent: 0)
-    F: tuple                    # 5x5 field strength of Ahat
     metric: Metric6
     claimed_upper: Grid
 
@@ -225,10 +216,9 @@ def _vector_mode(a4, m0v, name: str) -> VectorMode:
         ahat4 = a4
     else:
         x5phase = exp(mul(I, m0v, x[5]))
-        ahat4 = tuple(simplify(mul(v, x5phase)) for v in a4)
-    ahat5 = ahat4 + (ZERO,)
-    return VectorMode(A=a4, m0=m0v, Ahat=ahat5,
-                      F=field_strength(ahat5),
+        ctx = context()
+        ahat4 = tuple(contract([(v, x5phase)], ctx) for v in a4)
+    return VectorMode(A=a4, m0=m0v, Ahat=ahat4 + (ZERO,),
                       metric=Metric6(kk_rows(_FLAT4, ahat4), name=name),
                       claimed_upper=_claimed_upper(ahat4, ZERO,
                                                    _trace4(ahat4)))
@@ -253,8 +243,7 @@ def null_wave_potential(omega=None, pol: int = 2) -> tuple:
     w = _E(omega) if omega is not None else sym("omega")
     if pol not in (1, 2):
         raise AnsatzError("transverse polarization must be along x1 or x2")
-    phase = exp(simplify(mul(num(0, -1), w,
-                             add(x[0], mul(MINUS_ONE, x[3])))))
+    phase = exp(contract([(_MINUS_I, w, x[0]), (I, w, x[3])], context()))
     return tuple(phase if a == pol else ZERO for a in range(4))
 
 
@@ -266,9 +255,7 @@ def massive_wave_potential(k3=None, m0=None, pol: int = 1) -> tuple:
     if pol not in (1, 2):
         raise AnsatzError("transverse polarization must be along x1 or x2")
     k0 = sqrt(add(power(k3v, 2), power(m0v, 2)))
-    phase = exp(simplify(mul(num(0, -1),
-                             add(mul(k0, x[0]),
-                                 mul(MINUS_ONE, k3v, x[3])))))
+    phase = exp(contract([(_MINUS_I, k0, x[0]), (I, k3v, x[3])], context()))
     return tuple(phase if a == pol else ZERO for a in range(4))
 
 
@@ -306,33 +293,34 @@ def dirac_components(p1=None, p2=None, p3=None, m0=None, sol: int = 1
     inv_d = power(dd, -1)
     nn = sqrt(mul(HALF, power(m0v, -1), dd))
     plus = add(p1v, mul(I, p2v))     # p1 + i p2
-    minus = add(p1v, mul(num(0, -1), p2v))
+    minus = add(p1v, mul(_MINUS_I, p2v))
     tables = {
-        1: (nn, ZERO, mul(nn, p3v, inv_d), mul(nn, plus, inv_d)),
-        2: (ZERO, nn, mul(nn, minus, inv_d), mul(MINUS_ONE, nn, p3v, inv_d)),
-        3: (mul(nn, p3v, inv_d), mul(nn, plus, inv_d), nn, ZERO),
-        4: (mul(nn, minus, inv_d), mul(MINUS_ONE, nn, p3v, inv_d), ZERO, nn),
+        1: ((nn,), (ZERO,), (nn, p3v, inv_d), (nn, plus, inv_d)),
+        2: ((ZERO,), (nn,), (nn, minus, inv_d), (MINUS_ONE, nn, p3v, inv_d)),
+        3: ((nn, p3v, inv_d), (nn, plus, inv_d), (nn,), (ZERO,)),
+        4: ((nn, minus, inv_d), (MINUS_ONE, nn, p3v, inv_d), (ZERO,), (nn,)),
     }
-    phi = tuple(simplify(c) for c in tables[sol])
-    cnorm = simplify(mul(sqrt(mul(TWO, m0v, dd)), power(p3v, -1)))
+    ctx = context()
+    phi = tuple(contract([c], ctx) for c in tables[sol])
+    cnorm = contract([(sqrt(mul(TWO, m0v, dd)), power(p3v, -1))], ctx)
     return SpinorComponents(sol=sol, phi=phi, C=cnorm, p0=p0v,
                             p=(p1v, p2v, p3v), m0=m0v)
 
 
-# coefficient pattern of the five-component field, one row per solution:
-# entries multiply (phi_j, C, family phase); the anchor component (the
-# solution's own unit entry) rides the 0 and 5 slots.
+# coefficient pattern of the five-component field, one row per solution,
+# each entry a product: entries multiply (phi_j, C, family phase); the
+# anchor component (the solution's own unit entry) rides the 0 and 5 slots.
 def _k_coefficients(phi: tuple, sol: int) -> tuple:
     f0, f1, f2, f3 = phi
     if sol == 1:
-        return (f0, mul(MINUS_ONE, f3), mul(I, f3), mul(MINUS_ONE, f2),
-                mul(MINUS_ONE, f0))
+        return ((f0,), (MINUS_ONE, f3), (I, f3), (MINUS_ONE, f2),
+                (MINUS_ONE, f0))
     if sol == 2:
-        return (f1, mul(MINUS_ONE, f2), mul(num(0, -1), f2), f3,
-                mul(MINUS_ONE, f1))
+        return ((f1,), (MINUS_ONE, f2), (_MINUS_I, f2), (f3,),
+                (MINUS_ONE, f1))
     if sol == 3:
-        return (f2, mul(MINUS_ONE, f1), mul(I, f1), mul(MINUS_ONE, f0), f2)
-    return (f3, mul(MINUS_ONE, f0), mul(num(0, -1), f0), f1, f3)
+        return ((f2,), (MINUS_ONE, f1), (I, f1), (MINUS_ONE, f0), (f2,))
+    return ((f3,), (MINUS_ONE, f0), (_MINUS_I, f0), (f1,), (f3,))
 
 
 @dataclass(frozen=True)
@@ -362,11 +350,12 @@ def dirac_metric(sol: int = 1, p1=None, p2=None, p3=None, m0=None) -> SpinorMode
     px = add(mul(comps.p0, x[0]), mul(MINUS_ONE, p1v, x[1]),
              mul(MINUS_ONE, p2v, x[2]), mul(MINUS_ONE, p3v, x[3]))
     phase = exp(add(mul(num(0, s), px), mul(I, comps.m0, x[5])))
-    coeff = _k_coefficients(comps.phi, sol)
-    k5 = tuple(simplify(mul(comps.C, c, phase)) for c in coeff)
+    ctx = context()
+    k5 = tuple(contract([(comps.C, *c, phase)], ctx)
+               for c in _k_coefficients(comps.phi, sol))
     kk, k55 = k5[:4], k5[4]
     greek = _trace4(kk)
-    full = add(greek, mul(MINUS_ONE, power(k55, 2)))
+    full = greek + [(MINUS_ONE, power(k55, 2))]
     notes = _SPINOR_NOTES_NEG if s == 1 else ()
     return SpinorMode(sol=sol, components=comps, family_sign=s, phase=phase,
                       K=k5, metric=Metric6(kk_rows(_FLAT4, kk, k55),
@@ -390,8 +379,9 @@ def coupled_metric(sol: int = 1, p1=None, p2=None, p3=None, m0=None,
     base = dirac_metric(sol, p1, p2, p3, m0)
     x = coords()
     gv = _E(gamma) if gamma is not None else sym("gamma")
-    twist = exp(mul(num(0, -1), gv, x[4]))
-    k5 = tuple(simplify(mul(k, twist)) for k in base.K)
+    twist = exp(mul(_MINUS_I, gv, x[4]))
+    ctx = context()
+    k5 = tuple(contract([(k, twist)], ctx) for k in base.K)
     return CoupledMode(base=base, K=k5,
                        metric=Metric6(kk_rows(_FLAT4, k5[:4], k5[4]),
                                       name=f"coupled{sol}"))

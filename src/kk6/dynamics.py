@@ -23,8 +23,8 @@ import numpy as np
 
 from .curvature import christoffel
 from .expr import (
-    Expr, MINUS_ONE, ZERO, add, context, derive, exp, mul, num, simplify, subs,
-    sym,
+    Expr, MINUS_ONE, ZERO, add, context, contract, derive, exp, mul, num,
+    simplify, subs, sym,
 )
 from .oracle import metric_evaluator, tensor_evaluator
 from .symbols import DEFAULT_TABLE
@@ -100,24 +100,18 @@ def closed_form_exprs() -> ClosedForm:
     x[4] = add(c[4], mul(t, exp(mul(num(0, 1), theta))))
     x = [simplify(subs(e, shell)) for e in x]
 
-    v = tuple(derive(e, t, context()) for e in x)
-    acc = tuple(derive(e, t, context()) for e in v)
+    ctx = context()
+    v = tuple(derive(e, t, ctx) for e in x)
+    acc = tuple(derive(e, t, ctx) for e in v)
 
     metric = scalar_metric(p=(_onshell_expr(), p[1], p[2], p[3])).metric
     gamma = christoffel(metric)
     coord_map = {f"x{i}": x[i] for i in range(DIM)}
-    residual = []
-    for A in range(DIM):
-        parts = [acc[A]]
-        for B in range(DIM):
-            for C in range(DIM):
-                gv = gamma[A][B][C]
-                if gv == ZERO or v[B] == ZERO or v[C] == ZERO:
-                    continue
-                parts.append(mul(subs(gv, coord_map), v[B], v[C]))
-        residual.append(simplify(add(*parts)))
-    return ClosedForm(x=tuple(x), v=v, a=acc, theta=theta,
-                      residual=tuple(residual))
+    residual = tuple(
+        contract([(acc[A],), *((subs(gamma[A][B][C], coord_map), v[B], v[C])
+                               for B in range(DIM) for C in range(DIM))], ctx)
+        for A in range(DIM))
+    return ClosedForm(x=tuple(x), v=v, a=acc, theta=theta, residual=residual)
 
 
 def _onshell_expr() -> Expr:

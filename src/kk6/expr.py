@@ -81,8 +81,8 @@ radicands memoized in the context.  Its guard follows ``contract``'s: a
 monomial in which ``mul`` could merge a sum or root of the rest with one
 that its derivative factor brings takes the tree route, and so does an
 input that is not its own ``simplify`` result.  :func:`diff` keeps building
-the derivative tree for its other callers; both return ``ZERO`` at once for
-a symbol that is not free in the input.
+the derivative tree for the tests and ``derive``'s tree route; both return
+``ZERO`` at once for a symbol that is not free in the input.
 
 :func:`to_text` renders each distinct node once per call, however often the
 tree shares it.

@@ -2,6 +2,8 @@
 
 Each check builds its objects from the ansatz constructors, forms
 residual expressions, and grades them with the probabilistic zero test.
+Each residual is one :func:`~kk6.expr.contract` call and each derivative
+one :func:`~kk6.expr.derive` call, with one kernel context per check.
 Verdicts:
 
 * ``Confirmed`` — every residual tested zero at tolerance under the
@@ -27,6 +29,7 @@ command's parameters before anything is computed.
 from __future__ import annotations
 
 import cmath
+import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -37,9 +40,9 @@ import numpy as np
 
 from .ansatz import (
     ETA4, ETA5, IDX5, dirac_metric, field_strength, fsq, gravity_metric,
-    kk_rows, massive_wave_potential, momentum_product, null_wave_potential,
-    onshell_energy, photon_metric, proca_metric, scalar_metric,
-    stress_tensor, weak_field_block,
+    kk_rows, massive_wave_potential, null_wave_potential, onshell_energy,
+    photon_metric, proca_metric, scalar_metric, stress_tensor,
+    weak_field_block,
 )
 from .curvature import einstein, ricci_scalar
 from .dynamics import (
@@ -47,8 +50,8 @@ from .dynamics import (
     connection_evaluator, integrate, interval_along, two_path_fringes,
 )
 from .expr import (
-    Expr, MINUS_ONE, ZERO, add, conj, coords, diff, exp, mul, num,
-    power, simplify, sym,
+    Expr, HALF, I, MINUS_ONE, ZERO, add, conj, context, contract, coords,
+    derive, exp, mul, num, power, sym,
 )
 from .oracle import einstein_fd, metric_evaluator
 from .parse import ParseError, parse_expression
@@ -165,10 +168,17 @@ def read_params(spec: dict, given: dict, reader: str) -> dict:
         raise ClaimParamError("steps must be at least 2")
     if "tau_end" in out and not float(out["tau_end"]) > 0:
         raise ClaimParamError("tau_end must be positive")
-    if "ymax" in out and min(float(out[k]) for k in
-                             ("d", "L", "wavelength", "ymax")) <= 0:
-        raise ClaimParamError("d, L, wavelength and ymax must all be "
-                              "positive")
+    if "ymax" in out:
+        d, length, lam, ymax = (float(out[k]) for k in
+                                ("d", "L", "wavelength", "ymax"))
+        if min(d, length, lam, ymax) <= 0:
+            raise ClaimParamError("d, L, wavelength and ymax must all be "
+                                  "positive")
+        far = 2 * math.pi * math.hypot(length, ymax + d / 2) / lam
+        if not (math.isfinite(2 * ymax) and math.isfinite(far)):
+            raise ClaimParamError(
+                "fringe geometry overflows a float: 2*ymax and "
+                "2*pi*hypot(L, ymax + d/2)/wavelength must be finite")
     least = 2 if "ymax" in out else 1   # a fringe grid, else a sample count
     if "points" in out and out["points"] < least:
         raise ClaimParamError(f"points must be at least {least}")
@@ -266,12 +276,13 @@ def _close(out: _Outcome, assumptions=(), notes=(),
                 assumptions=tuple(assumptions), notes=notes, witness=witness)
 
 
-def _div(v) -> Expr:
+def _div(v, ctx, extra=()) -> Expr:
     """Flat divergence ``eta^ii d_i v_i`` over the first ``len(v)`` of the
-    five non-compact indices (four: the 4d divergence)."""
+    five non-compact indices (four: the 4d divergence), plus the products
+    ``extra``, as one contraction."""
     x = coords()
-    return simplify(add(*(mul(ETA5[i], diff(e, x[IDX5[i]]))
-                          for i, e in enumerate(v))))
+    return contract([*((ETA5[i], derive(e, x[IDX5[i]], ctx))
+                       for i, e in enumerate(v)), *extra], ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +296,14 @@ def check_klein_gordon(seed, tol, trials, params) -> dict:
     x = coords()
     pv, m0, explicit = scalar_momenta(params)
     mode = scalar_metric(p=pv, m0=m0)
+    ctx = context()
 
-    phi = exp(mul(num(0, -1), add(mul(pv[0], x[0]), mul(MINUS_ONE, pv[1], x[1]),
-                                  mul(MINUS_ONE, pv[2], x[2]),
-                                  mul(MINUS_ONE, pv[3], x[3]))))
-    box = _div([diff(phi, x[a]) for a in range(4)])
-    kg = simplify(add(box, mul(power(m0, 2), phi)))
+    # phi = exp(-i p.x), its argument expanded so that it is its own
+    # simplify result and each derivative stays in the kernel
+    phi = exp(contract([(num(0, -1), pv[0], x[0]),
+                        *((I, pv[a], x[a]) for a in (1, 2, 3))], ctx))
+    m2 = power(m0, 2)
+    kg = _div([derive(phi, x[a], ctx) for a in range(4)], ctx, [(m2, phi)])
 
     g = einstein(mode.metric)
     p_low = mode.grad[:4]        # lower four-momentum = 4d phase gradient
@@ -298,20 +311,20 @@ def check_klein_gordon(seed, tol, trials, params) -> dict:
     for a in range(4):
         for b in range(a, 4):
             pairs.append((f"4d Einstein block ({a},{b}) minus p_{a} p_{b}",
-                          simplify(add(g[a][b],
-                                       mul(MINUS_ONE, p_low[a], p_low[b])))))
+                          contract([(g[a][b],),
+                                    (MINUS_ONE, p_low[a], p_low[b])], ctx)))
     for a in range(4):
         pairs.append((f"mixed extra row (5,{a}) plus m0 p_{a}",
-                      simplify(add(g[5][a], mul(m0, p_low[a])))))
+                      contract([(g[5][a],), (m0, p_low[a])], ctx)))
     pairs.append(("extra diagonal (5,5) minus m0^2",
-                  simplify(add(g[5][5], mul(MINUS_ONE, power(m0, 2))))))
+                  contract([(g[5][5],), (MINUS_ONE, m2)], ctx)))
     for a in range(DIM):
-        pairs.append((f"compact row (4,{a})", simplify(g[4][a])))
+        pairs.append((f"compact row (4,{a})", g[4][a]))
     out = _grade(pairs, seed, tol, trials)
 
     notes = [f"{out.structural} of {len(pairs)} residuals vanish at the "
              "expression level"]
-    opposite = simplify(add(g[0][0], mul(p_low[0], p_low[0])))
+    opposite = contract([(g[0][0],), (p_low[0], p_low[0])], ctx)
     if opposite == ZERO:
         notes.append("coupling sign degenerate for this configuration")
     else:
@@ -346,7 +359,7 @@ def check_ricci_scalar_zero(seed, tol, trials, params) -> dict:
     else:
         factor = parse_expression(perturb)
         rows = [list(r) for r in mode.metric.lower]
-        rows[4][4] = simplify(mul(rows[4][4], factor))
+        rows[4][4] = contract([(rows[4][4], factor)], context())
         metric = Metric6(rows, name="scalar-perturbed")
         notes.append(f"compact entry multiplied by {perturb}")
     r = ricci_scalar(metric)
@@ -360,10 +373,10 @@ def check_ricci_scalar_zero(seed, tol, trials, params) -> dict:
 # ---------------------------------------------------------------------------
 # vector-mode claims
 
-def _vector_pairs(f, equation: str, invariant: str):
+def _vector_pairs(f, equation: str, invariant: str, ctx):
     """The five flat field equations of ``f`` and its invariant F^2."""
     pairs = [(f"{equation}, component {IDX5[j]}",
-              _div([f[i][j] for i in range(5)])) for j in range(5)]
+              _div([f[i][j] for i in range(5)], ctx)) for j in range(5)]
     pairs.append((invariant, fsq(f)))
     return pairs
 
@@ -389,7 +402,7 @@ def check_maxwell(seed, tol, trials, params) -> dict:
     a4, kind = _maxwell_potential(params)
     pairs = _vector_pairs(field_strength(tuple(a4) + (ZERO,)),
                           "massless field equation",
-                          "massless field invariant F^2")
+                          "massless field invariant F^2", context())
     out = _grade(pairs, seed, tol, trials)
     notes = [f"potential preset: {kind}",
              f"{out.structural} of {len(pairs)} residuals vanish at the "
@@ -424,29 +437,27 @@ def check_proca(seed, tol, trials, params) -> dict:
     m0 = _bound(params, "m0")
     a4 = massive_wave_potential(params.get("k3"), m0, pol=params["pol"])
     phase_factor = params["phase_factor"]
+    ctx = context()
     if phase_factor == 1:
-        mode = proca_metric(a4, m0)
-        ahat, f = mode.Ahat, mode.F
+        ahat = proca_metric(a4, m0).Ahat
     else:
         twist = exp(mul(num(0, phase_factor), m0, x[5]))
-        ahat = tuple(simplify(mul(a, twist)) for a in a4) + (ZERO,)
-        f = field_strength(ahat)
+        ahat = tuple(contract([(a, twist)], ctx) for a in a4) + (ZERO,)
+    f = field_strength(ahat)
 
     pairs = _vector_pairs(f, "field equation",
-                          "field invariant F^2 over all five indices")
+                          "field invariant F^2 over all five indices", ctx)
     # 4d reading: the compact phase turns into the mass term
+    m2 = power(m0, 2)
     for b in range(4):
-        div4 = _div([f[i][b] for i in range(4)])
         pairs.append((f"4d divergence plus m0^2 A, component {b}",
-                      simplify(add(div4, mul(power(m0, 2), ahat[b])))))
-    f2g = simplify(add(*(mul(ETA4[i], ETA4[j], power(f[i][j], 2))
-                         for i in range(4) for j in range(4)
-                         if f[i][j] != ZERO)))
-    aa = simplify(add(*(mul(ETA4[i], power(ahat[i], 2))
-                        for i in range(4) if ahat[i] != ZERO)))
-    pairs.append(("quarter F^2 (4d) plus half m0^2 A.A",
-                  simplify(add(mul(num(Fraction(1, 4)), f2g),
-                               mul(num(Fraction(1, 2)), power(m0, 2), aa)))))
+                      _div([f[i][b] for i in range(4)], ctx,
+                           [(m2, ahat[b])])))
+    pairs.append(("quarter F^2 (4d) plus half m0^2 A.A", contract(
+        [*((num(Fraction(1, 4)), ETA4[i], ETA4[j], power(f[i][j], 2))
+           for i in range(4) for j in range(4)),
+         *((HALF, m2, ETA4[i], power(ahat[i], 2)) for i in range(4))],
+        ctx)))
     out = _grade(pairs, seed, tol, trials)
     notes = [f"{out.structural} of {len(pairs)} residuals vanish at the "
              "expression level",
@@ -482,52 +493,45 @@ def _dirac_bundle(sol: int, p1, p2, p3, m0):
     return mode, f, f2, stress_tensor(f, f2)
 
 
-def _momentum_products(mode, signs=(1, -1)):
-    """The momentum-product stress form P_A P_B Phi^2, one per sign ``s5``
-    of the extra momentum component ``s5 m0``."""
-    p1, p2, p3 = mode.components.p
-    m0 = mode.components.m0
-    p_low = (mode.components.p0, mul(MINUS_ONE, p1), mul(MINUS_ONE, p2),
-             mul(MINUS_ONE, p3))
-    phase2 = simplify(power(mode.phase, 2))
-    return {s5: momentum_product(p_low + (mul(num(s5), m0),), phase2)
-            for s5 in signs}
-
-
-def _stress_residuals(t, pp, coeff):
-    """Labelled residuals T - coeff P_A P_B Phi^2, each simplified only
+def _stress_residuals(mode, t, s5, coeff, ctx):
+    """Labelled residuals T - coeff P_A P_B Phi^2, for the lower
+    five-momentum P whose extra component is ``s5 m0``, each formed only
     when the consumer asks for it."""
+    comps = mode.components
+    p1, p2, p3 = comps.p
+    p5 = (comps.p0, mul(MINUS_ONE, p1), mul(MINUS_ONE, p2),
+          mul(MINUS_ONE, p3), mul(num(s5), comps.m0))
+    phase2 = power(mode.phase, 2)
     for i in range(5):
         for j in range(i, 5):
             yield (f"stress component ({IDX5[i]},{IDX5[j]})",
-                   simplify(add(t[i][j], mul(num(-coeff), pp[i][j]))))
+                   contract([(t[i][j],), (num(-coeff), p5[i], p5[j], phase2)],
+                            ctx))
 
 
-def _dirac_rows(mode):
-    """The coupled first-order component equations, one row per solution."""
+# The coupled first-order component equations, one row per solution: each
+# term (coefficient, spinor component k, coordinate a) is coefficient *
+# d_a psi_k, or coefficient * m0 * psi_k where the coordinate is None.
+_DIRAC_ROWS = {
+    1: ((1, 0, 0), (1, 3, 1), (-1j, 3, 2), (1, 2, 3), (1j, 0, None)),
+    2: ((1, 1, 0), (1, 2, 1), (1j, 2, 2), (-1, 3, 3), (1j, 1, None)),
+    3: ((1, 2, 0), (1, 1, 1), (-1j, 1, 2), (1, 0, 3), (-1j, 2, None)),
+    4: ((1, 3, 0), (1, 0, 1), (1j, 0, 2), (-1, 1, 3), (-1j, 3, None)),
+}
+
+
+def _dirac_row(mode, ctx) -> list:
+    """The component equation row of ``mode``'s solution as products."""
     x = coords()
     comps = mode.components
     p1, p2, p3 = comps.p
     px = add(mul(comps.p0, x[0]), mul(MINUS_ONE, p1, x[1]),
              mul(MINUS_ONE, p2, x[2]), mul(MINUS_ONE, p3, x[3]))
     phase4 = exp(mul(num(0, mode.family_sign), px))
-    psi = [simplify(mul(f, phase4)) for f in comps.phi]
-    m0 = comps.m0
-
-    def d(e, a):
-        return diff(e, x[a].symbol)
-
-    rows = {
-        1: add(d(psi[0], 0), d(psi[3], 1), mul(num(0, -1), d(psi[3], 2)),
-               d(psi[2], 3), mul(num(0, 1), m0, psi[0])),
-        2: add(d(psi[1], 0), d(psi[2], 1), mul(num(0, 1), d(psi[2], 2)),
-               mul(MINUS_ONE, d(psi[3], 3)), mul(num(0, 1), m0, psi[1])),
-        3: add(d(psi[2], 0), d(psi[1], 1), mul(num(0, -1), d(psi[1], 2)),
-               d(psi[0], 3), mul(num(0, -1), m0, psi[2])),
-        4: add(d(psi[3], 0), d(psi[0], 1), mul(num(0, 1), d(psi[0], 2)),
-               mul(MINUS_ONE, d(psi[1], 3)), mul(num(0, -1), m0, psi[3])),
-    }
-    return rows[mode.sol]
+    psi = [contract([(f, phase4)], ctx) for f in comps.phi]
+    return [(num(c), derive(psi[k], x[a], ctx)) if a is not None
+            else (num(c), comps.m0, psi[k])
+            for c, k, a in _DIRAC_ROWS[mode.sol]]
 
 
 def _check_dirac(sol: int):
@@ -536,27 +540,28 @@ def _check_dirac(sol: int):
         mode, _, f2, t = _dirac_bundle(sol, *(params.get(k)
                                               for k in _HALFSPIN_PARAMS))
         comps = mode.components
+        ctx = context()
 
         pairs = [(f"plane-wave condition, component {IDX5[i]}",
-                  _div([diff(k, x[j]) for j in IDX5]))
+                  _div([derive(k, x[j], ctx) for j in IDX5], ctx))
                  for i, k in enumerate(mode.K)]
-        div = _div(mode.K)
+        div = _div(mode.K, ctx)
         pairs.append(("divergence of the five-component field", div))
         pairs.append(("field invariant F^2", f2))
-        rhs = mul(comps.C, exp(mul(num(0, 1), comps.m0, x[5])),
-                  _dirac_rows(mode))
+        # div - C exp(i m0 x5) row
+        x5phase = exp(mul(I, comps.m0, x[5]))
         pairs.append(("divergence equals the component equation row",
-                      simplify(add(div, mul(MINUS_ONE, rhs)))))
-        norm = add(mul(conj(comps.phi[0]), comps.phi[0]),
-                   mul(conj(comps.phi[1]), comps.phi[1]),
-                   mul(MINUS_ONE, conj(comps.phi[2]), comps.phi[2]),
-                   mul(MINUS_ONE, conj(comps.phi[3]), comps.phi[3]))
+                      contract([(div,), *((MINUS_ONE, comps.C, x5phase, *p)
+                                          for p in _dirac_row(mode, ctx))],
+                               ctx)))
+        phi = comps.phi
         nsign = 1 if sol in (1, 2) else -1
-        pairs.append((f"adjoint normalization equals {nsign:+d}",
-                      simplify(add(norm, num(-nsign)))))
+        pairs.append((f"adjoint normalization equals {nsign:+d}", contract(
+            [(conj(phi[0]), phi[0]), (conj(phi[1]), phi[1]),
+             (MINUS_ONE, conj(phi[2]), phi[2]),
+             (MINUS_ONE, conj(phi[3]), phi[3]), (num(-nsign),)], ctx)))
         s5 = mode.family_sign
-        pp = _momentum_products(mode, (s5,))[s5]
-        pairs.extend(_stress_residuals(t, pp, -1))
+        pairs.extend(_stress_residuals(mode, t, s5, -1, ctx))
 
         out = _grade(pairs, seed, tol, trials, positive=_POS_M0)
         notes = [
@@ -576,16 +581,16 @@ def check_dirac_stress(seed, tol, trials, params) -> dict:
     samples = 0
     notes = []
     conventions = {}
+    ctx = context()
     for sol in (1, 2, 3, 4):
         mode, _, _, t = _dirac_bundle(sol, None, None, None, None)
-        products = _momentum_products(mode)
         winners = []
         for s5 in (1, -1):
             for coeff in (1, -1):
                 # a wrong candidate stops at its first nonzero residual
                 formed = []
-                scan = _grade(_keep(_stress_residuals(t, products[s5], coeff),
-                                    formed),
+                scan = _grade(_keep(_stress_residuals(mode, t, s5, coeff,
+                                                      ctx), formed),
                               seed, tol, scan_trials, positive=_POS_M0)
                 samples += scan.samples
                 if scan.status == "zero":
@@ -708,7 +713,8 @@ def _check_gravity_split(family: str):
                                                    sym("p3"), sym("m0")),
                                     sym("p1"), sym("p2"), sym("p3")))
             g55 = einstein(mode.metric)[5][5]
-            exact = simplify(add(g55, mul(MINUS_ONE, power(sym("m0"), 2))))
+            exact = contract([(g55,), (MINUS_ONE, power(sym("m0"), 2))],
+                             context())
             notes.append(
                 "field-part extra-diagonal source equals m0^2 "
                 + ("(exact at the expression level)" if exact == ZERO

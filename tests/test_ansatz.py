@@ -13,7 +13,7 @@ from kk6.ansatz import (
     proca_metric, scalar_metric, stress_tensor, weak_field_block,
 )
 from kk6.expr import (
-    MINUS_ONE, ONE, ZERO, add, conj, coords, diff, mul, num, power,
+    MINUS_ONE, ONE, ZERO, add, conj, context, coords, diff, mul, num, power,
     simplify, subs, sym, to_text,
 )
 from kk6.tensor import DIM, identity_residual
@@ -272,3 +272,98 @@ def test_weak_field_block_shape():
 def test_gravity_rejects_unknown_family():
     with pytest.raises(AnsatzError, match="unknown family"):
         gravity_metric("tensor")
+
+
+# ---------------------------------------------------------------------------
+# the builders are the tree route
+
+# every family of ``golden_metrics.json``
+GOLDEN_FAMILIES = {
+    "photon": photon_metric,
+    "proca": proca_metric,
+    **{f"dirac{s}": (lambda s=s: dirac_metric(s)) for s in (1, 2, 3, 4)},
+    "coupled": lambda: coupled_metric(1),
+    **{f"gravity-{fam}": (lambda fam=fam: gravity_metric(
+        fam, weak_field_block())) for fam in ("scalar", "proca", "dirac")},
+}
+
+
+def _tree_rows(g4, K, K5=ZERO, kappa=ONE):
+    k2 = power(kappa, 2)
+    rows = [[ZERO] * DIM for _ in range(DIM)]
+    for a in range(4):
+        for b in range(4):
+            rows[a][b] = simplify(add(g4[a][b], mul(k2, K[a], K[b])))
+        rows[a][4] = rows[4][a] = simplify(mul(kappa, K[a]))
+        rows[a][5] = rows[5][a] = simplify(mul(k2, K[a], K5))
+    rows[4][4] = ONE
+    rows[4][5] = rows[5][4] = simplify(mul(kappa, K5))
+    rows[5][5] = simplify(add(MINUS_ONE, mul(k2, power(K5, 2))))
+    return rows
+
+
+def _tree_field_strength(a5):
+    out = [[ZERO] * 5 for _ in range(5)]
+    for i in range(5):
+        for j in range(i + 1, 5):
+            out[i][j] = simplify(add(diff(a5[j], x[IDX5[i]]),
+                                     mul(MINUS_ONE, diff(a5[i], x[IDX5[j]]))))
+            out[j][i] = simplify(mul(MINUS_ONE, out[i][j]))
+    return out
+
+
+def _tree_div(v):
+    return simplify(add(*(mul(ETA5[i], diff(e, x[IDX5[i]]))
+                          for i, e in enumerate(v))))
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN_FAMILIES))
+def test_builders_are_the_tree_route(family, monkeypatch):
+    # each builder's contractions and derivatives give the node that
+    # simplifying its sum of products or its derivative tree gives.  The
+    # tree route goes first: a kernel result is marked as its own
+    # ``simplify`` result, so a wrong one met first would be served from
+    # that cache to the tree route.  So the family is built with tree-route
+    # rows, and every tree below is formed before any builder runs.
+    from kk6 import ansatz
+    from kk6.verify import _div
+    rows_calls = []
+
+    def tree_rows(g4, K, K5=ZERO, kappa=ONE):
+        rows_calls.append(((g4, K, K5, kappa), _tree_rows(g4, K, K5, kappa)))
+        return [list(r) for r in rows_calls[-1][1]]
+
+    monkeypatch.setattr(ansatz, "kk_rows", tree_rows)
+    GOLDEN_FAMILIES[family]()
+    monkeypatch.undo()
+
+    # the field of the family's own rows, over IDX5
+    _, K, K5, _ = rows_calls[-1][0]
+    a5 = tuple(K) + (K5,)
+    f = _tree_field_strength(a5)
+    f2 = simplify(add(*(mul(ETA5[i], ETA5[j], power(f[i][j], 2))
+                        for i in range(5) for j in range(5))))
+    t = [[simplify(add(mul(num("1/4"), ETA5[i], f2) if i == j else ZERO,
+                       *(mul(MINUS_ONE, ETA5[k], f[i][k], f[j][k])
+                         for k in range(5))))
+          for j in range(5)] for i in range(5)]
+    # the divergence of the field and of each column of its strength
+    fields = [a5, *([f[i][j] for i in range(5)] for j in range(5))]
+    divs = [_tree_div(v) for v in fields]
+
+    for args, tree in rows_calls:
+        rows = ansatz.kk_rows(*args)
+        for a in range(DIM):
+            for b in range(DIM):
+                assert rows[a][b] is tree[a][b], ("kk_rows", a, b)
+    got = field_strength(a5)
+    for i in range(5):
+        for j in range(5):
+            assert got[i][j] is f[i][j], ("field_strength", i, j)
+    assert fsq(f) is f2
+    got = stress_tensor(f, f2)
+    for i in range(5):
+        for j in range(5):
+            assert got[i][j] is t[i][j], ("stress_tensor", i, j)
+    for v, tree in zip(fields, divs):
+        assert _div(v, context()) is tree

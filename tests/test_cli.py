@@ -195,6 +195,8 @@ def test_exit_2_on_usage_errors(capsys):
     # a claim runs the range checks of the command it shares parameters
     # with, and refuses symbolic or float-overflowing numeric inputs
     positive = "d, L, wavelength and ymax must all be positive"
+    overflow = ("fringe geometry overflows a float: 2*ymax and "
+                "2*pi*hypot(L, ymax + d/2)/wavelength must be finite")
     fringe = ["verify", "--claim", "interference.minima"]
     split = ["verify", "--claim", "gravity.split.scalar"]
     for argv, message in (
@@ -207,6 +209,11 @@ def test_exit_2_on_usage_errors(capsys):
             (["fringes", "points=1"], "points must be at least 2"),
             (fringe + ["points=0"], "points must be at least 2"),
             (fringe + ["points=1"], "points must be at least 2"),
+            # a grid span or far-end phase beyond a float is refused
+            # before any work, not left to overflow inside it
+            (["fringes", "d=1e308", "L=1e308"], overflow),
+            (fringe + ["d=1e308"], overflow),
+            (["fringes", "ymax=1e308"], overflow),
             (split + ["points=0"], "points must be at least 1"),
             (split + ["points=-2"], "points must be at least 1"),
             (split + ["eps=symbolic"], "gravity.split.scalar requires "
