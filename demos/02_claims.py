@@ -29,7 +29,7 @@ def main():
 
     print("\nmeasured (Conditional) claims — true in a restricted reading, "
           "reported with\nthe residual of the general one:")
-    show(run_claim("inverse.halfspin", trials=8))
+    show(run_claim("inverse.halfspin"))
     show(run_claim("gravity.split.scalar", params={"points": 2}))
 
     print("\nthe same machinery refutes wrong inputs. off-shell energy "

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import (
-    Expr, HALF, I, MINUS_ONE, ONE, TWO, ZERO, add, context, contract, coords,
-    derive, exp, mul, num, power, sqrt, sym,
+    Expr, HALF, I, MINUS_ONE, ONE, TWO, ZERO, Num, add, context, contract,
+    coords, derive, exp, mul, num, power, sqrt, sym,
 )
 from .symbols import DEFAULT_TABLE
 from .tensor import DIM, Grid, Metric6
@@ -277,7 +277,8 @@ def dirac_components(p1=None, p2=None, p3=None, m0=None, sol: int = 1
     """Spinor components of one plane-wave solution, energy on shell.
 
     Requires m0 > 0 and p3 != 0 (the normalization C carries 1/p3; a
-    vanishing p3 is reported, never patched)."""
+    vanishing p3 is reported, never patched); a numeric m0 that is not a
+    positive real is refused, a symbolic m0 is accepted."""
     if sol not in (1, 2, 3, 4):
         raise AnsatzError(f"solution index must be 1..4, got {sol}")
     p1v = _E(p1) if p1 is not None else sym("p1")
@@ -286,7 +287,7 @@ def dirac_components(p1=None, p2=None, p3=None, m0=None, sol: int = 1
     m0v = _E(m0) if m0 is not None else sym("m0")
     if p3v == ZERO:
         raise AnsatzError("normalization C is undefined at p3 = 0")
-    if m0v == ZERO:
+    if isinstance(m0v, Num) and (m0v.im or m0v.re <= 0):
         raise AnsatzError("rest mass must be positive")
     p0v = onshell_energy(p1v, p2v, p3v, m0v)
     dd = add(m0v, p0v)
@@ -367,7 +368,6 @@ def dirac_metric(sol: int = 1, p1=None, p2=None, p3=None, m0=None) -> SpinorMode
 
 @dataclass(frozen=True)
 class CoupledMode:
-    base: SpinorMode
     K: tuple
     metric: Metric6
 
@@ -382,9 +382,8 @@ def coupled_metric(sol: int = 1, p1=None, p2=None, p3=None, m0=None,
     twist = exp(mul(_MINUS_I, gv, x[4]))
     ctx = context()
     k5 = tuple(contract([(k, twist)], ctx) for k in base.K)
-    return CoupledMode(base=base, K=k5,
-                       metric=Metric6(kk_rows(_FLAT4, k5[:4], k5[4]),
-                                      name=f"coupled{sol}"))
+    return CoupledMode(K=k5, metric=Metric6(kk_rows(_FLAT4, k5[:4], k5[4]),
+                                            name=f"coupled{sol}"))
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +403,6 @@ def weak_field_block(eps=None) -> Grid:
 
 @dataclass(frozen=True)
 class GravityMode:
-    base: object
     metric: Metric6
 
 
@@ -436,5 +434,4 @@ def gravity_metric(family: str, g4: Grid | None = None, kappa=None,
     else:
         raise AnsatzError(f"unknown family {family!r}")
 
-    return GravityMode(base=base,
-                       metric=Metric6(rows, name=f"gravity-{family}"))
+    return GravityMode(metric=Metric6(rows, name=f"gravity-{family}"))

@@ -74,15 +74,9 @@ class SymbolTable:
         except KeyError:
             raise UnknownSymbolError(name) from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
     @property
     def coordinates(self) -> tuple[Symbol, ...]:
         return tuple(self._entries[name] for name in _COORD_NAMES)
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._entries)
 
 
 DEFAULT_TABLE = SymbolTable()

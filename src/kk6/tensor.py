@@ -15,9 +15,10 @@ on the diagonal), is one :func:`~kk6.expr.contract` call, expanded once
 in the polynomial kernel, with one kernel context per call of
 :func:`invert_metric` or :func:`identity_residual`.  An adjugate entry
 can be the determinant's own sum, which ``mul`` cancels against its
-inverse: such a product takes the tree route inside ``contract``.  :func:`verify_claimed_inverse` grades a
-residual: entries that are literally zero count as structural zeros, and
-every other entry gets a seeded zero test.
+inverse: such a product takes the tree route inside ``contract``.
+:func:`verify_claimed_inverse` grades a residual: entries that are
+literally zero count as structural zeros, and every other entry gets a
+seeded zero test at 32 points (``is_zero``'s default).
 """
 from __future__ import annotations
 
@@ -203,7 +204,7 @@ class InverseCheck:
 
 
 def verify_claimed_inverse(metric: Metric6, claimed_upper, seed: int = 0,
-                           trials: int = 32, tol: float = 1e-9,
+                           tol: float = 1e-9,
                            positive: frozenset = frozenset()) -> InverseCheck:
     """Measure whether a claimed inverse actually inverts the metric.
 
@@ -220,7 +221,7 @@ def verify_claimed_inverse(metric: Metric6, claimed_upper, seed: int = 0,
             if residual[a][b] is ZERO:
                 structural += 1
                 continue
-            r = is_zero(residual[a][b], seed=seed, trials=trials, tol=tol,
+            r = is_zero(residual[a][b], seed=seed, tol=tol,
                         positive=positive)
             samples += r.samples
             max_resid = max(max_resid, r.max_residual)

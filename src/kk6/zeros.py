@@ -80,9 +80,6 @@ class ZeroResult:
     witness: dict[str, complex] | None = None
     note: str | None = None
 
-    def __bool__(self) -> bool:
-        return self.verdict == ZERO_VERDICT
-
 
 def sample_env(symbols, rng: random.Random,
                positive: frozenset[str] = frozenset()) -> dict[str, complex]:

@@ -96,7 +96,7 @@ def test_claim_suite(acceptance_ledger):
     with criterion(acceptance_ledger, "claim_suite"):
         t0 = time.perf_counter()
         for seed in (0, 1, 2):
-            records = run_suite(seed=seed, tol=1e-9, trials=32)
+            records = run_suite(seed=seed, tol=1e-9)
             assert [r.claim_id for r in records] == sorted(must_pass_ids())
             bad = [(r.claim_id, r.verdict) for r in records
                    if r.verdict != "Confirmed"]
@@ -204,7 +204,7 @@ def test_fringe_minima(acceptance_ledger):
 
 def test_honest_reports(acceptance_ledger):
     with criterion(acceptance_ledger, "honest_reports"):
-        half = run_claim("inverse.halfspin", tol=1e-9, trials=8)
+        half = run_claim("inverse.halfspin", tol=1e-9)
         assert half.verdict == "Conditional"
         assert half.max_residual > 1e-9
         assert any("reading A" in n for n in half.notes)

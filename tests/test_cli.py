@@ -164,10 +164,52 @@ def test_exit_2_on_ansatz_domain_error(capsys):
              "normalization C is undefined at p3 = 0"),
             (["curvature", "ansatz=scalar", "hbar=0"], "hbar must be nonzero"),
             (["verify", "--claim", "ricci.scalar.zero", "perturb=0"],
-             "metric determinant vanishes: det = 0")):
+             "metric determinant vanishes: det = 0"),
+            # a half-spin report assumes m0 > 0, so a negative rest mass is
+            # refused rather than confirmed under a violated assumption
+            (["verify", "--claim", "dirac.sol1", "m0=-1"],
+             "rest mass must be positive"),
+            (["curvature", "ansatz=dirac1", "m0=-1", "p1=1/3", "p2=0",
+              "p3=1/2"], "rest mass must be positive")):
         code, out, err = run(argv, capsys)
         assert code == 2 and out == ""
         assert err == f"error[ansatz]: {message}\n"   # single line
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "tol=abc"],
+     "argument 'tol=abc': tol expects a number, got 'abc'"),
+    (["verify", "format=xml"],
+     "argument 'format=xml': format must be json or csv"),
+    (["verify", "ansatz=scalar"],
+     "command 'verify' does not take an ansatz; select claims instead"),
+    (["curvature", "claims=kg.reduction"],
+     "command 'curvature' does not use claim selection"),
+    (["geodesic", "--claim", "kg.reduction"],
+     "command 'geodesic' does not use claim selection"),
+    (["fringes", "ansatz=scalar"],
+     "command 'fringes' takes only geometry parameters"),
+    (["fringes", "steps=symbolic"],
+     "argument 'steps=symbolic': steps does not admit a symbolic value"),
+    (["verify", "--claim", "maxwell.reduction", "potential=weird"],
+     "argument 'potential=weird': potential must be one of null, constant, "
+     "massive"),
+    (["geodesic", "m0=0"],
+     "geodesic integration needs m0 != 0 (the compact phase degenerates "
+     "otherwise)"),
+    # a config file given by its text; None: the file does not exist
+    (None, "cannot read config: [Errno 2] No such file or directory: '{}'"),
+    ("command=verify\n = 3\n", "line 2, column 2: empty key"),
+])
+def test_exit_2_on_config_errors(argv, message, tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    if not isinstance(argv, list):
+        if argv is not None:
+            cfgfile.write_text(argv)
+        argv = ["--config", str(cfgfile)]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == f"error[config]: {message.format(cfgfile)}\n"
 
 
 @pytest.mark.parametrize("argv", [

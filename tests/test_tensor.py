@@ -176,14 +176,14 @@ def test_verify_claimed_inverse_tests_only_entries_not_literally_zero(
     monkeypatch.setattr(kk6.tensor, "is_zero", counting)
     pos = frozenset({"m0"})
     chk = verify_claimed_inverse(mode.metric, mode.claimed_upper_greek,
-                                 seed=3, trials=8, positive=pos)
+                                 seed=3, positive=pos)
     res = identity_residual(mode.metric, mode.claimed_upper_greek)
     nonzero = [e for row in res for e in row if e is not ZERO]
     assert seen and all(e is not ZERO and p == pos for e, p in seen)
     assert [e for e, _ in seen] == nonzero
     assert chk.structural_zeros == 36 - len(nonzero)
-    assert chk.samples == sum(is_zero(e, seed=3, trials=8,
-                                      positive=pos).samples for e in nonzero)
+    assert chk.samples == sum(is_zero(e, seed=3, positive=pos).samples
+                              for e in nonzero)
     assert chk.failures
 
 

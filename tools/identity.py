@@ -15,8 +15,8 @@ output that moved.  The outputs, each as sorted-key JSON without the
   reports,
 * ``kk6 fringes points=201`` and ``kk6 geodesic steps=200``.
 
-A whole run takes about half a minute; the symbolic ``gravity-dirac``
-report is most of it.
+A whole run takes about 20 s; the symbolic ``gravity-dirac`` report is
+most of it.
 """
 from __future__ import annotations
 
