@@ -17,7 +17,7 @@ from .zeros import ZeroResult, evaluate, is_zero
 
 __version__ = "0.1.0"
 
-from .tensor import Metric6, verify_claimed_inverse  # noqa: E402
+from .tensor import Metric6  # noqa: E402
 from .curvature import christoffel, einstein, ricci, ricci_scalar  # noqa: E402
 from .ansatz import (  # noqa: E402
     AnsatzError, coupled_metric, dirac_components, dirac_metric,

@@ -2,7 +2,9 @@
 
 Commands
 --------
-``curvature``   build a named metric and report its curvature tensors
+``curvature``   build a named metric and report its curvature tensors;
+                where the family prints an inverse, grade it entry by
+                entry (``verify.grade_entries``)
 ``verify``      run claim checks (default: every must-pass claim)
 ``geodesic``    integrate the closed-form-seeded trajectory numerically
 ``fringes``     two-path interference density profile with located minima
@@ -61,11 +63,12 @@ from .dynamics import (
 )
 from .expr import ZERO, to_text
 from .report import Report, to_json
-from .tensor import DIM, SingularMetricError, verify_claimed_inverse
+from .tensor import DIM, SingularMetricError, identity_residual
 from .verify import (
     FRINGE_DEFAULTS, GEODESIC_DEFAULTS, PARAM_KINDS, REGISTRY,
-    ClaimParamError, coerce_param, fringe_profile, must_pass_ids,
-    read_params, refuted_must_pass, run_suite, scalar_momenta,
+    ClaimParamError, coerce_param, fringe_profile, grade_entries,
+    must_pass_ids, read_params, refuted_must_pass, run_suite,
+    scalar_momenta,
 )
 
 __all__ = ["RunConfig", "CliError", "parse_config", "emit", "main"]
@@ -341,12 +344,12 @@ def _run_curvature(cfg: RunConfig):
         "notes": notes,
     }
     if claimed is not None:
-        chk = verify_claimed_inverse(metric, claimed, seed=cfg.seed,
-                                     tol=cfg.tol)
+        graded = grade_entries(identity_residual(metric, claimed),
+                               cfg.seed, cfg.tol)
         data["claimed_inverse"] = {
-            "exact": chk.exact,
-            "max_residual": chk.max_residual,
-            "structural_zero_entries": chk.structural_zeros,
+            "exact": all(o.status == "zero" for o in graded),
+            "max_residual": max(o.max_residual for o in graded),
+            "structural_zero_entries": sum(o.structural for o in graded),
         }
     return (), data, None
 

@@ -75,7 +75,7 @@ def record_dict(r: ClaimReport) -> dict:
     return out
 
 
-def report_dict(rep: Report, include_timing: bool = True) -> dict:
+def report_dict(rep: Report) -> dict:
     out = {
         "version": rep.version,
         "command": rep.command,
@@ -85,10 +85,9 @@ def report_dict(rep: Report, include_timing: bool = True) -> dict:
     }
     if rep.data is not None:
         out["data"] = rep.data
-    if include_timing:
-        out["timing"] = {k: rep.timing[k] for k in sorted(rep.timing)}
+    out["timing"] = {k: rep.timing[k] for k in sorted(rep.timing)}
     return out
 
 
-def to_json(rep: Report, include_timing: bool = True) -> str:
-    return json.dumps(report_dict(rep, include_timing), indent=2) + "\n"
+def to_json(rep: Report) -> str:
+    return json.dumps(report_dict(rep), indent=2) + "\n"

@@ -16,15 +16,14 @@ in the polynomial kernel, with one kernel context per call of
 :func:`invert_metric` or :func:`identity_residual`.  An adjugate entry
 can be the determinant's own sum, which ``mul`` cancels against its
 inverse: such a product takes the tree route inside ``contract``.
-:func:`verify_claimed_inverse` grades a residual: entries that are
-literally zero count as structural zeros, and every other entry gets a
-seeded zero test at 32 points (``is_zero``'s default).
+This layer is exact algebra; its one numeric check is the zero test of
+the determinant before inversion.  Residuals are graded in
+:mod:`kk6.verify` (``grade_entries``).
 """
 from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 
 from .expr import (
     Expr, MINUS_ONE, ZERO, add, context, contract, free_symbols, mul, power,
@@ -33,9 +32,8 @@ from .expr import (
 from .zeros import is_zero, sample_env
 
 __all__ = [
-    "DIM", "Metric6", "SingularMetricError", "InverseCheck",
-    "determinant", "adjugate", "invert_metric", "verify_claimed_inverse",
-    "identity_residual",
+    "DIM", "Metric6", "SingularMetricError", "determinant", "adjugate",
+    "invert_metric", "identity_residual",
 ]
 
 DIM = 6
@@ -193,40 +191,3 @@ def identity_residual(metric: Metric6, claimed_upper: Grid) -> Grid:
         return contract(parts, ctx)
     return tuple(tuple(entry(a, b) for b in range(DIM)) for a in range(DIM))
 
-
-@dataclass(frozen=True)
-class InverseCheck:
-    exact: bool
-    max_residual: float
-    failures: tuple[tuple[int, int, float], ...]
-    structural_zeros: int        # entries that simplified to literal 0
-    samples: int                 # zero-test samples over the other entries
-
-
-def verify_claimed_inverse(metric: Metric6, claimed_upper, seed: int = 0,
-                           tol: float = 1e-9,
-                           positive: frozenset = frozenset()) -> InverseCheck:
-    """Measure whether a claimed inverse actually inverts the metric.
-
-    Every entry of ``claimed * g - I`` that is not literally zero gets a
-    zero verdict (``positive`` names the symbols sampled as positive
-    reals); the check is exact when all of them are zero, otherwise the
-    failing entries and their residuals are reported (never silently
-    patched)."""
-    residual = identity_residual(metric, _as_grid(claimed_upper))
-    max_resid, samples, structural = 0.0, 0, 0
-    failures: list[tuple[int, int, float]] = []
-    for a in range(DIM):
-        for b in range(DIM):
-            if residual[a][b] is ZERO:
-                structural += 1
-                continue
-            r = is_zero(residual[a][b], seed=seed, tol=tol,
-                        positive=positive)
-            samples += r.samples
-            max_resid = max(max_resid, r.max_residual)
-            if r.verdict != "zero":
-                failures.append((a, b, r.max_residual))
-    return InverseCheck(exact=not failures, max_residual=max_resid,
-                        failures=tuple(failures), structural_zeros=structural,
-                        samples=samples)

@@ -5,6 +5,11 @@ residual expressions, and grades them with the probabilistic zero test
 at :func:`~kk6.zeros.is_zero`'s default of 32 points (6 in a sign scan).
 Each residual is one :func:`~kk6.expr.contract` call and each derivative
 one :func:`~kk6.expr.derive` call, with one kernel context per check.
+One grader, ``_grade``, tests residuals: a literally zero residual counts
+as structural, the others are zero-tested until the first that is not
+zero.  :func:`grade_entries` grades each entry of a 6x6 residual grid on
+its own, for the readers of claimed inverses (``inverse.halfspin`` and
+``kk6 curvature``) to fold.
 Verdicts:
 
 * ``Confirmed`` — every residual tested zero at tolerance under the
@@ -60,7 +65,7 @@ from .parse import ParseError, parse_expression
 from .report import (
     CONDITIONAL, CONFIRMED, INCONCLUSIVE, REFUTED, ClaimReport,
 )
-from .tensor import DIM, Metric6, identity_residual, verify_claimed_inverse
+from .tensor import DIM, Metric6, identity_residual
 from .zeros import is_zero
 
 __all__ = [
@@ -68,7 +73,7 @@ __all__ = [
     "REGISTRY", "claim_ids", "must_pass_ids",
     "run_claim", "run_suite", "refuted_must_pass",
     "PARAM_KINDS", "GEODESIC_DEFAULTS", "FRINGE_DEFAULTS", "coerce_param",
-    "read_params", "scalar_momenta", "fringe_profile",
+    "read_params", "scalar_momenta", "fringe_profile", "grade_entries",
 ]
 
 _POS_M0 = frozenset({"m0"})
@@ -248,6 +253,15 @@ def _grade(pairs, seed: int, tol: float, positive: frozenset = frozenset(),
     return _Outcome("zero", worst, total, structural)
 
 
+def grade_entries(grid, seed: int, tol: float,
+                  positive: frozenset = frozenset()) -> list[_Outcome]:
+    """One :func:`_grade` outcome per entry of a 6x6 residual grid, row by
+    row, each labelled ``(a, b)``: a literally zero entry is structural,
+    every other entry gets its own zero test."""
+    return [_grade([((a, b), grid[a][b])], seed, tol, positive)
+            for a in range(DIM) for b in range(DIM)]
+
+
 def _keep(pairs, formed: list):
     """Pass ``pairs`` through lazily, appending each one to ``formed``."""
     for pair in pairs:
@@ -332,11 +346,14 @@ def check_klein_gordon(seed, tol, params) -> dict:
         notes.append("coupling sign degenerate for this configuration")
     else:
         flip = is_zero(opposite, seed=seed, tol=tol)
-        notes.append(
-            "block coupling is +1: the opposite sign leaves residual "
-            f"{flip.max_residual:.3e} at the first sample"
-            if flip.verdict == "nonzero" else
-            "opposite coupling sign unexpectedly consistent")
+        if flip.verdict == "nonzero":
+            notes.append("block coupling is +1: the opposite sign leaves "
+                         f"residual {flip.max_residual:.3e} at the first "
+                         "sample")
+        elif flip.verdict == "zero":
+            notes.append("opposite coupling sign unexpectedly consistent")
+        else:
+            notes.append(f"opposite coupling sign undecided ({flip.note})")
     notes.append(
         "hbar-explicit reading: dividing the phase by hbar scales the 4d "
         "block to +p_a p_b / hbar^2, so a unit coupling holds only at "
@@ -638,21 +655,24 @@ def check_inverse_halfspin(seed, tol, params) -> dict:
     mode = dirac_metric(sol=params["sol"])
     full = identity_residual(mode.metric, mode.claimed_upper)
     full_exact = all(e == ZERO for row in full for e in row)
-    greek = verify_claimed_inverse(mode.metric, mode.claimed_upper_greek,
-                                   seed=seed, tol=tol, positive=_POS_M0)
-    bad = [(a, b) for a, b, _ in greek.failures]
+    greek = grade_entries(identity_residual(mode.metric,
+                                            mode.claimed_upper_greek),
+                          seed, tol, _POS_M0)
+    bad = [o.label for o in greek if o.status != "zero"]
+    worst = max(o.max_residual for o in greek)
     notes = [
         "reading A (compact-compact entry carries the trace over all five "
         "field components): " + ("exact — all 36 residual entries vanish "
                                  "at the expression level" if full_exact
                                  else "NOT exact"),
         f"reading B (4d trace only): {len(bad)} of 36 entries nonzero, "
-        f"max sampled residual {greek.max_residual:.3e}, at "
+        f"max sampled residual {worst:.3e}, at "
         + (", ".join(f"({a},{b})" for a, b in bad) if bad else "none"),
         "exactness requires the compact-compact entry to subtract the "
         "square of the fifth field component",
     ]
-    return _close(_Outcome("measured", greek.max_residual, greek.samples),
+    return _close(_Outcome("measured", worst,
+                           sum(o.samples for o in greek)),
                   _DIRAC_ASSUMPTIONS + (
                       "the printed inverse does not state which indices the "
                       "compact-entry trace runs over; both readings are "
@@ -696,17 +716,31 @@ def _check_gravity_split(family: str):
             return _close(_Outcome("inconclusive", 0.0, 0, note=str(err),
                                    label="metric constant beyond the float "
                                    "range"), assumptions)
-        ev_e = metric_evaluator(gm_e)
+        parts = (("full", ev_full), ("field", ev_q),
+                 ("background", metric_evaluator(gm_e)))
         rng = random.Random(seed)
         worst = 0.0
         scale_q = 0.0
-        for _ in range(npoints):
+        for i in range(npoints):
             pt = [complex(rng.uniform(-0.5, 0.5)) for _ in range(DIM)]
-            g_full = einstein_fd(ev_full, pt)
-            g_q = einstein_fd(ev_q, pt)
-            g_e = einstein_fd(ev_e, pt)
-            worst = max(worst, float(np.max(np.abs(g_full - g_e - g_q))))
-            scale_q = max(scale_q, float(np.max(np.abs(g_q))))
+            g = {}
+            for part, ev in parts:
+                # a metric that rounds to singular, or an entry beyond the
+                # float range, leaves the tensor undefined at this point
+                try:
+                    g[part] = einstein_fd(ev, pt)
+                    cause = (None if np.all(np.isfinite(g[part]))
+                             else "non-finite entry")
+                except np.linalg.LinAlgError as err:
+                    cause = str(err)
+                if cause:
+                    return _close(_Outcome(
+                        "inconclusive", worst, i, note=f"{part} metric: "
+                        f"{cause}", label="finite-difference Einstein tensor "
+                        f"at sample point {i + 1}"), assumptions)
+            worst = max(worst, float(np.max(np.abs(
+                g["full"] - g["background"] - g["field"]))))
+            scale_q = max(scale_q, float(np.max(np.abs(g["field"]))))
         notes = [
             f"split residual max |G - G_background - G_field| = {worst:.3e} "
             f"over {npoints} sample points (field-part scale {scale_q:.3e})",

@@ -143,6 +143,19 @@ def test_exit_0_when_the_zero_test_overflows(capsys):
         "undecided: scalar curvature (constant overflow in ")
 
 
+def test_exit_0_when_the_split_einstein_tensor_is_undefined(capsys):
+    # at kappa = 1e8 the gravity-coupled half-spin metric rounds to
+    # singular at the sample point: an undecided record, not a crash
+    code, out, err = run(["verify", "--claim", "gravity.split.dirac",
+                          "kappa=1e8", "points=1"], capsys)
+    assert code == 0 and err == ""
+    rec = json.loads(out)["records"][0]
+    assert rec["verdict"] == "Inconclusive"
+    assert rec["notes"] == [
+        "undecided: finite-difference Einstein tensor at sample point 1 "
+        "(full metric: Singular matrix)"]
+
+
 def test_overflow_note_is_bounded(capsys):
     # the failing subtree is a 1,402-character constant: the note keeps its
     # first 512 characters and states the full length

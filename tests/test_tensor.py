@@ -8,7 +8,6 @@ from kk6.expr import (
 )
 from kk6.tensor import (
     DIM, Metric6, adjugate, identity_residual, invert_metric,
-    verify_claimed_inverse,
 )
 from kk6.curvature import christoffel
 from kk6.ansatz import (
@@ -140,51 +139,6 @@ def test_invert_metric_equals_adjugate_route():
     computed = invert_metric(m)
     res = identity_residual(m, computed)
     assert all(is_zero(e).verdict == "zero" for row in res for e in row)
-
-
-def test_verify_claimed_inverse_exact_for_photon():
-    mode = photon_metric()
-    chk = verify_claimed_inverse(mode.metric, mode.claimed_upper)
-    assert chk.exact
-    assert chk.failures == ()
-    assert chk.max_residual < 1e-9
-    assert chk.structural_zeros == 36    # every entry is literally zero
-    assert chk.samples == 0
-
-
-def test_verify_claimed_inverse_reports_failing_entries():
-    mode = photon_metric()
-    wrong = [list(row) for row in mode.claimed_upper]
-    wrong[5][5] = ONE                    # flip the sign of one entry
-    chk = verify_claimed_inverse(mode.metric, wrong)
-    assert not chk.exact
-    assert (5, 5) in {(a, b) for a, b, _ in chk.failures}
-    assert chk.max_residual >= 1e-9
-    assert chk.structural_zeros == 36 - len(chk.failures)
-
-
-def test_verify_claimed_inverse_tests_only_entries_not_literally_zero(
-        monkeypatch):
-    # the 4d-trace reading of a half-spin inverse leaves some entries
-    # nonzero; only those are sampled, with ``positive`` passed through
-    mode = dirac_metric(1)
-    seen = []
-
-    def counting(e, **kw):
-        seen.append((e, kw["positive"]))
-        return is_zero(e, **kw)
-    monkeypatch.setattr(kk6.tensor, "is_zero", counting)
-    pos = frozenset({"m0"})
-    chk = verify_claimed_inverse(mode.metric, mode.claimed_upper_greek,
-                                 seed=3, positive=pos)
-    res = identity_residual(mode.metric, mode.claimed_upper_greek)
-    nonzero = [e for row in res for e in row if e is not ZERO]
-    assert seen and all(e is not ZERO and p == pos for e, p in seen)
-    assert [e for e, _ in seen] == nonzero
-    assert chk.structural_zeros == 36 - len(nonzero)
-    assert chk.samples == sum(is_zero(e, seed=3, positive=pos).samples
-                              for e in nonzero)
-    assert chk.failures
 
 
 def test_flat_connection_vanishes():

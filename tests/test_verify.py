@@ -10,16 +10,20 @@ from pathlib import Path
 import pytest
 
 import kk6
+import kk6.verify
 
-from kk6.ansatz import AnsatzError
+from kk6.ansatz import AnsatzError, dirac_metric, photon_metric
+from kk6.expr import ONE, ZERO
 from kk6.report import (
     CONDITIONAL, CONFIRMED, INCONCLUSIVE, REFUTED, ClaimReport, Report,
     record_dict, report_dict, to_json,
 )
 from kk6.verify import (
-    ClaimParamError, REGISTRY, UnknownClaimError, claim_ids, must_pass_ids,
-    refuted_must_pass, run_claim, run_suite,
+    ClaimParamError, REGISTRY, UnknownClaimError, claim_ids, grade_entries,
+    must_pass_ids, refuted_must_pass, run_claim, run_suite,
 )
+from kk6.tensor import identity_residual
+from kk6.zeros import is_zero
 
 ALL_IDS = {
     "kg.reduction", "ricci.scalar.zero", "maxwell.reduction", "fsq.null",
@@ -140,6 +144,60 @@ def test_inverse_halfspin_reports_both_readings():
     assert r.max_residual > 0.1         # the 4d-only reading really fails
 
 
+def _fold(outs):
+    """(failing labels, max residual, structural entries, samples)."""
+    return ([o.label for o in outs if o.status != "zero"],
+            max(o.max_residual for o in outs),
+            sum(o.structural for o in outs), sum(o.samples for o in outs))
+
+
+def test_grade_entries_exact_for_photon():
+    mode = photon_metric()
+    outs = grade_entries(identity_residual(mode.metric, mode.claimed_upper),
+                         0, 1e-9)
+    failures, worst, structural, samples = _fold(outs)
+    assert len(outs) == 36 and all(o.status == "zero" for o in outs)
+    assert failures == []
+    assert worst < 1e-9
+    assert structural == 36             # every entry is literally zero
+    assert samples == 0
+
+
+def test_grade_entries_reports_failing_entries():
+    mode = photon_metric()
+    wrong = [list(row) for row in mode.claimed_upper]
+    wrong[5][5] = ONE                    # flip the sign of one entry
+    outs = grade_entries(identity_residual(mode.metric, wrong), 0, 1e-9)
+    failures, worst, structural, _ = _fold(outs)
+    assert not all(o.status == "zero" for o in outs)
+    assert (5, 5) in failures
+    assert worst >= 1e-9
+    assert structural == 36 - len(failures)
+
+
+def test_grade_entries_tests_only_entries_not_literally_zero(monkeypatch):
+    # the 4d-trace reading of a half-spin inverse leaves some entries
+    # nonzero; only those are sampled, with ``positive`` passed through
+    mode = dirac_metric(1)
+    seen = []
+
+    def counting(e, **kw):
+        seen.append((e, kw["positive"]))
+        return is_zero(e, **kw)
+    monkeypatch.setattr(kk6.verify, "is_zero", counting)
+    pos = frozenset({"m0"})
+    res = identity_residual(mode.metric, mode.claimed_upper_greek)
+    outs = grade_entries(res, 3, 1e-9, positive=pos)
+    failures, _, structural, samples = _fold(outs)
+    nonzero = [e for row in res for e in row if e is not ZERO]
+    assert seen and all(e is not ZERO and p == pos for e, p in seen)
+    assert [e for e, _ in seen] == nonzero
+    assert structural == 36 - len(nonzero)
+    assert samples == sum(is_zero(e, seed=3, positive=pos).samples
+                          for e in nonzero)
+    assert failures
+
+
 @pytest.mark.parametrize("fam", ["scalar", "proca", "dirac"])
 def test_gravity_split_reports_measured_residual(fam):
     r = run_claim(f"gravity.split.{fam}", params={"points": 2})
@@ -159,6 +217,14 @@ def test_gravity_split_reports_measured_residual(fam):
      "metric constant beyond the float range"),
     ("gravity.split.dirac", {"kappa": "1e200", "points": 1}, INCONCLUSIVE,
      "metric constant beyond the float range"),
+    # constants that fit a float but whose products do not: NaN entries
+    ("gravity.split.proca", {"kappa": "1e150", "points": 1}, INCONCLUSIVE,
+     "non-finite entry"),
+    # a metric that rounds to singular at the sample point
+    ("gravity.split.dirac", {"kappa": "1e8", "points": 1}, INCONCLUSIVE,
+     "Singular matrix"),
+    ("gravity.split.dirac", {"kappa": "1e150", "points": 1}, INCONCLUSIVE,
+     "Singular matrix"),
 ])
 def test_float_overflow_is_a_record_not_a_crash(cid, params, verdict,
                                                 overflow):
@@ -173,6 +239,14 @@ def test_float_overflow_is_a_record_not_a_crash(cid, params, verdict,
     if r.witness is not None:
         assert not set(params) & set(r.witness)
         json.dumps(record_dict(r))
+
+
+def test_undecided_opposite_coupling_sign_is_not_called_consistent():
+    # the opposite-sign zero test overflows with the rest of the claim
+    r = run_claim("kg.reduction", params={"p0": "1e400"})
+    assert not any("unexpectedly consistent" in n for n in r.notes)
+    assert any(n.startswith("opposite coupling sign undecided")
+               for n in r.notes), r.notes
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +389,9 @@ def test_report_json_isolated_timing_key():
     rep = Report(version="1", command="verify", config={"b": 2, "a": 1},
                  seed=0, records=(rec,), timing={"seconds": 1.23})
     with_timing = json.loads(to_json(rep))
-    without = json.loads(to_json(rep, include_timing=False))
+    without = {k: v for k, v in with_timing.items() if k != "timing"}
     assert "timing" in with_timing and "timing" not in without
+    assert with_timing["timing"] == {"seconds": 1.23}
     del with_timing["timing"]
     assert with_timing == without
     assert list(without["config"]) == ["a", "b"]   # sorted, stable
@@ -327,7 +402,9 @@ def test_identical_runs_serialize_identically():
         recs = run_suite(claims=["fsq.null", "inverse.photon"], seed=9)
         rep = Report(version="1", command="verify", config={}, seed=9,
                      records=recs)
-        return to_json(rep, include_timing=False)
+        data = json.loads(to_json(rep))
+        del data["timing"]
+        return json.dumps(data)
     assert once() == once()
 
 
