@@ -9,6 +9,16 @@ numerically: five-point (fourth-order) central differences for the metric
 and connection derivatives, ``numpy.linalg.inv`` for the metric inverse,
 einsum contractions for the tensor algebra.
 
+The whole stencil is one batch.  :func:`ricci_fd` (and so
+:func:`einstein_fd`) needs the connection at the point and its 24
+neighbours, each from the metric at 25 points: those 625 metric samples
+are formed as one array, differenced in one elementwise expression,
+inverted in one batched ``inv`` and contracted in one ``einsum``.  The
+metric closure ``gf`` is still any callable of one point; the batch takes
+its ``gf.many`` when it has one (the closures of :func:`tensor_evaluator`
+do) and calls ``gf`` point by point otherwise.  Both routes give the same
+arrays, bit for bit.
+
 Step sizes: with a fourth-order stencil the truncation error at
 h = 1e-4 is ~h^4 ~ 1e-16 times the fifth-derivative scale — negligible —
 so the step is chosen to keep subtraction noise (~eps/h) small instead.
@@ -83,11 +93,14 @@ def compile_expr(e: Expr) -> Callable[[Sequence[complex]], complex]:
 def tensor_evaluator(entries: Sequence[Expr], shape: tuple
                      ) -> Callable[[Sequence[complex]], np.ndarray]:
     """One compiled function for a whole tensor: ``entries`` in C order of
-    ``shape``.  The closure maps six coordinates to the filled array.
+    ``shape``.  The closure maps six coordinates to the filled array, and
+    its ``many(points)`` maps a sequence of n points to one
+    ``(n, *shape)`` array.
 
     The nonzero entries share one straight-line body, so a subtree common
     to several entries is computed once; each value is the one
-    :func:`compile_expr` gives for its entry, bit for bit."""
+    :func:`compile_expr` gives for its entry, bit for bit, and ``many``
+    row i is the closure's array at ``points[i]``, bit for bit."""
     nonzero = [i for i, e in enumerate(entries) if e is not ZERO]
     fn = _compile([entries[i] for i in nonzero],
                   lambda refs: f"({''.join(r + ', ' for r in refs)})")
@@ -99,6 +112,12 @@ def tensor_evaluator(entries: Sequence[Expr], shape: tuple
         out[where] = fn(x)
         return out.reshape(shape)
 
+    def many(points) -> np.ndarray:
+        out = np.zeros((len(points), size), dtype=complex)
+        out[:, where] = [fn(x) for x in points]
+        return out.reshape(len(points), *shape)
+
+    ev.many = many
     return ev
 
 
@@ -132,29 +151,52 @@ def _shift(x, c: int, h: float):
     return y
 
 
-def _d1(f, x, c: int, h: float) -> np.ndarray:
-    """Fourth-order five-point central difference along coordinate c."""
-    return (-f(_shift(x, c, 2 * h)) + 8 * f(_shift(x, c, h))
-            - 8 * f(_shift(x, c, -h)) + f(_shift(x, c, -2 * h))) / (12 * h)
+def _stencil(x, h: float) -> list:
+    """x, then its 24 five-point neighbours: coordinate-major, each
+    coordinate shifted by +2h, +h, -h, -2h."""
+    return [list(x)] + [_shift(x, c, s) for c in range(DIM)
+                        for s in (2 * h, h, -h, -2 * h)]
+
+
+def _samples(gf, points: list) -> np.ndarray:
+    """The metric at every point, as one ``(n, 6, 6)`` array."""
+    many = getattr(gf, "many", None)
+    if many is not None:
+        return many(points)
+    return np.array([gf(p) for p in points])
+
+
+def _d1(vals: np.ndarray, h: float) -> np.ndarray:
+    """Fourth-order five-point central differences along each coordinate.
+
+    ``vals[p]`` holds the values on the p-th :func:`_stencil`; the result
+    ``[p, c]`` is the derivative along coordinate c at its centre."""
+    nb = vals[:, 1:].reshape(len(vals), DIM, 4, *vals.shape[2:])
+    return (-nb[:, :, 0] + 8 * nb[:, :, 1]
+            - 8 * nb[:, :, 2] + nb[:, :, 3]) / (12 * h)
+
+
+def _christoffel(g: np.ndarray) -> np.ndarray:
+    """Gamma[p, c, a, b] at n points from their ``(n, 25, 6, 6)`` metric
+    stencils."""
+    ginv = np.linalg.inv(g[:, 0])
+    dg = _d1(g, H_METRIC)
+    # S[p, a, d, b] = d_a g_db + d_b g_da - d_d g_ab
+    s = dg + dg.transpose(0, 3, 2, 1) - dg.transpose(0, 2, 1, 3)
+    return 0.5 * np.einsum("pcd,padb->pcab", ginv, s)
 
 
 def christoffel_fd(gf, x) -> np.ndarray:
     """Gamma[c, a, b] from central differences of the metric closure."""
-    g = gf(x)
-    ginv = np.linalg.inv(g)
-    dg = np.stack([_d1(gf, x, c, H_METRIC) for c in range(DIM)])
-    # S[a, d, b] = d_a g_db + d_b g_da - d_d g_ab
-    s = dg + dg.transpose(2, 1, 0) - dg.transpose(1, 0, 2)
-    return 0.5 * np.einsum("cd,adb->cab", ginv, s)
+    return _christoffel(_samples(gf, _stencil(x, H_METRIC))[None])[0]
 
 
 def ricci_fd(gf, x) -> np.ndarray:
-    gamma = christoffel_fd(gf, x)
-
-    def gamma_at(pt):
-        return christoffel_fd(gf, pt)
-
-    dgamma = np.stack([_d1(gamma_at, x, e, H_CONNECTION) for e in range(DIM)])
+    outer = _stencil(x, H_CONNECTION)
+    g = _samples(gf, [p for y in outer for p in _stencil(y, H_METRIC)])
+    gammas = _christoffel(g.reshape(len(outer), -1, DIM, DIM))
+    gamma = gammas[0]
+    dgamma = _d1(gammas[None], H_CONNECTION)[0]
     term1 = np.einsum("ccab->ab", dgamma)
     term2 = np.einsum("bcac->ab", dgamma)
     trace = np.einsum("dcd->c", gamma)

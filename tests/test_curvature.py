@@ -22,7 +22,8 @@ from kk6.expr import (
     MINUS_ONE, ONE, ZERO, _Ctx, coords, exp, mul, num, simplify, sym,
 )
 from kk6.oracle import (
-    christoffel_fd, compile_expr, einstein_fd, metric_evaluator, ricci_fd,
+    H_CONNECTION, H_METRIC, christoffel_fd, compile_expr, einstein_fd,
+    metric_evaluator, ricci_fd,
 )
 from kk6.tensor import DIM, Metric6
 from kk6.zeros import is_zero
@@ -173,6 +174,11 @@ def test_christoffel_matches_fd_oracle(factory):
         assert np.array_equal(conn(pt), sym_val)
         fd_val = christoffel_fd(gf, pt)
         assert np.max(np.abs(sym_val - fd_val)) < 1e-7
+    # the batch form is the closure's array row by row, bit for bit
+    pts = _sample_points(12, 5)
+    for ev in (gf, conn):
+        assert ev.many(pts).tobytes() == \
+            np.stack([ev(pt) for pt in pts]).tobytes()
 
 
 @pytest.mark.parametrize("factory", [
@@ -191,6 +197,77 @@ def test_ricci_and_einstein_match_fd_oracle(factory):
         assert abs(complex(rs(pt)) - rs_fd) < 1e-6
         assert np.max(np.abs(_tensor_eval(ein, 2, pt)
                              - einstein_fd(gf, pt))) < 1e-6
+
+
+def _gravity_split_metrics():
+    """The nine metrics the gravity.split claims difference (full, field
+    and background per family, at eps = 1/1000 and kappa = 1), plus the
+    scalar-mode metric of the geodesic claim."""
+    from kk6.ansatz import kk_rows
+    from kk6.verify import _gravity_fields
+    g4 = weak_field_block(num("1/1000"))
+    out = []
+    for family in ("scalar", "proca", "dirac"):
+        fields = _gravity_fields(family)
+        out += [gravity_metric(family, g4, num(1), **fields).metric,
+                gravity_metric(family, None, num(1), **fields).metric,
+                Metric6(kk_rows(g4, (ZERO,) * 4),
+                        name=f"{family}-background")]
+    return out + [scalar_metric(p=("5/4", 0, 0, "3/4"), m0=1).metric]
+
+
+def _reference_d1(f, x, c, h):
+    # the five-point stencil one point at a time
+    def at(step):
+        y = list(x)
+        y[c] = y[c] + step
+        return f(y)
+    return (-at(2 * h) + 8 * at(h) - 8 * at(-h) + at(-2 * h)) / (12 * h)
+
+
+def _reference_christoffel_fd(gf, x):
+    ginv = np.linalg.inv(gf(x))
+    dg = np.stack([_reference_d1(gf, x, c, H_METRIC) for c in range(DIM)])
+    s = dg + dg.transpose(2, 1, 0) - dg.transpose(1, 0, 2)
+    return 0.5 * np.einsum("cd,adb->cab", ginv, s)
+
+
+def _reference_ricci_fd(gf, x):
+    gamma = _reference_christoffel_fd(gf, x)
+    dgamma = np.stack([
+        _reference_d1(lambda p: _reference_christoffel_fd(gf, p), x, e,
+                      H_CONNECTION) for e in range(DIM)])
+    trace = np.einsum("dcd->c", gamma)
+    return (np.einsum("ccab->ab", dgamma) - np.einsum("bcac->ab", dgamma)
+            + np.einsum("cab,c->ab", gamma, trace)
+            - np.einsum("cad,dbc->ab", gamma, gamma))
+
+
+def _reference_einstein_fd(gf, x):
+    g = gf(x)
+    r = _reference_ricci_fd(gf, x)
+    return r - 0.5 * np.einsum("ab,ab->", np.linalg.inv(g), r) * g
+
+
+def test_fd_oracle_batch_and_per_point_routes_agree_bit_for_bit():
+    # metric_evaluator's closure has ``many``, so the whole stencil is
+    # sampled as one batch; the bare lambda (the benchmark's route) has
+    # none and is sampled point by point.  Both must give the reference's
+    # arrays, which difference and contract one point at a time.
+    rng = random.Random(41)
+    for metric in _gravity_split_metrics():
+        ev = metric_evaluator(metric)
+        for _ in range(2):
+            pt = [complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.2, 0.2))
+                  for _ in range(DIM)]
+            for fn, ref in ((christoffel_fd, _reference_christoffel_fd),
+                            (ricci_fd, _reference_ricci_fd),
+                            (einstein_fd, _reference_einstein_fd)):
+                want = ref(ev, pt)
+                assert np.isfinite(want).all(), (metric.name, fn.__name__)
+                for gf in (ev, lambda x: ev(x)):
+                    assert fn(gf, pt).tobytes() == want.tobytes(), \
+                        (metric.name, fn.__name__)
 
 
 def test_curvature_results_are_cached_per_metric():

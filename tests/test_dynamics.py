@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import kk6.dynamics
 from kk6.ansatz import onshell_energy, scalar_metric
 from kk6.dynamics import (
     DynamicsError, GeodesicState, closed_form_deviation, closed_form_exprs,
@@ -12,6 +13,7 @@ from kk6.dynamics import (
     two_path_fringes, _brentq, _path_difference,
 )
 from kk6.expr import ZERO, exp, mul, num, simplify, sym
+from kk6.tensor import DIM
 from kk6.zeros import is_zero
 
 P = (1.25, 0.0, 0.0, 0.75)           # exactly on-shell with m0 = 1
@@ -112,6 +114,69 @@ def test_integration_aborts_on_blowup_instead_of_raising():
     path = integrate(wild, 10.0, 50, gamma)
     assert path.aborted
     assert len(path.states) < 51
+
+
+def _reference_advance(rhs, y, snap, states, residuals, initial, steps, h):
+    # the integrator's loop before the end-of-step acceleration was reused
+    # as the next step's k1: five connection evaluations per step
+    try:
+        accel_prev = rhs(y).view(np.complex128)[DIM:].copy()
+        for n in range(steps):
+            tau = initial.tau + n * h
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * h * k1)
+            k3 = rhs(y + 0.5 * h * k2)
+            k4 = rhs(y + h * k3)
+            v_old = y.view(np.complex128)[DIM:].copy()
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            yc = y.view(np.complex128)
+            accel_new = rhs(y).view(np.complex128)[DIM:].copy()
+            defect = (yc[DIM:] - v_old) / h - 0.5 * (accel_prev + accel_new)
+            residuals.append(float(np.max(np.abs(defect))))
+            accel_prev = accel_new
+            states.append(snap(y, tau + h))
+            if not np.all(np.isfinite(y)) or \
+                    np.max(np.abs(yc)) > kk6.dynamics._BLOWUP:
+                return True
+    except (OverflowError, DynamicsError):
+        return True
+    return False
+
+
+def _path_bytes(path):
+    return (np.array([s.x + s.v for s in path.states]).tobytes(),
+            np.array([s.tau for s in path.states]).tobytes(),
+            np.array(path.residuals).tobytes(), path.aborted)
+
+
+@pytest.mark.parametrize("case", ["claim", "perturbed", "blowup"])
+def test_integrator_matches_five_evaluation_reference(case, monkeypatch):
+    gamma = connection_evaluator(_metric())
+    base = closed_form_state(0.0, P, M0, CONST)
+    v = list(base.v)
+    v[0] += 0.2
+    v[4] += 0.2
+    seed, tau_end, steps = {
+        "claim": (base, 1.0, 1000),
+        "perturbed": (GeodesicState(base.x, tuple(v), 0.0), 2.0, 400),
+        "blowup": (GeodesicState((0,) * 6, (0, 0, 0, 0, 1e9, 1e9), 0.0),
+                   10.0, 50),
+    }[case]
+    calls = 0
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return gamma(x)
+
+    got = integrate(seed, tau_end, steps, counted)
+    assert got.aborted == (case == "blowup")
+    if not got.aborted:
+        assert calls == 4 * steps + 1
+    with monkeypatch.context() as m:
+        m.setattr(kk6.dynamics, "_advance", _reference_advance)
+        want = integrate(seed, tau_end, steps, gamma)
+    assert _path_bytes(got) == _path_bytes(want)
 
 
 def test_integrate_validates_steps():
