@@ -14,22 +14,21 @@ Ricci's symmetry is a theorem here, checked by tests through
 :func:`ricci_entry_raw`.
 
 Every derivative (d_C g_AB, d_C Gamma^C_AB and d_B Gamma^C_AC) is one
-:func:`~kk6.expr.derive` call, computed in the polynomial kernel from the
-terms of the entry with no ``diff`` tree; a monomial whose derivative
-factor shares a sum or root with the rest of it takes the tree route
-there.  Every other entry is one :func:`~kk6.expr.contract` call: its
-products are expanded once in the polynomial kernel and the canonical
-tree is built once, with no tree per product and none for the sum, and
-the result is the tree that simplifying that sum would give.  Each stage
-call
-(:func:`christoffel`; :func:`ricci` with the divergence and trace of the
-connection; :func:`ricci_scalar`; :func:`einstein`) runs in one kernel
-context, so each connection entry is read, and each of its inner sums
-differentiated, once for all 21 Ricci entries.
+:func:`~kk6.expr.derive` call: the product rule over the entry's terms,
+handed to ``contract``.  Every other entry is one
+:func:`~kk6.expr.contract` call: its products are expanded once in the
+polynomial kernel and the canonical tree is built once, with no tree per
+product and none for the sum, and the result is the tree that
+simplifying that sum would give.  Each stage call (:func:`christoffel`;
+:func:`ricci` with the divergence and trace of the connection;
+:func:`ricci_scalar`; :func:`einstein`) runs in one kernel context, so
+each connection entry is read once for all 21 Ricci entries, and each of
+its factors differentiated once per coordinate.
 Each stage's result is kept in the metric's cache by one memo; the
 context lives for the call, and the cache keeps only trees.
 A product whose factors share a sum or root base (which ``mul`` would
-merge) takes the tree route inside ``contract``.
+merge), a derivative's products among them, takes the tree route inside
+``contract``.
 """
 from __future__ import annotations
 

@@ -59,8 +59,8 @@ integers over one denominator per polynomial.  A product adds the exponent
 ints, adds ``exp`` arguments with :func:`add` (memoized for the call) and
 multiplies coefficients, and applies ``mul``'s folds in the dict: a root met
 twice folds, ``sqrt(a)^2 -> a`` with ``a`` merged like any other factor,
-``i*i -> -1``, and a sum that reaches exponent 1 is expanded as a sum factor
-is.  Each output monomial becomes one canonical term, built once, so the
+``i*i -> -1``, and a sum that reaches an exponent in 1..cap is expanded as
+``simplify`` expands a sum factor or a small power of one.  Each output monomial becomes one canonical term, built once, so the
 result is the tree that ``mul`` and ``add`` give pair by pair.  The field
 layout and memos live for one top-level call; a field that would overflow
 restarts the call with wider fields.
@@ -72,17 +72,12 @@ Calls that share a :func:`context` share its layout and memos, so an
 operand is read once for all of them.
 
 :func:`derive` is the entry point for derivatives: its result is
-``simplify`` of :func:`diff`, computed in the same kernel from the terms of
-its input with no derivative tree.  A symbol's exponent field shifts and
-scales the coefficient, an ``exp`` group gains its argument's derivative, a
-root ``sqrt(a)`` gains ``a^-1 * a' / 2`` and a sum atom ``S^n`` becomes
-``n * S^(n-1) * S'``, with the derivatives of inner sums, arguments and
-radicands memoized in the context.  Its guard follows ``contract``'s: a
-monomial in which ``mul`` could merge a sum or root of the rest with one
-that its derivative factor brings takes the tree route, and so does an
-input that is not its own ``simplify`` result.  :func:`diff` keeps building
-the derivative tree for the tests and ``derive``'s tree route; both return
-``ZERO`` at once for a symbol that is not free in the input.
+``simplify`` of :func:`diff`, and it is the product rule handed to
+``contract``, one product per factor in which the symbol is free, with that
+factor replaced by its ``diff`` tree (memoized in the context per symbol).
+``_diff`` is the one definition of a derivative, and ``contract`` alone
+decides where a product takes the tree route.  Both return ``ZERO`` at once
+for a symbol that is not free in the input.
 
 :func:`to_text` renders each distinct node once per call, however often the
 tree shares it.
@@ -720,8 +715,7 @@ class _Ctx:
     call."""
 
     __slots__ = ("width", "half", "mask", "bias", "polys", "exps", "fkeys",
-                 "factors", "fields", "atoms", "roots", "watch", "derivs",
-                 "dtrees", "nests")
+                 "factors", "fields", "atoms", "roots", "watch", "derivs")
 
     def __init__(self, width: int):
         self.width = width
@@ -736,9 +730,7 @@ class _Ctx:
         self.atoms: list = []       # index -> field atom
         self.roots: list = [None]   # bit index -> Sqrt atom (0 is i)
         self.watch: list[int] = []  # sums read under a positive power
-        self.derivs: dict = {}      # (tree, symbol) -> its derivative's _Poly
-        self.dtrees: dict = {}      # (tree, symbol) -> its derivative's tree
-        self.nests: dict = {}       # tree -> the sums and roots inside it
+        self.derivs: dict = {}      # symbol -> {tree: its diff tree}
 
 
 def _field(ctx: _Ctx, atom: Expr) -> int:
@@ -833,7 +825,8 @@ def _rows(ctx: _Ctx, rows: list, mx: int) -> _Poly:
 
 def _times(ctx: _Ctx, p: _Poly, q: _Poly) -> _Poly:
     """``p*q`` as ``mul`` forms each monomial product, then every sum that
-    reached exponent 1 expanded, as ``simplify`` expands a sum factor."""
+    reached an exponent in 1..``_EXPAND_POW_CAP`` expanded, as ``simplify``
+    expands a sum factor or a small power of one."""
     landed = list(ctx.watch)
     r = _merge(ctx, p, q, landed)
     return _land(ctx, r, landed) if landed else r
@@ -907,22 +900,27 @@ def _shift(ctx: _Ctx, p: _Poly, i: int) -> _Poly:
 
 
 def _land(ctx: _Ctx, p: _Poly, fields: list) -> _Poly:
-    """Expand the sums among ``fields`` that stand at exponent 1 in a
-    monomial of ``p``: the rest of the monomial times each such sum in
-    canonical factor order, as ``simplify`` distributes a sum factor."""
+    """Expand the sums among ``fields`` that stand at an exponent in
+    1..``_EXPAND_POW_CAP`` in a monomial of ``p``: the rest of the monomial
+    times each such sum, as often as its exponent, in canonical factor
+    order, as ``simplify`` distributes a sum factor or a small power of
+    one."""
     keep: dict = {}
     parts = []
     for gk, d in p.groups.items():
         for k, n in d.items():
-            ones = [ctx.atoms[i] for i in fields if _exponent(ctx, k, i) == 1]
-            if not ones:
+            ups = [(ctx.atoms[i], m) for i in fields
+                   if 1 <= (m := _exponent(ctx, k, i)) <= _EXPAND_POW_CAP]
+            if not ups:
                 keep.setdefault(gk, {})[k] = n
                 continue
-            for a in ones:
-                k -= 1 << (ctx.width * ctx.fields[a])
+            for a, m in ups:
+                k -= m << (ctx.width * ctx.fields[a])
             r = _Poly(p.den, {gk: {k: n}}, p.mx)
-            for a in sorted(ones, key=_keyfn):
-                r = _times(ctx, r, _read(ctx, a))
+            for a, m in sorted(ups, key=lambda u: _keyfn(u[0])):
+                q = _read(ctx, a)
+                for _ in range(m):
+                    r = _times(ctx, r, q)
             parts.append(r)
     if not parts:
         return p
@@ -1106,13 +1104,13 @@ def contract(products, ctx: _Ctx) -> Expr:
     products = list(products)
     while True:
         try:
-            return _contract(products, ctx)
+            return _contract(products, ctx, [])
         except _Widen:
             ctx = _Ctx(ctx.width * 2)
 
 
-def _contract(products, ctx: _Ctx) -> Expr:
-    parts = []
+def _contract(products, ctx: _Ctx, parts: list) -> Expr:
+    # ``parts``: polynomials already in ``ctx`` to add to the products
     for p in products:
         fs = []
         for f in p:
@@ -1155,155 +1153,58 @@ def derive(e: Expr, s, ctx: _Ctx) -> Expr:
     """The simplified derivative: by definition ``simplify(diff(e, s))``,
     node for node.
 
-    It is computed in the polynomial kernel from the terms of ``e``,
-    without a derivative tree.  In each monomial a power of the symbol
-    shifts its exponent field and scales the coefficient; an ``exp``
-    factor stays and gains its argument's derivative; a root
-    ``sqrt(a)`` stays and gains ``HALF * a^-1 * a'``, which is what
-    ``power(sqrt(a), -1)`` expands to; a sum atom ``S^n`` becomes
-    ``n * S^(n-1) * S'``.  The derivatives of sums, arguments and
-    radicands are memoized in ``ctx``.  Two cases take the tree route,
-    ``simplify`` of ``diff``: an ``e`` that is not its own ``simplify``
-    result, whole; and a monomial in which ``mul`` could merge a sum or
-    root of the rest with one its derivative factor brings (the rule of
-    :func:`contract`'s guard), or which holds a sum at a power that
-    ``simplify`` would expand, alone.  ``e`` free of ``s`` gives ``ZERO``
-    at once."""
+    It is the product rule handed to :func:`contract`: for each term of
+    ``e`` and each factor in which ``s`` is free, the term with that factor
+    replaced by its ``diff`` tree, which ``ctx`` memoizes per symbol.  The
+    ``add`` of the ``mul`` of these products is ``diff(e, s)``, so
+    ``contract`` gives its ``simplify`` for any ``e``.  One shortcut: in an
+    ``e`` that is its own ``simplify`` result, the powers of ``s`` itself
+    shift their exponent field in ``e``'s polynomial, as ``mul`` adds a
+    symbol's exponents.  ``e`` free of ``s`` gives ``ZERO`` at once."""
     target = _resolve_symbol(s)
     if target not in free_symbols(e):
         return ZERO
+    x = Sym(target)
     while True:
         try:
-            if _simplified(e, ctx) is not e:
-                return _simplified(_diff(e, target, {}), ctx)
-            r = _build(ctx, _dpoly(ctx, e, target))
-            break
+            memo = ctx.derivs.setdefault(target, {})
+            own = _simplified(e, ctx) is e
+            products = []
+            for t in (e.terms if isinstance(e, Add) else (e,)):
+                fs = t.factors if isinstance(t, Mul) else (t,)
+                for i, f in enumerate(fs):
+                    if own and (f.base if isinstance(f, Pow) else f) is x:
+                        continue        # in the shifted polynomial below
+                    if target in free_symbols(f):
+                        products.append(
+                            (*fs[:i], _diff(f, target, memo), *fs[i + 1:]))
+            parts = []
+            if own:
+                q = _read(ctx, e)
+                i = ctx.fields.get(x)
+                if i is not None:
+                    parts.append(_dfield(ctx, q, i))
+            return _contract(products, ctx, parts)
         except _Widen:
             ctx = _Ctx(ctx.width * 2)
-    if r._simp is None:
-        r._simp = _SELF
-    return r
 
 
-def _dpoly(ctx: _Ctx, e: Expr, target: Symbol) -> _Poly:
-    """The polynomial of ``simplify(diff(e, target))`` for an ``e`` that is
-    its own ``simplify`` result (memoized per context)."""
-    key = (e, target)
-    got = ctx.derivs.get(key)
-    if got is not None:
-        return got
-    parts: list = []
-    for t in (e.terms if isinstance(e, Add) else (e,)):
-        if target not in free_symbols(t):
-            continue
-        d = _dterm(ctx, t, target)
-        if d is None:
-            d = [_read(ctx, _simplified(_diff(t, target, {}), ctx))]
-        parts += d
-    got = ctx.derivs[key] = _sum(parts) if parts else _Poly(1, {}, 0)
-    return got
-
-
-def _dterm(ctx: _Ctx, t: Expr, target: Symbol):
-    """The derivative of one canonical term as polynomials to be summed:
-    one per factor in which the symbol is free (a power of the symbol
-    itself shifts its exponent), or ``None`` where the term takes the tree
-    route."""
-    if isinstance(t, Mul):
-        fs = t.factors
-        c = ONE
-        if isinstance(fs[0], Num):
-            c, fs = fs[0], fs[1:]
-    else:
-        c, fs = ONE, (t,)
-    ex, bits, k, mx = ZERO, 0, 0, 0
-    bases = []
-    for f in fs:
-        b, n = (f.base, f.n) if isinstance(f, Pow) else (f, 1)
-        if isinstance(b, Add):
-            if 1 <= n <= _EXPAND_POW_CAP:
-                return None             # ``simplify`` would expand it
-            bases.append(b)
-        elif isinstance(b, Sqrt):
-            bases.append(b)
-        fe, fb, fk, fm = _factor_key(ctx, f)
-        if fe is not ZERO:
-            ex = fe
-        bits |= fb
-        k += fk
-        mx = max(mx, fm)
-    mx += 1                             # a shift moves one field by one
-    rows, polys = [], []
-    for f in fs:
-        if target not in free_symbols(f):
-            continue
-        b, n = (f.base, f.n) if isinstance(f, Pow) else (f, 1)
-        if isinstance(b, Sym):
-            unit = 1 << (ctx.width * ctx.fields[b])
-            rows.append((ex, bits, k - unit, c.re * n, c.im * n))
-            continue
-        if isinstance(b, Add):
-            if n == _EXPAND_POW_CAP + 1:
-                return None             # S^(n-1) would be expanded
-            inner, re, im = b, c.re * n, c.im * n
-        elif isinstance(f, Exp):
-            inner, re, im, n = f.arg, c.re, c.im, 0
-        elif isinstance(f, Sqrt) and isinstance(f.arg, (Add, Sym)):
-            inner, re, im, n = f.arg, c.re / 2, c.im / 2, -1
-        else:
-            return None                 # conj(target) raises there
-        if _tangled(ctx, b, bases, target):
-            return None
-        shift = -1 << (ctx.width * _field(ctx, inner)) if n else 0
-        mono = _rows(ctx, [(ex, bits, k + shift, re, im)], mx)
-        polys.append(_times(ctx, mono, _dpoly(ctx, inner, target)))
-    if rows:
-        polys.append(_rows(ctx, rows, mx))
-    return polys
-
-
-def _tangled(ctx: _Ctx, own: Expr, bases: list, target: Symbol) -> bool:
-    """Whether ``mul`` could merge a sum or root base of the rest of a
-    term (``bases`` without ``own``) with one that the derivative of the
-    factor on base ``own`` brings: a sum or root inside it, or the
-    derivative of a sum inside it."""
-    rest = [b for b in bases if b is not own]
-    if not rest:
-        return False
-    inner = _nest(ctx, own)
-    if any(b in inner for b in rest):
-        return True
-    sums = [b for b in rest if isinstance(b, Add)]
-    for u in inner if sums else ():
-        if isinstance(u, Add) and target in free_symbols(u):
-            key = (u, target)
-            d = ctx.dtrees.get(key)
-            if d is None:
-                d = ctx.dtrees[key] = _build(ctx, _dpoly(ctx, u, target))
-            if d in sums:
-                return True
-    return False
-
-
-def _nest(ctx: _Ctx, e: Expr) -> frozenset:
-    """The sums and roots in ``e``, itself included (memoized per context)."""
-    got = ctx.nests.get(e)
-    if got is None:
-        if isinstance(e, Add):
-            kids = e.terms
-        elif isinstance(e, Mul):
-            kids = e.factors
-        elif isinstance(e, Pow):
-            kids = (e.base,)
-        elif isinstance(e, (Exp, Sqrt)):
-            kids = (e.arg,)
-        else:
-            kids = ()
-        got = frozenset().union(*(_nest(ctx, x) for x in kids))
-        if isinstance(e, (Add, Sqrt)):
-            got |= {e}
-        ctx.nests[e] = got
-    return got
+def _dfield(ctx: _Ctx, p: _Poly, i: int) -> _Poly:
+    """The derivative of ``p``'s monomials in field atom ``i``: each
+    exponent ``n`` of it scales the coefficient and drops by one."""
+    unit = 1 << (ctx.width * i)
+    groups: dict = {}
+    for gk, d in p.groups.items():
+        out = {}
+        for k, c in d.items():
+            n = _exponent(ctx, k, i)
+            if n:
+                out[k - unit] = c * n
+        if out:
+            groups[gk] = out
+    if p.mx + 1 >= ctx.half:
+        raise _Widen
+    return _Poly(p.den, groups, p.mx + 1)
 
 
 def free_symbols(e: Expr) -> frozenset[Symbol]:

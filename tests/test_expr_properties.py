@@ -7,15 +7,21 @@ node for node, printing round-trips through the parser, ``diff`` agrees with
 central finite differences, and ``scaled_eval``'s tape gives the recursive
 walk's numbers and failures bit for bit."""
 import cmath
+import json
+import os
 import random
 import struct
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
+from kk6 import expr as kernel  # noqa: E402
 from kk6.expr import (  # noqa: E402
     MINUS_ONE, ONE, ZERO, Add, Conj, DomainError, EvalError, Exp, Expr, Mul,
     Num, Pow, Sqrt, Sym, add, conj, context, contract, coords, derive, diff,
@@ -487,8 +493,8 @@ _A = add(X0, X1)
     (mul(sqrt(_R), power(add(X2, sqrt(_R)), -1)), X1),
     # the derivative factor brings S^-2, and S^10 S^-2 = S^8 is expanded
     (mul(power(_S, 10), power(add(mul(X0, power(_S, -2)), X2), -1)), X0),
-    # simplify leaves (x0 + x1)^8 unexpanded here, and expands it when it
-    # meets it again in a fresh tree
+    # S^9 S^-1 = S^8 inside simplify, which expands it there as it
+    # does in a fresh tree
     (mul(power(_A, 9), add(X2, power(_A, -1))), X0),
 ], ids=["derived-sum", "ninth-power", "root-at-ninth-power", "shared-root",
         "sum-inside", "unexpanded-power"])
@@ -503,3 +509,70 @@ def test_derive_of_an_unsimplified_input_is_the_tree_route():
     assert simplify(e) is not e
     want = simplify(diff(e, X1))
     assert derive(e, X1, context()) is want
+
+
+@settings(PROPERTY, max_examples=60)
+@given(derivables)
+def test_derive_in_two_symbols_in_one_context_is_the_tree_route(e):
+    # the diff trees ``derive`` keeps in the context belong to one symbol
+    ctx = context()
+    x = simplify(e)
+    for s in (X0, X1):
+        want = _tree_derivative(x, s)
+        assert _derivative(x, s, ctx) is want
+
+
+def test_derive_merges_where_contract_does(monkeypatch):
+    # the derived-sum case: with contract's guard off, the kernel expands
+    # 1 + x1 against its own inverse instead of cancelling it
+    x = simplify(mul(power(_DERIVED, -1), power(_S, -1)))
+    want = simplify(diff(x, X0))
+    monkeypatch.setattr(kernel, "_merges", lambda factors: False)
+    assert derive(x, X0, context()) is not want
+
+
+# Idempotency where no cached result can answer: a result met again as
+# a fresh parse of its printed text, in this process with every cached
+# ``simplify`` result on it forgotten, and in a fresh process.  Products
+# of pooled powers and of sums that hold them bring a sum's power into
+# 2..8, which ``simplify`` expands in a fresh tree.
+_pooled_sums = st.lists(st.one_of(pooled, exprs), min_size=2,
+                        max_size=3).map(lambda ts: add(*ts))
+landings = st.lists(st.one_of(pooled, _pooled_sums), min_size=2,
+                    max_size=3).map(lambda fs: mul(*fs))
+
+
+@PROPERTY
+@given(st.one_of(derivables, landings))
+def test_simplify_is_idempotent_with_its_cache_forgotten(e):
+    s = simplify(e)
+    for n in _nodes(s):
+        n._simp = None
+    assert simplify(s) is s
+
+
+_FRESH_SCRIPT = """
+import json, sys
+from kk6.expr import simplify, to_text
+from kk6.parse import parse_expression
+print(json.dumps([to_text(simplify(parse_expression(t)))
+                  for t in json.load(sys.stdin)]))
+"""
+
+
+def test_printed_results_are_fixed_points_in_a_fresh_process():
+    cases = [
+        mul(power(_A, 9), add(X2, power(_A, -1))),
+        mul(power(_S, 10), power(add(mul(X0, power(_S, -2)), X2), -1)),
+        mul(power(_R, 9), sqrt(_R), add(X0, power(_R, -3))),
+        mul(add(X1, sqrt(_R)), add(X2, sqrt(_R)), add(X0, power(_R, -1))),
+    ]
+    texts = [to_text(simplify(e)) for e in cases]
+    src = str(Path(kernel.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", _FRESH_SCRIPT],
+                         input=json.dumps(texts), capture_output=True,
+                         text=True, env=env, timeout=600, check=True)
+    assert json.loads(out.stdout) == texts

@@ -18,7 +18,9 @@ ansatz=dirac1`` report (without ``timing``) at default, symbolic
 parameters: its 0.64 MB of canonical forms come from the inverse,
 Christoffel, Ricci and Einstein contractions over symbolic momenta.  It
 also holds the digest of the report at ``p1=1/2 p2=1/3 p3=1/4 m0=1``,
-whose on-shell ``p0 = sqrt(205)/12`` puts a root in every entry.
+whose on-shell ``p0 = sqrt(205)/12`` puts a root in every entry, and of
+the default ``kk6 curvature ansatz=coupled`` report, whose derivatives
+meet folded on-shell roots.
 
 ``golden_metrics.json`` holds one sha256 per metric family, of the
 printed metric entries and claimed inverse(s) at default (symbolic)
@@ -115,12 +117,15 @@ def test_curvature_report_matches_golden(aid):
 
 # label -> (ansatz, CLI arguments) of the symbolic reports whose digest is
 # pinned: ``dirac1`` at default parameters, and at a point with p2 != 0 and
-# an irrational p0, which the benchmark inputs never reach; the default
-# ``coupled`` and ``gravity-dirac`` reports take 4-10 s each, too long here
+# an irrational p0, which the benchmark inputs never reach, and ``coupled``
+# at default parameters, whose entries fold on-shell roots (about 4 s); the
+# default ``gravity-dirac`` report takes longer and is left to
+# ``tools/identity.py``
 SYMBOLIC = {
     "dirac1": ("dirac1", ()),
     "dirac1 p1=1/2 p2=1/3 p3=1/4 m0=1": (
         "dirac1", ("p1=1/2", "p2=1/3", "p3=1/4", "m0=1")),
+    "coupled": ("coupled", ()),
 }
 
 
