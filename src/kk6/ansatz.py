@@ -19,8 +19,9 @@ Families:
   carrying an extra x5 phase,
 * half-spin -- K is a five-component field assembled from Dirac spinor
   components, one metric per spinor solution,
-* gravity-coupled -- any of the above over a curved 4d block with the
-  field scaled by a coupling constant.
+* gravity-coupled -- a built mode over a curved 4d block
+  (:func:`gravity_metric`): its field ``K`` scaled by a coupling
+  constant, or, for the field-free scalar mode, its ``g44``.
 
 Capital indices range over {0,1,2,3,5}; index 4 is the compact direction.
 Each entry a builder forms is one :func:`~kk6.expr.contract` call over its
@@ -46,7 +47,7 @@ __all__ = [
     "null_wave_potential", "massive_wave_potential",
     "SpinorComponents", "dirac_components",
     "SpinorMode", "dirac_metric", "CoupledMode", "coupled_metric",
-    "GravityMode", "gravity_metric", "weak_field_block", "kk_rows",
+    "gravity_metric", "weak_field_block", "kk_rows",
     "field_strength", "fsq", "stress_tensor", "onshell_energy",
 ]
 
@@ -202,7 +203,7 @@ def stress_tensor(f: tuple, f2: Expr) -> tuple:
 class VectorMode:
     A: tuple                    # four lower potential components
     m0: Expr | None             # None for the massless case
-    Ahat: tuple                 # five components over IDX5 (index 5 absent: 0)
+    K: tuple                    # five components over IDX5 (index 5 absent: 0)
     metric: Metric6
     claimed_upper: Grid
 
@@ -218,7 +219,7 @@ def _vector_mode(a4, m0v, name: str) -> VectorMode:
         x5phase = exp(mul(I, m0v, x[5]))
         ctx = context()
         ahat4 = tuple(contract([(v, x5phase)], ctx) for v in a4)
-    return VectorMode(A=a4, m0=m0v, Ahat=ahat4 + (ZERO,),
+    return VectorMode(A=a4, m0=m0v, K=ahat4 + (ZERO,),
                       metric=Metric6(kk_rows(_FLAT4, ahat4), name=name),
                       claimed_upper=_claimed_upper(ahat4, ZERO,
                                                    _trace4(ahat4)))
@@ -401,37 +402,25 @@ def weak_field_block(eps=None) -> Grid:
     return tuple(tuple(r) for r in rows)
 
 
-@dataclass(frozen=True)
-class GravityMode:
-    metric: Metric6
+def gravity_metric(mode, g4: Grid | None = None, kappa=None) -> Metric6:
+    """The metric of a built mode over the 4d block ``g4`` (default flat).
 
-
-def gravity_metric(family: str, g4: Grid | None = None, kappa=None,
-                   **params) -> GravityMode:
-    """Curved-4d-block version of a field family.
-
-    With a flat block and kappa = 1 this reproduces the plain family
-    metric exactly."""
+    A vector, half-spin or coupled mode's field ``K`` goes into
+    :func:`kk_rows` at coupling ``kappa`` (default the symbol).  The scalar
+    mode has no field: its ``g44`` goes into the field-free rows, and a
+    ``kappa`` is refused.  With a flat block and kappa = 1 this is the
+    mode's own metric, node for node."""
     g4v = tuple(tuple(_E(e) for e in row) for row in g4) if g4 is not None \
         else _FLAT4
     if len(g4v) != 4 or any(len(r) != 4 for r in g4v):
         raise AnsatzError("g4 must be a 4x4 block")
-    kv = _E(kappa) if kappa is not None else sym("kappa")
-
-    if family == "scalar":
-        base = scalar_metric(p=params.get("p"), m0=params.get("m0"),
-                             hbar=params.get("hbar"))
+    if isinstance(mode, ScalarMode):
+        if kappa is not None:
+            raise AnsatzError("the scalar mode has no field for kappa to "
+                              "couple")
         rows = kk_rows(g4v, _NO_FIELD)
-        rows[4][4] = base.g44
-    elif family == "proca":
-        base = proca_metric(params.get("A"), params.get("m0"))
-        rows = kk_rows(g4v, base.Ahat[:4], kappa=kv)
-    elif family == "dirac":
-        base = dirac_metric(params.get("sol", 1), params.get("p1"),
-                            params.get("p2"), params.get("p3"),
-                            params.get("m0"))
-        rows = kk_rows(g4v, base.K[:4], base.K[4], kv)
+        rows[4][4] = mode.g44
     else:
-        raise AnsatzError(f"unknown family {family!r}")
-
-    return GravityMode(metric=Metric6(rows, name=f"gravity-{family}"))
+        kv = _E(kappa) if kappa is not None else sym("kappa")
+        rows = kk_rows(g4v, mode.K[:4], mode.K[4], kv)
+    return Metric6(rows, name=f"gravity-{mode.metric.name}")

@@ -84,8 +84,7 @@ _ANSATZ_PARAMS = {
     **{f"dirac{s}": dict.fromkeys(("p1", "p2", "p3", "m0"))
        for s in range(1, 5)},
     "coupled": dict.fromkeys(("sol", "p1", "p2", "p3", "m0", "gamma")),
-    "gravity-scalar": dict.fromkeys(("p0", "p1", "p2", "p3", "m0", "eps",
-                                     "kappa")),
+    "gravity-scalar": dict.fromkeys(("p0", "p1", "p2", "p3", "m0", "eps")),
     "gravity-proca": dict.fromkeys(("k3", "m0", "pol", "eps", "kappa")),
     "gravity-dirac": dict.fromkeys(("sol", "p1", "p2", "p3", "m0", "eps",
                                     "kappa")),
@@ -291,38 +290,30 @@ def build_ansatz(aid: str, params: dict):
     """Named metric constructor; returns (metric, claimed_upper, notes).
     ``params`` binds only names of the ansatz's row, which are the
     keyword names of its constructors, so unbound ones take the
-    constructors' own defaults."""
+    constructors' own defaults.  A ``gravity-X`` ansatz is X's mode, built
+    as for X, coupled over ``weak_field_block(eps)`` by ``gravity_metric``
+    and reported with no printed inverse."""
     kw = dict(params)
-    if aid == "scalar":
-        p, m0, note = _scalar_p(kw)
-        mode = scalar_metric(p=p, m0=m0, hbar=kw.get("hbar"))
-        return mode.metric, None, [note]
-    if aid == "photon":
-        mode = photon_metric(null_wave_potential(**kw))
-        return mode.metric, mode.claimed_upper, []
-    if aid == "proca":
-        mode = proca_metric(massive_wave_potential(**kw), kw.get("m0"))
-        return mode.metric, mode.claimed_upper, []
-    if aid.startswith("dirac"):
-        mode = dirac_metric(int(aid[-1]), **kw)
-        return mode.metric, mode.claimed_upper, list(mode.notes)
-    if aid == "coupled":
-        return coupled_metric(**kw).metric, None, []
-    family = aid.split("-", 1)[1]
-    g4 = weak_field_block(kw.pop("eps", None))
-    kappa = kw.pop("kappa", None)
+    family = aid.removeprefix("gravity-")
+    eps, kappa = kw.pop("eps", None), kw.pop("kappa", None)
     notes = []
     if family == "scalar":
         p, m0, note = _scalar_p(kw)
-        mode = gravity_metric("scalar", g4, kappa, p=p, m0=m0)
+        mode = scalar_metric(p=p, m0=m0, hbar=kw.get("hbar"))
         notes.append(note)
+    elif family == "photon":
+        mode = photon_metric(null_wave_potential(**kw))
     elif family == "proca":
-        mode = gravity_metric("proca", g4, kappa,
-                              A=massive_wave_potential(**kw), m0=kw.get("m0"))
+        mode = proca_metric(massive_wave_potential(**kw), kw.get("m0"))
+    elif family == "coupled":
+        mode = coupled_metric(**kw)
     else:
-        mode = gravity_metric("dirac", g4, kappa, **kw)
+        mode = dirac_metric(int(family[5:] or kw.pop("sol", 1)), **kw)
+        notes += mode.notes
+    if family == aid:
+        return mode.metric, getattr(mode, "claimed_upper", None), notes
     notes.append("static weak-field background block")
-    return mode.metric, None, notes
+    return gravity_metric(mode, weak_field_block(eps), kappa), None, notes
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ import numpy as np
 
 from .curvature import christoffel
 from .expr import (
-    Expr, MINUS_ONE, ZERO, add, context, contract, derive, exp, mul, num,
-    simplify, subs, sym,
+    Expr, MINUS_ONE, ZERO, context, contract, derive, exp, mul, num, subs,
+    sym,
 )
 from .oracle import metric_evaluator, tensor_evaluator
 from .symbols import DEFAULT_TABLE
@@ -83,28 +83,26 @@ def closed_form_exprs() -> ClosedForm:
     velocity has vanishing derivative and the connection terms cancel the
     remaining accelerations exactly."""
     t = sym("tau")
-    p = [sym(f"p{i}") for i in range(4)]
     m0 = sym("m0")
+    p = [sym(f"p{i}") for i in range(1, 4)]
+    p = [onshell_energy(*p, m0), *p]
     c = [sym(f"c{i}") for i in range(6)]
-    shell = {"p0": _onshell_expr()}
 
+    ctx = context()
     quad = mul(num("1/2", 0), num(0, -1), t, t)   # -i tau^2 / 2
     x = [ZERO] * DIM
     for a in range(4):
-        x[a] = add(mul(quad, p[a]), c[a])
-    x[5] = add(mul(quad, m0), c[5])
-    theta = add(mul(p[0], x[0]), mul(MINUS_ONE, p[1], x[1]),
-                mul(MINUS_ONE, p[2], x[2]), mul(MINUS_ONE, p[3], x[3]),
-                mul(MINUS_ONE, m0, x[5]))
-    theta = simplify(subs(theta, shell))
-    x[4] = add(c[4], mul(t, exp(mul(num(0, 1), theta))))
-    x = [simplify(subs(e, shell)) for e in x]
+        x[a] = contract([(quad, p[a]), (c[a],)], ctx)
+    x[5] = contract([(quad, m0), (c[5],)], ctx)
+    theta = contract([(p[0], x[0]), (MINUS_ONE, p[1], x[1]),
+                      (MINUS_ONE, p[2], x[2]), (MINUS_ONE, p[3], x[3]),
+                      (MINUS_ONE, m0, x[5])], ctx)
+    x[4] = contract([(c[4],), (t, exp(mul(num(0, 1), theta)))], ctx)
 
-    ctx = context()
     v = tuple(derive(e, t, ctx) for e in x)
     acc = tuple(derive(e, t, ctx) for e in v)
 
-    metric = scalar_metric(p=(_onshell_expr(), p[1], p[2], p[3])).metric
+    metric = scalar_metric(p=p).metric
     gamma = christoffel(metric)
     coord_map = {f"x{i}": x[i] for i in range(DIM)}
     residual = tuple(
@@ -112,10 +110,6 @@ def closed_form_exprs() -> ClosedForm:
                                for B in range(DIM) for C in range(DIM))], ctx)
         for A in range(DIM))
     return ClosedForm(x=tuple(x), v=v, a=acc, theta=theta, residual=residual)
-
-
-def _onshell_expr() -> Expr:
-    return onshell_energy(sym("p1"), sym("p2"), sym("p3"), sym("m0"))
 
 
 def closed_form_state(tau: float, p, m0: float, constants) -> GeodesicState:

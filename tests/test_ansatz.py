@@ -89,8 +89,8 @@ def test_bare_massive_wave_invariant_does_not_vanish():
 def test_proca_field_satisfies_compact_derivative_condition():
     mode = proca_metric()
     for a in range(4):
-        lhs = diff(mode.Ahat[a], x[5].symbol)
-        rhs = mul(num(0, 1), sym("m0"), mode.Ahat[a])
+        lhs = diff(mode.K[a], x[5].symbol)
+        rhs = mul(num(0, 1), sym("m0"), mode.K[a])
         assert simplify(lhs - rhs) == ZERO
 
 
@@ -242,24 +242,33 @@ def test_coupled_reduces_to_halfspin_at_zero_twist():
             assert coup.lower[a][b] == plain.lower[a][b]
 
 
-@pytest.mark.parametrize("family", ["scalar", "proca", "dirac"])
+# one built mode of each kind; "dirac" is solution 1
+FLAT_MODES = {
+    "scalar": lambda: scalar_metric(p=tuple(sym(f"p{i}") for i in range(4))),
+    "photon": photon_metric,
+    "proca": lambda: proca_metric(massive_wave_potential()),
+    "dirac": lambda: dirac_metric(1),
+    **{f"dirac{s}": (lambda s=s: dirac_metric(s)) for s in (2, 3, 4)},
+    "coupled": lambda: coupled_metric(1),
+}
+
+
+@pytest.mark.parametrize("family", list(FLAT_MODES))
 def test_gravity_flat_unit_coupling_reproduces_family(family):
-    if family == "scalar":
-        params = {"p": tuple(sym(f"p{i}") for i in range(4))}
-        base = scalar_metric(**params).metric
-    elif family == "proca":
-        a4 = massive_wave_potential()
-        params = {"A": a4}
-        base = proca_metric(a4).metric
-    else:
-        params = {"sol": 1}
-        base = dirac_metric(1).metric
-    gm = gravity_metric(family, None, 1, **params).metric
+    # over the flat block at kappa = 1 (the scalar mode takes no kappa)
+    # the coupling step gives the mode's own entries, node for node
+    mode = FLAT_MODES[family]()
+    kappa = None if family == "scalar" else 1
+    gm = gravity_metric(mode, None, kappa)
     for a in range(DIM):
         for b in range(DIM):
-            d = simplify(gm.lower[a][b] - base.lower[a][b])
-            assert is_zero(d, trials=6, positive=_POS).verdict == "zero", \
-                (a, b)
+            assert gm.lower[a][b] is mode.metric.lower[a][b], (a, b)
+
+
+def test_gravity_scalar_mode_refuses_kappa():
+    # the scalar mode has no field, so a coupling constant would go unread
+    with pytest.raises(AnsatzError, match="no field for kappa"):
+        gravity_metric(scalar_metric(), weak_field_block(), 1)
 
 
 def test_weak_field_block_shape():
@@ -267,11 +276,6 @@ def test_weak_field_block_shape():
     assert to_text(g4[0][0]) == "1 + 2*eps*x1"
     assert g4[1][1] == MINUS_ONE
     assert g4[0][1] == ZERO
-
-
-def test_gravity_rejects_unknown_family():
-    with pytest.raises(AnsatzError, match="unknown family"):
-        gravity_metric("tensor")
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +287,10 @@ GOLDEN_FAMILIES = {
     "proca": proca_metric,
     **{f"dirac{s}": (lambda s=s: dirac_metric(s)) for s in (1, 2, 3, 4)},
     "coupled": lambda: coupled_metric(1),
-    **{f"gravity-{fam}": (lambda fam=fam: gravity_metric(
-        fam, weak_field_block())) for fam in ("scalar", "proca", "dirac")},
+    **{f"gravity-{fam}": (lambda build=build: gravity_metric(
+        build(), weak_field_block()))
+       for fam, build in (("scalar", scalar_metric), ("proca", proca_metric),
+                          ("dirac", dirac_metric))},
 }
 
 

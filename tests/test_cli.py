@@ -210,6 +210,14 @@ def test_exit_2_on_ansatz_domain_error(capsys):
     (["geodesic", "m0=0"],
      "geodesic integration needs m0 != 0 (the compact phase degenerates "
      "otherwise)"),
+    # the scalar mode has no field, so neither its gravity ansatz nor its
+    # split claim takes a coupling constant
+    (["curvature", "ansatz=gravity-scalar", "kappa=2"],
+     "argument 'kappa=2': parameter 'kappa' is not declared by ansatz "
+     "'gravity-scalar'"),
+    (["verify", "--claim", "gravity.split.scalar", "kappa=2"],
+     "argument 'kappa=2': parameter 'kappa' is not accepted by any selected "
+     "claim"),
     # a config file given by its text; None: the file does not exist
     (None, "cannot read config: [Errno 2] No such file or directory: '{}'"),
     ("command=verify\n = 3\n", "line 2, column 2: empty key"),
@@ -355,6 +363,20 @@ def test_curvature_scalar_defaults_to_symbolic_momenta(capsys):
     data = json.loads(out)["data"]
     assert data["ansatz"] == "scalar"
     assert any("p1" in v for v in data["einstein"].values())
+
+
+def test_gravity_dirac_notes_are_the_half_spin_notes(capsys):
+    # a gravity-X report carries X's own notes before the background note
+    point = ["p1=1/3", "p2=0", "p3=1/2", "m0=1"]
+    notes = {}
+    for argv in (["ansatz=dirac3"],
+                 ["ansatz=gravity-dirac", "sol=3", "eps=1/10", "kappa=1"]):
+        code, out, _ = run(["curvature", *argv, *point], capsys)
+        assert code == 0
+        notes[argv[0]] = json.loads(out)["data"]["notes"]
+    assert notes["ansatz=dirac3"]
+    assert notes["ansatz=gravity-dirac"] == [
+        *notes["ansatz=dirac3"], "static weak-field background block"]
 
 
 # ---------------------------------------------------------------------------

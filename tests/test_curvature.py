@@ -75,14 +75,13 @@ def _numeric_coupled():
 
 def _numeric_gravity_proca():
     from kk6.ansatz import massive_wave_potential
-    return gravity_metric("proca", weak_field_block(num("1/10")), num("1/2"),
-                          A=massive_wave_potential(num("1/2"), num(1)),
-                          m0=num(1)).metric
+    mode = proca_metric(massive_wave_potential(num("1/2"), num(1)), num(1))
+    return gravity_metric(mode, weak_field_block(num("1/10")), num("1/2"))
 
 
 def _numeric_gravity_dirac():
-    return gravity_metric("dirac", weak_field_block(num("1/10")), num(1),
-                          p1=0, p2=0, p3=num("3/4"), m0=num(1)).metric
+    return gravity_metric(dirac_metric(1, 0, 0, num("3/4"), num(1)),
+                          weak_field_block(num("1/10")), num(1))
 
 
 def _diagonal(entries, name) -> Metric6:
@@ -112,9 +111,9 @@ def test_flat_curvature_vanishes():
 
 def _symbolic_gravity_scalar():
     p1, p2, p3, m0 = sym("p1"), sym("p2"), sym("p3"), sym("m0")
-    return gravity_metric("scalar", weak_field_block(), None,
-                          p=(onshell_energy(p1, p2, p3, m0), p1, p2, p3),
-                          m0=m0).metric
+    return gravity_metric(scalar_metric(p=(onshell_energy(p1, p2, p3, m0),
+                                           p1, p2, p3), m0=m0),
+                          weak_field_block())
 
 
 @pytest.mark.parametrize("build", [
@@ -204,13 +203,14 @@ def _gravity_split_metrics():
     and background per family, at eps = 1/1000 and kappa = 1), plus the
     scalar-mode metric of the geodesic claim."""
     from kk6.ansatz import kk_rows
-    from kk6.verify import _gravity_fields
+    from kk6.verify import _gravity_mode
     g4 = weak_field_block(num("1/1000"))
     out = []
     for family in ("scalar", "proca", "dirac"):
-        fields = _gravity_fields(family)
-        out += [gravity_metric(family, g4, num(1), **fields).metric,
-                gravity_metric(family, None, num(1), **fields).metric,
+        mode = _gravity_mode(family)
+        kappa = None if family == "scalar" else num(1)
+        out += [gravity_metric(mode, g4, kappa),
+                gravity_metric(mode, None, kappa),
                 Metric6(kk_rows(g4, (ZERO,) * 4),
                         name=f"{family}-background")]
     return out + [scalar_metric(p=("5/4", 0, 0, "3/4"), m0=1).metric]

@@ -43,7 +43,7 @@ import pytest
 
 from kk6.ansatz import (
     coupled_metric, dirac_metric, gravity_metric, photon_metric,
-    proca_metric, weak_field_block,
+    proca_metric, scalar_metric, weak_field_block,
 )
 from kk6.cli import main
 from kk6.expr import to_text
@@ -153,9 +153,10 @@ METRICS = {
                       proca_metric().claimed_upper),
     **{f"dirac{s}": (lambda s=s: _dirac_grids(s)) for s in (1, 2, 3, 4)},
     "coupled": lambda: (coupled_metric(1).metric.lower,),
-    **{f"gravity-{fam}": (lambda fam=fam: (
-        gravity_metric(fam, weak_field_block()).metric.lower,))
-       for fam in ("scalar", "proca", "dirac")},
+    **{f"gravity-{fam}": (lambda build=build: (
+        gravity_metric(build(), weak_field_block()).lower,))
+       for fam, build in (("scalar", scalar_metric), ("proca", proca_metric),
+                          ("dirac", dirac_metric))},
 }
 
 

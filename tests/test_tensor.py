@@ -1,4 +1,6 @@
 """6x6 metric container: symmetry and inverse machinery."""
+from types import SimpleNamespace
+
 import pytest
 
 import kk6.expr
@@ -71,8 +73,10 @@ FAMILIES = {
     "proca": proca_metric,
     **{f"dirac{s}": (lambda s=s: dirac_metric(s)) for s in (1, 2, 3, 4)},
     "coupled": lambda: coupled_metric(1),
-    **{f"gravity-{fam}": (lambda fam=fam: gravity_metric(
-        fam, weak_field_block())) for fam in ("scalar", "proca", "dirac")},
+    **{f"gravity-{fam}": (lambda build=build: SimpleNamespace(
+        metric=gravity_metric(build(), weak_field_block())))
+       for fam, build in (("scalar", scalar_metric), ("proca", proca_metric),
+                          ("dirac", dirac_metric))},
 }
 
 

@@ -206,6 +206,25 @@ def test_gravity_split_reports_measured_residual(fam):
     assert any("split residual" in n for n in r.notes)
     if fam == "scalar":
         assert any("m0^2" in n and "exact" in n for n in r.notes)
+    # the scalar mode has no field, so no coupling constant is assumed
+    assert any("kappa" in a for a in r.assumptions) == (fam != "scalar")
+
+
+def _condition(record) -> float:
+    note, = (n for n in record.notes
+             if n.startswith("largest condition number"))
+    return float(note.split(": ", 1)[1].split()[0])
+
+
+def test_gravity_split_states_the_metric_conditioning():
+    # the split residual's round-off grows with the full metric's condition
+    # number, which the record states beside it: near 1 at the defaults,
+    # near 1/eps_machine at kappa = 1e4, where the residual outgrows the
+    # field part
+    assert _condition(run_claim("gravity.split.proca")) < 1e3
+    big = run_claim("gravity.split.proca", params={"kappa": "1e4",
+                                                   "points": 2})
+    assert _condition(big) >= 1e15
 
 
 @pytest.mark.parametrize("cid, params, verdict, overflow", [

@@ -96,15 +96,17 @@ def _geodesic_path() -> str:
 
 def _gravity_split_fd() -> str:
     # the claims' metrics at their default eps = 1/1000 and kappa = 1
+    # (the scalar mode takes no kappa)
     g4 = weak_field_block(num("1/1000"))
     rng = random.Random(0)
     pts = [[complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.2, 0.2))
             for _ in range(6)] for _ in range(2)]
     blob = b""
     for family in ("scalar", "proca", "dirac"):
-        fields = verify._gravity_fields(family)
-        for metric in (gravity_metric(family, g4, num(1), **fields).metric,
-                       gravity_metric(family, None, num(1), **fields).metric,
+        mode = verify._gravity_mode(family)
+        kappa = None if family == "scalar" else num(1)
+        for metric in (gravity_metric(mode, g4, kappa),
+                       gravity_metric(mode, None, kappa),
                        Metric6(kk_rows(g4, (ZERO,) * 4))):
             ev = metric_evaluator(metric)
             blob += b"".join(einstein_fd(ev, pt).tobytes() for pt in pts)
