@@ -1,16 +1,20 @@
 """Connection and curvature of 6x6 metrics.
 
-Christoffel symbols come from the metric; the Ricci tensor is assembled
-directly from the connection,
+Christoffel symbols come from the metric through the first-kind
+connection: each Gamma_DAB = (d_A g_DB + d_B g_DA - d_D g_AB) / 2 is
+formed once and raised by the inverse, Gamma^C_AB = g^CD Gamma_DAB, six
+products an entry instead of eighteen (Misner, Thorne and Wheeler,
+*Gravitation*, ch. 8).  The Ricci tensor is assembled directly from the
+connection,
 
     R_AB = d_C Gamma^C_AB - d_B Gamma^C_AC
          + Gamma^C_AB Gamma^D_CD - Gamma^C_AD Gamma^D_BC,
 
 never via an intermediate Riemann tensor.  Every symmetric grid (the
-metric derivatives, each Christoffel plane, the divergence of the
-connection, Ricci) is filled in for A <= B and mirrored by
-``tensor._mirror``, which also fills the adjugate and the inverse;
-Ricci's symmetry is a theorem here, checked by tests through
+metric derivatives, each plane of either kind of Christoffel symbol, the
+divergence of the connection, Ricci) is filled in for A <= B and
+mirrored by ``tensor._mirror``, which also fills the adjugate and the
+inverse; Ricci's symmetry is a theorem here, checked by tests through
 :func:`ricci_entry_raw`.
 
 Every derivative (d_C g_AB, d_C Gamma^C_AB and d_B Gamma^C_AC) is one
@@ -22,8 +26,9 @@ product and none for the sum, and the result is the tree that
 simplifying that sum would give.  Each stage call (:func:`christoffel`;
 :func:`ricci` with the divergence and trace of the connection;
 :func:`ricci_scalar`; :func:`einstein`) runs in one kernel context, so
-each connection entry is read once for all 21 Ricci entries, and each of
-its factors differentiated once per coordinate.
+each first-kind symbol is read once for all six raised ones, each
+connection entry once for all 21 Ricci entries, and each of its factors
+differentiated once per coordinate.
 Each stage's result is kept in the metric's cache by one memo; the
 context lives for the call, and the cache keeps only trees.
 A product whose factors share a sum or root base (which ``mul`` would
@@ -58,13 +63,14 @@ def christoffel(metric: Metric6) -> tuple:
     dg = _derivatives((metric.lower,) * DIM, ctx)    # d_C g_AB
     gu = metric.upper()
 
+    def first(d, a, b):
+        # Gamma_DAB = (d_A g_DB + d_B g_DA - d_D g_AB) / 2
+        return contract([(HALF, dg[a][d][b]), (HALF, dg[b][d][a]),
+                         (_MINUS_HALF, dg[d][a][b])], ctx)
+    low = tuple(_mirror(first, d) for d in range(DIM))
+
     def entry(c, a, b):
-        parts = []
-        for d in range(DIM):
-            parts += ((HALF, gu[c][d], dg[a][d][b]),
-                      (HALF, gu[c][d], dg[b][d][a]),
-                      (_MINUS_HALF, gu[c][d], dg[d][a][b]))
-        return contract(parts, ctx)
+        return contract([(gu[c][d], low[d][a][b]) for d in range(DIM)], ctx)
     return tuple(_mirror(entry, c) for c in range(DIM))
 
 

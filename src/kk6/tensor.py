@@ -4,20 +4,24 @@ Metrics are symmetric grids of canonical expressions over the six
 coordinates.  Inversion is exact adjugate-over-determinant with memoized
 minor expansion (block sparsity keeps this cheap for the engine's metric
 families, whose determinants collapse to +-1 or a single phase factor).
-Minors and the determinant are built as trees and simplified.  The
-adjugate and the inverse of a symmetric grid are symmetric, so both are
-computed for i <= j and mirrored by ``_mirror``, which fills every
-symmetric grid of the curvature stages too: 21 minors and 21 inverse
-entries, not 36; a test checks each mirrored adjugate entry against the
-transposed minor.  Each entry of the inverse, and each entry of a claimed
-inverse's residual ``claimed * g - I`` (its row-column products, with -1
-on the diagonal), is one :func:`~kk6.expr.contract` call, expanded once
-in the polynomial kernel, with one kernel context per call of
-:func:`invert_metric` or :func:`identity_residual`.  An adjugate entry
-can be the determinant's own sum, which ``mul`` cancels against its
-inverse: such a product takes the tree route inside ``contract``.
-This layer is exact algebra; its one numeric check is the zero test of
-the determinant before inversion.  Residuals are graded in
+Minors are built as trees and simplified.  The adjugate and the inverse
+of a symmetric grid are symmetric, so both are computed for i <= j and
+mirrored by ``_mirror``, which fills every symmetric grid of the
+curvature stages too: 21 minors and 21 inverse entries, not 36; a test
+checks each mirrored adjugate entry against the transposed minor.  The
+metric's cache keeps the adjugate beside the determinant and the
+inverse, and the determinant is read off it: row 0 of the metric against
+column 0 of the adjugate, the first-row Laplace expansion over cofactors
+already simplified.  The determinant, and each entry of the inverse and
+of a claimed inverse's residual ``claimed * g - I`` (its row-column
+products, with -1 on the diagonal), is one :func:`~kk6.expr.contract`
+call, expanded once in the polynomial kernel, with one kernel context
+per call of ``Metric6.det``, :func:`invert_metric` or
+:func:`identity_residual`.  An adjugate entry can be the determinant's
+own sum, which ``mul`` cancels against its inverse: such a product takes
+the tree route inside ``contract``.  This layer is exact algebra; its
+one numeric check is the zero test of the determinant, after the
+adjugate and before scaling by its inverse.  Residuals are graded in
 :mod:`kk6.verify` (``grade_entries``).
 """
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .expr import (
 from .zeros import is_zero, sample_env
 
 __all__ = [
-    "DIM", "Metric6", "SingularMetricError", "determinant", "adjugate",
+    "DIM", "Metric6", "SingularMetricError", "adjugate",
     "invert_metric", "identity_residual",
 ]
 
@@ -78,7 +82,8 @@ def _memo(fn):
 
 
 class Metric6:
-    """Symmetric 6x6 metric with cached derived data (inverse, connection)."""
+    """Symmetric 6x6 metric with cached derived data (adjugate,
+    determinant, inverse, connection)."""
 
     def __init__(self, rows, name: str = "metric"):
         grid = _as_grid(rows)
@@ -94,7 +99,12 @@ class Metric6:
 
     @_memo
     def det(self) -> Expr:
-        return determinant(self.lower)
+        g, adj = self.lower, self._adjugate()
+        return contract([(g[0][c], adj[c][0]) for c in _IDX], context())
+
+    @_memo
+    def _adjugate(self) -> Grid:
+        return adjugate(self.lower)
 
     @_memo
     def upper(self) -> Grid:
@@ -133,10 +143,6 @@ def _minor(grid: Grid, rows: tuple[int, ...], cols: tuple[int, ...],
     return out
 
 
-def determinant(grid: Grid) -> Expr:
-    return simplify(_minor(grid, _IDX, _IDX, {}))
-
-
 def _mirror(entry, *head) -> Grid:
     """The symmetric 6x6 grid of ``entry(*head, a, b)``, computed for
     a <= b."""
@@ -168,13 +174,13 @@ def invert_metric(metric: Metric6) -> Grid:
 
     Raises :class:`SingularMetricError` when the determinant is zero
     (structurally or under random evaluation)."""
+    adj = metric._adjugate()
     det = metric.det()
     if det == ZERO or is_zero(det, seed=0, trials=16).verdict == "zero":
         syms = sorted(free_symbols(det), key=lambda s: s.name)
         witness = sample_env(syms, random.Random(0))
         raise SingularMetricError(det, witness)
     inv_det = power(det, -1)
-    adj = adjugate(metric.lower)
     ctx = context()
     return _mirror(lambda a, b: contract([(adj[a][b], inv_det)], ctx))
 

@@ -1,8 +1,6 @@
 """Metric family constructors: component tables against an independent
 matrix-representation oracle, defining derivative conditions, reduction
 chains, and claimed inverses."""
-import cmath
-
 import numpy as np
 import pytest
 
@@ -13,8 +11,8 @@ from kk6.ansatz import (
     proca_metric, scalar_metric, stress_tensor, weak_field_block,
 )
 from kk6.expr import (
-    MINUS_ONE, ONE, ZERO, add, conj, context, coords, diff, mul, num, power,
-    simplify, subs, sym, to_text,
+    MINUS_ONE, ONE, ZERO, add, context, coords, diff, mul, num, power, simplify,
+    subs, sym, to_text,
 )
 from kk6.tensor import DIM, identity_residual
 from kk6.zeros import evaluate, is_zero

@@ -1,6 +1,5 @@
 """Connection and curvature: symbolic identities and the independent
 finite-difference oracle agree on every metric family we can evaluate."""
-import cmath
 import gc
 import inspect
 import random
@@ -19,7 +18,8 @@ from kk6.curvature import (
 )
 from kk6.dynamics import connection_evaluator
 from kk6.expr import (
-    MINUS_ONE, ONE, ZERO, _Ctx, coords, exp, mul, num, simplify, sym,
+    HALF, MINUS_ONE, ONE, ZERO, _Ctx, context, contract, coords, derive, exp,
+    mul, num, simplify, sym,
 )
 from kk6.oracle import (
     H_CONNECTION, H_METRIC, christoffel_fd, compile_expr, einstein_fd,
@@ -27,6 +27,7 @@ from kk6.oracle import (
 )
 from kk6.tensor import DIM, Metric6
 from kk6.zeros import is_zero
+from test_golden_records import curvature_metrics
 
 x = coords()
 
@@ -268,6 +269,35 @@ def test_fd_oracle_batch_and_per_point_routes_agree_bit_for_bit():
                 for gf in (ev, lambda x: ev(x)):
                     assert fn(gf, pt).tobytes() == want.tobytes(), \
                         (metric.name, fn.__name__)
+
+
+def _reference_christoffel_entry(metric, c, a, b):
+    # the second-kind route: each metric derivative against the inverse
+    # row, 18 products an entry
+    ctx = context()
+    g, gu = metric.lower, metric.upper()
+
+    def dg(e, p, q):
+        return derive(g[p][q], x[e], ctx)
+    parts = []
+    for d in range(DIM):
+        parts += ((HALF, gu[c][d], dg(a, d, b)),
+                  (HALF, gu[c][d], dg(b, d, a)),
+                  (MINUS_ONE, HALF, gu[c][d], dg(d, a, b)))
+    return contract(parts, ctx)
+
+
+@pytest.mark.parametrize("label", list(curvature_metrics()))
+def test_christoffel_is_the_second_kind_route(label):
+    # raising the first-kind symbols gives, node for node, the entry the
+    # 18-product contraction gives, at every index triple
+    metric = curvature_metrics()[label]
+    gamma = christoffel(metric)
+    for c in range(DIM):
+        for a in range(DIM):
+            for b in range(DIM):
+                assert gamma[c][a][b] is \
+                    _reference_christoffel_entry(metric, c, a, b), (c, a, b)
 
 
 def test_curvature_results_are_cached_per_metric():

@@ -45,10 +45,12 @@ from kk6.ansatz import (
     coupled_metric, dirac_metric, gravity_metric, photon_metric,
     proca_metric, scalar_metric, weak_field_block,
 )
-from kk6.cli import main
-from kk6.expr import to_text
+from kk6.cli import build_ansatz, main, parse_config
+from kk6.expr import context, contract, to_text
+from kk6.parse import parse_expression
 from kk6.report import record_dict
-from kk6.verify import run_claim
+from kk6.tensor import Metric6
+from kk6.verify import run_claim, scalar_momenta
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_records.json")
 GOLDEN_CURVATURE = pathlib.Path(__file__).with_name("golden_curvature.json")
@@ -84,6 +86,23 @@ CURVATURE = {
     "gravity-dirac": ("p1=1/3", "p2=0", "p3=1/2", "m0=1", "eps=1/10",
                       "kappa=1"),
 }
+
+
+def curvature_metrics() -> dict:
+    """label -> metric of every ``CURVATURE`` input, built as ``kk6
+    curvature`` builds it, and of ``probe.ricci``: the symbolic on-shell
+    scalar mode with its compact entry multiplied by ``1+x1^2``."""
+    out = {}
+    for aid, args in CURVATURE.items():
+        cfg = parse_config("\n".join(("command=curvature", f"ansatz={aid}",
+                                      *args)))
+        out[aid] = build_ansatz(aid, cfg.params)[0]
+    p, m0, _ = scalar_momenta({})
+    rows = [list(r) for r in scalar_metric(p=p, m0=m0).metric.lower]
+    rows[4][4] = contract([(rows[4][4], parse_expression("1+x1^2"))],
+                          context())
+    out["probe.ricci"] = Metric6(rows, name="scalar-perturbed")
+    return out
 
 
 def _record_text(label: str) -> str:

@@ -17,6 +17,7 @@ from kk6.ansatz import (
     proca_metric, scalar_metric, weak_field_block,
 )
 from kk6.zeros import is_zero
+from test_golden_records import curvature_metrics
 
 x0, x1, x2, x3, x4, x5 = coords()
 
@@ -125,7 +126,18 @@ def test_mirrored_adjugate_is_the_full_minor_expansion(family):
             assert adj[a][b] is full[a][b], (a, b)
 
 
+@pytest.mark.parametrize("label", list(curvature_metrics()))
+def test_det_is_the_laplace_tree(label):
+    # the first-row expansion over the cached adjugate gives the node that
+    # simplifying the full Laplace tree gives
+    m = curvature_metrics()[label]
+    tree = simplify(kk6.tensor._minor(m.lower, tuple(range(DIM)),
+                                      tuple(range(DIM)), {}))
+    assert m.det() is tree
+
+
 def test_invert_metric_contracts_each_mirrored_pair_once(monkeypatch):
+    # 21 inverse entries, and the determinant's one contraction
     calls = []
 
     def counted(products, ctx):
@@ -134,7 +146,7 @@ def test_invert_metric_contracts_each_mirrored_pair_once(monkeypatch):
     monkeypatch.setattr(kk6.tensor, "contract", counted)
     m = coupled_metric(1).metric
     up = invert_metric(m)
-    assert len(calls) == DIM * (DIM + 1) // 2
+    assert len(calls) == DIM * (DIM + 1) // 2 + 1
     assert all(up[a][b] is up[b][a] for a in range(DIM) for b in range(a))
 
 

@@ -16,10 +16,10 @@ from kk6.ansatz import AnsatzError, dirac_metric, photon_metric
 from kk6.expr import ONE, ZERO
 from kk6.report import (
     CONDITIONAL, CONFIRMED, INCONCLUSIVE, REFUTED, ClaimReport, Report,
-    record_dict, report_dict, to_json,
+    record_dict, to_json,
 )
 from kk6.verify import (
-    ClaimParamError, REGISTRY, UnknownClaimError, claim_ids, grade_entries,
+    ClaimParamError, UnknownClaimError, claim_ids, grade_entries,
     must_pass_ids, refuted_must_pass, run_claim, run_suite,
 )
 from kk6.tensor import identity_residual

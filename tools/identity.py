@@ -11,6 +11,9 @@ output that moved.  The outputs, each as sorted-key JSON without the
 * ``record_dict`` of every claim and of the benchmark's refutation probes
   at seeds 0-2,
 * the ``kk6 curvature`` reports of the benchmark's inputs at seeds 0-1,
+* per benchmark curvature input, ``to_text`` of every Christoffel symbol
+  (all 216, one per line) and of the metric's determinant, neither of
+  which the reports print,
 * the default (symbolic) ``dirac1``, ``coupled`` and ``gravity-dirac``
   reports,
 * ``kk6 fringes points=201`` and ``kk6 geodesic steps=200``,
@@ -43,10 +46,11 @@ from kk6 import cli, verify  # noqa: E402
 from kk6.ansatz import (  # noqa: E402
     gravity_metric, kk_rows, scalar_metric, weak_field_block,
 )
+from kk6.curvature import christoffel  # noqa: E402
 from kk6.dynamics import (  # noqa: E402
     closed_form_state, connection_evaluator, integrate,
 )
-from kk6.expr import ZERO, num  # noqa: E402
+from kk6.expr import ZERO, num, to_text  # noqa: E402
 from kk6.oracle import einstein_fd, metric_evaluator  # noqa: E402
 from kk6.report import record_dict  # noqa: E402
 from kk6.tensor import Metric6  # noqa: E402
@@ -76,6 +80,15 @@ def outputs():
         for aid, params in CURVATURE:
             argv = ("curvature", f"ansatz={aid}", *params, f"--seed={seed}")
             yield " ".join(argv), _cli(argv)
+    for aid, params in CURVATURE:
+        cfg = cli.parse_config("\n".join(("command=curvature",
+                                          f"ansatz={aid}", *params)))
+        metric = cli.build_ansatz(aid, cfg.params)[0]
+        label = " ".join((f"ansatz={aid}", *params))
+        yield f"christoffel {label}", "\n".join(
+            to_text(e) for plane in christoffel(metric) for row in plane
+            for e in row)
+        yield f"det {label}", to_text(metric.det())
     for argv in (*(("curvature", f"ansatz={aid}") for aid in SYMBOLIC),
                  ("fringes", "points=201"), ("geodesic", "steps=200")):
         yield " ".join(argv), _cli(argv)
