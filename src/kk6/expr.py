@@ -60,24 +60,27 @@ ints, adds ``exp`` arguments with :func:`add` (memoized for the call) and
 multiplies coefficients, and applies ``mul``'s folds in the dict: a root met
 twice folds, ``sqrt(a)^2 -> a`` with ``a`` merged like any other factor,
 ``i*i -> -1``, and a sum that reaches an exponent in 1..cap is expanded as
-``simplify`` expands a sum factor or a small power of one.  Each output monomial becomes one canonical term, built once, so the
-result is the tree that ``mul`` and ``add`` give pair by pair.  The field
-layout and memos live for one top-level call; a field that would overflow
-restarts the call with wider fields.
+``simplify`` expands a sum factor or a small power of one.  Each output
+monomial becomes one canonical term, built once, so the result is the tree
+that ``mul`` and ``add`` give pair by pair.  The field layout and memos live
+for one top-level call; a field that would overflow restarts the call with
+wider fields.
 
 :func:`contract` is the entry point for sums of products (tensor
 contractions): its result is ``simplify`` of the ``add`` of the ``mul`` of
 each product, computed in the same kernel without building those trees.
-Calls that share a :func:`context` share its layout and memos, so an
-operand is read once for all of them.
+Its loop is the kernel's one expand-and-multiply loop: ``simplify`` hands
+it a sum as the products of its terms and a product as itself.  Calls that
+share a :func:`context` share its layout and memos, so an operand is read
+once for all of them.
 
 :func:`derive` is the entry point for derivatives: its result is
 ``simplify`` of :func:`diff`, and it is the product rule handed to
 ``contract``, one product per factor in which the symbol is free, with that
 factor replaced by its ``diff`` tree (memoized in the context per symbol).
 ``_diff`` is the one definition of a derivative, and ``contract`` alone
-decides where a product takes the tree route.  Both return ``ZERO`` at once
-for a symbol that is not free in the input.
+decides where a product takes the tree route.  Both give ``ZERO`` for a
+symbol that is not free in the input.
 
 :func:`to_text` renders each distinct node once per call, however often the
 tree shares it.
@@ -705,14 +708,15 @@ class _Poly:
 
 
 class _Ctx:
-    """The layout and memos of one top-level ``simplify`` call.
+    """The layout and memos of one top-level ``simplify`` call, or of the
+    ``contract`` and ``derive`` calls that share one :func:`context`.
 
     Exponents of field atoms (symbols, conjugates, sums under a power) are
     signed ``width``-bit fields of one int, so a product adds two ints.
     Square roots carry exponent 0 or 1 in canonical form, so each is one
     bit of a separate int; bit 0 stands for ``i``.  A product whose root
     bits overlap folds them as ``mul`` does.  Nothing here outlives the
-    call."""
+    calls."""
 
     __slots__ = ("width", "half", "mask", "bias", "polys", "exps", "fkeys",
                  "factors", "fields", "atoms", "roots", "watch", "derivs")
@@ -760,6 +764,8 @@ def _factor_key(ctx: _Ctx, f: Expr) -> tuple:
             ctx.roots.append(f)
         else:
             base, n = (f.base, f.n) if isinstance(f, Pow) else (f, 1)
+            if abs(n) >= ctx.half:  # before any memo holds an overflowed key
+                raise _Widen
             i = _field(ctx, base)
             if n > 0 and isinstance(base, Add) and i not in ctx.watch:
                 ctx.watch.append(i)
@@ -769,48 +775,32 @@ def _factor_key(ctx: _Ctx, f: Expr) -> tuple:
 
 
 def _read(ctx: _Ctx, e: Expr) -> _Poly:
-    """A simplified tree as a polynomial (read once per call).  A product
-    that still has a sum factor (a power's sqrt fold can leave one) is the
-    product of its factors, taken left to right."""
+    """A simplified tree as a polynomial, read once per call: a simplified
+    tree holds no product with a sum factor, so each term is a monomial."""
     got = ctx.polys.get(e)
     if got is not None:
         return got
-    if isinstance(e, Mul) and any(isinstance(f, Add) for f in e.factors):
-        p = _read(ctx, e.factors[0])
-        for f in e.factors[1:]:
-            p = _times(ctx, p, _read(ctx, f))
-    else:
-        rows, mx = [], 0
-        for t in (e.terms if isinstance(e, Add) else (e,)):
-            if isinstance(t, Num):
-                c, fs = t, ()
-            elif isinstance(t, Mul):
-                fs = t.factors
-                c = ONE
-                if isinstance(fs[0], Num):
-                    c, fs = fs[0], fs[1:]
-            else:
-                c, fs = ONE, (t,)
-            ex, bits, k = ZERO, 0, 0
-            for f in fs:
-                fe, fb, fk, fm = _factor_key(ctx, f)
-                if fe is not ZERO:
-                    ex = fe
-                bits |= fb
-                k += fk
-                mx = max(mx, fm)
-            ctx.factors[ex, bits, k] = fs
-            rows.append((ex, bits, k, c.re, c.im))
-        p = _rows(ctx, rows, mx)
-    ctx.polys[e] = p
-    return p
-
-
-def _rows(ctx: _Ctx, rows: list, mx: int) -> _Poly:
-    """The polynomial of distinct monomials ``(exp argument, root bits,
-    packed exponent, re, im)``, over their least common denominator."""
-    if mx >= ctx.half:
-        raise _Widen
+    rows, mx = [], 0
+    for t in (e.terms if isinstance(e, Add) else (e,)):
+        if isinstance(t, Num):
+            c, fs = t, ()
+        elif isinstance(t, Mul):
+            fs = t.factors
+            c = ONE
+            if isinstance(fs[0], Num):
+                c, fs = fs[0], fs[1:]
+        else:
+            c, fs = ONE, (t,)
+        ex, bits, k = ZERO, 0, 0
+        for f in fs:
+            fe, fb, fk, fm = _factor_key(ctx, f)
+            if fe is not ZERO:
+                ex = fe
+            bits |= fb
+            k += fk
+            mx = max(mx, fm)
+        ctx.factors[ex, bits, k] = fs
+        rows.append((ex, bits, k, c.re, c.im))
     den = lcm(*(f.denominator for row in rows for f in row[3:]))
     groups: dict = {}
     for ex, bits, k, re, im in rows:
@@ -820,7 +810,8 @@ def _rows(ctx: _Ctx, rows: list, mx: int) -> _Poly:
         if im:
             groups.setdefault((ex, bits | 1), {})[k] = \
                 im.numerator * (den // im.denominator)
-    return _Poly(den, groups, mx)
+    p = ctx.polys[e] = _Poly(den, groups, mx)
+    return p
 
 
 def _times(ctx: _Ctx, p: _Poly, q: _Poly) -> _Poly:
@@ -1047,17 +1038,16 @@ def _simplified(node: Expr, ctx: _Ctx) -> Expr:
     got = node._simp
     if got is not None:
         return node if got is _SELF else got
+    # A sum is the contraction of its terms, a product of its factors.  A
+    # canonical product never holds two factors on one sum or root base,
+    # as ``mul`` merges them, so ``_merges`` is False on each product
+    # handed over here and ``_contract`` never comes back to this node.
     if isinstance(node, (Num, Sym, Conj)):
         r = node
     elif isinstance(node, Add):
-        r = _build(ctx, _sum([_read(ctx, _simplified(t, ctx))
-                              for t in node.terms]))
+        r = _contract([(t,) for t in node.terms], ctx, [])
     elif isinstance(node, Mul):
-        fs = node.factors
-        p = _read(ctx, _simplified(fs[0], ctx))
-        for f in fs[1:]:
-            p = _times(ctx, p, _read(ctx, _simplified(f, ctx)))
-        r = _build(ctx, p)
+        r = _contract([(node,)], ctx, [])
     elif isinstance(node, Pow):
         b = _simplified(node.base, ctx)
         if isinstance(b, Add) and 2 <= node.n <= _EXPAND_POW_CAP:
@@ -1067,9 +1057,11 @@ def _simplified(node: Expr, ctx: _Ctx) -> Expr:
             r = _build(ctx, p)
         else:
             r = power(b, node.n)
-            if isinstance(r, Mul) and any(isinstance(f, Add)
-                                          for f in r.factors):
-                r = _build(ctx, _read(ctx, r))
+            # unless ``r`` is ``b`` (a symbol, conjugate or sum) under the
+            # power, ``power`` made a new tree (sqrt(S)^5 -> S^2*sqrt(S),
+            # exp(S)^2 -> exp(2*S), (S^-1)^-2 -> S^2): simplify it in turn
+            if not (isinstance(r, Pow) and r.base is b):
+                r = _simplified(r, ctx)
     elif isinstance(node, Exp):
         r = exp(_simplified(node.arg, ctx))
     elif isinstance(node, Sqrt):
@@ -1083,7 +1075,10 @@ def _simplified(node: Expr, ctx: _Ctx) -> Expr:
 
 
 def context() -> _Ctx:
-    """A fresh kernel context for a run of :func:`contract` calls."""
+    """A fresh kernel context for a run of :func:`contract` and
+    :func:`derive` calls: they share its reads, ``exp`` sums and ``diff``
+    trees.  A call that outgrows its field width restarts in a wider
+    context of its own, and this one goes on at its width."""
     return _Ctx(32)
 
 
@@ -1157,54 +1152,18 @@ def derive(e: Expr, s, ctx: _Ctx) -> Expr:
     ``e`` and each factor in which ``s`` is free, the term with that factor
     replaced by its ``diff`` tree, which ``ctx`` memoizes per symbol.  The
     ``add`` of the ``mul`` of these products is ``diff(e, s)``, so
-    ``contract`` gives its ``simplify`` for any ``e``.  One shortcut: in an
-    ``e`` that is its own ``simplify`` result, the powers of ``s`` itself
-    shift their exponent field in ``e``'s polynomial, as ``mul`` adds a
-    symbol's exponents.  ``e`` free of ``s`` gives ``ZERO`` at once."""
+    ``contract`` gives its ``simplify`` for any ``e``; an ``e`` free of
+    ``s`` gives no product, and ``ZERO``."""
     target = _resolve_symbol(s)
-    if target not in free_symbols(e):
-        return ZERO
-    x = Sym(target)
-    while True:
-        try:
-            memo = ctx.derivs.setdefault(target, {})
-            own = _simplified(e, ctx) is e
-            products = []
-            for t in (e.terms if isinstance(e, Add) else (e,)):
-                fs = t.factors if isinstance(t, Mul) else (t,)
-                for i, f in enumerate(fs):
-                    if own and (f.base if isinstance(f, Pow) else f) is x:
-                        continue        # in the shifted polynomial below
-                    if target in free_symbols(f):
-                        products.append(
-                            (*fs[:i], _diff(f, target, memo), *fs[i + 1:]))
-            parts = []
-            if own:
-                q = _read(ctx, e)
-                i = ctx.fields.get(x)
-                if i is not None:
-                    parts.append(_dfield(ctx, q, i))
-            return _contract(products, ctx, parts)
-        except _Widen:
-            ctx = _Ctx(ctx.width * 2)
-
-
-def _dfield(ctx: _Ctx, p: _Poly, i: int) -> _Poly:
-    """The derivative of ``p``'s monomials in field atom ``i``: each
-    exponent ``n`` of it scales the coefficient and drops by one."""
-    unit = 1 << (ctx.width * i)
-    groups: dict = {}
-    for gk, d in p.groups.items():
-        out = {}
-        for k, c in d.items():
-            n = _exponent(ctx, k, i)
-            if n:
-                out[k - unit] = c * n
-        if out:
-            groups[gk] = out
-    if p.mx + 1 >= ctx.half:
-        raise _Widen
-    return _Poly(p.den, groups, p.mx + 1)
+    memo = ctx.derivs.setdefault(target, {})
+    products = []
+    for t in (e.terms if isinstance(e, Add) else (e,)):
+        fs = t.factors if isinstance(t, Mul) else (t,)
+        for i, f in enumerate(fs):
+            if target in free_symbols(f):
+                products.append(
+                    (*fs[:i], _diff(f, target, memo), *fs[i + 1:]))
+    return contract(products, ctx)
 
 
 def free_symbols(e: Expr) -> frozenset[Symbol]:

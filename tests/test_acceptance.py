@@ -9,7 +9,6 @@ import math
 import random
 import time
 from contextlib import contextmanager
-from fractions import Fraction
 
 import numpy as np
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import kk6.dynamics
-from kk6.ansatz import onshell_energy, scalar_metric
+from kk6.ansatz import scalar_metric
 from kk6.dynamics import (
     DynamicsError, GeodesicState, closed_form_deviation, closed_form_exprs,
     closed_form_state, connection_evaluator, integrate, interval_along,
@@ -14,7 +14,6 @@ from kk6.dynamics import (
 )
 from kk6.expr import ZERO, exp, mul, num, simplify, sym
 from kk6.tensor import DIM
-from kk6.zeros import is_zero
 
 P = (1.25, 0.0, 0.0, 0.75)           # exactly on-shell with m0 = 1
 M0 = 1.0

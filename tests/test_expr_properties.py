@@ -19,7 +19,9 @@ from pathlib import Path
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
+from hypothesis import (  # noqa: E402
+    HealthCheck, example, given, settings, strategies as st,
+)
 
 from kk6 import expr as kernel  # noqa: E402
 from kk6.expr import (  # noqa: E402
@@ -190,7 +192,9 @@ def _reference_simplify(e: Expr, memo: dict) -> Expr:
             for _ in range(e.n - 1):
                 r = _distribute(r, b)
         else:
-            r = _monomial(power(b, e.n))
+            r = power(b, e.n)
+            if not (isinstance(r, Pow) and r.base is b):
+                r = _reference_simplify(r, memo)
     elif isinstance(e, Exp):
         r = exp(_reference_simplify(e.arg, memo))
     else:
@@ -199,8 +203,39 @@ def _reference_simplify(e: Expr, memo: dict) -> Expr:
     return r
 
 
+# Powers of S = x0 + x1 under a root.  ``power`` folds sqrt(S)^3 to
+# S*sqrt(S) when it builds the tree; a sum that only ``simplify`` collapses
+# to one term leaves the fold, or an ``exp`` argument's scaling, to
+# ``simplify``'s power branch.
+_SUM = add(X0, X1)
+
+
+def _collapsing(t):
+    return add(mul(t, add(ONE, X2)), mul(MINUS_ONE, X2, t))  # simplifies to t
+
+
+_ROOT = _collapsing(sqrt(_SUM))
+FOLDS = (
+    power(sqrt(_SUM), 3), mul(X2, power(sqrt(_SUM), -3)),
+    power(add(power(sqrt(_SUM), 5), X2), 2),
+    power(_ROOT, 3), mul(X2, power(_ROOT, -3)),
+    power(add(power(_ROOT, 5), X2), 2),
+    # the fold leaves S^2, or the power makes exp(2*S) or S^2, which
+    # simplify expands in a fresh tree
+    power(_ROOT, 5), power(_collapsing(mul(X2, sqrt(_SUM))), 4),
+    power(_collapsing(exp(_SUM)), 2), power(_collapsing(power(_SUM, -1)), -2),
+)
+
+
+def _with_folds(test):
+    for e in FOLDS:
+        test = example(e)(test)
+    return test
+
+
 @PROPERTY
 @given(exprs)
+@_with_folds
 def test_simplify_matches_the_tree_expansion(e):
     assert simplify(e) is _reference_simplify(e, {})
 
@@ -272,6 +307,27 @@ def test_contract_widens_only_the_call_that_overflows():
     small = [(X1, _S), (MINUS_ONE, X1, X2)]
     assert _tree_route(small) is contract(small, ctx)
     assert _tree_route(big) is contract(iter(big), ctx)
+
+
+def test_derive_widens_only_the_call_that_overflows():
+    ctx = context()
+    big = mul(power(X1, 2**31 + 5), power(X2, 3))
+    want = simplify(diff(big, X1))
+    assert derive(big, X1, ctx) is want
+    assert ctx.width == 32
+    small = mul(X1, X2, _S)
+    want = simplify(diff(small, X1))
+    assert derive(small, X1, ctx) is want
+
+
+def test_a_widened_call_leaves_no_overflowed_key_in_its_context():
+    # at width 32, x1^(2^31 + 5) packs to the key of x1^(5 - 2^31)*x2
+    # (x1 in field 0, x2 in field 1); the call that widens must not leave
+    # that key's factors behind for the next call to build
+    ctx = context()
+    contract([(power(X1, 2**31 + 5),)], ctx)
+    ps = [(power(X1, 5 - 2**31), X2)]
+    assert _tree_route(ps) is contract(ps, ctx)
 
 
 def test_contract_of_nothing_is_zero_and_an_empty_product_is_one():
@@ -544,6 +600,7 @@ landings = st.lists(st.one_of(pooled, _pooled_sums), min_size=2,
 
 @PROPERTY
 @given(st.one_of(derivables, landings))
+@_with_folds
 def test_simplify_is_idempotent_with_its_cache_forgotten(e):
     s = simplify(e)
     for n in _nodes(s):
@@ -566,6 +623,7 @@ def test_printed_results_are_fixed_points_in_a_fresh_process():
         mul(power(_S, 10), power(add(mul(X0, power(_S, -2)), X2), -1)),
         mul(power(_R, 9), sqrt(_R), add(X0, power(_R, -3))),
         mul(add(X1, sqrt(_R)), add(X2, sqrt(_R)), add(X0, power(_R, -1))),
+        *FOLDS,
     ]
     texts = [to_text(simplify(e)) for e in cases]
     src = str(Path(kernel.__file__).resolve().parents[1])

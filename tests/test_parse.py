@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from kk6.expr import (
-    HALF, I, ONE, add, coords, exp, mul, num, power, sqrt, sym, to_text,
+    HALF, I, add, coords, exp, mul, num, power, sqrt, sym, to_text,
 )
 from kk6.parse import ParseError, parse_expression
 
