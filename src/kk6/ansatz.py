@@ -143,12 +143,15 @@ def scalar_metric(p=None, m0=None, hbar=None) -> ScalarMode:
     hv = _E(hbar) if hbar is not None else ONE
     if hv is ZERO:
         raise AnsatzError("hbar must be nonzero")
-    theta = mul(add(mul(pv[0], x[0]), mul(MINUS_ONE, pv[1], x[1]),
-                    mul(MINUS_ONE, pv[2], x[2]), mul(MINUS_ONE, pv[3], x[3]),
-                    mul(MINUS_ONE, m0v, x[5])),
-                power(hv, -1) if hv != ONE else ONE)
-    g44 = exp(mul(num(0, -2), theta))
-    grad = tuple(derive(theta, x[a].symbol, context()) for a in IDX5)
+    # theta and the exponent of g44 expanded, so that each is its own
+    # simplify result
+    ctx, hinv = context(), power(hv, -1)
+    theta = contract([(pv[0], x[0], hinv), (MINUS_ONE, pv[1], x[1], hinv),
+                      (MINUS_ONE, pv[2], x[2], hinv),
+                      (MINUS_ONE, pv[3], x[3], hinv),
+                      (MINUS_ONE, m0v, x[5], hinv)], ctx)
+    g44 = exp(contract([(num(0, -2), theta)], ctx))
+    grad = tuple(derive(theta, x[a].symbol, ctx) for a in IDX5)
     rows = kk_rows(_FLAT4, _NO_FIELD)
     rows[4][4] = g44
     metric = Metric6(rows, name="scalar")

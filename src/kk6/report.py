@@ -34,6 +34,10 @@ class ClaimReport:
     assumptions: tuple[str, ...] = ()
     notes: tuple[str, ...] = ()
     witness: dict[str, complex] | None = None
+    # residuals that were literally zero before any sampling; like
+    # ``samples`` it counts only the residuals graded before the verdict,
+    # since grading stops at the first nonzero one
+    structural: int = 0
 
     def __post_init__(self):
         if self.verdict not in VERDICTS:
@@ -65,6 +69,7 @@ def record_dict(r: ClaimReport) -> dict:
         "verdict": r.verdict,
         "max_residual": float(r.max_residual),
         "samples": int(r.samples),
+        "structural": int(r.structural),
         "seed": int(r.seed),
         "assumptions": list(r.assumptions),
         "notes": list(r.notes),

@@ -291,7 +291,15 @@ def test_exit_2_on_usage_errors(capsys):
              "tau_end is too large for a float"),
             # the scalar report is the hbar = 1 metric unless hbar is bound
             (["curvature", "ansatz=scalar", "hbar=symbolic"],
-             "scalar requires numeric parameters, got hbar=symbolic")):
+             "scalar requires numeric parameters, got hbar=symbolic"),
+            # refused as configuration, not by the ansatz constructor once
+            # the selected dirac.sol1 has run
+            (["verify", "--claim", "dirac.sol1", "--claim",
+              "inverse.halfspin", "sol=0"], "sol must be 1..4, got 0"),
+            (["curvature", "ansatz=photon", "pol=3"],
+             "pol must be 1..2, got 3"),
+            (["curvature", "ansatz=coupled", "sol=9"],
+             "sol must be 1..4, got 9")):
         code, out, err = run(argv, capsys)
         assert code == 2 and out == ""
         assert err == f"error[config]: {message}\n"

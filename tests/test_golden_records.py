@@ -46,10 +46,10 @@ from kk6.ansatz import (
     proca_metric, scalar_metric, weak_field_block,
 )
 from kk6.cli import build_ansatz, main, parse_config
-from kk6.expr import context, contract, to_text
+from kk6.expr import context, contract, simplify, to_text
 from kk6.parse import parse_expression
 from kk6.report import record_dict
-from kk6.tensor import Metric6
+from kk6.tensor import DIM, Metric6
 from kk6.verify import run_claim, scalar_momenta
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_records.json")
@@ -103,6 +103,14 @@ def curvature_metrics() -> dict:
                           context())
     out["probe.ricci"] = Metric6(rows, name="scalar-perturbed")
     return out
+
+
+@pytest.mark.parametrize("label", list(curvature_metrics()))
+def test_metric_entries_are_their_own_simplify_result(label):
+    # an entry stored unexpanded prints in a form no kernel result takes
+    lower = curvature_metrics()[label].lower
+    assert [(a, b) for a in range(DIM) for b in range(DIM)
+            if simplify(lower[a][b]) is not lower[a][b]] == []
 
 
 def _record_text(label: str) -> str:

@@ -2,6 +2,7 @@
 serialized report format."""
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -24,6 +25,7 @@ from kk6.verify import (
 )
 from kk6.tensor import identity_residual
 from kk6.zeros import is_zero
+from test_golden_records import CASES
 
 ALL_IDS = {
     "kg.reduction", "ricci.scalar.zero", "maxwell.reduction", "fsq.null",
@@ -331,6 +333,11 @@ OUT_OF_RANGE = [
     ("interference.minima", {"wavelength": "1e400"},
      "too large for a float"),
     ("geodesic.closedform", {"steps": 1}, "steps must be at least 2"),
+    # the ansatz constructors refuse these too, but only once a claim runs
+    ("inverse.halfspin", {"sol": 0}, "sol must be 1..4, got 0"),
+    ("inverse.halfspin", {"sol": 5}, "sol must be 1..4, got 5"),
+    ("proca.reduction", {"pol": 3}, "pol must be 1..2, got 3"),
+    ("proca.reduction", {"pol": 0}, "pol must be 1..2, got 0"),
 ]
 
 
@@ -344,6 +351,31 @@ def test_out_of_range_parameters_are_rejected(cid, params, message):
         run_claim(cid, params=params)
     with pytest.raises(ClaimParamError, match=message):
         run_suite(claims=["inverse.photon", cid], params=params)
+
+
+# Residuals literally zero before any sampling, at seed 0.  Grading stops
+# at the first nonzero residual, so a refuted probe counts only the
+# residuals graded before it: probe.kg has 16 literal zeros among its 22.
+STRUCTURAL = {
+    "kg.reduction": 22, "maxwell.reduction": 6, "proca.reduction": 11,
+    **{f"dirac.sol{s}": 6 for s in (1, 2, 3, 4)},
+    "inverse.photon": 36, "inverse.halfspin": 30, "fsq.null": 1,
+    "ricci.scalar.zero": 1, "geodesic.closedform": 6, "dirac.stress": 0,
+    "gravity.split.scalar": 0, "gravity.split.proca": 0,
+    "gravity.split.dirac": 0, "interference.minima": 0,
+    "probe.kg": 0, "probe.maxwell": 1, "probe.ricci": 0, "probe.proca": 1,
+}
+
+
+def test_structural_is_a_record_field():
+    assert set(STRUCTURAL) == ALL_IDS | set(CASES)
+    for label, count in STRUCTURAL.items():
+        cid, params = CASES.get(label, (label, {}))
+        r = run_claim(cid, seed=0, params=params)
+        assert record_dict(r)["structural"] == r.structural == count, label
+        # the count is a field, not prose
+        assert not [n for n in r.notes
+                    if re.search(r"\d+ of \d+ .*vanish", n)], label
 
 
 def test_parameter_forms_read_as_one_value():
@@ -399,7 +431,8 @@ def test_record_dict_key_order_and_witness_encoding():
                     witness={"p0": 1 + 2j})
     d = record_dict(r)
     assert list(d) == ["id", "anchor", "verdict", "max_residual", "samples",
-                       "seed", "assumptions", "notes", "witness"]
+                       "structural", "seed", "assumptions", "notes",
+                       "witness"]
     assert d["witness"] == {"p0": [1.0, 2.0]}
 
 
