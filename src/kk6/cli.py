@@ -70,6 +70,7 @@ from .verify import (
     must_pass_ids, read_params, refuted_must_pass, run_suite,
     scalar_momenta,
 )
+from .zeros import _check_tol
 
 __all__ = ["RunConfig", "CliError", "parse_config", "emit", "main"]
 
@@ -186,8 +187,10 @@ def _resolve(items) -> RunConfig:
             except ValueError:
                 raise _config_err(f"tol expects a number, got {value!r}",
                                   where) from None
-            if not (0.0 < tol < 1.0) or math.isnan(tol):
-                raise _config_err("tol must lie in (0, 1)", where)
+            try:
+                _check_tol(tol)
+            except ValueError as err:
+                raise _config_err(str(err), where) from None
         elif key == "out":
             out = value
         elif key == "format":

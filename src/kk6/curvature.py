@@ -10,12 +10,14 @@ connection,
     R_AB = d_C Gamma^C_AB - d_B Gamma^C_AC
          + Gamma^C_AB Gamma^D_CD - Gamma^C_AD Gamma^D_BC,
 
-never via an intermediate Riemann tensor.  Every symmetric grid (the
-metric derivatives, each plane of either kind of Christoffel symbol, the
-divergence of the connection, Ricci) is filled in for A <= B and
-mirrored by ``tensor._mirror``, which also fills the adjugate and the
-inverse; Ricci's symmetry is a theorem here, checked by tests through
-:func:`ricci_entry_raw`.
+never via an intermediate Riemann tensor.  On the diagonal the quadratic
+products (C, D) and (D, C) of the last term have the same two factors, so
+R_AA writes each pair once with coefficient -2: 21 quadratic products,
+not 36.  Every symmetric grid (the metric derivatives, each plane of
+either kind of Christoffel symbol, the divergence of the connection,
+Ricci) is filled in for A <= B and mirrored by ``tensor._mirror``, which
+also fills the adjugate and the inverse; Ricci's symmetry is a theorem
+here, checked by tests through :func:`ricci_entry_raw`.
 
 Every derivative (d_C g_AB, d_C Gamma^C_AB and d_B Gamma^C_AC) is one
 :func:`~kk6.expr.derive` call: the product rule over the entry's terms,
@@ -37,7 +39,7 @@ merge), a derivative's products among them, takes the tree route inside
 """
 from __future__ import annotations
 
-from .expr import Expr, HALF, MINUS_ONE, context, contract, derive, mul
+from .expr import Expr, HALF, MINUS_ONE, context, contract, derive, mul, num
 from .symbols import COORDS
 from .tensor import DIM, Metric6, _memo, _mirror
 
@@ -46,6 +48,7 @@ __all__ = [
 ]
 
 _MINUS_HALF = mul(MINUS_ONE, HALF)
+_MINUS_TWO = num(-2)
 
 
 def _derivatives(grids, ctx) -> tuple:
@@ -91,13 +94,22 @@ def _ricci_formula(metric: Metric6, ctx, a: int, b: int) -> Expr:
     parts = [(div[c][a][b],) for c in range(DIM)]
     parts.append((MINUS_ONE, derive(trace[a], COORDS[b], ctx)))
     parts += ((gamma[c][a][b], trace[c]) for c in range(DIM))
-    parts += ((MINUS_ONE, gamma[c][a][d], gamma[d][b][c])
-              for c in range(DIM) for d in range(DIM))
+    if a != b:
+        parts += ((MINUS_ONE, gamma[c][a][d], gamma[d][b][c])
+                  for c in range(DIM) for d in range(DIM))
+    else:
+        # (c, d) and (d, c) are one product of the same two factors
+        parts += ((MINUS_ONE if c == d else _MINUS_TWO,
+                   gamma[c][a][d], gamma[d][a][c])
+                  for c in range(DIM) for d in range(c, DIM))
     return contract(parts, ctx)
 
 
 def ricci_entry_raw(metric: Metric6, a: int, b: int) -> Expr:
-    """The Ricci formula evaluated literally at (a, b), no symmetry shortcut."""
+    """The Ricci formula evaluated at (a, b) itself, not read off the
+    a <= b mirror.  On the diagonal the quadratic products (c, d) and
+    (d, c) are still written as one: they are a product of the same two
+    factors, which is no use of the symmetry of R."""
     return _ricci_formula(metric, context(), a, b)
 
 

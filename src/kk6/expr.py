@@ -693,7 +693,9 @@ class _Widen(Exception):
 
 
 class _Poly:
-    """A sparse polynomial inside one ``simplify`` call.
+    """A sparse polynomial inside one kernel context: one top-level
+    ``simplify`` call, or the ``contract`` and ``derive`` calls that share
+    one :func:`context`.
 
     ``groups`` maps ``(exp argument, root bits)`` to a dict from packed
     exponents to integer numerators over the shared denominator ``den``.
@@ -861,6 +863,11 @@ def _merge(ctx: _Ctx, p: _Poly, q: _Poly, landed: list) -> _Poly:
                 for kb, nb in pairs:
                     k = ka + kb
                     tgt[k] = get(k, 0) + na * nb
+    if not folds and (_monomial(p) or _monomial(q)):
+        # one monomial shifts the other side's exponents and group keys
+        # and scales its nonzero numerators: distinct monomials stay
+        # distinct and nonzero, so there is nothing for ``_sum`` to collect
+        return _Poly(den, out, mx)
     parts = [_Poly(den, out, mx)]
     for gk, tgt, ov in folds:
         r = _Poly(den, {gk: tgt}, mx)
@@ -879,6 +886,11 @@ def _merge(ctx: _Ctx, p: _Poly, q: _Poly, landed: list) -> _Poly:
             j += 1
         parts.append(r)
     return _sum(parts)
+
+
+def _monomial(p: _Poly) -> bool:
+    """Whether ``p`` is one monomial, a constant included."""
+    return len(p.groups) == 1 and len(next(iter(p.groups.values()))) == 1
 
 
 def _shift(ctx: _Ctx, p: _Poly, i: int) -> _Poly:

@@ -68,7 +68,7 @@ from .report import (
     CONDITIONAL, CONFIRMED, INCONCLUSIVE, REFUTED, ClaimReport,
 )
 from .tensor import DIM, Metric6, identity_residual
-from .zeros import is_zero
+from .zeros import _check_tol, is_zero
 
 __all__ = [
     "Claim", "UnknownClaimError", "ClaimParamError",
@@ -927,6 +927,7 @@ def run_claim(claim_id: str, seed: int = 0, tol: float = 1e-9,
     claim = REGISTRY.get(claim_id)
     if claim is None:
         raise UnknownClaimError(f"unknown claim id {claim_id!r}")
+    _check_tol(tol, ClaimParamError)
     own = read_params(claim.params, params or {}, claim_id)
     return ClaimReport(claim_id=claim_id, anchor=claim.anchor, seed=seed,
                        **claim.runner(seed, tol, own))

@@ -272,6 +272,12 @@ def _note_text(e: Expr) -> str:
     return f"{s[:_NOTE_CHARS]}... ({len(s)} characters)"
 
 
+def _check_tol(tol: float, error: type = ValueError) -> None:
+    """The one range check of a zero-test tolerance: ``tol`` in (0, 1)."""
+    if not 0.0 < tol < 1.0:       # NaN fails every comparison
+        raise error("tol must lie in (0, 1)")
+
+
 def is_zero(e: Expr, seed: int = 0, trials: int = 32, tol: float = 1e-9,
             positive: frozenset[str] = frozenset()) -> ZeroResult:
     """Zero/nonzero/inconclusive verdict for ``e`` by random evaluation.
@@ -279,7 +285,12 @@ def is_zero(e: Expr, seed: int = 0, trials: int = 32, tol: float = 1e-9,
     Deterministic per seed.  The first point violating the threshold is
     returned as a nonzero witness; evaluation failures (unbound symbols,
     overflow) yield an inconclusive verdict naming the offending subtree.
+    Raises ``ValueError`` for ``trials < 1`` or a ``tol`` outside (0, 1),
+    either of which would let a sample-free or NaN test read ``zero``.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    _check_tol(tol)
     syms = sorted(free_symbols(e), key=lambda s: s.name)
     rng = random.Random(seed)
     n_trials = trials if syms else 1

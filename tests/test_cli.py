@@ -66,6 +66,7 @@ def test_error_positions_are_line_and_column_exact():
     ("command=verify\nclaims=kg.reduction,nope\n", "unknown claim id 'nope'"),
     ("command=curvature\nansatz=torus\n", "unknown ansatz 'torus'"),
     ("command=verify\ntol=2\n", "tol must lie in (0, 1)"),
+    ("command=verify\ntol=nan\n", "tol must lie in (0, 1)"),
     ("command=verify\nseed=-1\n", "64 unsigned bits"),
 ])
 def test_rejected_configurations(text, needle):

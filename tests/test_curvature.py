@@ -134,6 +134,33 @@ def test_ricci_mirror_matches_raw_formula(build):
             assert is_zero(gap).verdict == "zero", (a, b)
 
 
+def _unpaired_ricci_products(m, a, ctx):
+    # the Ricci formula at (a, a) with all 36 quadratic products written
+    # out, (c, d) and (d, c) apart
+    g = christoffel(m)
+    trace = [contract([(g[c][b][c],) for c in range(DIM)], ctx)
+             for b in range(DIM)]
+    ps = [(derive(g[c][a][a], x[c], ctx),) for c in range(DIM)]
+    ps.append((MINUS_ONE, derive(trace[a], x[a], ctx)))
+    ps += [(g[c][a][a], trace[c]) for c in range(DIM)]
+    ps += [(MINUS_ONE, g[c][a][d], g[d][a][c])
+           for c in range(DIM) for d in range(DIM)]
+    return ps
+
+
+@pytest.mark.parametrize("label", ["photon", "proca", "scalar",
+                                   "gravity-scalar", "dirac1"])
+def test_ricci_diagonal_pairs_equal_products(label):
+    # on the diagonal Gamma^c_ad Gamma^d_ac is one product of the same two
+    # factors as its (d, c) partner: 21 products stand for the 36
+    m = curvature_metrics()[label]
+    r = ricci(m)
+    for a in range(DIM):
+        ps = _unpaired_ricci_products(m, a, context())
+        assert len(ps) == 49
+        assert r[a][a] is contract(ps, context()), a
+
+
 def test_scalar_mode_ricci_scalar_structurally_zero():
     m = scalar_metric(p=(onshell_energy(sym("p1"), sym("p2"), sym("p3"),
                                         sym("m0")),

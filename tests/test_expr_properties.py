@@ -20,7 +20,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import (  # noqa: E402
-    HealthCheck, example, given, settings, strategies as st,
+    HealthCheck, assume, example, given, settings, strategies as st,
 )
 
 from kk6 import expr as kernel  # noqa: E402
@@ -334,6 +334,26 @@ def test_contract_of_nothing_is_zero_and_an_empty_product_is_one():
     assert contract([], context()) is ZERO
     assert contract([(X1, ZERO), (ZERO,)], context()) is ZERO
     assert contract([(), (X1,)], context()) is _tree_route([(), (X1,)])
+
+
+@PROPERTY
+@given(exprs.map(lambda e: _terms(simplify(e))[0]), exprs.map(simplify))
+# i times imaginary parts: the i*i = -1 negation of the other side
+@example(mul(num(0, 1), X1), add(X0, mul(num(0, 1), X2), num(1, 1)))
+# a shared root folds, so the product must still be collected
+@example(mul(X1, sqrt(W)), add(X0, sqrt(W)))
+def test_a_monomial_side_leaves_nothing_to_collect(m, e):
+    ctx = context()
+    p, q = kernel._read(ctx, m), kernel._read(ctx, e)
+    assume(kernel._monomial(p) or kernel._monomial(q))
+    # the reference expansion does not run the kernel that ``contract`` does
+    assert contract([(m, e)], context()) is _reference_simplify(mul(m, e), {})
+    folds = any((ba & bb) > 1 for _, ba in p.groups for _, bb in q.groups)
+    r = kernel._merge(ctx, p, q, [])
+    if not folds:
+        # no zero numerator and no empty group: the collect pass is a copy
+        want = kernel._sum([r])
+        assert (r.den, r.groups, r.mx) == (want.den, want.groups, want.mx)
 
 
 @PROPERTY

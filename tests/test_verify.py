@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -279,6 +280,28 @@ def test_off_shell_momentum_refutes_kg():
     assert r.verdict == REFUTED
     assert r.witness is not None
     assert r.witness.get("p0") == 2.0
+
+
+_BAD_TOLS = [float("nan"), 0.0, 1.0, -1e-9, float("inf")]
+
+
+@pytest.mark.parametrize("tol", _BAD_TOLS)
+def test_a_bad_tol_cannot_confirm_an_off_shell_momentum(tol):
+    # a NaN residual comparison never reads "at or above tol"
+    with pytest.raises(ClaimParamError, match=r"tol must lie in \(0, 1\)"):
+        run_claim("kg.reduction", tol=tol,
+                  params={"p0": 2, "p1": 0, "p2": 0, "p3": 0, "m0": 1})
+
+
+@pytest.mark.parametrize("tol", _BAD_TOLS)
+def test_suite_refuses_a_bad_tol_before_any_claim_runs(tol, monkeypatch):
+    ran = []
+    for cid, claim in kk6.verify.REGISTRY.items():
+        monkeypatch.setitem(kk6.verify.REGISTRY, cid, replace(
+            claim, runner=lambda *args, cid=cid: ran.append(cid)))
+    with pytest.raises(ClaimParamError, match=r"tol must lie in \(0, 1\)"):
+        run_suite(tol=tol)
+    assert ran == []
 
 
 def test_perturbed_compact_entry_refutes_flatness():

@@ -19,6 +19,17 @@ def test_polynomial_identity_is_zero():
     assert r.max_residual < r.tol
 
 
+@pytest.mark.parametrize("e", [x0, ONE], ids=["symbolic", "constant"])
+@pytest.mark.parametrize("kw", [
+    {"trials": 0}, {"trials": -1}, {"tol": float("nan")}, {"tol": 0.0},
+    {"tol": 1.0}, {"tol": -1e-9}, {"tol": float("inf")},
+])
+def test_a_bad_trials_or_tol_is_refused(e, kw):
+    # zero samples, or a threshold no residual can reach, would read "zero"
+    with pytest.raises(ValueError):
+        is_zero(e, **kw)
+
+
 def test_genuine_nonzero_has_witness():
     r = is_zero(power(x0, 2) + ONE)
     assert r.verdict == "nonzero"
