@@ -15,9 +15,11 @@ products (C, D) and (D, C) of the last term have the same two factors, so
 R_AA writes each pair once with coefficient -2: 21 quadratic products,
 not 36.  Every symmetric grid (the metric derivatives, each plane of
 either kind of Christoffel symbol, the divergence of the connection,
-Ricci) is filled in for A <= B and mirrored by ``tensor._mirror``, which
-also fills the adjugate and the inverse; Ricci's symmetry is a theorem
-here, checked by tests through :func:`ricci_entry_raw`.
+Ricci, Einstein) is filled in for A <= B and mirrored by
+``tensor._mirror``, which also fills the adjugate and the inverse;
+Ricci's symmetry is a theorem here, checked by tests through
+:func:`ricci_entry_raw`, and Einstein's follows from Ricci's and the
+metric's.
 
 Every derivative (d_C g_AB, d_C Gamma^C_AB and d_B Gamma^C_AC) is one
 :func:`~kk6.expr.derive` call: the product rule over the entry's terms,
@@ -134,6 +136,7 @@ def einstein(metric: Metric6) -> tuple:
     rs = ricci_scalar(metric)
     g = metric.lower
     ctx = context()
-    return tuple(tuple(contract([(r[a][b],), (_MINUS_HALF, rs, g[a][b])], ctx)
-                       for b in range(DIM))
-                 for a in range(DIM))
+
+    def entry(a, b):
+        return contract([(r[a][b],), (_MINUS_HALF, rs, g[a][b])], ctx)
+    return _mirror(entry)

@@ -82,6 +82,16 @@ factor replaced by its ``diff`` tree (memoized in the context per symbol).
 decides where a product takes the tree route.  Both give ``ZERO`` for a
 symbol that is not free in the input.
 
+The node set's shape is stated once: ``_kids`` lists a node's children
+in constructor order, ``_rebuild`` applies its constructor to new ones,
+and ``_FUNCTIONS`` maps each function node's ``name`` to its constructor
+for ``_rebuild``, the printer and :mod:`kk6.parse`.  :func:`free_symbols`,
+:func:`subs`, :func:`conj`, ``simplify``'s ``exp`` and ``sqrt`` case and
+the post-order of :mod:`kk6.zeros` walk through them.  ``_diff``,
+``power``, ``mul``, the kernel's ``_factor_key``, the evaluator's op codes
+and the oracle's compiler keep a case per node type, as their rule differs
+per type (the oracle compiles on its own, to stay independent).
+
 :func:`to_text` renders each distinct node once per call, however often the
 tree shares it.
 
@@ -256,7 +266,8 @@ class Pow(Expr):
 
 class _Unary(Expr):
     __slots__ = ("arg",)
-    _tag: int  # set by each subclass
+    _tag: int  # set by each subclass, with the ``name`` it prints as
+    name: str
 
     def __new__(cls, arg: Expr):
         ikey = (cls._tag, id(arg))
@@ -270,16 +281,19 @@ class _Unary(Expr):
 class Exp(_Unary):
     __slots__ = ()
     _tag = 3
+    name = "exp"
 
 
 class Sqrt(_Unary):
     __slots__ = ()
     _tag = 4
+    name = "sqrt"
 
 
 class Conj(_Unary):
     __slots__ = ()
     _tag = 5
+    name = "conj"
 
 
 class Mul(Expr):
@@ -568,19 +582,41 @@ def conj(e: Expr) -> Expr:
         return e if e.symbol.real else Conj(e)
     if isinstance(e, Conj):
         return e.arg
-    if isinstance(e, Add):
-        return add(*(conj(t) for t in e.terms))
-    if isinstance(e, Mul):
-        return mul(*(conj(f) for f in e.factors))
-    if isinstance(e, Pow):
-        return power(conj(e.base), e.n)
-    if isinstance(e, Exp):
-        return exp(conj(e.arg))
-    if isinstance(e, Sqrt):
-        # principal branch: conj(sqrt(z)) == sqrt(conj(z)) away from the
-        # negative real axis, where all sampling in this engine lives.
-        return sqrt(conj(e.arg))
-    raise TypeError(f"conj of unsupported node {type(e).__name__}")
+    # principal branch: conj(sqrt(z)) == sqrt(conj(z)) away from the
+    # negative real axis, where all sampling in this engine lives.
+    return _rebuild(e, [conj(k) for k in _kids(e)])
+
+
+# The constructor of each function node, by the node's ``name``: the
+# printer, ``_rebuild`` and ``kk6.parse`` all read this one table.
+_FUNCTIONS = {Exp.name: exp, Sqrt.name: sqrt, Conj.name: conj}
+
+
+def _kids(node: Expr) -> tuple:
+    """The children of ``node`` in constructor order."""
+    if isinstance(node, Add):
+        return node.terms
+    if isinstance(node, Mul):
+        return node.factors
+    if isinstance(node, Pow):
+        return (node.base,)
+    if isinstance(node, _Unary):
+        return (node.arg,)
+    return ()
+
+
+def _rebuild(node: Expr, kids) -> Expr:
+    """``node``'s constructor applied to ``kids``; its own kids give it
+    back."""
+    if isinstance(node, Add):
+        return add(*kids)
+    if isinstance(node, Mul):
+        return mul(*kids)
+    if isinstance(node, Pow):
+        return power(kids[0], node.n)
+    if isinstance(node, _Unary):
+        return _FUNCTIONS[node.name](kids[0])
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -661,24 +697,10 @@ def _subs(node: Expr, repl: dict, memo: dict) -> Expr:
     got = memo.get(node)
     if got is not None:
         return got
-    if isinstance(node, Num):
-        r = node
-    elif isinstance(node, Sym):
+    if isinstance(node, Sym):
         r = repl.get(node.symbol.name, node)
-    elif isinstance(node, Add):
-        r = add(*(_subs(t, repl, memo) for t in node.terms))
-    elif isinstance(node, Mul):
-        r = mul(*(_subs(f, repl, memo) for f in node.factors))
-    elif isinstance(node, Pow):
-        r = power(_subs(node.base, repl, memo), node.n)
-    elif isinstance(node, Exp):
-        r = exp(_subs(node.arg, repl, memo))
-    elif isinstance(node, Sqrt):
-        r = sqrt(_subs(node.arg, repl, memo))
-    elif isinstance(node, Conj):
-        r = conj(_subs(node.arg, repl, memo))
-    else:  # pragma: no cover
-        raise TypeError(f"subs of unsupported node {type(node).__name__}")
+    else:
+        r = _rebuild(node, [_subs(k, repl, memo) for k in _kids(node)])
     memo[node] = r
     return r
 
@@ -1074,12 +1096,8 @@ def _simplified(node: Expr, ctx: _Ctx) -> Expr:
             # exp(S)^2 -> exp(2*S), (S^-1)^-2 -> S^2): simplify it in turn
             if not (isinstance(r, Pow) and r.base is b):
                 r = _simplified(r, ctx)
-    elif isinstance(node, Exp):
-        r = exp(_simplified(node.arg, ctx))
-    elif isinstance(node, Sqrt):
-        r = sqrt(_simplified(node.arg, ctx))
-    else:  # pragma: no cover
-        raise TypeError(f"simplify of unsupported node {type(node).__name__}")
+    else:                       # exp or sqrt
+        r = _rebuild(node, [_simplified(node.arg, ctx)])
     node._simp = _SELF if r is node else r
     if r._simp is None:         # simplify is idempotent: r is its own result
         r._simp = _SELF
@@ -1181,20 +1199,13 @@ def derive(e: Expr, s, ctx: _Ctx) -> Expr:
 def free_symbols(e: Expr) -> frozenset[Symbol]:
     if e._free is not None:
         return e._free
-    if isinstance(e, Num):
-        out: frozenset[Symbol] = frozenset()
-    elif isinstance(e, Sym):
+    kids = _kids(e)
+    if isinstance(e, Sym):
         out = frozenset((e.symbol,))
-    elif isinstance(e, Add):
-        out = frozenset().union(*(free_symbols(t) for t in e.terms))
-    elif isinstance(e, Mul):
-        out = frozenset().union(*(free_symbols(f) for f in e.factors))
-    elif isinstance(e, (Exp, Sqrt, Conj)):
-        out = free_symbols(e.arg)
-    elif isinstance(e, Pow):
-        out = free_symbols(e.base)
-    else:  # pragma: no cover
-        raise TypeError(f"free_symbols of unsupported node {type(e).__name__}")
+    elif len(kids) == 1:
+        out = free_symbols(kids[0])     # the one child's set, shared
+    else:
+        out = frozenset().union(*(free_symbols(k) for k in kids))
     e._free = out
     return out
 
@@ -1244,12 +1255,8 @@ def _render(e: Expr, memo: dict) -> tuple[str, int]:
         return _num_text(e)
     if isinstance(e, Sym):
         return e.symbol.name, _P_ATOM
-    if isinstance(e, Exp):
-        return f"exp({_text(e.arg, memo)[0]})", _P_ATOM
-    if isinstance(e, Sqrt):
-        return f"sqrt({_text(e.arg, memo)[0]})", _P_ATOM
-    if isinstance(e, Conj):
-        return f"conj({_text(e.arg, memo)[0]})", _P_ATOM
+    if isinstance(e, _Unary):
+        return f"{e.name}({_text(e.arg, memo)[0]})", _P_ATOM
     if isinstance(e, Pow):
         bs, bp = _text(e.base, memo)
         if bp < _P_POW:

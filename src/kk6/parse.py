@@ -13,7 +13,9 @@ Numbers are decimal (``0.5`` is exact: 1/2) or integer; rationals are
 spelled with '/'.  ``i`` is the imaginary unit.  Identifiers must be
 registered symbols; unknown names raise :class:`ParseError` with a column.
 The printer in :mod:`kk6.expr` emits this grammar, so
-``parse_expression(to_text(e)) is e``.
+``parse_expression(to_text(e)) is e``.  A function is looked up in the
+kernel's one table of function nodes, by the name the printer prints, so
+the two cannot disagree on a name.
 """
 from __future__ import annotations
 
@@ -21,10 +23,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expr import Expr, I, add, conj, exp, mul, num, power, sqrt, sym
+from .expr import _FUNCTIONS, Expr, I, add, mul, num, power, sym
 from .symbols import UnknownSymbolError
 
-__all__ = ["ParseError", "parse_expression", "tokenize"]
+__all__ = ["ParseError", "parse_expression"]
 
 
 class ParseError(ValueError):
@@ -43,10 +45,8 @@ class Token:
 _TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
                        r"|(?P<op>[-+*/^()]))")
 
-_FUNCTIONS = {"exp": exp, "sqrt": sqrt, "conj": conj}
 
-
-def tokenize(text: str) -> list[Token]:
+def _tokenize(text: str) -> list[Token]:
     out: list[Token] = []
     pos = 0
     while pos < len(text):
@@ -154,7 +154,7 @@ class _Parser:
 
 
 def parse_expression(text: str) -> Expr:
-    parser = _Parser(tokenize(text))
+    parser = _Parser(_tokenize(text))
     result = parser.expr()
     tail = parser.peek()
     if tail.kind != "END":

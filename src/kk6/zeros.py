@@ -35,8 +35,9 @@ finite-difference oracle compiles expressions on its own, so that it stays
 independent); :func:`evaluate` returns its value alone, and :func:`is_zero`
 calls it once per sample.  It runs a post-order tape: one entry per
 distinct node (op code, child slots, constant), each after its children,
-built once per expression and reused for every sample.  The tape is cached
-weakly on the expression and holds no node, so it keeps nothing alive.
+built once per expression and reused for every sample, children in
+the order ``expr._kids`` lists them.  The tape is cached weakly on the
+expression and holds no node, so it keeps nothing alive.
 Each node's value is the CPython complex arithmetic of a recursive walk in
 the same order, so results are bit for bit what such a walk gives.  The
 first node in post-order that fails names the error (:class:`EvalError`
@@ -54,20 +55,16 @@ import math
 import random
 import weakref
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Mapping
 
 from .expr import (
     Add, Conj, EvalError, Exp, Expr, Mul, Num, Pow, Sqrt, Sym,
-    free_symbols, to_text,
+    _kids, free_symbols, to_text,
 )
 from .symbols import Symbol
 
-__all__ = ["ZeroResult", "ZERO_VERDICT", "NONZERO_VERDICT", "INCONCLUSIVE_VERDICT",
-           "sample_env", "scaled_eval", "evaluate", "is_zero"]
-
-ZERO_VERDICT = "zero"
-NONZERO_VERDICT = "nonzero"
-INCONCLUSIVE_VERDICT = "inconclusive"
+__all__ = ["ZeroResult", "sample_env", "scaled_eval", "evaluate", "is_zero"]
 
 
 @dataclass(frozen=True)
@@ -124,18 +121,6 @@ _TAPES: "weakref.WeakKeyDictionary[Expr, tuple]" = weakref.WeakKeyDictionary()
 
 class _Fault(Exception):
     """Evaluation failed at a tape slot: ``args == (slot, message)``."""
-
-
-def _kids(node: Expr) -> tuple:
-    if isinstance(node, Add):
-        return node.terms
-    if isinstance(node, Mul):
-        return node.factors
-    if isinstance(node, Pow):
-        return (node.base,)
-    if isinstance(node, (Exp, Sqrt, Conj)):
-        return (node.arg,)
-    return ()
 
 
 def _postorder(e: Expr) -> list:
@@ -273,8 +258,8 @@ def _note_text(e: Expr) -> str:
 
 
 def _check_tol(tol: float, error: type = ValueError) -> None:
-    """The one range check of a zero-test tolerance: ``tol`` in (0, 1)."""
-    if not 0.0 < tol < 1.0:       # NaN fails every comparison
+    """The one check of a zero-test tolerance: a real ``tol`` in (0, 1)."""
+    if not isinstance(tol, Real) or not 0.0 < tol < 1.0:  # NaN fails too
         raise error("tol must lie in (0, 1)")
 
 
@@ -285,11 +270,13 @@ def is_zero(e: Expr, seed: int = 0, trials: int = 32, tol: float = 1e-9,
     Deterministic per seed.  The first point violating the threshold is
     returned as a nonzero witness; evaluation failures (unbound symbols,
     overflow) yield an inconclusive verdict naming the offending subtree.
-    Raises ``ValueError`` for ``trials < 1`` or a ``tol`` outside (0, 1),
-    either of which would let a sample-free or NaN test read ``zero``.
+    Raises ``ValueError`` for ``trials`` not an integer of at least 1, or
+    ``tol`` not a real number in (0, 1), any of which would let a
+    sample-free or NaN test read ``zero`` or fail with a bare ``TypeError``.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    if not isinstance(trials, Integral) or trials < 1:
+        raise ValueError(f"trials must be an integer of at least 1, "
+                         f"got {trials!r}")
     _check_tol(tol)
     syms = sorted(free_symbols(e), key=lambda s: s.name)
     rng = random.Random(seed)
@@ -301,11 +288,11 @@ def is_zero(e: Expr, seed: int = 0, trials: int = 32, tol: float = 1e-9,
             value, scale = scaled_eval(e, env)
         except EvalError as err:
             sub = _note_text(err.subtree) if err.subtree is not None else "?"
-            return ZeroResult(INCONCLUSIVE_VERDICT, max_resid, n_trials, seed, tol,
+            return ZeroResult("inconclusive", max_resid, n_trials, seed, tol,
                               witness=env or None, note=f"{err} in {sub}")
         resid = abs(value) / (1.0 + scale)
         max_resid = max(max_resid, resid)
         if resid >= tol:
-            return ZeroResult(NONZERO_VERDICT, max_resid, n_trials, seed, tol,
+            return ZeroResult("nonzero", max_resid, n_trials, seed, tol,
                               witness=env or {})
-    return ZeroResult(ZERO_VERDICT, max_resid, n_trials, seed, tol)
+    return ZeroResult("zero", max_resid, n_trials, seed, tol)

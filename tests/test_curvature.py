@@ -361,6 +361,23 @@ def test_ricci_entry_raw_reuses_the_cached_connection_terms(monkeypatch):
     assert len(calls) == 1
 
 
+def test_einstein_is_filled_for_a_le_b_and_mirrored(monkeypatch):
+    # with Ricci and its trace cached, Einstein is one contraction per
+    # entry with a <= b: 21, not 36
+    m = _numeric_proca()
+    ricci_scalar(m)
+    calls = []
+    real = kk6.curvature.contract
+
+    def counting(products, ctx):
+        calls.append(ctx)
+        return real(products, ctx)
+    monkeypatch.setattr(kk6.curvature, "contract", counting)
+    ein = einstein(m)
+    assert len(calls) == 21
+    assert all(ein[a][b] is ein[b][a] for a in range(6) for b in range(6))
+
+
 def _reachable(root):
     # everything reachable from ``root`` through containers and nodes; a
     # class, module or function would lead to the whole interpreter

@@ -3,9 +3,11 @@
 each base once and a term minus itself is zero, ``simplify`` is
 value-preserving and idempotent and agrees with the tree expansion it
 replaced, ``contract`` and ``derive`` are the tree routes they stand for,
-node for node, printing round-trips through the parser, ``diff`` agrees with
-central finite differences, and ``scaled_eval``'s tape gives the recursive
-walk's numbers and failures bit for bit."""
+node for node, printing round-trips through the parser, every node is
+its constructor applied to its children and ``subs`` and ``conj`` keep the
+value, ``diff`` agrees with central finite differences, and
+``scaled_eval``'s tape gives the recursive walk's numbers and failures bit
+for bit."""
 import cmath
 import json
 import os
@@ -27,7 +29,7 @@ from kk6 import expr as kernel  # noqa: E402
 from kk6.expr import (  # noqa: E402
     MINUS_ONE, ONE, ZERO, Add, Conj, DomainError, EvalError, Exp, Expr, Mul,
     Num, Pow, Sqrt, Sym, add, conj, context, contract, coords, derive, diff,
-    exp, free_symbols, mul, num, power, simplify, sqrt, sym, to_text,
+    exp, free_symbols, mul, num, power, simplify, sqrt, subs, sym, to_text,
 )
 from kk6.parse import parse_expression  # noqa: E402
 from kk6.symbols import DEFAULT_TABLE  # noqa: E402
@@ -94,6 +96,18 @@ def test_add_and_mul_ignore_order_and_grouping(es, perm):
     assert mul(a, mul(b, c)) is mul(mul(a, b), c) is mul(a, b, c)
 
 
+def _children(n):
+    if isinstance(n, Add):
+        return n.terms
+    if isinstance(n, Mul):
+        return n.factors
+    if isinstance(n, Pow):
+        return (n.base,)
+    if isinstance(n, (Exp, Sqrt, Conj)):
+        return (n.arg,)
+    return ()
+
+
 def _nodes(e):
     seen, stack = set(), [e]
     while stack:
@@ -102,14 +116,7 @@ def _nodes(e):
             continue
         seen.add(n)
         yield n
-        if isinstance(n, Add):
-            stack.extend(n.terms)
-        elif isinstance(n, Mul):
-            stack.extend(n.factors)
-        elif isinstance(n, Pow):
-            stack.append(n.base)
-        elif isinstance(n, (Exp, Sqrt, Conj)):
-            stack.append(n.arg)
+        stack.extend(_children(n))
 
 
 @PROPERTY
@@ -360,6 +367,46 @@ def test_a_monomial_side_leaves_nothing_to_collect(m, e):
 @given(exprs)
 def test_text_round_trips_through_the_parser(e):
     assert parse_expression(to_text(e)) is e
+
+
+@PROPERTY
+@given(exprs)
+def test_every_node_is_its_constructor_applied_to_its_children(e):
+    for n in _nodes(e):
+        assert kernel._kids(n) == _children(n)
+        assert kernel._rebuild(n, list(kernel._kids(n))) is n
+
+
+@PROPERTY
+@given(exprs)
+def test_subs_of_nothing_and_conj_twice_give_the_node_back(e):
+    assert subs(e, {}) is e
+    assert conj(conj(e)) is e
+
+
+def _close(a, b, scale):
+    return abs(a - b) <= 1e-9 * (1 + scale)
+
+
+@PROPERTY
+@given(exprs, seeds)
+def test_subs_and_conj_keep_the_value(e, seed):
+    env = _point(add(e, X0, X1), seed)
+    value, scale = scaled_eval(e, env)
+    got, got_scale = scaled_eval(conj(e), env)
+    assert _close(got, value.conjugate(), scale + got_scale)
+    shifted = dict(env, x0=env["x0"] + env["x1"])
+    value, scale = scaled_eval(e, shifted)
+    got, got_scale = scaled_eval(subs(e, {"x0": X0 + X1}), env)
+    assert _close(got, value, scale + got_scale)
+
+
+@PROPERTY
+@given(exprs)
+def test_every_function_name_round_trips_through_the_parser(e):
+    for build in kernel._FUNCTIONS.values():
+        f = build(e)
+        assert parse_expression(to_text(f)) is f
 
 
 @PROPERTY

@@ -282,7 +282,7 @@ def test_off_shell_momentum_refutes_kg():
     assert r.witness.get("p0") == 2.0
 
 
-_BAD_TOLS = [float("nan"), 0.0, 1.0, -1e-9, float("inf")]
+_BAD_TOLS = [float("nan"), 0.0, 1.0, -1e-9, float("inf"), "0.1", None]
 
 
 @pytest.mark.parametrize("tol", _BAD_TOLS)

@@ -23,9 +23,12 @@ def test_polynomial_identity_is_zero():
 @pytest.mark.parametrize("kw", [
     {"trials": 0}, {"trials": -1}, {"tol": float("nan")}, {"tol": 0.0},
     {"tol": 1.0}, {"tol": -1e-9}, {"tol": float("inf")},
+    {"trials": 2.5}, {"trials": "3"}, {"tol": "0.1"}, {"tol": None},
+    {"tol": 1e-9j},
 ])
 def test_a_bad_trials_or_tol_is_refused(e, kw):
-    # zero samples, or a threshold no residual can reach, would read "zero"
+    # zero samples, or a threshold no residual can reach, would read "zero";
+    # a value of the wrong kind is refused the same way, not by a TypeError
     with pytest.raises(ValueError):
         is_zero(e, **kw)
 

@@ -13,7 +13,9 @@ output that moved.  The outputs, each as sorted-key JSON without the
 * the ``kk6 curvature`` reports of the benchmark's inputs at seeds 0-1,
 * per benchmark curvature input, ``to_text`` of every Christoffel symbol
   (all 216, one per line) and of the metric's determinant, neither of
-  which the reports print,
+  which the reports print, and ``to_text`` of ``conj`` and of
+  ``subs(., {"x0": x0 + x1})`` of every Christoffel symbol, which cover
+  the kernel's tree walkers directly,
 * the default (symbolic) ``dirac1``, ``coupled`` and ``gravity-dirac``
   reports,
 * ``kk6 fringes points=201`` and ``kk6 geodesic steps=200``,
@@ -50,13 +52,15 @@ from kk6.curvature import christoffel  # noqa: E402
 from kk6.dynamics import (  # noqa: E402
     closed_form_state, connection_evaluator, integrate,
 )
-from kk6.expr import ZERO, num, to_text  # noqa: E402
+from kk6.expr import ZERO, conj, num, subs, sym, to_text  # noqa: E402
 from kk6.oracle import einstein_fd, metric_evaluator  # noqa: E402
 from kk6.report import record_dict  # noqa: E402
 from kk6.tensor import Metric6  # noqa: E402
 from workloads import CURVATURE, PROBES  # noqa: E402
 
 SYMBOLIC = ("dirac1", "coupled", "gravity-dirac")
+# the substitution the walker line applies to every Christoffel symbol
+SHIFT = {"x0": sym("x0") + sym("x1")}
 
 
 def _cli(argv) -> str:
@@ -85,10 +89,13 @@ def outputs():
                                           f"ansatz={aid}", *params)))
         metric = cli.build_ansatz(aid, cfg.params)[0]
         label = " ".join((f"ansatz={aid}", *params))
-        yield f"christoffel {label}", "\n".join(
-            to_text(e) for plane in christoffel(metric) for row in plane
-            for e in row)
+        gamma = [e for plane in christoffel(metric) for row in plane
+                 for e in row]
+        yield f"christoffel {label}", "\n".join(map(to_text, gamma))
         yield f"det {label}", to_text(metric.det())
+        yield f"christoffel conj subs {label}", "\n".join(
+            (*(to_text(conj(e)) for e in gamma),
+             *(to_text(subs(e, SHIFT)) for e in gamma)))
     for argv in (*(("curvature", f"ansatz={aid}") for aid in SYMBOLIC),
                  ("fringes", "points=201"), ("geodesic", "steps=200")):
         yield " ".join(argv), _cli(argv)
