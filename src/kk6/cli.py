@@ -70,7 +70,7 @@ from .verify import (
     must_pass_ids, read_params, refuted_must_pass, run_suite,
     scalar_momenta,
 )
-from .zeros import _check_tol
+from .zeros import _check_seed, _check_tol
 
 __all__ = ["RunConfig", "CliError", "parse_config", "emit", "main"]
 
@@ -179,8 +179,10 @@ def _resolve(items) -> RunConfig:
             except ValueError:
                 raise _config_err(f"seed expects an integer, got {value!r}",
                                   where) from None
-            if not 0 <= seed < 2 ** 64:
-                raise _config_err("seed must fit in 64 unsigned bits", where)
+            try:
+                _check_seed(seed)
+            except ValueError as err:
+                raise _config_err(str(err), where) from None
         elif key == "tol":
             try:
                 tol = float(value)

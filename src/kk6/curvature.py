@@ -14,12 +14,11 @@ never via an intermediate Riemann tensor.  On the diagonal the quadratic
 products (C, D) and (D, C) of the last term have the same two factors, so
 R_AA writes each pair once with coefficient -2: 21 quadratic products,
 not 36.  Every symmetric grid (the metric derivatives, each plane of
-either kind of Christoffel symbol, the divergence of the connection,
-Ricci, Einstein) is filled in for A <= B and mirrored by
-``tensor._mirror``, which also fills the adjugate and the inverse;
-Ricci's symmetry is a theorem here, checked by tests through
-:func:`ricci_entry_raw`, and Einstein's follows from Ricci's and the
-metric's.
+either kind of Christoffel symbol, Ricci, Einstein) is filled in for
+A <= B and mirrored by ``tensor._mirror``, which also fills the
+adjugate and the inverse; Ricci's symmetry is a theorem here, checked
+by tests through :func:`ricci_entry_raw`, and Einstein's follows from
+Ricci's and the metric's.
 
 Every derivative (d_C g_AB, d_C Gamma^C_AB and d_B Gamma^C_AC) is one
 :func:`~kk6.expr.derive` call: the product rule over the entry's terms,
@@ -28,13 +27,13 @@ handed to ``contract``.  Every other entry is one
 polynomial kernel and the canonical tree is built once, with no tree per
 product and none for the sum, and the result is the tree that
 simplifying that sum would give.  Each stage call (:func:`christoffel`;
-:func:`ricci` with the divergence and trace of the connection;
-:func:`ricci_scalar`; :func:`einstein`) runs in one kernel context, so
-each first-kind symbol is read once for all six raised ones, each
-connection entry once for all 21 Ricci entries, and each of its factors
-differentiated once per coordinate.
-Each stage's result is kept in the metric's cache by one memo; the
-context lives for the call, and the cache keeps only trees.
+:func:`ricci` with the trace of the connection; :func:`ricci_scalar`;
+:func:`einstein`) runs in one kernel context, so each first-kind symbol
+is read once for all six raised ones, each connection entry once for all
+21 Ricci entries, and each of its factors differentiated once per
+coordinate; Ricci takes each d_C Gamma^C_AB in the entry that reads it.
+Each stage's result, and the trace, is kept in the metric's cache by one
+memo; the context lives for the call, and the cache keeps only trees.
 A product whose factors share a sum or root base (which ``mul`` would
 merge), a derivative's products among them, takes the tree route inside
 ``contract``.
@@ -53,20 +52,14 @@ _MINUS_HALF = mul(MINUS_ONE, HALF)
 _MINUS_TWO = num(-2)
 
 
-def _derivatives(grids, ctx) -> tuple:
-    # d_C of the symmetric grid grids[C], indexed [c][a][b]
-    def entry(c, a, b):
-        return derive(grids[c][a][b], COORDS[c], ctx)
-    return tuple(_mirror(entry, c) for c in range(DIM))
-
-
 @_memo
 def christoffel(metric: Metric6) -> tuple:
     """Gamma^C_AB as nested tuples indexed [C][A][B], symmetric in the
     lower pair."""
+    g, gu = metric.lower, metric.upper()      # a singular metric stops here
     ctx = context()
-    dg = _derivatives((metric.lower,) * DIM, ctx)    # d_C g_AB
-    gu = metric.upper()
+    # d_C g_AB indexed [c][a][b], each read by three first-kind symbols
+    dg = tuple(_mirror(lambda a, b: derive(g[a][b], x, ctx)) for x in COORDS)
 
     def first(d, a, b):
         # Gamma_DAB = (d_A g_DB + d_B g_DA - d_D g_AB) / 2
@@ -80,20 +73,18 @@ def christoffel(metric: Metric6) -> tuple:
 
 
 @_memo
-def _connection_terms(metric: Metric6, ctx) -> tuple:
-    # (d_C Gamma^C_AB indexed [c][a][b], t_A = Gamma^C_AC); only the
-    # diagonal derivative enters the Ricci formula
+def _trace(metric: Metric6) -> tuple:
+    # t_A = Gamma^C_AC, read by seven terms of each Ricci entry
     gamma = christoffel(metric)
-    div = _derivatives(gamma, ctx)
-    trace = tuple(contract([(gamma[c][a][c],) for c in range(DIM)], ctx)
-                  for a in range(DIM))
-    return div, trace
+    ctx = context()
+    return tuple(contract([(gamma[c][a][c],) for c in range(DIM)], ctx)
+                 for a in range(DIM))
 
 
 def _ricci_formula(metric: Metric6, ctx, a: int, b: int) -> Expr:
     gamma = christoffel(metric)
-    div, trace = _connection_terms(metric, ctx)
-    parts = [(div[c][a][b],) for c in range(DIM)]
+    trace = _trace(metric)
+    parts = [(derive(gamma[c][a][b], x, ctx),) for c, x in enumerate(COORDS)]
     parts.append((MINUS_ONE, derive(trace[a], COORDS[b], ctx)))
     parts += ((gamma[c][a][b], trace[c]) for c in range(DIM))
     if a != b:

@@ -68,15 +68,14 @@ def _as_grid(rows) -> Grid:
 
 
 def _memo(fn):
-    """Keep ``fn(metric, ...)`` in ``metric._cache`` under ``fn``'s name;
-    extra arguments (a kernel context) are used on the first call only."""
+    """Keep ``fn(metric)`` in ``metric._cache`` under ``fn``'s name."""
     key = fn.__name__
 
     @functools.wraps(fn)
-    def cached(metric, *args):
+    def cached(metric):
         got = metric._cache.get(key)
         if got is None:
-            got = metric._cache[key] = fn(metric, *args)
+            got = metric._cache[key] = fn(metric)
         return got
     return cached
 

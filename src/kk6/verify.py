@@ -68,7 +68,7 @@ from .report import (
     CONDITIONAL, CONFIRMED, INCONCLUSIVE, REFUTED, ClaimReport,
 )
 from .tensor import DIM, Metric6, identity_residual
-from .zeros import _check_tol, is_zero
+from .zeros import _check_seed, _check_tol, is_zero
 
 __all__ = [
     "Claim", "UnknownClaimError", "ClaimParamError",
@@ -504,7 +504,7 @@ def _dirac_bundle(sol: int, p1, p2, p3, m0):
     mode = dirac_metric(sol, p1, p2, p3, m0)
     f = field_strength(mode.K)
     f2 = fsq(f)
-    return mode, f, f2, stress_tensor(f, f2)
+    return mode, f2, stress_tensor(f, f2)
 
 
 def _stress_residuals(mode, t, s5, coeff, ctx):
@@ -551,8 +551,8 @@ def _dirac_row(mode, ctx) -> list:
 def _check_dirac(sol: int):
     def run(seed, tol, params) -> dict:
         x = coords()
-        mode, _, f2, t = _dirac_bundle(sol, *(params.get(k)
-                                              for k in _HALFSPIN_PARAMS))
+        mode, f2, t = _dirac_bundle(sol, *(params.get(k)
+                                           for k in _HALFSPIN_PARAMS))
         comps = mode.components
         ctx = context()
 
@@ -594,7 +594,7 @@ def check_dirac_stress(seed, tol, params) -> dict:
     conventions = {}
     ctx = context()
     for sol in (1, 2, 3, 4):
-        mode, _, _, t = _dirac_bundle(sol, None, None, None, None)
+        mode, _, t = _dirac_bundle(sol, None, None, None, None)
         winners = []
         for s5 in (1, -1):
             for coeff in (1, -1):
@@ -927,6 +927,7 @@ def run_claim(claim_id: str, seed: int = 0, tol: float = 1e-9,
     claim = REGISTRY.get(claim_id)
     if claim is None:
         raise UnknownClaimError(f"unknown claim id {claim_id!r}")
+    _check_seed(seed, ClaimParamError)
     _check_tol(tol, ClaimParamError)
     own = read_params(claim.params, params or {}, claim_id)
     return ClaimReport(claim_id=claim_id, anchor=claim.anchor, seed=seed,

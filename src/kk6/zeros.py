@@ -263,6 +263,12 @@ def _check_tol(tol: float, error: type = ValueError) -> None:
         raise error("tol must lie in (0, 1)")
 
 
+def _check_seed(seed: int, error: type = ValueError) -> None:
+    """The one check of a run's seed: an integer in [0, 2**64)."""
+    if not isinstance(seed, Integral) or not 0 <= seed < 2 ** 64:
+        raise error("seed must be an integer that fits in 64 unsigned bits")
+
+
 def is_zero(e: Expr, seed: int = 0, trials: int = 32, tol: float = 1e-9,
             positive: frozenset[str] = frozenset()) -> ZeroResult:
     """Zero/nonzero/inconclusive verdict for ``e`` by random evaluation.

@@ -346,8 +346,8 @@ def test_curvature_stages_are_plain_functions_of_the_module():
 
 
 def test_ricci_entry_raw_reuses_the_cached_connection_terms(monkeypatch):
-    # after ``ricci`` the divergence and trace of the connection are cached:
-    # one raw entry is one contraction
+    # after ``ricci`` the trace of the connection is cached: one raw entry
+    # is one contraction, its derivatives taken inside it
     m = _numeric_proca()
     ric = ricci(m)
     calls = []
@@ -359,6 +359,14 @@ def test_ricci_entry_raw_reuses_the_cached_connection_terms(monkeypatch):
     monkeypatch.setattr(kk6.curvature, "contract", counting)
     assert ricci_entry_raw(m, 0, 3) is ric[0][3]
     assert len(calls) == 1
+
+
+def test_the_metric_cache_keeps_only_the_stages_and_the_trace():
+    # no derivative grid of the connection outlives its stage
+    m = _numeric_proca()
+    einstein(m)
+    assert set(m._cache) == {"_adjugate", "det", "upper", "christoffel",
+                             "_trace", "ricci", "ricci_scalar", "einstein"}
 
 
 def test_einstein_is_filled_for_a_le_b_and_mirrored(monkeypatch):

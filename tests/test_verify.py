@@ -304,6 +304,28 @@ def test_suite_refuses_a_bad_tol_before_any_claim_runs(tol, monkeypatch):
     assert ran == []
 
 
+_BAD_SEEDS = [1.5, "abc", -1, 2 ** 64]
+
+
+@pytest.mark.parametrize("seed", _BAD_SEEDS)
+def test_a_bad_seed_is_refused_before_the_claim_runs(seed):
+    # a record states its seed as an integer: 1.5 would be recorded as 1
+    with pytest.raises(ClaimParamError, match="seed must be an integer"):
+        run_claim("kg.reduction", seed=seed,
+                  params={"p0": 2, "p1": 0, "p2": 0, "p3": 0, "m0": 1})
+
+
+@pytest.mark.parametrize("seed", _BAD_SEEDS)
+def test_suite_refuses_a_bad_seed_before_any_claim_runs(seed, monkeypatch):
+    ran = []
+    for cid, claim in kk6.verify.REGISTRY.items():
+        monkeypatch.setitem(kk6.verify.REGISTRY, cid, replace(
+            claim, runner=lambda *args, cid=cid: ran.append(cid)))
+    with pytest.raises(ClaimParamError, match="seed must be an integer"):
+        run_suite(seed=seed)
+    assert ran == []
+
+
 def test_perturbed_compact_entry_refutes_flatness():
     r = run_claim("ricci.scalar.zero", params={"perturb": "1 + x1^2"})
     assert r.verdict == REFUTED

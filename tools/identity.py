@@ -15,7 +15,9 @@ output that moved.  The outputs, each as sorted-key JSON without the
   (all 216, one per line) and of the metric's determinant, neither of
   which the reports print, and ``to_text`` of ``conj`` and of
   ``subs(., {"x0": x0 + x1})`` of every Christoffel symbol, which cover
-  the kernel's tree walkers directly,
+  the kernel's tree walkers directly, and ``to_text`` of the 36 ``ricci``
+  entries, then of the 36 ``ricci_entry_raw`` entries, which the reports
+  print only through Einstein and R,
 * the default (symbolic) ``dirac1``, ``coupled`` and ``gravity-dirac``
   reports,
 * ``kk6 fringes points=201`` and ``kk6 geodesic steps=200``,
@@ -48,7 +50,7 @@ from kk6 import cli, verify  # noqa: E402
 from kk6.ansatz import (  # noqa: E402
     gravity_metric, kk_rows, scalar_metric, weak_field_block,
 )
-from kk6.curvature import christoffel  # noqa: E402
+from kk6.curvature import christoffel, ricci, ricci_entry_raw  # noqa: E402
 from kk6.dynamics import (  # noqa: E402
     closed_form_state, connection_evaluator, integrate,
 )
@@ -96,6 +98,10 @@ def outputs():
         yield f"christoffel conj subs {label}", "\n".join(
             (*(to_text(conj(e)) for e in gamma),
              *(to_text(subs(e, SHIFT)) for e in gamma)))
+        yield f"ricci ricci_entry_raw {label}", "\n".join(
+            (*(to_text(e) for row in ricci(metric) for e in row),
+             *(to_text(ricci_entry_raw(metric, a, b))
+               for a in range(6) for b in range(6))))
     for argv in (*(("curvature", f"ansatz={aid}") for aid in SYMBOLIC),
                  ("fringes", "points=201"), ("geodesic", "steps=200")):
         yield " ".join(argv), _cli(argv)
