@@ -3,8 +3,9 @@
 
 Superposes two point sources (slit separation d, screen distance L,
 wavelength lambda), samples the resulting density on a screen grid,
-root-finds the interference minima from the half-integer path-difference
-condition, and draws the profile as an ASCII strip chart.
+places each interference minimum in closed form where the detector line
+meets a half-integer path-difference hyperbola, and draws the profile as an
+ASCII strip chart.
 """
 from kk6 import two_path_fringes
 
@@ -26,7 +27,7 @@ def main():
         bar = "#" * int(round(width * rho / peak))
         print(f"  y = {y:7.2f}  |{bar}")
 
-    print("\nroot-found minima (half-integer path difference):")
+    print("\nclosed-form minima (half-integer path difference):")
     for ym in fp.minima:
         k = 2.0 * np.pi / LAM
         r1 = np.hypot(L, ym - 0.5 * D)

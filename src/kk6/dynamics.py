@@ -284,9 +284,12 @@ class FringeProfile:
 
 
 def _path_difference(y: float, d: float, L: float) -> float:
+    """r2 - r1 as 2 y d / (r1 + r2): the difference of the two lengths
+    cancels where they nearly agree, and halving each keeps the sum
+    finite."""
     r1 = math.hypot(L, y - 0.5 * d)
     r2 = math.hypot(L, y + 0.5 * d)
-    return r2 - r1
+    return d * (y / (0.5 * r1 + 0.5 * r2))
 
 
 def two_path_fringes(d: float, L: float, wavelength: float,
@@ -294,12 +297,15 @@ def two_path_fringes(d: float, L: float, wavelength: float,
     """Two-slit density |psi_1 + psi_2|^2 over a detector grid.
 
     Unit-amplitude straight rays from slits at +-d/2; the geometric path
-    lengths carry the phase k = 2 pi / wavelength.  Minima are located by
-    root-finding the half-integer path-difference condition between grid
-    ends, so each reported position satisfies the destructive-interference
-    equation to root tolerance rather than grid resolution.  A grid cannot
-    resolve more fringes than it has points: more half-integer orders
-    between its ends than points is refused before any root is sought."""
+    lengths carry the phase k = 2 pi / wavelength.  A minimum is where the
+    path difference r2 - r1 is t = (n + 1/2) wavelength: on the hyperbola
+    with foci at the slits and vertices at +-t/2, which meets the detector
+    line at y = t/2 sqrt(1 + 4 L^2 / (d^2 - t^2)).  Each half-integer order
+    between the grid ends is placed by that closed form, so its position
+    is exact to rounding, not to grid resolution; an order with |t| >= d
+    has no finite minimum.  A grid cannot resolve more fringes than it has
+    points: more half-integer orders between its ends than points is
+    refused before any minimum is placed."""
     ys = [float(v) for v in grid]
     if d <= 0 or L <= 0 or wavelength <= 0 or not ys:
         raise DynamicsError("degenerate fringe geometry")
@@ -311,78 +317,25 @@ def two_path_fringes(d: float, L: float, wavelength: float,
         raise DynamicsError(
             f"more fringe orders between the grid ends than its {len(ys)} "
             "grid points can resolve")
-    k = 2.0 * math.pi / wavelength
 
     def density(y: float) -> float:
-        return abs(cmath.exp(1j * k * math.hypot(L, y - 0.5 * d))
-                   + cmath.exp(1j * k * math.hypot(L, y + 0.5 * d))) ** 2
+        # |exp(i k r1) + exp(i k r2)|^2 = 4 cos^2(k (r2 - r1) / 2): the
+        # phases k r1 and k r2 alone lose the difference far out
+        return 4.0 * math.cos(math.pi * _path_difference(y, d, L)
+                              / wavelength) ** 2
 
     dens = [density(y) for y in ys]
     minima = []
-    for n in range(k_lo, k_hi + 1):
-        target = (n + 0.5) * wavelength
-
-        def gap(y: float, t=target) -> float:
-            return _path_difference(y, d, L) - t
-
-        if gap(lo) * gap(hi) > 0:
-            continue
-        minima.append(float(_brentq(gap, lo, hi, xtol=1e-14, rtol=1e-15)))
-    minima.sort()
+    # one order past each end: rounding there may drop an order whose
+    # minimum is inside, and the closed form decides
+    for n in range(k_lo - 1, k_hi + 2):
+        t = (n + 0.5) * wavelength
+        if abs(t) < d:
+            # hypot and the split root keep 4 L^2 and d^2 - t^2 in range
+            y = 0.5 * t * math.hypot(
+                1.0, 2.0 * L / (math.sqrt(d - t) * math.sqrt(d + t)))
+            if lo <= y <= hi:
+                minima.append(y)
     return FringeProfile(y=tuple(ys), density=tuple(dens),
                          minima=tuple(minima),
                          minima_density=tuple(density(y) for y in minima))
-
-
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
-            maxiter: int = 100) -> float:
-    """Root of ``f`` in the sign-changing bracket [xa, xb] by Brent's method.
-
-    A line-for-line port of the C loop behind ``scipy.optimize.brentq``
-    (same steps in the same floating-point order, so the same root bit for
-    bit): it stops when the bracket's half-width is below
-    ``(xtol + rtol * |x|) / 2`` or ``f(x) == 0``, and raises after
-    ``maxiter`` iterations without convergence."""
-    xpre, xcur = xa, xb
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise DynamicsError("root finder needs a sign change over the bracket")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if (fpre != 0 and fcur != 0
-                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:    # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:               # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = (-fcur * (fblk * dblk - fpre * dpre)
-                            / (dblk * dpre * (fblk - fpre)))
-            except ZeroDivisionError:
-                stry = math.inf     # C's x/0 is inf or nan: bisect
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry     # good short step
-            else:
-                spre = scur = sbis          # bisect
-        else:
-            spre = scur = sbis              # bisect
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise DynamicsError(
-        f"root finder did not converge in {maxiter} iterations")

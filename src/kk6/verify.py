@@ -57,6 +57,7 @@ from .curvature import einstein, ricci_scalar
 from .dynamics import (
     closed_form_deviation, closed_form_exprs, closed_form_state,
     connection_evaluator, integrate, interval_along, two_path_fringes,
+    _path_difference,
 )
 from .expr import (
     Expr, HALF, I, MINUS_ONE, ZERO, add, conj, context, contract, coords,
@@ -812,7 +813,6 @@ def check_geodesic_closedform(seed, tol, params) -> dict:
 
 
 def check_interference_minima(seed, tol, params) -> dict:
-    from .dynamics import _path_difference
     (d, length, lam, _), fp = fringe_profile(params)
     peak = max(fp.density)
     worst = 0.0
@@ -829,10 +829,10 @@ def check_interference_minima(seed, tol, params) -> dict:
                    None if status == "zero" else {"y": complex(bad or neg)},
                    None if status == "zero" else "minimum not destructive")
     notes = [
-        f"{len(fp.minima)} minima located by root-finding the half-integer "
-        "path-difference condition",
-        f"worst relative density at a minimum: {worst:.3e} "
-        f"(peak density {peak:.6g})",
+        f"{len(fp.minima)} minima located in closed form where the detector "
+        "line meets each half-integer path-difference hyperbola",
+        "worst relative density or phase residual at a minimum: "
+        f"{worst:.3e} (peak density {peak:.6g})",
         "the extra-coordinate density is dropped (special coordinate "
         "choice) and recorded here",
     ]

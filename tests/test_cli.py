@@ -420,6 +420,16 @@ def test_fringes_csv_appends_minima_rows(capsys):
                                                               abs=0.1)
 
 
+def test_fringes_report_no_minimum_for_an_order_at_the_slit_separation(
+        capsys):
+    # wavelength 2d puts order 0 at r2 - r1 = d, which no finite y reaches
+    code, out, _ = run(["fringes", "d=1", "L=1", "wavelength=2", "ymax=1e8",
+                        "points=3"], capsys)
+    assert code == 0
+    data = json.loads(out)["data"]
+    assert data["minima"] == [] and data["minima_density"] == []
+
+
 def test_fringes_json_includes_profile_arrays(capsys):
     code, out, _ = run(["fringes", "points=5", "ymax=1"], capsys)
     assert code == 0

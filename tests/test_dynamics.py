@@ -1,6 +1,8 @@
 """Geodesic closed form, fixed-step integration, intervals and fringes."""
 import cmath
 import math
+import random
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from kk6.ansatz import scalar_metric
 from kk6.dynamics import (
     DynamicsError, GeodesicState, closed_form_deviation, closed_form_exprs,
     closed_form_state, connection_evaluator, integrate, interval_along,
-    two_path_fringes, _brentq, _path_difference,
+    two_path_fringes,
 )
 from kk6.expr import ZERO, exp, mul, num, simplify, sym
 from kk6.tensor import DIM
@@ -247,51 +249,90 @@ def test_fringes_validate_geometry():
         two_path_fringes(1.0, 10.0, 0.5, np.array([]))
 
 
-def _brackets(rng):
-    # the fringe-minima brackets of random geometries, then generic roots:
-    # smooth, multiple, steep, flat-tiny (so that f's differences reach
-    # zero) and oscillating
+def _decimal_path_difference(y, d, L):
+    # r2 - r1 = (r2^2 - r1^2) / (r1 + r2) = 2 y d / (r1 + r2), which keeps
+    # every digit where the two lengths nearly agree
+    h = d / 2
+    return 2 * y * d / ((L * L + (y - h) ** 2).sqrt()
+                        + (L * L + (y + h) ** 2).sqrt())
+
+
+def _bisect(t, lo, hi, d, L):
+    # the y in [lo, hi] with r2 - r1 = t; r2 - r1 increases with y
+    while hi - lo > abs(lo + hi) * Decimal("1e-20"):
+        mid = (lo + hi) / 2
+        if _decimal_path_difference(mid, d, L) < t:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def _fringe_geometries(rng):
+    """(d, L, wavelength, lo, hi): generic; grazing, with the top order's
+    path difference t a fraction short of d and a grid end near its
+    far-out minimum; grazing with t a few ulp short of d and a grid end
+    within 5% of its minimum, where r2 - r1 is flat to the ulp; slits
+    1e-16.5..1e-12 of L apart, where the difference of the two lengths
+    is all rounding; then the default, an order at exactly d and a
+    geometry near 1e160."""
+    for _ in range(360):
+        d, L = rng.uniform(0.05, 5), rng.uniform(1, 200)
+        yield d, L, d * rng.uniform(0.5, 2), -rng.uniform(0.5, 50), \
+            rng.uniform(0.5, 50)
+    for _ in range(500):
+        d = rng.uniform(0.1, 10)
+        L = d * 10 ** rng.uniform(-1, 2)
+        m = rng.choice((0.5, 1.5))
+        if rng.random() < 0.4:
+            lam, spread = d * (1 - 10 ** rng.uniform(-15.5, -1)) / m, 2.0
+        else:
+            lam, spread = d * (1 - rng.randrange(1, 8) * 2.0 ** -53) / m, 1.05
+        t = m * lam
+        if t < d:
+            far = L / math.sqrt(2 * (d - t) / d) \
+                * rng.uniform(1 / spread, spread)
+            yield d, L, lam, -far * rng.uniform(1 / spread, spread), far
     for _ in range(150):
-        d, L, lam = rng.uniform(0.05, 5), rng.uniform(1, 200), \
-            rng.uniform(0.005, 2)
-        lo, hi = -rng.uniform(0.5, 50), rng.uniform(0.5, 50)
-        dlo, dhi = _path_difference(lo, d, L), _path_difference(hi, d, L)
-        for n in range(math.ceil(min(dlo, dhi) / lam - 0.5),
-                       math.floor(max(dlo, dhi) / lam - 0.5) + 1)[:8]:
-            def gap(y, t=(n + 0.5) * lam, d=d, L=L):
-                return _path_difference(y, d, L) - t
-            if gap(lo) * gap(hi) <= 0:
-                yield gap, lo, hi, 1e-14, 1e-15
-    fs = (lambda x: x**3 - 2 * x - 5, lambda x: math.cos(x) - x,
-          lambda x: (x - 0.3)**5, lambda x: math.tanh(20 * (x - 0.1)),
-          lambda x: 1e-300 * (x - 0.2), lambda x: math.sin(7 * x) + 0.3)
-    for _ in range(600):
-        f, a, b = rng.choice(fs), rng.uniform(-4, 0.3), rng.uniform(0.3, 4)
-        if f(a) * f(b) <= 0:
-            yield (f, a, b, rng.choice((2e-12, 1e-14, 1e-6, 1e-3)),
-                   rng.choice((8.881784197001252e-16, 1e-15, 1e-10)))
+        L = rng.uniform(0.5, 5)
+        d = L * 10 ** rng.uniform(-16.5, -12)
+        yield d, L, d / rng.uniform(1, 8), -L * rng.uniform(0.2, 3), \
+            L * rng.uniform(0.2, 3)
+    yield 10.0, 400.0, 0.5, -15.0, 15.0
+    yield 1.0, 1.0, 2.0, -1e8, 1e8
+    yield 1e160, 1e160, 1e159, -1e160, 1e160
 
 
-def test_root_finder_matches_scipy_brentq_bit_for_bit():
-    optimize = pytest.importorskip("scipy.optimize")
-    import random
-    import struct
-    seen = 0
-    for f, a, b, xtol, rtol in _brackets(random.Random(5)):
-        try:
-            want = optimize.brentq(f, a, b, xtol=xtol, rtol=rtol)
-        except (RuntimeError, ValueError) as err:
-            # not converged in 100 iterations, or f(a) f(b) underflowed to
-            # zero with one sign
-            why = "did not converge" if isinstance(err, RuntimeError) \
-                else "needs a sign change"
-            with pytest.raises(DynamicsError, match=why):
-                _brentq(f, a, b, xtol, rtol)
-            continue
-        got = _brentq(f, a, b, xtol, rtol)
-        assert struct.pack("d", got) == struct.pack("d", want), (a, b)
-        seen += 1
-    assert seen > 500
+def test_fringe_minima_are_every_order_to_4_ulp():
+    # every half-integer order whose minimum lies between the grid ends is
+    # reported, within 4 ulp of a 50-digit bisection root of r2 - r1 = t
+    # for the float t = (n + 1/2) wavelength the order names
+    roots = geometries = 0
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for d, L, lam, lo, hi in _fringe_geometries(random.Random(7)):
+            got = two_path_fringes(d, L, lam, np.linspace(lo, hi, 64)).minima
+            D, LL, Lo, Hi = map(Decimal, (d, L, lo, hi))
+            plo = _decimal_path_difference(Lo, D, LL)
+            phi = _decimal_path_difference(Hi, D, LL)
+            want = [_bisect(Decimal(t), Lo, Hi, D, LL)
+                    for n in range(math.floor(float(plo) / lam - 0.5) - 1,
+                                   math.ceil(float(phi) / lam - 0.5) + 2)
+                    for t in [(n + 0.5) * lam] if plo <= Decimal(t) <= phi]
+            assert len(got) == len(want), (d, L, lam, lo, hi)
+            for y, root in zip(got, want):
+                assert abs(Decimal(y) - root) <= 4 * Decimal(math.ulp(y)), \
+                    (d, L, lam, lo, hi, y)
+            roots += len(want)
+            geometries += 1
+    assert geometries > 1000 and roots > 2000, (geometries, roots)
+
+
+def test_an_order_at_the_slit_separation_has_no_minimum():
+    # r2 - r1 < d at every finite y, so the order t = d (wavelength 2d) has
+    # no minimum, though the float r2 - r1 at y = 1e8 rounds to d
+    prof = two_path_fringes(1.0, 1.0, 2.0, [-1e8, 0.0, 1e8])
+    assert prof.minima == () and prof.minima_density == ()
 
 
 def test_fringe_orders_must_fit_on_the_grid():
@@ -305,7 +346,7 @@ def test_fringe_orders_must_fit_on_the_grid():
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy is a test-only dependency: start-up must not pay its import
+    # no part of kk6 needs scipy: start-up must not pay its import
     import subprocess
     import sys
     out = subprocess.run(

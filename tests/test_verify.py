@@ -136,6 +136,19 @@ def test_interference_minima_confirmed():
     assert any("minima located" in n for n in r.notes)
 
 
+@pytest.mark.parametrize("L, ymax", [(1, "1e8"), ("1e6", "1e14")])
+def test_interference_minima_confirmed_where_the_paths_graze(L, ymax):
+    # order 0 sits 1 ulp short of r2 - r1 = d, so its minimum is at
+    # y ~ 6.7e7 L, where r2 - r1 taken as a difference of the two lengths
+    # (L = 1), or the density from the phases k r1 and k r2 (L = 1e6), is
+    # off by far more than the check's tolerance and would refute the
+    # exact minimum
+    r = run_claim("interference.minima", params={
+        "d": 1, "L": L, "wavelength": "1.9999999999999998", "ymax": ymax,
+        "points": 3})
+    assert r.verdict == CONFIRMED and r.max_residual < 1e-15
+
+
 # ---------------------------------------------------------------------------
 # measured (Conditional) claims
 

@@ -21,6 +21,10 @@ output that moved.  The outputs, each as sorted-key JSON without the
 * the default (symbolic) ``dirac1``, ``coupled`` and ``gravity-dirac``
   reports,
 * ``kk6 fringes points=201`` and ``kk6 geodesic steps=200``,
+* ``two_path_fringes(...).minima`` at the default geometry, an order at
+  exactly the slit separation, a geometry near 1e160 and 20 seeded ones,
+  grazing ones among them, as raw bytes (``fringes points=201`` covers
+  the default geometry only),
 * every state and residual of ``integrate`` at the geodesic claim's
   inputs and 1000 steps, as raw bytes (the ``geodesic`` report keeps only
   two maxima of them),
@@ -52,7 +56,7 @@ from kk6.ansatz import (  # noqa: E402
 )
 from kk6.curvature import christoffel, ricci, ricci_entry_raw  # noqa: E402
 from kk6.dynamics import (  # noqa: E402
-    closed_form_state, connection_evaluator, integrate,
+    closed_form_state, connection_evaluator, integrate, two_path_fringes,
 )
 from kk6.expr import ZERO, conj, num, subs, sym, to_text  # noqa: E402
 from kk6.oracle import einstein_fd, metric_evaluator  # noqa: E402
@@ -106,6 +110,7 @@ def outputs():
                  ("fringes", "points=201"), ("geodesic", "steps=200")):
         yield " ".join(argv), _cli(argv)
     yield "integrate steps=1000 states residuals", _geodesic_path()
+    yield "two_path_fringes minima", _fringe_minima()
     yield "einstein_fd gravity.split metrics", _gravity_split_fd()
 
 
@@ -118,6 +123,23 @@ def _geodesic_path() -> str:
             + np.array([s.tau for s in path.states]).tobytes()
             + np.array(path.residuals).tobytes())
     return f"{blob.hex()} aborted={path.aborted}"
+
+
+def _fringe_minima() -> str:
+    # (d, L, wavelength, ymax); the seeded wavelengths put the top order
+    # 1e-15..1e-1 of d short of d, and ymax up to 1e8 d reaches some
+    geos = [(10.0, 400.0, 0.5, 15.0), (1.0, 1.0, 2.0, 1e8),
+            (1e160, 1e160, 1e159, 1e160)]
+    rng = random.Random(0)
+    for _ in range(20):
+        d = rng.uniform(0.1, 10)
+        geos.append((d, d * 10 ** rng.uniform(-1, 2),
+                     d * (1 - 10 ** rng.uniform(-15, -1))
+                     / rng.choice((0.5, 1.5)), d * 10 ** rng.uniform(0, 8)))
+    return "\n".join(
+        np.array(two_path_fringes(d, length, lam,
+                                  np.linspace(-ymax, ymax, 64)).minima)
+        .tobytes().hex() for d, length, lam, ymax in geos)
 
 
 def _gravity_split_fd() -> str:
