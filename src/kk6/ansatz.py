@@ -72,7 +72,11 @@ class AnsatzError(ValueError):
     """A field configuration outside a constructor's domain."""
 
 
-def _E(v) -> Expr:
+def _E(v, name: str | None = None) -> Expr:
+    """``v`` as an expression; None, an unbound parameter, is the
+    registered symbol ``name``."""
+    if v is None:
+        return sym(name)
     if isinstance(v, Expr):
         return v
     return num(v)
@@ -125,10 +129,7 @@ def _trace4(K: tuple) -> list:
 
 @dataclass(frozen=True)
 class ScalarMode:
-    p: tuple[Expr, Expr, Expr, Expr]
-    m0: Expr
-    phase: Expr                 # (p.x - m0 x5) / hbar
-    g44: Expr
+    g44: Expr                   # exp(-2 i theta), theta = (p.x - m0 x5)/hbar
     grad: tuple[Expr, ...]      # lower phase gradient over IDX5
     metric: Metric6
 
@@ -139,7 +140,7 @@ def scalar_metric(p=None, m0=None, hbar=None) -> ScalarMode:
         sym(f"p{i}") for i in range(4))
     if len(pv) != 4:
         raise AnsatzError("p must have four components")
-    m0v = _E(m0) if m0 is not None else sym("m0")
+    m0v = _E(m0, "m0")
     hv = _E(hbar) if hbar is not None else ONE
     if hv is ZERO:
         raise AnsatzError("hbar must be nonzero")
@@ -155,8 +156,7 @@ def scalar_metric(p=None, m0=None, hbar=None) -> ScalarMode:
     rows = kk_rows(_FLAT4, _NO_FIELD)
     rows[4][4] = g44
     metric = Metric6(rows, name="scalar")
-    return ScalarMode(p=pv, m0=m0v, phase=theta, g44=g44,
-                      grad=grad, metric=metric)
+    return ScalarMode(g44=g44, grad=grad, metric=metric)
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +204,6 @@ def stress_tensor(f: tuple, f2: Expr) -> tuple:
 
 @dataclass(frozen=True)
 class VectorMode:
-    A: tuple                    # four lower potential components
-    m0: Expr | None             # None for the massless case
     K: tuple                    # five components over IDX5 (index 5 absent: 0)
     metric: Metric6
     claimed_upper: Grid
@@ -222,7 +220,7 @@ def _vector_mode(a4, m0v, name: str) -> VectorMode:
         x5phase = exp(mul(I, m0v, x[5]))
         ctx = context()
         ahat4 = tuple(contract([(v, x5phase)], ctx) for v in a4)
-    return VectorMode(A=a4, m0=m0v, K=ahat4 + (ZERO,),
+    return VectorMode(K=ahat4 + (ZERO,),
                       metric=Metric6(kk_rows(_FLAT4, ahat4), name=name),
                       claimed_upper=_claimed_upper(ahat4, ZERO,
                                                    _trace4(ahat4)))
@@ -237,14 +235,13 @@ def photon_metric(a4=None) -> VectorMode:
 def proca_metric(a4=None, m0=None) -> VectorMode:
     if a4 is None:
         a4 = tuple(sym(f"A{i}") for i in range(4))
-    m0v = _E(m0) if m0 is not None else sym("m0")
-    return _vector_mode(a4, m0v, "proca")
+    return _vector_mode(a4, _E(m0, "m0"), "proca")
 
 
 def null_wave_potential(omega=None, pol: int = 2) -> tuple:
     """Transverse plane wave on a null wave vector k = (w, 0, 0, w)."""
     x = coords()
-    w = _E(omega) if omega is not None else sym("omega")
+    w = _E(omega, "omega")
     if pol not in (1, 2):
         raise AnsatzError("transverse polarization must be along x1 or x2")
     phase = exp(contract([(_MINUS_I, w, x[0]), (I, w, x[3])], context()))
@@ -254,8 +251,7 @@ def null_wave_potential(omega=None, pol: int = 2) -> tuple:
 def massive_wave_potential(k3=None, m0=None, pol: int = 1) -> tuple:
     """Transverse wave on k = (sqrt(k3^2 + m0^2), 0, 0, k3)."""
     x = coords()
-    k3v = _E(k3) if k3 is not None else sym("k3")
-    m0v = _E(m0) if m0 is not None else sym("m0")
+    k3v, m0v = _E(k3, "k3"), _E(m0, "m0")
     if pol not in (1, 2):
         raise AnsatzError("transverse polarization must be along x1 or x2")
     k0 = sqrt(add(power(k3v, 2), power(m0v, 2)))
@@ -268,7 +264,6 @@ def massive_wave_potential(k3=None, m0=None, pol: int = 1) -> tuple:
 
 @dataclass(frozen=True)
 class SpinorComponents:
-    sol: int
     phi: tuple                  # four spinor components, no phase
     C: Expr                     # field normalization
     p0: Expr                    # on-shell energy expression
@@ -285,10 +280,8 @@ def dirac_components(p1=None, p2=None, p3=None, m0=None, sol: int = 1
     positive real is refused, a symbolic m0 is accepted."""
     if sol not in (1, 2, 3, 4):
         raise AnsatzError(f"solution index must be 1..4, got {sol}")
-    p1v = _E(p1) if p1 is not None else sym("p1")
-    p2v = _E(p2) if p2 is not None else sym("p2")
-    p3v = _E(p3) if p3 is not None else sym("p3")
-    m0v = _E(m0) if m0 is not None else sym("m0")
+    p1v, p2v, p3v = _E(p1, "p1"), _E(p2, "p2"), _E(p3, "p3")
+    m0v = _E(m0, "m0")
     if p3v == ZERO:
         raise AnsatzError("normalization C is undefined at p3 = 0")
     if isinstance(m0v, Num) and (m0v.im or m0v.re <= 0):
@@ -308,7 +301,7 @@ def dirac_components(p1=None, p2=None, p3=None, m0=None, sol: int = 1
     ctx = context()
     phi = tuple(contract([c], ctx) for c in tables[sol])
     cnorm = contract([(sqrt(mul(TWO, m0v, dd)), power(p3v, -1))], ctx)
-    return SpinorComponents(sol=sol, phi=phi, C=cnorm, p0=p0v,
+    return SpinorComponents(phi=phi, C=cnorm, p0=p0v,
                             p=(p1v, p2v, p3v), m0=m0v)
 
 
@@ -382,8 +375,7 @@ def coupled_metric(sol: int = 1, p1=None, p2=None, p3=None, m0=None,
     phase exp(-i gamma x4); gamma -> 0 reduces to the plain half-spin case."""
     base = dirac_metric(sol, p1, p2, p3, m0)
     x = coords()
-    gv = _E(gamma) if gamma is not None else sym("gamma")
-    twist = exp(mul(_MINUS_I, gv, x[4]))
+    twist = exp(mul(_MINUS_I, _E(gamma, "gamma"), x[4]))
     ctx = context()
     k5 = tuple(contract([(k, twist)], ctx) for k in base.K)
     return CoupledMode(K=k5, metric=Metric6(kk_rows(_FLAT4, k5[:4], k5[4]),
@@ -396,8 +388,7 @@ def coupled_metric(sol: int = 1, p1=None, p2=None, p3=None, m0=None,
 def weak_field_block(eps=None) -> Grid:
     """Static weak-field 4d block: g_00 = 1 + 2 eps x1, spatial part flat."""
     x = coords()
-    ev = _E(eps) if eps is not None else sym("eps")
-    g00 = add(ONE, mul(TWO, ev, x[1]))
+    g00 = add(ONE, mul(TWO, _E(eps, "eps"), x[1]))
     rows = [[ZERO] * 4 for _ in range(4)]
     diag = (g00, MINUS_ONE, MINUS_ONE, MINUS_ONE)
     for a in range(4):
@@ -424,6 +415,5 @@ def gravity_metric(mode, g4: Grid | None = None, kappa=None) -> Metric6:
         rows = kk_rows(g4v, _NO_FIELD)
         rows[4][4] = mode.g44
     else:
-        kv = _E(kappa) if kappa is not None else sym("kappa")
-        rows = kk_rows(g4v, mode.K[:4], mode.K[4], kv)
+        rows = kk_rows(g4v, mode.K[:4], mode.K[4], _E(kappa, "kappa"))
     return Metric6(rows, name=f"gravity-{mode.metric.name}")

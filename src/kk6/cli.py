@@ -285,12 +285,6 @@ def parse_config(text: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 # ansatz construction by name
 
-def _scalar_p(params):
-    p, m0, explicit = scalar_momenta(params)
-    return p, m0, ("explicit energy component" if explicit else
-                   "p0 = sqrt(p1^2 + p2^2 + p3^2 + m0^2) installed")
-
-
 def build_ansatz(aid: str, params: dict):
     """Named metric constructor; returns (metric, claimed_upper, notes).
     ``params`` binds only names of the ansatz's row, which are the
@@ -303,9 +297,10 @@ def build_ansatz(aid: str, params: dict):
     eps, kappa = kw.pop("eps", None), kw.pop("kappa", None)
     notes = []
     if family == "scalar":
-        p, m0, note = _scalar_p(kw)
+        p, m0, explicit = scalar_momenta(kw)
         mode = scalar_metric(p=p, m0=m0, hbar=kw.get("hbar"))
-        notes.append(note)
+        notes.append("explicit energy component" if explicit else
+                     "p0 = sqrt(p1^2 + p2^2 + p3^2 + m0^2) installed")
     elif family == "photon":
         mode = photon_metric(null_wave_potential(**kw))
     elif family == "proca":
@@ -361,10 +356,6 @@ def _run_geodesic(cfg: RunConfig):
     p1, p2, p3, m0, tau_end = (float(g[k]) for k in
                                ("p1", "p2", "p3", "m0", "tau_end"))
     steps = g["steps"]
-    if m0 == 0.0:
-        raise _config_err("geodesic integration needs m0 != 0 (the compact "
-                          "phase degenerates otherwise)")
-
     p_sym, m0_sym, _ = scalar_momenta(g)
     mode = scalar_metric(p=p_sym, m0=m0_sym)
     gamma = connection_evaluator(mode.metric)

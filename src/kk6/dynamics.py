@@ -304,15 +304,20 @@ def two_path_fringes(d: float, L: float, wavelength: float,
     between the grid ends is placed by that closed form, so its position
     is exact to rounding, not to grid resolution; an order with |t| >= d
     has no finite minimum.  A grid cannot resolve more fringes than it has
-    points: more half-integer orders between its ends than points is
-    refused before any minimum is placed."""
+    points: more half-integer orders between its ends than points, or an
+    order range beyond a float, is refused before any minimum is placed."""
     ys = [float(v) for v in grid]
     if d <= 0 or L <= 0 or wavelength <= 0 or not ys:
         raise DynamicsError("degenerate fringe geometry")
     lo, hi = min(ys), max(ys)
     dlo, dhi = _path_difference(lo, d, L), _path_difference(hi, d, L)
-    k_lo = math.ceil(min(dlo, dhi) / wavelength - 0.5)
-    k_hi = math.floor(max(dlo, dhi) / wavelength - 0.5)
+    o_lo = min(dlo, dhi) / wavelength - 0.5
+    o_hi = max(dlo, dhi) / wavelength - 0.5
+    if not (math.isfinite(o_lo) and math.isfinite(o_hi)):
+        raise DynamicsError(
+            "fringe orders between the grid ends overflow a float: "
+            f"(r2 - r1)/wavelength - 1/2 runs {o_lo!r}..{o_hi!r}")
+    k_lo, k_hi = math.ceil(o_lo), math.floor(o_hi)
     if k_hi - k_lo + 1 > len(ys):
         raise DynamicsError(
             f"more fringe orders between the grid ends than its {len(ys)} "

@@ -1079,9 +1079,9 @@ def _simplified(node: Expr, ctx: _Ctx) -> Expr:
     if isinstance(node, (Num, Sym, Conj)):
         r = node
     elif isinstance(node, Add):
-        r = _contract([(t,) for t in node.terms], ctx, [])
+        r = _contract([(t,) for t in node.terms], ctx)
     elif isinstance(node, Mul):
-        r = _contract([(node,)], ctx, [])
+        r = _contract([(node,)], ctx)
     elif isinstance(node, Pow):
         b = _simplified(node.base, ctx)
         if isinstance(b, Add) and 2 <= node.n <= _EXPAND_POW_CAP:
@@ -1129,13 +1129,13 @@ def contract(products, ctx: _Ctx) -> Expr:
     products = list(products)
     while True:
         try:
-            return _contract(products, ctx, [])
+            return _contract(products, ctx)
         except _Widen:
             ctx = _Ctx(ctx.width * 2)
 
 
-def _contract(products, ctx: _Ctx, parts: list) -> Expr:
-    # ``parts``: polynomials already in ``ctx`` to add to the products
+def _contract(products, ctx: _Ctx) -> Expr:
+    parts = []
     for p in products:
         fs = []
         for f in p:

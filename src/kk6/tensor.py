@@ -3,7 +3,8 @@
 Metrics are symmetric grids of canonical expressions over the six
 coordinates.  Inversion is exact adjugate-over-determinant with memoized
 minor expansion (block sparsity keeps this cheap for the engine's metric
-families, whose determinants collapse to +-1 or a single phase factor).
+families, whose determinants are short: 1 or the scalar mode's compact
+phase factor, times g_00 = 1 + 2 eps x1 over the weak-field block).
 Minors are built as trees and simplified.  The adjugate and the inverse
 of a symmetric grid are symmetric, so both are computed for i <= j and
 mirrored by ``_mirror``, which fills every symmetric grid of the

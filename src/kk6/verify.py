@@ -51,7 +51,7 @@ from .ansatz import (
     ETA4, ETA5, IDX5, dirac_metric, field_strength, fsq, gravity_metric,
     kk_rows, massive_wave_potential, null_wave_potential, onshell_energy,
     photon_metric, proca_metric, scalar_metric, stress_tensor,
-    weak_field_block,
+    weak_field_block, _E,
 )
 from .curvature import einstein, ricci_scalar
 from .dynamics import (
@@ -176,8 +176,18 @@ def read_params(spec: dict, given: dict, reader: str) -> dict:
             out[name] = value
     if "steps" in out and out["steps"] < 2:
         raise ClaimParamError("steps must be at least 2")
-    if "tau_end" in out and not float(out["tau_end"]) > 0:
-        raise ClaimParamError("tau_end must be positive")
+    if "tau_end" in out:        # the geodesic command
+        if not float(out["tau_end"]) > 0:
+            raise ClaimParamError("tau_end must be positive")
+        if float(out["m0"]) == 0:
+            raise ClaimParamError("geodesic integration needs m0 != 0 (the "
+                                  "compact phase degenerates otherwise)")
+        try:    # the on-shell energy squared, which the connection reads
+            float(sum(out[k] ** 2 for k in ("p1", "p2", "p3", "m0")))
+        except OverflowError:
+            raise ClaimParamError(
+                "geodesic momenta overflow a float: p1^2 + p2^2 + p3^2 + "
+                "m0^2 must be finite") from None
     if "ymax" in out:
         d, length, lam, ymax = (float(out[k]) for k in
                                 ("d", "L", "wavelength", "ymax"))
@@ -198,20 +208,14 @@ def read_params(spec: dict, given: dict, reader: str) -> dict:
     return out
 
 
-def _bound(params, name) -> Expr:
-    """Parameter ``name`` as an expression: its value, or its symbol when
-    unbound."""
-    v = params.get(name)
-    return sym(name) if v is None else num(v)
-
-
 def scalar_momenta(params):
     """The scalar mode's momenta (p0, p1, p2, p3) and m0, symbolic where
     unbound, with p0 on shell unless ``params`` gives it; returns
     (p, m0, whether p0 was given)."""
-    p1, p2, p3, m0 = (_bound(params, k) for k in ("p1", "p2", "p3", "m0"))
+    p1, p2, p3, m0 = (_E(params.get(k), k) for k in ("p1", "p2", "p3",
+                                                     "m0"))
     explicit = "p0" in params
-    p0 = _bound(params, "p0") if explicit else onshell_energy(p1, p2, p3, m0)
+    p0 = _E(params["p0"], "p0") if explicit else onshell_energy(p1, p2, p3, m0)
     return (p0, p1, p2, p3), m0, explicit
 
 
@@ -268,19 +272,11 @@ def grade_entries(grid, seed: int, tol: float,
             for a in range(DIM) for b in range(DIM)]
 
 
-def _keep(pairs, formed: list):
-    """Pass ``pairs`` through lazily, appending each one to ``formed``."""
-    for pair in pairs:
-        formed.append(pair)
-        yield pair
-
-
 _VERDICT_OF = {"zero": CONFIRMED, "nonzero": REFUTED,
                "inconclusive": INCONCLUSIVE, "measured": CONDITIONAL}
 
 
-def _close(out: _Outcome, assumptions=(), notes=(),
-           extra_witness=None) -> dict:
+def _close(out: _Outcome, assumptions=(), notes=()) -> dict:
     """What a check measured: the ``ClaimReport`` fields except the claim
     id, anchor and seed, which :func:`run_claim` adds."""
     notes = tuple(notes)
@@ -290,10 +286,8 @@ def _close(out: _Outcome, assumptions=(), notes=(),
         notes += (f"undecided: {out.label}" + (f" ({out.note})" if out.note
                                                else ""),)
     witness = out.witness
-    if witness is not None and extra_witness:
-        witness = {**extra_witness, **witness}
-    elif witness is None and out.status == "nonzero":
-        witness = extra_witness or {}
+    if witness is None and out.status == "nonzero":
+        witness = {}
     return dict(verdict=_VERDICT_OF[out.status],
                 max_residual=out.max_residual, samples=out.samples,
                 structural=out.structural, assumptions=tuple(assumptions),
@@ -374,7 +368,9 @@ def check_klein_gordon(seed, tol, params) -> dict:
     for name in ("p0", "p1", "p2", "p3"):
         with suppress(KeyError, OverflowError):
             extra[name] = complex(params[name])
-    return _close(out, assumptions, notes, extra_witness=extra or None)
+    if extra and (out.witness is not None or out.status == "nonzero"):
+        out = replace(out, witness={**extra, **(out.witness or {})})
+    return _close(out, assumptions, notes)
 
 
 def check_ricci_scalar_zero(seed, tol, params) -> dict:
@@ -454,7 +450,7 @@ _PROCA_ASSUMPTIONS = (
 
 def check_proca(seed, tol, params) -> dict:
     x = coords()
-    m0 = _bound(params, "m0")
+    m0 = _E(params.get("m0"), "m0")
     a4 = massive_wave_potential(params.get("k3"), m0, pol=params["pol"])
     phase_factor = params["phase_factor"]
     ctx = context()
@@ -600,18 +596,11 @@ def check_dirac_stress(seed, tol, params) -> dict:
         for s5 in (1, -1):
             for coeff in (1, -1):
                 # a wrong candidate stops at its first nonzero residual
-                formed = []
-                scan = _grade(_keep(_stress_residuals(mode, t, s5, coeff,
-                                                      ctx), formed),
+                scan = _grade(_stress_residuals(mode, t, s5, coeff, ctx),
                               seed, tol, positive=_POS_M0, trials=6)
                 samples += scan.samples
                 if scan.status == "zero":
                     winners.append((coeff, s5))
-                    if sol == 1:
-                        # full-resolution confirmation of the scan's own
-                        # residuals; grading them here rather than after
-                        # the scan keeps one candidate's residuals alive
-                        out = _grade(formed, seed, tol, positive=_POS_M0)
         if len(winners) != 1:
             return _close(
                 _Outcome("inconclusive" if winners else "nonzero", 0.0,
@@ -621,6 +610,12 @@ def check_dirac_stress(seed, tol, params) -> dict:
                  "survive the scan"])
         conventions[sol] = winners[0]
 
+    # full-resolution confirmation of solution 1's convention: its
+    # residuals formed again in the scan's context
+    mode, _, t = _dirac_bundle(1, None, None, None, None)
+    coeff, s5 = conventions[1]
+    out = _grade(_stress_residuals(mode, t, s5, coeff, ctx), seed, tol,
+                 positive=_POS_M0)
     for sol, (coeff, s5) in sorted(conventions.items()):
         notes.append(f"solution {sol}: T = {'+' if coeff > 0 else '-'}"
                      f"P_A P_B Phi^2 with extra momentum component "

@@ -290,6 +290,10 @@ def test_exit_2_on_usage_errors(capsys):
              "wavelength is too large for a float"),
             (["geodesic", "tau_end=1e400"], "argument 'tau_end=1e400': "
              "tau_end is too large for a float"),
+            # each momentum fits a float, but the on-shell energy squared
+            # does not
+            (["geodesic", "p3=1e200"], "geodesic momenta overflow a float: "
+             "p1^2 + p2^2 + p3^2 + m0^2 must be finite"),
             # the scalar report is the hbar = 1 metric unless hbar is bound
             (["curvature", "ansatz=scalar", "hbar=symbolic"],
              "scalar requires numeric parameters, got hbar=symbolic"),
@@ -328,6 +332,12 @@ def test_exit_3_on_unwritable_output(capsys):
 def test_exit_3_on_runtime_failure(capsys):
     code, _, err = run(["geodesic", "steps=2", "tau_end=1e300"], capsys)
     assert code == 3 and err.startswith("error[runtime]: ")
+    # p3^2 = 1e300 fits a float, so the configuration passes and the
+    # integration aborts
+    code, out, err = run(["geodesic", "p3=1e150"], capsys)
+    assert code == 3 and out == ""
+    assert err == ("error[runtime]: geodesic integration aborted "
+                   "(coordinate blow-up)\n")
 
 
 # ---------------------------------------------------------------------------

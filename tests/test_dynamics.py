@@ -345,6 +345,16 @@ def test_fringe_orders_must_fit_on_the_grid():
         two_path_fringes(10.0, 400.0, 0.2, [-15.0, 15.0])
 
 
+def test_an_order_range_beyond_a_float_is_refused():
+    # d / wavelength overflows: the order range is named, not left to
+    # math.ceil's OverflowError
+    with pytest.raises(DynamicsError) as err:
+        two_path_fringes(1.0, 1.0, 5e-324, [-1.0, 1.0])
+    assert str(err.value) == (
+        "fringe orders between the grid ends overflow a float: "
+        "(r2 - r1)/wavelength - 1/2 runs -inf..inf")
+
+
 def test_import_leaves_scipy_unloaded():
     # no part of kk6 needs scipy: start-up must not pay its import
     import subprocess

@@ -17,7 +17,7 @@ from kk6.ansatz import (
     proca_metric, scalar_metric, weak_field_block,
 )
 from kk6.zeros import is_zero
-from test_golden_records import curvature_metrics
+from test_golden_records import CURVATURE, curvature_metrics
 
 x0, x1, x2, x3, x4, x5 = coords()
 
@@ -134,6 +134,28 @@ def test_det_is_the_laplace_tree(label):
     tree = simplify(kk6.tensor._minor(m.lower, tuple(range(DIM)),
                                       tuple(range(DIM)), {}))
     assert m.det() is tree
+
+
+_PHASE = ("exp(-2*i*x0*sqrt(m0^2 + p1^2 + p2^2 + p3^2) + 2*i*m0*x5 + "
+          "2*i*p1*x1 + 2*i*p2*x2 + 2*i*p3*x3)")
+# each benchmark curvature input's determinant: 1 or the scalar mode's
+# compact phase, times g_00 of the weak-field block
+BENCHMARK_DETS = {
+    "scalar": _PHASE,
+    "photon": "1",
+    "proca": "1",
+    "gravity-scalar": f"{_PHASE} + 2*eps*x1*{_PHASE}",
+    "gravity-proca": "1 + 2*eps*x1",
+    "dirac1": "1",
+    "coupled": "1",
+    "gravity-dirac": "1 + 1/5*x1",
+}
+
+
+def test_benchmark_determinants_are_pinned():
+    metrics = curvature_metrics()
+    assert {label: to_text(metrics[label].det())
+            for label in CURVATURE} == BENCHMARK_DETS
 
 
 def test_invert_metric_contracts_each_mirrored_pair_once(monkeypatch):

@@ -141,3 +141,33 @@ def test_scale_semantics():
     assert s_add == pytest.approx(5.0)
     _, s_mul = scaled_eval(mul(x0, x0), env)  # multiplicative
     assert s_mul == pytest.approx(4.0)
+
+
+def test_the_tape_cache_keeps_no_expression_alive():
+    import gc
+    import weakref
+    from kk6.zeros import _TAPES
+    e = add(mul(x0, x1, num(918273)), exp(x2))
+    ref = weakref.ref(e)
+    assert is_zero(e).verdict == "nonzero"
+    assert e in _TAPES
+    del e
+    gc.collect()
+    assert ref() is None
+
+
+def test_the_first_sample_point_of_a_seed_is_pinned():
+    # random.Random's uniform/random sequences are stable across Python
+    # versions, so a seed draws these magnitudes, signs and phase on any;
+    # only the complex point's cos/sin come from the platform's libm
+    import cmath
+    import random
+    DEFAULT_TABLE.register("zs_test", real=False)
+    syms = [DEFAULT_TABLE.lookup(n) for n in ("x0", "zs_test", "p1", "m0")]
+    env = sample_env(syms, random.Random(7), positive=frozenset({"m0"}))
+    assert list(env) == ["m0", "p1", "x0", "zs_test"]   # sorted draws
+    assert env["m0"] == complex(0.7152822531830084, 0.0)
+    assert env["p1"] == complex(-0.3866134304565536, 0.0)
+    assert env["x0"] == complex(-0.23762894466833123, 0.0)
+    assert env["zs_test"] == cmath.rect(0.7948089421339125,
+                                        0.3644179919766519)

@@ -30,7 +30,10 @@ output that moved.  The outputs, each as sorted-key JSON without the
   two maxima of them),
 * ``einstein_fd`` of the nine metrics the ``gravity.split`` claims
   difference (full, field and background per family) at two seeded
-  complex points, as raw bytes.
+  complex points, as raw bytes,
+* the exit code and error line of the documented refusals ``geodesic
+  p3=1e200``, ``fringes d=1e308 L=1e308`` and ``verify --claim
+  interference.minima d=1e308``.
 
 A whole run takes about 20 s; the symbolic ``gravity-dirac`` report is
 most of it.
@@ -65,6 +68,10 @@ from kk6.tensor import Metric6  # noqa: E402
 from workloads import CURVATURE, PROBES  # noqa: E402
 
 SYMBOLIC = ("dirac1", "coupled", "gravity-dirac")
+# documented refusals, each one error line: the exit code and stderr are
+# what a change must keep
+REFUSALS = (("geodesic", "p3=1e200"), ("fringes", "d=1e308", "L=1e308"),
+            ("verify", "--claim", "interference.minima", "d=1e308"))
 # the substitution the walker line applies to every Christoffel symbol
 SHIFT = {"x0": sym("x0") + sym("x1")}
 
@@ -112,6 +119,8 @@ def outputs():
     yield "integrate steps=1000 states residuals", _geodesic_path()
     yield "two_path_fringes minima", _fringe_minima()
     yield "einstein_fd gravity.split metrics", _gravity_split_fd()
+    for argv in REFUSALS:
+        yield " ".join(argv), _cli(argv)
 
 
 def _geodesic_path() -> str:
