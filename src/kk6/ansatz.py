@@ -37,7 +37,6 @@ from .expr import (
     Expr, HALF, I, MINUS_ONE, ONE, TWO, ZERO, Num, add, context, contract,
     coords, derive, exp, mul, num, power, sqrt, sym,
 )
-from .symbols import DEFAULT_TABLE
 from .tensor import DIM, Grid, Metric6
 
 __all__ = [
@@ -60,21 +59,13 @@ _NO_FIELD = (ZERO,) * 4
 _QUARTER = num(Fraction(1, 4))
 _MINUS_I = num(0, -1)
 
-# parameters introduced by the families
-for _name in ("omega", "k0", "k1", "k2", "k3", "eps"):
-    DEFAULT_TABLE.register(_name, real=True)
-for _name in ("A0", "A1", "A2", "A3", "K0", "K1", "K2", "K3", "K5",
-              "e0", "e1", "e2", "e3"):
-    DEFAULT_TABLE.register(_name, real=False)
-
-
 class AnsatzError(ValueError):
     """A field configuration outside a constructor's domain."""
 
 
 def _E(v, name: str | None = None) -> Expr:
     """``v`` as an expression; None, an unbound parameter, is the
-    registered symbol ``name``."""
+    declared symbol ``name``."""
     if v is None:
         return sym(name)
     if isinstance(v, Expr):
@@ -305,20 +296,26 @@ def dirac_components(p1=None, p2=None, p3=None, m0=None, sol: int = 1
                             p=(p1v, p2v, p3v), m0=m0v)
 
 
-# coefficient pattern of the five-component field, one row per solution,
-# each entry a product: entries multiply (phi_j, C, family phase); the
-# anchor component (the solution's own unit entry) rides the 0 and 5 slots.
-def _k_coefficients(phi: tuple, sol: int) -> tuple:
-    f0, f1, f2, f3 = phi
-    if sol == 1:
-        return ((f0,), (MINUS_ONE, f3), (I, f3), (MINUS_ONE, f2),
-                (MINUS_ONE, f0))
-    if sol == 2:
-        return ((f1,), (MINUS_ONE, f2), (_MINUS_I, f2), (f3,),
-                (MINUS_ONE, f1))
-    if sol == 3:
-        return ((f2,), (MINUS_ONE, f1), (I, f1), (MINUS_ONE, f0), (f2,))
-    return ((f3,), (MINUS_ONE, f0), (_MINUS_I, f0), (f1,), (f3,))
+# The five-component field, one row per solution: each entry
+# (coefficient, spinor component k) over IDX5 is coefficient * C * phi_k *
+# the family phase; the anchor component (the solution's own unit entry)
+# rides the 0 and 5 slots.
+_FIELDS = {
+    1: ((1, 0), (-1, 3), (1j, 3), (-1, 2), (-1, 0)),
+    2: ((1, 1), (-1, 2), (-1j, 2), (1, 3), (-1, 1)),
+    3: ((1, 2), (-1, 1), (1j, 1), (-1, 0), (1, 2)),
+    4: ((1, 3), (-1, 0), (-1j, 0), (1, 1), (1, 3)),
+}
+
+# The coupled first-order component equations, one row per solution: each
+# term (coefficient, spinor component k, coordinate a) is coefficient *
+# d_a psi_k, or coefficient * m0 * psi_k where the coordinate is None.
+_DIRAC_ROWS = {
+    1: ((1, 0, 0), (1, 3, 1), (-1j, 3, 2), (1, 2, 3), (1j, 0, None)),
+    2: ((1, 1, 0), (1, 2, 1), (1j, 2, 2), (-1, 3, 3), (1j, 1, None)),
+    3: ((1, 2, 0), (1, 1, 1), (-1j, 1, 2), (1, 0, 3), (-1j, 2, None)),
+    4: ((1, 3, 0), (1, 0, 1), (1j, 0, 2), (-1, 1, 3), (-1j, 3, None)),
+}
 
 
 @dataclass(frozen=True)
@@ -349,8 +346,8 @@ def dirac_metric(sol: int = 1, p1=None, p2=None, p3=None, m0=None) -> SpinorMode
              mul(MINUS_ONE, p2v, x[2]), mul(MINUS_ONE, p3v, x[3]))
     phase = exp(add(mul(num(0, s), px), mul(I, comps.m0, x[5])))
     ctx = context()
-    k5 = tuple(contract([(comps.C, *c, phase)], ctx)
-               for c in _k_coefficients(comps.phi, sol))
+    k5 = tuple(contract([(comps.C, num(c), comps.phi[k], phase)], ctx)
+               for c, k in _FIELDS[sol])
     kk, k55 = k5[:4], k5[4]
     greek = _trace4(kk)
     full = greek + [(MINUS_ONE, power(k55, 2))]

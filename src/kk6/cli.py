@@ -420,9 +420,8 @@ def _csv_text(header, rows) -> str:
 
 
 def emit(report: Report, format: str, out: str | None = None,
-         csv_table=None) -> dict[str, str]:
-    """Write the report (and CSV table, if any); returns {name: path}."""
-    written = {}
+         csv_table=None) -> None:
+    """Write the report (and CSV table, if any) to stdout or into ``out``."""
     try:
         if out is None:
             if format == "csv" and csv_table is not None:
@@ -430,21 +429,18 @@ def emit(report: Report, format: str, out: str | None = None,
                 sys.stdout.write(_csv_text(header, rows))
             else:
                 sys.stdout.write(to_json(report))
-            return written
+            return
         os.makedirs(out, exist_ok=True)
-        rpath = os.path.join(out, "report.json")
-        with open(rpath, "w", encoding="utf-8") as fh:
+        with open(os.path.join(out, "report.json"), "w",
+                  encoding="utf-8") as fh:
             fh.write(to_json(report))
-        written["report"] = rpath
         if format == "csv" and csv_table is not None:
             name, header, rows = csv_table
-            cpath = os.path.join(out, f"{name}.csv")
-            with open(cpath, "w", encoding="utf-8", newline="") as fh:
+            with open(os.path.join(out, f"{name}.csv"), "w",
+                      encoding="utf-8", newline="") as fh:
                 fh.write(_csv_text(header, rows))
-            written[name] = cpath
     except OSError as err:
         raise CliError("io", f"cannot write output: {err}", 3) from None
-    return written
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from .expr import (
     sym,
 )
 from .oracle import metric_evaluator, tensor_evaluator
-from .symbols import DEFAULT_TABLE
 from .tensor import DIM, Metric6
 from .ansatz import onshell_energy, scalar_metric
 
@@ -37,12 +36,6 @@ __all__ = [
     "closed_form_deviation", "connection_evaluator", "integrate",
     "interval_along", "FringeProfile", "two_path_fringes",
 ]
-
-for _name in ("tau",):
-    DEFAULT_TABLE.register(_name, real=True)
-for _name in ("c0", "c1", "c2", "c3", "c4", "c5"):
-    DEFAULT_TABLE.register(_name, real=False)
-
 
 class DynamicsError(ValueError):
     """Invalid dynamical input (off-shell seed, degenerate geometry)."""
@@ -305,10 +298,15 @@ def two_path_fringes(d: float, L: float, wavelength: float,
     is exact to rounding, not to grid resolution; an order with |t| >= d
     has no finite minimum.  A grid cannot resolve more fringes than it has
     points: more half-integer orders between its ends than points, or an
-    order range beyond a float, is refused before any minimum is placed."""
+    order range beyond a float, is refused before any minimum is placed.
+    A non-finite ``d``, ``L``, ``wavelength`` or grid point is refused
+    before any order is computed."""
     ys = [float(v) for v in grid]
-    if d <= 0 or L <= 0 or wavelength <= 0 or not ys:
+    if not all(0 < v < math.inf for v in (d, L, wavelength)) or not ys:
         raise DynamicsError("degenerate fringe geometry")
+    for y in ys:
+        if not math.isfinite(y):
+            raise DynamicsError(f"fringe grid point {y!r} is not finite")
     lo, hi = min(ys), max(ys)
     dlo, dhi = _path_difference(lo, d, L), _path_difference(hi, d, L)
     o_lo = min(dlo, dhi) / wavelength - 0.5

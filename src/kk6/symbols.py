@@ -1,12 +1,12 @@
-"""Symbol registry for the six-dimensional engine.
+"""Symbol table for the six-dimensional engine.
 
-Every symbol that may appear in an expression is registered in
-``DEFAULT_TABLE`` with a declared-real flag.  It is the one table
-(``expr.Sym`` refuses any symbol that is not its entry); the
-:class:`SymbolTable` class is only its type and is not exported from
-``kk6``.  The table always carries exactly six coordinates ``x0 .. x5``;
-everything else is a parameter.
-Sampling and conjugation honor the real flag, so registration is the one
+Every symbol that may appear in an expression is declared here, once, in
+``DEFAULT_TABLE`` with a real flag: the six coordinates ``x0 .. x5`` and
+the parameters of :data:`_CANONICAL_PARAMS`.  It is the one table
+(``expr.Sym`` refuses any symbol that is not its entry, and the parser
+refuses a name it does not hold); the :class:`SymbolTable` class is only
+its type and is not exported from ``kk6``.
+Sampling and conjugation honor the real flag, so this table is the one
 place where "this quantity is real" is stated.
 """
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 
 class UnknownSymbolError(KeyError):
-    """Lookup of a name that was never registered."""
+    """Lookup of a name the table does not hold."""
 
 
 @dataclass(frozen=True, order=True)
@@ -30,32 +30,34 @@ class Symbol:
 
 _COORD_NAMES = tuple(f"x{i}" for i in range(6))
 
-# Parameters shared by the metric families: momenta, phase gradients and
-# coupling constants.  All real; complex quantities (polarizations, generic
-# vector components) are registered by the modules that introduce them.
-_CANONICAL_PARAMS = (
-    "hbar", "m0",
-    "p0", "p1", "p2", "p3",
-    "a0", "a1", "a2", "a3", "a5",
-    "kappa", "C", "gamma", "G",
-)
+# Every parameter an expression may name, by its real flag: momenta,
+# the rest mass, couplings, the wave and weak-field parameters and the
+# affine parameter are real; the vector components and the geodesic
+# integration constants are complex.
+_CANONICAL_PARAMS = {
+    **dict.fromkeys(("hbar", "m0", "p0", "p1", "p2", "p3", "kappa", "gamma",
+                     "omega", "k3", "eps", "tau"), True),
+    **dict.fromkeys(("A0", "A1", "A2", "A3",
+                     "c0", "c1", "c2", "c3", "c4", "c5"), False),
+}
 
 
 class SymbolTable:
-    """Registry mapping names to :class:`Symbol` entries.
+    """Table mapping names to :class:`Symbol` entries.
 
-    The six coordinates are created at construction and cannot be added or
-    removed afterwards.  ``register`` is idempotent when the flags agree and
-    raises when they conflict, so modules may declare their parameters at
-    import time without coordination.
+    The six coordinates and the parameters of :data:`_CANONICAL_PARAMS`
+    are declared at construction; the coordinates cannot be added or
+    removed afterwards.  ``register`` remains for callers that declare
+    symbols of their own (the tests do): it is idempotent when the flags
+    agree and raises when they conflict.
     """
 
     def __init__(self) -> None:
         self._entries: dict[str, Symbol] = {}
         for name in _COORD_NAMES:
             self._entries[name] = Symbol(name, real=True, coordinate=True)
-        for name in _CANONICAL_PARAMS:
-            self._entries[name] = Symbol(name, real=True)
+        for name, real in _CANONICAL_PARAMS.items():
+            self._entries[name] = Symbol(name, real=real)
 
     def register(self, name: str, real: bool = True) -> Symbol:
         if name in self._entries:

@@ -51,7 +51,7 @@ from .ansatz import (
     ETA4, ETA5, IDX5, dirac_metric, field_strength, fsq, gravity_metric,
     kk_rows, massive_wave_potential, null_wave_potential, onshell_energy,
     photon_metric, proca_metric, scalar_metric, stress_tensor,
-    weak_field_block, _E,
+    weak_field_block, _DIRAC_ROWS, _E,
 )
 from .curvature import einstein, ricci_scalar
 from .dynamics import (
@@ -60,7 +60,7 @@ from .dynamics import (
     _path_difference,
 )
 from .expr import (
-    Expr, HALF, I, MINUS_ONE, ZERO, add, conj, context, contract, coords,
+    Expr, HALF, I, MINUS_ONE, ZERO, conj, context, contract, coords,
     derive, exp, mul, num, power, sym,
 )
 from .oracle import einstein_fd, metric_evaluator
@@ -520,26 +520,12 @@ def _stress_residuals(mode, t, s5, coeff, ctx):
                             ctx))
 
 
-# The coupled first-order component equations, one row per solution: each
-# term (coefficient, spinor component k, coordinate a) is coefficient *
-# d_a psi_k, or coefficient * m0 * psi_k where the coordinate is None.
-_DIRAC_ROWS = {
-    1: ((1, 0, 0), (1, 3, 1), (-1j, 3, 2), (1, 2, 3), (1j, 0, None)),
-    2: ((1, 1, 0), (1, 2, 1), (1j, 2, 2), (-1, 3, 3), (1j, 1, None)),
-    3: ((1, 2, 0), (1, 1, 1), (-1j, 1, 2), (1, 0, 3), (-1j, 2, None)),
-    4: ((1, 3, 0), (1, 0, 1), (1j, 0, 2), (-1, 1, 3), (-1j, 3, None)),
-}
-
-
 def _dirac_row(mode, ctx) -> list:
-    """The component equation row of ``mode``'s solution as products."""
+    """The component equation row of ``mode``'s solution as products, each
+    spinor component carrying the mode's full phase."""
     x = coords()
     comps = mode.components
-    p1, p2, p3 = comps.p
-    px = add(mul(comps.p0, x[0]), mul(MINUS_ONE, p1, x[1]),
-             mul(MINUS_ONE, p2, x[2]), mul(MINUS_ONE, p3, x[3]))
-    phase4 = exp(mul(num(0, mode.family_sign), px))
-    psi = [contract([(f, phase4)], ctx) for f in comps.phi]
+    psi = [contract([(f, mode.phase)], ctx) for f in comps.phi]
     return [(num(c), derive(psi[k], x[a], ctx)) if a is not None
             else (num(c), comps.m0, psi[k])
             for c, k, a in _DIRAC_ROWS[mode.sol]]
@@ -559,14 +545,13 @@ def _check_dirac(sol: int):
         div = _div(mode.K, ctx)
         pairs.append(("divergence of the five-component field", div))
         pairs.append(("field invariant F^2", f2))
-        # div - C exp(i m0 x5) row
-        x5phase = exp(mul(I, comps.m0, x[5]))
+        # div - C row
         pairs.append(("divergence equals the component equation row",
-                      contract([(div,), *((MINUS_ONE, comps.C, x5phase, *p)
+                      contract([(div,), *((MINUS_ONE, comps.C, *p)
                                           for p in _dirac_row(mode, ctx))],
                                ctx)))
         phi = comps.phi
-        nsign = 1 if sol in (1, 2) else -1
+        nsign = -mode.family_sign
         pairs.append((f"adjoint normalization equals {nsign:+d}", contract(
             [(conj(phi[0]), phi[0]), (conj(phi[1]), phi[1]),
              (MINUS_ONE, conj(phi[2]), phi[2]),

@@ -239,14 +239,31 @@ def test_fringe_minima_sit_at_half_integer_path_difference():
 
 
 def test_fringes_validate_geometry():
+    # a NaN once read as an order overflow, and an infinite L or wavelength
+    # as a flat density with no minima
     grid = np.linspace(-1.0, 1.0, 5)
-    for bad in [dict(d=0.0), dict(L=0.0), dict(wavelength=0.0)]:
+    for bad in [dict(d=0.0), dict(L=0.0), dict(wavelength=0.0),
+                dict(d=math.nan), dict(L=math.nan), dict(wavelength=math.nan),
+                dict(d=math.inf), dict(L=math.inf), dict(wavelength=math.inf)]:
         kw = dict(d=1.0, L=10.0, wavelength=0.5)
         kw.update(bad)
-        with pytest.raises(DynamicsError):
+        with pytest.raises(DynamicsError,
+                           match="^degenerate fringe geometry$"):
             two_path_fringes(kw["d"], kw["L"], kw["wavelength"], grid)
     with pytest.raises(DynamicsError):
         two_path_fringes(1.0, 10.0, 0.5, np.array([]))
+
+
+@pytest.mark.parametrize("grid", [[-15.0, math.nan, 15.0], [1.0, math.nan],
+                                  [math.nan, 1.0], [-15.0, math.inf],
+                                  [-math.inf, 15.0]])
+def test_fringes_refuse_non_finite_grid_points(grid):
+    # each of these once returned a NaN density, dropped a minimum or named
+    # an order overflow that did not happen
+    bad = next(y for y in grid if not math.isfinite(y))
+    with pytest.raises(DynamicsError) as err:
+        two_path_fringes(10.0, 400.0, 0.5, grid)
+    assert str(err.value) == f"fringe grid point {bad!r} is not finite"
 
 
 def _decimal_path_difference(y, d, L):

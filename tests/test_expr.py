@@ -166,6 +166,22 @@ def test_a_symbol_name_has_one_meaning():
     assert to_text(add(sym("q_test"), sym("q_test"))) == "2*q_test"
 
 
+RETIRED_NAMES = ("a0", "a1", "a2", "a3", "a5", "C", "G", "k0", "k1", "k2",
+                 "K0", "K1", "K2", "K3", "K5", "e0", "e1", "e2", "e3")
+
+
+@pytest.mark.parametrize("name", RETIRED_NAMES)
+def test_names_no_family_builds_are_not_declared(name):
+    # once declared for families that never built them; a name the table
+    # does not hold is refused by the parser and by sym alike
+    from kk6.parse import ParseError, parse_expression
+    from kk6.symbols import UnknownSymbolError
+    with pytest.raises(ParseError, match=f"unknown symbol '{name}'"):
+        parse_expression(f"1 + {name}")
+    with pytest.raises(UnknownSymbolError):
+        sym(name)
+
+
 # --- conjugation --------------------------------------------------------------
 
 def test_conj_pushes_to_leaves_and_involutes():

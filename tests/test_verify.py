@@ -373,6 +373,20 @@ def test_unknown_claim_is_rejected():
         run_suite(claims=["kg.reduction", "nope"])
 
 
+def test_every_numeric_parameter_is_a_declared_real_symbol():
+    # an unbound parameter is built as sym(name) (ansatz._E), so each
+    # "param" name must be in the one symbol table, declared real
+    from kk6.ansatz import _E
+    from kk6.expr import sym
+    from kk6.symbols import DEFAULT_TABLE
+    names = [n for n, kind in kk6.verify.PARAM_KINDS.items()
+             if kind == "param"]
+    assert names
+    for name in names:
+        assert DEFAULT_TABLE.lookup(name).real, name
+        assert _E(None, name) is sym(name)
+
+
 def test_stray_parameter_is_rejected():
     with pytest.raises(ClaimParamError, match="bogus"):
         run_suite(claims=["kg.reduction"], params={"bogus": 1})
