@@ -1196,6 +1196,14 @@ def derive(e: Expr, s, ctx: _Ctx) -> Expr:
     return contract(products, ctx)
 
 
+# Each distinct free-symbol set is held once while a node holds it: a node
+# shares its widest child's set when that holds the others, and a new union
+# is looked up here.  Weak, so it keeps no set alive.
+_FREE: "weakref.WeakValueDictionary[frozenset, frozenset]" = \
+    weakref.WeakValueDictionary()
+_NO_SYMBOLS: frozenset = frozenset()
+
+
 def free_symbols(e: Expr) -> frozenset[Symbol]:
     if e._free is not None:
         return e._free
@@ -1205,7 +1213,11 @@ def free_symbols(e: Expr) -> frozenset[Symbol]:
     elif len(kids) == 1:
         out = free_symbols(kids[0])     # the one child's set, shared
     else:
-        out = frozenset().union(*(free_symbols(k) for k in kids))
+        sets = [free_symbols(k) for k in kids]
+        out = max(sets, key=len, default=_NO_SYMBOLS)
+        if not all(s <= out for s in sets):
+            out = frozenset().union(*sets)
+            out = _FREE.setdefault(out, out)
     e._free = out
     return out
 

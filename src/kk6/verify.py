@@ -6,9 +6,12 @@ at :func:`~kk6.zeros.is_zero`'s default of 32 points (6 in a sign scan).
 Each residual is one :func:`~kk6.expr.contract` call and each derivative
 one :func:`~kk6.expr.derive` call, with one kernel context per check.
 One grader, ``_grade``, tests residuals: a literally zero residual counts
-as structural, the others are zero-tested until the first that is not
-zero.  ``_close`` alone writes a record's two counts, ``samples`` and
-``structural``: both cover only the residuals graded before the verdict.
+as structural, and the others go, as they are formed, to one
+:func:`~kk6.zeros.are_zero` call, which evaluates the residuals that share
+free symbols at their shared sample points through one tape and gives
+each its own result; ``_grade`` reads them in order up to the first that
+is not zero.  ``_close`` alone writes a record's two counts, ``samples``
+and ``structural``: both cover only the residuals before the verdict.
 :func:`grade_entries` grades each entry of a 6x6 residual grid on its
 own, for the readers of claimed inverses (``inverse.halfspin`` and
 ``kk6 curvature``) to fold.
@@ -69,7 +72,7 @@ from .report import (
     CONDITIONAL, CONFIRMED, INCONCLUSIVE, REFUTED, ClaimReport,
 )
 from .tensor import DIM, Metric6, identity_residual
-from .zeros import _check_seed, _check_tol, is_zero
+from .zeros import _check_seed, _check_tol, are_zero, is_zero
 
 __all__ = [
     "Claim", "UnknownClaimError", "ClaimParamError",
@@ -248,17 +251,27 @@ class _Outcome:
 def _grade(pairs, seed: int, tol: float, positive: frozenset = frozenset(),
            **trials) -> _Outcome:
     """Grade labelled residual expressions at :func:`is_zero`'s sample
-    count (``trials`` sets a sign scan's); stop at the first nonzero."""
-    worst, total, structural = 0.0, 0, 0
-    for label, e in pairs:
-        if e == ZERO:
-            structural += 1
-            continue
-        v = is_zero(e, seed=seed, tol=tol, positive=positive, **trials)
+    count (``trials`` sets a sign scan's) through :func:`are_zero`; stop
+    at the first nonzero."""
+    tested = []             # (label, literally zero residuals before it)
+    structural = 0
+
+    def residuals():
+        nonlocal structural
+        for label, e in pairs:
+            if e == ZERO:
+                structural += 1
+            else:
+                tested.append((label, structural))
+                yield e
+    results = are_zero(residuals(), seed=seed, tol=tol, positive=positive,
+                       **trials)
+    worst, total = 0.0, 0
+    for (label, before), v in zip(tested, results):
         total += v.samples
         worst = max(worst, v.max_residual)
         if v.verdict != "zero":
-            return _Outcome(v.verdict, worst, total, structural, v.witness,
+            return _Outcome(v.verdict, worst, total, before, v.witness,
                             label, v.note)
     return _Outcome("zero", worst, total, structural)
 

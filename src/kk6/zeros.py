@@ -30,14 +30,22 @@ sampled points.  For them the guarantee is ``tol`` and ``trials``
 themselves: at every sampled point the residual was below ``tol``
 relative to its scale.
 
-:func:`scaled_eval` is the engine's one expression evaluator (the
+The engine has one expression evaluator, a post-order tape (the
 finite-difference oracle compiles expressions on its own, so that it stays
-independent); :func:`evaluate` returns its value alone, and :func:`is_zero`
-calls it once per sample.  It runs a post-order tape: one entry per
-distinct node (op code, child slots, constant), each after its children,
-built once per expression and reused for every sample, children in
-the order ``expr._kids`` lists them.  The tape is cached weakly on the
-expression and holds no node, so it keeps nothing alive.
+independent): one entry per distinct node (op code, child slots,
+constant), each after its children, children in the order ``expr._kids``
+lists them.  :func:`scaled_eval` builds the tape of one expression and
+runs it once; :func:`evaluate` returns its value alone.  :func:`are_zero`
+tests a list of expressions in turn, and :func:`is_zero` is its
+one-expression case.  Expressions with the same free symbols draw the same
+sample points, so each such group shares one tape over the union of its
+nodes: an expression adds only the nodes the group does not hold yet, and
+each node is evaluated once per point.  At the first point the
+expressions are taken one at a time, up to the first that is not zero
+there, and only each new expression's entries are evaluated; every later
+point runs a group's tape as far as the last root still needed.  Each
+expression's result is replayed in order and is bit for bit what testing
+it alone gives.  A tape lives for one call and keeps nothing alive.
 Each node's value is the CPython complex arithmetic of a recursive walk in
 the same order, so results are bit for bit what such a walk gives.  The
 first node in post-order that fails names the error (:class:`EvalError`
@@ -45,16 +53,20 @@ with that subtree): an unbound symbol, a zero base at a negative power, a
 non-finite value, or an overflow (``exp``, ``**``, a constant or a
 magnitude beyond the float range), which :func:`is_zero` reports as an
 inconclusive verdict with a note naming the subtree (its text cut after
-512 characters, with the full length appended).  The error model above is
-unchanged.
+512 characters, with the full length appended).  In a group, the failing
+slot belongs to the first expression that reads it: the expressions
+before it are already evaluated at that point, and the slot is also the
+first to fail in that expression's own post-order, so the note names the
+same subtree.  The error model above is unchanged.
 """
 from __future__ import annotations
 
 import cmath
 import math
 import random
-import weakref
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 from numbers import Integral, Real
 from typing import Mapping
 
@@ -64,7 +76,8 @@ from .expr import (
 )
 from .symbols import Symbol
 
-__all__ = ["ZeroResult", "sample_env", "scaled_eval", "evaluate", "is_zero"]
+__all__ = ["ZeroResult", "sample_env", "scaled_eval", "evaluate", "is_zero",
+           "are_zero"]
 
 
 @dataclass(frozen=True)
@@ -101,10 +114,14 @@ def scaled_eval(e: Expr, env: Mapping[str, complex]) -> tuple[complex, float]:
     """Evaluate ``e`` returning ``(value, scale)`` where scale tracks the
     magnitude that roundoff noise is proportional to."""
     values: dict[str, complex] = {k: complex(v) for k, v in env.items()}
-    try:
-        return _run(_tape(e), values)
-    except _Fault as f:
-        raise EvalError(f.args[1], _postorder(e)[f.args[0]]) from None
+    tape, order = [], []
+    _extend(tape, {}, order, e)
+    val: list = []
+    sc: list = []
+    fault = _run(tape, values, val, sc, len(tape))
+    if fault is not None:
+        raise EvalError(fault, order[len(val)])
+    return val[-1], sc[-1]
 
 
 # Tape op codes.  An entry is ``(op, arg, const)``: ``arg`` is the child's
@@ -114,43 +131,27 @@ _NUM, _SYM, _ADD, _MUL, _POW, _EXP, _SQRT, _CONJ, _FAIL = range(9)
 _UNARY = {Exp: _EXP, Sqrt: _SQRT, Conj: _CONJ}
 _OVERFLOW = {_POW: "power overflow", _EXP: "exp overflow"}
 
-# expression -> its tape; keyed weakly, and a tape holds no node, so the
-# cache keeps nothing alive
-_TAPES: "weakref.WeakKeyDictionary[Expr, tuple]" = weakref.WeakKeyDictionary()
 
-
-class _Fault(Exception):
-    """Evaluation failed at a tape slot: ``args == (slot, message)``."""
-
-
-def _postorder(e: Expr) -> list:
-    """The distinct nodes of ``e``, each after its children, in the order a
-    depth-first walk over the children in turn finishes them."""
-    order, seen = [], {e}
-    stack = [(e, iter(_kids(e)))]
-    while stack:
-        node, kids = stack[-1]
-        for k in kids:
-            if k not in seen:
-                seen.add(k)
-                stack.append((k, iter(_kids(k))))
-                break
-        else:
-            stack.pop()
-            order.append(node)
-    return order
-
-
-def _tape(e: Expr) -> tuple:
-    """``e`` as straight-line code: one entry per node of its post-order,
-    built once per expression and reused for every sample."""
-    tape = _TAPES.get(e)
-    if tape is None:
-        order = _postorder(e)
-        slot = {n: i for i, n in enumerate(order)}
-        tape = tuple(_entry(n, slot) for n in order)
-        _TAPES[e] = tape
-    return tape
+def _extend(tape: list, slot: dict, order: list, e: Expr) -> int:
+    """Append to ``tape`` (and to ``order``) the nodes of ``e`` that
+    ``slot`` does not hold yet, each after its children, in the order a
+    depth-first walk over the children in turn finishes them; return the
+    slot of ``e``.  Each node already held heads a subtree whose nodes are
+    all held, so the new entries keep their order in ``e``'s own walk."""
+    if e not in slot:
+        stack = [(e, iter(_kids(e)))]
+        while stack:
+            node, kids = stack[-1]
+            for k in kids:
+                if k not in slot:
+                    stack.append((k, iter(_kids(k))))
+                    break
+            else:
+                stack.pop()
+                slot[node] = len(tape)
+                tape.append(_entry(node, slot))
+                order.append(node)
+    return slot[e]
 
 
 def _entry(node: Expr, slot: dict) -> tuple:
@@ -174,17 +175,20 @@ def _entry(node: Expr, slot: dict) -> tuple:
         f"scaled_eval of unsupported node {type(node).__name__}")
 
 
-def _run(tape: tuple, values: dict) -> tuple[complex, float]:
+def _run(tape: list, values: Mapping, val: list, sc: list,
+         stop: int) -> str | None:
+    """Append to ``val`` and ``sc`` the value and scale of the entries from
+    slot ``len(val)`` up to ``stop`` at the point ``values``; return None,
+    or the failure message of the first entry that fails, whose slot is
+    ``len(val)`` then."""
     # Ops are tested in order of frequency.  CPython complex arithmetic in
     # the order of a recursive walk: sums from 0j, products from 1+0j, ``**``
     # for powers, ``cmath`` for exp and sqrt, ``abs`` for the scale, so
     # every sample is bit for bit what the walk gave.
-    val: list = []
-    sc: list = []
     put_v, put_s = val.append, sc.append
     isfinite, cexp, csqrt = cmath.isfinite, cmath.exp, cmath.sqrt
     try:
-        for op, a, c in tape:
+        for op, a, c in islice(tape, len(val), stop):
             if op == _MUL:
                 v = 1 + 0j
                 s = 1.0
@@ -217,22 +221,20 @@ def _run(tape: tuple, values: dict) -> tuple[complex, float]:
                 v = val[a].conjugate()
                 s = abs(v)
             else:
-                raise _Fault(len(val), c)
+                return c
             if not isfinite(v):
-                raise _Fault(len(val), "non-finite value")
+                return "non-finite value"
             put_v(v)
             put_s(s)
     except KeyError:
-        name = tape[len(val)][2]
-        raise _Fault(len(val), f"unbound symbol '{name}'") from None
+        return f"unbound symbol '{tape[len(val)][2]}'"
     except ZeroDivisionError:
-        raise _Fault(len(val), "zero base at negative power") from None
+        return "zero base at negative power"
     except OverflowError:
         # ``**`` and ``cmath.exp`` past the float range, or ``abs`` of a
         # finite value whose magnitude is not a float
-        raise _Fault(len(val), _OVERFLOW.get(tape[len(val)][0],
-                                             "magnitude overflow")) from None
-    return val[-1], sc[-1]
+        return _OVERFLOW.get(tape[len(val)][0], "magnitude overflow")
+    return None
 
 
 def evaluate(e: Expr, env: Mapping) -> complex:
@@ -280,25 +282,107 @@ def is_zero(e: Expr, seed: int = 0, trials: int = 32, tol: float = 1e-9,
     ``tol`` not a real number in (0, 1), any of which would let a
     sample-free or NaN test read ``zero`` or fail with a bare ``TypeError``.
     """
+    return are_zero((e,), seed, trials, tol, positive)[0]
+
+
+class _Group:
+    """The expressions of one free-symbol set in an :func:`are_zero` run:
+    they draw the same sample points and share one tape over the union of
+    their nodes.  Member ``i`` is expression ``index[i]`` of the run, its
+    value is at slot ``root[i]``, ``reach[i]`` is the largest root of
+    members 0..i and ``worst[i]`` its largest residual so far."""
+
+    def __init__(self, syms, seed: int, trials: int, tol: float,
+                 positive) -> None:
+        self.syms = sorted(syms, key=lambda s: s.name)
+        self.rng = random.Random(seed)
+        self.seed, self.tol, self.positive = seed, tol, positive
+        self.trials = trials if syms else 1
+        self.env = sample_env(self.syms, self.rng, positive)   # point 0
+        self.val: list = []     # the values and scales at point 0
+        self.sc: list = []
+        self.tape: list = []
+        self.slot: dict = {}
+        self.order: list = []
+        self.index: list = []
+        self.root: list = []
+        self.reach: list = []
+        self.worst: list = []
+
+    def add(self, e: Expr, index: int) -> None:
+        root = _extend(self.tape, self.slot, self.order, e)
+        self.index.append(index)
+        self.root.append(root)
+        self.reach.append(max(root, self.reach[-1]) if self.reach else root)
+        self.worst.append(0.0)
+
+    def judge(self, i: int, val: list, sc: list,
+              fault: str | None) -> ZeroResult | None:
+        """Member ``i``'s result if it is not zero at the point ``self.env``
+        where the tape gave ``val`` and ``sc``, else None.  A ``val`` that
+        stops short of the member's root stopped at ``fault``: the members
+        before it hold no slot from there on, so the failing slot is its
+        own, and the first that fails in its own post-order."""
+        root = self.root[i]
+        if root >= len(val):
+            note = f"{fault} in {_note_text(self.order[len(val)])}"
+            return ZeroResult("inconclusive", self.worst[i], self.trials,
+                              self.seed, self.tol, witness=self.env or None,
+                              note=note)
+        resid = abs(val[root]) / (1.0 + sc[root])
+        self.worst[i] = max(self.worst[i], resid)
+        if resid >= self.tol:
+            return ZeroResult("nonzero", self.worst[i], self.trials,
+                              self.seed, self.tol, witness=self.env or {})
+        return None
+
+
+def are_zero(exprs, seed: int = 0, trials: int = 32, tol: float = 1e-9,
+             positive: frozenset[str] = frozenset()) -> list[ZeroResult]:
+    """:func:`is_zero` of each of ``exprs`` in turn, through the first that
+    is not zero, each result bit for bit what ``is_zero`` gives.
+
+    Expressions with the same free symbols draw the same sample points, so
+    they are evaluated together: one tape over the union of their distinct
+    nodes, each evaluated once per point.  ``exprs`` is taken lazily at the
+    first point, up to the first expression that is not zero there; every
+    later point runs each tape only as far as the last root still needed.
+    """
     if not isinstance(trials, Integral) or trials < 1:
         raise ValueError(f"trials must be an integer of at least 1, "
                          f"got {trials!r}")
     _check_tol(tol)
-    syms = sorted(free_symbols(e), key=lambda s: s.name)
-    rng = random.Random(seed)
-    n_trials = trials if syms else 1
-    max_resid = 0.0
-    for _ in range(n_trials):
-        env = sample_env(syms, rng, positive)
-        try:
-            value, scale = scaled_eval(e, env)
-        except EvalError as err:
-            sub = _note_text(err.subtree) if err.subtree is not None else "?"
-            return ZeroResult("inconclusive", max_resid, n_trials, seed, tol,
-                              witness=env or None, note=f"{err} in {sub}")
-        resid = abs(value) / (1.0 + scale)
-        max_resid = max(max_resid, resid)
-        if resid >= tol:
-            return ZeroResult("nonzero", max_resid, n_trials, seed, tol,
-                              witness=env or {})
-    return ZeroResult("zero", max_resid, n_trials, seed, tol)
+    groups: dict = {}
+    member: list = []   # each expression's (group, member number)
+    out: list = []      # each expression's result once it is not zero
+    for e in exprs:
+        syms = free_symbols(e)
+        g = groups.get(syms)
+        if g is None:
+            g = groups[syms] = _Group(syms, seed, trials, tol, positive)
+        member.append((g, len(g.index)))
+        g.add(e, len(out))
+        fault = _run(g.tape, g.env, g.val, g.sc, len(g.tape))
+        out.append(g.judge(len(g.index) - 1, g.val, g.sc, fault))
+        if out[-1] is not None:
+            break
+    # the expressions before ``cut`` are zero so far, the one at it is not
+    cut = len(out) - 1 if out and out[-1] is not None else len(out)
+    for j in range(1, trials):
+        for g in groups.values():
+            n = bisect_left(g.index, cut)       # members still needed
+            if j >= g.trials or not n:
+                continue
+            g.env = sample_env(g.syms, g.rng, g.positive)
+            val: list = []
+            sc: list = []
+            fault = _run(g.tape, g.env, val, sc, g.reach[n - 1] + 1)
+            for i in range(n):
+                got = g.judge(i, val, sc, fault)
+                if got is not None:
+                    out[g.index[i]] = got
+                    cut = g.index[i]
+                    break
+    return [r if r is not None else
+            ZeroResult("zero", g.worst[i], g.trials, seed, tol)
+            for r, (g, i) in zip(out[:cut + 1], member)]

@@ -308,6 +308,18 @@ def test_free_symbols():
     assert names == {"p0", "p1", "p2", "p3", "x0", "x1", "x2", "x3", "m0"}
 
 
+def test_nodes_with_equal_free_symbols_share_one_set():
+    # each distinct set is one object: a node holds its widest child's set
+    # when that holds the others, and equal unions are looked up
+    a = add(mul(x0, x1), x2)
+    b = mul(add(x1, x2), x0)
+    c = add(mul(x0, x1, x2), x1)
+    assert free_symbols(a) == {x0.symbol, x1.symbol, x2.symbol}
+    assert free_symbols(a) is free_symbols(b) is free_symbols(c)
+    assert free_symbols(c) is free_symbols(mul(x0, x1, x2))
+    assert free_symbols(num(3)) == frozenset()
+
+
 # --- interning ----------------------------------------------------------------
 
 def _fresh(tag: int):

@@ -25,7 +25,7 @@ from kk6.verify import (
     must_pass_ids, refuted_must_pass, run_claim, run_suite,
 )
 from kk6.tensor import identity_residual
-from kk6.zeros import is_zero
+from kk6.zeros import are_zero, is_zero
 from test_golden_records import CASES
 
 ALL_IDS = {
@@ -197,10 +197,13 @@ def test_grade_entries_tests_only_entries_not_literally_zero(monkeypatch):
     mode = dirac_metric(1)
     seen = []
 
-    def counting(e, **kw):
-        seen.append((e, kw["positive"]))
-        return is_zero(e, **kw)
-    monkeypatch.setattr(kk6.verify, "is_zero", counting)
+    def counting(exprs, **kw):
+        def spy():
+            for e in exprs:
+                seen.append((e, kw["positive"]))
+                yield e
+        return are_zero(spy(), **kw)
+    monkeypatch.setattr(kk6.verify, "are_zero", counting)
     pos = frozenset({"m0"})
     res = identity_residual(mode.metric, mode.claimed_upper_greek)
     outs = grade_entries(res, 3, 1e-9, positive=pos)

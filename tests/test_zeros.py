@@ -143,17 +143,19 @@ def test_scale_semantics():
     assert s_mul == pytest.approx(4.0)
 
 
-def test_the_tape_cache_keeps_no_expression_alive():
+def test_a_graded_expression_is_not_kept_alive():
+    # each call builds its tapes and drops them when it returns
     import gc
     import weakref
-    from kk6.zeros import _TAPES
+    from kk6.verify import _grade
     e = add(mul(x0, x1, num(918273)), exp(x2))
-    ref = weakref.ref(e)
+    f = add(mul(x0, x1, num(918274)), exp(x2))      # shares exp(x2) with e
+    refs = [weakref.ref(e), weakref.ref(f)]
     assert is_zero(e).verdict == "nonzero"
-    assert e in _TAPES
-    del e
+    assert _grade([("e", e), ("f", f)], 0, 1e-9).status == "nonzero"
+    del e, f
     gc.collect()
-    assert ref() is None
+    assert [r() for r in refs] == [None, None]
 
 
 def test_the_first_sample_point_of_a_seed_is_pinned():
