@@ -1,13 +1,15 @@
 """Symbol table for the six-dimensional engine.
 
 Every symbol that may appear in an expression is declared here, once, in
-``DEFAULT_TABLE`` with a real flag: the six coordinates ``x0 .. x5`` and
+``DEFAULT_TABLE`` with its flags: the six coordinates ``x0 .. x5`` and
 the parameters of :data:`_CANONICAL_PARAMS`.  It is the one table
 (``expr.Sym`` refuses any symbol that is not its entry, and the parser
 refuses a name it does not hold); the :class:`SymbolTable` class is only
 its type and is not exported from ``kk6``.
-Sampling and conjugation honor the real flag, so this table is the one
-place where "this quantity is real" is stated.
+Sampling and conjugation honor the real flag, and sampling the positive
+one, so this table is the one place where "this quantity is real" or
+"positive" is stated.  A positive symbol is also real, and positivity is
+a sampling fact only: the kernel's canonical forms never use it.
 """
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ class Symbol:
     name: str
     real: bool = True
     coordinate: bool = False
+    positive: bool = False
 
     def __repr__(self) -> str:
         return self.name
@@ -30,15 +33,17 @@ class Symbol:
 
 _COORD_NAMES = tuple(f"x{i}" for i in range(6))
 
-# Every parameter an expression may name, by its real flag: momenta,
-# the rest mass, couplings, the wave and weak-field parameters and the
-# affine parameter are real; the vector components and the geodesic
-# integration constants are complex.
+# Every parameter an expression may name, by its flags: momenta,
+# couplings, the wave and weak-field parameters and the affine parameter
+# are real; the rest mass is positive, since the half-spin normalization
+# sqrt((m0 + p0)/2m0) holds only for m0 > 0; the vector components and
+# the geodesic integration constants are complex.
 _CANONICAL_PARAMS = {
-    **dict.fromkeys(("hbar", "m0", "p0", "p1", "p2", "p3", "kappa", "gamma",
-                     "omega", "k3", "eps", "tau"), True),
+    **dict.fromkeys(("hbar", "p0", "p1", "p2", "p3", "kappa", "gamma",
+                     "omega", "k3", "eps", "tau"), {}),
+    "m0": {"positive": True},
     **dict.fromkeys(("A0", "A1", "A2", "A3",
-                     "c0", "c1", "c2", "c3", "c4", "c5"), False),
+                     "c0", "c1", "c2", "c3", "c4", "c5"), {"real": False}),
 }
 
 
@@ -48,16 +53,16 @@ class SymbolTable:
     The six coordinates and the parameters of :data:`_CANONICAL_PARAMS`
     are declared at construction; the coordinates cannot be added or
     removed afterwards.  ``register`` remains for callers that declare
-    symbols of their own (the tests do): it is idempotent when the flags
-    agree and raises when they conflict.
+    symbols of their own (the tests do), never positive ones: it is
+    idempotent when the flags agree and raises when they conflict.
     """
 
     def __init__(self) -> None:
         self._entries: dict[str, Symbol] = {}
         for name in _COORD_NAMES:
             self._entries[name] = Symbol(name, real=True, coordinate=True)
-        for name, real in _CANONICAL_PARAMS.items():
-            self._entries[name] = Symbol(name, real=real)
+        for name, flags in _CANONICAL_PARAMS.items():
+            self._entries[name] = Symbol(name, **flags)
 
     def register(self, name: str, real: bool = True) -> Symbol:
         if name in self._entries:

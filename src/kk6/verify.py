@@ -82,9 +82,6 @@ __all__ = [
     "read_params", "scalar_momenta", "fringe_profile", "grade_entries",
 ]
 
-_POS_M0 = frozenset({"m0"})
-
-
 class UnknownClaimError(ValueError):
     pass
 
@@ -248,8 +245,7 @@ class _Outcome:
     note: str | None = None
 
 
-def _grade(pairs, seed: int, tol: float, positive: frozenset = frozenset(),
-           **trials) -> _Outcome:
+def _grade(pairs, seed: int, tol: float, trials: int = 32) -> _Outcome:
     """Grade labelled residual expressions at :func:`is_zero`'s sample
     count (``trials`` sets a sign scan's) through :func:`are_zero`; stop
     at the first nonzero."""
@@ -264,8 +260,7 @@ def _grade(pairs, seed: int, tol: float, positive: frozenset = frozenset(),
             else:
                 tested.append((label, structural))
                 yield e
-    results = are_zero(residuals(), seed=seed, tol=tol, positive=positive,
-                       **trials)
+    results = are_zero(residuals(), seed=seed, trials=trials, tol=tol)
     worst, total = 0.0, 0
     for (label, before), v in zip(tested, results):
         total += v.samples
@@ -276,12 +271,11 @@ def _grade(pairs, seed: int, tol: float, positive: frozenset = frozenset(),
     return _Outcome("zero", worst, total, structural)
 
 
-def grade_entries(grid, seed: int, tol: float,
-                  positive: frozenset = frozenset()) -> list[_Outcome]:
+def grade_entries(grid, seed: int, tol: float) -> list[_Outcome]:
     """One :func:`_grade` outcome per entry of a 6x6 residual grid, row by
     row, each labelled ``(a, b)``: a literally zero entry is structural,
     every other entry gets its own zero test."""
-    return [_grade([((a, b), grid[a][b])], seed, tol, positive)
+    return [_grade([((a, b), grid[a][b])], seed, tol)
             for a in range(DIM) for b in range(DIM)]
 
 
@@ -572,7 +566,7 @@ def _check_dirac(sol: int):
         s5 = mode.family_sign
         pairs.extend(_stress_residuals(mode, t, s5, -1, ctx))
 
-        out = _grade(pairs, seed, tol, positive=_POS_M0)
+        out = _grade(pairs, seed, tol)
         notes = [
             f"adjoint normalization {nsign:+d}",
             f"stress form: T = -P_A P_B Phi^2 with extra momentum "
@@ -595,7 +589,7 @@ def check_dirac_stress(seed, tol, params) -> dict:
             for coeff in (1, -1):
                 # a wrong candidate stops at its first nonzero residual
                 scan = _grade(_stress_residuals(mode, t, s5, coeff, ctx),
-                              seed, tol, positive=_POS_M0, trials=6)
+                              seed, tol, trials=6)
                 samples += scan.samples
                 if scan.status == "zero":
                     winners.append((coeff, s5))
@@ -612,8 +606,7 @@ def check_dirac_stress(seed, tol, params) -> dict:
     # residuals formed again in the scan's context
     mode, _, t = _dirac_bundle(1, None, None, None, None)
     coeff, s5 = conventions[1]
-    out = _grade(_stress_residuals(mode, t, s5, coeff, ctx), seed, tol,
-                 positive=_POS_M0)
+    out = _grade(_stress_residuals(mode, t, s5, coeff, ctx), seed, tol)
     for sol, (coeff, s5) in sorted(conventions.items()):
         notes.append(f"solution {sol}: T = {'+' if coeff > 0 else '-'}"
                      f"P_A P_B Phi^2 with extra momentum component "
@@ -641,7 +634,7 @@ def check_inverse_halfspin(seed, tol, params) -> dict:
     full_exact = all(e == ZERO for row in full for e in row)
     greek = grade_entries(identity_residual(mode.metric,
                                             mode.claimed_upper_greek),
-                          seed, tol, _POS_M0)
+                          seed, tol)
     bad = [o.label for o in greek if o.status != "zero"]
     worst = max(o.max_residual for o in greek)
     notes = [
@@ -684,7 +677,7 @@ def _check_gravity_split(family: str):
         kappa = num(params["kappa"]) if "kappa" in params else None
         npoints = params["points"]
         mode = _gravity_mode(family)
-        g4 = weak_field_block(num(Fraction(str(eps))))
+        g4 = weak_field_block(num(params["eps"]))
 
         gm_full = gravity_metric(mode, g4, kappa)
         gm_q = gravity_metric(mode, None, kappa)

@@ -10,9 +10,10 @@ as zero while a genuine small offset does not.
 Sampling is deterministic for a given seed: symbols are drawn in sorted
 name order from ``random.Random(seed)`` (whose ``random``/``uniform``
 sequences are stable across Python versions).  Magnitudes are uniform in
-[0.1, 2]; symbols declared real get a random sign, the rest a random
-phase.  Principal-branch ``sqrt`` is sampled consistently: identical
-radicands share one evaluation, so identities whose proofs only need
+[0.1, 2]; a symbol declared positive in the symbol table takes no sign,
+the other real ones a random sign, the rest a random phase.
+Principal-branch ``sqrt`` is sampled consistently: identical radicands
+share one evaluation, so identities whose proofs only need
 ``sqrt(a)**2 == a`` or common ``sqrt`` factors are branch-safe.
 
 Error model.  A ``nonzero`` verdict is certain up to roundoff: the witness
@@ -91,19 +92,16 @@ class ZeroResult:
     note: str | None = None
 
 
-def sample_env(symbols, rng: random.Random,
-               positive: frozenset[str] = frozenset()) -> dict[str, complex]:
-    """One random point.  ``positive`` names real symbols to sample without
-    the random sign (domain constraints such as a positive rest mass)."""
+def sample_env(symbols, rng: random.Random) -> dict[str, complex]:
+    """One random point, by each symbol's flags in the symbol table."""
     env: dict[str, complex] = {}
     for s in sorted(symbols, key=lambda s: s.name):
         mag = rng.uniform(0.1, 2.0)
-        if s.real:
-            if s.name in positive:
-                env[s.name] = complex(mag, 0.0)
-            else:
-                sign = 1.0 if rng.random() < 0.5 else -1.0
-                env[s.name] = complex(sign * mag, 0.0)
+        if s.positive:
+            env[s.name] = complex(mag, 0.0)
+        elif s.real:
+            sign = 1.0 if rng.random() < 0.5 else -1.0
+            env[s.name] = complex(sign * mag, 0.0)
         else:
             phase = rng.uniform(0.0, 2.0 * math.pi)
             env[s.name] = cmath.rect(mag, phase)
@@ -271,8 +269,8 @@ def _check_seed(seed: int, error: type = ValueError) -> None:
         raise error("seed must be an integer that fits in 64 unsigned bits")
 
 
-def is_zero(e: Expr, seed: int = 0, trials: int = 32, tol: float = 1e-9,
-            positive: frozenset[str] = frozenset()) -> ZeroResult:
+def is_zero(e: Expr, seed: int = 0, trials: int = 32,
+            tol: float = 1e-9) -> ZeroResult:
     """Zero/nonzero/inconclusive verdict for ``e`` by random evaluation.
 
     Deterministic per seed.  The first point violating the threshold is
@@ -282,7 +280,7 @@ def is_zero(e: Expr, seed: int = 0, trials: int = 32, tol: float = 1e-9,
     ``tol`` not a real number in (0, 1), any of which would let a
     sample-free or NaN test read ``zero`` or fail with a bare ``TypeError``.
     """
-    return are_zero((e,), seed, trials, tol, positive)[0]
+    return are_zero((e,), seed, trials, tol)[0]
 
 
 class _Group:
@@ -292,13 +290,12 @@ class _Group:
     value is at slot ``root[i]``, ``reach[i]`` is the largest root of
     members 0..i and ``worst[i]`` its largest residual so far."""
 
-    def __init__(self, syms, seed: int, trials: int, tol: float,
-                 positive) -> None:
+    def __init__(self, syms, seed: int, trials: int, tol: float) -> None:
         self.syms = sorted(syms, key=lambda s: s.name)
         self.rng = random.Random(seed)
-        self.seed, self.tol, self.positive = seed, tol, positive
+        self.seed, self.tol = seed, tol
         self.trials = trials if syms else 1
-        self.env = sample_env(self.syms, self.rng, positive)   # point 0
+        self.env = sample_env(self.syms, self.rng)   # point 0
         self.val: list = []     # the values and scales at point 0
         self.sc: list = []
         self.tape: list = []
@@ -337,8 +334,8 @@ class _Group:
         return None
 
 
-def are_zero(exprs, seed: int = 0, trials: int = 32, tol: float = 1e-9,
-             positive: frozenset[str] = frozenset()) -> list[ZeroResult]:
+def are_zero(exprs, seed: int = 0, trials: int = 32,
+             tol: float = 1e-9) -> list[ZeroResult]:
     """:func:`is_zero` of each of ``exprs`` in turn, through the first that
     is not zero, each result bit for bit what ``is_zero`` gives.
 
@@ -359,7 +356,7 @@ def are_zero(exprs, seed: int = 0, trials: int = 32, tol: float = 1e-9,
         syms = free_symbols(e)
         g = groups.get(syms)
         if g is None:
-            g = groups[syms] = _Group(syms, seed, trials, tol, positive)
+            g = groups[syms] = _Group(syms, seed, trials, tol)
         member.append((g, len(g.index)))
         g.add(e, len(out))
         fault = _run(g.tape, g.env, g.val, g.sc, len(g.tape))
@@ -373,7 +370,7 @@ def are_zero(exprs, seed: int = 0, trials: int = 32, tol: float = 1e-9,
             n = bisect_left(g.index, cut)       # members still needed
             if j >= g.trials or not n:
                 continue
-            g.env = sample_env(g.syms, g.rng, g.positive)
+            g.env = sample_env(g.syms, g.rng)
             val: list = []
             sc: list = []
             fault = _run(g.tape, g.env, val, sc, g.reach[n - 1] + 1)

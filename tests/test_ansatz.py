@@ -18,7 +18,6 @@ from kk6.tensor import DIM, identity_residual
 from kk6.zeros import evaluate, is_zero
 
 x = coords()
-_POS = frozenset({"m0"})
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +80,7 @@ def test_null_wave_invariant_vanishes_structurally():
 def test_bare_massive_wave_invariant_does_not_vanish():
     # without the compact phase the on-shell wave is not null
     f = field_strength(tuple(massive_wave_potential()) + (ZERO,))
-    assert is_zero(simplify(fsq(f)), positive=_POS).verdict == "nonzero"
+    assert is_zero(simplify(fsq(f))).verdict == "nonzero"
 
 
 def test_proca_field_satisfies_compact_derivative_condition():
@@ -198,7 +197,7 @@ def test_spinor_field_compact_derivative_condition():
     for i in range(5):
         lhs = diff(mode.K[i], x[5].symbol)
         rhs = mul(num(0, 1), sym("m0"), mode.K[i])
-        assert is_zero(simplify(lhs - rhs), positive=_POS).verdict == "zero"
+        assert is_zero(simplify(lhs - rhs)).verdict == "zero"
 
 
 def test_halfspin_claimed_inverse_full_reading_exact():
@@ -215,7 +214,7 @@ def test_halfspin_greek_reading_fails_only_in_compact_row():
         for b in range(DIM):
             if res[a][b] == ZERO:
                 continue
-            if is_zero(res[a][b], trials=8, positive=_POS).verdict != "zero":
+            if is_zero(res[a][b], trials=8).verdict != "zero":
                 bad.add((a, b))
     assert bad
     assert all(a == 4 for a, _ in bad)
@@ -229,7 +228,7 @@ def test_coupled_field_compact_twist_condition():
     for i in range(5):
         lhs = diff(mode.K[i], x[4].symbol)
         rhs = mul(num(0, -1), sym("gamma"), mode.K[i])
-        assert is_zero(simplify(lhs - rhs), positive=_POS).verdict == "zero"
+        assert is_zero(simplify(lhs - rhs)).verdict == "zero"
 
 
 def test_coupled_reduces_to_halfspin_at_zero_twist():

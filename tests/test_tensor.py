@@ -6,7 +6,8 @@ import pytest
 import kk6.expr
 import kk6.tensor
 from kk6.expr import (
-    MINUS_ONE, ONE, ZERO, add, coords, mul, power, simplify, to_text,
+    MINUS_ONE, ONE, ZERO, add, coords, mul, power, simplify, sqrt, sym,
+    to_text,
 )
 from kk6.tensor import (
     DIM, Metric6, adjugate, identity_residual, invert_metric,
@@ -183,6 +184,21 @@ def test_flat_connection_vanishes():
     g = christoffel(_flat())
     assert all(g[a][b][c] == ZERO
                for a in range(DIM) for b in range(DIM) for c in range(DIM))
+
+
+def test_a_singular_metric_witness_is_the_zero_tests_first_point():
+    # det = x0 (sqrt(m0^2) - m0) vanishes only for a positive m0, which the
+    # symbol table states; the witness is the point the zero test drew first
+    m0 = sym("m0")
+    g = _diagonal((mul(x0, add(sqrt(power(m0, 2)), mul(MINUS_ONE, m0))),
+                   MINUS_ONE, MINUS_ONE, MINUS_ONE, ONE, MINUS_ONE))
+    assert g.det() != ZERO
+    with pytest.raises(kk6.tensor.SingularMetricError) as err:
+        invert_metric(g)
+    first = is_zero(add(g.det(), ONE), seed=0).witness   # nonzero at once
+    assert set(err.value.witness) == {"m0", "x0"}
+    assert err.value.witness == first
+    assert err.value.witness["m0"].real > 0
 
 
 def test_metric_requires_six_rows():

@@ -14,8 +14,10 @@ import pytest
 import kk6
 import kk6.verify
 
-from kk6.ansatz import AnsatzError, dirac_metric, photon_metric
-from kk6.expr import ONE, ZERO
+from kk6.ansatz import (
+    AnsatzError, dirac_metric, photon_metric, weak_field_block,
+)
+from kk6.expr import ONE, ZERO, num
 from kk6.report import (
     CONDITIONAL, CONFIRMED, INCONCLUSIVE, REFUTED, ClaimReport, Report,
     record_dict, to_json,
@@ -193,27 +195,25 @@ def test_grade_entries_reports_failing_entries():
 
 def test_grade_entries_tests_only_entries_not_literally_zero(monkeypatch):
     # the 4d-trace reading of a half-spin inverse leaves some entries
-    # nonzero; only those are sampled, with ``positive`` passed through
+    # nonzero; only those are sampled
     mode = dirac_metric(1)
     seen = []
 
     def counting(exprs, **kw):
         def spy():
             for e in exprs:
-                seen.append((e, kw["positive"]))
+                seen.append(e)
                 yield e
         return are_zero(spy(), **kw)
     monkeypatch.setattr(kk6.verify, "are_zero", counting)
-    pos = frozenset({"m0"})
     res = identity_residual(mode.metric, mode.claimed_upper_greek)
-    outs = grade_entries(res, 3, 1e-9, positive=pos)
+    outs = grade_entries(res, 3, 1e-9)
     failures, _, structural, samples = _fold(outs)
     nonzero = [e for row in res for e in row if e is not ZERO]
-    assert seen and all(e is not ZERO and p == pos for e, p in seen)
-    assert [e for e, _ in seen] == nonzero
+    assert seen and all(e is not ZERO for e in seen)
+    assert seen == nonzero
     assert structural == 36 - len(nonzero)
-    assert samples == sum(is_zero(e, seed=3, positive=pos).samples
-                          for e in nonzero)
+    assert samples == sum(is_zero(e, seed=3).samples for e in nonzero)
     assert failures
 
 
@@ -227,6 +227,22 @@ def test_gravity_split_reports_measured_residual(fam):
         assert any("m0^2" in n and "exact" in n for n in r.notes)
     # the scalar mode has no field, so no coupling constant is assumed
     assert any("kappa" in a for a in r.assumptions) == (fam != "scalar")
+
+
+def test_gravity_split_builds_its_background_from_the_exact_eps(
+        monkeypatch):
+    # eps = 1/3 reaches the weak-field block as the rational 1/3, not as
+    # the decimal text of its nearest double
+    seen = []
+
+    def block(eps):
+        seen.append(eps)
+        return weak_field_block(eps)
+    monkeypatch.setattr(kk6.verify, "weak_field_block", block)
+    r = run_claim("gravity.split.scalar", params={"eps": "1/3", "points": 1})
+    assert r.verdict == CONDITIONAL
+    assert seen == [num(Fraction(1, 3))]
+    assert any("strength 0.333333;" in n for n in r.notes)
 
 
 def _condition(record) -> float:

@@ -158,6 +158,28 @@ def test_a_graded_expression_is_not_kept_alive():
     assert [r() for r in refs] == [None, None]
 
 
+def test_the_rest_mass_is_sampled_positive_with_no_argument():
+    # the symbol table declares m0 positive, so sqrt(m0^2) is m0 at every
+    # sample point; the kernel itself never rewrites sqrt(m0^2) to m0
+    e = sqrt(power(m0, 2)) - m0
+    assert e != ZERO
+    for seed in (0, 1, 2):
+        assert is_zero(e, seed=seed).verdict == "zero"
+
+
+def test_only_a_positive_symbol_takes_no_sign():
+    import random
+    DEFAULT_TABLE.register("zs_real")
+    syms = [DEFAULT_TABLE.lookup(n) for n in ("m0", "p1", "zs_real")]
+    assert [s.positive for s in syms] == [True, False, False]
+    assert all(s.real for s in syms)
+    draws = [sample_env(syms, random.Random(seed)) for seed in range(50)]
+    assert all(env["m0"].imag == 0.0 < env["m0"].real for env in draws)
+    for name in ("p1", "zs_real"):
+        assert {env[name].real > 0 for env in draws} == {True, False}
+        assert all(env[name].imag == 0.0 for env in draws)
+
+
 def test_the_first_sample_point_of_a_seed_is_pinned():
     # random.Random's uniform/random sequences are stable across Python
     # versions, so a seed draws these magnitudes, signs and phase on any;
@@ -166,7 +188,7 @@ def test_the_first_sample_point_of_a_seed_is_pinned():
     import random
     DEFAULT_TABLE.register("zs_test", real=False)
     syms = [DEFAULT_TABLE.lookup(n) for n in ("x0", "zs_test", "p1", "m0")]
-    env = sample_env(syms, random.Random(7), positive=frozenset({"m0"}))
+    env = sample_env(syms, random.Random(7))
     assert list(env) == ["m0", "p1", "x0", "zs_test"]   # sorted draws
     assert env["m0"] == complex(0.7152822531830084, 0.0)
     assert env["p1"] == complex(-0.3866134304565536, 0.0)

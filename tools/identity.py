@@ -9,7 +9,8 @@ output that moved.  The outputs, each as sorted-key JSON without the
 ``timing`` key:
 
 * ``record_dict`` of every claim and of the benchmark's refutation probes
-  at seeds 0-2,
+  at seeds 0-2, and of ``gravity.split.scalar`` at ``eps=1/3`` and seed 0,
+  whose weak-field block must be the exact 1/3,
 * the ``kk6 curvature`` reports of the benchmark's inputs at seeds 0-1,
 * per benchmark curvature input, ``to_text`` of every Christoffel symbol
   (all 216, one per line) and of the metric's determinant, neither of
@@ -93,6 +94,9 @@ def outputs():
             rec = verify.run_claim(cid, seed=seed, params=params)
             yield (f"claim {name} seed={seed}",
                    json.dumps(record_dict(rec), sort_keys=True))
+    rec = verify.run_claim("gravity.split.scalar", params={"eps": "1/3"})
+    yield ("claim gravity.split.scalar eps=1/3 seed=0",
+           json.dumps(record_dict(rec), sort_keys=True))
     for seed in (0, 1):
         for aid, params in CURVATURE:
             argv = ("curvature", f"ansatz={aid}", *params, f"--seed={seed}")
