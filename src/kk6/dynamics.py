@@ -8,10 +8,8 @@ fixed-step numeric integrator to compare against — plus the interval
 bookkeeping (ds, |ds|) and the two-slit fringe profiles built from
 plane-wave superposition.
 
-The complexified ODE state is handled as 24 real components (six complex
-coordinates and six complex velocities, real and imaginary parts), so a
-standard real integrator applies unchanged; the affine parameter itself
-stays real.
+The integrator steps the complexified state as one complex array of six
+coordinates then six velocities; the affine parameter itself stays real.
 """
 from __future__ import annotations
 
@@ -171,70 +169,61 @@ def integrate(initial: GeodesicState, tau_end: float, steps: int,
               gamma) -> Path:
     """Classical fixed-step 4th-order integration of the geodesic flow.
 
-    The complex state is packed into 24 real components; each step's
-    trapezoid defect of the acceleration is recorded as a residual.  The
-    acceleration at the step's end, which closes the defect, is also the
-    next step's first stage, so a run evaluates the connection
+    The state is one complex array, coordinates then velocities; each
+    step's trapezoid defect of the acceleration is recorded as a residual.
+    The acceleration at the step's end, which closes the defect, is also
+    the next step's first stage, so a run evaluates the connection
     ``4 * steps + 1`` times.  A coordinate or velocity exceeding 1e12 in
     magnitude aborts the run, returning the partial path with ``aborted``
-    set."""
+    set.  The real step enters each complex product as h + 0j, so a
+    component that is an exact -0.0 may read +0.0 after a step."""
     if steps < 2:
         raise DynamicsError("need at least 2 steps")
     h = (tau_end - initial.tau) / steps
 
     def rhs(y: np.ndarray) -> np.ndarray:
-        yc = y.view(np.complex128)
-        g = gamma(yc[:DIM])
-        if not np.isfinite(g.view(np.float64)).all():
+        g = gamma(y[:DIM])
+        if not np.isfinite(g).all():
             raise DynamicsError("connection not finite along path")
-        v = yc[DIM:]
-        return np.concatenate((v, -np.einsum("abc,b,c->a", g, v, v))
-                              ).view(np.float64)
+        v = y[DIM:]
+        return np.concatenate((v, -np.einsum("abc,b,c->a", g, v, v)))
+
+    def snap(y: np.ndarray, tau: float) -> GeodesicState:
+        return GeodesicState(x=tuple(y[:DIM]), v=tuple(y[DIM:]), tau=tau)
 
     y = np.empty(2 * DIM, dtype=complex)
     y[:DIM] = initial.x
     y[DIM:] = initial.v
-    y = y.view(np.float64)
-
-    def snap(yr: np.ndarray, tau: float) -> GeodesicState:
-        yc = yr.view(np.complex128)
-        return GeodesicState(x=tuple(yc[:DIM]), v=tuple(yc[DIM:]), tau=tau)
-
     states = [snap(y, initial.tau)]
     residuals: list[float] = []
     aborted = False
     # divergence is detected explicitly below; silence the intermediate
     # overflow chatter numpy would otherwise emit on a blowing-up orbit
     with np.errstate(over="ignore", invalid="ignore"):
-        aborted = _advance(rhs, y, snap, states, residuals, initial, steps, h)
+        try:
+            k1 = rhs(y)
+            for n in range(steps):
+                tau = initial.tau + n * h
+                k2 = rhs(y + 0.5 * h * k1)
+                k3 = rhs(y + 0.5 * h * k2)
+                k4 = rhs(y + h * k3)
+                v_old = y[DIM:]
+                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                k_new = rhs(y)
+                defect = (y[DIM:] - v_old) / h - 0.5 * (k1[DIM:]
+                                                         + k_new[DIM:])
+                residuals.append(float(np.abs(defect).max()))
+                k1 = k_new
+                states.append(snap(y, tau + h))
+                if not np.isfinite(y).all() or np.abs(y).max() > _BLOWUP:
+                    aborted = True
+                    break
+        except (OverflowError, DynamicsError):
+            # a diverging trajectory can overflow the exponentials mid-stage
+            # before the coordinate guard sees it; same pathology, same answer
+            aborted = True
     return Path(states=tuple(states), residuals=tuple(residuals),
                 aborted=aborted)
-
-
-def _advance(rhs, y, snap, states, residuals, initial, steps, h) -> bool:
-    try:
-        k1 = rhs(y)
-        for n in range(steps):
-            tau = initial.tau + n * h
-            k2 = rhs(y + 0.5 * h * k1)
-            k3 = rhs(y + 0.5 * h * k2)
-            k4 = rhs(y + h * k3)
-            v_old = y.view(np.complex128)[DIM:]
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            yc = y.view(np.complex128)
-            k_new = rhs(y)
-            defect = (yc[DIM:] - v_old) / h - 0.5 * (
-                k1.view(np.complex128)[DIM:] + k_new.view(np.complex128)[DIM:])
-            residuals.append(float(np.abs(defect).max()))
-            k1 = k_new
-            states.append(snap(y, tau + h))
-            if not np.isfinite(y).all() or np.abs(yc).max() > _BLOWUP:
-                return True
-    except (OverflowError, DynamicsError):
-        # a diverging trajectory can overflow the exponentials mid-stage
-        # before the coordinate guard sees it; same pathology, same answer
-        return True
-    return False
 
 
 # ---------------------------------------------------------------------------

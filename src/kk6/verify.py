@@ -113,6 +113,9 @@ GEODESIC_DEFAULTS = {"p1": 0, "p2": 0, "p3": 0.75, "m0": 1, "steps": 1000,
                      "tau_end": 1}
 FRINGE_DEFAULTS = {"d": 10, "L": 400, "wavelength": 0.5, "ymax": 15,
                    "points": 1201}
+# The most integration steps or fringe-grid points a run takes: each one
+# holds memory until the report is written, so more is refused up front.
+_MOST_SAMPLES = 100_000
 
 
 def coerce_param(name: str, value, real: bool = False):
@@ -162,7 +165,8 @@ def read_params(spec: dict, given: dict, reader: str) -> dict:
     else the name's default in ``spec`` (None: unbound).  A name with a
     default is numeric and refuses ``symbolic``.  Unbound names are left
     out.  Raises :class:`ClaimParamError` for a value of the wrong kind or
-    out of range."""
+    out of range, integration ``steps`` and fringe-grid ``points`` above
+    100,000 among them."""
     out = {}
     for name, default in spec.items():
         if name not in given and default is None:
@@ -205,6 +209,10 @@ def read_params(spec: dict, given: dict, reader: str) -> dict:
     least = 2 if "ymax" in out else 1   # a fringe grid, else a sample count
     if "points" in out and out["points"] < least:
         raise ClaimParamError(f"points must be at least {least}")
+    for name in ("steps", "points") if "ymax" in out else ("steps",):
+        if out.get(name, 0) > _MOST_SAMPLES:
+            raise ClaimParamError(f"{name} must be at most {_MOST_SAMPLES}, "
+                                  f"got {out[name]}")
     return out
 
 

@@ -31,9 +31,10 @@ sampled points.  For them the guarantee is ``tol`` and ``trials``
 themselves: at every sampled point the residual was below ``tol``
 relative to its scale.
 
-The engine has one expression evaluator, a post-order tape (the
-finite-difference oracle compiles expressions on its own, so that it stays
-independent): one entry per distinct node (op code, child slots,
+The zero test has one expression evaluator, a post-order tape (the
+finite-difference oracle, the geodesic connection and the gravity split
+evaluate code that ``oracle.tensor_evaluator`` compiles, so that they stay
+independent of it): one entry per distinct node (op code, child slots,
 constant), each after its children, children in the order ``expr._kids``
 lists them.  :func:`scaled_eval` builds the tape of one expression and
 runs it once; :func:`evaluate` returns its value alone.  :func:`are_zero`

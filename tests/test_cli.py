@@ -271,6 +271,15 @@ def test_exit_2_on_usage_errors(capsys):
             (fringe + ["d=-1"], positive),
             (fringe + ["ymax=-3"], positive),
             (["fringes", "points=1"], "points must be at least 2"),
+            # a count whose run would grow memory without bound
+            (["geodesic", "steps=100001"],
+             "steps must be at most 100000, got 100001"),
+            (["verify", "--claim", "geodesic.closedform", "steps=100001"],
+             "steps must be at most 100000, got 100001"),
+            (["fringes", "points=100001"],
+             "points must be at most 100000, got 100001"),
+            (fringe + ["points=100001"],
+             "points must be at most 100000, got 100001"),
             (fringe + ["points=0"], "points must be at least 2"),
             (fringe + ["points=1"], "points must be at least 2"),
             # a grid span or far-end phase beyond a float is refused

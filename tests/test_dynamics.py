@@ -117,31 +117,57 @@ def test_integration_aborts_on_blowup_instead_of_raising():
     assert len(path.states) < 51
 
 
-def _reference_advance(rhs, y, snap, states, residuals, initial, steps, h):
-    # the integrator's loop before the end-of-step acceleration was reused
-    # as the next step's k1: five connection evaluations per step
-    try:
-        accel_prev = rhs(y).view(np.complex128)[DIM:].copy()
-        for n in range(steps):
-            tau = initial.tau + n * h
-            k1 = rhs(y)
-            k2 = rhs(y + 0.5 * h * k1)
-            k3 = rhs(y + 0.5 * h * k2)
-            k4 = rhs(y + h * k3)
-            v_old = y.view(np.complex128)[DIM:].copy()
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            yc = y.view(np.complex128)
-            accel_new = rhs(y).view(np.complex128)[DIM:].copy()
-            defect = (yc[DIM:] - v_old) / h - 0.5 * (accel_prev + accel_new)
-            residuals.append(float(np.max(np.abs(defect))))
-            accel_prev = accel_new
-            states.append(snap(y, tau + h))
-            if not np.all(np.isfinite(y)) or \
-                    np.max(np.abs(yc)) > kk6.dynamics._BLOWUP:
-                return True
-    except (OverflowError, DynamicsError):
-        return True
-    return False
+def _reference_integrate(initial, tau_end, steps, gamma):
+    # the integrator as it was before it stepped its complex state: the
+    # state packed into 24 reals, and the end-of-step acceleration
+    # evaluated again as the next step's k1, five connection evaluations
+    # per step
+    h = (tau_end - initial.tau) / steps
+
+    def rhs(y):
+        yc = y.view(np.complex128)
+        g = gamma(yc[:DIM])
+        if not np.isfinite(g.view(np.float64)).all():
+            raise DynamicsError("connection not finite along path")
+        v = yc[DIM:]
+        return np.concatenate((v, -np.einsum("abc,b,c->a", g, v, v))
+                              ).view(np.float64)
+
+    def snap(yr, tau):
+        yc = yr.view(np.complex128)
+        return GeodesicState(x=tuple(yc[:DIM]), v=tuple(yc[DIM:]), tau=tau)
+
+    y = np.empty(2 * DIM, dtype=complex)
+    y[:DIM] = initial.x
+    y[DIM:] = initial.v
+    y = y.view(np.float64)
+    states, residuals, aborted = [snap(y, initial.tau)], [], False
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            accel_prev = rhs(y).view(np.complex128)[DIM:].copy()
+            for n in range(steps):
+                tau = initial.tau + n * h
+                k1 = rhs(y)
+                k2 = rhs(y + 0.5 * h * k1)
+                k3 = rhs(y + 0.5 * h * k2)
+                k4 = rhs(y + h * k3)
+                v_old = y.view(np.complex128)[DIM:].copy()
+                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                yc = y.view(np.complex128)
+                accel_new = rhs(y).view(np.complex128)[DIM:].copy()
+                defect = (yc[DIM:] - v_old) / h - 0.5 * (accel_prev
+                                                          + accel_new)
+                residuals.append(float(np.max(np.abs(defect))))
+                accel_prev = accel_new
+                states.append(snap(y, tau + h))
+                if not np.all(np.isfinite(y)) or \
+                        np.max(np.abs(yc)) > kk6.dynamics._BLOWUP:
+                    aborted = True
+                    break
+        except (OverflowError, DynamicsError):
+            aborted = True
+    return kk6.dynamics.Path(states=tuple(states),
+                             residuals=tuple(residuals), aborted=aborted)
 
 
 def _path_bytes(path):
@@ -150,8 +176,28 @@ def _path_bytes(path):
             np.array(path.residuals).tobytes(), path.aborted)
 
 
-@pytest.mark.parametrize("case", ["claim", "perturbed", "blowup"])
-def test_integrator_matches_five_evaluation_reference(case, monkeypatch):
+def _seeded_starts():
+    # closed-form starts at seeded on-shell momenta, some components
+    # exactly zero, forward and backward, 2 to 200 steps
+    rng = random.Random(0)
+    out = []
+    for k in range(24):
+        p = [0.0 if rng.random() < 0.3 else rng.uniform(-1.0, 1.0)
+             for _ in range(3)]
+        m0 = rng.uniform(0.5, 1.5)
+        p = (math.sqrt(sum(c * c for c in p) + m0 * m0), *p)
+        const = [complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
+                 for _ in range(6)]
+        tau_end = rng.choice((1.0, 5.0, -2.0, -0.5))
+        steps = rng.choice((2, 7, 50, 200))
+        out.append((p, m0, closed_form_state(0.0, p, m0, const), tau_end,
+                    steps))
+    return out
+
+
+@pytest.mark.parametrize("case", ["claim", "perturbed", "blowup", "guard",
+                                  "guard_alone"])
+def test_integrator_matches_five_evaluation_reference(case):
     gamma = connection_evaluator(_metric())
     base = closed_form_state(0.0, P, M0, CONST)
     v = list(base.v)
@@ -162,6 +208,11 @@ def test_integrator_matches_five_evaluation_reference(case, monkeypatch):
         "perturbed": (GeodesicState(base.x, tuple(v), 0.0), 2.0, 400),
         "blowup": (GeodesicState((0,) * 6, (0, 0, 0, 0, 1e9, 1e9), 0.0),
                    10.0, 50),
+        "guard": (GeodesicState((0,) * 6, (0, 0, 0, 0, 1e11, 0), 0.0),
+                  1.0, 50),
+        # without the guard this run goes on, finite, to all 50 steps
+        "guard_alone": (GeodesicState((0,) * 6, (0, 0, 0, 0, 1e7, 0), 0.0),
+                        1.0, 50),
     }[case]
     calls = 0
 
@@ -171,13 +222,26 @@ def test_integrator_matches_five_evaluation_reference(case, monkeypatch):
         return gamma(x)
 
     got = integrate(seed, tau_end, steps, counted)
-    assert got.aborted == (case == "blowup")
+    assert got.aborted == (case not in ("claim", "perturbed"))
     if not got.aborted:
         assert calls == 4 * steps + 1
-    with monkeypatch.context() as m:
-        m.setattr(kk6.dynamics, "_advance", _reference_advance)
-        want = integrate(seed, tau_end, steps, gamma)
-    assert _path_bytes(got) == _path_bytes(want)
+    if case.startswith("guard"):
+        # the magnitude guard, not an exception, ends this run: one step
+        # of finite states, the last beyond 1e12
+        assert len(got.states) == 2
+        assert all(np.isfinite(s.x + s.v).all() for s in got.states)
+        assert np.abs(got.states[-1].x + got.states[-1].v).max() > 1e12
+    assert _path_bytes(got) == _path_bytes(
+        _reference_integrate(seed, tau_end, steps, gamma))
+
+
+def test_integrator_matches_reference_on_seeded_closed_form_starts():
+    for p, m0, start, tau_end, steps in _seeded_starts():
+        gamma = connection_evaluator(
+            scalar_metric(p=p, m0=m0).metric)
+        got = integrate(start, tau_end, steps, gamma)
+        assert _path_bytes(got) == _path_bytes(
+            _reference_integrate(start, tau_end, steps, gamma)), (p, m0)
 
 
 def test_integrate_validates_steps():

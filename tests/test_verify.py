@@ -424,6 +424,9 @@ OUT_OF_RANGE = [
     ("interference.minima", {"wavelength": "1e400"},
      "too large for a float"),
     ("geodesic.closedform", {"steps": 1}, "steps must be at least 2"),
+    ("geodesic.closedform", {"steps": 100001}, "steps must be at most 100000"),
+    ("interference.minima", {"points": 100001},
+     "points must be at most 100000"),
     # the ansatz constructors refuse these too, but only once a claim runs
     ("inverse.halfspin", {"sol": 0}, "sol must be 1..4, got 0"),
     ("inverse.halfspin", {"sol": 5}, "sol must be 1..4, got 5"),
@@ -442,6 +445,16 @@ def test_out_of_range_parameters_are_rejected(cid, params, message):
         run_claim(cid, params=params)
     with pytest.raises(ClaimParamError, match=message):
         run_suite(claims=["inverse.photon", cid], params=params)
+
+
+def test_step_and_grid_counts_of_one_hundred_thousand_pass():
+    # the bound itself is accepted (OUT_OF_RANGE refuses one more); only
+    # the parameters are read, nothing is integrated or laid on a grid
+    from kk6.verify import FRINGE_DEFAULTS, GEODESIC_DEFAULTS, read_params
+    assert read_params(GEODESIC_DEFAULTS, {"steps": 100000},
+                       "geodesic")["steps"] == 100000
+    assert read_params(FRINGE_DEFAULTS, {"points": "100000"},
+                       "fringes")["points"] == 100000
 
 
 # Residuals literally zero before any sampling, at seed 0.  Grading stops

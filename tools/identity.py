@@ -28,13 +28,16 @@ output that moved.  The outputs, each as sorted-key JSON without the
   the default geometry only),
 * every state and residual of ``integrate`` at the geodesic claim's
   inputs and 1000 steps, as raw bytes (the ``geodesic`` report keeps only
-  two maxima of them),
+  two maxima of them), and likewise of a perturbed start (v0 and v4 each
+  0.2 off the closed form, ``tau_end`` 2, 400 steps) and of a backward
+  run (``tau_end`` -1, 1000 steps),
 * ``einstein_fd`` of the nine metrics the ``gravity.split`` claims
   difference (full, field and background per family) at two seeded
   complex points, as raw bytes,
 * the exit code and error line of the documented refusals ``geodesic
-  p3=1e200``, ``fringes d=1e308 L=1e308`` and ``verify --claim
-  interference.minima d=1e308``.
+  p3=1e200``, ``fringes d=1e308 L=1e308``, ``verify --claim
+  interference.minima d=1e308``, ``geodesic steps=100001`` and ``fringes
+  points=100001``.
 
 A whole run takes about 20 s; the symbolic ``gravity-dirac`` report is
 most of it.
@@ -60,7 +63,8 @@ from kk6.ansatz import (  # noqa: E402
 )
 from kk6.curvature import christoffel, ricci, ricci_entry_raw  # noqa: E402
 from kk6.dynamics import (  # noqa: E402
-    closed_form_state, connection_evaluator, integrate, two_path_fringes,
+    GeodesicState, closed_form_state, connection_evaluator, integrate,
+    two_path_fringes,
 )
 from kk6.expr import ZERO, conj, num, subs, sym, to_text  # noqa: E402
 from kk6.oracle import einstein_fd, metric_evaluator  # noqa: E402
@@ -72,7 +76,8 @@ SYMBOLIC = ("dirac1", "coupled", "gravity-dirac")
 # documented refusals, each one error line: the exit code and stderr are
 # what a change must keep
 REFUSALS = (("geodesic", "p3=1e200"), ("fringes", "d=1e308", "L=1e308"),
-            ("verify", "--claim", "interference.minima", "d=1e308"))
+            ("verify", "--claim", "interference.minima", "d=1e308"),
+            ("geodesic", "steps=100001"), ("fringes", "points=100001"))
 # the substitution the walker line applies to every Christoffel symbol
 SHIFT = {"x0": sym("x0") + sym("x1")}
 
@@ -120,18 +125,30 @@ def outputs():
     for argv in (*(("curvature", f"ansatz={aid}") for aid in SYMBOLIC),
                  ("fringes", "points=201"), ("geodesic", "steps=200")):
         yield " ".join(argv), _cli(argv)
-    yield "integrate steps=1000 states residuals", _geodesic_path()
+    yield ("integrate steps=1000 states residuals",
+           _geodesic_path(False, 1.0, 1000))
+    yield ("integrate perturbed tau_end=2 steps=400 states residuals",
+           _geodesic_path(True, 2.0, 400))
+    yield ("integrate tau_end=-1 steps=1000 states residuals",
+           _geodesic_path(False, -1.0, 1000))
     yield "two_path_fringes minima", _fringe_minima()
     yield "einstein_fd gravity.split metrics", _gravity_split_fd()
     for argv in REFUSALS:
         yield " ".join(argv), _cli(argv)
 
 
-def _geodesic_path() -> str:
+def _geodesic_path(perturbed: bool, tau_end: float, steps: int) -> str:
+    # from the geodesic claim's closed-form start; perturbed, v0 and v4
+    # are each 0.2 off it, so the path is no longer quadratic in tau
     mode = scalar_metric(p=verify._GEO_P, m0=verify._GEO_M0)
     s0 = closed_form_state(0.0, verify._GEO_P, verify._GEO_M0,
                            verify._GEO_CONST)
-    path = integrate(s0, 1.0, 1000, connection_evaluator(mode.metric))
+    if perturbed:
+        v = list(s0.v)
+        v[0] += 0.2
+        v[4] += 0.2
+        s0 = GeodesicState(s0.x, tuple(v), s0.tau)
+    path = integrate(s0, tau_end, steps, connection_evaluator(mode.metric))
     blob = (np.array([s.x + s.v for s in path.states]).tobytes()
             + np.array([s.tau for s in path.states]).tobytes()
             + np.array(path.residuals).tobytes())
