@@ -146,7 +146,7 @@ def scalar_metric(p=None, m0=None, hbar=None) -> ScalarMode:
     grad = tuple(derive(theta, x[a].symbol, ctx) for a in IDX5)
     rows = kk_rows(_FLAT4, _NO_FIELD)
     rows[4][4] = g44
-    metric = Metric6(rows, name="scalar")
+    metric = Metric6(rows)
     return ScalarMode(g44=g44, grad=grad, metric=metric)
 
 
@@ -200,7 +200,7 @@ class VectorMode:
     claimed_upper: Grid
 
 
-def _vector_mode(a4, m0v, name: str) -> VectorMode:
+def _vector_mode(a4, m0v) -> VectorMode:
     x = coords()
     a4 = tuple(_E(v) for v in a4)
     if len(a4) != 4:
@@ -212,7 +212,7 @@ def _vector_mode(a4, m0v, name: str) -> VectorMode:
         ctx = context()
         ahat4 = tuple(contract([(v, x5phase)], ctx) for v in a4)
     return VectorMode(K=ahat4 + (ZERO,),
-                      metric=Metric6(kk_rows(_FLAT4, ahat4), name=name),
+                      metric=Metric6(kk_rows(_FLAT4, ahat4)),
                       claimed_upper=_claimed_upper(ahat4, ZERO,
                                                    _trace4(ahat4)))
 
@@ -220,13 +220,13 @@ def _vector_mode(a4, m0v, name: str) -> VectorMode:
 def photon_metric(a4=None) -> VectorMode:
     if a4 is None:
         a4 = tuple(sym(f"A{i}") for i in range(4))
-    return _vector_mode(a4, None, "photon")
+    return _vector_mode(a4, None)
 
 
 def proca_metric(a4=None, m0=None) -> VectorMode:
     if a4 is None:
         a4 = tuple(sym(f"A{i}") for i in range(4))
-    return _vector_mode(a4, _E(m0, "m0"), "proca")
+    return _vector_mode(a4, _E(m0, "m0"))
 
 
 def null_wave_potential(omega=None, pol: int = 2) -> tuple:
@@ -353,8 +353,7 @@ def dirac_metric(sol: int = 1, p1=None, p2=None, p3=None, m0=None) -> SpinorMode
     full = greek + [(MINUS_ONE, power(k55, 2))]
     notes = _SPINOR_NOTES_NEG if s == 1 else ()
     return SpinorMode(sol=sol, components=comps, family_sign=s, phase=phase,
-                      K=k5, metric=Metric6(kk_rows(_FLAT4, kk, k55),
-                                           name=f"halfspin{sol}"),
+                      K=k5, metric=Metric6(kk_rows(_FLAT4, kk, k55)),
                       claimed_upper=_claimed_upper(kk, k55, full),
                       claimed_upper_greek=_claimed_upper(kk, k55, greek),
                       notes=notes)
@@ -375,8 +374,7 @@ def coupled_metric(sol: int = 1, p1=None, p2=None, p3=None, m0=None,
     twist = exp(mul(_MINUS_I, _E(gamma, "gamma"), x[4]))
     ctx = context()
     k5 = tuple(contract([(k, twist)], ctx) for k in base.K)
-    return CoupledMode(K=k5, metric=Metric6(kk_rows(_FLAT4, k5[:4], k5[4]),
-                                            name=f"coupled{sol}"))
+    return CoupledMode(K=k5, metric=Metric6(kk_rows(_FLAT4, k5[:4], k5[4])))
 
 
 # ---------------------------------------------------------------------------
@@ -413,4 +411,4 @@ def gravity_metric(mode, g4: Grid | None = None, kappa=None) -> Metric6:
         rows[4][4] = mode.g44
     else:
         rows = kk_rows(g4v, mode.K[:4], mode.K[4], _E(kappa, "kappa"))
-    return Metric6(rows, name=f"gravity-{mode.metric.name}")
+    return Metric6(rows)

@@ -90,7 +90,9 @@ for ``_rebuild``, the printer and :mod:`kk6.parse`.  :func:`free_symbols`,
 the post-order of :mod:`kk6.zeros` walk through them.  ``_diff``,
 ``power``, ``mul``, the kernel's ``_factor_key``, the evaluator's op codes
 and the oracle's compiler keep a case per node type, as their rule differs
-per type (the oracle compiles on its own, to stay independent).
+per type (the oracle compiles on its own, to stay independent).  The
+oracle compiles no ``Conj``: it takes functions of the coordinates alone,
+and a coordinate is real, so ``conj`` never wraps one.
 
 :func:`to_text` renders each distinct node once per call, however often the
 tree shares it.
@@ -137,11 +139,6 @@ class EvalError(ExprError):
     def __init__(self, message: str, subtree: "Expr | None" = None):
         super().__init__(message)
         self.subtree = subtree
-
-
-def _frac(value) -> Fraction:
-    # float -> exact binary rational, str -> exact decimal/ratio; both lossless.
-    return Fraction(value)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +239,7 @@ class Sym(Expr):
         if node is None:
             # printing, sorting and evaluation know a symbol by its name
             if DEFAULT_TABLE.lookup(symbol.name) != symbol:
-                raise ValueError(f"symbol {symbol.name!r} is registered "
+                raise ValueError(f"symbol {symbol.name!r} is declared "
                                  "with different flags")
             node = _new(cls, ikey, (1, symbol.name))
             node.symbol = symbol
@@ -362,8 +359,8 @@ def num(re: NumberLike = 0, im: NumberLike = 0) -> Num:
     if isinstance(re, complex):
         if im:
             raise TypeError("complex value with separate imaginary part")
-        return Num(_frac(re.real), _frac(re.imag))
-    return Num(_frac(re), _frac(im))
+        return Num(Fraction(re.real), Fraction(re.imag))
+    return Num(Fraction(re), Fraction(im))
 
 
 def _coerce(value) -> Expr | None:
@@ -375,8 +372,8 @@ def _coerce(value) -> Expr | None:
 
 
 def sym(name: str) -> Sym:
-    """The symbol registered under ``name`` in ``DEFAULT_TABLE``; every
-    symbol comes from that one registry, so a name has one meaning."""
+    """The symbol declared under ``name`` in ``DEFAULT_TABLE``; every
+    symbol comes from that one table, so a name has one meaning."""
     return Sym(DEFAULT_TABLE.lookup(name))
 
 
@@ -554,8 +551,6 @@ def power(base: Expr, n: int) -> Expr:
         q, r = divmod(n, 2)
         if r == 0:
             return power(base.arg, q)
-        if q == 0:
-            return base
         return mul(power(base.arg, q), base)
     return Pow(base, n)
 

@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .expr import (
-    Add, Conj, Exp, Expr, Mul, Num, Pow, Sqrt, Sym, ZERO, free_symbols,
+    Add, Exp, Expr, Mul, Num, Pow, Sqrt, Sym, ZERO, free_symbols,
 )
 from .tensor import DIM, Metric6
 
@@ -72,8 +72,6 @@ def _emit(node: Expr, names: dict, lines: list) -> str:
             src = f"_exp({_emit(node.arg, names, lines)})"
         elif isinstance(node, Sqrt):
             src = f"_sqrt({_emit(node.arg, names, lines)})"
-        elif isinstance(node, Conj):
-            src = f"({_emit(node.arg, names, lines)}).conjugate()"
         else:  # pragma: no cover
             raise TypeError(f"cannot compile node {type(node).__name__}")
         ref = f"t{len(lines) + 1}"

@@ -11,7 +11,7 @@ Grammar (whitespace insignificant, one expression per string)::
 
 Numbers are decimal (``0.5`` is exact: 1/2) or integer; rationals are
 spelled with '/'.  ``i`` is the imaginary unit.  Identifiers must be
-registered symbols; unknown names raise :class:`ParseError` with a column.
+declared symbols; unknown names raise :class:`ParseError` with a column.
 The printer in :mod:`kk6.expr` emits this grammar, so
 ``parse_expression(to_text(e)) is e``.  A function is looked up in the
 kernel's one table of function nodes, by the name the printer prints, so

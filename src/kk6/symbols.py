@@ -5,7 +5,8 @@ Every symbol that may appear in an expression is declared here, once, in
 the parameters of :data:`_CANONICAL_PARAMS`.  It is the one table
 (``expr.Sym`` refuses any symbol that is not its entry, and the parser
 refuses a name it does not hold); the :class:`SymbolTable` class is only
-its type and is not exported from ``kk6``.
+its type and is not exported from ``kk6``.  The table is fixed at import:
+nothing adds a symbol to it or removes one afterwards.
 Sampling and conjugation honor the real flag, and sampling the positive
 one, so this table is the one place where "this quantity is real" or
 "positive" is stated.  A positive symbol is also real, and positivity is
@@ -48,14 +49,9 @@ _CANONICAL_PARAMS = {
 
 
 class SymbolTable:
-    """Table mapping names to :class:`Symbol` entries.
-
-    The six coordinates and the parameters of :data:`_CANONICAL_PARAMS`
-    are declared at construction; the coordinates cannot be added or
-    removed afterwards.  ``register`` remains for callers that declare
-    symbols of their own (the tests do), never positive ones: it is
-    idempotent when the flags agree and raises when they conflict.
-    """
+    """Table mapping names to :class:`Symbol` entries: the six
+    coordinates and the parameters of :data:`_CANONICAL_PARAMS`, declared
+    at construction and never changed afterwards."""
 
     def __init__(self) -> None:
         self._entries: dict[str, Symbol] = {}
@@ -63,17 +59,6 @@ class SymbolTable:
             self._entries[name] = Symbol(name, real=True, coordinate=True)
         for name, flags in _CANONICAL_PARAMS.items():
             self._entries[name] = Symbol(name, **flags)
-
-    def register(self, name: str, real: bool = True) -> Symbol:
-        if name in self._entries:
-            existing = self._entries[name]
-            if existing.coordinate or existing.real != real:
-                raise ValueError(
-                    f"symbol {name!r} already registered with different flags")
-            return existing
-        entry = Symbol(name, real=real)
-        self._entries[name] = entry
-        return entry
 
     def lookup(self, name: str) -> Symbol:
         try:

@@ -85,7 +85,7 @@ class Metric6:
     """Symmetric 6x6 metric with cached derived data (adjugate,
     determinant, inverse, connection)."""
 
-    def __init__(self, rows, name: str = "metric"):
+    def __init__(self, rows):
         grid = _as_grid(rows)
         for a in range(DIM):
             for b in range(a):
@@ -94,7 +94,6 @@ class Metric6:
                         f"metric not symmetric at ({a},{b}): "
                         f"{to_text(grid[a][b])} vs {to_text(grid[b][a])}")
         self.lower = grid
-        self.name = name
         self._cache: dict[str, object] = {}
 
     @_memo
@@ -109,9 +108,6 @@ class Metric6:
     @_memo
     def upper(self) -> Grid:
         return invert_metric(self)
-
-    def __repr__(self) -> str:
-        return f"Metric6({self.name})"
 
 
 # ---------------------------------------------------------------------------

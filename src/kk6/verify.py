@@ -116,6 +116,10 @@ FRINGE_DEFAULTS = {"d": 10, "L": 400, "wavelength": 0.5, "ymax": 15,
 # The most integration steps or fringe-grid points a run takes: each one
 # holds memory until the report is written, so more is refused up front.
 _MOST_SAMPLES = 100_000
+# The most sample points of a gravity split: each takes three
+# finite-difference Einstein tensors, 7 to 14 ms on a 2-core host, so a
+# run is bounded at about 14 s.
+_MOST_SPLIT_POINTS = 1_000
 
 
 def coerce_param(name: str, value, real: bool = False):
@@ -166,7 +170,7 @@ def read_params(spec: dict, given: dict, reader: str) -> dict:
     default is numeric and refuses ``symbolic``.  Unbound names are left
     out.  Raises :class:`ClaimParamError` for a value of the wrong kind or
     out of range, integration ``steps`` and fringe-grid ``points`` above
-    100,000 among them."""
+    100,000 and gravity-split ``points`` above 1,000 among them."""
     out = {}
     for name, default in spec.items():
         if name not in given and default is None:
@@ -206,12 +210,14 @@ def read_params(spec: dict, given: dict, reader: str) -> dict:
     for name, top in (("sol", 4), ("pol", 2)):
         if not 1 <= out.get(name, 1) <= top:
             raise ClaimParamError(f"{name} must be 1..{top}, got {out[name]}")
-    least = 2 if "ymax" in out else 1   # a fringe grid, else a sample count
+    # a fringe grid, else a gravity split's sample count
+    least, most = (2, _MOST_SAMPLES) if "ymax" in out else \
+        (1, _MOST_SPLIT_POINTS)
     if "points" in out and out["points"] < least:
         raise ClaimParamError(f"points must be at least {least}")
-    for name in ("steps", "points") if "ymax" in out else ("steps",):
-        if out.get(name, 0) > _MOST_SAMPLES:
-            raise ClaimParamError(f"{name} must be at most {_MOST_SAMPLES}, "
+    for name, top in (("steps", _MOST_SAMPLES), ("points", most)):
+        if out.get(name, 0) > top:
+            raise ClaimParamError(f"{name} must be at most {top}, "
                                   f"got {out[name]}")
     return out
 
@@ -300,13 +306,10 @@ def _close(out: _Outcome, assumptions=(), notes=()) -> dict:
     elif out.status == "inconclusive" and out.label:
         notes += (f"undecided: {out.label}" + (f" ({out.note})" if out.note
                                                else ""),)
-    witness = out.witness
-    if witness is None and out.status == "nonzero":
-        witness = {}
     return dict(verdict=_VERDICT_OF[out.status],
                 max_residual=out.max_residual, samples=out.samples,
                 structural=out.structural, assumptions=tuple(assumptions),
-                notes=notes, witness=witness)
+                notes=notes, witness=out.witness)
 
 
 def _div(v, ctx, extra=()) -> Expr:
@@ -399,7 +402,7 @@ def check_ricci_scalar_zero(seed, tol, params) -> dict:
         factor = parse_expression(perturb)
         rows = [list(r) for r in mode.metric.lower]
         rows[4][4] = contract([(rows[4][4], factor)], context())
-        metric = Metric6(rows, name="scalar-perturbed")
+        metric = Metric6(rows)
         notes.append(f"compact entry multiplied by {perturb}")
     out = _grade([("scalar curvature", ricci_scalar(metric))], seed, tol)
     return _close(out, ["hbar = 1", _ONSHELL_NOTE], notes)
@@ -592,7 +595,7 @@ def check_dirac_stress(seed, tol, params) -> dict:
     ctx = context()
     for sol in (1, 2, 3, 4):
         mode, _, t = _dirac_bundle(sol, None, None, None, None)
-        winners = []
+        winners, refuting = [], None
         for s5 in (1, -1):
             for coeff in (1, -1):
                 # a wrong candidate stops at its first nonzero residual
@@ -601,11 +604,16 @@ def check_dirac_stress(seed, tol, params) -> dict:
                 samples += scan.samples
                 if scan.status == "zero":
                     winners.append((coeff, s5))
+                elif scan.status == "nonzero" and refuting is None:
+                    refuting = scan
         if len(winners) != 1:
+            # with no survivor, the first refuted candidate's witness
+            out = (_Outcome("nonzero", refuting.max_residual, samples,
+                            witness=refuting.witness)
+                   if refuting is not None and not winners else
+                   _Outcome("inconclusive", 0.0, samples))
             return _close(
-                _Outcome("inconclusive" if winners else "nonzero", 0.0,
-                         samples),
-                _DIRAC_ASSUMPTIONS,
+                out, _DIRAC_ASSUMPTIONS,
                 [f"solution {sol}: {len(winners)} candidate conventions "
                  "survive the scan"])
         conventions[sol] = winners[0]
@@ -689,8 +697,7 @@ def _check_gravity_split(family: str):
 
         gm_full = gravity_metric(mode, g4, kappa)
         gm_q = gravity_metric(mode, None, kappa)
-        gm_e = Metric6(kk_rows(g4, (ZERO,) * 4),
-                       name=f"{family}-background")
+        gm_e = Metric6(kk_rows(g4, (ZERO,) * 4))
         assumptions = ("separability is asserted without proof; this "
                        "check measures the residual numerically",)
         if kappa is not None:

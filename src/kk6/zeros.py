@@ -87,8 +87,6 @@ class ZeroResult:
     verdict: str
     max_residual: float
     samples: int
-    seed: int
-    tol: float
     witness: dict[str, complex] | None = None
     note: str | None = None
 
@@ -294,7 +292,7 @@ class _Group:
     def __init__(self, syms, seed: int, trials: int, tol: float) -> None:
         self.syms = sorted(syms, key=lambda s: s.name)
         self.rng = random.Random(seed)
-        self.seed, self.tol = seed, tol
+        self.tol = tol
         self.trials = trials if syms else 1
         self.env = sample_env(self.syms, self.rng)   # point 0
         self.val: list = []     # the values and scales at point 0
@@ -325,13 +323,12 @@ class _Group:
         if root >= len(val):
             note = f"{fault} in {_note_text(self.order[len(val)])}"
             return ZeroResult("inconclusive", self.worst[i], self.trials,
-                              self.seed, self.tol, witness=self.env or None,
-                              note=note)
+                              witness=self.env or None, note=note)
         resid = abs(val[root]) / (1.0 + sc[root])
         self.worst[i] = max(self.worst[i], resid)
         if resid >= self.tol:
             return ZeroResult("nonzero", self.worst[i], self.trials,
-                              self.seed, self.tol, witness=self.env or {})
+                              witness=self.env or {})
         return None
 
 
@@ -382,5 +379,5 @@ def are_zero(exprs, seed: int = 0, trials: int = 32,
                     cut = g.index[i]
                     break
     return [r if r is not None else
-            ZeroResult("zero", g.worst[i], g.trials, seed, tol)
+            ZeroResult("zero", g.worst[i], g.trials)
             for r, (g, i) in zip(out[:cut + 1], member)]

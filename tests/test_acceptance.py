@@ -63,7 +63,7 @@ def _metric_zoo():
                      num(1)).metric,
         dirac_metric(1, num("1/5"), num("1/4"), num("3/5"), num(1)).metric,
         Metric6([[ripples[a] if a == b else ZERO for b in range(DIM)]
-                 for a in range(DIM)], name="smooth-diagonal"),
+                 for a in range(DIM)]),
     ]
 
 

@@ -289,6 +289,10 @@ def test_exit_2_on_usage_errors(capsys):
             (["fringes", "ymax=1e308"], overflow),
             (split + ["points=0"], "points must be at least 1"),
             (split + ["points=-2"], "points must be at least 1"),
+            # a count whose run would take more than about 14 s
+            (split + ["points=1001"], "points must be at most 1000, got 1001"),
+            (["verify", "--claim", "gravity.split.dirac", "points=1001"],
+             "points must be at most 1000, got 1001"),
             (split + ["eps=symbolic"], "gravity.split.scalar requires "
              "numeric parameters, got eps=symbolic"),
             (["verify", "--claim", "gravity.split.proca", "kappa=symbolic"],

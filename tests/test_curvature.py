@@ -85,9 +85,9 @@ def _numeric_gravity_dirac():
                           weak_field_block(num("1/10")), num(1))
 
 
-def _diagonal(entries, name) -> Metric6:
+def _diagonal(entries) -> Metric6:
     return Metric6([[entries[a] if a == b else ZERO for b in range(DIM)]
-                    for a in range(DIM)], name=name)
+                    for a in range(DIM)])
 
 
 def _smooth_diagonal(seed=3):
@@ -99,12 +99,11 @@ def _smooth_diagonal(seed=3):
         k = num(0, rng.randint(1, 3))
         ripple = exp(mul(num("1/10"), k, x[(a + 1) % DIM]))
         entries.append(mul(num(signs[a]), ripple))
-    return _diagonal(entries, "smooth-diagonal")
+    return _diagonal(entries)
 
 
 def test_flat_curvature_vanishes():
-    flat = _diagonal((ONE, MINUS_ONE, MINUS_ONE, MINUS_ONE, ONE, MINUS_ONE),
-                     "flat")
+    flat = _diagonal((ONE, MINUS_ONE, MINUS_ONE, MINUS_ONE, ONE, MINUS_ONE))
     assert ricci_scalar(flat) == ZERO
     assert all(e == ZERO for row in einstein(flat) for e in row)
     assert not connection_evaluator(flat)([0.5j] * DIM).any()
@@ -229,7 +228,8 @@ def test_ricci_and_einstein_match_fd_oracle(factory):
 def _gravity_split_metrics():
     """The nine metrics the gravity.split claims difference (full, field
     and background per family, at eps = 1/1000 and kappa = 1), plus the
-    scalar-mode metric of the geodesic claim."""
+    scalar-mode metric of the geodesic claim, each with its family and
+    part."""
     from kk6.ansatz import kk_rows
     from kk6.verify import _gravity_mode
     g4 = weak_field_block(num("1/1000"))
@@ -237,11 +237,11 @@ def _gravity_split_metrics():
     for family in ("scalar", "proca", "dirac"):
         mode = _gravity_mode(family)
         kappa = None if family == "scalar" else num(1)
-        out += [gravity_metric(mode, g4, kappa),
-                gravity_metric(mode, None, kappa),
-                Metric6(kk_rows(g4, (ZERO,) * 4),
-                        name=f"{family}-background")]
-    return out + [scalar_metric(p=("5/4", 0, 0, "3/4"), m0=1).metric]
+        out += [((family, "full"), gravity_metric(mode, g4, kappa)),
+                ((family, "field"), gravity_metric(mode, None, kappa)),
+                ((family, "background"), Metric6(kk_rows(g4, (ZERO,) * 4)))]
+    return out + [(("scalar", "geodesic"),
+                   scalar_metric(p=("5/4", 0, 0, "3/4"), m0=1).metric)]
 
 
 def _reference_d1(f, x, c, h):
@@ -283,7 +283,7 @@ def test_fd_oracle_batch_and_per_point_routes_agree_bit_for_bit():
     # none and is sampled point by point.  Both must give the reference's
     # arrays, which difference and contract one point at a time.
     rng = random.Random(41)
-    for metric in _gravity_split_metrics():
+    for label, metric in _gravity_split_metrics():
         ev = metric_evaluator(metric)
         for _ in range(2):
             pt = [complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.2, 0.2))
@@ -292,10 +292,10 @@ def test_fd_oracle_batch_and_per_point_routes_agree_bit_for_bit():
                             (ricci_fd, _reference_ricci_fd),
                             (einstein_fd, _reference_einstein_fd)):
                 want = ref(ev, pt)
-                assert np.isfinite(want).all(), (metric.name, fn.__name__)
+                assert np.isfinite(want).all(), (label, fn.__name__)
                 for gf in (ev, lambda x: ev(x)):
                     assert fn(gf, pt).tobytes() == want.tobytes(), \
-                        (metric.name, fn.__name__)
+                        (label, fn.__name__)
 
 
 def _reference_christoffel_entry(metric, c, a, b):

@@ -137,33 +137,34 @@ def test_diff_sqrt():
 
 
 def test_diff_wrt_conjugated_symbol_raises():
-    from kk6.symbols import DEFAULT_TABLE
-    DEFAULT_TABLE.register("zc_test", real=False)
-    z = sym("zc_test")
+    z = sym("c0")
     # the symbol is free in each, so no shortcut skips the walk
     for e in (conj(z), mul(x0, conj(z)), exp(conj(z)), sqrt(conj(z))):
         with pytest.raises(DomainError):
-            diff(e, "zc_test")
+            diff(e, "c0")
         with pytest.raises(DomainError):
-            derive(simplify(e), "zc_test", context())
+            derive(simplify(e), "c0", context())
     assert diff(conj(z), "x0") == ZERO
 
 
 def test_a_symbol_name_has_one_meaning():
-    # Every Sym comes from the one registry, which refuses to give a name a
-    # second set of flags, so two nodes never print the same.
-    from kk6.symbols import DEFAULT_TABLE, Symbol, UnknownSymbolError
-    DEFAULT_TABLE.register("q_test", real=True)
-    with pytest.raises(ValueError, match="different flags"):
-        DEFAULT_TABLE.register("q_test", real=False)
-    with pytest.raises(ValueError, match="different flags"):
-        DEFAULT_TABLE.register("x0", real=True)
+    # Every Sym comes from the one table, which gives a name one set of
+    # flags, so two nodes never print the same.
+    from kk6.symbols import Symbol, UnknownSymbolError
     with pytest.raises(UnknownSymbolError):
-        sym(Symbol("q_test", real=False))
+        sym(Symbol("k3", real=False))
     with pytest.raises(ValueError, match="different flags"):
-        kernel.Sym(Symbol("q_test", real=False))
-    assert sym("q_test") is sym("q_test")
-    assert to_text(add(sym("q_test"), sym("q_test"))) == "2*q_test"
+        kernel.Sym(Symbol("k3", real=False))
+    with pytest.raises(ValueError, match="different flags"):
+        kernel.Sym(Symbol("x0", real=True))
+    assert sym("k3") is sym("k3")
+    assert to_text(add(sym("k3"), sym("k3"))) == "2*k3"
+
+
+def test_the_symbol_table_holds_only_its_declarations():
+    # fixed at import: no test or library code adds a symbol afterwards
+    from kk6.symbols import DEFAULT_TABLE, _CANONICAL_PARAMS, _COORD_NAMES
+    assert list(DEFAULT_TABLE._entries) == [*_COORD_NAMES, *_CANONICAL_PARAMS]
 
 
 RETIRED_NAMES = ("a0", "a1", "a2", "a3", "a5", "C", "G", "k0", "k1", "k2",
@@ -185,9 +186,7 @@ def test_names_no_family_builds_are_not_declared(name):
 # --- conjugation --------------------------------------------------------------
 
 def test_conj_pushes_to_leaves_and_involutes():
-    from kk6.symbols import DEFAULT_TABLE
-    DEFAULT_TABLE.register("w_test", real=False)
-    w = sym("w_test")
+    w = sym("c0")
     e = exp(num(0, 1) * x0) * (w + num(2, 3))
     ce = conj(e)
     assert conj(ce) == e
@@ -501,6 +500,12 @@ def test_add_builds_only_merged_buckets(monkeypatch):
     # 3c x0 sqrt(x2 + c): one new number, one new product, no sum
     assert [args[0] for args in built] == [Num, Mul]
     assert s is mul(num(3), a)
+
+
+def test_a_merge_to_a_unit_coefficient_gives_the_bare_product():
+    # the merged bucket's coefficient is 1 and its factor tuple holds two
+    # factors, so the term is their product with no numeric factor
+    assert add(mul(num(2), x1, x2), mul(num(-1), x1, x2)) is mul(x1, x2)
 
 
 def test_simplify_builds_each_output_term_once(monkeypatch):

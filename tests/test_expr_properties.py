@@ -32,11 +32,9 @@ from kk6.expr import (  # noqa: E402
     exp, free_symbols, mul, num, power, simplify, sqrt, subs, sym, to_text,
 )
 from kk6.parse import parse_expression  # noqa: E402
-from kk6.symbols import DEFAULT_TABLE  # noqa: E402
 from kk6.zeros import evaluate, sample_env, scaled_eval  # noqa: E402
 
-DEFAULT_TABLE.register("w", real=False)
-W = sym("w")
+W = sym("c0")     # a complex symbol
 X0, X1, X2 = coords()[:3]
 SYMS = (X0, X1, X2, W)
 
@@ -122,7 +120,7 @@ def _nodes(e):
 @PROPERTY
 @given(st.lists(exprs, min_size=2, max_size=3))
 def test_a_product_holds_each_base_once(es):
-    # x and x^n merge, and so does what a root folds to: sqrt(w)^2 w^-1 = 1
+    # x and x^n merge, and so does what a root folds to: sqrt(c0)^2 c0^-1 = 1
     for e in (mul(*es), simplify(mul(*es))):
         for m in _nodes(e):
             if isinstance(m, Mul):
@@ -505,9 +503,8 @@ def test_scaled_eval_keeps_the_sign_of_zero():
     assert _bits(*scaled_eval(e, env)) == _bits(*want)
 
 
-DEFAULT_TABLE.register("zbad", real=False)
-ZBAD = sym("zbad")
-# failing subtree -> the value of ``zbad`` that makes it fail
+ZBAD = sym("c1")  # a complex symbol apart from W
+# failing subtree -> the value of ``ZBAD`` that makes it fail
 FAILURES = (
     (power(ZBAD, -2), 0j),                          # zero base, negative power
     (exp(mul(num(1000), ZBAD)), 1 + 0j),            # exp overflow
@@ -526,7 +523,7 @@ def test_scaled_eval_fails_where_the_recursive_walk_fails(
     parts.insert(at % (len(parts) + 1), bad)
     e = add(*parts) if as_sum else mul(*parts)
     env = _point(e, seed)
-    env["zbad"] = value
+    env["c1"] = value
     with pytest.raises(EvalError) as want:
         _reference_scaled(e, dict(env), {})
     with pytest.raises(EvalError) as got:

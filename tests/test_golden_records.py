@@ -101,7 +101,7 @@ def curvature_metrics() -> dict:
     rows = [list(r) for r in scalar_metric(p=p, m0=m0).metric.lower]
     rows[4][4] = contract([(rows[4][4], parse_expression("1+x1^2"))],
                           context())
-    out["probe.ricci"] = Metric6(rows, name="scalar-perturbed")
+    out["probe.ricci"] = Metric6(rows)
     return out
 
 

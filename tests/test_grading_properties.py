@@ -25,13 +25,11 @@ from kk6.expr import (  # noqa: E402
     mul, num, power, sqrt, sym,
 )
 from kk6.report import record_dict  # noqa: E402
-from kk6.symbols import DEFAULT_TABLE  # noqa: E402
 from kk6.zeros import (  # noqa: E402
     _note_text, are_zero, is_zero, sample_env, scaled_eval,
 )
 
-DEFAULT_TABLE.register("w", real=False)
-W = sym("w")
+W = sym("c0")     # a complex symbol
 X0, X1, X2 = coords()[:3]
 M0 = sym("m0")
 

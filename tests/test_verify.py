@@ -377,6 +377,49 @@ def test_doubled_compact_phase_refutes_proca():
     assert r.witness is not None
 
 
+def test_a_stress_scan_no_convention_survives_is_refuted_at_a_witness(
+        monkeypatch):
+    # every candidate's first residual is 1 + x0^2, nonzero at each point
+    from kk6.expr import add, coords, power
+    x0 = coords()[0]
+
+    def failing(mode, t, s5, coeff, ctx):
+        yield "stress component (0,0)", add(ONE, power(x0, 2))
+    monkeypatch.setattr(kk6.verify, "_stress_residuals", failing)
+    r = run_claim("dirac.stress")
+    assert r.verdict == REFUTED
+    assert set(r.witness) == {"x0"}
+    assert r.max_residual > 0
+    assert r.notes == ("solution 1: 0 candidate conventions survive the "
+                       "scan",)
+
+
+def test_a_minimum_not_destructive_at_tol_is_refuted_at_its_y():
+    # the densities at the two minima are round-off, about 6e-31 of the
+    # peak, so at tol 1e-40 both fail and the witness is the last
+    from kk6.verify import fringe_profile
+    r = run_claim("interference.minima", tol=1e-40)
+    assert r.verdict == REFUTED
+    assert r.witness == {"y": complex(fringe_profile({})[1].minima[-1])}
+    assert "residual nonzero: minimum not destructive" in r.notes
+
+
+def test_an_integration_that_drifts_from_the_closed_form_is_refuted(
+        monkeypatch):
+    from kk6.dynamics import GeodesicState, integrate
+
+    def drifting(s0, tau_end, steps, gamma):
+        start = GeodesicState(tuple(x + 1e-3 for x in s0.x), s0.v, s0.tau)
+        return integrate(start, tau_end, steps, gamma)
+    monkeypatch.setattr(kk6.verify, "integrate", drifting)
+    r = run_claim("geodesic.closedform", params={"steps": 20})
+    assert r.verdict == REFUTED
+    assert set(r.witness) == {"deviation"}
+    assert r.witness["deviation"].real >= 1e-3 * (1 - 1e-9)
+    assert ("residual nonzero: numeric integration disagrees with the "
+            "closed form") in r.notes
+
+
 def test_degenerate_spinor_momentum_is_a_usage_error():
     with pytest.raises(AnsatzError, match="p3 = 0"):
         run_claim("dirac.sol1", params={"p3": 0})
@@ -418,6 +461,9 @@ OUT_OF_RANGE = [
     ("interference.minima", {"points": 1}, "points must be at least 2"),
     ("gravity.split.scalar", {"points": 0}, "points must be at least 1"),
     ("gravity.split.proca", {"points": -2}, "points must be at least 1"),
+    ("gravity.split.scalar", {"points": 1001}, "points must be at most 1000"),
+    ("gravity.split.dirac", {"points": "1001"},
+     "points must be at most 1000"),
     ("gravity.split.scalar", {"eps": "symbolic"}, "requires numeric"),
     ("gravity.split.dirac", {"kappa": None}, "requires numeric"),
     ("gravity.split.scalar", {"eps": "1e400"}, "too large for a float"),
@@ -455,6 +501,16 @@ def test_step_and_grid_counts_of_one_hundred_thousand_pass():
                        "geodesic")["steps"] == 100000
     assert read_params(FRINGE_DEFAULTS, {"points": "100000"},
                        "fringes")["points"] == 100000
+
+
+def test_a_gravity_split_of_one_thousand_points_passes():
+    # the bound itself is accepted (OUT_OF_RANGE refuses one more); only
+    # the parameters are read, no split is sampled
+    from kk6.verify import REGISTRY, read_params
+    for fam in ("scalar", "proca", "dirac"):
+        cid = f"gravity.split.{fam}"
+        assert read_params(REGISTRY[cid].params, {"points": 1000},
+                           cid)["points"] == 1000
 
 
 # Residuals literally zero before any sampling, at seed 0.  Grading stops

@@ -16,7 +16,7 @@ def test_polynomial_identity_is_zero():
     r = is_zero(e)
     assert r.verdict == "zero"
     assert r.samples == 32
-    assert r.max_residual < r.tol
+    assert r.max_residual < 1e-9
 
 
 @pytest.mark.parametrize("e", [x0, ONE], ids=["symbolic", "constant"])
@@ -39,7 +39,7 @@ def test_genuine_nonzero_has_witness():
     assert set(r.witness) == {"x0"}
     # witness actually violates the bound
     v, scale = scaled_eval(power(x0, 2) + ONE, r.witness)
-    assert abs(v) >= r.tol * (1 + scale)
+    assert abs(v) >= 1e-9 * (1 + scale)
 
 
 def test_onshell_dispersion_zero():
@@ -126,13 +126,12 @@ def test_magnitude_overflow_names_the_node():
 
 def test_real_symbols_sampled_real_complex_sampled_complex():
     import random
-    DEFAULT_TABLE.register("zs_test", real=False)
-    syms = [DEFAULT_TABLE.lookup("p0"), DEFAULT_TABLE.lookup("zs_test")]
+    syms = [DEFAULT_TABLE.lookup("p0"), DEFAULT_TABLE.lookup("c0")]
     env = sample_env(syms, random.Random(3))
     assert env["p0"].imag == 0.0
-    assert env["zs_test"].imag != 0.0
+    assert env["c0"].imag != 0.0
     assert 0.1 <= abs(env["p0"]) <= 2.0
-    assert 0.1 <= abs(env["zs_test"]) <= 2.0
+    assert 0.1 <= abs(env["c0"]) <= 2.0
 
 
 def test_scale_semantics():
@@ -169,13 +168,12 @@ def test_the_rest_mass_is_sampled_positive_with_no_argument():
 
 def test_only_a_positive_symbol_takes_no_sign():
     import random
-    DEFAULT_TABLE.register("zs_real")
-    syms = [DEFAULT_TABLE.lookup(n) for n in ("m0", "p1", "zs_real")]
+    syms = [DEFAULT_TABLE.lookup(n) for n in ("m0", "p1", "k3")]
     assert [s.positive for s in syms] == [True, False, False]
     assert all(s.real for s in syms)
     draws = [sample_env(syms, random.Random(seed)) for seed in range(50)]
     assert all(env["m0"].imag == 0.0 < env["m0"].real for env in draws)
-    for name in ("p1", "zs_real"):
+    for name in ("p1", "k3"):
         assert {env[name].real > 0 for env in draws} == {True, False}
         assert all(env[name].imag == 0.0 for env in draws)
 
@@ -186,12 +184,10 @@ def test_the_first_sample_point_of_a_seed_is_pinned():
     # only the complex point's cos/sin come from the platform's libm
     import cmath
     import random
-    DEFAULT_TABLE.register("zs_test", real=False)
-    syms = [DEFAULT_TABLE.lookup(n) for n in ("x0", "zs_test", "p1", "m0")]
+    syms = [DEFAULT_TABLE.lookup(n) for n in ("x0", "c0", "p1", "m0")]
     env = sample_env(syms, random.Random(7))
-    assert list(env) == ["m0", "p1", "x0", "zs_test"]   # sorted draws
-    assert env["m0"] == complex(0.7152822531830084, 0.0)
-    assert env["p1"] == complex(-0.3866134304565536, 0.0)
-    assert env["x0"] == complex(-0.23762894466833123, 0.0)
-    assert env["zs_test"] == cmath.rect(0.7948089421339125,
-                                        0.3644179919766519)
+    assert list(env) == ["c0", "m0", "p1", "x0"]   # sorted draws
+    assert env["c0"] == cmath.rect(0.7152822531830084, 0.9478133132026084)
+    assert env["m0"] == complex(1.336775498775722, 0.0)
+    assert env["p1"] == complex(-0.23762894466833123, 0.0)
+    assert env["x0"] == complex(0.7948089421339125, 0.0)

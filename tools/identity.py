@@ -36,8 +36,8 @@ output that moved.  The outputs, each as sorted-key JSON without the
   complex points, as raw bytes,
 * the exit code and error line of the documented refusals ``geodesic
   p3=1e200``, ``fringes d=1e308 L=1e308``, ``verify --claim
-  interference.minima d=1e308``, ``geodesic steps=100001`` and ``fringes
-  points=100001``.
+  interference.minima d=1e308``, ``geodesic steps=100001``, ``fringes
+  points=100001`` and ``verify --claim gravity.split.scalar points=1001``.
 
 A whole run takes about 20 s; the symbolic ``gravity-dirac`` report is
 most of it.
@@ -77,7 +77,8 @@ SYMBOLIC = ("dirac1", "coupled", "gravity-dirac")
 # what a change must keep
 REFUSALS = (("geodesic", "p3=1e200"), ("fringes", "d=1e308", "L=1e308"),
             ("verify", "--claim", "interference.minima", "d=1e308"),
-            ("geodesic", "steps=100001"), ("fringes", "points=100001"))
+            ("geodesic", "steps=100001"), ("fringes", "points=100001"),
+            ("verify", "--claim", "gravity.split.scalar", "points=1001"))
 # the substitution the walker line applies to every Christoffel symbol
 SHIFT = {"x0": sym("x0") + sym("x1")}
 
