@@ -8,23 +8,26 @@ fixed-step numeric integrator to compare against — plus the interval
 bookkeeping (ds, |ds|) and the two-slit fringe profiles built from
 plane-wave superposition.
 
-The integrator steps the complexified state as one complex array of six
-coordinates then six velocities; the affine parameter itself stays real.
+The integrator steps the complexified state as a list of twelve Python
+complexes, six coordinates then six velocities, through one compiled
+function of that state that sums the acceleration over the connection's
+nonzero entries only; the affine parameter itself stays real.
 """
 from __future__ import annotations
 
 import cmath
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curvature import christoffel
 from .expr import (
-    Expr, MINUS_ONE, ZERO, context, contract, derive, exp, mul, num, subs,
-    sym,
+    Expr, MINUS_ONE, Num, ZERO, context, contract, derive, exp, mul, num,
+    subs, sym,
 )
-from .oracle import metric_evaluator, tensor_evaluator
+from .oracle import _compile, metric_evaluator
 from .tensor import DIM, Metric6
 from .ansatz import onshell_energy, scalar_metric
 
@@ -153,76 +156,120 @@ def closed_form_deviation(path: Path, p, m0: float, constants) -> float:
 # numeric geodesic flow
 
 def connection_evaluator(metric: Metric6):
-    """Compile the metric's connection coefficients to a numeric closure
-    mapping six complex coordinates to a 6x6x6 array."""
+    """Compile the metric's geodesic acceleration: one function of the
+    12-component state (six coordinates, then six velocities) returning
+    the list of six accelerations -Gamma^A_BC v^B v^C.
+
+    Only the nonzero connection entries enter.  Each component sums the
+    products (Gamma^A_BC v^B) v^C in C order of (B, C), starting from 0j,
+    and is then negated: at finite velocities this is the dense
+    contraction ``-einsum("abc,b,c->a", Gamma, v, v)`` bit for bit, since
+    a zero entry adds only a signed zero to that sum.  A connection entry
+    that is not finite at the point raises :class:`DynamicsError`; at a
+    pole, where a negative power meets zero, the complex arithmetic itself
+    raises ZeroDivisionError."""
     gamma = christoffel(metric)
-    # Gamma^A_BC for B > C is the B <= C entry, mirrored
-    return tensor_evaluator([gamma[A][min(B, C)][max(B, C)]
-                             for A in range(DIM) for B in range(DIM)
-                             for C in range(DIM)], (DIM, DIM, DIM))
+    terms = [(A, B, C) for A in range(DIM) for B in range(DIM)
+             for C in range(DIM) if gamma[A][B][C] is not ZERO]
+    roots = [gamma[A][B][C] for A, B, C in terms]
+
+    def result(refs):
+        varying = dict.fromkeys(r for e, r in zip(roots, refs)
+                                if not isinstance(e, Num))
+        lines = []
+        if varying:
+            test = " and ".join(f"_finite({r})" for r in varying)
+            lines += [f"if not ({test}):",
+                      '    raise _error("connection not finite along path")']
+        rows = [[] for _ in range(DIM)]
+        for (A, B, C), r in zip(terms, refs):
+            rows[A].append(f" + {r} * x[{DIM + B}] * x[{DIM + C}]")
+        sums = [f"-(0j{''.join(row)})" if row else "-0j" for row in rows]
+        return lines + [f"return [{', '.join(sums)}]"]
+    return _compile(roots, result,
+                    {"_finite": cmath.isfinite, "_error": DynamicsError})
 
 
 _BLOWUP = 1e12
 
 
 def integrate(initial: GeodesicState, tau_end: float, steps: int,
-              gamma) -> Path:
+              accel) -> Path:
     """Classical fixed-step 4th-order integration of the geodesic flow.
 
-    The state is one complex array, coordinates then velocities; each
-    step's trapezoid defect of the acceleration is recorded as a residual.
+    ``accel`` maps the 12-component state to the six accelerations, as
+    :func:`connection_evaluator` compiles it.  The state is a list of
+    Python complexes, coordinates then velocities, stepped with no numpy
+    call; each step's trapezoid defect of the acceleration is recorded
+    as a residual, its largest magnitude taken by numpy once per run.
     The acceleration at the step's end, which closes the defect, is also
-    the next step's first stage, so a run evaluates the connection
+    the next step's first stage, so a run evaluates ``accel``
     ``4 * steps + 1`` times.  A coordinate or velocity exceeding 1e12 in
-    magnitude aborts the run, returning the partial path with ``aborted``
-    set.  The real step enters each complex product as h + 0j, so a
-    component that is an exact -0.0 may read +0.0 after a step."""
+    magnitude, or not finite, aborts the run, returning the partial path
+    with ``aborted`` set; so does an overflow, a pole or a non-finite
+    connection inside a step.  The step enters each product as the
+    complex h + 0j, so a component that is an exact -0.0 may read +0.0
+    after a step.  Fewer than 2 steps, or an affine span tau_end - tau
+    that is zero or not finite, is refused.
+
+    Each state and residual is the one the dense form (numpy arrays and
+    ``einsum`` over all 216 entries) gives, bit for bit, with two
+    exceptions: in a step whose stages overflow a velocity, the dense
+    contraction makes every acceleration NaN and this one only those
+    the overflowed velocity enters, so the last state of such an aborted
+    run can differ in which components are NaN; and the guard reads
+    CPython's ``abs``, which can differ from numpy's in the last place,
+    so a magnitude within one ulp of 1e12 may be judged differently."""
     if steps < 2:
         raise DynamicsError("need at least 2 steps")
-    h = (tau_end - initial.tau) / steps
+    span = tau_end - initial.tau
+    h = span / steps
+    if not math.isfinite(span) or h == 0:
+        raise DynamicsError(
+            f"need a finite nonzero affine span, got tau_end - tau = {span!r}")
+    if len(initial.x) != DIM or len(initial.v) != DIM:
+        raise DynamicsError("a state has six coordinates and six velocities")
+    # the dense form's arithmetic, operation for operation: numpy makes
+    # each real factor the complex f + 0j, and divides the defect by h
+    # through its reciprocal
+    h2, hc, h6 = complex(0.5 * h), complex(h), complex(h / 6.0)
+    two, half, inv_h = 2 + 0j, 0.5 + 0j, complex(1 / h)
 
-    def rhs(y: np.ndarray) -> np.ndarray:
-        g = gamma(y[:DIM])
-        if not np.isfinite(g).all():
-            raise DynamicsError("connection not finite along path")
-        v = y[DIM:]
-        return np.concatenate((v, -np.einsum("abc,b,c->a", g, v, v)))
-
-    def snap(y: np.ndarray, tau: float) -> GeodesicState:
-        return GeodesicState(x=tuple(y[:DIM]), v=tuple(y[DIM:]), tau=tau)
-
-    y = np.empty(2 * DIM, dtype=complex)
-    y[:DIM] = initial.x
-    y[DIM:] = initial.v
-    states = [snap(y, initial.tau)]
-    residuals: list[float] = []
+    y = [complex(c) for c in (*initial.x, *initial.v)]
+    states = [GeodesicState(tuple(y[:DIM]), tuple(y[DIM:]), initial.tau)]
+    defects = array("d")     # real, imaginary part of each component
     aborted = False
-    # divergence is detected explicitly below; silence the intermediate
-    # overflow chatter numpy would otherwise emit on a blowing-up orbit
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            k1 = rhs(y)
-            for n in range(steps):
-                tau = initial.tau + n * h
-                k2 = rhs(y + 0.5 * h * k1)
-                k3 = rhs(y + 0.5 * h * k2)
-                k4 = rhs(y + h * k3)
-                v_old = y[DIM:]
-                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                k_new = rhs(y)
-                defect = (y[DIM:] - v_old) / h - 0.5 * (k1[DIM:]
-                                                         + k_new[DIM:])
-                residuals.append(float(np.abs(defect).max()))
-                k1 = k_new
-                states.append(snap(y, tau + h))
-                if not np.isfinite(y).all() or np.abs(y).max() > _BLOWUP:
-                    aborted = True
-                    break
-        except (OverflowError, DynamicsError):
-            # a diverging trajectory can overflow the exponentials mid-stage
-            # before the coordinate guard sees it; same pathology, same answer
-            aborted = True
-    return Path(states=tuple(states), residuals=tuple(residuals),
+    try:
+        k1 = y[DIM:] + accel(y)
+        for n in range(steps):
+            tau = initial.tau + n * h
+            s = [a + h2 * b for a, b in zip(y, k1)]
+            k2 = s[DIM:] + accel(s)
+            s = [a + h2 * b for a, b in zip(y, k2)]
+            k3 = s[DIM:] + accel(s)
+            s = [a + hc * b for a, b in zip(y, k3)]
+            k4 = s[DIM:] + accel(s)
+            v_old = y[DIM:]
+            y = [a + h6 * (b1 + two * b2 + two * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+            v, acc = y[DIM:], accel(y)
+            for d in [(b - a) * inv_h - half * (p + q)
+                      for b, a, p, q in zip(v, v_old, k1[DIM:], acc)]:
+                defects.append(d.real)
+                defects.append(d.imag)
+            k1 = v + acc
+            states.append(GeodesicState(tuple(y[:DIM]), tuple(v), tau + h))
+            if not all(abs(c) <= _BLOWUP for c in y):   # NaN fails too
+                aborted = True
+                break
+    except (OverflowError, ZeroDivisionError, DynamicsError):
+        # a diverging trajectory can overflow the exponentials, or reach a
+        # pole of the connection, mid-stage before the coordinate guard
+        # sees it; same pathology, same answer
+        aborted = True
+    residuals = np.abs(np.frombuffer(defects, dtype=complex)
+                       .reshape(-1, DIM)).max(axis=1)
+    return Path(states=tuple(states), residuals=tuple(residuals.tolist()),
                 aborted=aborted)
 
 

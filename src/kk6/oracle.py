@@ -3,11 +3,13 @@
 Compiles expressions to plain ``cmath`` code with common-subtree
 elimination: :func:`compile_expr` one expression, :func:`tensor_evaluator`
 all nonzero entries of a tensor into one function that returns them at
-once (the metric here, the connection in ``dynamics``), with one emitter
-for both.  From the metric it rebuilds the connection and curvature purely
-numerically: five-point (fourth-order) central differences for the metric
-and connection derivatives, ``numpy.linalg.inv`` for the metric inverse,
-einsum contractions for the tensor algebra.
+once (the metric here), with one emitter for both and for the geodesic
+acceleration ``dynamics.connection_evaluator`` compiles.  Each numeric
+constant is formed once, when its function is compiled.  From the metric
+it rebuilds the connection and curvature purely numerically: five-point
+(fourth-order) central differences for the metric and connection
+derivatives, ``numpy.linalg.inv`` for the metric inverse, einsum
+contractions for the tensor algebra.
 
 The whole stencil is one batch.  :func:`ricci_fd` (and so
 :func:`einstein_fd`) needs the connection at the point and its 24
@@ -51,27 +53,29 @@ H_CONNECTION = 3e-3
 _COORD_INDEX = {f"x{i}": i for i in range(DIM)}
 
 
-def _emit(node: Expr, names: dict, lines: list) -> str:
+def _emit(node: Expr, names: dict, lines: list, consts: dict) -> str:
     # module-level with its state passed in, so that compiling leaves no
     # reference cycle pinning the visited nodes
     got = names.get(node)
     if got is not None:
         return got
     if isinstance(node, Num):
-        ref = f"complex({float(node.re)!r}, {float(node.im)!r})"
+        ref = f"c{len(consts) + 1}"
+        consts[ref] = complex(float(node.re), float(node.im))
     elif isinstance(node, Sym):
         ref = f"x[{_COORD_INDEX[node.symbol.name]}]"
     else:
+        state = names, lines, consts
         if isinstance(node, Add):
-            src = " + ".join(_emit(t, names, lines) for t in node.terms)
+            src = " + ".join(_emit(t, *state) for t in node.terms)
         elif isinstance(node, Mul):
-            src = " * ".join(_emit(f, names, lines) for f in node.factors)
+            src = " * ".join(_emit(f, *state) for f in node.factors)
         elif isinstance(node, Pow):
-            src = f"{_emit(node.base, names, lines)} ** {node.n}"
+            src = f"{_emit(node.base, *state)} ** {node.n}"
         elif isinstance(node, Exp):
-            src = f"_exp({_emit(node.arg, names, lines)})"
+            src = f"_exp({_emit(node.arg, *state)})"
         elif isinstance(node, Sqrt):
-            src = f"_sqrt({_emit(node.arg, names, lines)})"
+            src = f"_sqrt({_emit(node.arg, *state)})"
         else:  # pragma: no cover
             raise TypeError(f"cannot compile node {type(node).__name__}")
         ref = f"t{len(lines) + 1}"
@@ -85,7 +89,7 @@ def compile_expr(e: Expr) -> Callable[[Sequence[complex]], complex]:
 
     All free symbols must be coordinates; bind parameters numerically
     (``subs``) before compiling."""
-    return _compile([e], lambda refs: refs[0])
+    return _compile([e], lambda refs: [f"return {refs[0]}"])
 
 
 def tensor_evaluator(entries: Sequence[Expr], shape: tuple
@@ -100,8 +104,8 @@ def tensor_evaluator(entries: Sequence[Expr], shape: tuple
     :func:`compile_expr` gives for its entry, bit for bit, and ``many``
     row i is the closure's array at ``points[i]``, bit for bit."""
     nonzero = [i for i, e in enumerate(entries) if e is not ZERO]
-    fn = _compile([entries[i] for i in nonzero],
-                  lambda refs: f"({''.join(r + ', ' for r in refs)})")
+    fn = _compile([entries[i] for i in nonzero], lambda refs: [
+        f"return ({''.join(r + ', ' for r in refs)})"])
     where = np.array(nonzero, dtype=np.intp)
     size = len(entries)
 
@@ -119,9 +123,11 @@ def tensor_evaluator(entries: Sequence[Expr], shape: tuple
     return ev
 
 
-def _compile(roots: Sequence[Expr], result: Callable[[list], str]):
-    # one function of the coordinates; ``result`` writes its return
-    # expression from the roots' references
+def _compile(roots: Sequence[Expr], result: Callable[[list], list],
+             env: dict | None = None):
+    # one function of x, whose first six entries are the coordinates;
+    # ``result`` writes its closing lines, the last a return, from the
+    # roots' references, and ``env`` holds any further names they use
     stray = sorted({s.name for e in roots for s in free_symbols(e)
                     if s.name not in _COORD_INDEX})
     if stray:
@@ -129,12 +135,14 @@ def _compile(roots: Sequence[Expr], result: Callable[[list], str]):
 
     names: dict = {}
     lines: list[str] = []
-    refs = [_emit(e, names, lines) for e in roots]
-    body = "\n    ".join(lines + [f"return {result(refs)}"])
+    consts: dict = {}
+    refs = [_emit(e, names, lines, consts) for e in roots]
+    body = "\n    ".join(lines + result(refs))
     source = f"def _f(x):\n    {body}\n"
     ns: dict = {}
     exec(compile(source, "<kk6-oracle>", "exec"),
-         {"_exp": cmath.exp, "_sqrt": cmath.sqrt}, ns)
+         {"_exp": cmath.exp, "_sqrt": cmath.sqrt, **consts, **(env or {})},
+         ns)
     return ns["_f"]
 
 

@@ -27,6 +27,7 @@ from kk6.oracle import (
 )
 from kk6.tensor import DIM, Metric6
 from kk6.zeros import is_zero
+from test_dynamics import _dense_connection
 from test_golden_records import curvature_metrics
 
 x = coords()
@@ -106,7 +107,8 @@ def test_flat_curvature_vanishes():
     flat = _diagonal((ONE, MINUS_ONE, MINUS_ONE, MINUS_ONE, ONE, MINUS_ONE))
     assert ricci_scalar(flat) == ZERO
     assert all(e == ZERO for row in einstein(flat) for e in row)
-    assert not connection_evaluator(flat)([0.5j] * DIM).any()
+    assert not _dense_connection(flat)([0.5j] * DIM).any()
+    assert connection_evaluator(flat)([0.5j] * (2 * DIM)) == [0] * DIM
 
 
 def _symbolic_gravity_scalar():
@@ -191,7 +193,7 @@ def test_christoffel_matches_fd_oracle(factory):
     metric = factory()
     gf = metric_evaluator(metric)
     gamma = christoffel(metric)
-    conn = connection_evaluator(metric)
+    conn = _dense_connection(metric)
     for pt in _sample_points(11, 3):
         # one compiled function per tensor gives each entry's own compiled
         # value, bit for bit

@@ -9,13 +9,15 @@ import pytest
 
 import kk6.dynamics
 from kk6.ansatz import scalar_metric
+from kk6.curvature import christoffel
 from kk6.dynamics import (
     DynamicsError, GeodesicState, closed_form_deviation, closed_form_exprs,
     closed_form_state, connection_evaluator, integrate, interval_along,
     two_path_fringes,
 )
-from kk6.expr import ZERO, exp, mul, num, simplify, sym
-from kk6.tensor import DIM
+from kk6.expr import MINUS_ONE, ONE, ZERO, exp, mul, num, simplify, sym
+from kk6.oracle import tensor_evaluator
+from kk6.tensor import DIM, Metric6
 
 P = (1.25, 0.0, 0.0, 0.75)           # exactly on-shell with m0 = 1
 M0 = 1.0
@@ -24,6 +26,13 @@ CONST = (0.1 + 0.05j, -0.2j, 0.3, 0.02 + 0.01j, 0.0, 0.04 - 0.1j)
 
 def _metric():
     return scalar_metric(p=("5/4", 0, 0, "3/4"), m0=1).metric
+
+
+def _dense_connection(metric):
+    # the connection as a 6x6x6 array at six coordinates: the dense form
+    # the reference integrator contracts with einsum
+    return tensor_evaluator([e for plane in christoffel(metric)
+                             for row in plane for e in row], (DIM, DIM, DIM))
 
 
 # ---------------------------------------------------------------------------
@@ -60,11 +69,10 @@ def test_closed_form_state_rejects_off_shell_momentum():
 
 
 def test_rhs_matches_analytic_acceleration_along_the_path():
-    gamma = connection_evaluator(_metric())
+    accel = connection_evaluator(_metric())
     for k in range(12):
         s = closed_form_state(0.2 * k / 11, P, M0, CONST)
-        v = np.asarray(s.v)
-        dv = -np.einsum("abc,b,c->a", gamma(s.x), v, v)   # -Gamma v v
+        dv = accel(s.x + s.v)                              # -Gamma v v
         want = [-1j * P[0], -1j * P[1], -1j * P[2], -1j * P[3], 0.0,
                 -1j * M0]
         assert max(abs(a - b) for a, b in zip(dv, want)) < 1e-8
@@ -74,8 +82,8 @@ def test_rhs_matches_analytic_acceleration_along_the_path():
 # integration
 
 def test_integration_reproduces_closed_form_to_roundoff():
-    gamma = connection_evaluator(_metric())
-    path = integrate(closed_form_state(0.0, P, M0, CONST), 1.0, 1000, gamma)
+    accel = connection_evaluator(_metric())
+    path = integrate(closed_form_state(0.0, P, M0, CONST), 1.0, 1000, accel)
     assert not path.aborted
     assert len(path.states) == 1001
     dev = 0.0
@@ -92,16 +100,16 @@ def test_integration_reproduces_closed_form_to_roundoff():
 def test_integrator_order_measured_on_perturbed_seed():
     # the closed-form trajectory integrates exactly, so order must be
     # measured on a perturbed initial state with a generic solution
-    gamma = connection_evaluator(_metric())
+    accel = connection_evaluator(_metric())
     base = closed_form_state(0.0, P, M0, CONST)
     v = list(base.v)
     v[0] += 0.2                      # drives the compact phase off-form
     v[4] += 0.2
     seed = GeodesicState(base.x, tuple(v), 0.0)
-    ref = integrate(seed, 2.0, 6400, gamma).states[-1]
+    ref = integrate(seed, 2.0, 6400, accel).states[-1]
 
     def err(steps):
-        end = integrate(seed, 2.0, steps, gamma).states[-1]
+        end = integrate(seed, 2.0, steps, accel).states[-1]
         return max(abs(a - b) for a, b in zip(end.x, ref.x))
 
     e1, e2 = err(50), err(100)
@@ -110,18 +118,33 @@ def test_integrator_order_measured_on_perturbed_seed():
 
 
 def test_integration_aborts_on_blowup_instead_of_raising():
-    gamma = connection_evaluator(_metric())
+    accel = connection_evaluator(_metric())
     wild = GeodesicState((0,) * 6, (0, 0, 0, 0, 1e9, 1e9), 0.0)
-    path = integrate(wild, 10.0, 50, gamma)
+    path = integrate(wild, 10.0, 50, accel)
     assert path.aborted
     assert len(path.states) < 51
 
 
+def test_integration_aborts_at_a_pole_of_the_connection():
+    # g_00 = x1: the connection carries 1/x1, which Python's complex
+    # arithmetic refuses at x1 = 0 with ZeroDivisionError; the run aborts
+    # there, as at any other point where the connection is not finite
+    diag = (sym("x1"), MINUS_ONE, MINUS_ONE, MINUS_ONE, ONE, MINUS_ONE)
+    accel = connection_evaluator(Metric6(
+        [[diag[a] if a == b else ZERO for b in range(DIM)]
+         for a in range(DIM)]))
+    with pytest.raises(ZeroDivisionError):
+        accel([0j] * (2 * DIM))
+    path = integrate(GeodesicState((0,) * 6, (1, 0, 0, 0, 0, 0), 0.0), 1.0,
+                     4, accel)
+    assert path.aborted and len(path.states) == 1 and path.residuals == ()
+
+
 def _reference_integrate(initial, tau_end, steps, gamma):
-    # the integrator as it was before it stepped its complex state: the
-    # state packed into 24 reals, and the end-of-step acceleration
-    # evaluated again as the next step's k1, five connection evaluations
-    # per step
+    # the dense numpy integrator: the state packed into 24 reals, the
+    # whole 6x6x6 connection (``gamma``, a ``_dense_connection``)
+    # contracted by einsum, and the end-of-step acceleration evaluated
+    # again as the next step's k1, five connection evaluations per step
     h = (tau_end - initial.tau) / steps
 
     def rhs(y):
@@ -198,7 +221,7 @@ def _seeded_starts():
 @pytest.mark.parametrize("case", ["claim", "perturbed", "blowup", "guard",
                                   "guard_alone"])
 def test_integrator_matches_five_evaluation_reference(case):
-    gamma = connection_evaluator(_metric())
+    accel = connection_evaluator(_metric())
     base = closed_form_state(0.0, P, M0, CONST)
     v = list(base.v)
     v[0] += 0.2
@@ -216,10 +239,10 @@ def test_integrator_matches_five_evaluation_reference(case):
     }[case]
     calls = 0
 
-    def counted(x):
+    def counted(y):
         nonlocal calls
         calls += 1
-        return gamma(x)
+        return accel(y)
 
     got = integrate(seed, tau_end, steps, counted)
     assert got.aborted == (case not in ("claim", "perturbed"))
@@ -231,23 +254,35 @@ def test_integrator_matches_five_evaluation_reference(case):
         assert len(got.states) == 2
         assert all(np.isfinite(s.x + s.v).all() for s in got.states)
         assert np.abs(got.states[-1].x + got.states[-1].v).max() > 1e12
-    assert _path_bytes(got) == _path_bytes(
-        _reference_integrate(seed, tau_end, steps, gamma))
+    assert _path_bytes(got) == _path_bytes(_reference_integrate(
+        seed, tau_end, steps, _dense_connection(_metric())))
 
 
 def test_integrator_matches_reference_on_seeded_closed_form_starts():
     for p, m0, start, tau_end, steps in _seeded_starts():
-        gamma = connection_evaluator(
-            scalar_metric(p=p, m0=m0).metric)
-        got = integrate(start, tau_end, steps, gamma)
-        assert _path_bytes(got) == _path_bytes(
-            _reference_integrate(start, tau_end, steps, gamma)), (p, m0)
+        metric = scalar_metric(p=p, m0=m0).metric
+        got = integrate(start, tau_end, steps, connection_evaluator(metric))
+        assert _path_bytes(got) == _path_bytes(_reference_integrate(
+            start, tau_end, steps, _dense_connection(metric))), (p, m0)
 
 
 def test_integrate_validates_steps():
-    gamma = connection_evaluator(_metric())
+    accel = connection_evaluator(_metric())
     with pytest.raises(DynamicsError):
-        integrate(closed_form_state(0.0, P, M0, CONST), 1.0, 0, gamma)
+        integrate(closed_form_state(0.0, P, M0, CONST), 1.0, 0, accel)
+    with pytest.raises(DynamicsError, match="six coordinates"):
+        integrate(GeodesicState((0,) * 5, (0,) * 6, 0.0), 1.0, 4, accel)
+
+
+@pytest.mark.parametrize("tau_end", [0.0, math.inf, -math.inf, math.nan,
+                                     5e-324])
+def test_integrate_refuses_a_zero_or_non_finite_span(tau_end):
+    # each once returned identical or NaN states with NaN residuals and
+    # ``aborted`` unset; 5e-324 over 4 steps is a step that rounds to zero
+    accel = connection_evaluator(_metric())
+    start = closed_form_state(0.0, P, M0, CONST)
+    with pytest.raises(DynamicsError, match="finite nonzero affine span"):
+        integrate(start, tau_end, 4, accel)
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +290,8 @@ def test_integrate_validates_steps():
 
 def test_interval_slope_matches_inverse_phase_factor():
     m = _metric()
-    gamma = connection_evaluator(m)
-    path = integrate(closed_form_state(0.0, P, M0, CONST), 1.0, 200, gamma)
+    accel = connection_evaluator(m)
+    path = integrate(closed_form_state(0.0, P, M0, CONST), 1.0, 200, accel)
     worst = 0.0
     for iv, lo, hi in zip(interval_along(path, m), path.states,
                           path.states[1:]):

@@ -30,7 +30,11 @@ output that moved.  The outputs, each as sorted-key JSON without the
   inputs and 1000 steps, as raw bytes (the ``geodesic`` report keeps only
   two maxima of them), and likewise of a perturbed start (v0 and v4 each
   0.2 off the closed form, ``tau_end`` 2, 400 steps) and of a backward
-  run (``tau_end`` -1, 1000 steps),
+  run (``tau_end`` -1, 1000 steps), and of three 50-step runs from the
+  origin with integer-typed coordinates: the blow-up start (v4 = v5 =
+  1e9, ``tau_end`` 10), which overflows mid-step, the guard start (v4 =
+  1e11, ``tau_end`` 1), which the 1e12 guard stops, and an all-integer
+  start (v4 = 1, ``tau_end`` 1), which runs to the end,
 * ``einstein_fd`` of the nine metrics the ``gravity.split`` claims
   difference (full, field and background per family) at two seeded
   complex points, as raw bytes,
@@ -132,6 +136,11 @@ def outputs():
            _geodesic_path(True, 2.0, 400))
     yield ("integrate tau_end=-1 steps=1000 states residuals",
            _geodesic_path(False, -1.0, 1000))
+    for label, v, tau_end in (("blow-up", (0, 0, 0, 0, 1e9, 1e9), 10.0),
+                              ("guard", (0, 0, 0, 0, 1e11, 0), 1.0),
+                              ("integer", (0, 0, 0, 0, 1, 0), 1.0)):
+        yield (f"integrate {label} start steps=50 states residuals",
+               _path_hex(GeodesicState((0,) * 6, v, 0), tau_end, 50))
     yield "two_path_fringes minima", _fringe_minima()
     yield "einstein_fd gravity.split metrics", _gravity_split_fd()
     for argv in REFUSALS:
@@ -141,7 +150,6 @@ def outputs():
 def _geodesic_path(perturbed: bool, tau_end: float, steps: int) -> str:
     # from the geodesic claim's closed-form start; perturbed, v0 and v4
     # are each 0.2 off it, so the path is no longer quadratic in tau
-    mode = scalar_metric(p=verify._GEO_P, m0=verify._GEO_M0)
     s0 = closed_form_state(0.0, verify._GEO_P, verify._GEO_M0,
                            verify._GEO_CONST)
     if perturbed:
@@ -149,6 +157,13 @@ def _geodesic_path(perturbed: bool, tau_end: float, steps: int) -> str:
         v[0] += 0.2
         v[4] += 0.2
         s0 = GeodesicState(s0.x, tuple(v), s0.tau)
+    return _path_hex(s0, tau_end, steps)
+
+
+def _path_hex(s0: GeodesicState, tau_end: float, steps: int) -> str:
+    # every state, affine parameter and residual of the scalar mode's
+    # geodesic at the claim's momenta, as raw bytes
+    mode = scalar_metric(p=verify._GEO_P, m0=verify._GEO_M0)
     path = integrate(s0, tau_end, steps, connection_evaluator(mode.metric))
     blob = (np.array([s.x + s.v for s in path.states]).tobytes()
             + np.array([s.tau for s in path.states]).tobytes()
