@@ -35,6 +35,10 @@ dropped.  CSV columns:
 * ``fringes``: header ``y,density``, grid rows in order followed by one
   row per located minimum.
 
+Each CSV cell is the ``repr`` of the double the run holds.  The rows are a
+lazy iterable that :func:`emit` reads only for ``--format csv``, so a JSON
+run never forms the table.
+
 Exit codes: 0 success, 1 must-pass claim refuted, 2 usage or
 configuration error, 3 runtime failure.  Every error path prints a single
 line ``error[<code>]: <message>`` to stderr.
@@ -49,6 +53,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 from . import __version__
 from .ansatz import (
@@ -375,12 +380,8 @@ def _run_geodesic(cfg: RunConfig):
     header = ["tau"]
     for a in range(DIM):
         header += [f"re_x{a}", f"im_x{a}"]
-    rows = []
-    for st in path.states:
-        row = [repr(float(st.tau))]
-        for xa in st.x:
-            row += [repr(float(xa.real)), repr(float(xa.imag))]
-        rows.append(row)
+    rows = ([st.tau, *(c for xa in st.x for c in (xa.real, xa.imag))]
+            for st in path.states)
     return (), data, ("path", header, rows)
 
 
@@ -390,18 +391,15 @@ def _run_fringes(cfg: RunConfig):
     data = {
         "d": d, "L": length, "wavelength": lam,
         "points": points, "peak_density": peak,
-        "minima": [float(y) for y in profile.minima],
-        "minima_density": list(profile.minima_density),
+        "minima": profile.minima,
+        "minima_density": profile.minima_density,
     }
     if cfg.format == "json":
-        data["y"] = [float(y) for y in profile.y]
-        data["density"] = [float(v) for v in profile.density]
-    header = ["y", "density"]
-    rows = [[repr(float(y)), repr(float(v))]
-            for y, v in zip(profile.y, profile.density)]
-    rows += [[repr(float(y)), repr(float(v))]
-             for y, v in zip(profile.minima, profile.minima_density)]
-    return (), data, ("fringes", header, rows)
+        data["y"] = profile.y
+        data["density"] = profile.density
+    rows = chain(zip(profile.y, profile.density),
+                 zip(profile.minima, profile.minima_density))
+    return (), data, ("fringes", ["y", "density"], rows)
 
 
 _RUNNERS = {"curvature": _run_curvature, "verify": _run_verify,

@@ -56,23 +56,24 @@ atomic: negative, or above the cap) as a signed field of one int, one bit
 per ``sqrt`` atom and one for ``i`` (a root carries exponent 0 or 1 in
 canonical form), and the merged ``exp`` argument.  Coefficients are
 integers over one denominator per polynomial.  A product adds the exponent
-ints, adds ``exp`` arguments with :func:`add` (memoized for the call) and
+ints, adds ``exp`` arguments with :func:`add` (memoized per context) and
 multiplies coefficients, and applies ``mul``'s folds in the dict: a root met
 twice folds, ``sqrt(a)^2 -> a`` with ``a`` merged like any other factor,
 ``i*i -> -1``, and a sum that reaches an exponent in 1..cap is expanded as
 ``simplify`` expands a sum factor or a small power of one.  Each output
 monomial becomes one canonical term, built once, so the result is the tree
 that ``mul`` and ``add`` give pair by pair.  The field layout and memos live
-for one top-level call; a field that would overflow restarts the call with
-wider fields.
+in one :func:`context`; a field that would overflow restarts the call in a
+wider one.
 
 :func:`contract` is the entry point for sums of products (tensor
 contractions): its result is ``simplify`` of the ``add`` of the ``mul`` of
 each product, computed in the same kernel without building those trees.
-Its loop is the kernel's one expand-and-multiply loop: ``simplify`` hands
-it a sum as the products of its terms and a product as itself.  Calls that
-share a :func:`context` share its layout and memos, so an operand is read
-once for all of them.
+Its loop is the kernel's one expand-and-multiply loop: ``simplify`` is one
+``contract`` of the single product ``(e,)`` in a fresh context, and inside
+it a sum is handed over as the products of its terms and a product as
+itself.  Calls that share a :func:`context` share its layout and memos, so
+an operand is read once for all of them.
 
 :func:`derive` is the entry point for derivatives: its result is
 ``simplify`` of :func:`diff`, and it is the product rule handed to
@@ -710,9 +711,9 @@ class _Widen(Exception):
 
 
 class _Poly:
-    """A sparse polynomial inside one kernel context: one top-level
-    ``simplify`` call, or the ``contract`` and ``derive`` calls that share
-    one :func:`context`.
+    """A sparse polynomial inside one kernel context: the ``contract`` and
+    ``derive`` calls that share one :func:`context`, or one ``simplify``
+    call, which is a ``contract`` in a context of its own.
 
     ``groups`` maps ``(exp argument, root bits)`` to a dict from packed
     exponents to integer numerators over the shared denominator ``den``.
@@ -727,8 +728,8 @@ class _Poly:
 
 
 class _Ctx:
-    """The layout and memos of one top-level ``simplify`` call, or of the
-    ``contract`` and ``derive`` calls that share one :func:`context`.
+    """The layout and memos of one :func:`context`: of the ``contract`` and
+    ``derive`` calls that share it, or of one ``simplify`` call.
 
     Exponents of field atoms (symbols, conjugates, sums under a power) are
     signed ``width``-bit fields of one int, so a product adds two ints.
@@ -794,7 +795,7 @@ def _factor_key(ctx: _Ctx, f: Expr) -> tuple:
 
 
 def _read(ctx: _Ctx, e: Expr) -> _Poly:
-    """A simplified tree as a polynomial, read once per call: a simplified
+    """A simplified tree as a polynomial, read once per context: a simplified
     tree holds no product with a sum factor, so each term is a monomial."""
     got = ctx.polys.get(e)
     if got is not None:
@@ -974,7 +975,7 @@ def _sum(parts: list) -> _Poly:
 
 
 def _factors(ctx: _Ctx, ex: Expr, bits: int, k: int) -> tuple:
-    """The canonical factor tuple of one monomial (memoized per call)."""
+    """The canonical factor tuple of one monomial (memoized per context)."""
     key = (ex, bits, k)
     got = ctx.factors.get(key)
     if got is not None:
@@ -1055,12 +1056,9 @@ def simplify(e: Expr) -> Expr:
     got = e._simp
     if got is not None:
         return e if got is _SELF else got
-    width = 32
-    while True:
-        try:
-            return _simplified(e, _Ctx(width))
-        except _Widen:
-            width *= 2
+    r = contract([(e,)], context())
+    e._simp = _SELF if r is e else r
+    return r
 
 
 def _simplified(node: Expr, ctx: _Ctx) -> Expr:
@@ -1101,9 +1099,10 @@ def _simplified(node: Expr, ctx: _Ctx) -> Expr:
 
 def context() -> _Ctx:
     """A fresh kernel context for a run of :func:`contract` and
-    :func:`derive` calls: they share its reads, ``exp`` sums and ``diff``
-    trees.  A call that outgrows its field width restarts in a wider
-    context of its own, and this one goes on at its width."""
+    :func:`derive` calls, or for one :func:`simplify` call: the calls share
+    its reads, ``exp`` sums and ``diff`` trees.  A call that outgrows its
+    field width restarts in a wider context of its own, and this one goes
+    on at its width."""
     return _Ctx(32)
 
 

@@ -1,6 +1,7 @@
 """Command-line behaviour: config parsing, exit codes, report and CSV
 emission, and determinism of the serialized output."""
 import json
+import math
 import os
 import pathlib
 import shlex
@@ -8,9 +9,15 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from kk6.ansatz import scalar_metric
 from kk6.cli import CliError, main, parse_config
+from kk6.dynamics import (
+    closed_form_state, connection_evaluator, integrate, two_path_fringes,
+)
+from kk6.verify import GEODESIC_DEFAULTS, read_params, scalar_momenta
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 GEO_HEADER = "tau," + ",".join(f"re_x{a},im_x{a}" for a in range(6))
@@ -441,6 +448,38 @@ def test_fringes_csv_appends_minima_rows(capsys):
     assert all(v < 1e-9 * peak for _, v in minima)
     assert sorted(abs(y) for y, _ in minima) == pytest.approx([10.0, 10.0],
                                                               abs=0.1)
+
+
+def test_csv_cells_are_the_reprs_of_the_run_s_own_doubles(tmp_path, capsys):
+    # every cell, against the values an in-process run through the same
+    # API holds: each must read back to the same bits
+    geo = ["steps=40", "p1=1/3", "p2=-0.7", "m0=2", "tau_end=3"]
+    code, _, _ = run(["geodesic", *geo, "--format", "csv",
+                      "--out", str(tmp_path)], capsys)
+    assert code == 0
+    g = read_params(GEODESIC_DEFAULTS, parse_config(
+        "\n".join(["command=geodesic", *geo])).params, "geodesic")
+    p1, p2, p3, m0, tau_end = (float(g[k]) for k in
+                               ("p1", "p2", "p3", "m0", "tau_end"))
+    p0 = math.sqrt(p1 * p1 + p2 * p2 + p3 * p3 + m0 * m0)
+    p_sym, m0_sym, _ = scalar_momenta(g)
+    path = integrate(closed_form_state(0.0, (p0, p1, p2, p3), m0, (0,) * 6),
+                     tau_end, g["steps"], connection_evaluator(
+                         scalar_metric(p=p_sym, m0=m0_sym).metric))
+    lines = (tmp_path / "path.csv").read_text().splitlines()
+    assert lines[1:] == [
+        ",".join(map(repr, [st.tau, *(c for xa in st.x
+                                      for c in (xa.real, xa.imag))]))
+        for st in path.states]
+
+    code, out, _ = run(["fringes", "wavelength=0.13", "ymax=12.3",
+                        "points=101", "--format", "csv"], capsys)
+    assert code == 0
+    prof = two_path_fringes(10.0, 400.0, 0.13, np.linspace(-12.3, 12.3, 101))
+    rows = [*zip(prof.y, prof.density),
+            *zip(prof.minima, prof.minima_density)]
+    assert len(prof.minima) >= 4
+    assert out.splitlines()[1:] == [f"{y!r},{v!r}" for y, v in rows]
 
 
 def test_fringes_report_no_minimum_for_an_order_at_the_slit_separation(

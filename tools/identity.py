@@ -21,7 +21,8 @@ output that moved.  The outputs, each as sorted-key JSON without the
   print only through Einstein and R,
 * the default (symbolic) ``dirac1``, ``coupled`` and ``gravity-dirac``
   reports,
-* ``kk6 fringes points=201`` and ``kk6 geodesic steps=200``,
+* ``kk6 fringes points=201`` and ``kk6 geodesic steps=200``, and the
+  stdout of each with ``--format csv``: the CSV table, byte for byte,
 * ``two_path_fringes(...).minima`` at the default geometry, an order at
   exactly the slit separation, a geometry near 1e160 and 20 seeded ones,
   grazing ones among them, as raw bytes (``fringes points=201`` covers
@@ -91,6 +92,8 @@ def _cli(argv) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(list(argv))
+    if "csv" in argv:               # the table as written, not a report
+        return json.dumps([code, out.getvalue(), err.getvalue()])
     rep = json.loads(out.getvalue()) if out.getvalue() else {}
     rep.pop("timing", None)
     return json.dumps([code, rep, err.getvalue()], sort_keys=True)
@@ -128,7 +131,9 @@ def outputs():
              *(to_text(ricci_entry_raw(metric, a, b))
                for a in range(6) for b in range(6))))
     for argv in (*(("curvature", f"ansatz={aid}") for aid in SYMBOLIC),
-                 ("fringes", "points=201"), ("geodesic", "steps=200")):
+                 ("fringes", "points=201"), ("geodesic", "steps=200"),
+                 ("fringes", "points=201", "--format", "csv"),
+                 ("geodesic", "steps=200", "--format", "csv")):
         yield " ".join(argv), _cli(argv)
     yield ("integrate steps=1000 states residuals",
            _geodesic_path(False, 1.0, 1000))
