@@ -374,7 +374,7 @@ def _run_geodesic(cfg: RunConfig):
     data = {
         "p": [p0, p1, p2, p3], "m0": m0,
         "steps": steps, "tau_end": tau_end,
-        "max_step_defect": max(path.residuals) if path.residuals else 0.0,
+        "max_step_defect": max(path.residuals),
         "max_closed_form_deviation": deviation,
     }
     header = ["tau"]

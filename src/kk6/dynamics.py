@@ -4,9 +4,9 @@ The scalar-mode metric admits a closed-form geodesic: quadratic-in-tau
 ordinary coordinates and a compact coordinate that grows linearly with a
 unit-modulus slope.  This module carries both sides of that statement —
 the symbolic residual of the closed form in the geodesic equation, and a
-fixed-step numeric integrator to compare against — plus the interval
-bookkeeping (ds, |ds|) and the two-slit fringe profiles built from
-plane-wave superposition.
+fixed-step numeric integrator compared with it in positions, the momenta
+checked on shell once per run — plus the interval bookkeeping (ds, |ds|)
+and the two-slit fringe profiles built from plane-wave superposition.
 
 The integrator steps the complexified state as a list of twelve Python
 complexes, six coordinates then six velocities, through one compiled
@@ -106,11 +106,14 @@ def closed_form_exprs() -> ClosedForm:
     return ClosedForm(x=tuple(x), v=v, a=acc, theta=theta, residual=residual)
 
 
-def closed_form_state(tau: float, p, m0: float, constants) -> GeodesicState:
-    """Numeric closed-form state at affine parameter tau.
+def _phase(x, p, m0):
+    """The numeric phase p0 x0 - p1 x1 - p2 x2 - p3 x3 - m0 x5 at x."""
+    return p[0] * x[0] - p[1] * x[1] - p[2] * x[2] - p[3] * x[3] - m0 * x[5]
 
-    ``p`` is the contravariant four-momentum; it must satisfy the
-    dispersion relation (off-shell seeds are rejected, not repaired)."""
+
+def _closed_form(p, m0, constants):
+    """The momenta and rest mass as complexes, checked on shell, and the
+    closed form's coordinates and compact slope as one function of tau."""
     p = tuple(complex(v) for v in p)
     if len(p) != 4:
         raise DynamicsError("p must have four components")
@@ -125,30 +128,38 @@ def closed_form_state(tau: float, p, m0: float, constants) -> GeodesicState:
             f"off-shell momentum: p^2 - m0^2 = {shell:.3e} (|p0| must equal "
             "sqrt(p1^2 + p2^2 + p3^2 + m0^2))")
 
-    quad = -0.5j * tau * tau
-    x = [0j] * DIM
-    for a in range(4):
-        x[a] = quad * p[a] + c[a]
-    x[5] = quad * m0 + c[5]
-    theta = p[0] * x[0] - p[1] * x[1] - p[2] * x[2] - p[3] * x[3] - m0 * x[5]
-    slope = cmath.exp(1j * theta)
-    x[4] = c[4] + tau * slope
+    def at(tau):
+        quad = -0.5j * tau * tau
+        x = [quad * p[0] + c[0], quad * p[1] + c[1], quad * p[2] + c[2],
+             quad * p[3] + c[3], c[4], quad * m0 + c[5]]
+        slope = cmath.exp(1j * _phase(x, p, m0))   # the phase reads no x4
+        x[4] += tau * slope
+        return x, slope
+    return p, m0, at
 
-    v = [0j] * DIM
-    for a in range(4):
-        v[a] = -1j * tau * p[a]
-    v[5] = -1j * tau * m0
-    v[4] = slope
-    return GeodesicState(x=tuple(x), v=tuple(v), tau=float(tau))
+
+def closed_form_state(tau: float, p, m0: float, constants) -> GeodesicState:
+    """Numeric closed-form state at affine parameter tau.
+
+    ``p`` is the contravariant four-momentum; it must satisfy the
+    dispersion relation (off-shell seeds are rejected, not repaired)."""
+    p, m0, at = _closed_form(p, m0, constants)
+    x, slope = at(tau)
+    v = (*(-1j * tau * pa for pa in p), slope, -1j * tau * m0)
+    return GeodesicState(x=tuple(x), v=v, tau=float(tau))
 
 
 def closed_form_deviation(path: Path, p, m0: float, constants) -> float:
     """Largest coordinate gap between a path's states and the closed form
-    at the same affine parameters."""
+    at the same affine parameters.  The momenta are checked once; a state
+    holding a non-finite coordinate is refused, since its gap would be."""
+    at = _closed_form(p, m0, constants)[2]
     dev = 0.0
-    for st in path.states:
-        exact = closed_form_state(st.tau, p, m0, constants)
-        dev = max(dev, max(abs(a - b) for a, b in zip(st.x, exact.x)))
+    for n, st in enumerate(path.states):
+        if not all(map(cmath.isfinite, st.x)):
+            raise DynamicsError(
+                f"state {n} (tau = {st.tau!r}) holds a non-finite coordinate")
+        dev = max(dev, max(abs(a - b) for a, b in zip(st.x, at(st.tau)[0])))
     return dev
 
 
@@ -278,7 +289,6 @@ def integrate(initial: GeodesicState, tau_end: float, steps: int,
 
 @dataclass(frozen=True)
 class StepInterval:
-    tau: float                   # step midpoint
     ds: complex                  # sqrt(g_AB dx^A dx^B), principal branch
     dl: float                    # |ds|
     dx4: complex                 # compact-coordinate increment
@@ -294,10 +304,8 @@ def interval_along(path: Path, metric: Metric6) -> tuple[StepInterval, ...]:
     for s0, s1 in zip(path.states, path.states[1:]):
         xm = tuple(0.5 * (a + b) for a, b in zip(s0.x, s1.x))
         dx = np.array([b - a for a, b in zip(s0.x, s1.x)], dtype=complex)
-        g = gev(xm)
-        ds = cmath.sqrt(complex(dx @ g @ dx))
-        out.append(StepInterval(tau=0.5 * (s0.tau + s1.tau),
-                                ds=ds, dl=abs(ds), dx4=dx[4]))
+        ds = cmath.sqrt(complex(dx @ gev(xm) @ dx))
+        out.append(StepInterval(ds=ds, dl=abs(ds), dx4=dx[4]))
     return tuple(out)
 
 

@@ -60,7 +60,7 @@ from .curvature import einstein, ricci_scalar
 from .dynamics import (
     closed_form_deviation, closed_form_exprs, closed_form_state,
     connection_evaluator, integrate, interval_along, two_path_fringes,
-    _path_difference,
+    _path_difference, _phase,
 )
 from .expr import (
     Expr, HALF, I, MINUS_ONE, ZERO, conj, context, contract, coords,
@@ -780,19 +780,15 @@ def check_geodesic_closedform(seed, tol, params) -> dict:
     notes = []
     if out.status == "zero":
         mode = scalar_metric(p=_GEO_P, m0=_GEO_M0)   # binary-exact floats
-        gam = connection_evaluator(mode.metric)
         s0 = closed_form_state(0.0, _GEO_P, _GEO_M0, _GEO_CONST)
-        path = integrate(s0, 1.0, steps, gam)
+        path = integrate(s0, 1.0, steps, connection_evaluator(mode.metric))
         dev = closed_form_deviation(path, _GEO_P, _GEO_M0, _GEO_CONST)
         ratio_err = 0.0
         for iv, s_lo, s_hi in zip(interval_along(path, mode.metric),
                                   path.states, path.states[1:]):
             xm = [0.5 * (a + b) for a, b in zip(s_lo.x, s_hi.x)]
-            theta = (_GEO_P[0] * xm[0] - _GEO_P[1] * xm[1]
-                     - _GEO_P[2] * xm[2] - _GEO_P[3] * xm[3]
-                     - _GEO_M0 * xm[5])
-            ratio_err = max(ratio_err,
-                            abs(iv.ds / iv.dx4 - cmath.exp(-1j * theta)))
+            ratio_err = max(ratio_err, abs(iv.ds / iv.dx4 - cmath.exp(
+                -1j * _phase(xm, _GEO_P, _GEO_M0))))
         notes.append(f"numeric integration at {steps} steps deviates from "
                      f"the closed form by at most {dev:.3e}")
         notes.append("interval slope matches the inverse phase factor: "

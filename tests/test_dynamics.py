@@ -11,9 +11,9 @@ import kk6.dynamics
 from kk6.ansatz import scalar_metric
 from kk6.curvature import christoffel
 from kk6.dynamics import (
-    DynamicsError, GeodesicState, closed_form_deviation, closed_form_exprs,
-    closed_form_state, connection_evaluator, integrate, interval_along,
-    two_path_fringes,
+    DynamicsError, GeodesicState, Path, closed_form_deviation,
+    closed_form_exprs, closed_form_state, connection_evaluator, integrate,
+    interval_along, two_path_fringes,
 )
 from kk6.expr import MINUS_ONE, ONE, ZERO, exp, mul, num, simplify, sym
 from kk6.oracle import tensor_evaluator
@@ -86,15 +86,65 @@ def test_integration_reproduces_closed_form_to_roundoff():
     path = integrate(closed_form_state(0.0, P, M0, CONST), 1.0, 1000, accel)
     assert not path.aborted
     assert len(path.states) == 1001
-    dev = 0.0
-    for s in path.states:
-        exact = closed_form_state(s.tau, P, M0, CONST)
-        dev = max(dev, max(abs(a - b) for a, b in zip(s.x, exact.x)))
+    dev = _per_state_deviation(path, P, M0, CONST)
     # the trajectory is quadratic in tau: classical RK4 is exact up to
     # floating-point roundoff
     assert dev < 1e-12
     assert closed_form_deviation(path, P, M0, CONST) == dev
     assert max(path.residuals) < 1e-10
+
+
+def _per_state_deviation(path, p, m0, const):
+    # the deviation as one full closed-form state per path state
+    dev = 0.0
+    for s in path.states:
+        exact = closed_form_state(s.tau, p, m0, const)
+        dev = max(dev, max(abs(a - b) for a, b in zip(s.x, exact.x)))
+    return dev
+
+
+def test_closed_form_deviation_matches_the_per_state_loop():
+    # seeded on-shell runs, forward and backward, and runs the guard
+    # aborts with finite states; the momenta may be any iterable
+    paths = [(p, m0, integrate(start, tau_end, steps,
+                               connection_evaluator(
+                                   scalar_metric(p=p, m0=m0).metric)),
+              start.x)
+             for p, m0, start, tau_end, steps in _seeded_starts()]
+    accel = connection_evaluator(_metric())
+    for v4 in (1e11, 1e7):
+        paths.append((P, M0, integrate(GeodesicState(
+            (0,) * 6, (0, 0, 0, 0, v4, 0), 0.0), 1.0, 50, accel), (0,) * 6))
+    assert any(path.aborted for _, _, path, _ in paths)
+    for p, m0, path, const in paths:
+        assert closed_form_deviation(path, iter(p), m0, iter(const)) \
+            == _per_state_deviation(path, p, m0, const), (p, m0)
+
+
+def test_closed_form_deviation_rejects_off_shell_momentum():
+    path = integrate(closed_form_state(0.0, P, M0, CONST), 1.0, 4,
+                     connection_evaluator(_metric()))
+    with pytest.raises(DynamicsError, match="shell"):
+        closed_form_deviation(path, (2.0, 0.0, 0.0, 0.75), M0, CONST)
+
+
+def test_closed_form_deviation_refuses_a_non_finite_state():
+    # a NaN gap once dropped out of the maximum, so both paths read a
+    # finite deviation (8.7e-19 and 0.0)
+    p, const = (1.25, 0, 0, 0.75), (0,) * 6
+    start = closed_form_state(0.0, p, 1, const)
+    x = list(start.x)
+    x[1] = math.nan
+    path = integrate(GeodesicState(tuple(x), start.v, 0.0), 1.0, 10,
+                     connection_evaluator(_metric()))
+    assert path.aborted and len(path.states) == 2
+    with pytest.raises(DynamicsError, match=r"state 0 \(tau = 0\.0\)"):
+        closed_form_deviation(path, p, 1, const)
+    nan = (math.nan,) * 6
+    path = Path(states=(start, GeodesicState(nan, nan, 1.0)),
+                residuals=(math.nan,))
+    with pytest.raises(DynamicsError, match="state 1 .* non-finite"):
+        closed_form_deviation(path, p, 1, const)
 
 
 def test_integrator_order_measured_on_perturbed_seed():

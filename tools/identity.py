@@ -36,6 +36,9 @@ output that moved.  The outputs, each as sorted-key JSON without the
   1e9, ``tau_end`` 10), which overflows mid-step, the guard start (v4 =
   1e11, ``tau_end`` 1), which the 1e12 guard stops, and an all-integer
   start (v4 = 1, ``tau_end`` 1), which runs to the end,
+* ``interval_along``'s ``ds``, ``dl`` and ``dx4`` of every step of that
+  1000-step claim path, then its ``closed_form_deviation``, as raw bytes
+  (the claim keeps only the largest slope error and the deviation),
 * ``einstein_fd`` of the nine metrics the ``gravity.split`` claims
   difference (full, field and background per family) at two seeded
   complex points, as raw bytes,
@@ -68,8 +71,8 @@ from kk6.ansatz import (  # noqa: E402
 )
 from kk6.curvature import christoffel, ricci, ricci_entry_raw  # noqa: E402
 from kk6.dynamics import (  # noqa: E402
-    GeodesicState, closed_form_state, connection_evaluator, integrate,
-    two_path_fringes,
+    GeodesicState, closed_form_deviation, closed_form_state,
+    connection_evaluator, integrate, interval_along, two_path_fringes,
 )
 from kk6.expr import ZERO, conj, num, subs, sym, to_text  # noqa: E402
 from kk6.oracle import einstein_fd, metric_evaluator  # noqa: E402
@@ -146,6 +149,8 @@ def outputs():
                               ("integer", (0, 0, 0, 0, 1, 0), 1.0)):
         yield (f"integrate {label} start steps=50 states residuals",
                _path_hex(GeodesicState((0,) * 6, v, 0), tau_end, 50))
+    yield ("interval_along steps=1000 ds dl dx4 closed_form_deviation",
+           _claim_intervals())
     yield "two_path_fringes minima", _fringe_minima()
     yield "einstein_fd gravity.split metrics", _gravity_split_fd()
     for argv in REFUSALS:
@@ -174,6 +179,17 @@ def _path_hex(s0: GeodesicState, tau_end: float, steps: int) -> str:
             + np.array([s.tau for s in path.states]).tobytes()
             + np.array(path.residuals).tobytes())
     return f"{blob.hex()} aborted={path.aborted}"
+
+
+def _claim_intervals() -> str:
+    # each step's interval, then the deviation, of the claim's 1000 steps
+    args = verify._GEO_P, verify._GEO_M0, verify._GEO_CONST
+    mode = scalar_metric(p=verify._GEO_P, m0=verify._GEO_M0)
+    path = integrate(closed_form_state(0.0, *args), 1.0, 1000,
+                     connection_evaluator(mode.metric))
+    return (np.array([(iv.ds, iv.dl, iv.dx4)
+                      for iv in interval_along(path, mode.metric)]).tobytes()
+            + np.array([closed_form_deviation(path, *args)]).tobytes()).hex()
 
 
 def _fringe_minima() -> str:
