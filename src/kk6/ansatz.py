@@ -1,11 +1,13 @@
 """Metric families built from four-dimensional field configurations.
 
-Each constructor returns the 6x6 metric together with the field data it
-was built from, so the verification layer can form residuals against the
-same objects.  Every family except the scalar mode is one modified
-Kaluza-Klein metric (:func:`kk_rows`): a 4d block ``g4`` with a field
-``K`` (lower, over {0,1,2,3}, fifth component ``K5``) mixed into the
-compact row at coupling ``kappa``,
+Each constructor returns the field data together with the 6x6 metric
+built from it, so the verification layer can form residuals against the
+same objects; a half-spin mode builds its metric, and the two readings
+of its printed inverse, from its field on first read, since most of its
+readers read the field alone.  Every family except the scalar mode is
+one modified Kaluza-Klein metric (:func:`kk_rows`): a 4d block ``g4``
+with a field ``K`` (lower, over {0,1,2,3}, fifth component ``K5``) mixed
+into the compact row at coupling ``kappa``,
 
     g_ab = g4_ab + kappa^2 K_a K_b      g_a4 = kappa K_a
     g_a5 = kappa^2 K_a K5               g_44 = 1
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .expr import (
     Expr, HALF, I, MINUS_ONE, ONE, TWO, ZERO, Num, add, context, contract,
@@ -175,19 +178,25 @@ def fsq(f: tuple) -> Expr:
                      for i in range(5) for j in range(5)], context())
 
 
-def stress_tensor(f: tuple, f2: Expr) -> tuple:
-    """T_AB = (1/4) eta_AB F^2 - F_A^C F_BC, flat raising inside; ``f2``
-    is ``fsq(f)``, which the caller forms once and keeps.  T is symmetric:
-    (A, B) and (B, A) have the same products, so each is formed once."""
+def stress_tensor(f: tuple) -> tuple:
+    """``(T, F^2)``: T_AB = (1/4) eta_AB F^2 - F_A^C F_BC, flat raising
+    inside, and F^2, the node :func:`fsq` gives, read off T's own
+    products.  In one kernel context the 15 products N_AB = -F_A^C F_BC
+    are formed first (T is symmetric: (A, B) and (B, A) have the same
+    products, so each is formed once), then F^2 = -eta^AA N_AA as one
+    contraction over the five formed sums, then the diagonal
+    T_AA = N_AA + (1/4) eta_AA F^2."""
     ctx = context()
     out = [[ZERO] * 5 for _ in range(5)]
     for i in range(5):
         for j in range(i, 5):
-            parts = [(MINUS_ONE, ETA5[k], f[i][k], f[j][k]) for k in range(5)]
-            if i == j:
-                parts.append((_QUARTER, ETA5[i], f2))
-            out[i][j] = out[j][i] = contract(parts, ctx)
-    return tuple(tuple(r) for r in out)
+            out[i][j] = out[j][i] = contract(
+                [(MINUS_ONE, ETA5[k], f[i][k], f[j][k]) for k in range(5)],
+                ctx)
+    f2 = contract([(MINUS_ONE, ETA5[i], out[i][i]) for i in range(5)], ctx)
+    for i in range(5):
+        out[i][i] = contract([(out[i][i],), (_QUARTER, ETA5[i], f2)], ctx)
+    return tuple(tuple(r) for r in out), f2
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +329,31 @@ _DIRAC_ROWS = {
 
 @dataclass(frozen=True)
 class SpinorMode:
+    """A half-spin solution's field; its metric and the two readings of
+    the printed inverse are built from ``K`` on first read."""
     sol: int
     components: SpinorComponents
     family_sign: int            # -1: plane wave e^{-i p.x}; +1: conjugate
     phase: Expr                 # full scalar factor on the K pattern
     K: tuple                    # five lower components over IDX5
-    metric: Metric6
-    claimed_upper: Grid         # trace over all capital indices
-    claimed_upper_greek: Grid   # trace over the 4d indices only
     notes: tuple[str, ...]
+
+    @cached_property
+    def metric(self) -> Metric6:
+        return Metric6(kk_rows(_FLAT4, self.K[:4], self.K[4]))
+
+    @cached_property
+    def claimed_upper(self) -> Grid:
+        """The printed inverse with the trace over all capital indices."""
+        kk, k55 = self.K[:4], self.K[4]
+        return _claimed_upper(kk, k55,
+                              _trace4(kk) + [(MINUS_ONE, power(k55, 2))])
+
+    @cached_property
+    def claimed_upper_greek(self) -> Grid:
+        """The printed inverse with the trace over the 4d indices only."""
+        kk = self.K[:4]
+        return _claimed_upper(kk, self.K[4], _trace4(kk))
 
 
 _SPINOR_NOTES_NEG = (
@@ -348,15 +373,9 @@ def dirac_metric(sol: int = 1, p1=None, p2=None, p3=None, m0=None) -> SpinorMode
     ctx = context()
     k5 = tuple(contract([(comps.C, num(c), comps.phi[k], phase)], ctx)
                for c, k in _FIELDS[sol])
-    kk, k55 = k5[:4], k5[4]
-    greek = _trace4(kk)
-    full = greek + [(MINUS_ONE, power(k55, 2))]
     notes = _SPINOR_NOTES_NEG if s == 1 else ()
     return SpinorMode(sol=sol, components=comps, family_sign=s, phase=phase,
-                      K=k5, metric=Metric6(kk_rows(_FLAT4, kk, k55)),
-                      claimed_upper=_claimed_upper(kk, k55, full),
-                      claimed_upper_greek=_claimed_upper(kk, k55, greek),
-                      notes=notes)
+                      K=k5, notes=notes)
 
 
 @dataclass(frozen=True)

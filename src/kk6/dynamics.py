@@ -19,6 +19,7 @@ import cmath
 import math
 from array import array
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -68,9 +69,11 @@ class ClosedForm:
     residual: tuple[Expr, ...]   # a^A + Gamma^A_BC v^B v^C, simplified
 
 
+@cache
 def closed_form_exprs() -> ClosedForm:
     """Symbolic closed-form geodesic of the scalar-mode metric, energy on
-    shell, with its geodesic-equation residual formed and simplified.
+    shell, with its geodesic-equation residual formed and simplified;
+    formed once per process, as it takes no parameters.
 
     All six residual components reduce to literal zero: the quadratic
     coordinates make the phase constant along the curve, so the compact

@@ -10,9 +10,14 @@ Grammar (whitespace insignificant, one expression per string)::
     FUNC   := 'exp' | 'sqrt' | 'conj'
 
 Numbers are decimal (``0.5`` is exact: 1/2) or integer; rationals are
-spelled with '/'.  ``i`` is the imaginary unit.  Identifiers must be
-declared symbols; unknown names raise :class:`ParseError` with a column.
-The printer in :mod:`kk6.expr` emits this grammar, so
+spelled with '/'.  A number whose numerator or denominator would have
+more than 4300 digits, the most Python prints by default and so the most
+a report could, is refused with a :class:`ParseError`: a literal before
+it is read, a power before it is computed (estimated from the exponent
+and the base's bit length), a sum or product once formed.  ``i`` is the
+imaginary unit.  Identifiers must be declared symbols; unknown names
+raise :class:`ParseError` with a column.  The printer in :mod:`kk6.expr`
+emits this grammar, so
 ``parse_expression(to_text(e)) is e``.  A function is looked up in the
 kernel's one table of function nodes, by the name the printer prints, so
 the two cannot disagree on a name.
@@ -23,7 +28,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expr import _FUNCTIONS, Expr, I, add, mul, num, power, sym
+from .expr import (
+    _FUNCTIONS, Expr, I, MINUS_ONE, ONE, ZERO, Mul, Num, Pow, Sqrt, _kids, add,
+    mul, num, power, sym,
+)
 from .symbols import UnknownSymbolError
 
 __all__ = ["ParseError", "parse_expression"]
@@ -33,6 +41,50 @@ class ParseError(ValueError):
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (column {pos + 1})")
         self.pos = pos
+
+
+# The most decimal digits of a numerator or denominator, and the least
+# integer with more (and its bit length).
+_MOST_DIGITS = 4300
+_TOO_LONG = 10 ** _MOST_DIGITS
+_TOO_LONG_BITS = _TOO_LONG.bit_length()
+_TOO_LONG_TEXT = f"a number with more than {_MOST_DIGITS} digits"
+_UNITS = (ZERO, ONE, MINUS_ONE, I, -I)
+
+
+def _ints(node: Expr) -> tuple:
+    """The integers ``node`` itself holds: a number's numerators and
+    denominators, a power's exponent."""
+    if isinstance(node, Num):
+        return (node.re.numerator, node.re.denominator, node.im.numerator,
+                node.im.denominator)
+    if isinstance(node, Pow):
+        return (node.n,)
+    return ()
+
+
+def _raised(e: Expr, n: int):
+    """``(c, k)`` for each number c that ``power(e, n)`` raises to the k-th
+    power."""
+    if isinstance(e, Num):
+        yield e, n
+    elif isinstance(e, Mul):
+        for f in e.factors:
+            yield from _raised(f, n)
+    elif isinstance(e, Sqrt):
+        yield from _raised(e.arg, n // 2)
+
+
+def _power_too_long(c: Num, n: int) -> bool:
+    """Whether c^n is estimated to have too long a part: ``|n| (b - 1)``
+    bits, b the largest bit length of c's numerators and denominators.
+    For a real c this is a lower bound of the larger part of c^n, so the
+    refusal is exact; ``b - 1`` is at least 1 for any c but 0, +-1, +-i,
+    whose powers stay short."""
+    if c in _UNITS:
+        return False
+    b = max(abs(v).bit_length() for v in _ints(c))
+    return abs(n) * max(b - 1, 1) >= _TOO_LONG_BITS
 
 
 @dataclass(frozen=True)
@@ -72,6 +124,20 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        self.checked: set[Expr] = set()     # nodes with no number too long
+
+    def sized(self, e: Expr, pos: int) -> Expr:
+        """``e``, refused if a number or exponent in it is too long."""
+        todo = [e]
+        while todo:
+            node = todo.pop()
+            if node in self.checked:
+                continue
+            self.checked.add(node)
+            if any(abs(v) >= _TOO_LONG for v in _ints(node)):
+                raise ParseError(_TOO_LONG_TEXT, pos)
+            todo.extend(_kids(node))
+        return e
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -89,17 +155,19 @@ class _Parser:
     def expr(self) -> Expr:
         t = self.term()
         while self.peek().kind == "OP" and self.peek().text in "+-":
-            op = self.take().text
+            op = self.take()
             rhs = self.term()
-            t = add(t, rhs) if op == "+" else add(t, -rhs)
+            t = self.sized(add(t, rhs) if op.text == "+" else add(t, -rhs),
+                           op.pos)
         return t
 
     def term(self) -> Expr:
         f = self.unary()
         while self.peek().kind == "OP" and self.peek().text in "*/":
-            op = self.take().text
+            op = self.take()
             rhs = self.unary()
-            f = mul(f, rhs) if op == "*" else mul(f, power(rhs, -1))
+            f = self.sized(mul(f, rhs) if op.text == "*"
+                           else mul(f, power(rhs, -1)), op.pos)
         return f
 
     def unary(self) -> Expr:
@@ -115,8 +183,10 @@ class _Parser:
         if tok.kind == "OP" and tok.text == "^":
             self.take()
             at = self.peek()
-            e = self.unary()
-            return power(base, self._as_int(e, at.pos))
+            n = self._as_int(self.unary(), at.pos)
+            if any(_power_too_long(c, k) for c, k in _raised(base, n)):
+                raise ParseError(_TOO_LONG_TEXT, tok.pos)
+            return self.sized(power(base, n), tok.pos)
         return base
 
     @staticmethod
@@ -129,6 +199,8 @@ class _Parser:
     def atom(self) -> Expr:
         tok = self.take()
         if tok.kind == "NUM":
+            if len(tok.text.replace(".", "")) > _MOST_DIGITS:
+                raise ParseError(_TOO_LONG_TEXT, tok.pos)
             return num(Fraction(tok.text))
         if tok.kind == "IDENT":
             if tok.text == "i":

@@ -1,6 +1,7 @@
 """The claim catalog: every derived identity as a named, runnable check.
 
-Each check builds its objects from the ansatz constructors, forms
+Each check builds its objects from the ansatz constructors, or reads
+the mode another claim built (``_scalar_mode``, ``_dirac_mode``), forms
 residual expressions, and grades them with the probabilistic zero test
 at :func:`~kk6.zeros.is_zero`'s default of 32 points (6 in a sign scan).
 Each residual is one :func:`~kk6.expr.contract` call and each derivative
@@ -54,7 +55,7 @@ from .ansatz import (
     ETA4, ETA5, IDX5, dirac_metric, field_strength, fsq, gravity_metric,
     kk_rows, massive_wave_potential, null_wave_potential, onshell_energy,
     photon_metric, proca_metric, scalar_metric, stress_tensor,
-    weak_field_block, _DIRAC_ROWS, _E,
+    weak_field_block, ScalarMode, SpinorMode, _DIRAC_ROWS, _E,
 )
 from .curvature import einstein, ricci_scalar
 from .dynamics import (
@@ -63,8 +64,8 @@ from .dynamics import (
     _path_difference, _phase,
 )
 from .expr import (
-    Expr, HALF, I, MINUS_ONE, ZERO, conj, context, contract, coords,
-    derive, exp, mul, num, power, sym,
+    Expr, ExprError, HALF, I, MINUS_ONE, ZERO, conj, context, contract,
+    coords, derive, exp, mul, num, power, sym,
 )
 from .oracle import einstein_fd, metric_evaluator
 from .parse import ParseError, parse_expression
@@ -143,7 +144,7 @@ def coerce_param(name: str, value, real: bool = False):
     if kind == "expr":
         try:
             parse_expression(str(value))
-        except ParseError as err:
+        except (ParseError, ExprError) as err:
             raise ClaimParamError(f"{name}: {err}") from None
         return str(value)
     try:
@@ -246,6 +247,26 @@ def fringe_profile(params):
 
 
 # ---------------------------------------------------------------------------
+# shared modes
+
+# Each claim reads a mode, and never changes it, so the claims that read
+# one mode share one object, built on the first read in the process, with
+# the curvature its metric keeps.  Each memo is keyed on the values its
+# builder reads: a momentum is a number (None: symbolic) or an
+# expression, and equal numbers build one node and equal expressions are
+# one object, so equal values share an entry and unequal ones never do.
+
+@lru_cache(maxsize=8)
+def _scalar_mode(p: tuple, m0) -> ScalarMode:
+    return scalar_metric(p=p, m0=m0)
+
+
+@lru_cache(maxsize=8)
+def _dirac_mode(sol: int, p1, p2, p3, m0) -> SpinorMode:
+    return dirac_metric(sol, p1, p2, p3, m0)
+
+
+# ---------------------------------------------------------------------------
 # residual grading
 
 @dataclass(frozen=True)
@@ -331,7 +352,7 @@ _ONSHELL_NOTE = "p0 = sqrt(p1^2 + p2^2 + p3^2 + m0^2) substituted before " \
 def check_klein_gordon(seed, tol, params) -> dict:
     x = coords()
     pv, m0, explicit = scalar_momenta(params)
-    mode = scalar_metric(p=pv, m0=m0)
+    mode = _scalar_mode(pv, m0)
     ctx = context()
 
     # phi = exp(-i p.x), its argument expanded so that it is its own
@@ -392,8 +413,7 @@ def check_klein_gordon(seed, tol, params) -> dict:
 
 
 def check_ricci_scalar_zero(seed, tol, params) -> dict:
-    pv, m0, _ = scalar_momenta(params)
-    mode = scalar_metric(p=pv, m0=m0)
+    mode = _scalar_mode(*scalar_momenta(params)[:2])
     notes = []
     perturb = params.get("perturb")
     if perturb is None:
@@ -511,15 +531,14 @@ _DIRAC_ASSUMPTIONS = (
 _HALFSPIN_PARAMS = ("p1", "p2", "p3", "m0")
 
 
-# Momenta are Fractions (None: symbolic), so equal values share a cache
-# entry.  F^2 is formed once here: the stress tensor and the
-# field-invariant check both use this node.
+# Keyed as ``_dirac_mode``.  F^2 is formed once here, from the stress
+# tensor's own products: the stress form and the field-invariant check
+# both use this node.
 @lru_cache(maxsize=8)
 def _dirac_bundle(sol: int, p1, p2, p3, m0):
-    mode = dirac_metric(sol, p1, p2, p3, m0)
-    f = field_strength(mode.K)
-    f2 = fsq(f)
-    return mode, f2, stress_tensor(f, f2)
+    mode = _dirac_mode(sol, p1, p2, p3, m0)
+    t, f2 = stress_tensor(field_strength(mode.K))
+    return mode, f2, t
 
 
 def _stress_residuals(mode, t, s5, coeff, ctx):
@@ -645,7 +664,7 @@ def check_inverse_photon(seed, tol, params) -> dict:
 
 
 def check_inverse_halfspin(seed, tol, params) -> dict:
-    mode = dirac_metric(sol=params["sol"])
+    mode = _dirac_mode(params["sol"], None, None, None, None)
     full = identity_residual(mode.metric, mode.claimed_upper)
     full_exact = all(e == ZERO for row in full for e in row)
     greek = grade_entries(identity_residual(mode.metric,
@@ -681,10 +700,10 @@ def _gravity_mode(family: str):
     """The mode each measurement couples to the background: on-shell
     momenta (5/4, 0, 0, 3/4) at m0 = 1, or a Proca wave with k3 = 1/2."""
     if family == "scalar":
-        return scalar_metric(p=(Fraction(5, 4), 0, 0, Fraction(3, 4)), m0=1)
+        return _scalar_mode((Fraction(5, 4), 0, 0, Fraction(3, 4)), 1)
     if family == "proca":
         return proca_metric(massive_wave_potential(Fraction(1, 2), 1), 1)
-    return dirac_metric(1, 0, 0, Fraction(3, 4), 1)
+    return _dirac_mode(1, 0, 0, Fraction(3, 4), 1)
 
 
 def _check_gravity_split(family: str):
@@ -747,10 +766,8 @@ def _check_gravity_split(family: str):
             "finite-difference noise floor is about 1e-7; no pass "
             "threshold is asserted — measured and reported only",
         ]
-        if family == "scalar":
-            mode = scalar_metric(p=(onshell_energy(sym("p1"), sym("p2"),
-                                                   sym("p3"), sym("m0")),
-                                    sym("p1"), sym("p2"), sym("p3")))
+        if family == "scalar":     # the symbolic mode kg.reduction reads
+            mode = _scalar_mode(*scalar_momenta({})[:2])
             g55 = einstein(mode.metric)[5][5]
             exact = contract([(g55,), (MINUS_ONE, power(sym("m0"), 2))],
                              context())
@@ -779,7 +796,7 @@ def check_geodesic_closedform(seed, tol, params) -> dict:
     out = _grade(pairs, seed, tol)
     notes = []
     if out.status == "zero":
-        mode = scalar_metric(p=_GEO_P, m0=_GEO_M0)   # binary-exact floats
+        mode = _scalar_mode(_GEO_P, _GEO_M0)   # binary-exact floats
         s0 = closed_form_state(0.0, _GEO_P, _GEO_M0, _GEO_CONST)
         path = integrate(s0, 1.0, steps, connection_evaluator(mode.metric))
         dev = closed_form_deviation(path, _GEO_P, _GEO_M0, _GEO_CONST)

@@ -110,7 +110,8 @@ def test_photon_claimed_inverse_structurally_exact():
 def test_stress_tensor_is_symmetric():
     f = field_strength(tuple(sym(f"A{i}") * x[(i + 1) % 4]
                              for i in range(4)) + (ZERO,))
-    t = stress_tensor(f, fsq(f))
+    t, f2 = stress_tensor(f)
+    assert f2 is fsq(f)
     for i in range(5):
         for j in range(5):
             assert simplify(t[i][j] - t[j][i]) == ZERO
@@ -337,7 +338,9 @@ def test_builders_are_the_tree_route(family, monkeypatch):
         return [list(r) for r in rows_calls[-1][1]]
 
     monkeypatch.setattr(ansatz, "kk_rows", tree_rows)
-    GOLDEN_FAMILIES[family]()
+    built = GOLDEN_FAMILIES[family]()
+    if isinstance(built, ansatz.SpinorMode):
+        built.metric        # a half-spin mode builds its rows on first read
     monkeypatch.undo()
 
     # the field of the family's own rows, over IDX5
@@ -364,7 +367,8 @@ def test_builders_are_the_tree_route(family, monkeypatch):
         for j in range(5):
             assert got[i][j] is f[i][j], ("field_strength", i, j)
     assert fsq(f) is f2
-    got = stress_tensor(f, f2)
+    got, got_f2 = stress_tensor(f)
+    assert got_f2 is f2
     for i in range(5):
         for j in range(5):
             assert got[i][j] is t[i][j], ("stress_tensor", i, j)

@@ -197,6 +197,37 @@ def test_exit_2_on_ansatz_domain_error(capsys):
         assert err == f"error[ansatz]: {message}\n"   # single line
 
 
+@pytest.mark.parametrize("perturb, message", [
+    ("1/0", "zero raised to a negative power"),
+    ("0^-1", "zero raised to a negative power"),
+    ("2^100000", "a number with more than 4300 digits (column 2)"),
+    ("2^100000000", "a number with more than 4300 digits (column 2)"),
+])
+def test_exit_2_on_a_perturbation_that_cannot_be_formed(perturb, message,
+                                                        capsys):
+    # a division by zero, or a number too long to print, is refused with
+    # one error[config] line, never as an internal error
+    code, out, err = run(["verify", "--claim", "ricci.scalar.zero",
+                          f"perturb={perturb}"], capsys)
+    assert code == 2 and out == ""
+    assert err == (f"error[config]: argument 'perturb={perturb}': "
+                   f"perturb: {message}\n")
+
+
+def test_a_power_too_long_to_compute_is_refused_unformed():
+    # 2^10000000000 would take more than 1 GB; it is refused from its
+    # exponent and base alone.  The child runs under a time limit so that
+    # computing it fails the test instead of hanging it
+    argv = ["verify", "--claim", "ricci.scalar.zero", "perturb=2^10000000000"]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-m", "kk6", *argv], env=env,
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("error[config]: argument 'perturb=2^10000000000': "
+                           "perturb: a number with more than 4300 digits "
+                           "(column 2)\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["verify", "tol=abc"],
      "argument 'tol=abc': tol expects a number, got 'abc'"),

@@ -81,6 +81,28 @@ def test_non_integer_exponent_rejected():
         parse_expression("x0^(1/2)")
 
 
+@pytest.mark.parametrize("text", [
+    "1" * 4300, "10^4299", "3^9000", "2^-14000", "(2/3)^4000",
+    "sqrt(2)^28000", "(1+i)^14000", "i^(10^4000)", "x1^(10^4000)",
+    "10^2000*10^2000"])
+def test_numbers_up_to_4300_digits_parse(text):
+    parse_expression(text)
+
+
+@pytest.mark.parametrize("text, column", [
+    ("1" * 4301, 1), ("0." + "1" * 4300, 1), ("10^4300", 3), ("3^9100", 2),
+    ("2^-14300", 2), ("(2*x1)^100000", 7), ("(1+i)^14300", 6),
+    ("2^100000000", 2), ("x1*10^3000*10^3000", 11),
+    ("9*10^4299+10^4299", 10), ("(x1^(10^4000))^(10^300)", 15)])
+def test_numbers_beyond_4300_digits_are_refused(text, column):
+    # a number too long to print is refused, a power from its exponent
+    # and base before it is computed
+    with pytest.raises(ParseError) as ei:
+        parse_expression(text)
+    assert str(ei.value) == (f"a number with more than 4300 digits "
+                             f"(column {column})")
+
+
 def test_trailing_input_rejected():
     with pytest.raises(ParseError):
         parse_expression("x0 x1")

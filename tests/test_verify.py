@@ -47,17 +47,18 @@ def test_registry_enumerates_every_claim():
 
 
 def test_halfspin_bundle_forms_f2_once(monkeypatch):
-    # the stress tensor and the field-invariant check share one F^2
+    # the stress tensor and the field-invariant check share one F^2,
+    # which the stress tensor forms
     from kk6 import ansatz, verify
     calls = []
-    original = ansatz.fsq
+    original = ansatz.stress_tensor
 
     def counting(f):
         calls.append(f)
         return original(f)
 
-    monkeypatch.setattr(verify, "fsq", counting)
-    monkeypatch.setattr(ansatz, "fsq", counting)
+    monkeypatch.setattr(verify, "stress_tensor", counting)
+    monkeypatch.setattr(ansatz, "stress_tensor", counting)
     verify._dirac_bundle.cache_clear()
     run_claim("dirac.sol1", seed=0)
     assert len(calls) == 1
@@ -634,15 +635,21 @@ print(json.dumps({c: record_dict(run_claim(c, seed=3)) for c in sys.argv[1:]},
 """
 
 
-def _records_in_fresh_interpreter(order):
+def _in_fresh_interpreter(script, *args):
+    """The JSON that ``script`` prints, run with ``args`` in a new
+    interpreter."""
     src = str(Path(kk6.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", _RECORDS_SCRIPT, *order],
+    out = subprocess.run([sys.executable, "-c", script, *args],
                          capture_output=True, text=True, env=env, timeout=600,
                          check=True)
     return json.loads(out.stdout)
+
+
+def _records_in_fresh_interpreter(order):
+    return _in_fresh_interpreter(_RECORDS_SCRIPT, *order)
 
 
 def test_records_do_not_depend_on_claim_order():
@@ -651,3 +658,84 @@ def test_records_do_not_depend_on_claim_order():
     assert sorted(forward) == sorted(HISTORY_CLAIMS)
     for cid in HISTORY_CLAIMS:
         assert forward[cid] == backward[cid], cid
+
+
+# Every claim and the benchmark's four refutation probes, as (label, claim
+# id, parameters)
+ALL_RUNS = [(cid, cid, {}) for cid in sorted(ALL_IDS)] + [
+    (label, *CASES[label]) for label in sorted(CASES)
+    if label.startswith("probe.")]
+_RUNS_SCRIPT = """
+import json, sys
+from kk6.report import record_dict
+from kk6.verify import run_claim
+seed = int(sys.argv[2])
+print(json.dumps({label: record_dict(run_claim(cid, seed=seed, params=params))
+                  for label, cid, params in json.loads(sys.argv[1])}))
+"""
+
+
+def test_records_do_not_depend_on_what_ran_before():
+    # the modes, and the curvature their metrics keep, are shared within
+    # a process: a fresh one runs everything in reverse order at seed 1,
+    # this one at seed 0 and then at seed 1, the second pass reading what
+    # the first built
+    assert len(ALL_RUNS) == 21
+    fresh = _in_fresh_interpreter(_RUNS_SCRIPT, json.dumps(ALL_RUNS[::-1]),
+                                  "1")
+    for seed in (0, 1):
+        here = {label: json.loads(json.dumps(record_dict(
+            run_claim(cid, seed=seed, params=params))))
+            for label, cid, params in ALL_RUNS}
+    for label, _, _ in ALL_RUNS:
+        assert here[label] == fresh[label], label
+
+
+@pytest.fixture
+def fresh_modes():
+    """The mode memos emptied, so that a test sees what its claims build."""
+    from kk6 import verify
+    memos = (verify._scalar_mode, verify._dirac_mode, verify._dirac_bundle)
+    for memo in memos:
+        memo.cache_clear()
+    yield verify
+    for memo in memos:
+        memo.cache_clear()
+
+
+def test_halfspin_claim_leaves_the_metric_unbuilt(fresh_modes):
+    run_claim("dirac.sol2")
+    mode = fresh_modes._dirac_mode(2, None, None, None, None)
+    assert fresh_modes._dirac_bundle(2, None, None, None, None)[0] is mode
+    assert "metric" not in mode.__dict__
+
+
+def test_inverse_halfspin_reads_the_bundle_mode(fresh_modes):
+    run_claim("dirac.sol1")
+    mode = fresh_modes._dirac_bundle(1, None, None, None, None)[0]
+    assert "metric" not in mode.__dict__
+    run_claim("inverse.halfspin")
+    assert fresh_modes._dirac_mode(1, None, None, None, None) is mode
+    assert {"metric", "claimed_upper", "claimed_upper_greek"} <= set(
+        mode.__dict__)
+
+
+def test_scalar_claims_share_one_curvature(fresh_modes, monkeypatch):
+    # kg.reduction forms the symbolic scalar mode's Einstein tensor; the
+    # other claims that read that mode find it in the metric's cache
+    from kk6 import curvature
+    run_claim("kg.reduction")
+    calls = []
+
+    def counting(original):
+        def call(*args):
+            calls.append(original)
+            return original(*args)
+        return call
+
+    for name in ("contract", "derive"):
+        monkeypatch.setattr(curvature, name,
+                            counting(getattr(curvature, name)))
+    assert run_claim("ricci.scalar.zero").verdict == CONFIRMED
+    assert run_claim("gravity.split.scalar").verdict == CONDITIONAL
+    assert calls == []

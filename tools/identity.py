@@ -45,7 +45,10 @@ output that moved.  The outputs, each as sorted-key JSON without the
 * the exit code and error line of the documented refusals ``geodesic
   p3=1e200``, ``fringes d=1e308 L=1e308``, ``verify --claim
   interference.minima d=1e308``, ``geodesic steps=100001``, ``fringes
-  points=100001`` and ``verify --claim gravity.split.scalar points=1001``.
+  points=100001``, ``verify --claim gravity.split.scalar points=1001``,
+  and ``verify --claim ricci.scalar.zero`` with ``perturb=1/0`` (a zero
+  raised to a negative power) and with ``perturb=2^100000`` (a number
+  longer than 4300 digits).
 
 A whole run takes about 20 s; the symbolic ``gravity-dirac`` report is
 most of it.
@@ -86,7 +89,9 @@ SYMBOLIC = ("dirac1", "coupled", "gravity-dirac")
 REFUSALS = (("geodesic", "p3=1e200"), ("fringes", "d=1e308", "L=1e308"),
             ("verify", "--claim", "interference.minima", "d=1e308"),
             ("geodesic", "steps=100001"), ("fringes", "points=100001"),
-            ("verify", "--claim", "gravity.split.scalar", "points=1001"))
+            ("verify", "--claim", "gravity.split.scalar", "points=1001"),
+            ("verify", "--claim", "ricci.scalar.zero", "perturb=1/0"),
+            ("verify", "--claim", "ricci.scalar.zero", "perturb=2^100000"))
 # the substitution the walker line applies to every Christoffel symbol
 SHIFT = {"x0": sym("x0") + sym("x1")}
 
