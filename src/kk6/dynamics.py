@@ -21,14 +21,12 @@ from array import array
 from dataclasses import dataclass
 from functools import cache
 
-import numpy as np
-
 from .curvature import christoffel
 from .expr import (
     Expr, MINUS_ONE, Num, ZERO, context, contract, derive, exp, mul, num,
     subs, sym,
 )
-from .oracle import _compile, metric_evaluator
+from .oracle import _compile, metric_values
 from .tensor import DIM, Metric6
 from .ansatz import onshell_energy, scalar_metric
 
@@ -214,8 +212,8 @@ def integrate(initial: GeodesicState, tau_end: float, steps: int,
     ``accel`` maps the 12-component state to the six accelerations, as
     :func:`connection_evaluator` compiles it.  The state is a list of
     Python complexes, coordinates then velocities, stepped with no numpy
-    call; each step's trapezoid defect of the acceleration is recorded
-    as a residual, its largest magnitude taken by numpy once per run.
+    call; each step's residual is the largest CPython ``abs`` of its
+    trapezoid defect of the acceleration, NaN if any of them is NaN.
     The acceleration at the step's end, which closes the defect, is also
     the next step's first stage, so a run evaluates ``accel``
     ``4 * steps + 1`` times.  A coordinate or velocity exceeding 1e12 in
@@ -226,14 +224,16 @@ def integrate(initial: GeodesicState, tau_end: float, steps: int,
     after a step.  Fewer than 2 steps, or an affine span tau_end - tau
     that is zero or not finite, is refused.
 
-    Each state and residual is the one the dense form (numpy arrays and
-    ``einsum`` over all 216 entries) gives, bit for bit, with two
-    exceptions: in a step whose stages overflow a velocity, the dense
-    contraction makes every acceleration NaN and this one only those
-    the overflowed velocity enters, so the last state of such an aborted
-    run can differ in which components are NaN; and the guard reads
-    CPython's ``abs``, which can differ from numpy's in the last place,
-    so a magnitude within one ulp of 1e12 may be judged differently."""
+    Each state is the one the dense form (numpy arrays and ``einsum``
+    over all 216 entries) gives, bit for bit, except in a step whose
+    stages overflow a velocity: the dense contraction makes every
+    acceleration NaN and this one only those the overflowed velocity
+    enters, so the last state of such an aborted run can differ in which
+    components are NaN.  Each residual and the guard read CPython's
+    ``abs``, which can differ from ``numpy.abs`` in the last place (where
+    numpy's vectorised complex absolute fuses its multiply-add), so a
+    residual may differ from the dense form's by an ulp, and a magnitude
+    within one ulp of 1e12 may be judged differently."""
     if steps < 2:
         raise DynamicsError("need at least 2 steps")
     span = tau_end - initial.tau
@@ -251,7 +251,7 @@ def integrate(initial: GeodesicState, tau_end: float, steps: int,
 
     y = [complex(c) for c in (*initial.x, *initial.v)]
     states = [GeodesicState(tuple(y[:DIM]), tuple(y[DIM:]), initial.tau)]
-    defects = array("d")     # real, imaginary part of each component
+    residuals = array("d")
     aborted = False
     try:
         k1 = y[DIM:] + accel(y)
@@ -267,10 +267,11 @@ def integrate(initial: GeodesicState, tau_end: float, steps: int,
             y = [a + h6 * (b1 + two * b2 + two * b3 + b4)
                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
             v, acc = y[DIM:], accel(y)
-            for d in [(b - a) * inv_h - half * (p + q)
-                      for b, a, p, q in zip(v, v_old, k1[DIM:], acc)]:
-                defects.append(d.real)
-                defects.append(d.imag)
+            mags = [abs((b - a) * inv_h - half * (p + q))
+                    for b, a, p, q in zip(v, v_old, k1[DIM:], acc)]
+            # NaN compares false, so ``max`` alone could pass it over
+            residuals.append(max(mags) if all(m == m for m in mags)
+                             else math.nan)
             k1 = v + acc
             states.append(GeodesicState(tuple(y[:DIM]), tuple(v), tau + h))
             if not all(abs(c) <= _BLOWUP for c in y):   # NaN fails too
@@ -281,9 +282,7 @@ def integrate(initial: GeodesicState, tau_end: float, steps: int,
         # pole of the connection, mid-stage before the coordinate guard
         # sees it; same pathology, same answer
         aborted = True
-    residuals = np.abs(np.frombuffer(defects, dtype=complex)
-                       .reshape(-1, DIM)).max(axis=1)
-    return Path(states=tuple(states), residuals=tuple(residuals.tolist()),
+    return Path(states=tuple(states), residuals=tuple(residuals),
                 aborted=aborted)
 
 
@@ -302,12 +301,22 @@ def interval_along(path: Path, metric: Metric6) -> tuple[StepInterval, ...]:
     metric evaluated at the arithmetic midpoint, dl = |ds|."""
     if len(path.states) < 2:
         raise DynamicsError("path has no steps")
-    gev = metric_evaluator(metric)
+    gev = metric_values(metric)
+    # (dx g)_b = sum_a dx^a g_ab over the nonzero entries, in order of a,
+    # then the sum over b of (dx g)_b dx^b
+    cols = [[(a, DIM * a + b) for a in range(DIM)
+             if metric.lower[a][b] is not ZERO] for b in range(DIM)]
     out = []
     for s0, s1 in zip(path.states, path.states[1:]):
-        xm = tuple(0.5 * (a + b) for a, b in zip(s0.x, s1.x))
-        dx = np.array([b - a for a, b in zip(s0.x, s1.x)], dtype=complex)
-        ds = cmath.sqrt(complex(dx @ gev(xm) @ dx))
+        g = gev(tuple(0.5 * (a + b) for a, b in zip(s0.x, s1.x)))
+        dx = [b - a for a, b in zip(s0.x, s1.x)]
+        q = 0j
+        for b, col in enumerate(cols):
+            row = 0j
+            for a, i in col:
+                row += dx[a] * g[i]
+            q += row * dx[b]
+        ds = cmath.sqrt(q)
         out.append(StepInterval(ds=ds, dl=abs(ds), dx4=dx[4]))
     return tuple(out)
 

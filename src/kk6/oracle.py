@@ -1,25 +1,39 @@
 """Independent numeric oracle for curvature.
 
 Compiles expressions to plain ``cmath`` code with common-subtree
-elimination: :func:`compile_expr` one expression, :func:`tensor_evaluator`
-all nonzero entries of a tensor into one function that returns them at
-once (the metric here), with one emitter for both and for the geodesic
-acceleration ``dynamics.connection_evaluator`` compiles.  Each numeric
-constant is formed once, when its function is compiled.  From the metric
-it rebuilds the connection and curvature purely numerically: five-point
-(fourth-order) central differences for the metric and connection
-derivatives, ``numpy.linalg.inv`` for the metric inverse, einsum
-contractions for the tensor algebra.
+elimination, through one emitter: :func:`compile_expr` one expression,
+:func:`metric_values` a metric's 36 entries into one function that returns
+them at once, and ``dynamics.connection_evaluator`` the geodesic
+acceleration.  Each numeric constant is formed once, when its function is
+compiled.  The oracle shares nothing with ``derive`` or ``christoffel``:
+from the metric's entries it rebuilds the connection and curvature purely
+numerically, by one of two routes.
 
-The whole stencil is one batch.  :func:`ricci_fd` (and so
-:func:`einstein_fd`) needs the connection at the point and its 24
-neighbours, each from the metric at 25 points: those 625 metric samples
-are formed as one array, differenced in one elementwise expression,
-inverted in one batched ``inv`` and contracted in one ``einsum``.  The
-metric closure ``gf`` is still any callable of one point; the batch takes
-its ``gf.many`` when it has one (the closures of :func:`tensor_evaluator`
-do) and calls ``gf`` point by point otherwise.  Both routes give the same
-arrays, bit for bit.
+The jet route is plain Python.  :func:`jet_evaluator` compiles the same
+entries with each coordinate a second-order jet: a value, its six first
+and 21 second derivatives, carried through ``+ * ** exp sqrt`` by
+truncated Taylor rules (A. Griewank and A. Walther, *Evaluating
+Derivatives*, 2nd ed., SIAM 2008, ch. 13), so every derivative is exact up
+to rounding.  :func:`einstein_jet` then forms, at the one point, the
+inverse metric by pivoted elimination, Gamma^c_ab, the two derivative
+terms Ricci needs (sum_c d_c Gamma^c_ab, with d g^-1 = -g^-1 (d g) g^-1,
+and d_b of the trace Gamma^c_ac = g^cd d_a g_cd / 2), and from them R_ab,
+R and G_ab.  Each jet's value is the number the plain compiled entry
+gives, bit for bit.
+
+The finite-difference stencil imports numpy, on first use, and no other
+code of the oracle does; the ``gravity.split.*`` claims measure with it,
+and the tests and the benchmark check the symbolic curvature against it.  Five-point
+(fourth-order) central differences give the metric and connection
+derivatives, ``numpy.linalg.inv`` the inverse and einsum contractions the
+tensor algebra.  :func:`ricci_fd` (and so :func:`einstein_fd`) needs the
+connection at the point and its 24 neighbours, each from the metric at 25
+points: those 625 metric samples are formed as one array, differenced in
+one elementwise expression, inverted in one batched ``inv`` and
+contracted in one ``einsum``.  The metric closure ``gf`` is any callable
+of one point; the batch takes its ``gf.many`` when it has one (the
+closures of :func:`tensor_evaluator` do) and calls ``gf`` point by point
+otherwise.  Both routes give the same arrays, bit for bit.
 
 Step sizes: with a fourth-order stencil the truncation error at
 h = 1e-4 is ~h^4 ~ 1e-16 times the fifth-derivative scale — negligible —
@@ -35,22 +49,26 @@ from __future__ import annotations
 import cmath
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .expr import (
     Add, Exp, Expr, Mul, Num, Pow, Sqrt, Sym, ZERO, free_symbols,
 )
 from .tensor import DIM, Metric6
 
 __all__ = [
-    "compile_expr", "tensor_evaluator", "metric_evaluator", "christoffel_fd",
-    "ricci_fd", "einstein_fd", "H_METRIC", "H_CONNECTION",
+    "compile_expr", "metric_values", "jet_evaluator", "einstein_jet",
+    "SingularMatrixError", "tensor_evaluator", "metric_evaluator",
+    "christoffel_fd", "ricci_fd", "einstein_fd",
+    "H_METRIC", "H_CONNECTION",
 ]
 
 H_METRIC = 1e-4
 H_CONNECTION = 3e-3
 
 _COORD_INDEX = {f"x{i}": i for i in range(DIM)}
+
+
+class SingularMatrixError(ArithmeticError):
+    """A metric with an exactly zero pivot at the point."""
 
 
 def _emit(node: Expr, names: dict, lines: list, consts: dict) -> str:
@@ -92,42 +110,12 @@ def compile_expr(e: Expr) -> Callable[[Sequence[complex]], complex]:
     return _compile([e], lambda refs: [f"return {refs[0]}"])
 
 
-def tensor_evaluator(entries: Sequence[Expr], shape: tuple
-                     ) -> Callable[[Sequence[complex]], np.ndarray]:
-    """One compiled function for a whole tensor: ``entries`` in C order of
-    ``shape``.  The closure maps six coordinates to the filled array, and
-    its ``many(points)`` maps a sequence of n points to one
-    ``(n, *shape)`` array.
-
-    The nonzero entries share one straight-line body, so a subtree common
-    to several entries is computed once; each value is the one
-    :func:`compile_expr` gives for its entry, bit for bit, and ``many``
-    row i is the closure's array at ``points[i]``, bit for bit."""
-    nonzero = [i for i, e in enumerate(entries) if e is not ZERO]
-    fn = _compile([entries[i] for i in nonzero], lambda refs: [
-        f"return ({''.join(r + ', ' for r in refs)})"])
-    where = np.array(nonzero, dtype=np.intp)
-    size = len(entries)
-
-    def ev(x) -> np.ndarray:
-        out = np.zeros(size, dtype=complex)
-        out[where] = fn(x)
-        return out.reshape(shape)
-
-    def many(points) -> np.ndarray:
-        out = np.zeros((len(points), size), dtype=complex)
-        out[:, where] = [fn(x) for x in points]
-        return out.reshape(len(points), *shape)
-
-    ev.many = many
-    return ev
-
-
 def _compile(roots: Sequence[Expr], result: Callable[[list], list],
              env: dict | None = None):
     # one function of x, whose first six entries are the coordinates;
     # ``result`` writes its closing lines, the last a return, from the
     # roots' references, and ``env`` holds any further names they use
+    # (or other ``_exp`` and ``_sqrt``)
     stray = sorted({s.name for e in roots for s in free_symbols(e)
                     if s.name not in _COORD_INDEX})
     if stray:
@@ -146,9 +134,265 @@ def _compile(roots: Sequence[Expr], result: Callable[[list], list],
     return ns["_f"]
 
 
-def metric_evaluator(metric: Metric6) -> Callable[[Sequence[complex]], np.ndarray]:
-    return tensor_evaluator([e for row in metric.lower for e in row],
-                            (DIM, DIM))
+def _as_tuple(refs: list) -> list:
+    return [f"return ({''.join(r + ', ' for r in refs)})"]
+
+
+def _entries(metric: Metric6) -> list:
+    return [e for row in metric.lower for e in row]
+
+
+def metric_values(metric: Metric6) -> Callable[[Sequence[complex]], tuple]:
+    """One compiled function mapping six coordinates to the metric's 36
+    entries, a flat tuple in C order; each is the value
+    :func:`compile_expr` gives for its entry, bit for bit."""
+    return _compile(_entries(metric), _as_tuple)
+
+
+# ---------------------------------------------------------------------------
+# the jet route
+
+# the 21 coordinate pairs (e, f), e <= f, of the second derivatives
+_PAIRS = tuple((e, f) for e in range(DIM) for f in range(e, DIM))
+_SLOT = {p: k for k, p in enumerate(_PAIRS)}
+_UNIT = tuple(tuple(1.0 if e == i else 0.0 for e in range(DIM))
+              for i in range(DIM))
+_FLAT = (0.0,) * len(_PAIRS)
+
+
+class _Jet:
+    """A value ``v`` with its first derivatives ``d[e]`` and its second
+    derivatives ``dd[k]`` along the pair ``_PAIRS[k]``, truncated after
+    second order.  A plain number is a constant: ``+`` and ``*`` take one
+    on either side, and each rule forms the value exactly as the plain
+    compiled code does."""
+    __slots__ = ("v", "d", "dd")
+
+    def __init__(self, v, d, dd):
+        self.v, self.d, self.dd = v, d, dd
+
+    def __add__(self, o):
+        if type(o) is not _Jet:
+            return _Jet(self.v + o, self.d, self.dd)
+        return _Jet(self.v + o.v, [a + b for a, b in zip(self.d, o.d)],
+                    [a + b for a, b in zip(self.dd, o.dd)])
+
+    __radd__ = __add__
+
+    def __mul__(self, o):
+        if type(o) is not _Jet:
+            return _Jet(self.v * o, [a * o for a in self.d],
+                        [a * o for a in self.dd])
+        u, du = self.v, self.d
+        w, dw = o.v, o.d
+        return _Jet(u * w, [u * b + a * w for a, b in zip(du, dw)],
+                    [u * b + a * w + du[e] * dw[f] + du[f] * dw[e]
+                     for (e, f), a, b in zip(_PAIRS, self.dd, o.dd)])
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        u = self.v
+        return self._chain(u ** n, n * u ** (n - 1),
+                           n * (n - 1) * u ** (n - 2))
+
+    def _chain(self, f, f1, f2):
+        # the jet of F(self), given F, F' and F'' at the value
+        d = self.d
+        return _Jet(f, [f1 * a for a in d],
+                    [f1 * a + f2 * d[e] * d[g]
+                     for (e, g), a in zip(_PAIRS, self.dd)])
+
+
+def _jet_exp(u):
+    if type(u) is not _Jet:
+        return cmath.exp(u)
+    f = cmath.exp(u.v)
+    return u._chain(f, f, f)
+
+
+def _jet_sqrt(u):
+    if type(u) is not _Jet:
+        return cmath.sqrt(u)
+    f = cmath.sqrt(u.v)
+    f1 = 0.5 / f
+    return u._chain(f, f1, -0.5 * f1 / u.v)
+
+
+def jet_evaluator(metric: Metric6) -> Callable[[Sequence[complex]], tuple]:
+    """One compiled function mapping six coordinates to the metric's 36
+    entries as second-order jets, a flat tuple in C order: each entry a
+    ``_Jet``, or a plain number where it is constant."""
+    fn = _compile(_entries(metric), _as_tuple,
+                  {"_exp": _jet_exp, "_sqrt": _jet_sqrt})
+
+    def at(x):
+        return fn([_Jet(complex(c), _UNIT[i], _FLAT)
+                   for i, c in enumerate(x)])
+    return at
+
+
+def _inverse(g: list) -> list:
+    """The inverse of a 6x6 matrix by Gauss-Jordan elimination, each
+    pivot the first largest |re| + |im| of its column; an exactly zero
+    pivot raises :class:`SingularMatrixError`."""
+    m = [list(row) + [1.0 if c == r else 0.0 for c in range(DIM)]
+         for r, row in enumerate(g)]
+    for k in range(DIM):
+        p, best = k, abs(m[k][k].real) + abs(m[k][k].imag)
+        for r in range(k + 1, DIM):
+            size = abs(m[r][k].real) + abs(m[r][k].imag)
+            if size > best:
+                p, best = r, size
+        if m[p][k] == 0:
+            raise SingularMatrixError("Singular matrix")
+        m[k], m[p] = m[p], m[k]
+        row = m[k]
+        inv = 1 / row[k]
+        row[:] = [v * inv for v in row]
+        for r in range(DIM):
+            if r != k and m[r][k] != 0:
+                f = m[r][k]
+                m[r] = [a - f * b for a, b in zip(m[r], row)]
+    return [row[DIM:] for row in m]
+
+
+def _dot(a, b) -> complex:
+    # an explicit loop: ``sum`` over floats rounds differently from
+    # Python 3.12 on
+    s = 0j
+    for u, w in zip(a, b):
+        s += u * w
+    return s
+
+
+def einstein_jet(jf, x) -> tuple:
+    """G_ab at ``x`` from the jets ``jf(x)`` of :func:`jet_evaluator`, as
+    nested tuples indexed [a][b].  A metric whose value has an exactly
+    zero pivot at ``x`` raises :class:`SingularMatrixError`; a G that
+    overflows is returned as it is, so that its caller sees the overflow.
+
+    Every contraction runs over the nonzero derivatives only, and Ricci
+    over a <= b, mirrored; sums are explicit loops, which round alike on
+    every Python version."""
+    r6 = range(DIM)
+    g = [[0j] * DIM for _ in r6]
+    d1 = []         # (e, p, q, d_e g_pq), nonzero
+    d2 = []         # (k, p, q, d_e d_f g_pq) for (e, f) = _PAIRS[k], nonzero
+    for i, j in enumerate(jf(x)):
+        p, q = divmod(i, DIM)
+        if type(j) is _Jet:
+            g[p][q] = j.v
+            d1 += [(e, p, q, v) for e, v in enumerate(j.d) if v]
+            d2 += [(k, p, q, v) for k, v in enumerate(j.dd) if v]
+        else:
+            g[p][q] = complex(j)
+    gi = _inverse(g)
+
+    # S[d][a][b] = d_a g_db + d_b g_da - d_d g_ab, Gamma^c_ab = g^cd S_dab / 2;
+    # M[e] = g^-1 d_e g, so that d_e g^-1 = -M[e] g^-1
+    s = [[[0j] * DIM for _ in r6] for _ in r6]
+    m = [[[0j] * DIM for _ in r6] for _ in r6]
+    for e, p, q, v in d1:
+        s[p][e][q] += v
+        s[p][q][e] += v
+        s[e][p][q] -= v
+        me = m[e]
+        for c in r6:
+            me[c][q] += gi[c][p] * v
+    gamma = [[[0j] * DIM for _ in r6] for _ in r6]
+    for a in r6:
+        for b in range(a, DIM):
+            col = [s[d][a][b] for d in r6]
+            if any(col):
+                for c in r6:
+                    gamma[c][a][b] = gamma[c][b][a] = 0.5 * _dot(gi[c], col)
+    # V_d = sum_c d_c g^cd = -sum_c (M[c] g^-1)_cd
+    y = [0j] * DIM
+    for c in r6:
+        for p in r6:
+            y[p] += m[c][c][p]
+    div = [-_dot(y, [gi[p][d] for p in r6]) for d in r6]
+    # W_ab = g^cd d_c d_a g_db, U_ab = g^cd d_c d_d g_ab and
+    # H_ab = g^cd d_a d_b g_cd, from each nonzero second derivative
+    w = [[0j] * DIM for _ in r6]
+    u = [[0j] * DIM for _ in r6]
+    h = [0j] * len(_PAIRS)
+    for k, p, q, v in d2:
+        e, f = _PAIRS[k]
+        w[f][q] += gi[e][p] * v
+        if e != f:
+            w[e][q] += gi[f][p] * v
+            u[p][q] += (gi[e][f] + gi[f][e]) * v
+        else:
+            u[p][q] += gi[e][e] * v
+        h[k] += gi[p][q] * v
+    trace = [0j] * DIM
+    for c in r6:
+        for d in r6:
+            trace[c] += gamma[d][c][d]
+    # flat rows for the two trace-of-product terms: (M[a])_cd, (M[b])_dc,
+    # Gamma^c_ad and Gamma^d_bc, each in (c, d) order
+    mflat = [[m[a][c][d] for c in r6 for d in r6] for a in r6]
+    mflat_t = [[m[a][d][c] for c in r6 for d in r6] for a in r6]
+    gflat = [[gamma[c][a][d] for c in r6 for d in r6] for a in r6]
+    gflat_t = [[gamma[d][a][c] for c in r6 for d in r6] for a in r6]
+    ric = [[0j] * DIM for _ in r6]
+    for a in r6:
+        for b in range(a, DIM):
+            # 2 sum_c d_c Gamma^c_ab, then 2 d_b Gamma^c_ac with
+            # Gamma^c_ac = g^cd d_a g_cd / 2 and
+            # (d_b g^cd) d_a g_cd = -tr(M[b] M[a])
+            t1 = (_dot(div, [s[d][a][b] for d in r6]) + w[a][b] + w[b][a]
+                  - u[a][b])
+            t2 = h[_SLOT[a, b]] - _dot(mflat[b], mflat_t[a])
+            quad = _dot([gamma[c][a][b] for c in r6], trace) \
+                - _dot(gflat[a], gflat_t[b])
+            ric[a][b] = ric[b][a] = 0.5 * t1 - 0.5 * t2 + quad
+    rs = 0j
+    for a in r6:
+        rs += _dot(gi[a], ric[a])
+    return tuple(tuple(ric[a][b] - 0.5 * rs * g[a][b] for b in r6)
+                 for a in r6)
+
+
+# ---------------------------------------------------------------------------
+# the finite-difference stencil
+
+def tensor_evaluator(entries: Sequence[Expr], shape: tuple):
+    """One compiled function for a whole tensor: ``entries`` in C order of
+    ``shape``.  The closure maps six coordinates to the filled numpy
+    array, and its ``many(points)`` maps a sequence of n points to one
+    ``(n, *shape)`` array.
+
+    The nonzero entries share one straight-line body, so a subtree common
+    to several entries is computed once; each value is the one
+    :func:`compile_expr` gives for its entry, bit for bit, and ``many``
+    row i is the closure's array at ``points[i]``, bit for bit."""
+    import numpy as np
+
+    nonzero = [i for i, e in enumerate(entries) if e is not ZERO]
+    fn = _compile([entries[i] for i in nonzero], _as_tuple)
+    where = np.array(nonzero, dtype=np.intp)
+    size = len(entries)
+
+    def ev(x):
+        out = np.zeros(size, dtype=complex)
+        out[where] = fn(x)
+        return out.reshape(shape)
+
+    def many(points):
+        out = np.zeros((len(points), size), dtype=complex)
+        out[:, where] = [fn(x) for x in points]
+        return out.reshape(len(points), *shape)
+
+    ev.many = many
+    return ev
+
+
+def metric_evaluator(metric: Metric6):
+    """The metric as a :func:`tensor_evaluator` closure of 6x6 arrays."""
+    return tensor_evaluator(_entries(metric), (DIM, DIM))
 
 
 def _shift(x, c: int, h: float):
@@ -164,15 +408,17 @@ def _stencil(x, h: float) -> list:
                         for s in (2 * h, h, -h, -2 * h)]
 
 
-def _samples(gf, points: list) -> np.ndarray:
+def _samples(gf, points: list):
     """The metric at every point, as one ``(n, 6, 6)`` array."""
+    import numpy as np
+
     many = getattr(gf, "many", None)
     if many is not None:
         return many(points)
     return np.array([gf(p) for p in points])
 
 
-def _d1(vals: np.ndarray, h: float) -> np.ndarray:
+def _d1(vals, h: float):
     """Fourth-order five-point central differences along each coordinate.
 
     ``vals[p]`` holds the values on the p-th :func:`_stencil`; the result
@@ -182,9 +428,11 @@ def _d1(vals: np.ndarray, h: float) -> np.ndarray:
             - 8 * nb[:, :, 2] + nb[:, :, 3]) / (12 * h)
 
 
-def _christoffel(g: np.ndarray) -> np.ndarray:
+def _christoffel(g):
     """Gamma[p, c, a, b] at n points from their ``(n, 25, 6, 6)`` metric
     stencils."""
+    import numpy as np
+
     ginv = np.linalg.inv(g[:, 0])
     dg = _d1(g, H_METRIC)
     # S[p, a, d, b] = d_a g_db + d_b g_da - d_d g_ab
@@ -192,12 +440,14 @@ def _christoffel(g: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("pcd,padb->pcab", ginv, s)
 
 
-def christoffel_fd(gf, x) -> np.ndarray:
+def christoffel_fd(gf, x):
     """Gamma[c, a, b] from central differences of the metric closure."""
     return _christoffel(_samples(gf, _stencil(x, H_METRIC))[None])[0]
 
 
-def ricci_fd(gf, x) -> np.ndarray:
+def ricci_fd(gf, x):
+    import numpy as np
+
     outer = _stencil(x, H_CONNECTION)
     g = _samples(gf, [p for y in outer for p in _stencil(y, H_METRIC)])
     gammas = _christoffel(g.reshape(len(outer), -1, DIM, DIM))
@@ -211,7 +461,9 @@ def ricci_fd(gf, x) -> np.ndarray:
     return term1 - term2 + term3 - term4
 
 
-def einstein_fd(gf, x) -> np.ndarray:
+def einstein_fd(gf, x):
+    import numpy as np
+
     g = gf(x)
     r = ricci_fd(gf, x)
     rs = np.einsum("ab,ab->", np.linalg.inv(g), r)

@@ -49,8 +49,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-import numpy as np
-
 from .ansatz import (
     ETA4, ETA5, IDX5, dirac_metric, field_strength, fsq, gravity_metric,
     kk_rows, massive_wave_potential, null_wave_potential, onshell_energy,
@@ -118,8 +116,9 @@ FRINGE_DEFAULTS = {"d": 10, "L": 400, "wavelength": 0.5, "ymax": 15,
 # holds memory until the report is written, so more is refused up front.
 _MOST_SAMPLES = 100_000
 # The most sample points of a gravity split: each takes three
-# finite-difference Einstein tensors, 7 to 14 ms on a 2-core host, so a
-# run is bounded at about 14 s.
+# finite-difference Einstein tensors (the background's shared by the three
+# families at one eps and seed), 3.4 to 8.4 ms on a 2-core host, so a run
+# is bounded at about 9 s.
 _MOST_SPLIT_POINTS = 1_000
 
 
@@ -234,6 +233,19 @@ def scalar_momenta(params):
     return (p0, p1, p2, p3), m0, explicit
 
 
+def _linspace(start: float, stop: float, n: int) -> list:
+    # the grid ``numpy.linspace`` lays, bit for bit: i * step + start, the
+    # step (i / (n - 1)) * delta where it underflows, and the last point
+    # ``stop`` itself
+    div = n - 1
+    delta = stop - start
+    step = delta / div
+    grid = [i * step + start if step else i / div * delta + start
+            for i in range(n)]
+    grid[-1] = stop
+    return grid
+
+
 def fringe_profile(params):
     """The two-path fringe profile on the grid of ``params``, read and
     range-checked through :data:`FRINGE_DEFAULTS`, with its geometry
@@ -241,7 +253,7 @@ def fringe_profile(params):
     g = read_params(FRINGE_DEFAULTS, params, "fringes")
     d, length, lam, ymax = (float(g[k]) for k in ("d", "L", "wavelength",
                                                   "ymax"))
-    grid = np.linspace(-ymax, ymax, g["points"])
+    grid = _linspace(-ymax, ymax, g["points"])
     return (d, length, lam, g["points"]), two_path_fringes(d, length, lam,
                                                            grid)
 
@@ -706,8 +718,34 @@ def _gravity_mode(family: str):
     return _dirac_mode(1, 0, 0, Fraction(3, 4), 1)
 
 
+def _split_einstein(ev, pt):
+    """The finite-difference Einstein tensor of ``ev`` at ``pt``, and None;
+    or None and why it is undefined there: a metric that rounds to
+    singular, or an entry beyond the float range."""
+    import numpy as np      # the stencil's arrays
+
+    try:
+        g = einstein_fd(ev, pt)
+    except np.linalg.LinAlgError as err:
+        return None, str(err)
+    if np.all(np.isfinite(g)):
+        return g, None
+    return None, "non-finite entry"
+
+
+@lru_cache(maxsize=4)
+def _split_background(g4: tuple, seed: int) -> tuple:
+    # the background part of every family's split at one eps and seed is
+    # one metric at the same points (point i depends on the seed and i
+    # alone): its evaluator, and the list of its tensors at points 0, 1,
+    # ..., each formed by the first split to reach it
+    return metric_evaluator(Metric6(kk_rows(g4, (ZERO,) * 4))), []
+
+
 def _check_gravity_split(family: str):
     def run(seed, tol, params) -> dict:
+        import numpy as np      # the stencil's arrays
+
         eps = float(params["eps"])
         kappa = num(params["kappa"]) if "kappa" in params else None
         npoints = params["points"]
@@ -716,37 +754,31 @@ def _check_gravity_split(family: str):
 
         gm_full = gravity_metric(mode, g4, kappa)
         gm_q = gravity_metric(mode, None, kappa)
-        gm_e = Metric6(kk_rows(g4, (ZERO,) * 4))
         assumptions = ("separability is asserted without proof; this "
                        "check measures the residual numerically",)
         if kappa is not None:
             assumptions += (f"coupling constant kappa = {params['kappa']}",)
 
         try:
-            ev_full = metric_evaluator(gm_full)
-            ev_q = metric_evaluator(gm_q)
+            evs = {"full": metric_evaluator(gm_full),
+                   "field": metric_evaluator(gm_q)}
         except OverflowError as err:     # a constant of order kappa^2
             return _close(_Outcome("inconclusive", 0.0, 0, note=str(err),
                                    label="metric constant beyond the float "
                                    "range"), assumptions)
-        parts = (("full", ev_full), ("field", ev_q),
-                 ("background", metric_evaluator(gm_e)))
+        background, formed = _split_background(g4, seed)
         rng = random.Random(seed)
         worst = 0.0
         scale_q = 0.0
         cond = 0.0
         for i in range(npoints):
             pt = [complex(rng.uniform(-0.5, 0.5)) for _ in range(DIM)]
+            if len(formed) == i:
+                formed.append(_split_einstein(background, pt))
             g = {}
-            for part, ev in parts:
-                # a metric that rounds to singular, or an entry beyond the
-                # float range, leaves the tensor undefined at this point
-                try:
-                    g[part] = einstein_fd(ev, pt)
-                    cause = (None if np.all(np.isfinite(g[part]))
-                             else "non-finite entry")
-                except np.linalg.LinAlgError as err:
-                    cause = str(err)
+            for part in ("full", "field", "background"):
+                g[part], cause = (formed[i] if part == "background"
+                                  else _split_einstein(evs[part], pt))
                 if cause:
                     return _close(_Outcome(
                         "inconclusive", worst, i, note=f"{part} metric: "
@@ -755,7 +787,7 @@ def _check_gravity_split(family: str):
             worst = max(worst, float(np.max(np.abs(
                 g["full"] - g["background"] - g["field"]))))
             scale_q = max(scale_q, float(np.max(np.abs(g["field"]))))
-            cond = max(cond, float(np.linalg.cond(ev_full(pt))))
+            cond = max(cond, float(np.linalg.cond(evs["full"](pt))))
         notes = [
             f"split residual max |G - G_background - G_field| = {worst:.3e} "
             f"over {npoints} sample points (field-part scale {scale_q:.3e})",

@@ -32,8 +32,8 @@ themselves: at every sampled point the residual was below ``tol``
 relative to its scale.
 
 The zero test has one expression evaluator, a post-order tape (the
-finite-difference oracle, the geodesic connection and the gravity split
-evaluate code that ``oracle.tensor_evaluator`` compiles, so that they stay
+curvature oracle, the geodesic connection and the gravity split evaluate
+code that the oracle's own emitter compiles, so that they stay
 independent of it): one entry per distinct node (op code, child slots,
 constant), each after its children, children in the order ``expr._kids``
 lists them.  :func:`scaled_eval` builds the tape of one expression and

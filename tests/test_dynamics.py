@@ -230,7 +230,12 @@ def _reference_integrate(initial, tau_end, steps, gamma):
                 accel_new = rhs(y).view(np.complex128)[DIM:].copy()
                 defect = (yc[DIM:] - v_old) / h - 0.5 * (accel_prev
                                                           + accel_new)
-                residuals.append(float(np.max(np.abs(defect))))
+                # the residual as integrate defines it: the largest
+                # CPython abs of the defect, NaN if any is NaN (numpy's
+                # vectorised abs can differ from it in the last place)
+                mags = [abs(complex(d)) for d in defect]
+                residuals.append(max(mags) if all(m == m for m in mags)
+                                 else math.nan)
                 accel_prev = accel_new
                 states.append(snap(y, tau + h))
                 if not np.all(np.isfinite(y)) or \
@@ -333,6 +338,53 @@ def test_integrate_refuses_a_zero_or_non_finite_span(tau_end):
     start = closed_form_state(0.0, P, M0, CONST)
     with pytest.raises(DynamicsError, match="finite nonzero affine span"):
         integrate(start, tau_end, 4, accel)
+
+
+def test_integrate_residuals_are_the_largest_defect_magnitudes():
+    # each residual is the largest |defect| of its step, formed from the
+    # states and the accelerations at them as integrate forms it, within
+    # an ulp of the dense form's numpy.abs; an infinite start velocity
+    # makes an aborted run's last row NaN
+    def damping(y):
+        return [-0.1 * v for v in y[DIM:]]
+    last = []
+    for v in ((1, 0.5j, 0, 0, 0.2, 0), (math.inf, 0, 0, 0, 1, 0),
+              (complex(math.inf, math.nan), 0, 0, 0, 0, 1),
+              (1e300, 1e300j, 0, 0, 0, 0)):
+        start = GeodesicState((0,) * DIM, v, 0.0)
+        path = integrate(start, 1.0, 8, damping)
+        assert path.residuals, v
+        last.append(path.residuals[-1])
+        inv_h = complex(1 / (1.0 / 8))
+        for n, res in enumerate(path.residuals):
+            a, b = path.states[n], path.states[n + 1]
+            ya, yb = [*a.x, *a.v], [*b.x, *b.v]
+            defect = [(q - p) * inv_h - (0.5 + 0j) * (s + t)
+                      for q, p, s, t in zip(b.v, a.v, damping(ya),
+                                            damping(yb))]
+            mags = [abs(d) for d in defect]
+            want = float(np.abs(np.array(defect)).max())
+            if math.isnan(want):
+                assert math.isnan(res), (v, n)
+                continue
+            assert res == max(mags), (v, n)
+            assert abs(res - want) <= 2 ** -52 * want, (v, n)
+    assert math.isnan(last[1])
+
+
+def test_interval_along_is_the_quadratic_form_to_a_few_ulp():
+    m = _metric()
+    path = integrate(closed_form_state(0.0, P, M0, CONST), 1.0, 300,
+                     connection_evaluator(m))
+    gev = tensor_evaluator([e for row in m.lower for e in row], (DIM, DIM))
+    for iv, lo, hi in zip(interval_along(path, m), path.states,
+                          path.states[1:]):
+        dx = np.array([b - a for a, b in zip(lo.x, hi.x)])
+        want = complex(dx @ gev([(a + b) / 2 for a, b in zip(lo.x, hi.x)])
+                       @ dx)
+        assert abs(iv.ds * iv.ds - want) <= 8 * 2 ** -52 * abs(want)
+        assert abs(iv.ds - cmath.sqrt(want)) <= 4 * 2 ** -52 * abs(iv.ds)
+        assert iv.dx4 == dx[4]
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +571,48 @@ def test_an_order_range_beyond_a_float_is_refused():
     assert str(err.value) == (
         "fringe orders between the grid ends overflow a float: "
         "(r2 - r1)/wavelength - 1/2 runs -inf..inf")
+
+
+def test_import_leaves_numpy_unloaded():
+    # numpy is the finite-difference stencil's alone: start-up must not
+    # pay its import
+    import subprocess
+    import sys
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, kk6, kk6.cli; print(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'numpy'))"],
+        capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_the_claims_and_curvature_runs_off_the_stencil_leave_numpy_unloaded():
+    # every claim but the three gravity splits, which measure with the
+    # finite-difference stencil, at seed 0, then ``kk6 geodesic``, ``kk6
+    # fringes`` and ``kk6 curvature`` on each of the benchmark's inputs,
+    # in one fresh process
+    import subprocess
+    import sys
+    from pathlib import Path
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import contextlib, io, sys\n"
+        f"sys.path[:0] = [{str(root / 'src')!r}, {str(root / 'bench')!r}]\n"
+        "from kk6 import cli, verify\n"
+        "from workloads import CURVATURE\n"
+        "ids = [c for c in verify.claim_ids()\n"
+        "       if not c.startswith('gravity.split.')]\n"
+        "assert len(verify.run_suite(ids, seed=0)) == 14\n"
+        "runs = [['geodesic', 'steps=200'], ['fringes', 'points=201']]\n"
+        "runs += [['curvature', f'ansatz={aid}', *params]\n"
+        "         for aid, params in CURVATURE]\n"
+        "for argv in runs:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "print(len(CURVATURE), sorted(m for m in sys.modules\n"
+        "                            if m.split('.')[0] == 'numpy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=300)
+    assert out.stdout.strip() == "8 []"
 
 
 def test_import_leaves_scipy_unloaded():

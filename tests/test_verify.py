@@ -739,3 +739,50 @@ def test_scalar_claims_share_one_curvature(fresh_modes, monkeypatch):
     assert run_claim("ricci.scalar.zero").verdict == CONFIRMED
     assert run_claim("gravity.split.scalar").verdict == CONDITIONAL
     assert calls == []
+
+
+def test_the_fringe_grid_is_numpy_s_linspace_bit_for_bit():
+    import numpy as np
+    from kk6.verify import _linspace
+    rng = __import__("random").Random(6)
+    cases = [(15.0, 1201), (15.0, 2), (1e-320, 3), (5e-324, 100_000),
+             (0.1, 100_000)]
+    cases += [(10 ** rng.uniform(-5, 5), rng.randint(2, 5000))
+              for _ in range(60)]
+    for ymax, n in cases:
+        want = np.linspace(-ymax, ymax, n)
+        assert np.array(_linspace(-ymax, ymax, n)).tobytes() == \
+            want.tobytes(), (ymax, n)
+    grid = kk6.verify.fringe_profile({"points": 301, "ymax": "7/3"})[1].y
+    assert np.array(grid).tobytes() == np.linspace(-7 / 3, 7 / 3,
+                                                   301).tobytes()
+
+
+def test_the_three_splits_form_the_background_once_per_point(monkeypatch):
+    # full and field per family and point, and the shared background once
+    # per point: 3 * 3 * 2 + 3 = 21 finite-difference Einstein tensors at
+    # the defaults; the records are the ones each claim makes alone
+    kk6.verify._split_background.cache_clear()
+    alone = {}
+    for fam in ("scalar", "proca", "dirac"):
+        kk6.verify._split_background.cache_clear()
+        alone[fam] = record_dict(run_claim(f"gravity.split.{fam}"))
+    kk6.verify._split_background.cache_clear()
+    calls = []
+    einstein_fd = kk6.verify.einstein_fd
+
+    def counted(ev, pt):
+        calls.append(pt)
+        return einstein_fd(ev, pt)
+    monkeypatch.setattr(kk6.verify, "einstein_fd", counted)
+    # a longer split first, so the others read points it formed
+    run_claim("gravity.split.dirac", params={"points": 4})
+    del calls[:]
+    for fam in ("dirac", "scalar", "proca"):
+        assert record_dict(run_claim(f"gravity.split.{fam}")) == alone[fam]
+    assert len(calls) == 3 * 3 * 2
+    kk6.verify._split_background.cache_clear()
+    del calls[:]
+    for fam in ("scalar", "proca", "dirac"):
+        run_claim(f"gravity.split.{fam}")
+    assert len(calls) == 21

@@ -41,7 +41,8 @@ output that moved.  The outputs, each as sorted-key JSON without the
   (the claim keeps only the largest slope error and the deviation),
 * ``einstein_fd`` of the nine metrics the ``gravity.split`` claims
   difference (full, field and background per family) at two seeded
-  complex points, as raw bytes,
+  complex points, as raw bytes, and then ``einstein_jet`` of the same
+  nine at the same points,
 * the exit code and error line of the documented refusals ``geodesic
   p3=1e200``, ``fringes d=1e308 L=1e308``, ``verify --claim
   interference.minima d=1e308``, ``geodesic steps=100001``, ``fringes
@@ -78,7 +79,9 @@ from kk6.dynamics import (  # noqa: E402
     connection_evaluator, integrate, interval_along, two_path_fringes,
 )
 from kk6.expr import ZERO, conj, num, subs, sym, to_text  # noqa: E402
-from kk6.oracle import einstein_fd, metric_evaluator  # noqa: E402
+from kk6.oracle import (  # noqa: E402
+    einstein_fd, einstein_jet, jet_evaluator, metric_evaluator,
+)
 from kk6.report import record_dict  # noqa: E402
 from kk6.tensor import Metric6  # noqa: E402
 from workloads import CURVATURE, PROBES  # noqa: E402
@@ -158,6 +161,7 @@ def outputs():
            _claim_intervals())
     yield "two_path_fringes minima", _fringe_minima()
     yield "einstein_fd gravity.split metrics", _gravity_split_fd()
+    yield "einstein_jet gravity.split metrics", _gravity_split_jet()
     for argv in REFUSALS:
         yield " ".join(argv), _cli(argv)
 
@@ -214,22 +218,39 @@ def _fringe_minima() -> str:
         .tobytes().hex() for d, length, lam, ymax in geos)
 
 
-def _gravity_split_fd() -> str:
+def _gravity_split_metrics():
     # the claims' metrics at their default eps = 1/1000 and kappa = 1
-    # (the scalar mode takes no kappa)
+    # (the scalar mode takes no kappa), and two seeded complex points
     g4 = weak_field_block(num("1/1000"))
     rng = random.Random(0)
     pts = [[complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.2, 0.2))
             for _ in range(6)] for _ in range(2)]
-    blob = b""
+    metrics = []
     for family in ("scalar", "proca", "dirac"):
         mode = verify._gravity_mode(family)
         kappa = None if family == "scalar" else num(1)
-        for metric in (gravity_metric(mode, g4, kappa),
-                       gravity_metric(mode, None, kappa),
-                       Metric6(kk_rows(g4, (ZERO,) * 4))):
-            ev = metric_evaluator(metric)
-            blob += b"".join(einstein_fd(ev, pt).tobytes() for pt in pts)
+        metrics += [gravity_metric(mode, g4, kappa),
+                    gravity_metric(mode, None, kappa),
+                    Metric6(kk_rows(g4, (ZERO,) * 4))]
+    return metrics, pts
+
+
+def _gravity_split_fd() -> str:
+    metrics, pts = _gravity_split_metrics()
+    blob = b""
+    for metric in metrics:
+        ev = metric_evaluator(metric)
+        blob += b"".join(einstein_fd(ev, pt).tobytes() for pt in pts)
+    return blob.hex()
+
+
+def _gravity_split_jet() -> str:
+    metrics, pts = _gravity_split_metrics()
+    blob = b""
+    for metric in metrics:
+        jf = jet_evaluator(metric)
+        blob += b"".join(np.array(einstein_jet(jf, pt)).tobytes()
+                         for pt in pts)
     return blob.hex()
 
 
