@@ -28,7 +28,10 @@ parameters the same way.
 Output is written once at the end.  JSON reports have a stable schema and
 key order; all timing lives under the single ``timing`` key, so identical
 config and seed reproduce the report byte-for-byte once that key is
-dropped.  CSV columns:
+dropped.  ``timing`` holds the run's total ``seconds`` and, for
+``curvature``, the time of each pipeline stage as a flat dotted key:
+``stages.inverse``, ``stages.christoffel``, ``stages.ricci``,
+``stages.ricci_scalar`` and ``stages.einstein``.  CSV columns:
 
 * ``geodesic``: header ``tau,re_x0,im_x0,...,re_x5,im_x5``, one row per
   stored state,
@@ -61,7 +64,7 @@ from .ansatz import (
     massive_wave_potential, null_wave_potential, photon_metric,
     proca_metric, scalar_metric, weak_field_block,
 )
-from .curvature import einstein, ricci_scalar
+from .curvature import christoffel, einstein, ricci, ricci_scalar
 from .dynamics import (
     DynamicsError, closed_form_deviation, closed_form_state,
     connection_evaluator, integrate,
@@ -322,11 +325,22 @@ def build_ansatz(aid: str, params: dict):
 
 
 # ---------------------------------------------------------------------------
-# command runners
+# command runners: each returns the records, the data payload, the CSV
+# table (or None) and timings to add under ``timing``
 
 def _run_curvature(cfg: RunConfig):
     aid = cfg.ansatz or "scalar"
     metric, claimed, notes = build_ansatz(aid, cfg.params)
+    # each stage is memoized on the metric and reads the ones before it,
+    # so in this order each time is the stage's own
+    stages = {}
+    for name, stage in (("inverse", lambda m: m.upper()),
+                        ("christoffel", christoffel), ("ricci", ricci),
+                        ("ricci_scalar", ricci_scalar),
+                        ("einstein", einstein)):
+        t0 = time.perf_counter()
+        stage(metric)
+        stages[f"stages.{name}"] = time.perf_counter() - t0
     ein = einstein(metric)
     data = {
         "ansatz": aid,
@@ -347,13 +361,13 @@ def _run_curvature(cfg: RunConfig):
             "max_residual": max(o.max_residual for o in graded),
             "structural_zero_entries": sum(o.structural for o in graded),
         }
-    return (), data, None
+    return (), data, None, stages
 
 
 def _run_verify(cfg: RunConfig):
     # the claim ids and parameters were checked with the configuration
     return run_suite(claims=cfg.claims, seed=cfg.seed, tol=cfg.tol,
-                     params=cfg.params), None, None
+                     params=cfg.params), None, None, {}
 
 
 def _run_geodesic(cfg: RunConfig):
@@ -382,7 +396,7 @@ def _run_geodesic(cfg: RunConfig):
         header += [f"re_x{a}", f"im_x{a}"]
     rows = ([st.tau, *(c for xa in st.x for c in (xa.real, xa.imag))]
             for st in path.states)
-    return (), data, ("path", header, rows)
+    return (), data, ("path", header, rows), {}
 
 
 def _run_fringes(cfg: RunConfig):
@@ -399,7 +413,7 @@ def _run_fringes(cfg: RunConfig):
         data["density"] = profile.density
     rows = chain(zip(profile.y, profile.density),
                  zip(profile.minima, profile.minima_density))
-    return (), data, ("fringes", ["y", "density"], rows)
+    return (), data, ("fringes", ["y", "density"], rows), {}
 
 
 _RUNNERS = {"curvature": _run_curvature, "verify": _run_verify,
@@ -512,7 +526,7 @@ def main(argv=None) -> int:
         ns.bindings = list(ns.bindings) + extras
         cfg = _resolve(_gather_items(ns))
         try:
-            records, data, csv_table = _RUNNERS[cfg.command](cfg)
+            records, data, csv_table, timing = _RUNNERS[cfg.command](cfg)
         except (AnsatzError, SingularMetricError) as err:
             raise CliError("ansatz", str(err), 2) from None
         except (DynamicsError, OverflowError) as err:
@@ -520,7 +534,8 @@ def main(argv=None) -> int:
         report = Report(version=__version__, command=cfg.command,
                         config=cfg.echo, seed=cfg.seed,
                         records=tuple(records), data=data,
-                        timing={"seconds": time.perf_counter() - t0})
+                        timing={"seconds": time.perf_counter() - t0,
+                                **timing})
         emit(report, cfg.format, cfg.out, csv_table)
         return 1 if refuted_must_pass(records) else 0
     except CliError as err:

@@ -1,29 +1,35 @@
 """Dense 6x6 metrics and exact inversion.
 
 Metrics are symmetric grids of canonical expressions over the six
-coordinates.  Inversion is exact adjugate-over-determinant with memoized
-minor expansion (block sparsity keeps this cheap for the engine's metric
-families, whose determinants are short: 1 or the scalar mode's compact
-phase factor, times g_00 = 1 + 2 eps x1 over the weak-field block).
-Minors are built as trees and simplified.  The adjugate and the inverse
-of a symmetric grid are symmetric, so both are computed for i <= j and
-mirrored by ``_mirror``, which fills every symmetric grid of the
-curvature stages too: 21 minors and 21 inverse entries, not 36; a test
-checks each mirrored adjugate entry against the transposed minor.  The
-metric's cache keeps the adjugate beside the determinant and the
-inverse, and the determinant is read off it: row 0 of the metric against
-column 0 of the adjugate, the first-row Laplace expansion over cofactors
-already simplified.  The determinant, and each entry of the inverse and
-of a claimed inverse's residual ``claimed * g - I`` (its row-column
-products, with -1 on the diagonal), is one :func:`~kk6.expr.contract`
-call, expanded once in the polynomial kernel, with one kernel context
-per call of ``Metric6.det``, :func:`invert_metric` or
-:func:`identity_residual`.  An adjugate entry can be the determinant's
-own sum, which ``mul`` cancels against its inverse: such a product takes
-the tree route inside ``contract``.  This layer is exact algebra; its
-one numeric check is the zero test of the determinant, after the
-adjugate and before scaling by its inverse.  Residuals are graded in
-:mod:`kk6.verify` (``grade_entries``).
+coordinates.  Inversion is exact adjugate-over-determinant.  The
+half-spin metrics are dense, all 36 entries nonzero, so expanding the
+adjugate by minors builds trees of 120 products per 5x5 minor that
+``simplify`` cancels down to a term or two.  Where a literal-number
+diagonal entry has a nonzero row, though (g44 = 1, which the vector and
+half-spin modes couple to), :func:`adjugate` eliminates on it, by Schur
+complement, down to a sub-grid with no such pivot, and only that
+sub-grid is expanded by minors, built as trees and simplified.  On the
+engine's families that sub-grid is diagonal (the complement of g44, or
+the whole scalar-mode metric), so each minor is one product.  A pivot
+that is a literal number adds no symbolic denominator, so each entry is
+the node that simplifying its minor gives, which a property test checks
+on random grids.  The adjugate and the inverse of a symmetric grid are
+symmetric, so both are computed for i <= j and mirrored; ``_mirror``
+fills every symmetric 6x6 grid of the curvature stages too: 21 inverse
+entries, not 36.  The metric's cache keeps the adjugate beside the
+determinant and the inverse, and the determinant is read off it: row 0
+of the metric against column 0 of the adjugate, the first-row Laplace
+expansion over cofactors already simplified.  The determinant, and each
+entry of the inverse and of a claimed inverse's residual
+``claimed * g - I`` (its row-column products, with -1 on the diagonal),
+is one :func:`~kk6.expr.contract` call, expanded once in the polynomial
+kernel, with one kernel context per call of ``Metric6.det``,
+:func:`invert_metric` or :func:`identity_residual`.  An adjugate entry
+can be the determinant's own sum, which ``mul`` cancels against its
+inverse: such a product takes the tree route inside ``contract``.  This
+layer is exact algebra; its one numeric check is the zero test of the
+determinant, after the adjugate and before scaling by its inverse.
+Residuals are graded in :mod:`kk6.verify` (``grade_entries``).
 """
 from __future__ import annotations
 
@@ -31,8 +37,8 @@ import functools
 import random
 
 from .expr import (
-    Expr, MINUS_ONE, ZERO, add, context, contract, free_symbols, mul, power,
-    simplify, to_text,
+    Expr, MINUS_ONE, Num, ONE, ZERO, add, context, contract, free_symbols,
+    mul, power, simplify, to_text,
 )
 from .zeros import is_zero, sample_env
 
@@ -139,30 +145,74 @@ def _minor(grid: Grid, rows: tuple[int, ...], cols: tuple[int, ...],
     return out
 
 
-def _mirror(entry, *head) -> Grid:
-    """The symmetric 6x6 grid of ``entry(*head, a, b)``, computed for
+def _mirror(entry, *head, n: int = DIM) -> Grid:
+    """The symmetric n x n grid of ``entry(*head, a, b)``, computed for
     a <= b."""
-    grid = [[None] * DIM for _ in range(DIM)]
-    for a in range(DIM):
-        for b in range(a, DIM):
+    grid = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
             grid[a][b] = grid[b][a] = entry(*head, a, b)
     return tuple(tuple(r) for r in grid)
 
 
 def adjugate(grid: Grid) -> Grid:
     """The adjugate of ``grid``, which must be symmetric, as
-    ``Metric6.lower`` is: the adjugate of a symmetric matrix is symmetric,
-    so its signed minors are simplified for i <= j and mirrored."""
-    memo: dict = {}
+    ``Metric6.lower`` is.  Each entry is the node that simplifying its
+    signed minor gives (:func:`_adjugate_of`)."""
+    return _adjugate_of(grid, context())
 
-    def entry(i, j):
-        rows = tuple(r for r in _IDX if r != j)
-        cols = tuple(c for c in _IDX if c != i)
-        m = _minor(grid, rows, cols, memo)
-        if (i + j) % 2:
-            m = mul(MINUS_ONE, m)
-        return simplify(m)
-    return _mirror(entry)
+
+def _adjugate_of(grid, ctx) -> Grid:
+    """The adjugate of the symmetric n x n ``grid``, n >= 1.
+
+    On a nonzero literal-number diagonal entry p whose row holds another
+    nonzero entry, with k the rest of that row and B the rest of the
+    grid, the adjugate comes from that of the Schur complement
+    S = B - k k^T / p (fraction-free elimination; E. H. Bareiss, Math.
+    Comp. 22, 1968): adj_BB = p adj S, adj_Bp = -adj S k and
+    adj_pp = det S + k^T adj S k / p, with det S from row 0 of S against
+    column 0 of adj S.  A literal p adds no symbolic denominator, so each
+    entry is a polynomial in the atoms of ``grid`` and simplifies to the
+    node of its minor.  A grid with no such pivot, a diagonal one among
+    them, is expanded by minors (which skip zero entries), simplified
+    for i <= j and mirrored, as the adjugate of a symmetric grid is
+    symmetric."""
+    n = len(grid)
+    if n == 1:
+        return ((ONE,),)
+    k = next((i for i in range(n) if isinstance(grid[i][i], Num)
+              and grid[i][i] != ZERO
+              and any(grid[i][j] != ZERO for j in range(n) if j != i)),
+             None)
+    if k is None:
+        memo: dict = {}
+        idx = tuple(range(n))
+
+        def minor(i, j):
+            m = _minor(grid, tuple(r for r in idx if r != j),
+                       tuple(c for c in idx if c != i), memo)
+            return simplify(mul(MINUS_ONE, m) if (i + j) % 2 else m)
+        return _mirror(minor, n=n)
+    p = grid[k][k]
+    rest = [i for i in range(n) if i != k]
+    kv = [grid[k][i] for i in rest]
+    minus_inv_p = power(mul(MINUS_ONE, p), -1)
+    schur = _mirror(lambda a, b: contract(
+        [(grid[rest[a]][rest[b]],), (minus_inv_p, kv[a], kv[b])], ctx),
+        n=n - 1)
+    adj = _adjugate_of(schur, ctx)
+    det = contract([(schur[0][c], adj[c][0]) for c in range(n - 1)], ctx)
+    out = [[None] * n for _ in range(n)]
+    for a, r in enumerate(rest):
+        for b in range(a, n - 1):
+            out[r][rest[b]] = out[rest[b]][r] = (
+                adj[a][b] if p is ONE else contract([(p, adj[a][b])], ctx))
+        out[r][k] = out[k][r] = contract(
+            [(MINUS_ONE, adj[a][c], kv[c]) for c in range(n - 1)], ctx)
+    # k^T adj S k / p = -(k . adj_Bp) / p
+    out[k][k] = contract([(det,), *((minus_inv_p, kv[a], out[rest[a]][k])
+                                     for a in range(n - 1))], ctx)
+    return tuple(tuple(r) for r in out)
 
 
 def invert_metric(metric: Metric6) -> Grid:

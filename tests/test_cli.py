@@ -427,6 +427,19 @@ def test_curvature_report_carries_tensor_data(capsys):
     assert data["claimed_inverse"]["structural_zero_entries"] == 36
 
 
+def test_curvature_timing_holds_each_stage(capsys):
+    # the five pipeline stages are timed apart, within the run's total
+    code, out, _ = run(["curvature", "ansatz=coupled", "p1=1/3", "p2=0",
+                        "p3=1/2", "m0=1"], capsys)
+    assert code == 0
+    timing = json.loads(out)["timing"]
+    stages = [f"stages.{s}" for s in ("inverse", "christoffel", "ricci",
+                                       "ricci_scalar", "einstein")]
+    assert sorted(timing) == sorted(["seconds", *stages])
+    assert all(timing[k] >= 0 for k in stages)
+    assert sum(timing[k] for k in stages) <= timing["seconds"]
+
+
 def test_curvature_scalar_defaults_to_symbolic_momenta(capsys):
     code, out, _ = run(["curvature"], capsys)
     assert code == 0

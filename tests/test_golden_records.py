@@ -18,9 +18,11 @@ ansatz=dirac1`` report (without ``timing``) at default, symbolic
 parameters: its 0.64 MB of canonical forms come from the inverse,
 Christoffel, Ricci and Einstein contractions over symbolic momenta.  It
 also holds the digest of the report at ``p1=1/2 p2=1/3 p3=1/4 m0=1``,
-whose on-shell ``p0 = sqrt(205)/12`` puts a root in every entry, and of
+whose on-shell ``p0 = sqrt(205)/12`` puts a root in every entry, of
 the default ``kk6 curvature ansatz=coupled`` report, whose derivatives
-meet folded on-shell roots.
+meet folded on-shell roots, and of the default ``kk6 curvature
+ansatz=gravity-dirac`` report, whose dense metric couples the half-spin
+block to the symbolic weak-field block.
 
 ``golden_metrics.json`` holds one sha256 per metric family, of the
 printed metric entries and claimed inverse(s) at default (symbolic)
@@ -144,15 +146,15 @@ def test_curvature_report_matches_golden(aid):
 
 # label -> (ansatz, CLI arguments) of the symbolic reports whose digest is
 # pinned: ``dirac1`` at default parameters, and at a point with p2 != 0 and
-# an irrational p0, which the benchmark inputs never reach, and ``coupled``
-# at default parameters, whose entries fold on-shell roots (about 4 s); the
-# default ``gravity-dirac`` report takes longer and is left to
-# ``tools/identity.py``
+# an irrational p0, which the benchmark inputs never reach, ``coupled`` at
+# default parameters, whose entries fold on-shell roots (about 4 s), and
+# ``gravity-dirac`` at default parameters (about 4 s)
 SYMBOLIC = {
     "dirac1": ("dirac1", ()),
     "dirac1 p1=1/2 p2=1/3 p3=1/4 m0=1": (
         "dirac1", ("p1=1/2", "p2=1/3", "p3=1/4", "m0=1")),
     "coupled": ("coupled", ()),
+    "gravity-dirac": ("gravity-dirac", ()),
 }
 
 

@@ -1,4 +1,5 @@
 """6x6 metric container: symmetry and inverse machinery."""
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -6,8 +7,8 @@ import pytest
 import kk6.expr
 import kk6.tensor
 from kk6.expr import (
-    MINUS_ONE, ONE, ZERO, add, coords, mul, power, simplify, sqrt, sym,
-    to_text,
+    I, MINUS_ONE, ONE, ZERO, add, coords, exp, mul, num, power, simplify,
+    sqrt, sym, to_text,
 )
 from kk6.tensor import (
     DIM, Metric6, adjugate, identity_residual, invert_metric,
@@ -127,6 +128,50 @@ def test_mirrored_adjugate_is_the_full_minor_expansion(family):
             assert adj[a][b] is full[a][b], (a, b)
 
 
+_LITERALS = (ONE, MINUS_ONE, num(2), num(Fraction(-1, 3)), I, ZERO)
+# atoms that meet themselves in products: a root folds when met twice, and
+# exp(x1) cancels exp(-x1)
+_ATOMS = (x0, x1, x2, x3, exp(mul(I, x0)), exp(x1), exp(mul(MINUS_ONE, x1)),
+          sqrt(x2), sqrt(add(ONE, mul(x3, x3))))
+
+
+def _random_grids(st):
+    literal = st.sampled_from(_LITERALS)
+    atom = st.sampled_from(_ATOMS)
+    symbolic = st.one_of(atom, st.builds(add, atom, atom),
+                         st.builds(mul, literal, atom))
+    entry = st.one_of(st.just(ZERO), literal, atom)
+
+    @st.composite
+    def grid(draw):
+        # the first n of a random order of the diagonal are literal (n = 0:
+        # no literal pivot, the grid is expanded by minors alone)
+        order = draw(st.permutations(range(DIM)))
+        literal_at = set(order[:draw(st.integers(0, DIM))])
+        rows = [[None] * DIM for _ in range(DIM)]
+        for a in range(DIM):
+            rows[a][a] = draw(literal if a in literal_at else symbolic)
+            for b in range(a):
+                rows[a][b] = rows[b][a] = draw(entry)
+        return tuple(map(tuple, rows))
+    return grid()
+
+
+def test_adjugate_is_the_full_minor_expansion_on_random_grids():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=25, deadline=None, derandomize=True,
+                         database=None,
+                         suppress_health_check=[
+                             hypothesis.HealthCheck.too_slow])
+    @hypothesis.given(_random_grids(hypothesis.strategies))
+    def check(grid):
+        adj, full = adjugate(grid), _full_adjugate(grid)
+        assert all(adj[a][b] is full[a][b]
+                   for a in range(DIM) for b in range(DIM))
+    check()
+
+
 @pytest.mark.parametrize("label", list(curvature_metrics()))
 def test_det_is_the_laplace_tree(label):
     # the first-row expansion over the cached adjugate gives the node that
@@ -160,14 +205,16 @@ def test_benchmark_determinants_are_pinned():
 
 
 def test_invert_metric_contracts_each_mirrored_pair_once(monkeypatch):
-    # 21 inverse entries, and the determinant's one contraction
+    # 21 inverse entries, and the determinant's one contraction; the
+    # adjugate, read first, makes its own
     calls = []
 
     def counted(products, ctx):
         calls.append(products)
         return kk6.expr.contract(products, ctx)
-    monkeypatch.setattr(kk6.tensor, "contract", counted)
     m = coupled_metric(1).metric
+    m._adjugate()
+    monkeypatch.setattr(kk6.tensor, "contract", counted)
     up = invert_metric(m)
     assert len(calls) == DIM * (DIM + 1) // 2 + 1
     assert all(up[a][b] is up[b][a] for a in range(DIM) for b in range(a))
@@ -192,6 +239,10 @@ def test_a_singular_metric_witness_is_the_zero_tests_first_point():
     m0 = sym("m0")
     g = _diagonal((mul(x0, add(sqrt(power(m0, 2)), mul(MINUS_ONE, m0))),
                    MINUS_ONE, MINUS_ONE, MINUS_ONE, ONE, MINUS_ONE))
+    _assert_refused_at_the_first_point(g)
+
+
+def _assert_refused_at_the_first_point(g: Metric6):
     assert g.det() != ZERO
     with pytest.raises(kk6.tensor.SingularMetricError) as err:
         invert_metric(g)
@@ -199,6 +250,23 @@ def test_a_singular_metric_witness_is_the_zero_tests_first_point():
     assert set(err.value.witness) == {"m0", "x0"}
     assert err.value.witness == first
     assert err.value.witness["m0"].real > 0
+
+
+def test_a_singular_metric_on_a_literal_pivot_keeps_its_witness():
+    # g44 = 1 is eliminated against g04 = x0, leaving det =
+    # x0 (sqrt(m0^2) - m0), which still vanishes only for a positive m0;
+    # the witness is the zero test's first point
+    m0 = sym("m0")
+    rows = [[ZERO] * DIM for _ in range(DIM)]
+    for a, e in enumerate((add(mul(x0, x0), mul(x0, sqrt(power(m0, 2))),
+                               mul(MINUS_ONE, x0, m0)),
+                           MINUS_ONE, MINUS_ONE, MINUS_ONE, ONE, MINUS_ONE)):
+        rows[a][a] = e
+    rows[0][4] = rows[4][0] = x0
+    g = Metric6(rows)
+    adj, full = adjugate(g.lower), _full_adjugate(g.lower)
+    assert all(adj[a][b] is full[a][b] for a in range(DIM) for b in range(DIM))
+    _assert_refused_at_the_first_point(g)
 
 
 def test_metric_requires_six_rows():
