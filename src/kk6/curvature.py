@@ -32,8 +32,11 @@ simplifying that sum would give.  Each stage call (:func:`christoffel`;
 is read once for all six raised ones, each connection entry once for all
 21 Ricci entries, and each of its factors differentiated once per
 coordinate; Ricci takes each d_C Gamma^C_AB in the entry that reads it.
-Each stage's result, and the trace, is kept in the metric's cache by one
-memo; the context lives for the call, and the cache keeps only trees.
+Each stage's result, and the trace, is kept by one memo in the stage
+dict of the metric's grid, which every metric built on an equal grid
+shares (a bounded cache of the 16 grids used most recently, in
+:mod:`kk6.tensor`); the context lives for the call, and the cache keeps
+only trees.
 A product whose factors share a sum or root base (which ``mul`` would
 merge), a derivative's products among them, takes the tree route inside
 ``contract``.

@@ -16,14 +16,18 @@ the node that simplifying its minor gives, which a property test checks
 on random grids.  The adjugate and the inverse of a symmetric grid are
 symmetric, so both are computed for i <= j and mirrored; ``_mirror``
 fills every symmetric 6x6 grid of the curvature stages too: 21 inverse
-entries, not 36.  The metric's cache keeps the adjugate beside the
-determinant and the inverse, and the determinant is read off it: row 0
-of the metric against column 0 of the adjugate, the first-row Laplace
-expansion over cofactors already simplified.  The determinant, and each
-entry of the inverse and of a claimed inverse's residual
-``claimed * g - I`` (its row-column products, with -1 on the diagonal),
-is one :func:`~kk6.expr.contract` call, expanded once in the polynomial
-kernel, with one kernel context per call of ``Metric6.det``,
+entries, not 36.  Derived data is cached per grid, not per metric: every
+``Metric6`` built on equal rows (equal node for node, as nodes are
+hash-consed) shares one stage dict, held for the 16 grids used most
+recently, so a metric built again derives nothing again.  That dict
+keeps the adjugate beside the determinant and the inverse, and the
+curvature stages beside them, all trees.  The determinant is read off
+the adjugate: row 0 of the metric against column 0 of the adjugate, the
+first-row Laplace expansion over cofactors already simplified.  The
+determinant, and each entry of the inverse and of a claimed inverse's
+residual ``claimed * g - I`` (its row-column products, with -1 on the
+diagonal), is one :func:`~kk6.expr.contract` call, expanded once in the
+polynomial kernel, with one kernel context per call of ``Metric6.det``,
 :func:`invert_metric` or :func:`identity_residual`.  An adjugate entry
 can be the determinant's own sum, which ``mul`` cancels against its
 inverse: such a product takes the tree route inside ``contract``.  This
@@ -74,8 +78,22 @@ def _as_grid(rows) -> Grid:
     return grid
 
 
+# Traffic: one ``kk6 verify`` pass builds 15 metrics on 12 distinct grids,
+# and one ``kk6 curvature`` pass over the eight ansatze 10 metrics on 8, so
+# 16 grids hold either pass.
+@functools.lru_cache(maxsize=16)
+def _stages_of(grid: Grid) -> dict[str, object]:
+    """The stage dict of ``grid``, shared by every Metric6 built on it, so
+    a metric built again from the same 36 nodes derives nothing again.
+    Nodes are hash-consed, so hashing a grid costs 36 identity hashes and
+    equal grids are equal node for node."""
+    return {}
+
+
 def _memo(fn):
-    """Keep ``fn(metric)`` in ``metric._cache`` under ``fn``'s name."""
+    """Keep ``fn(metric)`` in ``metric._cache``, its grid's stage dict,
+    under ``fn``'s name.  Only a returned value is kept: a call that
+    raises (``upper`` of a singular metric) raises again on the next."""
     key = fn.__name__
 
     @functools.wraps(fn)
@@ -88,8 +106,10 @@ def _memo(fn):
 
 
 class Metric6:
-    """Symmetric 6x6 metric with cached derived data (adjugate,
-    determinant, inverse, connection)."""
+    """Symmetric 6x6 metric.  Its derived data (adjugate, determinant,
+    inverse and the curvature stages) is cached in ``_cache``, the stage
+    dict of its grid, which every metric built on an equal grid shares
+    while the grid is among the 16 used most recently."""
 
     def __init__(self, rows):
         grid = _as_grid(rows)
@@ -100,7 +120,7 @@ class Metric6:
                         f"metric not symmetric at ({a},{b}): "
                         f"{to_text(grid[a][b])} vs {to_text(grid[b][a])}")
         self.lower = grid
-        self._cache: dict[str, object] = {}
+        self._cache = _stages_of(grid)
 
     @_memo
     def det(self) -> Expr:

@@ -62,8 +62,8 @@ from .dynamics import (
     _path_difference, _phase,
 )
 from .expr import (
-    Expr, ExprError, HALF, I, MINUS_ONE, ZERO, conj, context, contract,
-    coords, derive, exp, mul, num, power, sym,
+    Add, Expr, ExprError, HALF, I, MINUS_ONE, Pow, ZERO, _kids, conj,
+    context, contract, coords, derive, exp, mul, num, power, sym,
 )
 from .oracle import einstein_fd, metric_evaluator
 from .parse import ParseError, parse_expression
@@ -120,6 +120,36 @@ _MOST_SAMPLES = 100_000
 # families at one eps and seed), 3.4 to 8.4 ms on a 2-core host, so a run
 # is bounded at about 9 s.
 _MOST_SPLIT_POINTS = 1_000
+# The most monomials a perturbation may expand to (``_expanded_terms``):
+# the curvature stages expand its powers of sums.  ``ricci.scalar.zero``
+# with perturb=(1+x1+x2+x3+x4)^k, C(k + 4, 4) monomials, took 1.2 s at
+# k = 3 (35), 4.2 s at k = 4 (70), 9.5 s at k = 5 (126) and 109 s at
+# k = 8 (495) on a 2-core host, so a run is bounded at about 5 s.
+_MOST_PERTURB_TERMS = 70
+
+
+def _expanded_terms(e: Expr) -> int:
+    """How many monomials expanding ``e`` may give, counted up to one
+    above ``_MOST_PERTURB_TERMS``.  A sum adds its terms' counts; a
+    product, and a function of its argument, multiplies its parts'; a
+    power of a part of t monomials to n has the C(|n| + t - 1, t - 1)
+    monomials of degree |n| in t, for a negative n too, as the inverse
+    metric raises it back."""
+    memo: dict[Expr, int] = {}
+
+    def count(node: Expr) -> int:
+        got = memo.get(node)
+        if got is None:
+            kids = [count(k) for k in _kids(node)]
+            if isinstance(node, Add):
+                got = sum(kids)
+            elif isinstance(node, Pow):
+                got = math.comb(abs(node.n) + kids[0] - 1, kids[0] - 1)
+            else:
+                got = math.prod(kids)
+            got = memo[node] = min(got, _MOST_PERTURB_TERMS + 1)
+        return got
+    return count(e)
 
 
 def coerce_param(name: str, value, real: bool = False):
@@ -142,9 +172,12 @@ def coerce_param(name: str, value, real: bool = False):
         return value
     if kind == "expr":
         try:
-            parse_expression(str(value))
+            e = parse_expression(str(value))
         except (ParseError, ExprError) as err:
             raise ClaimParamError(f"{name}: {err}") from None
+        if _expanded_terms(e) > _MOST_PERTURB_TERMS:
+            raise ClaimParamError(f"{name}: expands to more than "
+                                  f"{_MOST_PERTURB_TERMS} monomials")
         return str(value)
     try:
         v = Fraction(str(value))
@@ -170,7 +203,8 @@ def read_params(spec: dict, given: dict, reader: str) -> dict:
     default is numeric and refuses ``symbolic``.  Unbound names are left
     out.  Raises :class:`ClaimParamError` for a value of the wrong kind or
     out of range, integration ``steps`` and fringe-grid ``points`` above
-    100,000 and gravity-split ``points`` above 1,000 among them."""
+    100,000, gravity-split ``points`` above 1,000 and a ``perturb`` that
+    expands to more than 70 monomials among them."""
     out = {}
     for name, default in spec.items():
         if name not in given and default is None:
@@ -262,11 +296,14 @@ def fringe_profile(params):
 # shared modes
 
 # Each claim reads a mode, and never changes it, so the claims that read
-# one mode share one object, built on the first read in the process, with
-# the curvature its metric keeps.  Each memo is keyed on the values its
-# builder reads: a momentum is a number (None: symbolic) or an
-# expression, and equal numbers build one node and equal expressions are
-# one object, so equal values share an entry and unequal ones never do.
+# one mode share one object, built on the first read in the process: these
+# memos save building the mode again.  The curvature is shared apart from
+# them, by the metric's grid (``tensor``'s grid cache), so a claim that
+# builds its own metric on a mode's grid reads the mode's curvature too.
+# Each memo is keyed on the values its builder reads: a momentum is a
+# number (None: symbolic) or an expression, and equal numbers build one
+# node and equal expressions are one object, so equal values share an
+# entry and unequal ones never do.
 
 @lru_cache(maxsize=8)
 def _scalar_mode(p: tuple, m0) -> ScalarMode:

@@ -1,4 +1,5 @@
-"""Shared test plumbing: the acceptance ledger and its terminal summary."""
+"""Shared test plumbing: the acceptance ledger and its terminal summary,
+and an empty grid cache for each test."""
 import pytest
 
 _ACCEPTANCE_LINES: list[str] = []
@@ -9,6 +10,14 @@ def acceptance_ledger():
     """Append 'ACCEPTANCE <name>: PASS|FAIL' lines here; they are echoed
     in the terminal summary so they survive output capture."""
     return _ACCEPTANCE_LINES
+
+
+@pytest.fixture(autouse=True)
+def _empty_grid_cache():
+    """Each test starts with no metric's stages cached, so a test that
+    counts the work of a fresh metric counts it whatever ran before."""
+    from kk6 import tensor
+    tensor._stages_of.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

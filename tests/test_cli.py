@@ -17,7 +17,12 @@ from kk6.cli import CliError, main, parse_config
 from kk6.dynamics import (
     closed_form_state, connection_evaluator, integrate, two_path_fringes,
 )
-from kk6.verify import GEODESIC_DEFAULTS, read_params, scalar_momenta
+from kk6.parse import parse_expression
+from kk6.verify import (
+    GEODESIC_DEFAULTS, ClaimParamError, _expanded_terms, coerce_param,
+    read_params, scalar_momenta,
+)
+from test_golden_records import CURVATURE
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 GEO_HEADER = "tau," + ",".join(f"re_x{a},im_x{a}" for a in range(6))
@@ -226,6 +231,41 @@ def test_a_power_too_long_to_compute_is_refused_unformed():
     assert proc.stderr == ("error[config]: argument 'perturb=2^10000000000': "
                            "perturb: a number with more than 4300 digits "
                            "(column 2)\n")
+
+
+@pytest.mark.parametrize("perturb", [
+    "(1+x1+x2+x3+x4)^-8", "exp((1+x1+x2+x3+x4)^5)",
+    "(1+x1+x2+x3+x4)^8*(1+x0+x5)^8",
+])
+def test_a_perturbation_that_expands_too_far_is_refused(perturb):
+    # read as the command line reads it, so nothing runs if it is accepted
+    with pytest.raises(ClaimParamError) as err:
+        coerce_param("perturb", perturb)
+    assert str(err.value) == "perturb: expands to more than 70 monomials"
+
+
+@pytest.mark.parametrize("perturb, terms", [
+    ("1+x1^2", 2), ("(1+x1+x2+x3+x4)^4", 70), ("(1+x1+x2+x3+x4)^-4", 70),
+    ("(1+x1+x2+x3+x4)^2*(1+x0+x5)", 45), ("sqrt((1+x1+x2+x3+x4)^3)", 35),
+    ("(1+x1+x2+x3+x4)^5", 71), ("(1+x1+x2)^(10^4000)", 71),
+])
+def test_a_perturbation_s_expanded_size_is_counted(perturb, terms):
+    assert _expanded_terms(parse_expression(perturb)) == terms
+
+
+def test_a_perturbation_that_once_ran_109_s_fails_fast():
+    # (1+x1+x2+x3+x4)^8 expands to 495 monomials; before the bound it ran
+    # for about 109 s.  The child runs under a time limit so that running
+    # it fails the test instead of hanging it
+    argv = ["verify", "--claim", "ricci.scalar.zero",
+            "perturb=(1+x1+x2+x3+x4)^8"]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-m", "kk6", *argv], env=env,
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("error[config]: argument "
+                           "'perturb=(1+x1+x2+x3+x4)^8': perturb: expands "
+                           "to more than 70 monomials\n")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -438,6 +478,21 @@ def test_curvature_timing_holds_each_stage(capsys):
     assert sorted(timing) == sorted(["seconds", *stages])
     assert all(timing[k] >= 0 for k in stages)
     assert sum(timing[k] for k in stages) <= timing["seconds"]
+
+
+@pytest.mark.parametrize("aid", CURVATURE)
+def test_a_repeated_curvature_report_is_identical_outside_timing(aid,
+                                                                 capsys):
+    # the second run reads every stage from the first run's grid cache
+    argv = ["curvature", f"ansatz={aid}", *CURVATURE[aid]]
+    reports = []
+    for _ in range(2):
+        code, out, err = run(argv, capsys)
+        assert code == 0 and err == ""
+        rep = json.loads(out)
+        assert rep.pop("timing")
+        reports.append(json.dumps(rep))
+    assert reports[0] == reports[1]
 
 
 def test_curvature_scalar_defaults_to_symbolic_momenta(capsys):

@@ -4,21 +4,23 @@ from types import SimpleNamespace
 
 import pytest
 
+import kk6.curvature
 import kk6.expr
 import kk6.tensor
 from kk6.expr import (
-    I, MINUS_ONE, ONE, ZERO, add, coords, exp, mul, num, power, simplify,
-    sqrt, sym, to_text,
+    I, MINUS_ONE, ONE, ZERO, _Ctx, add, coords, exp, mul, num, power,
+    simplify, sqrt, sym, to_text,
 )
 from kk6.tensor import (
     DIM, Metric6, adjugate, identity_residual, invert_metric,
 )
-from kk6.curvature import christoffel
+from kk6.curvature import christoffel, einstein, ricci, ricci_scalar
 from kk6.ansatz import (
     coupled_metric, dirac_metric, gravity_metric, photon_metric,
     proca_metric, scalar_metric, weak_field_block,
 )
 from kk6.zeros import is_zero
+from test_curvature import _reachable
 from test_golden_records import CURVATURE, curvature_metrics
 
 x0, x1, x2, x3, x4, x5 = coords()
@@ -272,3 +274,65 @@ def test_a_singular_metric_on_a_literal_pivot_keeps_its_witness():
 def test_metric_requires_six_rows():
     with pytest.raises(ValueError):
         Metric6([[ONE]])
+
+
+# ---------------------------------------------------------------------------
+# the grid cache: one stage dict per grid, shared by every build on it
+
+_STAGES = (Metric6.det, Metric6.upper, christoffel, ricci, ricci_scalar,
+           einstein)
+
+
+def test_an_equal_grid_reads_the_first_builds_stages(monkeypatch):
+    first = proca_metric().metric
+    got = [stage(first) for stage in _STAGES]
+    calls = []
+
+    def counted(products, ctx):
+        calls.append(products)
+        return kk6.expr.contract(products, ctx)
+    monkeypatch.setattr(kk6.curvature, "contract", counted)
+    monkeypatch.setattr(kk6.tensor, "contract", counted)
+    again = Metric6([list(r) for r in first.lower])
+    assert again is not first and again._cache is first._cache
+    for stage, one in zip(_STAGES, got):
+        assert stage(again) is one
+    assert calls == []
+
+
+def test_the_grid_cache_evicts_the_least_recently_used_grid():
+    size = kk6.tensor._stages_of.cache_info().maxsize
+    assert size == 16
+    grids = [_diagonal((num(k), MINUS_ONE, MINUS_ONE, MINUS_ONE, ONE,
+                        MINUS_ONE)).lower for k in range(1, size + 2)]
+    caches = [Metric6(g)._cache for g in grids[:size]]
+    assert Metric6(grids[0])._cache is caches[0]      # a hit refreshes it
+    Metric6(grids[size])                              # the 17th grid
+    assert kk6.tensor._stages_of.cache_info().currsize == size
+    assert Metric6(grids[0])._cache is caches[0]
+    assert Metric6(grids[1])._cache is not caches[1]  # evicted first
+    assert all(Metric6(grids[k])._cache is caches[k]
+               for k in range(3, size))
+
+
+def test_a_singular_grid_raises_on_every_build():
+    m0 = sym("m0")
+    entries = (mul(x0, add(sqrt(power(m0, 2)), mul(MINUS_ONE, m0))),
+               MINUS_ONE, MINUS_ONE, MINUS_ONE, ONE, MINUS_ONE)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(kk6.tensor.SingularMetricError) as err:
+            _diagonal(entries).upper()
+        errors.append(err.value)
+    assert errors[1].det is errors[0].det
+    assert errors[1].witness == errors[0].witness
+    assert "upper" not in _diagonal(entries)._cache
+
+
+def test_the_grid_cache_keeps_no_kernel_context():
+    metrics = curvature_metrics()
+    for label in ("proca", "coupled"):
+        einstein(metrics[label])
+    entries = [Metric6(m.lower)._cache for m in metrics.values()]
+    assert sum(len(e) for e in entries) >= 16
+    assert not any(isinstance(o, _Ctx) for o in _reachable(entries))
