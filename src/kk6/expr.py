@@ -69,11 +69,21 @@ wider one.
 :func:`contract` is the entry point for sums of products (tensor
 contractions): its result is ``simplify`` of the ``add`` of the ``mul`` of
 each product, computed in the same kernel without building those trees.
-Its loop is the kernel's one expand-and-multiply loop: ``simplify`` is one
-``contract`` of the single product ``(e,)`` in a fresh context, and inside
-it a sum is handed over as the products of its terms and a product as
-itself.  Calls that share a :func:`context` share its layout and memos, so
-an operand is read once for all of them.
+Its loop is the kernel's one expand-and-multiply loop: ``simplify`` runs
+it on the single product ``(e,)`` in a fresh context, and inside it a sum
+is handed over as the products of its terms and a product as itself.
+Calls that share a :func:`context` share its layout and memos, so an
+operand is read once for all of them.
+
+``contract`` keeps its results in one process-wide LRU memo of
+``_CONTRACTED_CAP`` entries, keyed by its products as a tuple of tuples of
+nodes.  Nodes are interned, so the key hashes only object identities, and
+a hit returns the node a fresh run would build; a residual formed again in
+a later claim or pass, at other sample points, costs one lookup.  Only
+returned results are stored, so a call that raises raises again.
+``simplify`` runs the kernel without the memo: its result is already
+cached on the input, and an entry keyed by the input would keep every
+simplified node alive until it was evicted.
 
 :func:`derive` is the entry point for derivatives: its result is
 ``simplify`` of :func:`diff`, and it is the product rule handed to
@@ -101,11 +111,13 @@ tree shares it.
 :func:`simplify` caches its result on each node it simplifies, input and
 subexpressions alike.  The cache depends only on the node's structure and
 lives as long as the node, so simplifying a live expression again, in a
-later claim or pass, costs one attribute read.
+later claim or pass, costs one attribute read.  Unlike ``contract``'s
+memo, it holds no node alive.
 """
 from __future__ import annotations
 
 import weakref
+from collections import OrderedDict
 from fractions import Fraction
 from math import isqrt, lcm
 from operator import attrgetter
@@ -1052,11 +1064,14 @@ def simplify(e: Expr) -> Expr:
     """Expand products over sums and small positive powers of sums, and
     collect like monomials.  Negative powers of sums stay atomic.
     Value-preserving and idempotent.  The result is cached on ``e`` (and on
-    each subexpression visited), so simplifying a live node again is free."""
+    each subexpression visited), so simplifying a live node again is free.
+    It runs the kernel directly, not through :func:`contract`'s memo: the
+    cache on ``e`` already answers a repeat, and a memo entry would keep
+    ``e`` alive after its last reference."""
     got = e._simp
     if got is not None:
         return e if got is _SELF else got
-    r = contract([(e,)], context())
+    r = _expand([(e,)], context())
     e._simp = _SELF if r is e else r
     return r
 
@@ -1102,8 +1117,22 @@ def context() -> _Ctx:
     :func:`derive` calls, or for one :func:`simplify` call: the calls share
     its reads, ``exp`` sums and ``diff`` trees.  A call that outgrows its
     field width restarts in a wider context of its own, and this one goes
-    on at its width."""
+    on at its width.  A contraction formed before, in any context, is
+    answered by :func:`contract`'s memo and reads nothing into this one."""
     return _Ctx(32)
+
+
+# ``contract``'s memo: its products as a tuple of tuples of nodes -> the
+# result, least recently used first.  Traffic: one pass over the 17 claims
+# and the benchmark's 4 probes makes 3,892 calls, 1,036 of them distinct,
+# and the next pass at another seed asks again for 476 of them (1,238
+# calls); an LRU of 1,001 entries answers every one.  One ``kk6
+# curvature`` pass over the eight ansatze makes 5,348 calls, 2,056
+# distinct, and its next pass is mostly answered by ``tensor``'s grid
+# cache.  An entry keeps its key's nodes alive: 2,048 entries raised that
+# workload's peak RSS by 6%, 1,024 by 3%.
+_CONTRACTED: "OrderedDict[tuple, Expr]" = OrderedDict()
+_CONTRACTED_CAP = 1024
 
 
 def contract(products, ctx: _Ctx) -> Expr:
@@ -1119,8 +1148,27 @@ def contract(products, ctx: _Ctx) -> Expr:
     factors with the same sum or root as base (``S*S^-1 -> 1``,
     ``S^9*S^-1 -> S^8``, ``sqrt(a)^2 -> a``) takes the tree route instead,
     as the kernel would expand or fold them in another order.  On an
-    exponent beyond the field width only this call restarts, wider."""
-    products = list(products)
+    exponent beyond the field width only this call restarts, wider.
+
+    The result is kept in a process-wide LRU memo of ``_CONTRACTED_CAP``
+    entries, keyed by the products' nodes, so the same products asked for
+    again, in any context, return the stored node at once.  A call that
+    raises stores nothing."""
+    # the key's tuples, never the caller's iterables, reach the kernel:
+    # building the key consumes a generator
+    key = tuple(tuple(p) for p in products)
+    got = _CONTRACTED.get(key)
+    if got is not None:
+        _CONTRACTED.move_to_end(key)
+        return got
+    got = _CONTRACTED[key] = _expand(key, ctx)
+    if len(_CONTRACTED) > _CONTRACTED_CAP:
+        _CONTRACTED.popitem(last=False)
+    return got
+
+
+def _expand(products, ctx: _Ctx) -> Expr:
+    """``_contract``, restarted in a wider context on a field overflow."""
     while True:
         try:
             return _contract(products, ctx)

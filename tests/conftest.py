@@ -1,5 +1,5 @@
 """Shared test plumbing: the acceptance ledger and its terminal summary,
-and an empty grid cache for each test."""
+and empty process-wide caches for each test."""
 import pytest
 
 _ACCEPTANCE_LINES: list[str] = []
@@ -13,11 +13,13 @@ def acceptance_ledger():
 
 
 @pytest.fixture(autouse=True)
-def _empty_grid_cache():
-    """Each test starts with no metric's stages cached, so a test that
-    counts the work of a fresh metric counts it whatever ran before."""
-    from kk6 import tensor
+def _empty_caches():
+    """Each test starts with no metric's stages and no contraction cached,
+    so a test that counts the work of a fresh metric, or patches the
+    kernel and calls ``contract``, sees that work whatever ran before."""
+    from kk6 import expr, tensor
     tensor._stages_of.cache_clear()
+    expr._CONTRACTED.clear()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

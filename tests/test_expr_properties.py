@@ -651,6 +651,70 @@ def test_derive_merges_where_contract_does(monkeypatch):
     assert derive(x, X0, context()) is not want
 
 
+# ``contract``'s process-wide memo: a hit returns the node a fresh run
+# builds, whatever filled the memo, and ``derive`` reaches it through
+# ``contract``.  Each check clears the memo itself, as hypothesis runs
+# every example of a test in one call of the fixtures.
+def _both(ps, x, s):
+    return contract(ps, context()), _derivative(x, s, context())
+
+
+@PROPERTY
+@given(products, derivables, st.sampled_from(TARGETS), products)
+def test_contract_and_derive_give_one_node_with_the_memo_empty_or_filled(
+        ps, e, s, other):
+    x = simplify(e)
+    want = (_tree_route(ps), _tree_derivative(x, s))
+    kernel._CONTRACTED.clear()
+    empty = _both(ps, x, s)
+    contract(other, context())
+    filled = _both(ps, x, s)
+    for got in (empty, filled):
+        assert got[0] is want[0]
+        assert got[1] is want[1]
+    as_generators = (iter(p) for p in ps)
+    assert contract(as_generators, context()) is want[0]
+
+
+def test_products_as_generators_give_the_node_of_tuples():
+    # the tree route rebuilds a product in which mul merges, so a
+    # generator product must reach the kernel as the key's tuple
+    ps = [(_S, power(_S, -1)), (X1, sqrt(_R), sqrt(_R))]
+    want = _tree_route(ps)
+    for _ in range(2):      # the memo empty, then filled
+        assert contract((iter(p) for p in ps), context()) is want
+    assert contract(ps, context()) is want
+
+
+def test_the_contract_memo_evicts_the_least_recently_used(monkeypatch):
+    monkeypatch.setattr(kernel, "_CONTRACTED_CAP", 2)
+    expand = kernel._expand
+    runs = []
+    monkeypatch.setattr(
+        kernel, "_expand",
+        lambda ps, ctx: runs.append(ps) or expand(ps, ctx))
+    a, b, c = ((X0, _S),), ((X1, _T),), ((X2, _R),)  # each its own key
+    got_a, got_b = contract(a, context()), contract(b, context())
+    assert contract(a, context()) is got_a      # a hit refreshes a
+    contract(c, context())                      # and b goes
+    assert list(kernel._CONTRACTED) == [a, c]
+    assert runs == [a, b, c]
+    assert contract(b, context()) is got_b      # formed again
+    assert list(kernel._CONTRACTED) == [c, b]
+    assert runs == [a, b, c, b]
+
+
+def test_a_contraction_that_raises_stores_nothing():
+    # a sum that simplifies to zero, under a negative power
+    zero = add(mul(X0, _S), mul(MINUS_ONE, X0, X1), mul(MINUS_ONE, X0))
+    assert simplify(zero) is ZERO
+    ps = [(power(zero, -1), X2)]
+    for _ in range(2):      # raised again, not answered from the memo
+        with pytest.raises(DomainError):
+            contract(ps, context())
+        assert not kernel._CONTRACTED
+
+
 # Idempotency where no cached result can answer: a result met again as
 # a fresh parse of its printed text, in this process with every cached
 # ``simplify`` result on it forgotten, and in a fresh process.  Products

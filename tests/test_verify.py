@@ -691,6 +691,45 @@ def test_records_do_not_depend_on_what_ran_before():
         assert here[label] == fresh[label], label
 
 
+# One fresh interpreter runs every claim and probe at seed 0 and then at
+# seed 1, and counts the seed-1 pass's misses of the contraction memo: a
+# miss stores its result, while a hit only moves its key to the end.
+_TRAFFIC_SCRIPT = """
+import json, sys
+from collections import OrderedDict
+from kk6 import expr
+from kk6.report import record_dict
+from kk6.verify import run_claim
+
+class Counted(OrderedDict):
+    stores = 0
+
+    def __setitem__(self, key, value):
+        Counted.stores += 1
+        super().__setitem__(key, value)
+
+runs = json.loads(sys.argv[1])
+for label, cid, params in runs:
+    run_claim(cid, seed=0, params=params)
+expr._CONTRACTED = Counted(expr._CONTRACTED)
+Counted.stores = 0
+records = {label: record_dict(run_claim(cid, seed=1, params=params))
+           for label, cid, params in runs}
+print(json.dumps({"misses": Counted.stores, "records": records}))
+"""
+
+
+def test_a_second_verify_pass_forms_no_contraction_again():
+    # the residuals do not depend on the seed, so the memo's bound must
+    # hold every contraction a pass makes until the next pass asks again;
+    # each record is the one its claim makes alone in a fresh process
+    got = _in_fresh_interpreter(_TRAFFIC_SCRIPT, json.dumps(ALL_RUNS))
+    assert got["misses"] == 0
+    for run in ALL_RUNS:
+        alone = _in_fresh_interpreter(_RUNS_SCRIPT, json.dumps([run]), "1")
+        assert got["records"][run[0]] == alone[run[0]], run[0]
+
+
 @pytest.fixture
 def fresh_modes():
     """The mode memos emptied, so that a test sees what its claims build."""
