@@ -857,6 +857,24 @@ _GEO_M0 = 1.0
 _GEO_CONST = (0.1 + 0.05j, -0.2j, 0.3, 0.02 + 0.01j, 0.0, 0.04 - 0.1j)
 
 
+@lru_cache(maxsize=4)
+def _geodesic_figure(steps: int) -> tuple:
+    """The numeric half of ``geodesic.closedform`` at ``steps``, which
+    reads no seed: the integrated path's largest deviation from the closed
+    form, the largest error of its interval slope, and its state count."""
+    mode = _scalar_mode(_GEO_P, _GEO_M0)   # binary-exact floats
+    s0 = closed_form_state(0.0, _GEO_P, _GEO_M0, _GEO_CONST)
+    path = integrate(s0, 1.0, steps, connection_evaluator(mode.metric))
+    dev = closed_form_deviation(path, _GEO_P, _GEO_M0, _GEO_CONST)
+    ratio_err = 0.0
+    for iv, s_lo, s_hi in zip(interval_along(path, mode.metric),
+                              path.states, path.states[1:]):
+        xm = [0.5 * (a + b) for a, b in zip(s_lo.x, s_hi.x)]
+        ratio_err = max(ratio_err, abs(iv.ds / iv.dx4 - cmath.exp(
+            -1j * _phase(xm, _GEO_P, _GEO_M0))))
+    return dev, ratio_err, len(path.states)
+
+
 def check_geodesic_closedform(seed, tol, params) -> dict:
     steps = params["steps"]
     cf = closed_form_exprs()
@@ -865,29 +883,20 @@ def check_geodesic_closedform(seed, tol, params) -> dict:
     out = _grade(pairs, seed, tol)
     notes = []
     if out.status == "zero":
-        mode = _scalar_mode(_GEO_P, _GEO_M0)   # binary-exact floats
-        s0 = closed_form_state(0.0, _GEO_P, _GEO_M0, _GEO_CONST)
-        path = integrate(s0, 1.0, steps, connection_evaluator(mode.metric))
-        dev = closed_form_deviation(path, _GEO_P, _GEO_M0, _GEO_CONST)
-        ratio_err = 0.0
-        for iv, s_lo, s_hi in zip(interval_along(path, mode.metric),
-                                  path.states, path.states[1:]):
-            xm = [0.5 * (a + b) for a, b in zip(s_lo.x, s_hi.x)]
-            ratio_err = max(ratio_err, abs(iv.ds / iv.dx4 - cmath.exp(
-                -1j * _phase(xm, _GEO_P, _GEO_M0))))
+        dev, ratio_err, states = _geodesic_figure(steps)
         notes.append(f"numeric integration at {steps} steps deviates from "
                      f"the closed form by at most {dev:.3e}")
         notes.append("interval slope matches the inverse phase factor: "
                      f"max |ds/dx4 - exp(-i theta)| = {ratio_err:.3e}")
         if max(dev, ratio_err) > 1e-6:
             out = _Outcome("nonzero", max(dev, ratio_err),
-                           out.samples + len(path.states), out.structural,
+                           out.samples + states, out.structural,
                            {"deviation": complex(dev)},
                            "numeric integration disagrees with the closed "
                            "form")
         else:
             out = _Outcome("zero", max(out.max_residual, dev, ratio_err),
-                           out.samples + len(path.states), out.structural)
+                           out.samples + states, out.structural)
     return _close(out,
                   ("real affine parameter", _ONSHELL_NOTE,
                    "the exponential in the compact coordinate uses "

@@ -47,25 +47,38 @@ expressions are taken one at a time, up to the first that is not zero
 there, and only each new expression's entries are evaluated; every later
 point runs a group's tape as far as the last root still needed.  Each
 expression's result is replayed in order and is bit for bit what testing
-it alone gives.  A tape lives for one call and keeps nothing alive.
+it alone gives.
 Each node's value is the CPython complex arithmetic of a recursive walk in
 the same order, so results are bit for bit what such a walk gives.  The
 first node in post-order that fails names the error (:class:`EvalError`
 with that subtree): an unbound symbol, a zero base at a negative power, a
 non-finite value, or an overflow (``exp``, ``**``, a constant or a
-magnitude beyond the float range), which :func:`is_zero` reports as an
+magnitude beyond the float range).  :func:`is_zero` binds every free
+symbol, so it meets only the last three, and reports them as an
 inconclusive verdict with a note naming the subtree (its text cut after
 512 characters, with the full length appended).  In a group, the failing
 slot belongs to the first expression that reads it: the expressions
 before it are already evaluated at that point, and the slot is also the
 first to fail in that expression's own post-order, so the note names the
 same subtree.  The error model above is unchanged.
+
+A group's tape outlives its call: it is kept for the next group, in any
+later call, that starts with the same expression, which reads the kept
+entries as far as its expressions are the kept ones in the same order and
+branches where they differ, so a pass that grades the same residuals at
+another seed builds no entry.  The first point still stops at the end of
+the expressions added so far, so a kept tape changes no result.  A kept
+tape holds no expression alive: its entries hold symbol names and
+numbers, and its expressions are matched through weak references.  It is
+dropped with the expression it starts with, and a branch whose
+expression has died is dropped at the next branch from the same place.
 """
 from __future__ import annotations
 
 import cmath
 import math
 import random
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
@@ -129,12 +142,12 @@ _UNARY = {Exp: _EXP, Sqrt: _SQRT, Conj: _CONJ}
 _OVERFLOW = {_POW: "power overflow", _EXP: "exp overflow"}
 
 
-def _extend(tape: list, slot: dict, order: list, e: Expr) -> int:
-    """Append to ``tape`` (and to ``order``) the nodes of ``e`` that
-    ``slot`` does not hold yet, each after its children, in the order a
-    depth-first walk over the children in turn finishes them; return the
-    slot of ``e``.  Each node already held heads a subtree whose nodes are
-    all held, so the new entries keep their order in ``e``'s own walk."""
+def _walk(slot: dict, order: list, e: Expr) -> None:
+    """Append to ``order`` the nodes of ``e`` that ``slot`` does not hold
+    yet, each after its children, in the order a depth-first walk over the
+    children in turn finishes them, and give each the next slot.  Each
+    node already held heads a subtree whose nodes are all held, so the new
+    nodes keep their order in ``e``'s own walk."""
     if e not in slot:
         stack = [(e, iter(_kids(e)))]
         while stack:
@@ -145,9 +158,17 @@ def _extend(tape: list, slot: dict, order: list, e: Expr) -> int:
                     break
             else:
                 stack.pop()
-                slot[node] = len(tape)
-                tape.append(_entry(node, slot))
+                slot[node] = len(order)
                 order.append(node)
+
+
+def _extend(tape: list, slot: dict, order: list, e: Expr) -> int:
+    """Append to ``tape`` (and to ``order``, as long as it) the entries of
+    the nodes of ``e`` that ``slot`` does not hold yet, in :func:`_walk`'s
+    order; return the slot of ``e``."""
+    new = len(order)
+    _walk(slot, order, e)
+    tape.extend(_entry(node, slot) for node in order[new:])
     return slot[e]
 
 
@@ -273,8 +294,9 @@ def is_zero(e: Expr, seed: int = 0, trials: int = 32,
     """Zero/nonzero/inconclusive verdict for ``e`` by random evaluation.
 
     Deterministic per seed.  The first point violating the threshold is
-    returned as a nonzero witness; evaluation failures (unbound symbols,
-    overflow) yield an inconclusive verdict naming the offending subtree.
+    returned as a nonzero witness; an evaluation failure (a zero base at a
+    negative power, a non-finite value, an overflow) yields an
+    inconclusive verdict naming the offending subtree.
     Raises ``ValueError`` for ``trials`` not an integer of at least 1, or
     ``tol`` not a real number in (0, 1), any of which would let a
     sample-free or NaN test read ``zero`` or fail with a bare ``TypeError``.
@@ -282,12 +304,42 @@ def is_zero(e: Expr, seed: int = 0, trials: int = 32,
     return are_zero((e,), seed, trials, tol)[0]
 
 
+class _Step:
+    """A kept member of a group: a weak reference to its expression, the
+    slot of its value, the tape's length once it was added (where point 0
+    stops), the tape whose first ``end`` entries are the group's through
+    it, and the members kept after it, one branch per later expression."""
+
+    __slots__ = ("ref", "root", "end", "tape", "next")
+
+    def __init__(self, e: Expr, root: int, tape: list) -> None:
+        self.ref = weakref.ref(e)
+        self.root = root
+        self.end = len(tape)
+        self.tape = tape
+        self.next: list = []
+
+
+# Each group's tape kept for the next group that starts with the same
+# expression: its first member's step, keyed on that expression, whose
+# death drops the entry.  A step holds no node: its entries name symbols
+# and hold numbers, and it finds its members through weak references.
+# A tape list is only ever appended to, by a branch from a step where it
+# ends; a branch from a step whose list runs past its end copies the
+# list's first ``end`` entries, so each step's entries never change.
+_KEPT: "weakref.WeakKeyDictionary[Expr, _Step]" = weakref.WeakKeyDictionary()
+
+
 class _Group:
     """The expressions of one free-symbol set in an :func:`are_zero` run:
     they draw the same sample points and share one tape over the union of
-    their nodes.  Member ``i`` is expression ``index[i]`` of the run, its
-    value is at slot ``root[i]``, ``reach[i]`` is the largest root of
-    members 0..i and ``worst[i]`` its largest residual so far."""
+    their nodes, a kept one (``_KEPT``) as far as its steps name the same
+    expressions in the same order.  Member ``i`` is expression
+    ``index[i]`` of the run, its value is at slot ``root[i]``, ``reach[i]``
+    is the largest root of members 0..i and ``worst[i]`` its largest
+    residual so far.  ``slot`` and ``order`` (each node's slot, and the
+    nodes in slot order) are walked again only to extend the tape or to
+    name a failing node."""
 
     def __init__(self, syms, seed: int, trials: int, tol: float) -> None:
         self.syms = sorted(syms, key=lambda s: s.name)
@@ -297,19 +349,49 @@ class _Group:
         self.env = sample_env(self.syms, self.rng)   # point 0
         self.val: list = []     # the values and scales at point 0
         self.sc: list = []
-        self.tape: list = []
-        self.slot: dict = {}
-        self.order: list = []
+        self.step: _Step | None = None     # the last member's
+        self.slot: dict | None = None
+        self.order: list | None = None
+        self.exprs: list = []
         self.index: list = []
         self.root: list = []
         self.reach: list = []
         self.worst: list = []
 
+    def _walked(self) -> None:
+        """``slot`` and ``order`` over the members so far."""
+        if self.order is None:
+            self.slot, self.order = {}, []
+            for e in self.exprs:
+                _walk(self.slot, self.order, e)
+
     def add(self, e: Expr, index: int) -> None:
-        root = _extend(self.tape, self.slot, self.order, e)
+        last = self.step
+        if last is None:
+            step = _KEPT.get(e)
+            if step is None:
+                tape: list = []
+                self.slot, self.order = {}, []
+                step = _KEPT[e] = _Step(
+                    e, _extend(tape, self.slot, self.order, e), tape)
+        else:
+            step = next((s for s in last.next if s.ref() is e), None)
+            if step is None:
+                # a branch; members that have died cannot be matched again
+                last.next = [s for s in last.next if s.ref() is not None]
+                tape = last.tape
+                if len(tape) > last.end:
+                    tape = tape[:last.end]
+                self._walked()
+                step = _Step(e, _extend(tape, self.slot, self.order, e),
+                             tape)
+                last.next.append(step)
+        self.step = step
+        self.exprs.append(e)
         self.index.append(index)
-        self.root.append(root)
-        self.reach.append(max(root, self.reach[-1]) if self.reach else root)
+        self.root.append(step.root)
+        self.reach.append(max(step.root, self.reach[-1]) if self.reach
+                          else step.root)
         self.worst.append(0.0)
 
     def judge(self, i: int, val: list, sc: list,
@@ -321,6 +403,7 @@ class _Group:
         own, and the first that fails in its own post-order."""
         root = self.root[i]
         if root >= len(val):
+            self._walked()
             note = f"{fault} in {_note_text(self.order[len(val)])}"
             return ZeroResult("inconclusive", self.worst[i], self.trials,
                               witness=self.env or None, note=note)
@@ -342,6 +425,8 @@ def are_zero(exprs, seed: int = 0, trials: int = 32,
     nodes, each evaluated once per point.  ``exprs`` is taken lazily at the
     first point, up to the first expression that is not zero there; every
     later point runs each tape only as far as the last root still needed.
+    Each tape is kept for a later call whose group starts with the same
+    expression, and dropped with that expression; it holds none alive.
     """
     if not isinstance(trials, Integral) or trials < 1:
         raise ValueError(f"trials must be an integer of at least 1, "
@@ -357,7 +442,7 @@ def are_zero(exprs, seed: int = 0, trials: int = 32,
             g = groups[syms] = _Group(syms, seed, trials, tol)
         member.append((g, len(g.index)))
         g.add(e, len(out))
-        fault = _run(g.tape, g.env, g.val, g.sc, len(g.tape))
+        fault = _run(g.step.tape, g.env, g.val, g.sc, g.step.end)
         out.append(g.judge(len(g.index) - 1, g.val, g.sc, fault))
         if out[-1] is not None:
             break
@@ -371,7 +456,7 @@ def are_zero(exprs, seed: int = 0, trials: int = 32,
             g.env = sample_env(g.syms, g.rng)
             val: list = []
             sc: list = []
-            fault = _run(g.tape, g.env, val, sc, g.reach[n - 1] + 1)
+            fault = _run(g.step.tape, g.env, val, sc, g.reach[n - 1] + 1)
             for i in range(n):
                 got = g.judge(i, val, sc, fault)
                 if got is not None:

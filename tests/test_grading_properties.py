@@ -179,6 +179,33 @@ def test_each_result_is_the_single_test_of_its_expression(pairs, seed,
         assert got[-1].verdict != "zero"
 
 
+_TRIALS = st.sampled_from((1, 2, 6, 32))
+
+
+@PROPERTY
+@given(residual_lists(), residual_lists(), st.integers(0, 8),
+       st.lists(st.tuples(st.integers(0, 2**32 - 1), _TRIALS), min_size=2,
+                max_size=2))
+def test_grading_with_kept_tapes_equals_the_per_residual_loop(
+        pairs, other, shared, runs):
+    # two lists that share their first residuals and diverge after them:
+    # the first run keeps each group's tape and branches it where the
+    # lists part, the second reads the kept tapes at another seed and
+    # sample count, and extends them where it grades further
+    lists = (pairs, pairs[:shared + 1] + other)
+    for seed, trials in runs:
+        for ps in lists:
+            got = verify._grade(ps, seed, 1e-9, trials=trials)
+            assert _record(got) == _record(
+                _reference_grade(ps, seed, 1e-9, trials=trials))
+            for r, (_, e) in zip(are_zero([e for _, e in ps], seed, trials),
+                                 ps):
+                verdict, worst, samples, witness, note = \
+                    _reference_is_zero(e, seed, trials)
+                assert _result(r) == (verdict, _bits(worst), samples,
+                                      _env(witness), note)
+
+
 # -- overflow at a later point, in a shared node and in an unshared one -----
 
 def _late_overflow(seed):

@@ -133,6 +133,30 @@ def test_geodesic_claim_blends_symbolic_and_numeric_evidence():
     assert any("interval slope" in n for n in r.notes)
 
 
+def test_the_geodesic_figure_is_integrated_once_per_step_count(
+        monkeypatch):
+    # the numeric figure reads no seed: a run at another seed integrates
+    # nothing and gives the record a fresh figure gives, and another step
+    # count integrates its own
+    calls = []
+    original = kk6.verify.integrate
+
+    def counting(*args):
+        calls.append(args[2])
+        return original(*args)
+    monkeypatch.setattr(kk6.verify, "integrate", counting)
+    runs = [(0, 200), (1, 200), (1, 300)]
+    warm = [record_dict(run_claim("geodesic.closedform", seed=seed,
+                                  params={"steps": steps}))
+            for seed, steps in runs]
+    assert calls == [200, 300]
+    for (seed, steps), record in zip(runs, warm):
+        kk6.verify._geodesic_figure.cache_clear()
+        assert record_dict(run_claim("geodesic.closedform", seed=seed,
+                                     params={"steps": steps})) == record
+    assert calls == [200, 300, 200, 200, 300]
+
+
 def test_interference_minima_confirmed():
     r = run_claim("interference.minima")
     assert r.verdict == CONFIRMED
@@ -692,12 +716,13 @@ def test_records_do_not_depend_on_what_ran_before():
 
 
 # One fresh interpreter runs every claim and probe at seed 0 and then at
-# seed 1, and counts the seed-1 pass's misses of the contraction memo: a
-# miss stores its result, while a hit only moves its key to the end.
+# seed 1, and counts the seed-1 pass's misses of the contraction memo (a
+# miss stores its result, while a hit only moves its key to the end), the
+# zero-test tape entries it builds and its geodesic integrations.
 _TRAFFIC_SCRIPT = """
 import json, sys
 from collections import OrderedDict
-from kk6 import expr
+from kk6 import expr, verify, zeros
 from kk6.report import record_dict
 from kk6.verify import run_claim
 
@@ -708,23 +733,39 @@ class Counted(OrderedDict):
         Counted.stores += 1
         super().__setitem__(key, value)
 
+calls = {"_extend": 0, "_entry": 0, "integrate": 0}
+
+def counting(module, name):
+    original = getattr(module, name)
+    def call(*args):
+        calls[name] += 1
+        return original(*args)
+    setattr(module, name, call)
+
 runs = json.loads(sys.argv[1])
 for label, cid, params in runs:
     run_claim(cid, seed=0, params=params)
 expr._CONTRACTED = Counted(expr._CONTRACTED)
 Counted.stores = 0
+for module, name in ((zeros, "_extend"), (zeros, "_entry"),
+                     (verify, "integrate")):
+    counting(module, name)
 records = {label: record_dict(run_claim(cid, seed=1, params=params))
            for label, cid, params in runs}
-print(json.dumps({"misses": Counted.stores, "records": records}))
+print(json.dumps({"misses": Counted.stores, "calls": calls,
+                  "records": records}))
 """
 
 
 def test_a_second_verify_pass_forms_no_contraction_again():
     # the residuals do not depend on the seed, so the memo's bound must
-    # hold every contraction a pass makes until the next pass asks again;
-    # each record is the one its claim makes alone in a fresh process
+    # hold every contraction a pass makes until the next pass asks again,
+    # each group of residuals finds the tape the last pass built, and the
+    # seed-free geodesic figure is not integrated again; each record is
+    # the one its claim makes alone in a fresh process
     got = _in_fresh_interpreter(_TRAFFIC_SCRIPT, json.dumps(ALL_RUNS))
     assert got["misses"] == 0
+    assert got["calls"] == {"_extend": 0, "_entry": 0, "integrate": 0}
     for run in ALL_RUNS:
         alone = _in_fresh_interpreter(_RUNS_SCRIPT, json.dumps([run]), "1")
         assert got["records"][run[0]] == alone[run[0]], run[0]

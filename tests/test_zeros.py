@@ -2,9 +2,10 @@
 import pytest
 
 from kk6.expr import (
-    ONE, ZERO, EvalError, add, coords, exp, mul, num, power, sqrt, subs, sym,
+    MINUS_ONE, ONE, ZERO, EvalError, _kids, add, coords, exp, mul, num, power,
+    sqrt, subs, sym,
 )
-from kk6.zeros import is_zero, sample_env, scaled_eval
+from kk6.zeros import are_zero, evaluate, is_zero, sample_env, scaled_eval
 from kk6.symbols import DEFAULT_TABLE
 
 x0, x1, x2, x3, x4, x5 = coords()
@@ -118,6 +119,14 @@ def test_power_overflow_is_inconclusive_with_note():
     assert set(r.witness) == {"x0"}
 
 
+def test_zero_base_at_a_negative_power_is_inconclusive_with_note():
+    # sqrt(m0^2) - m0 is exactly 0 at every point, as m0 is sampled positive
+    r = is_zero(power(sqrt(power(m0, 2)) - m0, -1))
+    assert r.verdict == "inconclusive"
+    assert r.note == "zero base at negative power in (sqrt(m0^2) - m0)^-1"
+    assert set(r.witness) == {"m0"}
+
+
 def test_magnitude_overflow_names_the_node():
     with pytest.raises(EvalError, match="^magnitude overflow$") as err:
         scaled_eval(add(x0, ONE), {"x0": complex(1.5e308, 1.5e308)})
@@ -142,8 +151,23 @@ def test_scale_semantics():
     assert s_mul == pytest.approx(4.0)
 
 
+def _vanishing(a, b):
+    # a (b + 1) - a b - a: zero up to roundoff, never literally
+    return add(mul(a, add(b, ONE)), mul(MINUS_ONE, a, b), mul(MINUS_ONE, a))
+
+
+def _nodes(*es):
+    seen, todo = set(), list(es)
+    while todo:
+        e = todo.pop()
+        if e not in seen:
+            seen.add(e)
+            todo.extend(_kids(e))
+    return seen
+
+
 def test_a_graded_expression_is_not_kept_alive():
-    # each call builds its tapes and drops them when it returns
+    # the tapes a call keeps hold no expression alive
     import gc
     import weakref
     from kk6.verify import _grade
@@ -155,6 +179,132 @@ def test_a_graded_expression_is_not_kept_alive():
     del e, f
     gc.collect()
     assert [r() for r in refs] == [None, None]
+
+
+def test_a_kept_tape_keeps_no_member_alive():
+    # the second member holds the first as a subtree, so a kept tape that
+    # held it would keep its own anchor alive: with the cyclic collector
+    # off, both die as soon as the caller drops them, and the tape with them
+    import gc
+    import weakref
+    from kk6 import zeros
+    e = _vanishing(mul(x0, exp(x2)), add(x1, num(918275)))
+    f = add(exp(e), MINUS_ONE)
+    assert any(e in _kids(k) for k in _kids(f))
+    for seed in (0, 1):       # the second call reads the kept tape
+        assert [r.verdict for r in are_zero([e, f], seed)] == ["zero"] * 2
+    assert list(zeros._KEPT) == [e]
+    refs = [weakref.ref(e), weakref.ref(f)]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del e, f
+        assert [r() for r in refs] == [None, None]
+        assert len(zeros._KEPT) == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_a_group_tape_holds_each_distinct_node_once():
+    # two residuals over one symbol set share sqrt(x0 x1 + 1): their tape
+    # has one entry per distinct node of the two, each after its children,
+    # and the shared radicand is one evaluation
+    from kk6 import zeros
+    root = sqrt(add(mul(x0, x1), ONE))
+    e, f = _vanishing(root, x0), _vanishing(root, x1)
+    assert [r.verdict for r in are_zero([e, f])] == ["zero"] * 2
+    first = zeros._KEPT[e]
+    (second,) = first.next
+    assert first.end == len(_nodes(e))
+    assert second.end == len(_nodes(e, f))
+    tape = second.tape[:second.end]
+    assert sum(op == zeros._SQRT for op, _, _ in tape) == 1
+    for i, (op, arg, _) in enumerate(tape):
+        kids = arg if isinstance(arg, tuple) else () if arg is None else (arg,)
+        assert all(k < i for k in kids)
+
+
+def test_are_zero_takes_its_expressions_lazily():
+    # nothing past the first expression that is not zero at the first
+    # point is read
+    pulled = []
+
+    def exprs():
+        for e in (_vanishing(x0, x1), add(power(x0, 2), ONE), x1):
+            pulled.append(e)
+            yield e
+    got = are_zero(exprs())
+    assert [r.verdict for r in got] == ["zero", "nonzero"]
+    assert len(pulled) == 2
+
+
+def test_later_points_run_a_tape_only_as_far_as_needed(monkeypatch):
+    # once the second member is not zero at the first point, the later
+    # points run only the first member's entries
+    from kk6 import zeros
+    stops = []
+
+    def run(tape, values, val, sc, stop):
+        stops.append(stop)
+        return original(tape, values, val, sc, stop)
+    original = zeros._run
+    monkeypatch.setattr(zeros, "_run", run)
+    e, f = _vanishing(x0, x1), add(mul(x0, x1), ONE, x0)
+    assert [r.verdict for r in are_zero([e, f])] == ["zero", "nonzero"]
+    first = zeros._KEPT[e]
+    assert first.next[0].end > first.end == first.root + 1
+    assert stops == [first.end, first.next[0].end] + [first.end] * 31
+
+
+def test_a_second_call_reads_the_kept_tape(monkeypatch):
+    # the same residuals at another seed build no entry; a group that
+    # parts from the kept one branches where it parts
+    from kk6 import zeros
+    e, f, g = (_vanishing(x0, b) for b in (x1, mul(x0, x1), add(x1, ONE)))
+    are_zero([e, f], seed=0)
+    built = []
+    original = zeros._entry
+    monkeypatch.setattr(zeros, "_entry",
+                        lambda *args: built.append(1) or original(*args))
+    assert [r.verdict for r in are_zero([e, f], seed=1)] == ["zero"] * 2
+    assert built == []
+    assert [r.verdict for r in are_zero([e, g], seed=2)] == ["zero"] * 2
+    first = zeros._KEPT[e]
+    assert [s.ref() for s in first.next] == [f, g]
+    assert len(built) == first.next[1].end - first.end > 0
+
+
+def test_a_dead_branch_is_dropped_at_the_next_branch():
+    # a member that has died can never be matched again: the next branch
+    # from the same place drops its step
+    from kk6 import zeros
+    e, f, g = (_vanishing(x0, b) for b in (x1, mul(x0, x1), add(x1, ONE)))
+    are_zero([e, f])
+    first = zeros._KEPT[e]
+    assert first.next[0].tape is first.tape    # extended in place
+    del f
+    are_zero([e, g])
+    (step,) = first.next
+    assert step.ref() is g
+    assert step.end - first.end == len(_nodes(e, g)) - len(_nodes(e))
+
+
+def test_a_branch_leaves_the_other_branches_entries_as_they_are():
+    # the repeated e adds no entry, so its step ends where its tape list
+    # does until h extends that list in place; a branch after the repeated
+    # e must then copy, not cut h's entries, which the last call reads
+    e, h, k = (_vanishing(x0, b) for b in (x1, mul(x0, x1), add(x1, ONE)))
+    for seed, exprs in enumerate(([e, e], [e, h], [e, e, k], [e, h])):
+        got = are_zero(exprs, seed)
+        assert got == [is_zero(x, seed) for x in exprs]
+        assert [r.verdict for r in got] == ["zero"] * len(exprs)
+
+
+def test_evaluate_reads_symbols_by_name_or_by_symbol():
+    e = add(mul(x0, x1), exp(x1))
+    env = {x0.symbol: 2.0, "x1": 3.0}
+    assert evaluate(e, env) == scaled_eval(e, {"x0": 2.0, "x1": 3.0})[0]
 
 
 def test_the_rest_mass_is_sampled_positive_with_no_argument():
