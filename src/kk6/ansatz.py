@@ -1,13 +1,14 @@
 """Metric families built from four-dimensional field configurations.
 
-Each constructor returns the field data together with the 6x6 metric
-built from it, so the verification layer can form residuals against the
-same objects; a half-spin mode builds its metric, and the two readings
-of its printed inverse, from its field on first read, since most of its
-readers read the field alone.  Every family except the scalar mode is
-one modified Kaluza-Klein metric (:func:`kk_rows`): a 4d block ``g4``
-with a field ``K`` (lower, over {0,1,2,3}, fifth component ``K5``) mixed
-into the compact row at coupling ``kappa``,
+Each constructor returns the field data, so the verification layer can
+form residuals against the same objects.  The scalar mode comes with its
+6x6 metric; every other family is one :class:`FieldMode`, which builds
+its metric and printed inverse (and a half-spin mode its stress tensor)
+from its field on first read, so a reader of the field alone builds
+neither.  Every family except the scalar mode is one modified
+Kaluza-Klein metric (:func:`kk_rows`): a 4d block ``g4`` with a field
+``K`` (lower, over {0,1,2,3}, fifth component ``K5``) mixed into the
+compact row at coupling ``kappa``,
 
     g_ab = g4_ab + kappa^2 K_a K_b      g_a4 = kappa K_a
     g_a5 = kappa^2 K_a K5               g_44 = 1
@@ -45,10 +46,10 @@ from .tensor import DIM, Grid, Metric6
 __all__ = [
     "IDX5", "ETA4", "ETA5", "AnsatzError",
     "ScalarMode", "scalar_metric",
-    "VectorMode", "photon_metric", "proca_metric",
+    "FieldMode", "photon_metric", "proca_metric",
     "null_wave_potential", "massive_wave_potential",
     "SpinorComponents", "dirac_components",
-    "SpinorMode", "dirac_metric", "CoupledMode", "coupled_metric",
+    "SpinorMode", "dirac_metric", "coupled_metric",
     "gravity_metric", "weak_field_block", "kk_rows",
     "field_strength", "fsq", "stress_tensor", "onshell_energy",
 ]
@@ -200,41 +201,46 @@ def stress_tensor(f: tuple) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# vector modes
+# field modes
 
 @dataclass(frozen=True)
-class VectorMode:
-    K: tuple                    # five components over IDX5 (index 5 absent: 0)
-    metric: Metric6
-    claimed_upper: Grid
+class FieldMode:
+    """A field ``K`` (five lower components over IDX5); its metric and
+    printed inverse are built from ``K`` on first read."""
+    K: tuple
+
+    @cached_property
+    def metric(self) -> Metric6:
+        return Metric6(kk_rows(_FLAT4, self.K[:4], self.K[4]))
+
+    @cached_property
+    def claimed_upper(self) -> Grid:
+        """The printed inverse with the trace over all capital indices."""
+        kk, k55 = self.K[:4], self.K[4]
+        return _claimed_upper(kk, k55,
+                              _trace4(kk) + [(MINUS_ONE, power(k55, 2))])
 
 
-def _vector_mode(a4, m0v) -> VectorMode:
-    x = coords()
+def _vector_mode(a4, m0v) -> FieldMode:
+    """The photon (``m0v`` None) or Proca mode of the potential ``a4``
+    (None: the symbols A0..A3), the latter with an x5 phase."""
+    if a4 is None:
+        a4 = tuple(sym(f"A{i}") for i in range(4))
     a4 = tuple(_E(v) for v in a4)
     if len(a4) != 4:
         raise AnsatzError("potential must have four components")
-    if m0v is None:
-        ahat4 = a4
-    else:
-        x5phase = exp(mul(I, m0v, x[5]))
+    if m0v is not None:
+        x5phase = exp(mul(I, m0v, coords()[5]))
         ctx = context()
-        ahat4 = tuple(contract([(v, x5phase)], ctx) for v in a4)
-    return VectorMode(K=ahat4 + (ZERO,),
-                      metric=Metric6(kk_rows(_FLAT4, ahat4)),
-                      claimed_upper=_claimed_upper(ahat4, ZERO,
-                                                   _trace4(ahat4)))
+        a4 = tuple(contract([(v, x5phase)], ctx) for v in a4)
+    return FieldMode(K=a4 + (ZERO,))
 
 
-def photon_metric(a4=None) -> VectorMode:
-    if a4 is None:
-        a4 = tuple(sym(f"A{i}") for i in range(4))
+def photon_metric(a4=None) -> FieldMode:
     return _vector_mode(a4, None)
 
 
-def proca_metric(a4=None, m0=None) -> VectorMode:
-    if a4 is None:
-        a4 = tuple(sym(f"A{i}") for i in range(4))
+def proca_metric(a4=None, m0=None) -> FieldMode:
     return _vector_mode(a4, _E(m0, "m0"))
 
 
@@ -328,26 +334,20 @@ _DIRAC_ROWS = {
 
 
 @dataclass(frozen=True)
-class SpinorMode:
-    """A half-spin solution's field; its metric and the two readings of
-    the printed inverse are built from ``K`` on first read."""
+class SpinorMode(FieldMode):
+    """A half-spin solution's field; its stress tensor, like its metric
+    and the two readings of the printed inverse, is built from ``K`` on
+    first read."""
     sol: int
     components: SpinorComponents
     family_sign: int            # -1: plane wave e^{-i p.x}; +1: conjugate
     phase: Expr                 # full scalar factor on the K pattern
-    K: tuple                    # five lower components over IDX5
     notes: tuple[str, ...]
 
     @cached_property
-    def metric(self) -> Metric6:
-        return Metric6(kk_rows(_FLAT4, self.K[:4], self.K[4]))
-
-    @cached_property
-    def claimed_upper(self) -> Grid:
-        """The printed inverse with the trace over all capital indices."""
-        kk, k55 = self.K[:4], self.K[4]
-        return _claimed_upper(kk, k55,
-                              _trace4(kk) + [(MINUS_ONE, power(k55, 2))])
+    def stress(self) -> tuple:
+        """``(T, F^2)`` of the field, as :func:`stress_tensor` gives them."""
+        return stress_tensor(field_strength(self.K))
 
     @cached_property
     def claimed_upper_greek(self) -> Grid:
@@ -378,22 +378,14 @@ def dirac_metric(sol: int = 1, p1=None, p2=None, p3=None, m0=None) -> SpinorMode
                       K=k5, notes=notes)
 
 
-@dataclass(frozen=True)
-class CoupledMode:
-    K: tuple
-    metric: Metric6
-
-
 def coupled_metric(sol: int = 1, p1=None, p2=None, p3=None, m0=None,
-                   gamma=None) -> CoupledMode:
-    """Half-spin metric with the field carrying an extra compact-direction
-    phase exp(-i gamma x4); gamma -> 0 reduces to the plain half-spin case."""
+                   gamma=None) -> FieldMode:
+    """Half-spin field carrying an extra compact-direction phase
+    exp(-i gamma x4); gamma -> 0 reduces to the plain half-spin case."""
     base = dirac_metric(sol, p1, p2, p3, m0)
-    x = coords()
-    twist = exp(mul(_MINUS_I, _E(gamma, "gamma"), x[4]))
+    twist = exp(mul(_MINUS_I, _E(gamma, "gamma"), coords()[4]))
     ctx = context()
-    k5 = tuple(contract([(k, twist)], ctx) for k in base.K)
-    return CoupledMode(K=k5, metric=Metric6(kk_rows(_FLAT4, k5[:4], k5[4])))
+    return FieldMode(K=tuple(contract([(k, twist)], ctx) for k in base.K))
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +405,7 @@ def weak_field_block(eps=None) -> Grid:
 def gravity_metric(mode, g4: Grid | None = None, kappa=None) -> Metric6:
     """The metric of a built mode over the 4d block ``g4`` (default flat).
 
-    A vector, half-spin or coupled mode's field ``K`` goes into
+    A field mode's ``K`` goes into
     :func:`kk_rows` at coupling ``kappa`` (default the symbol).  The scalar
     mode has no field: its ``g44`` goes into the field-free rows, and a
     ``kappa`` is refused.  With a flat block and kappa = 1 this is the

@@ -297,9 +297,10 @@ def build_ansatz(aid: str, params: dict):
     """Named metric constructor; returns (metric, claimed_upper, notes).
     ``params`` binds only names of the ansatz's row, which are the
     keyword names of its constructors, so unbound ones take the
-    constructors' own defaults.  A ``gravity-X`` ansatz is X's mode, built
-    as for X, coupled over ``weak_field_block(eps)`` by ``gravity_metric``
-    and reported with no printed inverse."""
+    constructors' own defaults.  The scalar and coupled families print no
+    inverse (claimed_upper None).  A ``gravity-X`` ansatz is X's mode,
+    built as for X, coupled over ``weak_field_block(eps)`` by
+    ``gravity_metric`` and reported with no printed inverse either."""
     kw = dict(params)
     family = aid.removeprefix("gravity-")
     eps, kappa = kw.pop("eps", None), kw.pop("kappa", None)
@@ -319,7 +320,9 @@ def build_ansatz(aid: str, params: dict):
         mode = dirac_metric(int(family[5:] or kw.pop("sol", 1)), **kw)
         notes += mode.notes
     if family == aid:
-        return mode.metric, getattr(mode, "claimed_upper", None), notes
+        claimed = None if family in ("scalar", "coupled") else \
+            mode.claimed_upper
+        return mode.metric, claimed, notes
     notes.append("static weak-field background block")
     return gravity_metric(mode, weak_field_block(eps), kappa), None, notes
 

@@ -52,8 +52,8 @@ from typing import Callable
 from .ansatz import (
     ETA4, ETA5, IDX5, dirac_metric, field_strength, fsq, gravity_metric,
     kk_rows, massive_wave_potential, null_wave_potential, onshell_energy,
-    photon_metric, proca_metric, scalar_metric, stress_tensor,
-    weak_field_block, ScalarMode, SpinorMode, _DIRAC_ROWS, _E,
+    photon_metric, proca_metric, scalar_metric, weak_field_block,
+    ScalarMode, SpinorMode, _DIRAC_ROWS, _E,
 )
 from .curvature import einstein, ricci_scalar
 from .dynamics import (
@@ -297,9 +297,12 @@ def fringe_profile(params):
 
 # Each claim reads a mode, and never changes it, so the claims that read
 # one mode share one object, built on the first read in the process: these
-# memos save building the mode again.  The curvature is shared apart from
-# them, by the metric's grid (``tensor``'s grid cache), so a claim that
-# builds its own metric on a mode's grid reads the mode's curvature too.
+# memos save building the mode again.  A half-spin mode builds its metric,
+# printed inverse and stress tensor on their first read and keeps them, so
+# its one memo holds whatever its claims have read, and nothing else.  The
+# curvature is shared apart from them, by the metric's grid (``tensor``'s
+# grid cache), so a claim that builds its own metric on a mode's grid
+# reads the mode's curvature too.
 # Each memo is keyed on the values its builder reads: a momentum is a
 # number (None: symbolic) or an expression, and equal numbers build one
 # node and equal expressions are one object, so equal values share an
@@ -580,20 +583,11 @@ _DIRAC_ASSUMPTIONS = (
 _HALFSPIN_PARAMS = ("p1", "p2", "p3", "m0")
 
 
-# Keyed as ``_dirac_mode``.  F^2 is formed once here, from the stress
-# tensor's own products: the stress form and the field-invariant check
-# both use this node.
-@lru_cache(maxsize=8)
-def _dirac_bundle(sol: int, p1, p2, p3, m0):
-    mode = _dirac_mode(sol, p1, p2, p3, m0)
-    t, f2 = stress_tensor(field_strength(mode.K))
-    return mode, f2, t
-
-
-def _stress_residuals(mode, t, s5, coeff, ctx):
-    """Labelled residuals T - coeff P_A P_B Phi^2, for the lower
-    five-momentum P whose extra component is ``s5 m0``, each formed only
-    when the consumer asks for it."""
+def _stress_residuals(mode, s5, coeff, ctx):
+    """Labelled residuals T - coeff P_A P_B Phi^2 over ``mode``'s stress
+    tensor, for the lower five-momentum P whose extra component is
+    ``s5 m0``, each formed only when the consumer asks for it."""
+    t = mode.stress[0]
     comps = mode.components
     p1, p2, p3 = comps.p
     p5 = (comps.p0, mul(MINUS_ONE, p1), mul(MINUS_ONE, p2),
@@ -620,8 +614,13 @@ def _dirac_row(mode, ctx) -> list:
 def _check_dirac(sol: int):
     def run(seed, tol, params) -> dict:
         x = coords()
-        mode, f2, t = _dirac_bundle(sol, *(params.get(k)
-                                           for k in _HALFSPIN_PARAMS))
+        mode = _dirac_mode(sol, *(params.get(k) for k in _HALFSPIN_PARAMS))
+        # F^2 read off the stress tensor's own products, which the stress
+        # form below reads too.  Formed before the residuals, so that the
+        # contraction memo drops the stress tensor's entries, which the
+        # mode keeps, before the residuals' own, which a later pass asks
+        # for again
+        f2 = mode.stress[1]
         comps = mode.components
         ctx = context()
 
@@ -643,7 +642,7 @@ def _check_dirac(sol: int):
              (MINUS_ONE, conj(phi[2]), phi[2]),
              (MINUS_ONE, conj(phi[3]), phi[3]), (num(-nsign),)], ctx)))
         s5 = mode.family_sign
-        pairs.extend(_stress_residuals(mode, t, s5, -1, ctx))
+        pairs.extend(_stress_residuals(mode, s5, -1, ctx))
 
         out = _grade(pairs, seed, tol)
         notes = [
@@ -662,12 +661,12 @@ def check_dirac_stress(seed, tol, params) -> dict:
     conventions = {}
     ctx = context()
     for sol in (1, 2, 3, 4):
-        mode, _, t = _dirac_bundle(sol, None, None, None, None)
+        mode = _dirac_mode(sol, None, None, None, None)
         winners, refuting = [], None
         for s5 in (1, -1):
             for coeff in (1, -1):
                 # a wrong candidate stops at its first nonzero residual
-                scan = _grade(_stress_residuals(mode, t, s5, coeff, ctx),
+                scan = _grade(_stress_residuals(mode, s5, coeff, ctx),
                               seed, tol, trials=6)
                 samples += scan.samples
                 if scan.status == "zero":
@@ -688,9 +687,9 @@ def check_dirac_stress(seed, tol, params) -> dict:
 
     # full-resolution confirmation of solution 1's convention: its
     # residuals formed again in the scan's context
-    mode, _, t = _dirac_bundle(1, None, None, None, None)
+    mode = _dirac_mode(1, None, None, None, None)
     coeff, s5 = conventions[1]
-    out = _grade(_stress_residuals(mode, t, s5, coeff, ctx), seed, tol)
+    out = _grade(_stress_residuals(mode, s5, coeff, ctx), seed, tol)
     for sol, (coeff, s5) in sorted(conventions.items()):
         notes.append(f"solution {sol}: T = {'+' if coeff > 0 else '-'}"
                      f"P_A P_B Phi^2 with extra momentum component "

@@ -35,6 +35,14 @@ def test_scalar_compact_entry_inverts_exactly():
     assert simplify(mul(mode.g44, power(mode.g44, -1))) == ONE
 
 
+def test_scalar_compact_entry_has_unit_modulus():
+    # a phase: at real momenta and coordinates |g44| = 1
+    mode = scalar_metric()
+    env = {name: 0.3 + 0.17 * i for i, name in enumerate(
+        ("p0", "p1", "p2", "p3", "m0", "x0", "x1", "x2", "x3", "x5"))}
+    assert abs(complex(evaluate(mode.g44, env))) == pytest.approx(1, abs=1e-15)
+
+
 def test_scalar_compact_derivative_condition():
     # d5 g44 = 2 i m0 g44: the compact phase carries the mass
     mode = scalar_metric()
@@ -117,6 +125,49 @@ def test_stress_tensor_is_symmetric():
             assert simplify(t[i][j] - t[j][i]) == ZERO
 
 
+def test_field_strength_refuses_a_field_without_five_components():
+    with pytest.raises(AnsatzError, match="five components"):
+        field_strength((ZERO,) * 4)
+
+
+@pytest.mark.parametrize("build", [photon_metric, proca_metric])
+def test_vector_modes_refuse_a_potential_without_four_components(build):
+    with pytest.raises(AnsatzError, match="potential must have four"):
+        build((ZERO,) * 3)
+
+
+@pytest.mark.parametrize("build", [photon_metric, proca_metric])
+def test_vector_inverse_full_trace_is_the_4d_trace(build):
+    # with K5 = 0 the trace over all capital indices adds only a zero
+    # product, which the contraction drops: node for node the 4d trace
+    from kk6.ansatz import _claimed_upper, _trace4
+    mode = build()
+    k4 = mode.K[:4]
+    want = _claimed_upper(k4, ZERO, _trace4(k4))
+    for a in range(DIM):
+        for b in range(DIM):
+            assert mode.claimed_upper[a][b] is want[a][b], (a, b)
+
+
+@pytest.mark.parametrize("build, lazy", [
+    (photon_metric, {"metric", "claimed_upper"}),
+    (proca_metric, {"metric", "claimed_upper"}),
+    (coupled_metric, {"metric", "claimed_upper"}),
+    (dirac_metric, {"metric", "claimed_upper", "claimed_upper_greek",
+                    "stress"}),
+])
+def test_a_field_mode_builds_each_derived_object_on_first_read(build, lazy):
+    # each is built on its own first read, and read again it is the
+    # object kept
+    mode = build()
+    assert not lazy & set(mode.__dict__)
+    for name in sorted(lazy):
+        first = getattr(mode, name)
+        assert name in mode.__dict__
+        assert getattr(mode, name) is first
+    assert mode.metric.lower[0][4] is mode.K[0]
+
+
 def test_transverse_polarization_is_validated():
     with pytest.raises(AnsatzError, match="polarization"):
         null_wave_potential(pol=0)
@@ -184,6 +235,10 @@ def test_degenerate_component_inputs_are_rejected():
         dirac_components(num(0), num(0), num(0), num(1))
     with pytest.raises(AnsatzError, match="positive"):
         dirac_components(num(0), num(0), num(1), num(0))
+    # a numeric m0 that is not a positive real: negative, or complex
+    for m0 in (num(-1), num(1, 1)):
+        with pytest.raises(AnsatzError, match="positive"):
+            dirac_components(num(0), num(0), num(1), m0)
     with pytest.raises(AnsatzError, match="solution index"):
         dirac_components(num(0), num(0), num(1), num(1), sol=5)
 
@@ -269,6 +324,15 @@ def test_gravity_scalar_mode_refuses_kappa():
         gravity_metric(scalar_metric(), weak_field_block(), 1)
 
 
+@pytest.mark.parametrize("g4", [
+    tuple(tuple(ONE if a == b else ZERO for b in range(3)) for a in range(3)),
+    tuple((ONE, ZERO, ZERO) for _ in range(4)),
+])
+def test_gravity_refuses_a_block_that_is_not_4x4(g4):
+    with pytest.raises(AnsatzError, match="4x4"):
+        gravity_metric(photon_metric(), g4)
+
+
 def test_weak_field_block_shape():
     g4 = weak_field_block(sym("eps"))
     assert to_text(g4[0][0]) == "1 + 2*eps*x1"
@@ -339,8 +403,8 @@ def test_builders_are_the_tree_route(family, monkeypatch):
 
     monkeypatch.setattr(ansatz, "kk_rows", tree_rows)
     built = GOLDEN_FAMILIES[family]()
-    if isinstance(built, ansatz.SpinorMode):
-        built.metric        # a half-spin mode builds its rows on first read
+    if isinstance(built, ansatz.FieldMode):
+        built.metric        # a field mode builds its rows on first read
     monkeypatch.undo()
 
     # the field of the family's own rows, over IDX5

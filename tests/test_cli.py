@@ -297,6 +297,13 @@ def test_a_perturbation_that_once_ran_109_s_fails_fast():
     (["verify", "--claim", "gravity.split.scalar", "kappa=2"],
      "argument 'kappa=2': parameter 'kappa' is not accepted by any selected "
      "claim"),
+    # a number of the wrong kind, or none at all
+    (["geodesic", "steps=5/2"],
+     "argument 'steps=5/2': steps expects an integer, got '5/2'"),
+    (["curvature", "ansatz=dirac1", "p3=abc"],
+     "argument 'p3=abc': p3 expects a number, got 'abc'"),
+    (["curvature", "ansatz=dirac1", "p3=1/0"],
+     "argument 'p3=1/0': p3 expects a number, got '1/0'"),
     # a config file given by its text; None: the file does not exist
     (None, "cannot read config: [Errno 2] No such file or directory: '{}'"),
     ("command=verify\n = 3\n", "line 2, column 2: empty key"),
@@ -330,10 +337,17 @@ def test_more_fringe_orders_than_grid_points_fail_fast(argv):
 
 
 def test_exit_2_on_usage_errors(capsys):
-    code, _, err = run([], capsys)
-    assert code == 2 and err.startswith("error[usage]: ")
-    code, _, err = run(["verify", "stray"], capsys)
-    assert code == 2 and "expected key=value" in err
+    # argparse's own wording differs between Python versions, so only the
+    # start of its line is pinned
+    for argv, start in (
+            ([], ""),
+            (["verify", "stray"], "expected key=value"),
+            (["verify", "--format", "xml"], "argument --format:"),
+            (["verify", "p3="], "expected key=value, got 'p3='")):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error[usage]: {start}")
+        assert err.count("\n") == 1
     # a claim runs the range checks of the command it shares parameters
     # with, and refuses symbolic or float-overflowing numeric inputs
     positive = "d, L, wavelength and ymax must all be positive"
@@ -395,7 +409,8 @@ def test_exit_2_on_usage_errors(capsys):
             (["curvature", "ansatz=photon", "pol=3"],
              "pol must be 1..2, got 3"),
             (["curvature", "ansatz=coupled", "sol=9"],
-             "sol must be 1..4, got 9")):
+             "sol must be 1..4, got 9"),
+            (["geodesic", "tau_end=0"], "tau_end must be positive")):
         code, out, err = run(argv, capsys)
         assert code == 2 and out == ""
         assert err == f"error[config]: {message}\n"
@@ -447,6 +462,12 @@ def test_bindings_may_follow_flags(capsys):
                         "omega=5"], capsys)
     assert code == 0
     assert json.loads(out)["config"]["omega"] == "5"
+
+
+def test_a_first_positional_binding_is_one_more_binding(capsys):
+    code, out, _ = run(["command=verify", "--claim", "fsq.null"], capsys)
+    assert code == 0
+    assert [r["id"] for r in json.loads(out)["records"]] == ["fsq.null"]
 
 
 def test_unknown_flag_is_a_usage_error(capsys):

@@ -57,9 +57,8 @@ def test_halfspin_bundle_forms_f2_once(monkeypatch):
         calls.append(f)
         return original(f)
 
-    monkeypatch.setattr(verify, "stress_tensor", counting)
     monkeypatch.setattr(ansatz, "stress_tensor", counting)
-    verify._dirac_bundle.cache_clear()
+    verify._dirac_mode.cache_clear()
     run_claim("dirac.sol1", seed=0)
     assert len(calls) == 1
     run_claim("dirac.sol1", seed=1)
@@ -408,7 +407,7 @@ def test_a_stress_scan_no_convention_survives_is_refuted_at_a_witness(
     from kk6.expr import add, coords, power
     x0 = coords()[0]
 
-    def failing(mode, t, s5, coeff, ctx):
+    def failing(mode, s5, coeff, ctx):
         yield "stress component (0,0)", add(ONE, power(x0, 2))
     monkeypatch.setattr(kk6.verify, "_stress_residuals", failing)
     r = run_claim("dirac.stress")
@@ -775,7 +774,7 @@ def test_a_second_verify_pass_forms_no_contraction_again():
 def fresh_modes():
     """The mode memos emptied, so that a test sees what its claims build."""
     from kk6 import verify
-    memos = (verify._scalar_mode, verify._dirac_mode, verify._dirac_bundle)
+    memos = (verify._scalar_mode, verify._dirac_mode)
     for memo in memos:
         memo.cache_clear()
     yield verify
@@ -786,18 +785,36 @@ def fresh_modes():
 def test_halfspin_claim_leaves_the_metric_unbuilt(fresh_modes):
     run_claim("dirac.sol2")
     mode = fresh_modes._dirac_mode(2, None, None, None, None)
-    assert fresh_modes._dirac_bundle(2, None, None, None, None)[0] is mode
+    assert "stress" in mode.__dict__
     assert "metric" not in mode.__dict__
 
 
 def test_inverse_halfspin_reads_the_bundle_mode(fresh_modes):
     run_claim("dirac.sol1")
-    mode = fresh_modes._dirac_bundle(1, None, None, None, None)[0]
+    mode = fresh_modes._dirac_mode(1, None, None, None, None)
+    assert "stress" in mode.__dict__
     assert "metric" not in mode.__dict__
     run_claim("inverse.halfspin")
     assert fresh_modes._dirac_mode(1, None, None, None, None) is mode
     assert {"metric", "claimed_upper", "claimed_upper_greek"} <= set(
         mode.__dict__)
+
+
+def test_gravity_splits_leave_their_modes_unbuilt(fresh_modes, monkeypatch):
+    # a split couples the mode's field over the background through
+    # gravity_metric; the mode's own metric and printed inverse go unread
+    built, proca = [], fresh_modes.proca_metric
+
+    def recording(*args):
+        built.append(proca(*args))
+        return built[-1]
+    monkeypatch.setattr(fresh_modes, "proca_metric", recording)
+    run_claim("gravity.split.proca", params={"points": 1})
+    run_claim("gravity.split.dirac", params={"points": 1})
+    dirac = fresh_modes._dirac_mode(1, 0, 0, Fraction(3, 4), 1)
+    assert len(built) == 1
+    for mode in (built[0], dirac):
+        assert not {"metric", "claimed_upper"} & set(mode.__dict__)
 
 
 def test_scalar_claims_share_one_curvature(fresh_modes, monkeypatch):
