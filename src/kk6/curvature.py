@@ -40,12 +40,41 @@ only trees.
 A product whose factors share a sum or root base (which ``mul`` would
 merge), a derivative's products among them, takes the tree route inside
 ``contract``.
+
+Most of the engine's metrics (the scalar, photon, Proca, half-spin and
+coupled families) depend on the coordinates only through one plane-wave
+phase phi = k.x.  Then d_A g = k_A g', with g' = dg/dphi, and Ricci has a
+closed low-rank form, the structure of plane-fronted waves (J. Ehlers and
+W. Kundt, in *Gravitation: an Introduction to Current Research*, ed.
+L. Witten, 1962).  With M the inverse metric, q = Mk, H = Mg', v = g'q,
+P = g'H and w = g''q - Pq,
+
+    R_AB = (k_A w_B + k_B w_A)/2 + (q.v) g'_AB/2 - (k.q) g''_AB/2
+         - k_A k_B (tr H)'/2 + tr H (k_A v_B + k_B v_A - (k.q) g'_AB)/4
+         - k_A k_B tr(H^2)/4 - v_A v_B/2 + (k.q) P_AB/2,
+
+with (tr H)' = tr(M g'') - tr(H^2): an entry's 36 quadratic connection
+products collapse to three terms.  :func:`ricci` first asks a syntactic
+certificate, kept in the stage dict: no coordinate occurs outside an
+``exp`` argument, each argument's gradient is free of the coordinates and
+a ``Num`` multiple of the first one's, k, and some k_C is a monomial of
+numbers and symbols.  A metric that passes it is a function of phi alone.
+Its g' and g'' are each one ``derive`` along x_C times k_C^-1, and each
+Ricci entry is one 11-product contraction, all in one kernel context,
+with no Christoffel symbol formed.  A metric the certificate refuses (the
+gravity families at eps != 0, a perturbed one, or one with no phase)
+takes the general route above, which stays the only other route;
+:func:`christoffel` and :func:`ricci_entry_raw` always take it.  Tests
+check that both routes give the same nodes on every phase input.
 """
 from __future__ import annotations
 
-from .expr import Expr, HALF, MINUS_ONE, context, contract, derive, mul, num
+from .expr import (
+    Exp, Expr, HALF, MINUS_ONE, Mul, Num, Pow, Sym, ZERO, _kids, context,
+    contract, derive, diff, free_symbols, mul, num, power, simplify,
+)
 from .symbols import COORDS
-from .tensor import DIM, Metric6, _memo, _mirror
+from .tensor import DIM, Metric6, _IDX, _memo, _mirror
 
 __all__ = [
     "christoffel", "ricci", "ricci_entry_raw", "ricci_scalar", "einstein",
@@ -53,6 +82,8 @@ __all__ = [
 
 _MINUS_HALF = mul(MINUS_ONE, HALF)
 _MINUS_TWO = num(-2)
+_QUARTER = num("1/4")
+_MINUS_QUARTER = num("-1/4")
 
 
 @_memo
@@ -109,9 +140,105 @@ def ricci_entry_raw(metric: Metric6, a: int, b: int) -> Expr:
     return _ricci_formula(metric, context(), a, b)
 
 
+def _coordinate_free(e: Expr) -> bool:
+    return not any(s.coordinate for s in free_symbols(e))
+
+
+def _monomial(e: Expr) -> bool:
+    # a nonzero product of numbers and powers of symbols: the kernel
+    # cancels it against its inverse
+    fs = e.factors if isinstance(e, Mul) else (e,)
+    return e is not ZERO and all(
+        isinstance(f, (Num, Sym)) or (isinstance(f, Pow)
+                                      and isinstance(f.base, Sym))
+        for f in fs)
+
+
+@_memo
+def _phase(metric: Metric6) -> tuple:
+    """The plane-wave phase certificate of ``metric``: ``(c, k)`` when no
+    coordinate occurs outside an ``exp`` argument, each argument's
+    gradient is free of the coordinates and a ``Num`` multiple of the
+    first one's, k, and k_c is the first monomial entry of k; otherwise
+    ``()``, which the stage dict keeps as well.  The metric then depends
+    on the coordinates through phi = k.x alone."""
+    args, seen = [], set()
+    stack = [e for row in metric.lower for e in row]
+    while stack:
+        e = stack.pop()
+        if e in seen or _coordinate_free(e):
+            continue
+        seen.add(e)
+        if isinstance(e, Exp):
+            args.append(e.arg)
+        elif isinstance(e, Sym):
+            return ()                   # a coordinate outside any exp
+        else:
+            stack.extend(_kids(e))
+    grads = []
+    for arg in args:
+        grad = tuple(simplify(diff(arg, x)) for x in COORDS)
+        if not all(map(_coordinate_free, grad)):
+            return ()
+        grads.append(grad)
+    if not grads:
+        return ()
+    k = grads[0]
+    c = next((c for c in _IDX if _monomial(k[c])), None)
+    if c is None:
+        return ()
+    inv = power(k[c], -1)
+    for grad in grads[1:]:
+        r = simplify(mul(grad[c], inv))
+        if not (isinstance(r, Num)
+                and all(simplify(mul(r, k[i])) is grad[i] for i in _IDX)):
+            return ()
+    return c, k
+
+
+def _phase_ricci(metric: Metric6, c: int, k: tuple) -> tuple:
+    # the module docstring's formula, with g' = k_c^-1 d_c g
+    g, m = metric.lower, metric.upper()
+    ctx = context()
+    x, inv = COORDS[c], power(k[c], -1)
+    g1 = _mirror(lambda a, b: derive(mul(inv, g[a][b]), x, ctx))
+    g2 = _mirror(lambda a, b: derive(mul(inv, g1[a][b]), x, ctx))
+
+    def dot(u, v):
+        return contract([(u[i], v[i]) for i in _IDX], ctx)
+    q = tuple(dot(m[a], k) for a in _IDX)
+    h = tuple(tuple(contract([(m[a][d], g1[d][b]) for d in _IDX], ctx)
+                    for b in _IDX) for a in _IDX)
+    v = tuple(dot(g1[a], q) for a in _IDX)
+    p = _mirror(lambda a, b: contract([(g1[a][d], h[d][b]) for d in _IDX],
+                                      ctx))
+    w = tuple(contract([*((g2[a][d], q[d]) for d in _IDX),
+                        *((MINUS_ONE, p[a][d], q[d]) for d in _IDX)], ctx)
+              for a in _IDX)
+    kq, qv = dot(k, q), dot(q, v)
+    tr_h = contract([(h[a][a],) for a in _IDX], ctx)
+    tr_h2 = contract([(h[a][b], h[b][a]) for a in _IDX for b in _IDX], ctx)
+    # (tr H)' = tr(M g'') - tr(H^2)
+    dtr_h = contract([*((m[a][b], g2[b][a]) for a in _IDX for b in _IDX),
+                      (MINUS_ONE, tr_h2)], ctx)
+
+    def entry(a, b):
+        return contract([
+            (HALF, k[a], w[b]), (HALF, k[b], w[a]), (HALF, qv, g1[a][b]),
+            (_MINUS_HALF, kq, g2[a][b]), (_MINUS_HALF, k[a], k[b], dtr_h),
+            (_QUARTER, tr_h, k[a], v[b]), (_QUARTER, tr_h, k[b], v[a]),
+            (_MINUS_QUARTER, tr_h, kq, g1[a][b]),
+            (_MINUS_QUARTER, k[a], k[b], tr_h2),
+            (_MINUS_HALF, v[a], v[b]), (HALF, kq, p[a][b])], ctx)
+    return _mirror(entry)
+
+
 @_memo
 def ricci(metric: Metric6) -> tuple:
     """R_AB as nested tuples indexed [A][B]."""
+    phase = _phase(metric)
+    if phase:
+        return _phase_ricci(metric, *phase)
     return _mirror(_ricci_formula, metric, context())
 
 

@@ -78,9 +78,10 @@ def _as_grid(rows) -> Grid:
     return grid
 
 
-# Traffic: one ``kk6 verify`` pass builds 15 metrics on 12 distinct grids,
-# and one ``kk6 curvature`` pass over the eight ansatze 10 metrics on 8, so
-# 16 grids hold either pass.
+# Traffic: one ``kk6 verify`` pass builds 14 metrics on 12 distinct grids,
+# and one ``kk6 curvature`` pass over the eight ansatze 9 metrics on 8, so
+# 16 grids hold either pass.  A metric that takes Ricci's phase route keeps
+# no Christoffel symbols in its stage dict: on that pass 5 of the 8 grids.
 @functools.lru_cache(maxsize=16)
 def _stages_of(grid: Grid) -> dict[str, object]:
     """The stage dict of ``grid``, shared by every Metric6 built on it, so

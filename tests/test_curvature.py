@@ -9,17 +9,19 @@ import numpy as np
 import pytest
 
 import kk6.curvature
+from kk6 import expr, tensor
 from kk6.ansatz import (
     coupled_metric, dirac_metric, gravity_metric, onshell_energy,
     photon_metric, proca_metric, scalar_metric, weak_field_block,
 )
+from kk6.cli import build_ansatz, parse_config
 from kk6.curvature import (
-    christoffel, einstein, ricci, ricci_entry_raw, ricci_scalar,
+    _phase, christoffel, einstein, ricci, ricci_entry_raw, ricci_scalar,
 )
 from kk6.dynamics import connection_evaluator
 from kk6.expr import (
-    HALF, MINUS_ONE, ONE, ZERO, _Ctx, context, contract, coords, derive, exp,
-    mul, num, simplify, sym,
+    HALF, I, MINUS_ONE, ONE, ZERO, _Ctx, context, contract, coords, derive,
+    exp, mul, num, simplify, sqrt, sym,
 )
 from kk6.oracle import (
     H_CONNECTION, H_METRIC, christoffel_fd, compile_expr, einstein_fd,
@@ -28,7 +30,7 @@ from kk6.oracle import (
 from kk6.tensor import DIM, Metric6
 from kk6.zeros import is_zero
 from test_dynamics import _dense_connection
-from test_golden_records import curvature_metrics
+from test_golden_records import CURVATURE, curvature_metrics
 
 x = coords()
 
@@ -160,6 +162,78 @@ def test_ricci_diagonal_pairs_equal_products(label):
         ps = _unpaired_ricci_products(m, a, context())
         assert len(ps) == 49
         assert r[a][a] is contract(ps, context()), a
+
+
+def _fresh(metric) -> Metric6:
+    # the metric on an empty grid cache and contraction memo, so that its
+    # Ricci tensor is formed here, by the route under test
+    expr._CONTRACTED.clear()
+    tensor._stages_of.cache_clear()
+    return Metric6(metric.lower)
+
+
+def _built(aid, *args) -> Metric6:
+    cfg = parse_config("\n".join(("command=curvature", f"ansatz={aid}",
+                                   *args)))
+    return build_ansatz(aid, cfg.params)[0]
+
+
+_POINT = CURVATURE["dirac1"]                # the benchmark's spinor point
+
+# label -> (ansatz, CLI arguments) of metrics that depend on the
+# coordinates through one plane-wave phase
+PHASE_INPUTS = {
+    "scalar": ("scalar",), "photon": ("photon",), "proca": ("proca",),
+    **{f"dirac{s}": (f"dirac{s}", *_POINT) for s in range(1, 5)},
+    "coupled": ("coupled", *_POINT),
+    "dirac1 irrational": ("dirac1", "p1=1/2", "p2=1/3", "p3=1/4", "m0=1"),
+    "gravity-dirac eps=0": ("gravity-dirac", *_POINT, "eps=0", "kappa=1"),
+    "dirac1 symbolic": ("dirac1",),
+    "coupled symbolic": ("coupled",),
+}
+
+
+@pytest.mark.parametrize("label", list(PHASE_INPUTS))
+def test_the_phase_route_gives_the_general_route_s_nodes(label):
+    m = _fresh(_built(*PHASE_INPUTS[label]))
+    r = ricci(m)
+    assert _phase(m) and "christoffel" not in m._cache
+    for a in range(DIM):
+        for b in range(a, DIM):
+            assert r[a][b] is ricci_entry_raw(m, a, b), (a, b)
+
+
+_FLAT = (ONE, MINUS_ONE, MINUS_ONE, MINUS_ONE, ONE, MINUS_ONE)
+
+
+def _diagonal_with(*head) -> Metric6:
+    # the flat diagonal with its first entries replaced by ``head``
+    return _diagonal((*head, *_FLAT[len(head):]))
+
+
+# label -> metric that the phase certificate must refuse
+FALLBACK_INPUTS = {
+    **{aid: (lambda aid=aid: _built(aid, *CURVATURE[aid]))
+       for aid in ("gravity-scalar", "gravity-proca", "gravity-dirac")},
+    "probe.ricci": lambda: curvature_metrics()["probe.ricci"],
+    "flat": _diagonal_with,
+    "exp(x1^2)": lambda: _diagonal_with(exp(mul(x[1], x[1]))),
+    "two phases": lambda: _diagonal_with(exp(mul(I, x[0])),
+                                         mul(MINUS_ONE, exp(mul(I, x[1])))),
+    "sqrt(x2)": lambda: _diagonal_with(sqrt(x[2])),
+    "bare coordinate": lambda: _diagonal_with(mul(x[1], exp(mul(I, x[0])))),
+}
+
+
+@pytest.mark.parametrize("label", list(FALLBACK_INPUTS))
+def test_a_metric_the_certificate_refuses_takes_the_general_route(label):
+    m = _fresh(FALLBACK_INPUTS[label]())
+    assert _phase(m) == ()
+    r = ricci(m)
+    assert "christoffel" in m._cache
+    for a in range(DIM):
+        for b in range(a, DIM):
+            assert r[a][b] is ricci_entry_raw(m, a, b), (a, b)
 
 
 def test_scalar_mode_ricci_scalar_structurally_zero():
@@ -348,9 +422,11 @@ def test_curvature_stages_are_plain_functions_of_the_module():
 
 
 def test_ricci_entry_raw_reuses_the_cached_connection_terms(monkeypatch):
-    # after ``ricci`` the trace of the connection is cached: one raw entry
-    # is one contraction, its derivatives taken inside it
-    m = _numeric_proca()
+    # after ``ricci`` takes the general route the trace of the connection
+    # is cached: one raw entry is one contraction, its derivatives taken
+    # inside it
+    m = _numeric_gravity_proca()
+    assert not _phase(m)
     ric = ricci(m)
     calls = []
     real = kk6.curvature.contract
@@ -365,10 +441,20 @@ def test_ricci_entry_raw_reuses_the_cached_connection_terms(monkeypatch):
 
 def test_the_metric_cache_keeps_only_the_stages_and_the_trace():
     # no derivative grid of the connection outlives its stage
+    m = _numeric_gravity_proca()
+    einstein(m)
+    assert set(m._cache) == {"_adjugate", "det", "upper", "_phase",
+                             "christoffel", "_trace", "ricci",
+                             "ricci_scalar", "einstein"}
+
+
+def test_the_phase_route_keeps_no_connection():
+    # the phase route forms Ricci with no Christoffel symbol, and keeps
+    # only its certificate besides the stages
     m = _numeric_proca()
     einstein(m)
-    assert set(m._cache) == {"_adjugate", "det", "upper", "christoffel",
-                             "_trace", "ricci", "ricci_scalar", "einstein"}
+    assert set(m._cache) == {"_adjugate", "det", "upper", "_phase",
+                             "ricci", "ricci_scalar", "einstein"}
 
 
 def test_einstein_is_filled_for_a_le_b_and_mirrored(monkeypatch):
@@ -402,19 +488,32 @@ def _reachable(root):
     return seen.values()
 
 
-def test_curvature_keeps_no_kernel_context():
-    # each stage's kernel context lives for the stage call only, and what
-    # the stages keep is canonical: every entry is its own simplify result
-    m = _numeric_proca()
-    ein = einstein(m)
+def _assert_no_context_and_canonical(m, entries):
     assert not any(isinstance(o, _Ctx) for o in _reachable(m._cache))
-    gamma = christoffel(m)
-    entries = [*(e for plane in gamma for row in plane for e in row),
-               *(e for row in ricci(m) for e in row),
-               *(e for row in ein for e in row)]
     assert any(e is not ZERO for e in entries)
     for e in entries:
         assert simplify(e) is e
+
+
+def test_curvature_keeps_no_kernel_context():
+    # each stage's kernel context lives for the stage call only, and what
+    # the stages keep is canonical: every entry is its own simplify result
+    m = _numeric_gravity_proca()
+    ein = einstein(m)
+    gamma = christoffel(m)
+    _assert_no_context_and_canonical(m, [
+        *(e for plane in gamma for row in plane for e in row),
+        *(e for row in ricci(m) for e in row),
+        *(e for row in ein for e in row)])
+
+
+def test_the_phase_route_keeps_no_kernel_context():
+    m = _numeric_proca()
+    ein = einstein(m)
+    assert "christoffel" not in m._cache
+    _assert_no_context_and_canonical(m, [
+        *(e for row in ricci(m) for e in row),
+        *(e for row in ein for e in row)])
 
 
 def test_perturbed_compact_entry_breaks_flatness():

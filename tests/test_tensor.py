@@ -343,8 +343,10 @@ def test_a_singular_grid_raises_on_every_build():
 
 
 def test_the_grid_cache_keeps_no_kernel_context():
+    # proca and coupled take Ricci's phase route, gravity-proca the
+    # general one
     metrics = curvature_metrics()
-    for label in ("proca", "coupled"):
+    for label in ("proca", "coupled", "gravity-proca"):
         einstein(metrics[label])
     entries = [Metric6(m.lower)._cache for m in metrics.values()]
     assert sum(len(e) for e in entries) >= 16
