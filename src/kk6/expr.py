@@ -1124,10 +1124,10 @@ def context() -> _Ctx:
 
 # ``contract``'s memo: its products as a tuple of tuples of nodes -> the
 # result, least recently used first.  Traffic: one pass over the 17 claims
-# and the benchmark's 4 probes makes 3,421 calls, 1,038 of them distinct,
+# and the benchmark's 4 probes makes 3,505 calls, 1,051 of them distinct,
 # and the next pass at another seed asks again for 472 of them (1,207
-# calls); an LRU of 1,003 entries answers every one.  One ``kk6
-# curvature`` pass over the eight ansatze makes 3,272 calls, 1,537
+# calls); an LRU of 1,016 entries answers every one.  One ``kk6
+# curvature`` pass over the eight ansatze makes 3,404 calls, 1,548
 # distinct, and its next pass (417 calls, 217 distinct) is mostly answered
 # by ``tensor``'s grid cache.  An entry keeps its key's nodes alive: when
 # that pass formed 2,056 distinct contractions, 2,048 entries raised its

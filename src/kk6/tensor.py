@@ -1,33 +1,33 @@
 """Dense 6x6 metrics and exact inversion.
 
 Metrics are symmetric grids of canonical expressions over the six
-coordinates.  Inversion is exact adjugate-over-determinant.  The
-half-spin metrics are dense, all 36 entries nonzero, so expanding the
-adjugate by minors builds trees of 120 products per 5x5 minor that
-``simplify`` cancels down to a term or two.  Where a literal-number
-diagonal entry has a nonzero row, though (g44 = 1, which the vector and
-half-spin modes couple to), :func:`adjugate` eliminates on it, by Schur
-complement, down to a sub-grid with no such pivot, and only that
-sub-grid is expanded by minors, built as trees and simplified.  On the
-engine's families that sub-grid is diagonal (the complement of g44, or
-the whole scalar-mode metric), so each minor is one product.  A pivot
-that is a literal number adds no symbolic denominator, so each entry is
-the node that simplifying its minor gives, which a property test checks
-on random grids.  The adjugate and the inverse of a symmetric grid are
-symmetric, so both are computed for i <= j and mirrored; ``_mirror``
-fills every symmetric 6x6 grid of the curvature stages too: 21 inverse
-entries, not 36.  Derived data is cached per grid, not per metric: every
-``Metric6`` built on equal rows (equal node for node, as nodes are
-hash-consed) shares one stage dict, held for the 16 grids used most
-recently, so a metric built again derives nothing again.  That dict
-keeps the adjugate beside the determinant and the inverse, and the
-curvature stages beside them, all trees.  The determinant is read off
-the adjugate: row 0 of the metric against column 0 of the adjugate, the
-first-row Laplace expansion over cofactors already simplified.  The
-determinant, and each entry of the inverse and of a claimed inverse's
-residual ``claimed * g - I`` (its row-column products, with -1 on the
-diagonal), is one :func:`~kk6.expr.contract` call, expanded once in the
-polynomial kernel, with one kernel context per call of ``Metric6.det``,
+coordinates.  Inversion is exact adjugate-over-determinant.  Every entry
+this module computes is one :func:`~kk6.expr.contract` call, expanded
+once in the polynomial kernel: it builds no sum tree and calls no
+``simplify``.  Where a literal-number diagonal entry has a nonzero row
+(g44 = 1, which the vector and half-spin modes couple to),
+:func:`adjugate` eliminates on it, by Schur complement, down to a
+sub-grid with no such pivot.  That sub-grid's adjugate is one
+contraction per signed minor, over the products of the minor's Laplace
+expansion along its first row, zero entries skipped.  On the engine's
+families the sub-grid is diagonal (the complement of g44, or the whole
+scalar-mode metric), so each minor is one product.  A pivot that is a
+literal number adds no symbolic denominator, so each entry is the node
+that simplifying its minor gives, which a property test checks on random
+grids.  The adjugate and the inverse of a symmetric grid are symmetric,
+so both are computed for i <= j and mirrored; ``_mirror`` fills every
+symmetric 6x6 grid of the curvature stages too: 21 inverse entries, not
+36.  Derived data is cached per grid, not per metric: every ``Metric6``
+built on equal rows (equal node for node, as nodes are hash-consed)
+shares one stage dict, held for the 16 grids used most recently, so a
+metric built again derives nothing again.  That dict keeps the adjugate
+beside the determinant and the inverse, and the curvature stages beside
+them.  The determinant is read off the adjugate: row 0 of the metric
+against column 0 of the adjugate, the first-row Laplace expansion over
+cofactors already contracted.  The adjugate, the determinant, and each
+entry of the inverse and of a claimed inverse's residual
+``claimed * g - I`` (its row-column products, with -1 on the diagonal)
+take one kernel context per call of :func:`adjugate`, ``Metric6.det``,
 :func:`invert_metric` or :func:`identity_residual`.  An adjugate entry
 can be the determinant's own sum, which ``mul`` cancels against its
 inverse: such a product takes the tree route inside ``contract``.  This
@@ -41,8 +41,8 @@ import functools
 import random
 
 from .expr import (
-    Expr, MINUS_ONE, Num, ONE, ZERO, add, context, contract, free_symbols,
-    mul, power, simplify, to_text,
+    Expr, MINUS_ONE, Num, ONE, ZERO, context, contract, free_symbols, mul,
+    power, to_text,
 )
 from .zeros import is_zero, sample_env
 
@@ -140,29 +140,23 @@ class Metric6:
 # ---------------------------------------------------------------------------
 # exact inversion
 
-def _minor(grid: Grid, rows: tuple[int, ...], cols: tuple[int, ...],
-           memo: dict) -> Expr:
-    if len(rows) == 1:
-        return grid[rows[0]][cols[0]]
-    key = (rows, cols)
-    got = memo.get(key)
-    if got is not None:
-        return got
+def _minor(grid: Grid, rows: tuple[int, ...],
+           cols: tuple[int, ...]) -> list[tuple[Expr, ...]]:
+    """The minor of ``grid`` on ``rows`` and ``cols`` as its signed
+    products, factor tuples for :func:`~kk6.expr.contract`: the Laplace
+    expansion along the first row, zero entries skipped, a -1 leading each
+    odd column's products.  The empty minor is ``[()]``, which contracts
+    to 1."""
+    if not rows:
+        return [()]
     r0, rest = rows[0], rows[1:]
-    parts = []
+    out = []
     for j, c in enumerate(cols):
         e = grid[r0][c]
-        if e == ZERO:
-            continue
-        sub = _minor(grid, rest, cols[:j] + cols[j + 1:], memo)
-        if sub == ZERO:
-            continue
-        term = mul(e, sub)
-        if j % 2:
-            term = mul(MINUS_ONE, term)
-        parts.append(term)
-    out = add(*parts)
-    memo[key] = out
+        if e != ZERO:
+            sign = (MINUS_ONE,) if j % 2 else ()
+            out.extend((*sign, e, *p)
+                       for p in _minor(grid, rest, cols[:j] + cols[j + 1:]))
     return out
 
 
@@ -178,13 +172,15 @@ def _mirror(entry, *head, n: int = DIM) -> Grid:
 
 def adjugate(grid: Grid) -> Grid:
     """The adjugate of ``grid``, which must be symmetric, as
-    ``Metric6.lower`` is.  Each entry is the node that simplifying its
-    signed minor gives (:func:`_adjugate_of`)."""
+    ``Metric6.lower`` is, in one kernel context.  Each entry is one
+    ``contract`` call, and the node that simplifying its signed minor
+    gives (:func:`_adjugate_of`)."""
     return _adjugate_of(grid, context())
 
 
 def _adjugate_of(grid, ctx) -> Grid:
-    """The adjugate of the symmetric n x n ``grid``, n >= 1.
+    """The adjugate of the symmetric n x n ``grid``, n >= 1, each entry one
+    ``contract`` call in ``ctx``.
 
     On a nonzero literal-number diagonal entry p whose row holds another
     nonzero entry, with k the rest of that row and B the rest of the
@@ -195,24 +191,23 @@ def _adjugate_of(grid, ctx) -> Grid:
     column 0 of adj S.  A literal p adds no symbolic denominator, so each
     entry is a polynomial in the atoms of ``grid`` and simplifies to the
     node of its minor.  A grid with no such pivot, a diagonal one among
-    them, is expanded by minors (which skip zero entries), simplified
-    for i <= j and mirrored, as the adjugate of a symmetric grid is
-    symmetric."""
+    them, takes one contraction of its signed minor's products
+    (:func:`_minor`) per entry for i <= j, mirrored, as the adjugate of a
+    symmetric grid is symmetric; a 1 x 1 grid's one minor is empty, and
+    its adjugate 1."""
     n = len(grid)
-    if n == 1:
-        return ((ONE,),)
     k = next((i for i in range(n) if isinstance(grid[i][i], Num)
               and grid[i][i] != ZERO
               and any(grid[i][j] != ZERO for j in range(n) if j != i)),
              None)
     if k is None:
-        memo: dict = {}
         idx = tuple(range(n))
 
         def minor(i, j):
             m = _minor(grid, tuple(r for r in idx if r != j),
-                       tuple(c for c in idx if c != i), memo)
-            return simplify(mul(MINUS_ONE, m) if (i + j) % 2 else m)
+                       tuple(c for c in idx if c != i))
+            return contract([(MINUS_ONE, *q) for q in m] if (i + j) % 2
+                            else m, ctx)
         return _mirror(minor, n=n)
     p = grid[k][k]
     rest = [i for i in range(n) if i != k]

@@ -1,6 +1,21 @@
 """Shared test plumbing: the acceptance ledger and its terminal summary,
-and empty process-wide caches for each test."""
+empty process-wide caches for each test, and hypothesis's failure
+reporter imported once with its deprecation warnings ignored."""
+import importlib
+import warnings
+
 import pytest
+
+# hypothesis's pytest plugin imports this module (and through it libcst,
+# whose mypy_extensions.TypedDict use warns) when it reports a failing
+# example; under -W error::DeprecationWarning that import would end the
+# run in INTERNALERROR instead of printing the falsifying example
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        importlib.import_module("hypothesis.extra._patching")
+    except ImportError:
+        pass
 
 _ACCEPTANCE_LINES: list[str] = []
 

@@ -104,6 +104,33 @@ def test_identity_residual_is_the_tree_route(family):
                 assert res[a][b] is tree, (a, b)
 
 
+def _laplace_tree(grid, rows, cols, memo):
+    # the reference: the minor on rows and cols as a mul/add tree, expanded
+    # along its first row, zero entries and zero sub-minors skipped, each
+    # sub-minor built once per memo
+    if len(rows) == 1:
+        return grid[rows[0]][cols[0]]
+    key = (rows, cols)
+    got = memo.get(key)
+    if got is not None:
+        return got
+    r0, rest = rows[0], rows[1:]
+    parts = []
+    for j, c in enumerate(cols):
+        e = grid[r0][c]
+        if e == ZERO:
+            continue
+        sub = _laplace_tree(grid, rest, cols[:j] + cols[j + 1:], memo)
+        if sub == ZERO:
+            continue
+        term = mul(e, sub)
+        if j % 2:
+            term = mul(MINUS_ONE, term)
+        parts.append(term)
+    out = memo[key] = add(*parts)
+    return out
+
+
 def _full_adjugate(grid):
     # all 36 signed minors, each expanded along its own first row
     memo = {}
@@ -111,8 +138,8 @@ def _full_adjugate(grid):
     for i in range(DIM):
         row = []
         for j in range(DIM):
-            m = kk6.tensor._minor(grid, tuple(r for r in range(DIM) if r != j),
-                                  tuple(c for c in range(DIM) if c != i), memo)
+            m = _laplace_tree(grid, tuple(r for r in range(DIM) if r != j),
+                              tuple(c for c in range(DIM) if c != i), memo)
             row.append(simplify(mul(MINUS_ONE, m) if (i + j) % 2 else m))
         out.append(row)
     return out
@@ -128,6 +155,58 @@ def test_mirrored_adjugate_is_the_full_minor_expansion(family):
     for a in range(DIM):
         for b in range(DIM):
             assert adj[a][b] is full[a][b], (a, b)
+
+
+def test_the_adjugate_is_one_contraction_per_mirrored_minor(monkeypatch):
+    # the scalar-mode metric has no literal pivot: one contraction per
+    # signed minor for i <= j; the module can build no sum tree and call
+    # no simplify, as it imports neither (and reads every name it imports)
+    calls = []
+
+    def counted(products, ctx):
+        calls.append(products)
+        return kk6.expr.contract(products, ctx)
+    monkeypatch.setattr(kk6.tensor, "contract", counted)
+    adj = adjugate(scalar_metric().metric.lower)
+    assert len(calls) == DIM * (DIM + 1) // 2
+    assert all(adj[a][b] is adj[b][a] for a in range(DIM) for b in range(a))
+    assert not {"add", "simplify"} & vars(kk6.tensor).keys()
+
+
+def test_each_call_takes_one_kernel_context(monkeypatch):
+    # the contractions of one call of adjugate, Metric6.det, invert_metric
+    # or identity_residual share one context, and no two calls share one
+    # (the contexts are kept, so no id is reused)
+    contexts = []
+
+    def counted(products, ctx):
+        contexts[-1].append(ctx)
+        return kk6.expr.contract(products, ctx)
+    monkeypatch.setattr(kk6.tensor, "contract", counted)
+    m = coupled_metric(1).metric
+    for call in (m._adjugate, m.det, m.upper,
+                 lambda: identity_residual(m, m.upper())):
+        contexts.append([])
+        call()
+    ids = [set(map(id, c)) for c in contexts]
+    assert all(len(c) == 1 for c in ids)
+    assert len(set.union(*ids)) == len(ids)
+
+
+@pytest.mark.parametrize("family", ["scalar", *sorted(FAMILIES)])
+def test_each_minor_of_a_family_is_one_product(family, monkeypatch):
+    # the sub-grid left after elimination is diagonal on every family
+    sizes = []
+    minor = kk6.tensor._minor
+
+    def recorded(grid, rows, cols):
+        got = minor(grid, rows, cols)
+        sizes.append(len(got))
+        return got
+    monkeypatch.setattr(kk6.tensor, "_minor", recorded)
+    build = scalar_metric if family == "scalar" else FAMILIES[family]
+    adjugate(build().metric.lower)
+    assert sizes and max(sizes) == 1
 
 
 _LITERALS = (ONE, MINUS_ONE, num(2), num(Fraction(-1, 3)), I, ZERO)
@@ -162,7 +241,9 @@ def _random_grids(st):
 def _arrow_grid():
     # literal 1 on diagonal entries 0..4, the last row and column symbolic:
     # each elimination leaves an arrow one smaller, so the Schur recursion
-    # runs 6 -> 5 -> 4 -> 3 -> 2 -> 1, down to its 1x1 floor
+    # runs 6 -> 5 -> 4 -> 3 -> 2 -> 1, down to its 1x1 floor, whose one
+    # minor is empty: its products [()] contract to the adjugate 1, with no
+    # special case for n == 1
     edge = tuple(sym(s) for s in ("p1", "p2", "p3", "k3", "omega"))
     rows = [[ONE if a == b else ZERO for b in range(DIM)] for a in range(DIM)]
     for a in range(5):
@@ -192,8 +273,8 @@ def test_det_is_the_laplace_tree(label):
     # the first-row expansion over the cached adjugate gives the node that
     # simplifying the full Laplace tree gives
     m = curvature_metrics()[label]
-    tree = simplify(kk6.tensor._minor(m.lower, tuple(range(DIM)),
-                                      tuple(range(DIM)), {}))
+    tree = simplify(_laplace_tree(m.lower, tuple(range(DIM)),
+                                  tuple(range(DIM)), {}))
     assert m.det() is tree
 
 
