@@ -367,10 +367,12 @@ def dirac_metric(sol: int = 1, p1=None, p2=None, p3=None, m0=None) -> SpinorMode
     x = coords()
     s = -1 if sol in (1, 2) else 1
     p1v, p2v, p3v = comps.p
-    px = add(mul(comps.p0, x[0]), mul(MINUS_ONE, p1v, x[1]),
-             mul(MINUS_ONE, p2v, x[2]), mul(MINUS_ONE, p3v, x[3]))
-    phase = exp(add(mul(num(0, s), px), mul(I, comps.m0, x[5])))
-    ctx = context()
+    # the exponent s i p.x + i m0 x5 expanded, so that it is its own
+    # simplify result
+    ctx, si, minus_si = context(), num(0, s), num(0, -s)
+    phase = exp(contract([(si, comps.p0, x[0]), (minus_si, p1v, x[1]),
+                          (minus_si, p2v, x[2]), (minus_si, p3v, x[3]),
+                          (I, comps.m0, x[5])], ctx))
     k5 = tuple(contract([(comps.C, num(c), comps.phi[k], phase)], ctx)
                for c, k in _FIELDS[sol])
     notes = _SPINOR_NOTES_NEG if s == 1 else ()

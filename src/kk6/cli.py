@@ -85,8 +85,6 @@ from .zeros import _check_seed, _check_tol
 
 __all__ = ["RunConfig", "CliError", "parse_config", "emit", "main"]
 
-COMMANDS = ("curvature", "verify", "geodesic", "fringes")
-
 _ANSATZ_PARAMS = {
     # name -> default (None: unbound, the symbol); the scalar report is the
     # hbar = 1 metric unless hbar is given
@@ -175,10 +173,10 @@ def _resolve(items) -> RunConfig:
 
     for key, value, where, key_where in items:
         if key == "command":
-            if value not in COMMANDS:
+            if value not in _RUNNERS:
                 raise _config_err(
                     f"unknown command {value!r} (expected one of "
-                    f"{', '.join(COMMANDS)})", where)
+                    f"{', '.join(_RUNNERS)})", where)
             command = value
         elif key == "ansatz":
             if value not in ANSATZ_IDS:
@@ -228,7 +226,7 @@ def _resolve(items) -> RunConfig:
 
     if command is None:
         raise _usage("no command given (expected one of "
-                     + ", ".join(COMMANDS) + ")")
+                     + ", ".join(_RUNNERS) + ")")
 
     # cross-field validation: the command's targets (reader -> accepted
     # name -> default) must take every given parameter, symbolic or bound
@@ -280,10 +278,10 @@ def _resolve(items) -> RunConfig:
     echo["tol"] = tol
     echo["format"] = fmt
     if claims is not None:
-        echo["claims"] = sorted(claims)
+        # each selected claim once, as run_suite runs it
+        claims = echo["claims"] = sorted(set(claims))
     return RunConfig(command=command, ansatz=ansatz,
-                     claims=tuple(sorted(claims)) if claims is not None
-                     else None,
+                     claims=tuple(claims) if claims is not None else None,
                      seed=seed, tol=tol, out=out, format=fmt,
                      params=params, echo=echo)
 
@@ -476,7 +474,7 @@ def _build_parser() -> _Parser:
     ap = _Parser(prog="kk6", description=__doc__,
                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("command", nargs="?",
-                    help="curvature | verify | geodesic | fringes")
+                    help=" | ".join(_RUNNERS))
     ap.add_argument("bindings", nargs="*", metavar="key=value",
                     help="parameter bindings, e.g. p3=3/4 m0=symbolic")
     ap.add_argument("--config", metavar="PATH",

@@ -123,7 +123,7 @@ from math import isqrt, lcm
 from operator import attrgetter
 from typing import Mapping, Union
 
-from .symbols import DEFAULT_TABLE, Symbol
+from .symbols import COORDS, DEFAULT_TABLE, Symbol, UnknownSymbolError
 
 __all__ = [
     "Expr", "Num", "Sym", "Pow", "Exp", "Sqrt", "Conj", "Mul", "Add",
@@ -251,7 +251,7 @@ class Sym(Expr):
         node = _TABLE.get(ikey)
         if node is None:
             # printing, sorting and evaluation know a symbol by its name
-            if DEFAULT_TABLE.lookup(symbol.name) != symbol:
+            if _declared(symbol.name) != symbol:
                 raise ValueError(f"symbol {symbol.name!r} is declared "
                                  "with different flags")
             node = _new(cls, ikey, (1, symbol.name))
@@ -387,11 +387,18 @@ def _coerce(value) -> Expr | None:
 def sym(name: str) -> Sym:
     """The symbol declared under ``name`` in ``DEFAULT_TABLE``; every
     symbol comes from that one table, so a name has one meaning."""
-    return Sym(DEFAULT_TABLE.lookup(name))
+    return Sym(_declared(name))
+
+
+def _declared(name: str) -> Symbol:
+    try:
+        return DEFAULT_TABLE[name]
+    except KeyError:
+        raise UnknownSymbolError(name) from None
 
 
 def coords() -> tuple[Sym, ...]:
-    return tuple(Sym(s) for s in DEFAULT_TABLE.coordinates)
+    return tuple(Sym(s) for s in COORDS)
 
 
 def _lead(t: Expr) -> Num:
@@ -635,7 +642,7 @@ def _resolve_symbol(s) -> Symbol:
         return s.symbol
     if isinstance(s, Symbol):
         return s
-    return DEFAULT_TABLE.lookup(s)
+    return _declared(s)
 
 
 def diff(e: Expr, s) -> Expr:
@@ -1124,11 +1131,11 @@ def context() -> _Ctx:
 
 # ``contract``'s memo: its products as a tuple of tuples of nodes -> the
 # result, least recently used first.  Traffic: one pass over the 17 claims
-# and the benchmark's 4 probes makes 3,505 calls, 1,051 of them distinct,
+# and the benchmark's 4 probes makes 3,510 calls, 1,054 of them distinct,
 # and the next pass at another seed asks again for 472 of them (1,207
-# calls); an LRU of 1,016 entries answers every one.  One ``kk6
-# curvature`` pass over the eight ansatze makes 3,404 calls, 1,548
-# distinct, and its next pass (417 calls, 217 distinct) is mostly answered
+# calls); an LRU of 1,019 entries answers every one.  One ``kk6
+# curvature`` pass over the eight ansatze makes 3,407 calls, 1,549
+# distinct, and its next pass (420 calls, 218 distinct) is mostly answered
 # by ``tensor``'s grid cache.  An entry keeps its key's nodes alive: when
 # that pass formed 2,056 distinct contractions, 2,048 entries raised its
 # peak RSS by 6%, 1,024 by 3%.

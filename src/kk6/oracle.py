@@ -32,7 +32,7 @@ points: those 625 metric samples are formed as one array, differenced in
 one elementwise expression, inverted in one batched ``inv`` and
 contracted in one ``einsum``.  The metric closure ``gf`` is any callable
 of one point; the batch takes its ``gf.many`` when it has one (the
-closures of :func:`tensor_evaluator` do) and calls ``gf`` point by point
+closures of :func:`metric_evaluator` do) and calls ``gf`` point by point
 otherwise.  Both routes give the same arrays, bit for bit.
 
 Step sizes: with a fourth-order stencil the truncation error at
@@ -56,7 +56,7 @@ from .tensor import DIM, Metric6
 
 __all__ = [
     "compile_expr", "metric_values", "jet_evaluator", "einstein_jet",
-    "SingularMatrixError", "tensor_evaluator", "metric_evaluator",
+    "SingularMatrixError", "metric_evaluator",
     "christoffel_fd", "ricci_fd", "einstein_fd",
     "H_METRIC", "H_CONNECTION",
 ]
@@ -359,11 +359,10 @@ def einstein_jet(jf, x) -> tuple:
 # ---------------------------------------------------------------------------
 # the finite-difference stencil
 
-def tensor_evaluator(entries: Sequence[Expr], shape: tuple):
-    """One compiled function for a whole tensor: ``entries`` in C order of
-    ``shape``.  The closure maps six coordinates to the filled numpy
-    array, and its ``many(points)`` maps a sequence of n points to one
-    ``(n, *shape)`` array.
+def metric_evaluator(metric: Metric6):
+    """One compiled function for the metric: the closure maps six
+    coordinates to the filled 6x6 numpy array, and its ``many(points)``
+    maps a sequence of n points to one ``(n, 6, 6)`` array.
 
     The nonzero entries share one straight-line body, so a subtree common
     to several entries is computed once; each value is the one
@@ -371,6 +370,7 @@ def tensor_evaluator(entries: Sequence[Expr], shape: tuple):
     row i is the closure's array at ``points[i]``, bit for bit."""
     import numpy as np
 
+    entries = _entries(metric)
     nonzero = [i for i, e in enumerate(entries) if e is not ZERO]
     fn = _compile([entries[i] for i in nonzero], _as_tuple)
     where = np.array(nonzero, dtype=np.intp)
@@ -379,20 +379,15 @@ def tensor_evaluator(entries: Sequence[Expr], shape: tuple):
     def ev(x):
         out = np.zeros(size, dtype=complex)
         out[where] = fn(x)
-        return out.reshape(shape)
+        return out.reshape(DIM, DIM)
 
     def many(points):
         out = np.zeros((len(points), size), dtype=complex)
         out[:, where] = [fn(x) for x in points]
-        return out.reshape(len(points), *shape)
+        return out.reshape(len(points), DIM, DIM)
 
     ev.many = many
     return ev
-
-
-def metric_evaluator(metric: Metric6):
-    """The metric as a :func:`tensor_evaluator` closure of 6x6 arrays."""
-    return tensor_evaluator(_entries(metric), (DIM, DIM))
 
 
 def _shift(x, c: int, h: float):

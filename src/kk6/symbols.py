@@ -2,11 +2,12 @@
 
 Every symbol that may appear in an expression is declared here, once, in
 ``DEFAULT_TABLE`` with its flags: the six coordinates ``x0 .. x5`` and
-the parameters of :data:`_CANONICAL_PARAMS`.  It is the one table
-(``expr.Sym`` refuses any symbol that is not its entry, and the parser
-refuses a name it does not hold); the :class:`SymbolTable` class is only
-its type and is not exported from ``kk6``.  The table is fixed at import:
-nothing adds a symbol to it or removes one afterwards.
+the parameters of :data:`_CANONICAL_PARAMS`, in that order.  It is the
+one table (``expr.Sym`` refuses any symbol that is not its entry, and the
+parser refuses a name it does not hold), a read-only mapping from each
+name to its :class:`Symbol`.  The table is fixed at import: nothing adds
+a symbol to it or removes one afterwards, and writing to it raises
+``TypeError``.
 Sampling and conjugation honor the real flag, and sampling the positive
 one, so this table is the one place where "this quantity is real" or
 "positive" is stated.  A positive symbol is also real, and positivity is
@@ -15,6 +16,7 @@ a sampling fact only: the kernel's canonical forms never use it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 
 class UnknownSymbolError(KeyError):
@@ -47,30 +49,10 @@ _CANONICAL_PARAMS = {
                      "c0", "c1", "c2", "c3", "c4", "c5"), {"real": False}),
 }
 
+COORDS = tuple(Symbol(name, coordinate=True) for name in _COORD_NAMES)
 
-class SymbolTable:
-    """Table mapping names to :class:`Symbol` entries: the six
-    coordinates and the parameters of :data:`_CANONICAL_PARAMS`, declared
-    at construction and never changed afterwards."""
-
-    def __init__(self) -> None:
-        self._entries: dict[str, Symbol] = {}
-        for name in _COORD_NAMES:
-            self._entries[name] = Symbol(name, real=True, coordinate=True)
-        for name, flags in _CANONICAL_PARAMS.items():
-            self._entries[name] = Symbol(name, **flags)
-
-    def lookup(self, name: str) -> Symbol:
-        try:
-            return self._entries[name]
-        except KeyError:
-            raise UnknownSymbolError(name) from None
-
-    @property
-    def coordinates(self) -> tuple[Symbol, ...]:
-        return tuple(self._entries[name] for name in _COORD_NAMES)
-
-
-DEFAULT_TABLE = SymbolTable()
-
-COORDS = DEFAULT_TABLE.coordinates
+DEFAULT_TABLE = MappingProxyType({
+    **{s.name: s for s in COORDS},
+    **{name: Symbol(name, **flags)
+       for name, flags in _CANONICAL_PARAMS.items()},
+})

@@ -135,21 +135,23 @@ def _expanded_terms(e: Expr) -> int:
     power of a part of t monomials to n has the C(|n| + t - 1, t - 1)
     monomials of degree |n| in t, for a negative n too, as the inverse
     metric raises it back."""
-    memo: dict[Expr, int] = {}
+    return _count_terms(e, {})
 
-    def count(node: Expr) -> int:
-        got = memo.get(node)
-        if got is None:
-            kids = [count(k) for k in _kids(node)]
-            if isinstance(node, Add):
-                got = sum(kids)
-            elif isinstance(node, Pow):
-                got = math.comb(abs(node.n) + kids[0] - 1, kids[0] - 1)
-            else:
-                got = math.prod(kids)
-            got = memo[node] = min(got, _MOST_PERTURB_TERMS + 1)
-        return got
-    return count(e)
+
+def _count_terms(node: Expr, memo: dict) -> int:
+    # module-level with its memo passed in, so that counting leaves no
+    # reference cycle pinning the memo and the expression
+    got = memo.get(node)
+    if got is None:
+        kids = [_count_terms(k, memo) for k in _kids(node)]
+        if isinstance(node, Add):
+            got = sum(kids)
+        elif isinstance(node, Pow):
+            got = math.comb(abs(node.n) + kids[0] - 1, kids[0] - 1)
+        else:
+            got = math.prod(kids)
+        got = memo[node] = min(got, _MOST_PERTURB_TERMS + 1)
+    return got
 
 
 def coerce_param(name: str, value, real: bool = False):

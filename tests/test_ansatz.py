@@ -248,6 +248,22 @@ def test_family_sign_tracks_solution_pair(sol, sign):
     assert dirac_metric(sol).family_sign == sign
 
 
+@pytest.mark.parametrize("sol", [1, 3])
+@pytest.mark.parametrize("p", [(None,) * 4, ("1/3", 0, "1/2", 1)])
+def test_halfspin_phase_is_formed_expanded(sol, p):
+    # the builder forms the exponent as one contraction, so no product
+    # holding a sum is left for each later contraction to expand again
+    mode = dirac_metric(sol, *p)
+    s = mode.family_sign
+    want = simplify(add(
+        mul(num(0, s), add(mul(mode.components.p0, x[0]),
+                           *(mul(MINUS_ONE, mode.components.p[i], x[i + 1])
+                             for i in range(3)))),
+        mul(num(0, 1), mode.components.m0, x[5])))
+    assert mode.phase.arg is want
+    assert simplify(mode.phase.arg) is mode.phase.arg
+
+
 def test_spinor_field_compact_derivative_condition():
     mode = dirac_metric(1)
     for i in range(5):

@@ -253,6 +253,24 @@ def test_a_perturbation_s_expanded_size_is_counted(perturb, terms):
     assert _expanded_terms(parse_expression(perturb)) == terms
 
 
+def test_counting_a_perturbation_keeps_it_no_longer_than_its_caller():
+    # with the cyclic collector off, the expression dies as soon as the
+    # caller drops it: the count leaves no cycle holding its memo
+    import gc
+    import weakref
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        e = parse_expression("(1+x1+918276*x2)^3*exp(x3)")
+        assert _expanded_terms(e) == 10
+        probe = weakref.ref(e)
+        del e
+        assert probe() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_a_perturbation_that_once_ran_109_s_fails_fast():
     # (1+x1+x2+x3+x4)^8 expands to 495 monomials; before the bound it ran
     # for about 109 s.  The child runs under a time limit so that running
@@ -462,6 +480,26 @@ def test_bindings_may_follow_flags(capsys):
                         "omega=5"], capsys)
     assert code == 0
     assert json.loads(out)["config"]["omega"] == "5"
+
+
+def test_a_repeated_claim_is_selected_and_echoed_once(capsys):
+    cfg = parse_config("command=verify\nclaims=fsq.null,kg.reduction,"
+                       "fsq.null\n")
+    assert cfg.claims == ("fsq.null", "kg.reduction")
+    assert cfg.echo["claims"] == ["fsq.null", "kg.reduction"]
+    code, out, _ = run(["verify", "--claim", "fsq.null", "--claim",
+                        "fsq.null"], capsys)
+    rep = json.loads(out)
+    assert code == 0 and rep["config"]["claims"] == ["fsq.null"]
+    assert [r["id"] for r in rep["records"]] == ["fsq.null"]
+
+
+def test_the_parser_and_the_refusal_name_every_command():
+    from kk6 import cli
+    help_text = cli._build_parser().format_help()
+    assert " | ".join(cli._RUNNERS) in help_text
+    with pytest.raises(CliError, match=", ".join(cli._RUNNERS)):
+        parse_config("command=orbit\n")
 
 
 def test_a_first_positional_binding_is_one_more_binding(capsys):

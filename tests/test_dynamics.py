@@ -16,7 +16,7 @@ from kk6.dynamics import (
     interval_along, two_path_fringes,
 )
 from kk6.expr import MINUS_ONE, ONE, ZERO, exp, mul, num, simplify, sym
-from kk6.oracle import tensor_evaluator
+from kk6.oracle import compile_expr, metric_evaluator
 from kk6.tensor import DIM, Metric6
 
 P = (1.25, 0.0, 0.0, 0.75)           # exactly on-shell with m0 = 1
@@ -30,9 +30,18 @@ def _metric():
 
 def _dense_connection(metric):
     # the connection as a 6x6x6 array at six coordinates: the dense form
-    # the reference integrator contracts with einsum
-    return tensor_evaluator([e for plane in christoffel(metric)
-                             for row in plane for e in row], (DIM, DIM, DIM))
+    # the reference integrator contracts with einsum, each nonzero entry
+    # the value compile_expr gives for it
+    fns = [(i, compile_expr(e)) for i, e in enumerate(
+        e for plane in christoffel(metric) for row in plane for e in row)
+        if e is not ZERO]
+
+    def ev(x):
+        out = np.zeros(DIM ** 3, dtype=complex)
+        for i, f in fns:
+            out[i] = f(x)
+        return out.reshape(DIM, DIM, DIM)
+    return ev
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +385,7 @@ def test_interval_along_is_the_quadratic_form_to_a_few_ulp():
     m = _metric()
     path = integrate(closed_form_state(0.0, P, M0, CONST), 1.0, 300,
                      connection_evaluator(m))
-    gev = tensor_evaluator([e for row in m.lower for e in row], (DIM, DIM))
+    gev = metric_evaluator(m)
     for iv, lo, hi in zip(interval_along(path, m), path.states,
                           path.states[1:]):
         dx = np.array([b - a for a, b in zip(lo.x, hi.x)])

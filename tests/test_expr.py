@@ -10,8 +10,9 @@ import pytest
 from kk6 import expr as kernel
 from kk6.expr import (
     Add, Conj, DomainError, EvalError, Exp, HALF, I, MINUS_ONE, Mul, Num,
-    ONE, Pow, Sqrt, TWO, ZERO, add, conj, context, coords, derive, diff, exp,
-    free_symbols, mul, num, power, simplify, sqrt, subs, sym, to_text,
+    ONE, Pow, Sqrt, TWO, ZERO, add, conj, context, contract, coords, derive,
+    diff, exp, free_symbols, mul, num, power, simplify, sqrt, subs, sym,
+    to_text,
 )
 from kk6.oracle import compile_expr
 from kk6.zeros import evaluate, is_zero, scaled_eval
@@ -162,9 +163,18 @@ def test_a_symbol_name_has_one_meaning():
 
 
 def test_the_symbol_table_holds_only_its_declarations():
-    # fixed at import: no test or library code adds a symbol afterwards
-    from kk6.symbols import DEFAULT_TABLE, _CANONICAL_PARAMS, _COORD_NAMES
-    assert list(DEFAULT_TABLE._entries) == [*_COORD_NAMES, *_CANONICAL_PARAMS]
+    # fixed at import: no test or library code adds a symbol afterwards,
+    # and the table refuses a write
+    from kk6.symbols import (
+        COORDS, DEFAULT_TABLE, _CANONICAL_PARAMS, _COORD_NAMES, Symbol,
+    )
+    assert list(DEFAULT_TABLE) == [*_COORD_NAMES, *_CANONICAL_PARAMS]
+    assert COORDS == tuple(DEFAULT_TABLE[n] for n in _COORD_NAMES)
+    with pytest.raises(TypeError):
+        DEFAULT_TABLE["q0"] = Symbol("q0")
+    with pytest.raises(TypeError):
+        del DEFAULT_TABLE["x0"]
+    assert "q0" not in DEFAULT_TABLE
 
 
 RETIRED_NAMES = ("a0", "a1", "a2", "a3", "a5", "C", "G", "k0", "k1", "k2",
@@ -567,6 +577,73 @@ def test_simplify_takes_exponents_of_any_size():
     half = 2 ** 30
     assert simplify(power(add(power(x0, half), x1), 2)) is add(
         power(x0, 2 * half), mul(TWO, x1, power(x0, half)), power(x1, 2))
+
+
+# --- the guarantees of the simplify, contract and derive docstrings ---------
+
+def test_simplify_keeps_negative_powers_of_sums_atomic():
+    s = add(x0, x1)
+    assert simplify(power(s, -2)) is power(s, -2)
+    e = mul(add(x2, ONE), power(s, -1))
+    assert simplify(e) is add(power(s, -1), mul(x2, power(s, -1)))
+
+
+def test_simplify_caches_its_result_on_each_visited_factor(monkeypatch):
+    a, b = add(_fresh(20), x1), add(_fresh(21), x2)
+    simplify(mul(a, b))
+    built = _count_calls(monkeypatch, "_build")
+    for f in (a, b):
+        assert f._simp is not None
+        simplify(f)
+    assert built == []
+
+
+def test_simplify_stores_nothing_in_the_contract_memo():
+    kernel._CONTRACTED.clear()
+    e = _fresh(22)
+    assert simplify(e) is not e
+    assert not kernel._CONTRACTED
+
+
+def test_contract_builds_no_product_and_no_outer_sum(monkeypatch):
+    ps = [(add(x0, x1), add(x2, num(3))), (MINUS_ONE, x0, x2),
+          (p1, exp(x3))]
+    want = simplify(add(*(mul(*p) for p in ps)))
+    sums = _count_calls(monkeypatch, "add")
+    products = _count_calls(monkeypatch, "mul")
+    assert contract(ps, context()) is want
+    assert sums == [] and products == []
+
+
+def test_contract_calls_in_one_context_read_an_operand_once(monkeypatch):
+    a = simplify(add(_fresh(23), x1))      # read, not built, in ctx
+    e1, e2 = exp(mul(p1, x0)), exp(mul(p2, x1))
+    ctx = context()
+    contract([(a, x2, e1, e2)], ctx)
+    fresh, read = [], kernel._read
+
+    def counted(c, t):
+        if t not in c.polys:
+            fresh.append(t)
+        return read(c, t)
+    monkeypatch.setattr(kernel, "_read", counted)
+    sums = _count_calls(monkeypatch, "add")
+    contract([(a, x3, e1, e2)], ctx)
+    # the operand and its exp argument sum were formed by the first call
+    assert a not in fresh and sums == []
+    contract([(a, x4, e1, e2)], context())      # the patch is live
+    assert a in fresh and sums
+
+
+def test_derive_keeps_each_diff_tree_in_its_context_per_symbol(monkeypatch):
+    f = sqrt(add(x0, mul(p1, x1), num(Fraction(104753, 7919))))
+    ctx = context()
+    derive(mul(x2, f), "x0", ctx)
+    products = _count_calls(monkeypatch, "mul")
+    derive(mul(x3, f), "x0", ctx)
+    assert products == []
+    derive(mul(x3, f), "x1", ctx)               # another symbol's tree
+    assert products
 
 
 def test_mul_does_no_arithmetic_with_unit_or_zero(monkeypatch):

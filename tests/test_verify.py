@@ -469,7 +469,7 @@ def test_every_numeric_parameter_is_a_declared_real_symbol():
              if kind == "param"]
     assert names
     for name in names:
-        assert DEFAULT_TABLE.lookup(name).real, name
+        assert DEFAULT_TABLE[name].real, name
         assert _E(None, name) is sym(name)
 
 

@@ -135,7 +135,7 @@ def test_magnitude_overflow_names_the_node():
 
 def test_real_symbols_sampled_real_complex_sampled_complex():
     import random
-    syms = [DEFAULT_TABLE.lookup("p0"), DEFAULT_TABLE.lookup("c0")]
+    syms = [DEFAULT_TABLE["p0"], DEFAULT_TABLE["c0"]]
     env = sample_env(syms, random.Random(3))
     assert env["p0"].imag == 0.0
     assert env["c0"].imag != 0.0
@@ -318,7 +318,7 @@ def test_the_rest_mass_is_sampled_positive_with_no_argument():
 
 def test_only_a_positive_symbol_takes_no_sign():
     import random
-    syms = [DEFAULT_TABLE.lookup(n) for n in ("m0", "p1", "k3")]
+    syms = [DEFAULT_TABLE[n] for n in ("m0", "p1", "k3")]
     assert [s.positive for s in syms] == [True, False, False]
     assert all(s.real for s in syms)
     draws = [sample_env(syms, random.Random(seed)) for seed in range(50)]
@@ -334,7 +334,7 @@ def test_the_first_sample_point_of_a_seed_is_pinned():
     # only the complex point's cos/sin come from the platform's libm
     import cmath
     import random
-    syms = [DEFAULT_TABLE.lookup(n) for n in ("x0", "c0", "p1", "m0")]
+    syms = [DEFAULT_TABLE[n] for n in ("x0", "c0", "p1", "m0")]
     env = sample_env(syms, random.Random(7))
     assert list(env) == ["c0", "m0", "p1", "x0"]   # sorted draws
     assert env["c0"] == cmath.rect(0.7152822531830084, 0.9478133132026084)
