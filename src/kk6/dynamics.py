@@ -26,7 +26,7 @@ from .expr import (
     Expr, MINUS_ONE, Num, ZERO, context, contract, derive, exp, mul, num,
     subs, sym,
 )
-from .oracle import _compile, metric_values
+from .oracle import _compile, _compile_metric
 from .tensor import DIM, Metric6
 from .ansatz import onshell_energy, scalar_metric
 
@@ -41,7 +41,7 @@ class DynamicsError(ValueError):
     """Invalid dynamical input (off-shell seed, degenerate geometry)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeodesicState:
     x: tuple[complex, ...]
     v: tuple[complex, ...]
@@ -301,11 +301,11 @@ def interval_along(path: Path, metric: Metric6) -> tuple[StepInterval, ...]:
     metric evaluated at the arithmetic midpoint, dl = |ds|."""
     if len(path.states) < 2:
         raise DynamicsError("path has no steps")
-    gev = metric_values(metric)
+    where, gev = _compile_metric(metric)
     # (dx g)_b = sum_a dx^a g_ab over the nonzero entries, in order of a,
-    # then the sum over b of (dx g)_b dx^b
-    cols = [[(a, DIM * a + b) for a in range(DIM)
-             if metric.lower[a][b] is not ZERO] for b in range(DIM)]
+    # then the sum over b of (dx g)_b dx^b; g[k] is the entry where[k]
+    cols = [[(i // DIM, k) for k, i in enumerate(where) if i % DIM == b]
+            for b in range(DIM)]
     out = []
     for s0, s1 in zip(path.states, path.states[1:]):
         g = gev(tuple(0.5 * (a + b) for a, b in zip(s0.x, s1.x)))

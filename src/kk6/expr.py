@@ -1246,11 +1246,9 @@ def derive(e: Expr, s, ctx: _Ctx) -> Expr:
     return contract(products, ctx)
 
 
-# Each distinct free-symbol set is held once while a node holds it: a node
-# shares its widest child's set when that holds the others, and a new union
-# is looked up here.  Weak, so it keeps no set alive.
-_FREE: "weakref.WeakValueDictionary[frozenset, frozenset]" = \
-    weakref.WeakValueDictionary()
+# Each node caches its free-symbol set, and shares its widest child's set
+# when that holds the others, so a new set is formed only where a node
+# joins symbols that no one child holds.
 _NO_SYMBOLS: frozenset = frozenset()
 
 
@@ -1267,7 +1265,6 @@ def free_symbols(e: Expr) -> frozenset[Symbol]:
         out = max(sets, key=len, default=_NO_SYMBOLS)
         if not all(s <= out for s in sets):
             out = frozenset().union(*sets)
-            out = _FREE.setdefault(out, out)
     e._free = out
     return out
 

@@ -2,11 +2,14 @@
 
 Compiles expressions to plain ``cmath`` code with common-subtree
 elimination, through one emitter: :func:`compile_expr` one expression,
-:func:`metric_values` a metric's 36 entries into one function that returns
-them at once, and ``dynamics.connection_evaluator`` the geodesic
-acceleration.  Each numeric constant is formed once, when its function is
-compiled.  The oracle shares nothing with ``derive`` or ``christoffel``:
-from the metric's entries it rebuilds the connection and curvature purely
+``_compile_metric`` a metric, and ``dynamics.connection_evaluator`` the
+geodesic acceleration.  A metric is compiled in one layout, which the
+stencil, the jets and ``dynamics.interval_along`` all read: the C-order
+indices of its nonzero entries, and one function of the six coordinates
+that returns their values at once.  Each numeric constant is formed
+once, when its function is compiled.  The oracle imports nothing from
+``curvature`` and no derivative or ``simplify`` of ``expr``: from the
+metric's entries it rebuilds the connection and curvature purely
 numerically, by one of two routes.
 
 The jet route is plain Python.  :func:`jet_evaluator` compiles the same
@@ -18,22 +21,23 @@ to rounding.  :func:`einstein_jet` then forms, at the one point, the
 inverse metric by pivoted elimination, Gamma^c_ab, the two derivative
 terms Ricci needs (sum_c d_c Gamma^c_ab, with d g^-1 = -g^-1 (d g) g^-1,
 and d_b of the trace Gamma^c_ac = g^cd d_a g_cd / 2), and from them R_ab,
-R and G_ab.  Each jet's value is the number the plain compiled entry
-gives, bit for bit.
+R and G_ab.  Each jet's value is the number :func:`compile_expr` gives
+for its entry, bit for bit.
 
 The finite-difference stencil imports numpy, on first use, and no other
 code of the oracle does; the ``gravity.split.*`` claims measure with it,
-and the tests and the benchmark check the symbolic curvature against it.  Five-point
-(fourth-order) central differences give the metric and connection
-derivatives, ``numpy.linalg.inv`` the inverse and einsum contractions the
-tensor algebra.  :func:`ricci_fd` (and so :func:`einstein_fd`) needs the
-connection at the point and its 24 neighbours, each from the metric at 25
-points: those 625 metric samples are formed as one array, differenced in
-one elementwise expression, inverted in one batched ``inv`` and
-contracted in one ``einsum``.  The metric closure ``gf`` is any callable
-of one point; the batch takes its ``gf.many`` when it has one (the
-closures of :func:`metric_evaluator` do) and calls ``gf`` point by point
-otherwise.  Both routes give the same arrays, bit for bit.
+and the tests and the benchmark check the symbolic curvature against it.
+Five-point (fourth-order) central differences give the metric and
+connection derivatives, ``numpy.linalg.inv`` the inverse and einsum
+contractions the tensor algebra.  :func:`ricci_fd` (and so
+:func:`einstein_fd`) needs the connection at the point and its 24
+neighbours, each from the metric at 25 points: those 625 metric samples
+are formed as one array, differenced in one elementwise expression,
+inverted in one batched ``inv`` and contracted in one ``einsum``.  The
+metric closure ``gf`` is any callable of one point; the batch takes its
+``gf.many`` when it has one (the closures of :func:`metric_evaluator` do)
+and calls ``gf`` point by point otherwise.  Both routes give the same
+arrays, bit for bit.
 
 Step sizes: with a fourth-order stencil the truncation error at
 h = 1e-4 is ~h^4 ~ 1e-16 times the fifth-derivative scale — negligible —
@@ -55,7 +59,7 @@ from .expr import (
 from .tensor import DIM, Metric6
 
 __all__ = [
-    "compile_expr", "metric_values", "jet_evaluator", "einstein_jet",
+    "compile_expr", "jet_evaluator", "einstein_jet",
     "SingularMatrixError", "metric_evaluator",
     "christoffel_fd", "ricci_fd", "einstein_fd",
     "H_METRIC", "H_CONNECTION",
@@ -105,8 +109,9 @@ def _emit(node: Expr, names: dict, lines: list, consts: dict) -> str:
 def compile_expr(e: Expr) -> Callable[[Sequence[complex]], complex]:
     """Compile to a function of the six coordinates.
 
-    All free symbols must be coordinates; bind parameters numerically
-    (``subs``) before compiling."""
+    All free symbols must be coordinates, and any other raises
+    ``ValueError`` naming it; bind parameters numerically (``subs``)
+    before compiling."""
     return _compile([e], lambda refs: [f"return {refs[0]}"])
 
 
@@ -138,15 +143,10 @@ def _as_tuple(refs: list) -> list:
     return [f"return ({''.join(r + ', ' for r in refs)})"]
 
 
-def _entries(metric: Metric6) -> list:
-    return [e for row in metric.lower for e in row]
-
-
-def metric_values(metric: Metric6) -> Callable[[Sequence[complex]], tuple]:
-    """One compiled function mapping six coordinates to the metric's 36
-    entries, a flat tuple in C order; each is the value
-    :func:`compile_expr` gives for its entry, bit for bit."""
-    return _compile(_entries(metric), _as_tuple)
+def _compile_metric(metric: Metric6, env: dict | None = None):
+    entries = [e for row in metric.lower for e in row]
+    where = [i for i, e in enumerate(entries) if e is not ZERO]
+    return where, _compile([entries[i] for i in where], _as_tuple, env)
 
 
 # ---------------------------------------------------------------------------
@@ -220,15 +220,16 @@ def _jet_sqrt(u):
 
 
 def jet_evaluator(metric: Metric6) -> Callable[[Sequence[complex]], tuple]:
-    """One compiled function mapping six coordinates to the metric's 36
-    entries as second-order jets, a flat tuple in C order: each entry a
-    ``_Jet``, or a plain number where it is constant."""
-    fn = _compile(_entries(metric), _as_tuple,
-                  {"_exp": _jet_exp, "_sqrt": _jet_sqrt})
+    """One compiled function mapping six coordinates to the metric's
+    nonzero entries as ``(index, value)`` pairs, the index in C order and
+    the value a second-order ``_Jet``, or a plain number where the entry is
+    constant."""
+    where, fn = _compile_metric(metric,
+                                {"_exp": _jet_exp, "_sqrt": _jet_sqrt})
 
     def at(x):
-        return fn([_Jet(complex(c), _UNIT[i], _FLAT)
-                   for i, c in enumerate(x)])
+        return tuple(zip(where, fn([_Jet(complex(c), _UNIT[i], _FLAT)
+                                    for i, c in enumerate(x)])))
     return at
 
 
@@ -267,19 +268,21 @@ def _dot(a, b) -> complex:
 
 
 def einstein_jet(jf, x) -> tuple:
-    """G_ab at ``x`` from the jets ``jf(x)`` of :func:`jet_evaluator`, as
-    nested tuples indexed [a][b].  A metric whose value has an exactly
-    zero pivot at ``x`` raises :class:`SingularMatrixError`; a G that
-    overflows is returned as it is, so that its caller sees the overflow.
+    """G_ab at ``x`` from the ``(index, value)`` pairs ``jf(x)`` of
+    :func:`jet_evaluator`, as nested tuples indexed [a][b].  A metric whose
+    value has an exactly zero pivot at ``x`` raises
+    :class:`SingularMatrixError`.  A sum or product that overflows leaves
+    an infinite or NaN entry, returned as it is, so that its caller sees
+    the overflow; an overflow in a jet's ``**`` or ``exp`` raises
+    ``OverflowError``.
 
     Every contraction runs over the nonzero derivatives only, and Ricci
-    over a <= b, mirrored; sums are explicit loops, which round alike on
-    every Python version."""
+    over a <= b, mirrored."""
     r6 = range(DIM)
     g = [[0j] * DIM for _ in r6]
     d1 = []         # (e, p, q, d_e g_pq), nonzero
     d2 = []         # (k, p, q, d_e d_f g_pq) for (e, f) = _PAIRS[k], nonzero
-    for i, j in enumerate(jf(x)):
+    for i, j in jf(x):
         p, q = divmod(i, DIM)
         if type(j) is _Jet:
             g[p][q] = j.v
@@ -360,31 +363,22 @@ def einstein_jet(jf, x) -> tuple:
 # the finite-difference stencil
 
 def metric_evaluator(metric: Metric6):
-    """One compiled function for the metric: the closure maps six
-    coordinates to the filled 6x6 numpy array, and its ``many(points)``
-    maps a sequence of n points to one ``(n, 6, 6)`` array.
-
-    The nonzero entries share one straight-line body, so a subtree common
-    to several entries is computed once; each value is the one
-    :func:`compile_expr` gives for its entry, bit for bit, and ``many``
-    row i is the closure's array at ``points[i]``, bit for bit."""
+    """One compiled function for the metric: its ``many(points)`` maps a
+    sequence of n points to one ``(n, 6, 6)`` numpy array, and the closure
+    maps six coordinates to ``many`` of that one point.  Each value is the
+    one :func:`compile_expr` gives for its entry, bit for bit."""
     import numpy as np
 
-    entries = _entries(metric)
-    nonzero = [i for i, e in enumerate(entries) if e is not ZERO]
-    fn = _compile([entries[i] for i in nonzero], _as_tuple)
-    where = np.array(nonzero, dtype=np.intp)
-    size = len(entries)
-
-    def ev(x):
-        out = np.zeros(size, dtype=complex)
-        out[where] = fn(x)
-        return out.reshape(DIM, DIM)
+    where, fn = _compile_metric(metric)
+    where = np.array(where, dtype=np.intp)
 
     def many(points):
-        out = np.zeros((len(points), size), dtype=complex)
+        out = np.zeros((len(points), DIM * DIM), dtype=complex)
         out[:, where] = [fn(x) for x in points]
         return out.reshape(len(points), DIM, DIM)
+
+    def ev(x):
+        return many([x])[0]
 
     ev.many = many
     return ev

@@ -72,6 +72,15 @@ def test_closed_form_state_matches_quadratic_form():
     assert abs(s.v[0] - (-0.5j * P[0])) < 1e-15
 
 
+def test_a_geodesic_state_holds_no_per_instance_dict():
+    # a path holds one state per step, so each carries its three fields
+    # in slots and no dict beside them
+    s = closed_form_state(0.5, P, M0, CONST)
+    assert not hasattr(s, "__dict__")
+    with pytest.raises(AttributeError):
+        s.tau = 1.0
+
+
 def test_closed_form_state_rejects_off_shell_momentum():
     with pytest.raises(DynamicsError, match="shell"):
         closed_form_state(0.0, (2.0, 0.0, 0.0, 0.75), M0, CONST)

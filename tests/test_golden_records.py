@@ -9,17 +9,21 @@ claims are left out because their numbers come from numpy integration
 and finite differences.
 
 ``golden_curvature.json`` holds the ``kk6 curvature`` report (without
-``timing``) of eight ansatz inputs at seed 0.  Their metric, inverse,
-Christoffel, Ricci and Einstein entries are printed canonical forms, so
-a kernel change that alters any canonical form shows here.
+``timing``) of eight ansatz inputs at seed 0.  Each report's ``data``
+holds the ``ansatz``, its ``metric`` entries, the ``ricci_scalar``, the
+``einstein`` entries and the ``notes``, and, for a family that prints an
+inverse, a ``claimed_inverse`` summary (``exact``, ``max_residual`` and
+``structural_zero_entries``).  The entries are printed canonical forms,
+so a kernel change that alters the canonical form of a metric entry, the
+Ricci scalar or an Einstein entry shows here.
 
 ``golden_symbolic.json`` holds the sha256 of the ``kk6 curvature
 ansatz=dirac1`` report (without ``timing``) at default, symbolic
-parameters: its 0.64 MB of canonical forms come from the inverse,
-Christoffel, Ricci and Einstein contractions over symbolic momenta.  It
-also holds the digest of the report at ``p1=1/2 p2=1/3 p3=1/4 m0=1``,
-whose on-shell ``p0 = sqrt(205)/12`` puts a root in every entry, of
-the default ``kk6 curvature ansatz=coupled`` report, whose derivatives
+parameters: its 0.64 MB of canonical forms come from the inverse, Ricci
+and Einstein contractions over symbolic momenta.  It also holds the
+digest of the report at ``p1=1/2 p2=1/3 p3=1/4 m0=1``, whose on-shell
+``p0 = sqrt(205)/12`` puts a root in every entry, of the default
+``kk6 curvature ansatz=coupled`` report, whose derivatives
 meet folded on-shell roots, and of the default ``kk6 curvature
 ansatz=gravity-dirac`` report, whose dense metric couples the half-spin
 block to the symbolic weak-field block.
