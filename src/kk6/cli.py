@@ -31,10 +31,9 @@ config and seed reproduce the report byte-for-byte once that key is
 dropped.  ``timing`` holds the run's total ``seconds`` and, for
 ``curvature``, the time of each pipeline stage as a flat dotted key:
 ``stages.inverse``, ``stages.christoffel``, ``stages.ricci``,
-``stages.ricci_scalar`` and ``stages.einstein``.  A metric that depends
-on the coordinates through one plane-wave phase takes Ricci's phase route
-(:mod:`kk6.curvature`), which forms no Christoffel symbols: its
-``stages.christoffel`` times the phase certificate alone.  CSV columns:
+``stages.ricci_scalar`` and ``stages.einstein``.  Ricci forms no
+Christoffel symbols (:mod:`kk6.curvature`), so ``stages.christoffel``
+times its linear-forms certificate alone.  CSV columns:
 
 * ``geodesic``: header ``tau,re_x0,im_x0,...,re_x5,im_x5``, one row per
   stored state,
@@ -67,7 +66,7 @@ from .ansatz import (
     massive_wave_potential, null_wave_potential, photon_metric,
     proca_metric, scalar_metric, weak_field_block,
 )
-from .curvature import _phase, christoffel, einstein, ricci, ricci_scalar
+from .curvature import _forms, einstein, ricci, ricci_scalar
 from .dynamics import (
     DynamicsError, closed_form_deviation, closed_form_state,
     connection_evaluator, integrate,
@@ -337,11 +336,11 @@ def _run_curvature(cfg: RunConfig):
     metric, claimed, notes = build_ansatz(aid, cfg.params)
     # each stage is memoized on the metric and reads the ones before it,
     # so in this order each time is the stage's own; Ricci reads no
-    # Christoffel symbols of a metric that passes its phase certificate,
-    # so for that metric the christoffel stage is the certificate
+    # Christoffel symbols, only its linear-forms certificate, which the
+    # christoffel stage times
     stages = {}
     for name, stage in (("inverse", lambda m: m.upper()),
-                        ("christoffel", lambda m: _phase(m) or christoffel(m)),
+                        ("christoffel", _forms),
                         ("ricci", ricci),
                         ("ricci_scalar", ricci_scalar),
                         ("einstein", einstein)):

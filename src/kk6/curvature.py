@@ -4,86 +4,71 @@ Christoffel symbols come from the metric through the first-kind
 connection: each Gamma_DAB = (d_A g_DB + d_B g_DA - d_D g_AB) / 2 is
 formed once and raised by the inverse, Gamma^C_AB = g^CD Gamma_DAB, six
 products an entry instead of eighteen (Misner, Thorne and Wheeler,
-*Gravitation*, ch. 8).  The Ricci tensor is assembled directly from the
-connection,
+*Gravitation*, ch. 8).  :mod:`kk6.dynamics` reads them; Ricci does not.
 
-    R_AB = d_C Gamma^C_AB - d_B Gamma^C_AC
-         + Gamma^C_AB Gamma^D_CD - Gamma^C_AD Gamma^D_BC,
+Ricci is formed from the metric's dependence on the coordinates through
+r linear forms u_i = k^i.x, 0 <= r <= 6, never through a connection or a
+Riemann tensor.  With D_i = dg/du_i, D_ij = d^2 g/du_i du_j, M the
+inverse metric, q_i = M k^i, H_i = M D_i, v_ji = D_i q_j,
+s_ij = k^i.q_j, P_ij = D_i M D_j and w_ij = D_ij q_j - P_ij q_j,
 
-never via an intermediate Riemann tensor.  On the diagonal the quadratic
-products (C, D) and (D, C) of the last term have the same two factors, so
-R_AA writes each pair once with coefficient -2: 21 quadratic products,
-not 36.  Every symmetric grid (the metric derivatives, each plane of
-either kind of Christoffel symbol, Ricci, Einstein) is filled in for
-A <= B and mirrored by ``tensor._mirror``, which also fills the
-adjugate and the inverse; Ricci's symmetry is a theorem here, checked
-by tests through :func:`ricci_entry_raw`, and Einstein's follows from
-Ricci's and the metric's.
+    R_AB = sum_ij (k^i_A w_ij,B + k^i_B w_ij,A)/2 + (q_i.v_jj) D_i,AB/2
+         - s_ij D_ij,AB/2 - k^i_A k^j_B (tr(M D_ij) - tr(H_i H_j))/2
+         + tr H_j (k^i_A v_ji,B + k^i_B v_ji,A - s_ij D_i,AB)/4
+         - k^i_A k^j_B tr(H_i H_j)/4 - v_ji,A v_ij,B/2 + s_ij P_ij,AB/2.
 
-Every derivative (d_C g_AB, d_C Gamma^C_AB and d_B Gamma^C_AC) is one
-:func:`~kk6.expr.derive` call: the product rule over the entry's terms,
-handed to ``contract``.  Every other entry is one
-:func:`~kk6.expr.contract` call: its products are expanded once in the
-polynomial kernel and the canonical tree is built once, with no tree per
-product and none for the sum, and the result is the tree that
-simplifying that sum would give.  Each stage call (:func:`christoffel`;
-:func:`ricci` with the trace of the connection; :func:`ricci_scalar`;
-:func:`einstein`) runs in one kernel context, so each first-kind symbol
-is read once for all six raised ones, each connection entry once for all
-21 Ricci entries, and each of its factors differentiated once per
-coordinate; Ricci takes each d_C Gamma^C_AB in the entry that reads it.
-Each stage's result, and the trace, is kept by one memo in the stage
-dict of the metric's grid, which every metric built on an equal grid
-shares (a bounded cache of the 16 grids used most recently, in
-:mod:`kk6.tensor`); the context lives for the call, and the cache keeps
-only trees.
-A product whose factors share a sum or root base (which ``mul`` would
-merge), a derivative's products among them, takes the tree route inside
-``contract``.
+With one form, a plane-wave phase phi = k.x, it is the closed form of
+plane-fronted waves (J. Ehlers and W. Kundt, in *Gravitation: an
+Introduction to Current Research*, ed. L. Witten, 1962); with the six
+unit vectors, the coordinate formula.  A syntactic certificate,
+:func:`_forms`, gives the forms:
 
-Most of the engine's metrics (the scalar, photon, Proca, half-spin and
-coupled families) depend on the coordinates only through one plane-wave
-phase phi = k.x.  Then d_A g = k_A g', with g' = dg/dphi, and Ricci has a
-closed low-rank form, the structure of plane-fronted waves (J. Ehlers and
-W. Kundt, in *Gravitation: an Introduction to Current Research*, ed.
-L. Witten, 1962).  With M the inverse metric, q = Mk, H = Mg', v = g'q,
-P = g'H and w = g''q - Pq,
+* the phase k, when each ``exp`` argument's gradient is free of the
+  coordinates and a ``Num`` multiple of the first one's, k, and some
+  coordinate c0 that occurs only inside ``exp`` has a monomial k_c0;
+* beside it, e_c for each coordinate that occurs outside every ``exp``,
+  one with a constant derivative too: 1 + x1/500 depends on x1, and
+  without e_1 its Ricci tensor would vanish;
+* with no such phase, e_c for every coordinate the metric holds.
 
-    R_AB = (k_A w_B + k_B w_A)/2 + (q.v) g'_AB/2 - (k.q) g''_AB/2
-         - k_A k_B (tr H)'/2 + tr H (k_A v_B + k_B v_A - (k.q) g'_AB)/4
-         - k_A k_B tr(H^2)/4 - v_A v_B/2 + (k.q) P_AB/2,
+So every metric has forms; a constant metric has none, and a zero Ricci
+tensor.  With the phase, D_phi = k_c0^-1 d_c0 g, as no other form holds
+x_c0, D_c = d_c g - k_c D_phi, and D_ij is that rule along form j of
+D_i, for i <= j.  P_ij is not symmetric for i != j (P_ji = P_ij^T), so
+it is formed whole; only P_ii is mirrored.
 
-with (tr H)' = tr(M g'') - tr(H^2): an entry's 36 quadratic connection
-products collapse to three terms.  :func:`ricci` first asks a syntactic
-certificate, kept in the stage dict: no coordinate occurs outside an
-``exp`` argument, each argument's gradient is free of the coordinates and
-a ``Num`` multiple of the first one's, k, and some k_C is a monomial of
-numbers and symbols.  A metric that passes it is a function of phi alone.
-Its g' and g'' are each one ``derive`` along x_C times k_C^-1, and each
-Ricci entry is one 11-product contraction, all in one kernel context,
-with no Christoffel symbol formed.  A metric the certificate refuses (the
-gravity families at eps != 0, a perturbed one, or one with no phase)
-takes the general route above, which stays the only other route;
-:func:`christoffel` and :func:`ricci_entry_raw` always take it.  Tests
-check that both routes give the same nodes on every phase input.
+Every coordinate derivative is one :func:`~kk6.expr.derive` call, the
+product rule handed to ``contract``, and every other entry (D_c with
+k_c != 0 among them) one :func:`~kk6.expr.contract` call: the simplified
+sum, expanded once in the polynomial kernel, which skips each product
+with a zero factor.  A Ricci entry is one contraction of 11 r^2
+products.  Each stage call
+(:func:`christoffel`, :func:`ricci`, :func:`ricci_scalar`,
+:func:`einstein`) runs in one kernel context, which lives for the call.
+One memo keeps each stage's result, and the certificate (c0, k and the
+coordinates of the unit forms), in the stage dict of the metric's grid,
+which every metric built on an equal grid shares (:mod:`kk6.tensor`);
+no kernel context, derivative grid or other intermediate is kept.  Every
+symmetric grid (the metric derivatives, each plane of either kind of
+Christoffel symbol, D_i, D_ij, P_ii, Ricci, Einstein) is filled in for
+A <= B and mirrored by ``tensor._mirror``.
 """
 from __future__ import annotations
 
 from .expr import (
-    Exp, Expr, HALF, MINUS_ONE, Mul, Num, Pow, Sym, ZERO, _kids, context,
-    contract, derive, diff, free_symbols, mul, num, power, simplify,
+    Exp, Expr, HALF, MINUS_ONE, Mul, Num, ONE, Pow, Sym, ZERO, _kids,
+    context, contract, derive, diff, free_symbols, mul, num, power,
+    simplify,
 )
 from .symbols import COORDS
 from .tensor import DIM, Metric6, _IDX, _memo, _mirror
 
-__all__ = [
-    "christoffel", "ricci", "ricci_entry_raw", "ricci_scalar", "einstein",
-]
+__all__ = ["christoffel", "ricci", "ricci_scalar", "einstein"]
 
 _MINUS_HALF = mul(MINUS_ONE, HALF)
-_MINUS_TWO = num(-2)
 _QUARTER = num("1/4")
 _MINUS_QUARTER = num("-1/4")
+_UNIT = tuple(tuple(ONE if a == c else ZERO for a in _IDX) for c in _IDX)
 
 
 @_memo
@@ -106,40 +91,6 @@ def christoffel(metric: Metric6) -> tuple:
     return tuple(_mirror(entry, c) for c in range(DIM))
 
 
-@_memo
-def _trace(metric: Metric6) -> tuple:
-    # t_A = Gamma^C_AC, read by seven terms of each Ricci entry
-    gamma = christoffel(metric)
-    ctx = context()
-    return tuple(contract([(gamma[c][a][c],) for c in range(DIM)], ctx)
-                 for a in range(DIM))
-
-
-def _ricci_formula(metric: Metric6, ctx, a: int, b: int) -> Expr:
-    gamma = christoffel(metric)
-    trace = _trace(metric)
-    parts = [(derive(gamma[c][a][b], x, ctx),) for c, x in enumerate(COORDS)]
-    parts.append((MINUS_ONE, derive(trace[a], COORDS[b], ctx)))
-    parts += ((gamma[c][a][b], trace[c]) for c in range(DIM))
-    if a != b:
-        parts += ((MINUS_ONE, gamma[c][a][d], gamma[d][b][c])
-                  for c in range(DIM) for d in range(DIM))
-    else:
-        # (c, d) and (d, c) are one product of the same two factors
-        parts += ((MINUS_ONE if c == d else _MINUS_TWO,
-                   gamma[c][a][d], gamma[d][a][c])
-                  for c in range(DIM) for d in range(c, DIM))
-    return contract(parts, ctx)
-
-
-def ricci_entry_raw(metric: Metric6, a: int, b: int) -> Expr:
-    """The Ricci formula evaluated at (a, b) itself, not read off the
-    a <= b mirror.  On the diagonal the quadratic products (c, d) and
-    (d, c) are still written as one: they are a product of the same two
-    factors, which is no use of the symmetry of R."""
-    return _ricci_formula(metric, context(), a, b)
-
-
 def _coordinate_free(e: Expr) -> bool:
     return not any(s.coordinate for s in free_symbols(e))
 
@@ -154,15 +105,38 @@ def _monomial(e: Expr) -> bool:
         for f in fs)
 
 
+def _phase(args: list, outside: set) -> tuple | None:
+    # (c0, k) when every argument's gradient is free of the coordinates and
+    # a Num multiple of the first one's, k, and k_c0 is the first monomial
+    # entry of k whose coordinate is not in ``outside``
+    grads = []
+    for arg in args:
+        grad = tuple(simplify(diff(arg, x)) for x in COORDS)
+        if not all(map(_coordinate_free, grad)):
+            return None
+        grads.append(grad)
+    if not grads:
+        return None
+    k = grads[0]
+    c = next((c for c in _IDX if c not in outside and _monomial(k[c])), None)
+    if c is None:
+        return None
+    inv = power(k[c], -1)
+    for grad in grads[1:]:
+        r = simplify(mul(grad[c], inv))
+        if not (isinstance(r, Num)
+                and all(simplify(mul(r, k[i])) is grad[i] for i in _IDX)):
+            return None
+    return c, k
+
+
 @_memo
-def _phase(metric: Metric6) -> tuple:
-    """The plane-wave phase certificate of ``metric``: ``(c, k)`` when no
-    coordinate occurs outside an ``exp`` argument, each argument's
-    gradient is free of the coordinates and a ``Num`` multiple of the
-    first one's, k, and k_c is the first monomial entry of k; otherwise
-    ``()``, which the stage dict keeps as well.  The metric then depends
-    on the coordinates through phi = k.x alone."""
-    args, seen = [], set()
+def _forms(metric: Metric6) -> tuple:
+    """The linear-forms certificate of ``metric``: ``(c0, k, cs)``, the
+    phase k with its coordinate c0 (both ``None`` with no phase) and the
+    coordinates cs of the unit forms, as the module docstring states.
+    The metric depends on the coordinates through these forms alone."""
+    args, outside, seen = [], set(), set()
     stack = [e for row in metric.lower for e in row]
     while stack:
         e = stack.pop()
@@ -172,74 +146,98 @@ def _phase(metric: Metric6) -> tuple:
         if isinstance(e, Exp):
             args.append(e.arg)
         elif isinstance(e, Sym):
-            return ()                   # a coordinate outside any exp
+            outside.add(COORDS.index(e.symbol))     # outside every exp
         else:
             stack.extend(_kids(e))
-    grads = []
-    for arg in args:
-        grad = tuple(simplify(diff(arg, x)) for x in COORDS)
-        if not all(map(_coordinate_free, grad)):
-            return ()
-        grads.append(grad)
-    if not grads:
-        return ()
-    k = grads[0]
-    c = next((c for c in _IDX if _monomial(k[c])), None)
-    if c is None:
-        return ()
-    inv = power(k[c], -1)
-    for grad in grads[1:]:
-        r = simplify(mul(grad[c], inv))
-        if not (isinstance(r, Num)
-                and all(simplify(mul(r, k[i])) is grad[i] for i in _IDX)):
-            return ()
-    return c, k
-
-
-def _phase_ricci(metric: Metric6, c: int, k: tuple) -> tuple:
-    # the module docstring's formula, with g' = k_c^-1 d_c g
-    g, m = metric.lower, metric.upper()
-    ctx = context()
-    x, inv = COORDS[c], power(k[c], -1)
-    g1 = _mirror(lambda a, b: derive(mul(inv, g[a][b]), x, ctx))
-    g2 = _mirror(lambda a, b: derive(mul(inv, g1[a][b]), x, ctx))
-
-    def dot(u, v):
-        return contract([(u[i], v[i]) for i in _IDX], ctx)
-    q = tuple(dot(m[a], k) for a in _IDX)
-    h = tuple(tuple(contract([(m[a][d], g1[d][b]) for d in _IDX], ctx)
-                    for b in _IDX) for a in _IDX)
-    v = tuple(dot(g1[a], q) for a in _IDX)
-    p = _mirror(lambda a, b: contract([(g1[a][d], h[d][b]) for d in _IDX],
-                                      ctx))
-    w = tuple(contract([*((g2[a][d], q[d]) for d in _IDX),
-                        *((MINUS_ONE, p[a][d], q[d]) for d in _IDX)], ctx)
-              for a in _IDX)
-    kq, qv = dot(k, q), dot(q, v)
-    tr_h = contract([(h[a][a],) for a in _IDX], ctx)
-    tr_h2 = contract([(h[a][b], h[b][a]) for a in _IDX for b in _IDX], ctx)
-    # (tr H)' = tr(M g'') - tr(H^2)
-    dtr_h = contract([*((m[a][b], g2[b][a]) for a in _IDX for b in _IDX),
-                      (MINUS_ONE, tr_h2)], ctx)
-
-    def entry(a, b):
-        return contract([
-            (HALF, k[a], w[b]), (HALF, k[b], w[a]), (HALF, qv, g1[a][b]),
-            (_MINUS_HALF, kq, g2[a][b]), (_MINUS_HALF, k[a], k[b], dtr_h),
-            (_QUARTER, tr_h, k[a], v[b]), (_QUARTER, tr_h, k[b], v[a]),
-            (_MINUS_QUARTER, tr_h, kq, g1[a][b]),
-            (_MINUS_QUARTER, k[a], k[b], tr_h2),
-            (_MINUS_HALF, v[a], v[b]), (HALF, kq, p[a][b])], ctx)
-    return _mirror(entry)
+    phase = _phase(args, outside)
+    if phase:
+        return (*phase, tuple(sorted(outside)))
+    held = set().union(*(free_symbols(e) for row in metric.lower
+                         for e in row))
+    return None, None, tuple(c for c in _IDX if COORDS[c] in held)
 
 
 @_memo
 def ricci(metric: Metric6) -> tuple:
-    """R_AB as nested tuples indexed [A][B]."""
-    phase = _phase(metric)
-    if phase:
-        return _phase_ricci(metric, *phase)
-    return _mirror(_ricci_formula, metric, context())
+    """R_AB as nested tuples indexed [A][B]: the module docstring's
+    formula over the forms of :func:`_forms`, one contraction an entry."""
+    c0, k, cs = _forms(metric)
+    g, m = metric.lower, metric.upper()       # a singular metric stops here
+    ctx = context()
+    # form j: its vector, and the coordinate, scale and k_c of its rule
+    forms = [_UNIT[c] for c in cs]
+    axes = [(c, ONE, ZERO if k is None else k[c]) for c in cs]
+    if k is not None:
+        forms.insert(0, k)
+        axes.insert(0, (c0, power(k[c0], -1), ZERO))
+
+    def along(j, e, e_phi):
+        # d/du_j of the grid e, a function of the forms, from its phase
+        # derivative e_phi: d_c e = k_c e_phi + d/du_j e
+        c, scale, kc = axes[j]
+
+        def entry(a, b):
+            d = derive(mul(scale, e[a][b]), COORDS[c], ctx)
+            return d if kc is ZERO else contract(
+                [(d,), (MINUS_ONE, kc, e_phi[a][b])], ctx)
+        return _mirror(entry)
+    r = len(forms)
+    d1 = []
+    for j in range(r):
+        d1.append(along(j, g, d1[0] if d1 else None))
+    d2 = {}
+    for i in range(r):
+        for j in range(i, r):
+            d2[i, j] = d2[j, i] = along(j, d1[i], d2.get((i, 0)))
+
+    def dot(u, w):
+        return contract([(u[a], w[a]) for a in _IDX], ctx)
+    q = [tuple(dot(m[a], f) for a in _IDX) for f in forms]
+    # H_i = M D_i, and its columns
+    h = [tuple(tuple(dot(m[a], di[b]) for b in _IDX) for a in _IDX)
+         for di in d1]
+    hcol = [tuple(zip(*hi)) for hi in h]
+    pairs = [(i, j) for i in range(r) for j in range(r)]
+    v = {(j, i): tuple(dot(d1[i][a], q[j]) for a in _IDX) for j, i in pairs}
+    s, p, trhh, dtr = {}, {}, {}, {}
+    for i, j in ((i, j) for i, j in pairs if i <= j):
+        s[i, j] = s[j, i] = dot(forms[i], q[j])
+        if i == j:
+            p[i, i] = _mirror(lambda a, b: dot(d1[i][a], hcol[i][b]))
+        else:
+            p[i, j] = tuple(tuple(dot(d1[i][a], hcol[j][b]) for b in _IDX)
+                            for a in _IDX)
+            p[j, i] = tuple(zip(*p[i, j]))          # P_ji = P_ij^T
+        trhh[i, j] = trhh[j, i] = contract(
+            [(h[i][a][b], h[j][b][a]) for a in _IDX for b in _IDX], ctx)
+        # tr(M D_ij) - tr(H_i H_j)
+        dtr[i, j] = dtr[j, i] = contract(
+            [*((m[a][b], d2[i, j][b][a]) for a in _IDX for b in _IDX),
+             (MINUS_ONE, trhh[i, j])], ctx)
+    w = {(i, j): tuple(contract(
+        [*((d2[i, j][a][e], q[j][e]) for e in _IDX),
+         *((MINUS_ONE, p[i, j][a][e], q[j][e]) for e in _IDX)], ctx)
+        for a in _IDX) for i, j in pairs}
+    qv = {(i, j): dot(q[i], v[j, j]) for i, j in pairs}
+    trh = [contract([(hi[a][a],) for a in _IDX], ctx) for hi in h]
+
+    def entry(a, b):
+        parts = []
+        for i, j in pairs:
+            ki, kj = forms[i], forms[j]
+            parts += (
+                (HALF, ki[a], w[i, j][b]), (HALF, ki[b], w[i, j][a]),
+                (HALF, qv[i, j], d1[i][a][b]),
+                (_MINUS_HALF, s[i, j], d2[i, j][a][b]),
+                (_MINUS_HALF, ki[a], kj[b], dtr[i, j]),
+                (_QUARTER, trh[j], ki[a], v[j, i][b]),
+                (_QUARTER, trh[j], ki[b], v[j, i][a]),
+                (_MINUS_QUARTER, trh[j], s[i, j], d1[i][a][b]),
+                (_MINUS_QUARTER, ki[a], kj[b], trhh[i, j]),
+                (_MINUS_HALF, v[j, i][a], v[i, j][b]),
+                (HALF, s[i, j], p[i, j][a][b]))
+        return contract(parts, ctx)
+    return _mirror(entry)
 
 
 @_memo

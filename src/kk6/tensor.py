@@ -80,8 +80,8 @@ def _as_grid(rows) -> Grid:
 
 # Traffic: one ``kk6 verify`` pass builds 14 metrics on 12 distinct grids,
 # and one ``kk6 curvature`` pass over the eight ansatze 9 metrics on 8, so
-# 16 grids hold either pass.  A metric that takes Ricci's phase route keeps
-# no Christoffel symbols in its stage dict: on that pass 5 of the 8 grids.
+# 16 grids hold either pass.  Ricci forms no Christoffel symbols, so a
+# stage dict holds them only for a metric that ``kk6.dynamics`` reads.
 @functools.lru_cache(maxsize=16)
 def _stages_of(grid: Grid) -> dict[str, object]:
     """The stage dict of ``grid``, shared by every Metric6 built on it, so

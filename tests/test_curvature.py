@@ -1,5 +1,7 @@
 """Connection and curvature: symbolic identities and the independent
-finite-difference oracle agree on every metric family we can evaluate."""
+finite-difference oracle agree on every metric family we can evaluate,
+and ``ricci``'s linear-forms formula agrees with the reference Ricci
+tensor formed here through the connection."""
 import gc
 import inspect
 import random
@@ -16,7 +18,7 @@ from kk6.ansatz import (
 )
 from kk6.cli import build_ansatz, parse_config
 from kk6.curvature import (
-    _phase, christoffel, einstein, ricci, ricci_entry_raw, ricci_scalar,
+    _forms, christoffel, einstein, ricci, ricci_scalar,
 )
 from kk6.dynamics import connection_evaluator
 from kk6.expr import (
@@ -27,6 +29,7 @@ from kk6.oracle import (
     H_CONNECTION, H_METRIC, christoffel_fd, compile_expr, einstein_fd,
     metric_evaluator, ricci_fd,
 )
+from kk6.parse import parse_expression
 from kk6.tensor import DIM, Metric6
 from kk6.zeros import is_zero
 from test_dynamics import _dense_connection
@@ -105,6 +108,50 @@ def _smooth_diagonal(seed=3):
     return _diagonal(entries)
 
 
+_MINUS_TWO = num(-2)
+
+
+def _reference_ricci_entry(metric, a, b, ctx=None):
+    """R_ab through the connection, at (a, b) itself:
+
+        R_AB = d_C Gamma^C_AB - d_B Gamma^C_AC
+             + Gamma^C_AB Gamma^D_CD - Gamma^C_AD Gamma^D_BC,
+
+    one contraction in ``ctx``.  On the diagonal the quadratic products
+    (C, D) and (D, C) of the last term have the same two factors, so R_AA
+    writes each pair once with coefficient -2: 21 products, not 36.  This
+    is the reference that :func:`kk6.curvature.ricci`'s linear-forms
+    formula is checked against."""
+    ctx = ctx or context()
+    gamma = christoffel(metric)
+    trace = [contract([(gamma[c][e][c],) for c in range(DIM)], ctx)
+             for e in range(DIM)]
+    parts = [(derive(gamma[c][a][b], x[c], ctx),) for c in range(DIM)]
+    parts.append((MINUS_ONE, derive(trace[a], x[b], ctx)))
+    parts += ((gamma[c][a][b], trace[c]) for c in range(DIM))
+    if a != b:
+        parts += ((MINUS_ONE, gamma[c][a][d], gamma[d][b][c])
+                  for c in range(DIM) for d in range(DIM))
+    else:
+        parts += ((MINUS_ONE if c == d else _MINUS_TWO,
+                   gamma[c][a][d], gamma[d][a][c])
+                  for c in range(DIM) for d in range(c, DIM))
+    return contract(parts, ctx)
+
+
+def assert_ricci_is_the_reference(metric, nodes=False):
+    """Each entry of ``ricci`` for a <= b equals the reference's, by the
+    zero test of their difference, or, with ``nodes``, is the reference's
+    node."""
+    r, ctx = ricci(metric), context()
+    for a, b in ((a, b) for a in range(DIM) for b in range(a, DIM)):
+        want = _reference_ricci_entry(metric, a, b, ctx)
+        if nodes:
+            assert r[a][b] is want, (a, b)
+        else:
+            assert is_zero(r[a][b] - want).verdict == "zero", (a, b)
+
+
 def test_flat_curvature_vanishes():
     flat = _diagonal((ONE, MINUS_ONE, MINUS_ONE, MINUS_ONE, ONE, MINUS_ONE))
     assert ricci_scalar(flat) == ZERO
@@ -127,13 +174,13 @@ def _symbolic_gravity_scalar():
     _symbolic_gravity_scalar,
 ], ids=["scalar", "photon", "proca", "gravity-scalar"])
 def test_ricci_mirror_matches_raw_formula(build):
-    # ricci() fills a <= b and mirrors; the literal formula at (b, a) must
-    # agree with the mirrored entry
+    # ricci() fills a <= b and mirrors; the reference's formula at (b, a)
+    # must agree with the mirrored entry
     m = build()
     r = ricci(m)
     for a in range(DIM):
         for b in range(a + 1, DIM):
-            gap = ricci_entry_raw(m, b, a) - r[a][b]
+            gap = _reference_ricci_entry(m, b, a) - r[a][b]
             assert is_zero(gap).verdict == "zero", (a, b)
 
 
@@ -154,19 +201,19 @@ def _unpaired_ricci_products(m, a, ctx):
 @pytest.mark.parametrize("label", ["photon", "proca", "scalar",
                                    "gravity-scalar", "dirac1"])
 def test_ricci_diagonal_pairs_equal_products(label):
-    # on the diagonal Gamma^c_ad Gamma^d_ac is one product of the same two
-    # factors as its (d, c) partner: 21 products stand for the 36
+    # on the reference's diagonal Gamma^c_ad Gamma^d_ac is one product of
+    # the same two factors as its (d, c) partner: 21 products stand for
+    # the 36
     m = curvature_metrics()[label]
-    r = ricci(m)
     for a in range(DIM):
         ps = _unpaired_ricci_products(m, a, context())
         assert len(ps) == 49
-        assert r[a][a] is contract(ps, context()), a
+        assert _reference_ricci_entry(m, a, a) is contract(ps, context()), a
 
 
 def _fresh(metric) -> Metric6:
     # the metric on an empty grid cache and contraction memo, so that its
-    # Ricci tensor is formed here, by the route under test
+    # Ricci tensor is formed here
     expr._CONTRACTED.clear()
     tensor._stages_of.cache_clear()
     return Metric6(metric.lower)
@@ -181,7 +228,8 @@ def _built(aid, *args) -> Metric6:
 _POINT = CURVATURE["dirac1"]                # the benchmark's spinor point
 
 # label -> (ansatz, CLI arguments) of metrics that depend on the
-# coordinates through one plane-wave phase
+# coordinates through one plane-wave phase alone: their one form is that
+# phase, and their Ricci tensor is the plane-fronted-wave formula
 PHASE_INPUTS = {
     "scalar": ("scalar",), "photon": ("photon",), "proca": ("proca",),
     **{f"dirac{s}": (f"dirac{s}", *_POINT) for s in range(1, 5)},
@@ -195,12 +243,12 @@ PHASE_INPUTS = {
 
 @pytest.mark.parametrize("label", list(PHASE_INPUTS))
 def test_the_phase_route_gives_the_general_route_s_nodes(label):
+    # the general route is the reference, through the connection
     m = _fresh(_built(*PHASE_INPUTS[label]))
-    r = ricci(m)
-    assert _phase(m) and "christoffel" not in m._cache
-    for a in range(DIM):
-        for b in range(a, DIM):
-            assert r[a][b] is ricci_entry_raw(m, a, b), (a, b)
+    ricci(m)
+    c0, k, cs = _forms(m)
+    assert c0 is not None and cs == () and "christoffel" not in m._cache
+    assert_ricci_is_the_reference(m, nodes=True)
 
 
 _FLAT = (ONE, MINUS_ONE, MINUS_ONE, MINUS_ONE, ONE, MINUS_ONE)
@@ -211,7 +259,9 @@ def _diagonal_with(*head) -> Metric6:
     return _diagonal((*head, *_FLAT[len(head):]))
 
 
-# label -> metric that the phase certificate must refuse
+# label -> metric that is not a function of one plane-wave phase alone:
+# the gravity families at eps != 0 and the probe (the phase and e_1), and
+# five synthetic grids
 FALLBACK_INPUTS = {
     **{aid: (lambda aid=aid: _built(aid, *CURVATURE[aid]))
        for aid in ("gravity-scalar", "gravity-proca", "gravity-dirac")},
@@ -223,17 +273,77 @@ FALLBACK_INPUTS = {
     "sqrt(x2)": lambda: _diagonal_with(sqrt(x[2])),
     "bare coordinate": lambda: _diagonal_with(mul(x[1], exp(mul(I, x[0])))),
 }
+SYNTHETIC = ("flat", "exp(x1^2)", "two phases", "sqrt(x2)", "bare coordinate")
+
+# label -> (c0, the coordinates of the unit forms) that the certificate
+# gives: the phase's coordinate beside each coordinate outside every exp,
+# or, with no phase, every coordinate the metric holds
+FORMS = {
+    "gravity-scalar": (2, (1,)), "gravity-proca": (3, (1,)),
+    "gravity-dirac": (0, (1,)), "probe.ricci": (2, (1,)),
+    "flat": (None, ()), "exp(x1^2)": (None, (1,)),
+    "two phases": (None, (0, 1)), "sqrt(x2)": (None, (2,)),
+    "bare coordinate": (0, (1,)),
+}
 
 
 @pytest.mark.parametrize("label", list(FALLBACK_INPUTS))
-def test_a_metric_the_certificate_refuses_takes_the_general_route(label):
+def test_the_certificate_gives_the_phase_and_the_bare_coordinates(label):
+    m = FALLBACK_INPUTS[label]()
+    c0, k, cs = _forms(m)
+    assert (c0, cs) == FORMS[label]
+    assert (k is None) == (c0 is None)
+
+
+@pytest.mark.parametrize("label", SYNTHETIC)
+def test_a_synthetic_grid_gives_the_reference_s_nodes(label):
     m = _fresh(FALLBACK_INPUTS[label]())
-    assert _phase(m) == ()
-    r = ricci(m)
-    assert "christoffel" in m._cache
-    for a in range(DIM):
-        for b in range(a, DIM):
-            assert r[a][b] is ricci_entry_raw(m, a, b), (a, b)
+    assert_ricci_is_the_reference(m, nodes=True)
+
+
+def _perturbed(factor: str) -> Metric6:
+    # the ricci.scalar.zero claim's metric with its compact entry
+    # multiplied by ``factor``, as ``perturb=`` builds it
+    rows = [list(r) for r in curvature_metrics()["scalar"].lower]
+    rows[4][4] = contract([(rows[4][4], parse_expression(factor))],
+                          context())
+    return Metric6(rows)
+
+
+# label -> metric whose Ricci tensor must have the reference's values: the
+# committed curvature inputs and the probe, ``FALLBACK_INPUTS``, the
+# gravity.split claims' metrics, and perturbations with two, four and six
+# coordinates outside the phase (the last has no phase: r = 6)
+VALUE_INPUTS = {
+    **{label: (lambda label=label: curvature_metrics()[label])
+       for label in curvature_metrics()},
+    **{label: build for label, build in FALLBACK_INPUTS.items()
+       if label not in curvature_metrics()},
+    **{f"split-{family}-{part}": (
+        lambda key=(family, part): dict(_gravity_split_metrics())[key])
+       for family in ("scalar", "proca", "dirac")
+       for part in ("full", "field", "background")},
+    **{f"perturb={f}": (lambda f=f: _perturbed(f))
+       for f in ("(1+x1+x2)^2", "(1+x1+x2+x3+x4)^3",
+                 "(1+x0+x1+x2+x3+x4+x5)^2")},
+}
+
+
+@pytest.mark.parametrize("label", list(VALUE_INPUTS))
+def test_ricci_has_the_reference_s_values(label):
+    # gravity-dirac among them: P_ij = D_i M D_j is not symmetric for
+    # i != j, and a mirrored P_ij moves its row 1 alone
+    assert_ricci_is_the_reference(VALUE_INPUTS[label]())
+
+
+def test_a_coordinate_with_a_constant_derivative_is_a_form():
+    # the split background's g_00 = 1 + x1/500 depends on x1 with a
+    # constant derivative: e_1 is a form, and Ricci does not vanish
+    background = dict(_gravity_split_metrics())["scalar", "background"]
+    assert _forms(background) == (None, None, (1,))
+    r = ricci(background)
+    assert any(r[a][b] is not ZERO for a in range(DIM) for b in range(DIM))
+    assert_ricci_is_the_reference(background)
 
 
 def test_scalar_mode_ricci_scalar_structurally_zero():
@@ -413,52 +523,65 @@ def test_curvature_results_are_cached_per_metric():
 def test_curvature_stages_are_plain_functions_of_the_module():
     # tracers wrap the public functions of ``kk6.curvature`` by module
     for fn, params in ((christoffel, ["metric"]), (ricci, ["metric"]),
-                       (ricci_entry_raw, ["metric", "a", "b"]),
                        (ricci_scalar, ["metric"]), (einstein, ["metric"])):
         assert inspect.isfunction(fn)
         assert fn.__module__ == "kk6.curvature"
         assert list(inspect.signature(fn).parameters) == params
 
 
-def test_ricci_entry_raw_reuses_the_cached_connection_terms(monkeypatch):
-    # after ``ricci`` takes the general route the trace of the connection
-    # is cached: one raw entry is one contraction, its derivatives taken
-    # inside it
-    m = _numeric_gravity_proca()
-    assert not _phase(m)
-    ric = ricci(m)
-    calls = []
-    real = kk6.curvature.contract
+# label -> metric on which the stage dict's keys are checked: a phase
+# input, a gravity input (the phase and e_1) and a grid with no phase
+CACHE_INPUTS = {"proca": _numeric_proca,
+                "gravity-proca": _numeric_gravity_proca,
+                "two phases": FALLBACK_INPUTS["two phases"]}
+
+
+@pytest.mark.parametrize("label", list(CACHE_INPUTS))
+def test_the_metric_cache_keeps_only_the_stages_and_the_certificate(label):
+    # Ricci forms no Christoffel symbol, and no derivative grid or other
+    # intermediate outlives its stage: the certificate keeps c0, k and
+    # the coordinates of the unit forms
+    m = CACHE_INPUTS[label]()
+    einstein(m)
+    assert set(m._cache) == {"_adjugate", "det", "upper", "_forms",
+                             "ricci", "ricci_scalar", "einstein"}
+    c0, k, cs = m._cache["_forms"]
+    assert c0 is None or isinstance(c0, int)
+    assert k is None or (len(k) == DIM and all(isinstance(e, expr.Expr)
+                                               for e in k))
+    assert all(isinstance(c, int) for c in cs)
+
+
+@pytest.mark.parametrize("label", ["photon", "gravity-proca"])
+def test_a_ricci_entry_is_one_contraction_in_one_context(label, monkeypatch):
+    # the stage runs in one kernel context, and its last 21 contractions
+    # are the entries for a <= b, each of 11 r^2 products
+    m = curvature_metrics()[label]
+    m.upper()
+    r = len(_forms(m)[2]) + 1                # both inputs have a phase
+    calls, contexts = [], []
+    real_contract, real_context = kk6.curvature.contract, \
+        kk6.curvature.context
 
     def counting(products, ctx):
-        calls.append(ctx)
-        return real(products, ctx)
+        calls.append((len(products), real_contract(products, ctx)))
+        return calls[-1][1]
+
+    def opening():
+        contexts.append(real_context())
+        return contexts[-1]
     monkeypatch.setattr(kk6.curvature, "contract", counting)
-    assert ricci_entry_raw(m, 0, 3) is ric[0][3]
-    assert len(calls) == 1
-
-
-def test_the_metric_cache_keeps_only_the_stages_and_the_trace():
-    # no derivative grid of the connection outlives its stage
-    m = _numeric_gravity_proca()
-    einstein(m)
-    assert set(m._cache) == {"_adjugate", "det", "upper", "_phase",
-                             "christoffel", "_trace", "ricci",
-                             "ricci_scalar", "einstein"}
-
-
-def test_the_phase_route_keeps_no_connection():
-    # the phase route forms Ricci with no Christoffel symbol, and keeps
-    # only its certificate besides the stages
-    m = _numeric_proca()
-    einstein(m)
-    assert set(m._cache) == {"_adjugate", "det", "upper", "_phase",
-                             "ricci", "ricci_scalar", "einstein"}
+    monkeypatch.setattr(kk6.curvature, "context", opening)
+    ric = ricci(m)
+    assert len(contexts) == 1
+    entries = [ric[a][b] for a in range(DIM) for b in range(a, DIM)]
+    assert [e for _, e in calls[-21:]] == entries
+    assert {n for n, _ in calls[-21:]} == {11 * r * r}
 
 
 def test_einstein_is_filled_for_a_le_b_and_mirrored(monkeypatch):
-    # with Ricci and its trace cached, Einstein is one contraction per
-    # entry with a <= b: 21, not 36
+    # with Ricci cached, Einstein is one contraction per entry with
+    # a <= b: 21, not 36
     m = _numeric_proca()
     ricci_scalar(m)
     calls = []

@@ -424,8 +424,7 @@ def test_a_singular_grid_raises_on_every_build():
 
 
 def test_the_grid_cache_keeps_no_kernel_context():
-    # proca and coupled take Ricci's phase route, gravity-proca the
-    # general one
+    # proca and coupled have one form, the phase; gravity-proca has two
     metrics = curvature_metrics()
     for label in ("proca", "coupled", "gravity-proca"):
         einstein(metrics[label])
