@@ -30,10 +30,10 @@ key order; all timing lives under the single ``timing`` key, so identical
 config and seed reproduce the report byte-for-byte once that key is
 dropped.  ``timing`` holds the run's total ``seconds`` and, for
 ``curvature``, the time of each pipeline stage as a flat dotted key:
-``stages.inverse``, ``stages.christoffel``, ``stages.ricci``,
-``stages.ricci_scalar`` and ``stages.einstein``.  Ricci forms no
-Christoffel symbols (:mod:`kk6.curvature`), so ``stages.christoffel``
-times its linear-forms certificate alone.  CSV columns:
+``stages.inverse``, ``stages.ricci``, ``stages.ricci_scalar`` and
+``stages.einstein``.  Ricci forms no Christoffel symbols
+(:mod:`kk6.curvature`); its linear-forms certificate is its first step,
+so ``stages.ricci`` includes it.  CSV columns:
 
 * ``geodesic``: header ``tau,re_x0,im_x0,...,re_x5,im_x5``, one row per
   stored state,
@@ -66,7 +66,7 @@ from .ansatz import (
     massive_wave_potential, null_wave_potential, photon_metric,
     proca_metric, scalar_metric, weak_field_block,
 )
-from .curvature import _forms, einstein, ricci, ricci_scalar
+from .curvature import einstein, ricci, ricci_scalar
 from .dynamics import (
     DynamicsError, closed_form_deviation, closed_form_state,
     connection_evaluator, integrate,
@@ -335,12 +335,10 @@ def _run_curvature(cfg: RunConfig):
     aid = cfg.ansatz or "scalar"
     metric, claimed, notes = build_ansatz(aid, cfg.params)
     # each stage is memoized on the metric and reads the ones before it,
-    # so in this order each time is the stage's own; Ricci reads no
-    # Christoffel symbols, only its linear-forms certificate, which the
-    # christoffel stage times
+    # so in this order each time is the stage's own; Ricci's time includes
+    # its linear-forms certificate
     stages = {}
     for name, stage in (("inverse", lambda m: m.upper()),
-                        ("christoffel", _forms),
                         ("ricci", ricci),
                         ("ricci_scalar", ricci_scalar),
                         ("einstein", einstein)):

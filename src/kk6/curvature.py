@@ -45,10 +45,11 @@ with a zero factor.  A Ricci entry is one contraction of 11 r^2
 products.  Each stage call
 (:func:`christoffel`, :func:`ricci`, :func:`ricci_scalar`,
 :func:`einstein`) runs in one kernel context, which lives for the call.
-One memo keeps each stage's result, and the certificate (c0, k and the
-coordinates of the unit forms), in the stage dict of the metric's grid,
+One memo keeps the result of each stage that is read again (``ricci``,
+``ricci_scalar``, ``einstein``) in the stage dict of the metric's grid,
 which every metric built on an equal grid shares (:mod:`kk6.tensor`);
-no kernel context, derivative grid or other intermediate is kept.  Every
+the Christoffel symbols, the certificate, kernel contexts, derivative
+grids and other intermediates are formed on each call and not kept.  Every
 symmetric grid (the metric derivatives, each plane of either kind of
 Christoffel symbol, D_i, D_ij, P_ii, Ricci, Einstein) is filled in for
 A <= B and mirrored by ``tensor._mirror``.
@@ -71,10 +72,9 @@ _MINUS_QUARTER = num("-1/4")
 _UNIT = tuple(tuple(ONE if a == c else ZERO for a in _IDX) for c in _IDX)
 
 
-@_memo
 def christoffel(metric: Metric6) -> tuple:
     """Gamma^C_AB as nested tuples indexed [C][A][B], symmetric in the
-    lower pair."""
+    lower pair, formed on each call."""
     g, gu = metric.lower, metric.upper()      # a singular metric stops here
     ctx = context()
     # d_C g_AB indexed [c][a][b], each read by three first-kind symbols
@@ -130,7 +130,6 @@ def _phase(args: list, outside: set) -> tuple | None:
     return c, k
 
 
-@_memo
 def _forms(metric: Metric6) -> tuple:
     """The linear-forms certificate of ``metric``: ``(c0, k, cs)``, the
     phase k with its coordinate c0 (both ``None`` with no phase) and the

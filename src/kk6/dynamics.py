@@ -1,8 +1,9 @@
 """Geodesics in complexified coordinates and interference profiles.
 
 The scalar-mode metric admits a closed-form geodesic: quadratic-in-tau
-ordinary coordinates and a compact coordinate that grows linearly with a
-unit-modulus slope.  This module carries both sides of that statement —
+ordinary coordinates and a compact coordinate that grows linearly with
+slope exp(i theta), theta the phase at the integration constants: of unit
+modulus only where theta is real.  This module carries both sides of that statement —
 the symbolic residual of the closed form in the geodesic equation, and a
 fixed-step numeric integrator compared with it in positions, the momenta
 checked on shell once per run — plus the interval bookkeeping (ds, |ds|)

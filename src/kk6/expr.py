@@ -1130,15 +1130,15 @@ def context() -> _Ctx:
 
 
 # ``contract``'s memo: its products as a tuple of tuples of nodes -> the
-# result, least recently used first.  Traffic: one pass over the 17 claims
-# and the benchmark's 4 probes makes 3,510 calls, 1,054 of them distinct,
-# and the next pass at another seed asks again for 472 of them (1,207
-# calls); an LRU of 1,019 entries answers every one.  One ``kk6
-# curvature`` pass over the eight ansatze makes 3,407 calls, 1,549
-# distinct, and its next pass (420 calls, 218 distinct) is mostly answered
-# by ``tensor``'s grid cache.  An entry keeps its key's nodes alive: when
-# that pass formed 2,056 distinct contractions, 2,048 entries raised its
-# peak RSS by 6%, 1,024 by 3%.
+# result, least recently used first.  Benchmark traffic, a cold pass then
+# a warm pass at the next seed in one process: the 17 claims and 4 probes
+# make 3,372 calls on 1,034 distinct products, then 1,207 on 472, forming
+# none again (an LRU of 999 entries would do, 25 under the cap).  The
+# eight ``kk6 curvature`` runs make 2,930 calls on 1,303, then 420 on 218,
+# of which the cap forms 81 again (an LRU of 1,232 entries would not).  An
+# entry keeps its key's nodes alive: when one curvature pass formed 2,056
+# distinct contractions, 2,048 entries raised its peak RSS by 6%, 1,024 by
+# 3%.
 _CONTRACTED: "OrderedDict[tuple, Expr]" = OrderedDict()
 _CONTRACTED_CAP = 1024
 

@@ -20,19 +20,20 @@ symmetric 6x6 grid of the curvature stages too: 21 inverse entries, not
 36.  Derived data is cached per grid, not per metric: every ``Metric6``
 built on equal rows (equal node for node, as nodes are hash-consed)
 shares one stage dict, held for the 16 grids used most recently, so a
-metric built again derives nothing again.  That dict keeps the adjugate
-beside the determinant and the inverse, and the curvature stages beside
-them.  The determinant is read off the adjugate: row 0 of the metric
-against column 0 of the adjugate, the first-row Laplace expansion over
-cofactors already contracted.  The adjugate, the determinant, and each
-entry of the inverse and of a claimed inverse's residual
-``claimed * g - I`` (its row-column products, with -1 on the diagonal)
-take one kernel context per call of :func:`adjugate`, ``Metric6.det``,
-:func:`invert_metric` or :func:`identity_residual`.  An adjugate entry
-can be the determinant's own sum, which ``mul`` cancels against its
-inverse: such a product takes the tree route inside ``contract``.  This
-layer is exact algebra; its one numeric check is the zero test of the
-determinant, after the adjugate and before scaling by its inverse.
+metric built again derives nothing again.  That dict keeps only what is
+read again, the inverse (``Metric6.upper``) and the curvature stages; the
+adjugate and the determinant are locals of the call that forms them, the
+determinant read off the adjugate: row 0 of the metric against column 0
+of the adjugate, the first-row Laplace expansion over cofactors already
+contracted.  Each call of :func:`adjugate`, ``Metric6.det`` or
+:func:`identity_residual` (a claimed inverse's residual ``claimed * g - I``,
+its row-column products with -1 on the diagonal) takes one kernel
+context; ``Metric6.upper`` takes one for the adjugate and determinant and
+one for the inverse.  An adjugate entry can be the determinant's own
+sum, which ``mul`` cancels against its inverse: such a product takes the
+tree route inside ``contract``.  This layer is exact algebra; its one
+numeric check is the zero test of the determinant, after the adjugate
+and before scaling by its inverse.
 Residuals are graded in :mod:`kk6.verify` (``grade_entries``).
 """
 from __future__ import annotations
@@ -47,8 +48,7 @@ from .expr import (
 from .zeros import is_zero, sample_env
 
 __all__ = [
-    "DIM", "Metric6", "SingularMetricError", "adjugate",
-    "invert_metric", "identity_residual",
+    "DIM", "Metric6", "SingularMetricError", "adjugate", "identity_residual",
 ]
 
 DIM = 6
@@ -80,8 +80,8 @@ def _as_grid(rows) -> Grid:
 
 # Traffic: one ``kk6 verify`` pass builds 14 metrics on 12 distinct grids,
 # and one ``kk6 curvature`` pass over the eight ansatze 9 metrics on 8, so
-# 16 grids hold either pass.  Ricci forms no Christoffel symbols, so a
-# stage dict holds them only for a metric that ``kk6.dynamics`` reads.
+# 16 grids hold either pass.  A stage dict holds the four stages that are
+# read again: ``upper``, ``ricci``, ``ricci_scalar`` and ``einstein``.
 @functools.lru_cache(maxsize=16)
 def _stages_of(grid: Grid) -> dict[str, object]:
     """The stage dict of ``grid``, shared by every Metric6 built on it, so
@@ -107,10 +107,10 @@ def _memo(fn):
 
 
 class Metric6:
-    """Symmetric 6x6 metric.  Its derived data (adjugate, determinant,
-    inverse and the curvature stages) is cached in ``_cache``, the stage
-    dict of its grid, which every metric built on an equal grid shares
-    while the grid is among the 16 used most recently."""
+    """Symmetric 6x6 metric.  Its inverse and curvature stages are cached
+    in ``_cache``, the stage dict of its grid, which every metric built on
+    an equal grid shares while the grid is among the 16 used most
+    recently."""
 
     def __init__(self, rows):
         grid = _as_grid(rows)
@@ -123,18 +123,25 @@ class Metric6:
         self.lower = grid
         self._cache = _stages_of(grid)
 
-    @_memo
     def det(self) -> Expr:
-        g, adj = self.lower, self._adjugate()
-        return contract([(g[0][c], adj[c][0]) for c in _IDX], context())
-
-    @_memo
-    def _adjugate(self) -> Grid:
-        return adjugate(self.lower)
+        """The determinant, row 0 of the metric against column 0 of its
+        adjugate, in one kernel context; formed again on each call."""
+        return _adjugate_det(self.lower, context())[1]
 
     @_memo
     def upper(self) -> Grid:
-        return invert_metric(self)
+        """The exact inverse, adjugate over determinant.  Raises
+        :class:`SingularMetricError` when the determinant is zero
+        (structurally or under random evaluation)."""
+        # the inverse entries take a context of their own: forming them in
+        # the adjugate's raised the curvature benchmark's peak RSS 0.6%
+        adj, det = _adjugate_det(self.lower, context())
+        if det == ZERO or is_zero(det, seed=0, trials=16).verdict == "zero":
+            syms = sorted(free_symbols(det), key=lambda s: s.name)
+            witness = sample_env(syms, random.Random(0))
+            raise SingularMetricError(det, witness)
+        inv_det, ctx = power(det, -1), context()
+        return _mirror(lambda a, b: contract([(adj[a][b], inv_det)], ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +185,12 @@ def adjugate(grid: Grid) -> Grid:
     return _adjugate_of(grid, context())
 
 
+def _adjugate_det(grid: Grid, ctx) -> tuple[Grid, Expr]:
+    """The adjugate of the symmetric ``grid`` and its determinant, in ctx."""
+    adj = _adjugate_of(grid, ctx)
+    return adj, contract([(grid[0][c], r[0]) for c, r in enumerate(adj)], ctx)
+
+
 def _adjugate_of(grid, ctx) -> Grid:
     """The adjugate of the symmetric n x n ``grid``, n >= 1, each entry one
     ``contract`` call in ``ctx``.
@@ -216,8 +229,7 @@ def _adjugate_of(grid, ctx) -> Grid:
     schur = _mirror(lambda a, b: contract(
         [(grid[rest[a]][rest[b]],), (minus_inv_p, kv[a], kv[b])], ctx),
         n=n - 1)
-    adj = _adjugate_of(schur, ctx)
-    det = contract([(schur[0][c], adj[c][0]) for c in range(n - 1)], ctx)
+    adj, det = _adjugate_det(schur, ctx)
     out = [[None] * n for _ in range(n)]
     for a, r in enumerate(rest):
         for b in range(a, n - 1):
@@ -229,22 +241,6 @@ def _adjugate_of(grid, ctx) -> Grid:
     out[k][k] = contract([(det,), *((minus_inv_p, kv[a], out[rest[a]][k])
                                      for a in range(n - 1))], ctx)
     return tuple(tuple(r) for r in out)
-
-
-def invert_metric(metric: Metric6) -> Grid:
-    """Exact inverse by adjugate over determinant.
-
-    Raises :class:`SingularMetricError` when the determinant is zero
-    (structurally or under random evaluation)."""
-    adj = metric._adjugate()
-    det = metric.det()
-    if det == ZERO or is_zero(det, seed=0, trials=16).verdict == "zero":
-        syms = sorted(free_symbols(det), key=lambda s: s.name)
-        witness = sample_env(syms, random.Random(0))
-        raise SingularMetricError(det, witness)
-    inv_det = power(det, -1)
-    ctx = context()
-    return _mirror(lambda a, b: contract([(adj[a][b], inv_det)], ctx))
 
 
 def identity_residual(metric: Metric6, claimed_upper: Grid) -> Grid:

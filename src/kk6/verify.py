@@ -619,9 +619,10 @@ def _check_dirac(sol: int):
         mode = _dirac_mode(sol, *(params.get(k) for k in _HALFSPIN_PARAMS))
         # F^2 read off the stress tensor's own products, which the stress
         # form below reads too.  Formed before the residuals, so that the
-        # contraction memo drops the stress tensor's entries, which the
-        # mode keeps, before the residuals' own, which a later pass asks
-        # for again
+        # contraction memo, 10 entries short of the 1,034 that a cold pass
+        # of the benchmark's claims and probes forms, drops the stress
+        # tensor's entries, which the mode keeps, before the residuals'
+        # own, which a later pass asks for again
         f2 = mode.stress[1]
         comps = mode.components
         ctx = context()

@@ -247,7 +247,7 @@ def test_the_phase_route_gives_the_general_route_s_nodes(label):
     m = _fresh(_built(*PHASE_INPUTS[label]))
     ricci(m)
     c0, k, cs = _forms(m)
-    assert c0 is not None and cs == () and "christoffel" not in m._cache
+    assert c0 is not None and cs == ()
     assert_ricci_is_the_reference(m, nodes=True)
 
 
@@ -513,8 +513,11 @@ def test_christoffel_is_the_second_kind_route(label):
 
 
 def test_curvature_results_are_cached_per_metric():
+    # the Christoffel symbols are formed again on each call, with the same
+    # nodes; the three stages that are read again are kept
     m = _numeric_scalar()
-    assert christoffel(m) is christoffel(m)
+    gamma = christoffel(m)
+    assert christoffel(m) is not gamma and christoffel(m) == gamma
     assert ricci(m) is ricci(m)
     assert ricci_scalar(m) is ricci_scalar(m)
     assert einstein(m) is einstein(m)
@@ -530,22 +533,31 @@ def test_curvature_stages_are_plain_functions_of_the_module():
 
 
 # label -> metric on which the stage dict's keys are checked: a phase
-# input, a gravity input (the phase and e_1) and a grid with no phase
+# input, a gravity input (the phase and e_1), a grid whose two exp
+# arguments make no one phase, and a grid with no exp at all
 CACHE_INPUTS = {"proca": _numeric_proca,
                 "gravity-proca": _numeric_gravity_proca,
-                "two phases": FALLBACK_INPUTS["two phases"]}
+                **{label: FALLBACK_INPUTS[label]
+                   for label in ("two phases", "sqrt(x2)")}}
 
 
 @pytest.mark.parametrize("label", list(CACHE_INPUTS))
-def test_the_metric_cache_keeps_only_the_stages_and_the_certificate(label):
-    # Ricci forms no Christoffel symbol, and no derivative grid or other
-    # intermediate outlives its stage: the certificate keeps c0, k and
-    # the coordinates of the unit forms
+def test_the_metric_cache_keeps_only_the_read_again_stages(label,
+                                                           monkeypatch):
+    # Ricci reads no Christoffel symbol, and the determinant, the
+    # Christoffel symbols, the certificate, derivative grids and other
+    # intermediates are formed on each call and never kept: the stage
+    # dict holds the inverse and the three curvature stages alone
     m = CACHE_INPUTS[label]()
+    m.det()
+    christoffel(m)
+
+    def refused(metric):
+        raise AssertionError("Ricci read the Christoffel symbols")
+    monkeypatch.setattr(kk6.curvature, "christoffel", refused)
     einstein(m)
-    assert set(m._cache) == {"_adjugate", "det", "upper", "_forms",
-                             "ricci", "ricci_scalar", "einstein"}
-    c0, k, cs = m._cache["_forms"]
+    assert set(m._cache) == {"upper", "ricci", "ricci_scalar", "einstein"}
+    c0, k, cs = _forms(m)
     assert c0 is None or isinstance(c0, int)
     assert k is None or (len(k) == DIM and all(isinstance(e, expr.Expr)
                                                for e in k))
@@ -632,7 +644,6 @@ def test_curvature_keeps_no_kernel_context():
 def test_the_phase_route_keeps_no_kernel_context():
     m = _numeric_proca()
     ein = einstein(m)
-    assert "christoffel" not in m._cache
     _assert_no_context_and_canonical(m, [
         *(e for row in ricci(m) for e in row),
         *(e for row in ein for e in row)])

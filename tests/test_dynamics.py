@@ -62,6 +62,32 @@ def test_closed_form_phase_is_constant_on_shell():
     assert simplify(cf.a[5] - mul(num(0, -1), sym("m0"))) == ZERO
 
 
+def test_closed_form_exprs_is_formed_once_per_process(monkeypatch):
+    # it takes no parameters: a second call forms no Christoffel symbol
+    calls = []
+
+    def counted(metric):
+        calls.append(metric)
+        return christoffel(metric)
+    monkeypatch.setattr(kk6.dynamics, "christoffel", counted)
+    closed_form_exprs.cache_clear()
+    first = closed_form_exprs()
+    assert closed_form_exprs() is first and len(calls) == 1
+
+
+def test_the_compact_slope_is_the_phase_factor_of_the_constants():
+    # dx4/dtau = exp(i theta), theta the phase at the integration
+    # constants: of unit modulus for real constants, and not for complex
+    # ones, such as the geodesic claim's
+    for const in ((0.1, -0.2, 0.3, 0.02, 0.0, 0.04), CONST):
+        theta = (P[0] * const[0] - P[1] * const[1] - P[2] * const[2]
+                 - P[3] * const[3] - M0 * const[5])
+        for tau in (0.0, 0.5, 1.0):
+            slope = closed_form_state(tau, P, M0, const).v[4]
+            assert abs(slope - cmath.exp(1j * theta)) < 1e-15
+        assert (abs(abs(slope) - 1) < 1e-15) == (const is not CONST)
+
+
 def test_closed_form_state_matches_quadratic_form():
     s = closed_form_state(0.5, P, M0, CONST)
     # x^alpha = -i p^alpha tau^2 / 2 + c^alpha
@@ -139,6 +165,20 @@ def test_closed_form_deviation_matches_the_per_state_loop():
             == _per_state_deviation(path, p, m0, const), (p, m0)
 
 
+def test_closed_form_deviation_checks_the_momenta_once(monkeypatch):
+    path = integrate(closed_form_state(0.0, P, M0, CONST), 1.0, 10,
+                     connection_evaluator(_metric()))
+    calls = []
+    real = kk6.dynamics._closed_form
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(kk6.dynamics, "_closed_form", counted)
+    assert closed_form_deviation(path, P, M0, CONST) < 1e-12
+    assert len(calls) == 1
+
+
 def test_closed_form_deviation_rejects_off_shell_momentum():
     path = integrate(closed_form_state(0.0, P, M0, CONST), 1.0, 4,
                      connection_evaluator(_metric()))
@@ -206,6 +246,35 @@ def test_integration_aborts_at_a_pole_of_the_connection():
     path = integrate(GeodesicState((0,) * 6, (1, 0, 0, 0, 0, 0), 0.0), 1.0,
                      4, accel)
     assert path.aborted and len(path.states) == 1 and path.residuals == ()
+
+
+def test_integration_aborts_where_the_connection_is_not_finite():
+    # at x0 = i s the connection's phase factor is exp(2 p0 s), finite
+    # just below exp's overflow, and an entry it multiplies by p0 > 1 is
+    # not: the evaluator raises DynamicsError and the run aborts there
+    accel = connection_evaluator(_metric())
+    x = (complex(0, 709.7 / (2 * P[0])), 0, 0, 0, 0, 0)
+    with pytest.raises(DynamicsError, match="connection not finite"):
+        accel([*x, 1, 0, 0, 0, 1, 0])
+    path = integrate(GeodesicState(x, (1, 0, 0, 0, 1, 0), 0.0), 1.0, 4,
+                     accel)
+    assert path.aborted and len(path.states) == 1 and path.residuals == ()
+
+
+def test_only_the_nonzero_connection_entries_are_compiled(monkeypatch):
+    compiled = []
+    real = kk6.dynamics._compile
+
+    def recorded(roots, result, names):
+        compiled.append(roots)
+        return real(roots, result, names)
+    monkeypatch.setattr(kk6.dynamics, "_compile", recorded)
+    metric = _metric()
+    connection_evaluator(metric)
+    gamma = [e for plane in christoffel(metric) for row in plane
+             for e in row]
+    assert compiled == [[e for e in gamma if e is not ZERO]]
+    assert 0 < len(compiled[0]) < DIM ** 3
 
 
 def _reference_integrate(initial, tau_end, steps, gamma):
@@ -341,8 +410,10 @@ def test_integrator_matches_reference_on_seeded_closed_form_starts():
 
 def test_integrate_validates_steps():
     accel = connection_evaluator(_metric())
-    with pytest.raises(DynamicsError):
-        integrate(closed_form_state(0.0, P, M0, CONST), 1.0, 0, accel)
+    for steps in (0, 1):
+        with pytest.raises(DynamicsError, match="at least 2 steps"):
+            integrate(closed_form_state(0.0, P, M0, CONST), 1.0, steps,
+                      accel)
     with pytest.raises(DynamicsError, match="six coordinates"):
         integrate(GeodesicState((0,) * 5, (0,) * 6, 0.0), 1.0, 4, accel)
 

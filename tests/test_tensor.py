@@ -11,9 +11,7 @@ from kk6.expr import (
     I, MINUS_ONE, ONE, ZERO, _Ctx, add, coords, exp, mul, num, power,
     simplify, sqrt, sym, to_text,
 )
-from kk6.tensor import (
-    DIM, Metric6, adjugate, identity_residual, invert_metric,
-)
+from kk6.tensor import DIM, Metric6, adjugate, identity_residual
 from kk6.curvature import christoffel, einstein, ricci, ricci_scalar
 from kk6.ansatz import (
     coupled_metric, dirac_metric, gravity_metric, photon_metric,
@@ -174,9 +172,10 @@ def test_the_adjugate_is_one_contraction_per_mirrored_minor(monkeypatch):
 
 
 def test_each_call_takes_one_kernel_context(monkeypatch):
-    # the contractions of one call of adjugate, Metric6.det, invert_metric
-    # or identity_residual share one context, and no two calls share one
-    # (the contexts are kept, so no id is reused)
+    # the contractions of one call of adjugate, Metric6.det or
+    # identity_residual share one context; Metric6.upper's adjugate and
+    # determinant share one, and its 21 inverse entries another; no two
+    # calls share one (the contexts are kept, so no id is reused)
     contexts = []
 
     def counted(products, ctx):
@@ -184,13 +183,16 @@ def test_each_call_takes_one_kernel_context(monkeypatch):
         return kk6.expr.contract(products, ctx)
     monkeypatch.setattr(kk6.tensor, "contract", counted)
     m = coupled_metric(1).metric
-    for call in (m._adjugate, m.det, m.upper,
+    for call in (lambda: adjugate(m.lower), m.det, m.upper,
                  lambda: identity_residual(m, m.upper())):
         contexts.append([])
         call()
     ids = [set(map(id, c)) for c in contexts]
-    assert all(len(c) == 1 for c in ids)
-    assert len(set.union(*ids)) == len(ids)
+    assert [len(c) for c in ids] == [1, 1, 2, 1]
+    assert len(set.union(*ids)) == 5
+    inverse = contexts[2][-DIM * (DIM + 1) // 2:]
+    assert len(set(map(id, inverse))) == 1
+    assert id(inverse[0]) not in set(map(id, contexts[2][:-len(inverse)]))
 
 
 @pytest.mark.parametrize("family", ["scalar", *sorted(FAMILIES)])
@@ -300,25 +302,31 @@ def test_benchmark_determinants_are_pinned():
             for label in CURVATURE} == BENCHMARK_DETS
 
 
-def test_invert_metric_contracts_each_mirrored_pair_once(monkeypatch):
-    # 21 inverse entries, and the determinant's one contraction; the
-    # adjugate, read first, makes its own
-    calls = []
+def test_upper_contracts_each_mirrored_pair_once(monkeypatch):
+    # the determinant's one contraction, in the context the adjugate is
+    # formed in, and 21 inverse entries; the adjugate, formed beforehand
+    # here, makes its own
+    m = coupled_metric(1).metric
+    adj, calls, contexts = adjugate(m.lower), [], []
+
+    def formed(grid, ctx):
+        contexts.append(ctx)
+        return adj
 
     def counted(products, ctx):
-        calls.append(products)
+        calls.append(ctx)
         return kk6.expr.contract(products, ctx)
-    m = coupled_metric(1).metric
-    m._adjugate()
+    monkeypatch.setattr(kk6.tensor, "_adjugate_of", formed)
     monkeypatch.setattr(kk6.tensor, "contract", counted)
-    up = invert_metric(m)
+    up = m.upper()
     assert len(calls) == DIM * (DIM + 1) // 2 + 1
+    assert len(contexts) == 1 and calls[0] is contexts[0]
     assert all(up[a][b] is up[b][a] for a in range(DIM) for b in range(a))
 
 
-def test_invert_metric_equals_adjugate_route():
+def test_upper_equals_adjugate_route():
     m = photon_metric().metric
-    computed = invert_metric(m)
+    computed = m.upper()
     res = identity_residual(m, computed)
     assert all(is_zero(e).verdict == "zero" for row in res for e in row)
 
@@ -341,7 +349,7 @@ def test_a_singular_metric_witness_is_the_zero_tests_first_point():
 def _assert_refused_at_the_first_point(g: Metric6):
     assert g.det() != ZERO
     with pytest.raises(kk6.tensor.SingularMetricError) as err:
-        invert_metric(g)
+        g.upper()
     first = is_zero(add(g.det(), ONE), seed=0).witness   # nonzero at once
     assert set(err.value.witness) == {"m0", "x0"}
     assert err.value.witness == first
@@ -373,8 +381,7 @@ def test_metric_requires_six_rows():
 # ---------------------------------------------------------------------------
 # the grid cache: one stage dict per grid, shared by every build on it
 
-_STAGES = (Metric6.det, Metric6.upper, christoffel, ricci, ricci_scalar,
-           einstein)
+_STAGES = (Metric6.upper, ricci, ricci_scalar, einstein)
 
 
 def test_an_equal_grid_reads_the_first_builds_stages(monkeypatch):
@@ -429,5 +436,5 @@ def test_the_grid_cache_keeps_no_kernel_context():
     for label in ("proca", "coupled", "gravity-proca"):
         einstein(metrics[label])
     entries = [Metric6(m.lower)._cache for m in metrics.values()]
-    assert sum(len(e) for e in entries) >= 16
+    assert sum(len(e) for e in entries) == 12   # four stages on each
     assert not any(isinstance(o, _Ctx) for o in _reachable(entries))

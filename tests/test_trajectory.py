@@ -33,8 +33,9 @@ def test_one_run_gives_quartiles_and_another_digest_is_refused(tmp_path):
     assert len(rep["commits"]["change"]["src_kk6_sha256"]) == 64
     figures = rep["results"]["change"]["curvature ansatz=photon"]
     assert {"wall_s", "wall_ref_s", "peak_rss_mb", "timing.seconds",
-            "timing.stages.christoffel", "timing.stages.ricci"} <= \
-        set(figures)
+            *(f"timing.stages.{s}" for s in ("inverse", "ricci",
+                                              "ricci_scalar", "einstein"))
+            } == set(figures)
     for row in figures.values():
         assert set(row) == {"unit", "runs", "median", "q1", "q3"}
         assert len(row["runs"]) == 1
