@@ -44,6 +44,10 @@ Each CSV cell is the ``repr`` of the double the run holds.  The rows are a
 lazy iterable that :func:`emit` reads only for ``--format csv``, so a JSON
 run never forms the table.
 
+The argument parser is built once per process, on the first ``main``
+call: argparse keeps no state from one ``parse_known_args`` call to the
+next.
+
 Exit codes: 0 success, 1 must-pass claim refuted, 2 usage or
 configuration error, 3 runtime failure.  Every error path prints a single
 line ``error[<code>]: <message>`` to stderr.
@@ -58,6 +62,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 
 from . import __version__
@@ -467,6 +472,7 @@ class _Parser(argparse.ArgumentParser):
         raise _usage(message)
 
 
+@cache
 def _build_parser() -> _Parser:
     ap = _Parser(prog="kk6", description=__doc__,
                  formatter_class=argparse.RawDescriptionHelpFormatter)

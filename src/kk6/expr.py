@@ -106,7 +106,11 @@ oracle compiles no ``Conj``: it takes functions of the coordinates alone,
 and a coordinate is real, so ``conj`` never wraps one.
 
 :func:`to_text` renders each distinct node once per call, however often the
-tree shares it.
+tree shares it, and keeps the text of each node it is asked to print in a
+process-wide ``weakref.WeakKeyDictionary``.  A node's text depends only on
+the node, so printing a live node again, in a later report or pass, costs
+one lookup; the map holds no node alive, and a text lives exactly as long
+as its node.
 
 :func:`simplify` caches its result on each node it simplifies, input and
 subexpressions alike.  The cache depends only on the node's structure and
@@ -1138,7 +1142,11 @@ def context() -> _Ctx:
 # of which the cap forms 81 again (an LRU of 1,232 entries would not).  An
 # entry keeps its key's nodes alive: when one curvature pass formed 2,056
 # distinct contractions, 2,048 entries raised its peak RSS by 6%, 1,024 by
-# 3%.
+# 3%.  Against 1,024, a cap of 2,048 took the warm pass from 0.0119 to
+# 0.0103 reference s (8 alternating runs, 8 lower) and its peak RSS from
+# 25.555 to 25.566 MB, but a default ``gravity-dirac`` run's from 73.97 to
+# 74.18 MB.  The cap stays at 1,024: only a second pass in one process
+# gains, and the memory lands on the symbolic runs.
 _CONTRACTED: "OrderedDict[tuple, Expr]" = OrderedDict()
 _CONTRACTED_CAP = 1024
 
@@ -1352,10 +1360,23 @@ def _render(e: Expr, memo: dict) -> tuple[str, int]:
     raise TypeError(f"cannot print node {type(e).__name__}")  # pragma: no cover
 
 
+# ``to_text``'s map: each node it printed -> its text, for as long as the
+# node lives.  Benchmark traffic, the eight ``kk6 curvature`` runs of a cold
+# pass then a warm pass at the next seed in one process: the cold pass makes
+# 210 calls on 161 distinct nodes, and the warm pass 210 calls that all
+# hit, rendering nothing; the 161 texts hold 126,389 characters.
+_TEXTS: "weakref.WeakKeyDictionary[Expr, str]" = weakref.WeakKeyDictionary()
+
+
 def to_text(e: Expr) -> str:
     """The text of ``e``, which ``kk6.parse`` reads back to ``e``; a node
-    shared within ``e`` is rendered once."""
-    return _text(e, {})[0]
+    shared within ``e`` is rendered once.  The text is kept while ``e``
+    lives, so printing ``e`` again returns the same string and renders
+    nothing."""
+    got = _TEXTS.get(e)
+    if got is None:
+        got = _TEXTS[e] = _text(e, {})[0]
+    return got
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from kk6.dynamics import (
 from kk6.parse import parse_expression
 from kk6.verify import (
     GEODESIC_DEFAULTS, ClaimParamError, _expanded_terms, coerce_param,
-    read_params, scalar_momenta,
+    must_pass_ids, read_params, scalar_momenta,
 )
 from test_golden_records import CURVATURE
 
@@ -502,6 +502,36 @@ def test_the_parser_and_the_refusal_name_every_command():
         parse_config("command=orbit\n")
 
 
+def test_the_parser_is_built_once_per_process():
+    from kk6 import cli
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_a_second_command_in_one_process_inherits_nothing(capsys):
+    # the reused parser keeps no --claim list, seed or format from a call
+    # before: each report is the one a fresh process prints
+    assert run(["verify", "--claim", "kg.reduction", "--seed", "5"],
+               capsys)[0] == 0
+    code, out, err = run(["verify"], capsys)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-m", "kk6", "verify"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (code, err) == (proc.returncode, proc.stderr) == (0, "")
+    assert strip_timing(out) == strip_timing(proc.stdout)
+    rep = json.loads(out)
+    assert rep["seed"] == 0 and "claims" not in rep["config"]
+    assert [r["id"] for r in rep["records"]] == list(must_pass_ids())
+
+    assert run(["fringes", "--format", "csv"], capsys)[1].startswith(
+        "y,density\n")
+    assert "density" in json.loads(run(["fringes"], capsys)[1])["data"]
+
+    code, out, err = run(["verify", "--format", "xml"], capsys)
+    assert code == 2 and out == "" and err.startswith("error[usage]: ")
+    code, out, _ = run(["verify", "--claim", "fsq.null"], capsys)
+    assert code == 0 and json.loads(out)["config"]["format"] == "json"
+
+
 def test_a_first_positional_binding_is_one_more_binding(capsys):
     code, out, _ = run(["command=verify", "--claim", "fsq.null"], capsys)
     assert code == 0
@@ -700,8 +730,8 @@ def test_readme_quick_start_line_runs(line, tmp_path, monkeypatch, capsys):
 # ---------------------------------------------------------------------------
 # determinism
 
-def strip_timing(path):
-    rep = json.loads(path.read_text())
+def strip_timing(text):
+    rep = json.loads(text)
     rep.pop("timing", None)
     return json.dumps(rep, indent=2, sort_keys=False)
 
@@ -713,4 +743,5 @@ def test_reports_identical_across_runs_modulo_timing(tmp_path, capsys):
     assert main(argv + ["--out", str(a)]) == 0
     assert main(argv + ["--out", str(b)]) == 0
     capsys.readouterr()
-    assert strip_timing(a / "report.json") == strip_timing(b / "report.json")
+    assert strip_timing((a / "report.json").read_text()) == \
+        strip_timing((b / "report.json").read_text())

@@ -40,6 +40,7 @@ def test_unit_and_zero_rules():
     assert mul(e, ZERO) is ZERO
     assert add(ZERO, x0) == x0
     assert exp(ZERO) == ONE
+    assert power(ZERO, 0) is ONE        # 0**0 = 1 by convention
 
 
 def test_numeric_folding_is_exact():
@@ -202,6 +203,8 @@ def test_conj_pushes_to_leaves_and_involutes():
     assert conj(ce) == e
     assert conj(p0) == p0  # declared real
     assert isinstance(conj(w), Conj)
+    # every coordinate is real, so no ``Conj`` wraps one
+    assert all(conj(x) is x for x in X)
 
 
 def test_conj_through_exp_flips_phase():
@@ -399,6 +402,30 @@ def test_walkers_leave_no_reference_cycles(name):
         gc.enable()
 
 
+def test_the_walkers_read_the_node_shape_from_one_place(monkeypatch):
+    # ``_kids`` and ``_rebuild`` state the node set's shape once: each
+    # walker lists a node's children, or rebuilds a node, through them
+    from kk6 import zeros
+    seen = []
+    kids, rebuild = kernel._kids, kernel._rebuild
+    monkeypatch.setattr(kernel, "_kids",
+                        lambda n: seen.append("_kids") or kids(n))
+    monkeypatch.setattr(zeros, "_kids",
+                        lambda n: seen.append("_kids") or kids(n))
+    monkeypatch.setattr(kernel, "_rebuild",
+                        lambda n, k: seen.append("_rebuild") or rebuild(n, k))
+    e = _fresh(17)
+    for walk, uses in (
+            (free_symbols, "_kids"),
+            (lambda e: subs(e, {"x2": x1}), "_kids"),
+            (conj, "_rebuild"),
+            (lambda e: simplify(sqrt(exp(e))), "_rebuild"),
+            (lambda e: scaled_eval(e, _ENV), "_kids")):
+        seen.clear()
+        walk(e)
+        assert uses in seen
+
+
 def test_repeated_simplify_reuses_the_cached_result(monkeypatch):
     e = _fresh(10)
     first = simplify(e)
@@ -484,6 +511,35 @@ def test_to_text_renders_each_distinct_node_once(monkeypatch):
     text = to_text(e)
     assert len(renders) == len(_distinct(e))
     assert text == kernel._text(e, _Forget())[0]
+
+
+def test_printing_a_node_again_renders_nothing(monkeypatch):
+    e = _fresh(15)
+    text = to_text(e)
+    renders = _count_calls(monkeypatch, "_render")
+    assert to_text(e) is text
+    assert repr(e) is text
+    assert renders == []
+    to_text(_fresh(16))                 # the patch is live
+    assert renders
+
+
+def test_the_text_map_keeps_no_node_alive():
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(kernel._TEXTS)
+        # a coefficient no other test builds
+        e = add(mul(num(2**89 - 1), x0), x1)
+        to_text(e)
+        assert len(kernel._TEXTS) == before + 1
+        probe = weakref.ref(e)
+        del e
+        gc.collect()
+        assert probe() is None
+        assert len(kernel._TEXTS) == before
+    finally:
+        gc.enable()
 
 
 def test_add_passes_distinct_terms_through(monkeypatch):
@@ -674,3 +730,37 @@ def test_number_sort_key_follows_exact_value():
     nodes = [num(re, im) for re, im in values]
     by_key = sorted(nodes, key=lambda n: n._key)
     assert by_key == sorted(nodes, key=lambda n: (n.re, n.im))
+
+
+def _no_fraction_compared_or_hashed(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Fraction was compared or hashed")
+    for name in ("__hash__", "__eq__", "__lt__", "__gt__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+
+
+def test_interning_hashes_no_fraction_and_no_subtree(monkeypatch):
+    # a lookup keys a number by its integers and a composite by its
+    # children's ids, so building fresh nodes hashes no exact part
+    parts = [Fraction(104729 + k, 7919) for k in range(30, 34)]
+    _no_fraction_compared_or_hashed(monkeypatch)
+    a, b, c, d = (num(f) for f in parts)
+    e = add(mul(a, x0, power(add(x1, b), 3)), sqrt(add(x2, c)),
+            exp(mul(d, x3)), num(parts[0], parts[1]))
+    assert len(_distinct(e)) > 10
+
+
+def test_a_zero_part_is_one_object_and_ties_by_identity(monkeypatch):
+    # whatever arithmetic formed it, a zero part is ``_F0``; so sorting
+    # numbers whose floats differ, or whose zero parts tie, compares no
+    # Fraction
+    nodes = [num(Fraction(k, 7)) for k in range(1, 6)]
+    nodes += [num(0, Fraction(k, 7)) for k in range(1, 6)]
+    nodes += [num(1, 1) * num(1, -1), add(num(1, 1), num(0, -1)),
+              num(0.0, -0.0)]
+    for n in nodes:
+        assert n.re is kernel._F0 or n.re != 0
+        assert n.im is kernel._F0 or n.im != 0
+    _no_fraction_compared_or_hashed(monkeypatch)
+    for group in (nodes[:5], nodes[5:10]):
+        assert sorted(reversed(group), key=kernel._keyfn) == group

@@ -1,9 +1,11 @@
 """Property tests of the expression kernel's invariants: ``add`` and
 ``mul`` ignore the order and grouping of their arguments, a product holds
-each base once and a term minus itself is zero, ``simplify`` is
+each base once, a number in a sum or product is its one leading operand
+and a term minus itself is zero, ``simplify`` is
 value-preserving and idempotent and agrees with the tree expansion it
 replaced, ``contract`` and ``derive`` are the tree routes they stand for,
-node for node, printing round-trips through the parser, every node is
+node for node, printing round-trips through the parser and a kept text is
+the one a fresh render gives, every node is
 its constructor applied to its children and ``subs`` and ``conj`` keep the
 value, ``diff`` agrees with central finite differences, and
 ``scaled_eval``'s tape gives the recursive walk's numbers and failures bit
@@ -127,6 +129,20 @@ def test_a_product_holds_each_base_once(es):
                 bases = [f.base if isinstance(f, Pow) else f
                          for f in m.factors]
                 assert len(set(bases)) == len(bases), to_text(m)
+
+
+@PROPERTY
+@given(st.lists(exprs, min_size=2, max_size=3))
+def test_a_number_in_a_node_is_its_one_leading_operand(es):
+    # a product carries at most one number, first and never 1; a sum at
+    # most one, first and never 0
+    for e in (add(*es), mul(*es), simplify(mul(*es))):
+        for m in _nodes(e):
+            if isinstance(m, (Add, Mul)):
+                ops = m.terms if isinstance(m, Add) else m.factors
+                unit = ZERO if isinstance(m, Add) else ONE
+                assert not any(isinstance(o, Num) for o in ops[1:])
+                assert ops[0] is not unit
 
 
 @PROPERTY
@@ -365,6 +381,17 @@ def test_a_monomial_side_leaves_nothing_to_collect(m, e):
 @given(exprs)
 def test_text_round_trips_through_the_parser(e):
     assert parse_expression(to_text(e)) is e
+
+
+@PROPERTY
+@given(exprs)
+def test_a_kept_text_is_the_text_a_fresh_render_gives(e):
+    # a parent printed first, and dropped, leaves nothing that changes the
+    # text of ``e`` printed alone
+    to_text(mul(sqrt(W), add(e, X2)))
+    text = to_text(e)
+    assert text == kernel._text(e, {})[0]
+    assert parse_expression(text) is e
 
 
 @PROPERTY
