@@ -30,6 +30,15 @@ Capital indices range over {0,1,2,3,5}; index 4 is the compact direction.
 Each entry a builder forms is one :func:`~kk6.expr.contract` call over its
 products and each derivative one :func:`~kk6.expr.derive` call, with one
 kernel context per builder call.
+
+A half-spin mode's stress tensor is formed through its plane-wave phase
+exp(theta): with k_A = d_A theta, F_AB = k_A K_B - k_B K_A, so each entry
+of -F_A^C F_BC is a sum of four products of k, K and three eta-dot
+products, and no field strength is formed.  A syntactic certificate guards
+the route: every term of every ``K`` entry holds exactly one ``exp``, whose
+argument is theta itself, times factors free of the coordinates, and every
+k_A is free of the coordinates.  A field that fails it raises
+:class:`AnsatzError`; there is no second route.
 """
 from __future__ import annotations
 
@@ -38,8 +47,9 @@ from fractions import Fraction
 from functools import cached_property
 
 from .expr import (
-    Expr, HALF, I, MINUS_ONE, ONE, TWO, ZERO, Num, add, context, contract,
-    coords, derive, exp, mul, num, power, sqrt, sym,
+    Add, Exp, Expr, HALF, I, MINUS_ONE, ONE, TWO, ZERO, Mul, Num, add,
+    context, contract, coords, derive, exp, free_symbols, mul, num, power,
+    sqrt, sym,
 )
 from .tensor import DIM, Grid, Metric6
 
@@ -51,7 +61,7 @@ __all__ = [
     "SpinorComponents", "dirac_components",
     "SpinorMode", "dirac_metric", "coupled_metric",
     "gravity_metric", "weak_field_block", "kk_rows",
-    "field_strength", "fsq", "stress_tensor", "onshell_energy",
+    "field_strength", "fsq", "onshell_energy",
 ]
 
 IDX5 = (0, 1, 2, 3, 5)
@@ -179,21 +189,54 @@ def fsq(f: tuple) -> Expr:
                      for i in range(5) for j in range(5)], context())
 
 
-def stress_tensor(f: tuple) -> tuple:
-    """``(T, F^2)``: T_AB = (1/4) eta_AB F^2 - F_A^C F_BC, flat raising
-    inside, and F^2, the node :func:`fsq` gives, read off T's own
-    products.  In one kernel context the 15 products N_AB = -F_A^C F_BC
-    are formed first (T is symmetric: (A, B) and (B, A) have the same
-    products, so each is formed once), then F^2 = -eta^AA N_AA as one
-    contraction over the five formed sums, then the diagonal
-    T_AA = N_AA + (1/4) eta_AA F^2."""
+def _on_coordinates(e: Expr) -> bool:
+    return any(s.coordinate for s in free_symbols(e))
+
+
+def _phase_stress(K: tuple, phase: Expr) -> tuple:
+    """``(T, F^2)`` of a field ``K`` over IDX5 that carries the plane-wave
+    phase ``phase`` = exp(theta): T_AB = (1/4) eta_AB F^2 - F_A^C F_BC,
+    flat raising inside, with F_AB = k_A K_B - k_B K_A, k_A = d_A theta.
+
+    A syntactic certificate guards the route: every term of every ``K``
+    entry holds exactly one ``exp``, whose argument is ``theta`` itself,
+    and every other factor is free of the coordinates; every k_A is free
+    of the coordinates too.  Then d_A K_B = k_A K_B, and
+
+        N_AB = -F_A^C F_BC
+             = -[k_A k_B (K.K) - (k_A K_B + K_A k_B)(k.K) + K_A K_B (k.k)]
+
+    needs three eta-dot products.  In one kernel context the 15 N_AB are
+    formed (T is symmetric), then F^2 = -eta^AA N_AA over the five formed
+    sums, then the diagonal T_AA = N_AA + (1/4) eta_AA F^2.  A field that
+    fails the certificate raises :class:`AnsatzError`; there is no other
+    route."""
+    x = coords()
+    if not isinstance(phase, Exp):
+        raise AnsatzError("the stress route needs the phase as one exp")
+    theta = phase.arg
+    for e in K:
+        for t in (() if e is ZERO else e.terms if isinstance(e, Add)
+                  else (e,)):
+            fs = t.factors if isinstance(t, Mul) else (t,)
+            exps = [f for f in fs if isinstance(f, Exp)]
+            if (len(exps) != 1 or exps[0].arg is not theta
+                    or any(_on_coordinates(f) for f in fs
+                           if f is not exps[0])):
+                raise AnsatzError("field is not its phase times "
+                                  "coordinate-free factors")
     ctx = context()
+    k = tuple(derive(theta, x[a], ctx) for a in IDX5)
+    if any(map(_on_coordinates, k)):
+        raise AnsatzError("the phase gradient depends on the coordinates")
+    kk, kK, KK = (contract([(ETA5[c], u[c], v[c]) for c in range(5)], ctx)
+                   for u, v in ((k, k), (k, K), (K, K)))
     out = [[ZERO] * 5 for _ in range(5)]
     for i in range(5):
         for j in range(i, 5):
             out[i][j] = out[j][i] = contract(
-                [(MINUS_ONE, ETA5[k], f[i][k], f[j][k]) for k in range(5)],
-                ctx)
+                [(MINUS_ONE, k[i], k[j], KK), (k[i], K[j], kK),
+                 (K[i], k[j], kK), (MINUS_ONE, K[i], K[j], kk)], ctx)
     f2 = contract([(MINUS_ONE, ETA5[i], out[i][i]) for i in range(5)], ctx)
     for i in range(5):
         out[i][i] = contract([(out[i][i],), (_QUARTER, ETA5[i], f2)], ctx)
@@ -346,8 +389,9 @@ class SpinorMode(FieldMode):
 
     @cached_property
     def stress(self) -> tuple:
-        """``(T, F^2)`` of the field, as :func:`stress_tensor` gives them."""
-        return stress_tensor(field_strength(self.K))
+        """``(T, F^2)`` of the field through its own phase, as
+        :func:`_phase_stress` forms them."""
+        return _phase_stress(self.K, self.phase)
 
     @cached_property
     def claimed_upper_greek(self) -> Grid:

@@ -46,7 +46,8 @@ run never forms the table.
 
 The argument parser is built once per process, on the first ``main``
 call: argparse keeps no state from one ``parse_known_args`` call to the
-next.
+next.  Its help text is its own (``_HELP`` and ``_EXIT_CODES``), written
+for the user of the command; this docstring describes the code.
 
 Exit codes: 0 success, 1 must-pass claim refuted, 2 usage or
 configuration error, 3 runtime failure.  Every error path prints a single
@@ -472,9 +473,37 @@ class _Parser(argparse.ArgumentParser):
         raise _usage(message)
 
 
+_HELP = """\
+Check the claims of a modified Kaluza-Klein theory and report the
+curvature, geodesics and interference fringes of its metrics.
+
+commands:
+  curvature  build the metric named by ansatz=<name> and report its
+             curvature tensors, grading a printed inverse entry by entry
+  verify     run the claim checks (default: every must-pass claim)
+  geodesic   integrate the closed-form-seeded trajectory numerically
+  fringes    two-path interference density profile with its minima
+
+Parameters are key=value bindings, given as arguments or as the lines of
+a --config file; later sources win (defaults < file < arguments, flags
+last) and '#' starts a comment.  Numbers take integer, decimal,
+scientific and a/b forms; physics parameters also take the word
+'symbolic' to stay unbound.
+"""
+
+_EXIT_CODES = """\
+exit codes:
+  0  success
+  1  a must-pass claim was refuted
+  2  usage or configuration error
+  3  runtime failure
+Every error prints one line 'error[<code>]: <message>' to stderr.
+"""
+
+
 @cache
 def _build_parser() -> _Parser:
-    ap = _Parser(prog="kk6", description=__doc__,
+    ap = _Parser(prog="kk6", description=_HELP, epilog=_EXIT_CODES,
                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("command", nargs="?",
                     help=" | ".join(_RUNNERS))
@@ -482,10 +511,15 @@ def _build_parser() -> _Parser:
                     help="parameter bindings, e.g. p3=3/4 m0=symbolic")
     ap.add_argument("--config", metavar="PATH",
                     help="flat key=value configuration file")
-    ap.add_argument("--seed", metavar="U64")
-    ap.add_argument("--tol", metavar="FLOAT")
-    ap.add_argument("--out", metavar="DIR")
-    ap.add_argument("--format", choices=("json", "csv"))
+    ap.add_argument("--seed", metavar="U64",
+                    help="seed of the zero test's sample points")
+    ap.add_argument("--tol", metavar="FLOAT",
+                    help="tolerance of the zero test")
+    ap.add_argument("--out", metavar="DIR",
+                    help="write report.json (and the CSV table) into DIR")
+    ap.add_argument("--format", choices=("json", "csv"),
+                    help="report format (csv: the geodesic or fringes "
+                         "table)")
     ap.add_argument("--claim", action="append", metavar="ID",
                     help="claim id (repeatable); overrides config claims")
     return ap

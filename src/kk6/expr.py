@@ -60,7 +60,8 @@ ints, adds ``exp`` arguments with :func:`add` (memoized per context) and
 multiplies coefficients, and applies ``mul``'s folds in the dict: a root met
 twice folds, ``sqrt(a)^2 -> a`` with ``a`` merged like any other factor,
 ``i*i -> -1``, and a sum that reaches an exponent in 1..cap is expanded as
-``simplify`` expands a sum factor or a small power of one.  Each output
+``simplify`` expands a sum factor or a small power of one, once for all
+the monomials that reach the same exponents of the same sums.  Each output
 monomial becomes one canonical term, built once, so the result is the tree
 that ``mul`` and ``add`` give pair by pair.  The field layout and memos live
 in one :func:`context`; a field that would overflow restarts the call in a
@@ -948,27 +949,31 @@ def _land(ctx: _Ctx, p: _Poly, fields: list) -> _Poly:
     1..``_EXPAND_POW_CAP`` in a monomial of ``p``: the rest of the monomial
     times each such sum, as often as its exponent, in canonical factor
     order, as ``simplify`` distributes a sum factor or a small power of
-    one."""
+    one.  Monomials that land the same sums at the same exponents are
+    landed together: their rests form one polynomial, which is multiplied
+    by the sums once."""
     keep: dict = {}
-    parts = []
+    rests: dict = {}            # ((field, exponent), ...) -> rest groups
     for gk, d in p.groups.items():
         for k, n in d.items():
-            ups = [(ctx.atoms[i], m) for i in fields
-                   if 1 <= (m := _exponent(ctx, k, i)) <= _EXPAND_POW_CAP]
+            ups = tuple((i, m) for i in fields
+                        if 1 <= (m := _exponent(ctx, k, i)) <= _EXPAND_POW_CAP)
             if not ups:
                 keep.setdefault(gk, {})[k] = n
                 continue
-            for a, m in ups:
-                k -= m << (ctx.width * ctx.fields[a])
-            r = _Poly(p.den, {gk: {k: n}}, p.mx)
-            for a, m in sorted(ups, key=lambda u: _keyfn(u[0])):
-                q = _read(ctx, a)
-                for _ in range(m):
-                    r = _times(ctx, r, q)
-            parts.append(r)
-    if not parts:
+            for i, m in ups:
+                k -= m << (ctx.width * i)
+            rests.setdefault(ups, {}).setdefault(gk, {})[k] = n
+    if not rests:
         return p
-    parts.append(_Poly(p.den, keep, p.mx))
+    parts = [_Poly(p.den, keep, p.mx)]
+    for ups, groups in rests.items():
+        r = _Poly(p.den, groups, p.mx)
+        for i, m in sorted(ups, key=lambda u: _keyfn(ctx.atoms[u[0]])):
+            q = _read(ctx, ctx.atoms[i])
+            for _ in range(m):
+                r = _times(ctx, r, q)
+        parts.append(r)
     return _sum(parts)
 
 
@@ -1136,8 +1141,8 @@ def context() -> _Ctx:
 # ``contract``'s memo: its products as a tuple of tuples of nodes -> the
 # result, least recently used first.  Benchmark traffic, a cold pass then
 # a warm pass at the next seed in one process: the 17 claims and 4 probes
-# make 3,372 calls on 1,034 distinct products, then 1,207 on 472, forming
-# none again (an LRU of 999 entries would do, 25 under the cap).  The
+# make 3,244 calls on 969 distinct products, then 1,207 on 472, forming
+# none again (an LRU of 952 entries would do, 72 under the cap).  The
 # eight ``kk6 curvature`` runs make 2,930 calls on 1,303, then 420 on 218,
 # of which the cap forms 81 again (an LRU of 1,232 entries would not).  An
 # entry keeps its key's nodes alive: when one curvature pass formed 2,056

@@ -155,11 +155,14 @@ def _count_terms(node: Expr, memo: dict) -> int:
 
 
 def coerce_param(name: str, value, real: bool = False):
-    """The typed value of parameter ``name``: a ``Fraction`` for a number,
-    read from its text (so ``3/4``, ``"3/4"``, ``0.75`` and
-    ``Fraction(3, 4)`` agree), an ``int`` for an integral number,
-    expression text or a preset; None for ``symbolic``.  With ``real`` a
-    "param" is read as a "real"."""
+    """The typed value of parameter ``name``, by its kind in
+    :data:`PARAM_KINDS`: a ``Fraction`` for a "param" or a "real", read
+    from its text (so ``3/4``, ``"3/4"``, ``0.75`` and ``Fraction(3, 4)``
+    agree); an ``int`` for an "int", which refuses a number that is not
+    integral; the text itself for an "expr" or a "choice"; None for
+    ``symbolic`` (or None), which only a "param" admits.  With ``real`` a
+    "param" is read as a "real": it refuses ``symbolic`` and a number too
+    large for a float.  Raises :class:`ClaimParamError`."""
     kind = PARAM_KINDS[name]
     if kind == "param" and real:
         kind = "real"
@@ -362,8 +365,9 @@ def _grade(pairs, seed: int, tol: float, trials: int = 32) -> _Outcome:
 
 def grade_entries(grid, seed: int, tol: float) -> list[_Outcome]:
     """One :func:`_grade` outcome per entry of a 6x6 residual grid, row by
-    row, each labelled ``(a, b)``: a literally zero entry is structural,
-    every other entry gets its own zero test."""
+    row: a literally zero entry is structural, every other entry gets its
+    own zero test, and an outcome that is not zero carries its entry's
+    label ``(a, b)``."""
     return [_grade([((a, b), grid[a][b])], seed, tol)
             for a in range(DIM) for b in range(DIM)]
 
@@ -618,11 +622,12 @@ def _check_dirac(sol: int):
         x = coords()
         mode = _dirac_mode(sol, *(params.get(k) for k in _HALFSPIN_PARAMS))
         # F^2 read off the stress tensor's own products, which the stress
-        # form below reads too.  Formed before the residuals, so that the
-        # contraction memo, 10 entries short of the 1,034 that a cold pass
-        # of the benchmark's claims and probes forms, drops the stress
-        # tensor's entries, which the mode keeps, before the residuals'
-        # own, which a later pass asks for again
+        # form below reads too.  Formed before the residuals, so that a
+        # contraction memo that fills up drops the stress tensor's
+        # entries, which the mode keeps, before the residuals' own, which
+        # a later pass asks for again (a cold pass of the benchmark's
+        # claims and probes forms 969 distinct contractions, 55 under the
+        # cap)
         f2 = mode.stress[1]
         comps = mode.components
         ctx = context()

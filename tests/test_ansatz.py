@@ -8,11 +8,11 @@ from kk6.ansatz import (
     ETA5, IDX5, AnsatzError, coupled_metric, dirac_components, dirac_metric,
     field_strength, fsq, gravity_metric, massive_wave_potential,
     null_wave_potential, onshell_energy, photon_metric,
-    proca_metric, scalar_metric, stress_tensor, weak_field_block,
+    SpinorMode, proca_metric, scalar_metric, weak_field_block,
 )
 from kk6.expr import (
-    MINUS_ONE, ONE, ZERO, add, context, coords, diff, mul, num, power, simplify,
-    subs, sym, to_text,
+    MINUS_ONE, ONE, ZERO, add, context, contract, coords, diff, exp, mul,
+    num, power, simplify, subs, sym, to_text,
 )
 from kk6.tensor import DIM, identity_residual
 from kk6.zeros import evaluate, is_zero
@@ -113,6 +113,28 @@ def test_photon_claimed_inverse_structurally_exact():
     mode = photon_metric()
     res = identity_residual(mode.metric, mode.claimed_upper)
     assert all(e == ZERO for row in res for e in row)
+
+
+_QUARTER = num("1/4")
+
+
+def stress_tensor(f: tuple) -> tuple:
+    """The reference for a half-spin mode's ``stress``: ``(T, F^2)`` of a
+    field strength ``f``, T_AB = (1/4) eta_AB F^2 - F_A^C F_BC, flat
+    raising inside.  In one kernel context the 15 products N_AB =
+    -F_A^C F_BC are formed, then F^2 = -eta^AA N_AA over the five formed
+    sums, then the diagonal T_AA = N_AA + (1/4) eta_AA F^2."""
+    ctx = context()
+    out = [[ZERO] * 5 for _ in range(5)]
+    for i in range(5):
+        for j in range(i, 5):
+            out[i][j] = out[j][i] = contract(
+                [(MINUS_ONE, ETA5[k], f[i][k], f[j][k]) for k in range(5)],
+                ctx)
+    f2 = contract([(MINUS_ONE, ETA5[i], out[i][i]) for i in range(5)], ctx)
+    for i in range(5):
+        out[i][i] = contract([(out[i][i],), (_QUARTER, ETA5[i], f2)], ctx)
+    return tuple(tuple(r) for r in out), f2
 
 
 def test_stress_tensor_is_symmetric():
@@ -270,6 +292,64 @@ def test_spinor_field_compact_derivative_condition():
         lhs = diff(mode.K[i], x[5].symbol)
         rhs = mul(num(0, 1), sym("m0"), mode.K[i])
         assert is_zero(simplify(lhs - rhs)).verdict == "zero"
+
+
+@pytest.mark.parametrize("sol", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", [(None,) * 4, (0, 0, "3/4", 1),
+                               ("1/3", 0, "1/2", 1)],
+                         ids=["symbolic", "on-axis", "benchmark"])
+def test_halfspin_stress_through_the_phase_is_the_reference(sol, p):
+    # the phase route's three dot products give the nodes that the field
+    # strength's five products per entry give; each route runs with the
+    # contraction memo empty, so neither is served the other's entries
+    from kk6 import expr
+    mode = dirac_metric(sol, *p)
+    f = field_strength(mode.K)
+    want, want_f2 = stress_tensor(f)
+    assert want_f2 is fsq(f)
+    expr._CONTRACTED.clear()
+    t, f2 = mode.stress
+    assert f2 is want_f2
+    for i in range(5):
+        for j in range(5):
+            assert t[i][j] is want[i][j], (i, j)
+
+
+def _hand_built(K, phase):
+    mode = dirac_metric(1)
+    return SpinorMode(sol=1, components=mode.components, family_sign=-1,
+                      phase=phase, K=K, notes=())
+
+
+@pytest.mark.parametrize("broken, match", [
+    ("coordinate factor", "coordinate-free"),
+    ("second phase", "coordinate-free"),
+    ("no phase", "coordinate-free"),
+    ("other exp", "coordinate-free"),
+    ("phase not an exp", "one exp"),
+    ("gradient on the coordinates", "gradient")])
+def test_a_field_off_its_phase_refuses_the_stress_route(broken, match):
+    # the certificate refuses a field that is not its phase times
+    # coordinate-free factors, and there is no fallback route
+    mode = dirac_metric(1)
+    K, phase = list(mode.K), mode.phase
+    if broken == "coordinate factor":
+        K[0] = mul(x[1], K[0])
+    elif broken == "second phase":
+        K[2] = add(K[2], mul(K[2], exp(mul(num(0, 1), x[3]))))
+    elif broken == "no phase":
+        K[4] = add(K[4], sym("m0"))
+    elif broken == "other exp":
+        K = [mul(k, power(phase, 2)) for k in K]
+    elif broken == "phase not an exp":
+        phase = mul(sym("m0"), phase)
+    else:
+        phase = exp(mul(num(0, 1), x[1], x[1]))
+        K = [ZERO, phase, ZERO, ZERO, ZERO]
+    with pytest.raises(AnsatzError, match=match):
+        _hand_built(tuple(K), phase).stress
+    # the mode as built passes the same certificate
+    assert _hand_built(mode.K, mode.phase).stress[1] is mode.stress[1]
 
 
 def test_halfspin_claimed_inverse_full_reading_exact():

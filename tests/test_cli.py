@@ -502,6 +502,28 @@ def test_the_parser_and_the_refusal_name_every_command():
         parse_config("command=orbit\n")
 
 
+def test_the_help_is_written_for_the_user(capsys):
+    # ``kk6 --help`` names every command, the flags and every exit code,
+    # and carries no reST markup from the module docstring
+    import re
+    from kk6 import cli
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    help_text = capsys.readouterr().out
+    assert help_text == cli._build_parser().format_help()
+    for name in cli._RUNNERS:
+        assert re.search(rf"^  {name} ", help_text, re.M), name
+    for flag in ("--config", "--seed", "--tol", "--out", "--format",
+                 "--claim", "key=value"):
+        assert flag in help_text
+    codes = help_text[help_text.index("exit codes:"):]
+    assert re.findall(r"^  (\d)  ", codes, re.M) == ["0", "1", "2", "3"]
+    assert "error[<code>]" in codes
+    assert "`" not in help_text
+    assert not re.search(r":[a-z]+:", help_text)
+
+
 def test_the_parser_is_built_once_per_process():
     from kk6 import cli
     assert cli._build_parser() is cli._build_parser()

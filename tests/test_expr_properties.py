@@ -4,7 +4,8 @@ each base once, a number in a sum or product is its one leading operand
 and a term minus itself is zero, ``simplify`` is
 value-preserving and idempotent and agrees with the tree expansion it
 replaced, ``contract`` and ``derive`` are the tree routes they stand for,
-node for node, printing round-trips through the parser and a kept text is
+node for node, landing monomials together gives what landing each alone
+gives, printing round-trips through the parser and a kept text is
 the one a fresh render gives, every node is
 its constructor applied to its children and ``subs`` and ``conj`` keep the
 value, ``diff`` agrees with central finite differences, and
@@ -375,6 +376,85 @@ def test_a_monomial_side_leaves_nothing_to_collect(m, e):
         # no zero numerator and no empty group: the collect pass is a copy
         want = kernel._sum([r])
         assert (r.den, r.groups, r.mx) == (want.den, want.groups, want.mx)
+
+
+def _land_per_monomial(ctx, p, fields):
+    """The reference for ``_land``: each monomial that lands a sum is
+    landed on its own, its rest times each sum as often as its exponent,
+    in ``_keyfn`` order."""
+    keep: dict = {}
+    parts = []
+    for gk, d in p.groups.items():
+        for k, n in d.items():
+            ups = [(ctx.atoms[i], m) for i in fields
+                   if 1 <= (m := kernel._exponent(ctx, k, i))
+                   <= kernel._EXPAND_POW_CAP]
+            if not ups:
+                keep.setdefault(gk, {})[k] = n
+                continue
+            for a, m in ups:
+                k -= m << (ctx.width * ctx.fields[a])
+            r = kernel._Poly(p.den, {gk: {k: n}}, p.mx)
+            for a, m in sorted(ups, key=lambda u: kernel._keyfn(u[0])):
+                q = kernel._read(ctx, a)
+                for _ in range(m):
+                    r = kernel._times(ctx, r, q)
+            parts.append(r)
+    if not parts:
+        return p
+    parts.append(kernel._Poly(p.den, keep, p.mx))
+    return kernel._sum(parts)
+
+
+def _values(p) -> dict:
+    """A polynomial's coefficients as exact fractions, so that two
+    polynomials over different denominators compare by value."""
+    return {gk: {k: Fraction(n, p.den) for k, n in d.items()}
+            for gk, d in p.groups.items()}
+
+
+# Sums that a monomial can land, among them one holding a root, one an
+# ``exp``, one ``i`` and one a power above the cap, which a product with
+# its inverse brings down into the landing range.
+_LANDABLE = (_S, _T, _R, add(X0, sqrt(W)), add(X0, exp(X2)),
+             add(X1, num(0, 1)), add(X2, power(_S, 9)))
+_REST = (X0, X2, W, conj(W), sqrt(W), sqrt(_R), power(_S, -1),
+         power(_R, -1), exp(mul(num(0, 1), X1)), num(0, 1), num("2/3"))
+_lands = st.lists(st.tuples(st.sampled_from(_LANDABLE), st.integers(1, 10)),
+                 max_size=3)
+
+
+@st.composite
+def _landing_terms(draw):
+    # most terms land one shared set of sums, so that monomials batch
+    shared = draw(_lands)
+    return [mul(*draw(st.lists(st.sampled_from(_REST), max_size=3)),
+                *(power(a, m) for a, m in
+                  (shared if draw(st.booleans()) else draw(_lands))))
+            for _ in range(draw(st.integers(1, 6)))]
+
+
+@PROPERTY
+@given(_landing_terms())
+@example([mul(X0, _S), mul(X2, _S), mul(X0, power(_S, 2)), X2])
+@example([mul(X0, power(_S, 2), _T), mul(X2, power(_S, 2), _T),
+          mul(W, _S, power(_T, 2))])
+def test_batched_landing_is_per_monomial_landing(terms):
+    # monomials that land the same sums at the same exponents are landed
+    # together; the per-monomial reference, called all the way down, gives
+    # the same polynomial and so the same node
+    ctx = context()
+    p = kernel._read(ctx, add(*terms))
+    fields = list(ctx.watch)
+    got = kernel._land(ctx, p, fields)
+    batched = kernel._land
+    kernel._land = _land_per_monomial
+    try:
+        want = _land_per_monomial(ctx, p, fields)
+    finally:
+        kernel._land = batched
+    assert _values(got) == _values(want)
+    assert kernel._build(ctx, got) is kernel._build(ctx, want)
 
 
 @PROPERTY

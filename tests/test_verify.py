@@ -48,21 +48,23 @@ def test_registry_enumerates_every_claim():
 
 def test_halfspin_bundle_forms_f2_once(monkeypatch):
     # the stress tensor and the field-invariant check share one F^2,
-    # which the stress tensor forms
+    # which the stress tensor forms through the mode's phase, once per mode
     from kk6 import ansatz, verify
     calls = []
-    original = ansatz.stress_tensor
+    original = ansatz._phase_stress
 
-    def counting(f):
-        calls.append(f)
-        return original(f)
+    def counting(K, phase):
+        calls.append(K)
+        return original(K, phase)
 
-    monkeypatch.setattr(ansatz, "stress_tensor", counting)
+    monkeypatch.setattr(ansatz, "_phase_stress", counting)
     verify._dirac_mode.cache_clear()
     run_claim("dirac.sol1", seed=0)
     assert len(calls) == 1
     run_claim("dirac.sol1", seed=1)
     assert len(calls) == 1
+    run_claim("dirac.sol2", seed=0)
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +579,99 @@ def test_empty_selection_returns_empty_report():
 
 
 def test_suite_orders_records_by_claim_id():
-    recs = run_suite(claims=["inverse.photon", "fsq.null"])
+    recs = run_suite(claims=["inverse.photon", "fsq.null", "inverse.photon"])
     assert [r.claim_id for r in recs] == ["fsq.null", "inverse.photon"]
+
+
+def test_coerce_param_reads_each_kind():
+    from kk6.verify import coerce_param
+    for v in ("3/4", 0.75, "0.75", Fraction(3, 4)):
+        for real in (False, True):
+            got = coerce_param("p3", v, real=real)
+            assert type(got) is Fraction and got == Fraction(3, 4)
+    for v in (3, "3", "6/2", 3.0):
+        got = coerce_param("steps", v)
+        assert type(got) is int and got == 3
+    with pytest.raises(ClaimParamError, match="expects an integer"):
+        coerce_param("steps", "5/2")
+    assert coerce_param("perturb", "1+x1^2") == "1+x1^2"
+    assert coerce_param("potential", "massive") == "massive"
+    with pytest.raises(ClaimParamError, match="must be one of"):
+        coerce_param("potential", "linear")
+    for v in ("symbolic", None):
+        assert coerce_param("m0", v) is None
+        for name, real in (("steps", False), ("tau_end", False),
+                           ("perturb", False), ("m0", True)):
+            with pytest.raises(ClaimParamError, match="symbolic"):
+                coerce_param(name, v, real=real)
+    assert coerce_param("eps", "1e400") == Fraction(10) ** 400
+    with pytest.raises(ClaimParamError, match="too large for a float"):
+        coerce_param("eps", "1e400", real=True)
+
+
+def test_read_params_takes_the_given_value_or_the_default():
+    from kk6.verify import read_params
+    spec = {"p1": None, "p2": None, "m0": None, "eps": 1e-3, "points": 3}
+    got = read_params(spec, {"p1": "1/2", "p2": "symbolic", "points": "7"},
+                      "gravity.split.scalar")
+    # p2 is bound to nothing and m0 not given: both are left out
+    assert got == {"p1": Fraction(1, 2), "eps": Fraction(1, 1000),
+                   "points": 7}
+    assert type(got["points"]) is int
+
+
+def test_scalar_momenta_put_p0_on_shell_unless_it_is_given():
+    from kk6.ansatz import onshell_energy
+    from kk6.expr import sym
+    from kk6.verify import scalar_momenta
+    p, m0, given = scalar_momenta({})
+    names = [sym(n) for n in ("p1", "p2", "p3", "m0")]
+    assert (p[1:], m0, given) == (tuple(names[:3]), names[3], False)
+    assert p[0] is onshell_energy(*names)
+    p, m0, given = scalar_momenta({"p0": Fraction(5, 4), "p3": Fraction(3, 4),
+                                   "m0": 1})
+    assert p == (num("5/4"), sym("p1"), sym("p2"), num("3/4"))
+    assert (m0, given) == (num(1), True)
+
+
+def test_fringe_profile_reads_its_grid_through_the_fringe_defaults():
+    from kk6.verify import fringe_profile
+    geometry, prof = fringe_profile({"wavelength": "1/4", "points": 11})
+    assert geometry == (10.0, 400.0, 0.25, 11)
+    assert [type(g) for g in geometry] == [float, float, float, int]
+    assert len(prof.y) == 11 and prof.y[0] == -15.0 and prof.y[-1] == 15.0
+    for params, message in (({"points": 1}, "at least 2"),
+                            ({"L": -1}, "positive"),
+                            ({"steps": 10}, None)):
+        if message is None:     # a name the fringe grid does not take
+            assert fringe_profile(params)[0] == (10.0, 400.0, 0.5, 1201)
+            continue
+        with pytest.raises(ClaimParamError, match=message):
+            fringe_profile(params)
+
+
+def test_grade_entries_grades_each_entry_row_by_row():
+    x = kk6.expr.coords()
+    grid = [[ZERO] * 6 for _ in range(6)]
+    grid[1][2] = x[1]
+    grid[3][0] = ONE
+    # (x2 + 1)^2 - x2^2 - 2 x2 - 1, unexpanded: zero in value only
+    e = kk6.expr
+    grid[4][4] = e.add(e.power(e.add(x[2], ONE), 2),
+                       e.mul(num(-1), e.power(x[2], 2)),
+                       e.mul(num(-2), x[2]), num(-1))
+    assert grid[4][4] is not ZERO
+    outs = grade_entries(grid, 0, 1e-9)
+    assert len(outs) == 36
+    for i, o in enumerate(outs):
+        a, b = divmod(i, 6)
+        if (a, b) in ((1, 2), (3, 0)):
+            assert (o.status, o.label, o.structural) == ("nonzero", (a, b), 0)
+            assert o.samples >= 1
+        elif grid[a][b] is ZERO:
+            assert (o.status, o.samples, o.structural) == ("zero", 0, 1)
+        else:
+            assert (o.status, o.structural) == ("zero", 0) and o.samples > 0
 
 
 def test_refuted_must_pass_drives_exit_semantics():
