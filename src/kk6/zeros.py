@@ -39,15 +39,7 @@ constant), each after its children, children in the order ``expr._kids``
 lists them.  :func:`scaled_eval` builds the tape of one expression and
 runs it once; :func:`evaluate` returns its value alone.  :func:`are_zero`
 tests a list of expressions in turn, and :func:`is_zero` is its
-one-expression case.  Expressions with the same free symbols draw the same
-sample points, so each such group shares one tape over the union of its
-nodes: an expression adds only the nodes the group does not hold yet, and
-each node is evaluated once per point.  At the first point the
-expressions are taken one at a time, up to the first that is not zero
-there, and only each new expression's entries are evaluated; every later
-point runs a group's tape as far as the last root still needed.  Each
-expression's result is replayed in order and is bit for bit what testing
-it alone gives.
+one-expression case.
 Each node's value is the CPython complex arithmetic of a recursive walk in
 the same order, so results are bit for bit what such a walk gives.  The
 first node in post-order that fails names the error (:class:`EvalError`
@@ -56,22 +48,30 @@ non-finite value, or an overflow (``exp``, ``**``, a constant or a
 magnitude beyond the float range).  :func:`is_zero` binds every free
 symbol, so it meets only the last three, and reports them as an
 inconclusive verdict with a note naming the subtree (its text cut after
-512 characters, with the full length appended).  In a group, the failing
-slot belongs to the first expression that reads it: the expressions
-before it are already evaluated at that point, and the slot is also the
-first to fail in that expression's own post-order, so the note names the
-same subtree.  The error model above is unchanged.
+512 characters, with the full length appended).  The error model above is
+unchanged.
 
-A group's tape outlives its call: it is kept for the next group, in any
-later call, that starts with the same expression, which reads the kept
-entries as far as its expressions are the kept ones in the same order and
-branches where they differ, so a pass that grades the same residuals at
-another seed builds no entry.  The first point still stops at the end of
-the expressions added so far, so a kept tape changes no result.  A kept
-tape holds no expression alive: its entries hold symbol names and
-numbers, and its expressions are matched through weak references.  It is
-dropped with the expression it starts with, and a branch whose
-expression has died is dropped at the next branch from the same place.
+Expressions with the same free symbols draw the same sample points at a
+seed, so all of them, in any call, share one process-wide tape per
+free-symbol set: an expression adds only the nodes the tape does not hold
+yet.  For two seeds at most, the tape also holds each sample point drawn
+so far and the values and scales of its first entries there, so at one
+seed each node is evaluated once per point, across calls.  A call reads
+the roots already evaluated and runs a point only from where its values
+end up to the last root still needed.  A call at a third seed first drops
+the larger of the two value sets: a check at a fixed seed between the
+calls of a pass leaves the pass's values, and the next pass's seed drops
+them; the values live until they are dropped so.  The tape holds no
+expression alive: its entries hold symbol names and numbers, and it finds
+its nodes through a weak map from node to slot.  Once more than half of
+its entries belong to nodes that have died, it is rebuilt from the live
+ones, their values kept, so it cannot grow without bound.
+A run of a shared tape stops at its first entry that fails, which can
+belong to another expression.  A member whose root lies past that entry
+is evaluated at that point on a private tape of its own nodes, as
+:func:`is_zero` of it alone evaluates it, so its note names the first
+node that fails in its own post-order, and every result, witness and note
+is bit for bit what :func:`is_zero` of that expression alone gives.
 """
 from __future__ import annotations
 
@@ -79,9 +79,10 @@ import cmath
 import math
 import random
 import weakref
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 from numbers import Integral, Real
 from typing import Mapping
 
@@ -124,8 +125,8 @@ def scaled_eval(e: Expr, env: Mapping[str, complex]) -> tuple[complex, float]:
     """Evaluate ``e`` returning ``(value, scale)`` where scale tracks the
     magnitude that roundoff noise is proportional to."""
     values: dict[str, complex] = {k: complex(v) for k, v in env.items()}
-    tape, order = [], []
-    _extend(tape, {}, order, e)
+    tape: list = []
+    order = _extend(tape, {}, e)
     val: list = []
     sc: list = []
     fault = _run(tape, values, val, sc, len(tape))
@@ -142,12 +143,13 @@ _UNARY = {Exp: _EXP, Sqrt: _SQRT, Conj: _CONJ}
 _OVERFLOW = {_POW: "power overflow", _EXP: "exp overflow"}
 
 
-def _walk(slot: dict, order: list, e: Expr) -> None:
-    """Append to ``order`` the nodes of ``e`` that ``slot`` does not hold
-    yet, each after its children, in the order a depth-first walk over the
-    children in turn finishes them, and give each the next slot.  Each
+def _walk(slot, e: Expr, base: int) -> list:
+    """The nodes of ``e`` that ``slot`` does not hold yet, each after its
+    children, in the order a depth-first walk over the children in turn
+    finishes them; each is given the next slot from ``base`` on.  Each
     node already held heads a subtree whose nodes are all held, so the new
     nodes keep their order in ``e``'s own walk."""
+    new: list = []
     if e not in slot:
         stack = [(e, iter(_kids(e)))]
         while stack:
@@ -158,18 +160,17 @@ def _walk(slot: dict, order: list, e: Expr) -> None:
                     break
             else:
                 stack.pop()
-                slot[node] = len(order)
-                order.append(node)
+                slot[node] = base + len(new)
+                new.append(node)
+    return new
 
 
-def _extend(tape: list, slot: dict, order: list, e: Expr) -> int:
-    """Append to ``tape`` (and to ``order``, as long as it) the entries of
-    the nodes of ``e`` that ``slot`` does not hold yet, in :func:`_walk`'s
-    order; return the slot of ``e``."""
-    new = len(order)
-    _walk(slot, order, e)
-    tape.extend(_entry(node, slot) for node in order[new:])
-    return slot[e]
+def _extend(tape: list, slot, e: Expr) -> list:
+    """Append to ``tape`` the entries of the nodes of ``e`` that ``slot``
+    does not hold yet, in :func:`_walk`'s order, and return those nodes."""
+    new = _walk(slot, e, len(tape))
+    tape.extend(_entry(node, slot) for node in new)
+    return new
 
 
 def _entry(node: Expr, slot: dict) -> tuple:
@@ -304,114 +305,170 @@ def is_zero(e: Expr, seed: int = 0, trials: int = 32,
     return are_zero((e,), seed, trials, tol)[0]
 
 
-class _Step:
-    """A kept member of a group: a weak reference to its expression, the
-    slot of its value, the tape's length once it was added (where point 0
-    stops), the tape whose first ``end`` entries are the group's through
-    it, and the members kept after it, one branch per later expression."""
+class _Points:
+    """The sample points of one seed on a tape: ``envs[j]`` is point j,
+    drawn in turn from ``rng``, and ``vals[j]`` and ``scs[j]`` the values
+    and scales of the tape's first entries there, up to the first entry
+    that fails."""
 
-    __slots__ = ("ref", "root", "end", "tape", "next")
+    __slots__ = ("rng", "envs", "vals", "scs")
 
-    def __init__(self, e: Expr, root: int, tape: list) -> None:
-        self.ref = weakref.ref(e)
-        self.root = root
-        self.end = len(tape)
-        self.tape = tape
-        self.next: list = []
+    def __init__(self, seed: int) -> None:
+        self.rng = random.Random(seed)
+        self.envs: list = []
+        self.vals: list = []
+        self.scs: list = []
+
+    def run(self, tape: "_Tape", j: int, stop: int) -> None:
+        """Point ``j``'s values through slot ``stop - 1`` of ``tape``, or up
+        to its first entry that fails; the points up to ``j`` are drawn
+        first."""
+        while len(self.envs) <= j:
+            self.envs.append(sample_env(tape.syms, self.rng))
+            self.vals.append([])
+            self.scs.append(array("d"))
+        if len(self.vals[j]) < stop:
+            _run(tape.entries, self.envs[j], self.vals[j], self.scs[j], stop)
+
+    def keep(self, kept: list) -> None:
+        """Keep the values of the old slots ``kept`` (ascending), which
+        become slots 0, 1, ... in turn."""
+        for j, val in enumerate(self.vals):
+            ok = kept[:bisect_left(kept, len(val))]
+            self.vals[j] = [val[s] for s in ok]
+            self.scs[j] = array("d", [self.scs[j][s] for s in ok])
 
 
-# Each group's tape kept for the next group that starts with the same
-# expression: its first member's step, keyed on that expression, whose
-# death drops the entry.  A step holds no node: its entries name symbols
-# and hold numbers, and it finds its members through weak references.
-# A tape list is only ever appended to, by a branch from a step where it
-# ends; a branch from a step whose list runs past its end copies the
-# list's first ``end`` entries, so each step's entries never change.
-_KEPT: "weakref.WeakKeyDictionary[Expr, _Step]" = weakref.WeakKeyDictionary()
+class _Tape:
+    """The process-wide tape of one free-symbol set: each distinct node's
+    entry once, found through ``slot``, a weak map from node to slot;
+    ``gen`` counts its rebuilds and ``held`` maps a seed to its points."""
+
+    __slots__ = ("syms", "slot", "entries", "gen", "held")
+
+    def __init__(self, syms) -> None:
+        self.syms = sorted(syms, key=lambda s: s.name)
+        self.slot: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+        self.entries: list = []
+        self.gen = 0
+        self.held: dict = {}
+
+    def at(self, seed: int) -> _Points:
+        """The points of ``seed``.  The values of two seeds are held at
+        most: a third drops the larger set first, so a check at a fixed
+        seed between a pass's calls leaves the pass's values, and the next
+        pass's seed drops them."""
+        pts = self.held.get(seed)
+        if pts is None:
+            if len(self.held) == 2:
+                del self.held[max(self.held, key=lambda s: sum(
+                    map(len, self.held[s].vals)))]
+            pts = self.held[seed] = _Points(seed)
+        return pts
+
+    def rebuild(self) -> None:
+        """Drop the entries of the nodes that have died, and their values;
+        the live ones keep their order.  Each live node's children are
+        alive, so they come before it again."""
+        live = sorted((s, node) for node, s in self.slot.items())
+        slot: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+        entries: list = []
+        for _, node in live:
+            slot[node] = len(entries)
+            entries.append(_entry(node, slot))
+        self.slot, self.entries = slot, entries
+        for pts in self.held.values():
+            pts.keep([s for s, _ in live])
+        self.gen += 1
+
+
+# The tapes, one per free-symbol set that any call has graded.
+_TAPES: dict = {}
+
+
+def _tape(syms) -> _Tape:
+    """The tape of ``syms``, rebuilt first once more than half of its
+    entries belong to nodes that have died."""
+    tape = _TAPES.get(syms)
+    if tape is None:
+        tape = _TAPES[syms] = _Tape(syms)
+    elif 2 * len(tape.slot) < len(tape.entries):
+        tape.rebuild()
+    return tape
 
 
 class _Group:
-    """The expressions of one free-symbol set in an :func:`are_zero` run:
-    they draw the same sample points and share one tape over the union of
-    their nodes, a kept one (``_KEPT``) as far as its steps name the same
-    expressions in the same order.  Member ``i`` is expression
-    ``index[i]`` of the run, its value is at slot ``root[i]``, ``reach[i]``
-    is the largest root of members 0..i and ``worst[i]`` its largest
-    residual so far.  ``slot`` and ``order`` (each node's slot, and the
-    nodes in slot order) are walked again only to extend the tape or to
-    name a failing node."""
+    """The expressions of one free-symbol set in an :func:`are_zero` run,
+    on that set's tape and the points of the run's seed.  Member ``i`` is
+    expression ``index[i]`` of the run, its value is at slot ``root[i]``,
+    ``reach[i]`` is the largest root of members 0..i and ``worst[i]`` its
+    largest residual so far."""
 
     def __init__(self, syms, seed: int, trials: int, tol: float) -> None:
-        self.syms = sorted(syms, key=lambda s: s.name)
-        self.rng = random.Random(seed)
+        self.tape = _tape(syms)
+        self.seed = seed
+        self.gen = self.tape.gen
+        self.pts: _Points | None = None     # of the run's seed
         self.tol = tol
         self.trials = trials if syms else 1
-        self.env = sample_env(self.syms, self.rng)   # point 0
-        self.val: list = []     # the values and scales at point 0
-        self.sc: list = []
-        self.step: _Step | None = None     # the last member's
-        self.slot: dict | None = None
-        self.order: list | None = None
         self.exprs: list = []
         self.index: list = []
         self.root: list = []
         self.reach: list = []
         self.worst: list = []
 
-    def _walked(self) -> None:
-        """``slot`` and ``order`` over the members so far."""
-        if self.order is None:
-            self.slot, self.order = {}, []
-            for e in self.exprs:
-                _walk(self.slot, self.order, e)
+    def _sync(self) -> _Points:
+        """The points of the run's seed, and each member's root again if
+        the tape was rebuilt since: a call made while ``exprs`` is taken
+        can drop those points or rebuild the tape."""
+        tape = self.tape
+        if self.gen != tape.gen:
+            self.gen = tape.gen
+            self.root = [tape.slot[e] for e in self.exprs]
+            self.reach = list(accumulate(self.root, max))
+        self.pts = tape.at(self.seed)
+        return self.pts
 
     def add(self, e: Expr, index: int) -> None:
-        last = self.step
-        if last is None:
-            step = _KEPT.get(e)
-            if step is None:
-                tape: list = []
-                self.slot, self.order = {}, []
-                step = _KEPT[e] = _Step(
-                    e, _extend(tape, self.slot, self.order, e), tape)
-        else:
-            step = next((s for s in last.next if s.ref() is e), None)
-            if step is None:
-                # a branch; members that have died cannot be matched again
-                last.next = [s for s in last.next if s.ref() is not None]
-                tape = last.tape
-                if len(tape) > last.end:
-                    tape = tape[:last.end]
-                self._walked()
-                step = _Step(e, _extend(tape, self.slot, self.order, e),
-                             tape)
-                last.next.append(step)
-        self.step = step
+        self._sync()
+        tape = self.tape
+        root = tape.slot.get(e)
+        if root is None:
+            _extend(tape.entries, tape.slot, e)
+            root = len(tape.entries) - 1
         self.exprs.append(e)
         self.index.append(index)
-        self.root.append(step.root)
-        self.reach.append(max(step.root, self.reach[-1]) if self.reach
-                          else step.root)
+        self.root.append(root)
+        self.reach.append(max(root, self.reach[-1]) if self.reach else root)
         self.worst.append(0.0)
 
-    def judge(self, i: int, val: list, sc: list,
-              fault: str | None) -> ZeroResult | None:
-        """Member ``i``'s result if it is not zero at the point ``self.env``
-        where the tape gave ``val`` and ``sc``, else None.  A ``val`` that
-        stops short of the member's root stopped at ``fault``: the members
-        before it hold no slot from there on, so the failing slot is its
-        own, and the first that fails in its own post-order."""
-        root = self.root[i]
-        if root >= len(val):
-            self._walked()
-            note = f"{fault} in {_note_text(self.order[len(val)])}"
-            return ZeroResult("inconclusive", self.worst[i], self.trials,
-                              witness=self.env or None, note=note)
-        resid = abs(val[root]) / (1.0 + sc[root])
+    def run(self, j: int, n: int) -> None:
+        """Point ``j``'s values as far as members 0..n-1 need."""
+        self._sync().run(self.tape, j, self.reach[n - 1] + 1)
+
+    def judge(self, i: int, j: int) -> ZeroResult | None:
+        """Member ``i``'s result if it is not zero at point ``j``, else
+        None.  A run that stopped short of its root stopped at an entry
+        that fails: the member is evaluated there alone."""
+        pts = self.pts
+        root, val, env = self.root[i], pts.vals[j], pts.envs[j]
+        if root < len(val):
+            v, s = val[root], pts.scs[j][root]
+        else:
+            own: list = []
+            order = _extend(own, {}, self.exprs[i])
+            val, sc = [], []
+            fault = _run(own, env, val, sc, len(own))
+            if fault is not None:
+                note = f"{fault} in {_note_text(order[len(val)])}"
+                return ZeroResult("inconclusive", self.worst[i], self.trials,
+                                  witness=dict(env) or None, note=note)
+            v, s = val[-1], sc[-1]
+        resid = abs(v) / (1.0 + s)
         self.worst[i] = max(self.worst[i], resid)
         if resid >= self.tol:
             return ZeroResult("nonzero", self.worst[i], self.trials,
-                              witness=self.env or {})
+                              witness=dict(env))
         return None
 
 
@@ -421,12 +478,15 @@ def are_zero(exprs, seed: int = 0, trials: int = 32,
     is not zero, each result bit for bit what ``is_zero`` gives.
 
     Expressions with the same free symbols draw the same sample points, so
-    they are evaluated together: one tape over the union of their distinct
-    nodes, each evaluated once per point.  ``exprs`` is taken lazily at the
-    first point, up to the first expression that is not zero there; every
-    later point runs each tape only as far as the last root still needed.
-    Each tape is kept for a later call whose group starts with the same
-    expression, and dropped with that expression; it holds none alive.
+    they share their set's tape, which holds each distinct node once and,
+    for two seeds at most, the values of each point so far: each node is
+    evaluated once per point at a seed, across calls.  ``exprs`` is taken
+    lazily at the first point, up to the first expression that is not
+    zero there; every point runs a tape only from where its values end up
+    to the last root still needed.  A call at a third seed drops the
+    larger value set first.  Where a run stops at an entry that fails
+    before an expression's root, that expression is evaluated there on a
+    tape of its own.  The tapes hold no expression alive.
     """
     if not isinstance(trials, Integral) or trials < 1:
         raise ValueError(f"trials must be an integer of at least 1, "
@@ -442,8 +502,8 @@ def are_zero(exprs, seed: int = 0, trials: int = 32,
             g = groups[syms] = _Group(syms, seed, trials, tol)
         member.append((g, len(g.index)))
         g.add(e, len(out))
-        fault = _run(g.step.tape, g.env, g.val, g.sc, g.step.end)
-        out.append(g.judge(len(g.index) - 1, g.val, g.sc, fault))
+        g.run(0, len(g.index))
+        out.append(g.judge(len(g.index) - 1, 0))
         if out[-1] is not None:
             break
     # the expressions before ``cut`` are zero so far, the one at it is not
@@ -453,12 +513,9 @@ def are_zero(exprs, seed: int = 0, trials: int = 32,
             n = bisect_left(g.index, cut)       # members still needed
             if j >= g.trials or not n:
                 continue
-            g.env = sample_env(g.syms, g.rng)
-            val: list = []
-            sc: list = []
-            fault = _run(g.step.tape, g.env, val, sc, g.reach[n - 1] + 1)
+            g.run(j, n)
             for i in range(n):
-                got = g.judge(i, val, sc, fault)
+                got = g.judge(i, j)
                 if got is not None:
                     out[g.index[i]] = got
                     cut = g.index[i]

@@ -30,13 +30,14 @@ def acceptance_ledger():
 @pytest.fixture(autouse=True)
 def _empty_caches():
     """Each test starts with no metric's stages, no contraction, no
-    zero-test tape and no geodesic figure cached, so a test that counts
-    the work of a fresh metric or a fresh tape, or patches the kernel or
-    the integrator, sees that work whatever ran before."""
+    zero-test tape or sample value and no geodesic figure cached, so a
+    test that counts the work of a fresh metric or a fresh tape, or
+    patches the kernel or the integrator, sees that work whatever ran
+    before."""
     from kk6 import expr, tensor, verify, zeros
     tensor._stages_of.cache_clear()
     expr._CONTRACTED.clear()
-    zeros._KEPT.clear()
+    zeros._TAPES.clear()
     verify._geodesic_figure.cache_clear()
 
 

@@ -1,15 +1,18 @@
 """Grouped grading against the per-residual loop it replaced.
 
 ``verify._grade`` hands its residuals to ``zeros.are_zero``, which
-evaluates the residuals of one free-symbol set through one tape over the
-union of their nodes.  The oracle here is the grader as it was: a loop of
-single zero tests, each its own sampling loop over ``scaled_eval``,
-stopping at the first residual that is not zero.  Both must give the same
-outcome, record for record (floats compared by their bytes), on random
-residual lists with shared subtrees, interleaved symbol sets, literal
-zeros, overflows that fire only at later points, 1 to 32 trials and
-the positive rest mass among the symbols, and on the claims and
-refutation probes of the catalog."""
+evaluates the residuals of one free-symbol set, in any call, through one
+process-wide tape over the union of their nodes, and keeps the values of
+each sample point of a seed for later calls.  The oracle here is the
+grader as it was: a loop of single zero tests, each its own sampling loop
+over ``scaled_eval``, stopping at the first residual that is not zero.
+Both must give the same outcome, record for record (floats compared by
+their bytes), on random residual lists with shared subtrees, interleaved
+symbol sets, literal zeros, overflows that fire only at later points, zero
+bases at negative powers, 1 to 32 trials and the positive rest mass among
+the symbols, and on the claims and refutation probes of the catalog.  A
+sequence of calls at interleaved seeds must give what ``is_zero`` gives on
+emptied tapes."""
 import random
 import struct
 from fractions import Fraction
@@ -20,6 +23,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402,E501
 
 import kk6.verify as verify  # noqa: E402
+import kk6.zeros as zeros  # noqa: E402
 from kk6.expr import (  # noqa: E402
     MINUS_ONE, ONE, ZERO, EvalError, add, conj, coords, exp, free_symbols,
     mul, num, power, sqrt, sym,
@@ -102,18 +106,22 @@ _COEFFS = st.sampled_from((num(2), num(Fraction(-3, 4)),
 
 @st.composite
 def _part(draw, syms):
-    """A subtree over ``syms``: a polynomial, or one with an ``exp`` that
-    overflows at the sample points where ``c * s`` passes ~709.78."""
+    """A subtree over ``syms``: a polynomial, one with an ``exp`` that
+    overflows at the sample points where ``c * s`` passes ~709.78, or one
+    whose base ``sqrt(s^2) - s`` is 0 where ``s`` has a positive real part
+    (at every point for the positive m0) at a negative power."""
     if not syms:
         return draw(_COEFFS)
     s = draw(st.sampled_from(syms))
-    kind = draw(st.integers(0, 3))
+    kind = draw(st.integers(0, 4))
     if kind == 0:
         return add(mul(draw(_COEFFS), s), ONE)
     if kind == 1:
         return mul(s, *syms)
     if kind == 2:
         return sqrt(add(mul(s, conj(s)), ONE))
+    if kind == 3:
+        return power(add(sqrt(power(s, 2)), mul(MINUS_ONE, s)), -1)
     c = draw(st.sampled_from((360, 400, 420)))
     return exp(mul(num(c), s))
 
@@ -123,15 +131,10 @@ def _vanishing(a, b):
     return add(mul(a, add(b, ONE)), mul(MINUS_ONE, a, b), mul(MINUS_ONE, a))
 
 
-@st.composite
-def residual_lists(draw):
-    """Up to 9 labelled residuals from up to 4 interleaved symbol sets,
-    built from a few shared parts each: most vanish, some are tiny at a
-    few points only, some plainly nonzero, some literal zeros."""
-    sets = draw(st.lists(st.sampled_from(_SYMBOL_SETS), min_size=1,
-                         max_size=4))
-    parts = {syms: draw(st.lists(_part(syms), min_size=1, max_size=3))
-             for syms in sets}
+def _residuals(draw, sets, parts):
+    """Up to 9 labelled residuals over ``sets``, each from two of its
+    ``parts``: most vanish, some are tiny at a few points only, some
+    plainly nonzero, some literal zeros."""
     pairs = []
     for k in range(draw(st.integers(1, 9))):
         syms = draw(st.sampled_from(sets))
@@ -149,6 +152,21 @@ def residual_lists(draw):
             e = _vanishing(a, b)
         pairs.append((f"residual {k}", e))
     return pairs
+
+
+def _parts(draw):
+    """Up to 4 interleaved symbol sets and a few shared parts of each."""
+    sets = draw(st.lists(st.sampled_from(_SYMBOL_SETS), min_size=1,
+                         max_size=4))
+    return sets, {syms: draw(st.lists(_part(syms), min_size=1, max_size=3))
+                  for syms in sets}
+
+
+@st.composite
+def residual_lists(draw):
+    """Up to 9 labelled residuals from up to 4 interleaved symbol sets,
+    built from a few shared parts each."""
+    return _residuals(draw, *_parts(draw))
 
 
 @PROPERTY
@@ -189,9 +207,9 @@ _TRIALS = st.sampled_from((1, 2, 6, 32))
 def test_grading_with_kept_tapes_equals_the_per_residual_loop(
         pairs, other, shared, runs):
     # two lists that share their first residuals and diverge after them:
-    # the first run keeps each group's tape and branches it where the
-    # lists part, the second reads the kept tapes at another seed and
-    # sample count, and extends them where it grades further
+    # the first run extends each symbol set's tape with both lists and
+    # reads the shared residuals' values again, the second reads the kept
+    # tapes at another seed and sample count
     lists = (pairs, pairs[:shared + 1] + other)
     for seed, trials in runs:
         for ps in lists:
@@ -204,6 +222,37 @@ def test_grading_with_kept_tapes_equals_the_per_residual_loop(
                     _reference_is_zero(e, seed, trials)
                 assert _result(r) == (verdict, _bits(worst), samples,
                                       _env(witness), note)
+
+
+def _fresh_is_zero(e, seed, trials):
+    """``is_zero`` of ``e`` with the tapes emptied, the tapes left as they
+    were."""
+    kept = dict(zeros._TAPES)
+    zeros._TAPES.clear()
+    try:
+        return is_zero(e, seed, trials)
+    finally:
+        zeros._TAPES.clear()
+        zeros._TAPES.update(kept)
+
+
+@PROPERTY
+@given(st.data())
+def test_calls_at_interleaved_seeds_give_what_a_fresh_is_zero_gives(data):
+    # a sequence of calls over residuals formed anew from one pool of
+    # shared parts, at seeds drawn from a few: a call reads the values an
+    # earlier one left at its seed, or drops another seed's; a residual
+    # dropped after its call leaves dead entries, and a tape more than half
+    # dead is rebuilt.  Each result is what is_zero gives on empty tapes
+    sets, parts = _parts(data.draw)
+    seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=1,
+                               max_size=3, unique=True))
+    for _ in range(data.draw(st.integers(1, 6))):
+        seed, trials = data.draw(st.sampled_from(seeds)), data.draw(_TRIALS)
+        es = [e for _, e in _residuals(data.draw, sets, parts)]
+        got = are_zero(es, seed, trials)
+        for r, e in zip(got, es):
+            assert _result(r) == _result(_fresh_is_zero(e, seed, trials))
 
 
 # -- overflow at a later point, in a shared node and in an unshared one -----

@@ -29,6 +29,7 @@ from kk6.verify import (
 from kk6.tensor import identity_residual
 from kk6.zeros import are_zero, is_zero
 from test_golden_records import CASES
+from test_zeros import _evaluated, _once_per_point
 
 ALL_IDS = {
     "kg.reduction", "ricci.scalar.zero", "maxwell.reduction", "fsq.null",
@@ -861,6 +862,68 @@ def test_a_second_verify_pass_forms_no_contraction_again():
     for run in ALL_RUNS:
         alone = _in_fresh_interpreter(_RUNS_SCRIPT, json.dumps([run]), "1")
         assert got["records"][run[0]] == alone[run[0]], run[0]
+
+
+# One fresh interpreter runs every claim and probe at seed 0 and then at
+# seed 1 with the contraction memo's cap set to the first argument, and
+# counts each pass's misses.
+_EVICTION_SCRIPT = """
+import json, sys
+from collections import OrderedDict
+from kk6 import expr
+from kk6.verify import run_claim
+
+class Counted(OrderedDict):
+    stores = 0
+
+    def __setitem__(self, key, value):
+        Counted.stores += 1
+        super().__setitem__(key, value)
+
+expr._CONTRACTED_CAP = int(sys.argv[1])
+expr._CONTRACTED = Counted()
+misses = []
+for seed in (0, 1):
+    Counted.stores = 0
+    for label, cid, params in json.loads(sys.argv[2]):
+        run_claim(cid, seed=seed, params=params)
+    misses.append(Counted.stores)
+print(json.dumps(misses))
+"""
+
+
+def test_a_memo_that_fills_up_keeps_what_the_next_pass_asks_for():
+    # a memo a few entries short of the cold pass's distinct contractions
+    # drops the oldest ones, which are entries the modes keep, such as the
+    # half-spin stress tensors that _check_dirac forms before its
+    # residuals; the next pass forms none again.  Formed after the
+    # residuals, the stress tensors would outlive residuals that the next
+    # pass asks for (a cap 4 to 17 short fails then)
+    runs = json.dumps(ALL_RUNS)
+    distinct, _ = _in_fresh_interpreter(_EVICTION_SCRIPT, str(10**6), runs)
+    cold, warm = _in_fresh_interpreter(_EVICTION_SCRIPT, str(distinct - 9),
+                                       runs)
+    assert cold == distinct
+    assert warm == 0
+
+
+def test_a_verify_pass_evaluates_each_tape_entry_once_per_point(
+        monkeypatch):
+    # the grading calls of a pass share a tape per symbol set and the
+    # values of each of its points: at one seed no entry is evaluated twice
+    # at one point, although the metrics' singularity checks grade at seed
+    # 0 between the pass's calls, and a second pass at another seed builds
+    # no entry
+    from kk6 import zeros
+    runs = _evaluated(monkeypatch)
+    built = []
+    for seed in (7001, 7002):
+        for label, cid, params in ALL_RUNS:
+            run_claim(cid, seed=seed, params=params)
+        built.append(sum(len(t.entries) for t in zeros._TAPES.values()))
+    assert _once_per_point(runs) > 0
+    assert built[0] == built[1]
+    assert all(tape.gen == 0 for tape in zeros._TAPES.values())
 
 
 @pytest.fixture

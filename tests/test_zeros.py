@@ -181,26 +181,66 @@ def test_a_graded_expression_is_not_kept_alive():
     assert [r() for r in refs] == [None, None]
 
 
+def _tape_of(e):
+    from kk6 import zeros
+    from kk6.expr import free_symbols
+    return zeros._TAPES[free_symbols(e)]
+
+
+def _evaluated(monkeypatch):
+    """Patch the tape interpreter to record, for each run of a shared
+    tape, its seed, point and the slots it evaluated there."""
+    from kk6 import zeros
+    runs = []
+    original = zeros._run
+
+    def run(entries, values, val, sc, stop):
+        start = len(val)
+        fault = original(entries, values, val, sc, stop)
+        for t in zeros._TAPES.values():
+            for seed, pts in t.held.items():
+                for j, v in enumerate(pts.vals):
+                    if v is val:
+                        runs.append((id(t), seed, j, range(start, len(val))))
+        return fault
+    monkeypatch.setattr(zeros, "_run", run)
+    return runs
+
+
+def _once_per_point(runs):
+    # no slot of one tape is evaluated twice at one point of one seed
+    seen = set()
+    for t, seed, j, slots in runs:
+        for s in slots:
+            assert (t, seed, j, s) not in seen
+            seen.add((t, seed, j, s))
+    return len(seen)
+
+
 def test_a_kept_tape_keeps_no_member_alive():
-    # the second member holds the first as a subtree, so a kept tape that
-    # held it would keep its own anchor alive: with the cyclic collector
-    # off, both die as soon as the caller drops them, and the tape with them
+    # the second residual holds the first as a subtree, so a tape that held
+    # it would keep it alive: with the cyclic collector off, both die as
+    # soon as the caller drops them, and their slots with them; the nodes
+    # held elsewhere, such as this module's symbols, keep theirs
     import gc
     import weakref
-    from kk6 import zeros
     e = _vanishing(mul(x0, exp(x2)), add(x1, num(918275)))
     f = add(exp(e), MINUS_ONE)
     assert any(e in _kids(k) for k in _kids(f))
     for seed in (0, 1):       # the second call reads the kept tape
         assert [r.verdict for r in are_zero([e, f], seed)] == ["zero"] * 2
-    assert list(zeros._KEPT) == [e]
+    tape = _tape_of(e)
+    assert len(tape.slot) == len(tape.entries) == len(_nodes(e, f))
     refs = [weakref.ref(e), weakref.ref(f)]
+    nodes = [weakref.ref(n) for n in _nodes(e, f)]
     enabled = gc.isenabled()
     gc.disable()
     try:
         del e, f
         assert [r() for r in refs] == [None, None]
-        assert len(zeros._KEPT) == 0
+        alive = [n() for n in nodes if n() is not None]
+        assert len(tape.slot) == len(alive) < len(nodes)
+        del alive
     finally:
         if enabled:
             gc.enable()
@@ -214,13 +254,12 @@ def test_a_group_tape_holds_each_distinct_node_once():
     root = sqrt(add(mul(x0, x1), ONE))
     e, f = _vanishing(root, x0), _vanishing(root, x1)
     assert [r.verdict for r in are_zero([e, f])] == ["zero"] * 2
-    first = zeros._KEPT[e]
-    (second,) = first.next
-    assert first.end == len(_nodes(e))
-    assert second.end == len(_nodes(e, f))
-    tape = second.tape[:second.end]
-    assert sum(op == zeros._SQRT for op, _, _ in tape) == 1
-    for i, (op, arg, _) in enumerate(tape):
+    tape = _tape_of(e)
+    assert len(tape.entries) == len(_nodes(e, f))
+    assert tape.slot[e] == len(_nodes(e)) - 1
+    assert tape.slot[f] == len(tape.entries) - 1
+    assert sum(op == zeros._SQRT for op, _, _ in tape.entries) == 1
+    for i, (op, arg, _) in enumerate(tape.entries):
         kids = arg if isinstance(arg, tuple) else () if arg is None else (arg,)
         assert all(k < i for k in kids)
 
@@ -240,8 +279,8 @@ def test_are_zero_takes_its_expressions_lazily():
 
 
 def test_later_points_run_a_tape_only_as_far_as_needed(monkeypatch):
-    # once the second member is not zero at the first point, the later
-    # points run only the first member's entries
+    # once the second residual is not zero at the first point, the later
+    # points run only the first residual's entries
     from kk6 import zeros
     stops = []
 
@@ -252,14 +291,31 @@ def test_later_points_run_a_tape_only_as_far_as_needed(monkeypatch):
     monkeypatch.setattr(zeros, "_run", run)
     e, f = _vanishing(x0, x1), add(mul(x0, x1), ONE, x0)
     assert [r.verdict for r in are_zero([e, f])] == ["zero", "nonzero"]
-    first = zeros._KEPT[e]
-    assert first.next[0].end > first.end == first.root + 1
-    assert stops == [first.end, first.next[0].end] + [first.end] * 31
+    tape = _tape_of(e)
+    assert tape.slot[f] == len(tape.entries) - 1 > tape.slot[e]
+    assert stops == [tape.slot[e] + 1, tape.slot[f] + 1] + \
+        [tape.slot[e] + 1] * 31
+
+
+def test_calls_at_one_seed_evaluate_a_shared_subtree_once_per_point(
+        monkeypatch):
+    # f and g share e: the second call reads e's values at every point and
+    # evaluates only its own entries; a third call at the same seed
+    # evaluates nothing
+    runs = _evaluated(monkeypatch)
+    e = _vanishing(sqrt(add(mul(x0, x1), ONE)), x0)
+    f, g = _vanishing(e, x1), _vanishing(e, add(x1, ONE))
+    assert [r.verdict for r in are_zero([f])] == ["zero"]
+    assert _once_per_point(runs) == 32 * len(_nodes(f))
+    assert [r.verdict for r in are_zero([g])] == ["zero"]
+    assert _once_per_point(runs) == 32 * len(_nodes(f, g))
+    assert are_zero([f, g]) == [is_zero(f), is_zero(g)]
+    assert _once_per_point(runs) == 32 * len(_nodes(f, g))
 
 
 def test_a_second_call_reads_the_kept_tape(monkeypatch):
-    # the same residuals at another seed build no entry; a group that
-    # parts from the kept one branches where it parts
+    # the same residuals at another seed build no entry; a residual the
+    # tape does not hold adds only the entries of its new nodes
     from kk6 import zeros
     e, f, g = (_vanishing(x0, b) for b in (x1, mul(x0, x1), add(x1, ONE)))
     are_zero([e, f], seed=0)
@@ -270,30 +326,118 @@ def test_a_second_call_reads_the_kept_tape(monkeypatch):
     assert [r.verdict for r in are_zero([e, f], seed=1)] == ["zero"] * 2
     assert built == []
     assert [r.verdict for r in are_zero([e, g], seed=2)] == ["zero"] * 2
-    first = zeros._KEPT[e]
-    assert [s.ref() for s in first.next] == [f, g]
-    assert len(built) == first.next[1].end - first.end > 0
+    assert len(built) == len(_nodes(e, f, g)) - len(_nodes(e, f)) > 0
 
 
-def test_a_dead_branch_is_dropped_at_the_next_branch():
-    # a member that has died can never be matched again: the next branch
-    # from the same place drops its step
+def test_a_tape_holds_the_values_of_two_seeds_and_drops_the_larger():
+    # a small check at seed 9 between calls at seed 0 leaves seed 0's
+    # values; a third seed drops seed 0's, the larger set
+    e = _vanishing(sqrt(add(mul(x0, x1), ONE)), x0)
+    small = add(x0, x1)
+    are_zero([e], seed=0)
+    tape = _tape_of(e)
+    kept = tape.held[0]
+    assert is_zero(small, seed=9, trials=4).verdict == "nonzero"
+    assert set(tape.held) == {0, 9}
+    assert tape.at(0) is kept
+    assert are_zero([e], seed=3)[0] == is_zero(e, seed=3)
+    assert set(tape.held) == {9, 3}
+
+
+def test_a_half_dead_tape_is_rebuilt(monkeypatch):
+    # once more than half of the entries belong to dead nodes, the next
+    # call rebuilds the tape from the live ones, each after its children,
+    # and keeps their values: the live residual is evaluated no further
+    import gc
     from kk6 import zeros
-    e, f, g = (_vanishing(x0, b) for b in (x1, mul(x0, x1), add(x1, ONE)))
-    are_zero([e, f])
-    first = zeros._KEPT[e]
-    assert first.next[0].tape is first.tape    # extended in place
+    e = _vanishing(x0, x1)
+    f = _vanishing(_vanishing(sqrt(add(mul(x0, x1, x1), num(918276))),
+                              exp(mul(num(7), x1))), add(x0, num(918279)))
+    assert [r.verdict for r in are_zero([e, f])] == ["zero"] * 2
+    tape = _tape_of(e)
     del f
-    are_zero([e, g])
-    (step,) = first.next
-    assert step.ref() is g
-    assert step.end - first.end == len(_nodes(e, g)) - len(_nodes(e))
+    gc.collect()
+    assert 2 * len(tape.slot) < len(tape.entries)
+    runs = _evaluated(monkeypatch)
+    assert are_zero([e]) == [is_zero(e)]
+    assert runs == []
+    assert tape.gen == 1
+    assert len(tape.entries) == len(tape.slot) < 2 * len(_nodes(e))
+    assert _nodes(e) <= set(tape.slot)
+    for i, (op, arg, _) in enumerate(tape.entries):
+        kids = arg if isinstance(arg, tuple) else () if arg is None else (arg,)
+        assert all(k < i for k in kids)
+    assert [len(v) for v in tape.held[0].vals] == [len(tape.entries)] * 32
+    zeros._TAPES.clear()
+    assert are_zero([e]) == [is_zero(e)]
+
+
+def test_a_fault_in_another_calls_slot_leaves_later_results_as_is_zero():
+    # the first call's residual fails at every point (m0 is sampled
+    # positive, so its base is 0); the second call's residual lies after
+    # it on the tape and does not hold it, so it is evaluated on a tape of
+    # its own at each point, and is zero as a lone is_zero finds it
+    from kk6 import zeros
+    inverse = power(sqrt(power(m0, 2)) - m0, -1)
+    bad = add(inverse, x0)
+    good = _vanishing(x0, m0)
+    first = are_zero([bad])
+    assert first[0].verdict == "inconclusive"
+    assert first[0].note.startswith("zero base at negative power in ")
+    tape = _tape_of(bad)
+    got = are_zero([good])
+    assert tape.slot[good] > tape.slot[bad]
+    # every point stops at the failing entry
+    assert [len(v) for v in tape.held[0].vals] == [tape.slot[inverse]] * 32
+    worse = _vanishing(inverse, x0)     # holds it
+    later = are_zero([good, worse])
+    zeros._TAPES.clear()
+    assert got == [is_zero(good)]
+    assert got[0].verdict == "zero"
+    zeros._TAPES.clear()
+    assert later == [is_zero(good), is_zero(worse)]
+    assert later[1].note == first[0].note
+
+
+def test_a_call_made_while_exprs_is_taken_changes_no_result(monkeypatch):
+    # the residuals' own generator grades the same symbol set at another
+    # seed, after the tape's dead entries make it rebuild: the outer call
+    # reads its points again and finds each root at its new slot, so it
+    # evaluates nothing on a tape of its own
+    import gc
+    from kk6 import zeros
+    shared = []
+    original = zeros._extend
+
+    def extend(tape, slot, e):
+        shared.append(any(tape is t.entries for t in zeros._TAPES.values()))
+        return original(tape, slot, e)
+    monkeypatch.setattr(zeros, "_extend", extend)
+    held = [_vanishing(_vanishing(sqrt(add(mul(x0, x1, x1), num(918277))),
+                                  exp(x1)), add(x0, num(3)))]
+    e, g = _vanishing(x0, x1), _vanishing(mul(x0, x1), x1)
+    are_zero([held[0], e], seed=4)
+    tape = _tape_of(e)
+    before = tape.slot[e]
+
+    def exprs():
+        yield e
+        held.clear()
+        gc.collect()
+        assert 2 * len(tape.slot) < len(tape.entries)
+        assert is_zero(add(x0, x1), seed=5, trials=2).verdict == "nonzero"
+        assert tape.gen == 1
+        assert tape.slot[e] < before
+        yield g
+    got = are_zero(exprs(), seed=4)
+    assert shared and all(shared)
+    zeros._TAPES.clear()
+    assert got == [is_zero(e, seed=4), is_zero(g, seed=4)]
 
 
 def test_a_branch_leaves_the_other_branches_entries_as_they_are():
-    # the repeated e adds no entry, so its step ends where its tape list
-    # does until h extends that list in place; a branch after the repeated
-    # e must then copy, not cut h's entries, which the last call reads
+    # the repeated e adds no entry, h and k extend the one tape after it,
+    # and the last call reads h's entries again at another seed
     e, h, k = (_vanishing(x0, b) for b in (x1, mul(x0, x1), add(x1, ONE)))
     for seed, exprs in enumerate(([e, e], [e, h], [e, e, k], [e, h])):
         got = are_zero(exprs, seed)
