@@ -64,11 +64,14 @@ calls of a pass leaves the pass's values, and the next pass's seed drops
 them; the values live until they are dropped so.  The tape holds no
 expression alive: its entries hold symbol names and numbers, and it finds
 its nodes through a weak map from node to slot.  Once more than half of
-its entries belong to nodes that have died, it is rebuilt from the live
-ones, their values kept, so it cannot grow without bound.
+its entries belong to nodes that have died, the next call starts the set
+afresh on a new tape, so no tape grows without bound.  A call keeps the
+tape and the points it began with to its end, so a call made while its
+expressions are taken, which can start the set afresh or drop the seed,
+changes none of its results.
 A run of a shared tape stops at its first entry that fails, which can
 belong to another expression.  A member whose root lies past that entry
-is evaluated at that point on a private tape of its own nodes, as
+is evaluated at that point alone by :func:`scaled_eval`, as
 :func:`is_zero` of it alone evaluates it, so its note names the first
 node that fails in its own post-order, and every result, witness and note
 is bit for bit what :func:`is_zero` of that expression alone gives.
@@ -82,7 +85,7 @@ import weakref
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import islice
 from numbers import Integral, Real
 from typing import Mapping
 
@@ -330,27 +333,19 @@ class _Points:
         if len(self.vals[j]) < stop:
             _run(tape.entries, self.envs[j], self.vals[j], self.scs[j], stop)
 
-    def keep(self, kept: list) -> None:
-        """Keep the values of the old slots ``kept`` (ascending), which
-        become slots 0, 1, ... in turn."""
-        for j, val in enumerate(self.vals):
-            ok = kept[:bisect_left(kept, len(val))]
-            self.vals[j] = [val[s] for s in ok]
-            self.scs[j] = array("d", [self.scs[j][s] for s in ok])
-
 
 class _Tape:
     """The process-wide tape of one free-symbol set: each distinct node's
     entry once, found through ``slot``, a weak map from node to slot;
-    ``gen`` counts its rebuilds and ``held`` maps a seed to its points."""
+    ``held`` maps a seed to its points.  The entries of nodes that have
+    died stay until the set starts afresh on a new tape."""
 
-    __slots__ = ("syms", "slot", "entries", "gen", "held")
+    __slots__ = ("syms", "slot", "entries", "held")
 
     def __init__(self, syms) -> None:
         self.syms = sorted(syms, key=lambda s: s.name)
         self.slot: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self.entries: list = []
-        self.gen = 0
         self.held: dict = {}
 
     def at(self, seed: int) -> _Points:
@@ -366,49 +361,33 @@ class _Tape:
             pts = self.held[seed] = _Points(seed)
         return pts
 
-    def rebuild(self) -> None:
-        """Drop the entries of the nodes that have died, and their values;
-        the live ones keep their order.  Each live node's children are
-        alive, so they come before it again."""
-        live = sorted((s, node) for node, s in self.slot.items())
-        slot: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-        entries: list = []
-        for _, node in live:
-            slot[node] = len(entries)
-            entries.append(_entry(node, slot))
-        self.slot, self.entries = slot, entries
-        for pts in self.held.values():
-            pts.keep([s for s, _ in live])
-        self.gen += 1
-
 
 # The tapes, one per free-symbol set that any call has graded.
 _TAPES: dict = {}
 
 
 def _tape(syms) -> _Tape:
-    """The tape of ``syms``, rebuilt first once more than half of its
-    entries belong to nodes that have died."""
+    """The tape of ``syms``, a new one in place of a tape more than half of
+    whose entries belong to nodes that have died."""
     tape = _TAPES.get(syms)
-    if tape is None:
+    if tape is None or 2 * len(tape.slot) < len(tape.entries):
         tape = _TAPES[syms] = _Tape(syms)
-    elif 2 * len(tape.slot) < len(tape.entries):
-        tape.rebuild()
     return tape
 
 
 class _Group:
     """The expressions of one free-symbol set in an :func:`are_zero` run,
-    on that set's tape and the points of the run's seed.  Member ``i`` is
-    expression ``index[i]`` of the run, its value is at slot ``root[i]``,
-    ``reach[i]`` is the largest root of members 0..i and ``worst[i]`` its
-    largest residual so far."""
+    on that set's tape and the points of the run's seed, both taken when
+    the group is made and kept to the run's end: a call made while
+    ``exprs`` is taken can start the set afresh on a new tape or drop the
+    seed's points, and the run goes on with the ones it holds.  Member
+    ``i`` is expression ``index[i]`` of the run, its value is at slot
+    ``root[i]``, ``reach[i]`` is the largest root of members 0..i and
+    ``worst[i]`` its largest residual so far."""
 
     def __init__(self, syms, seed: int, trials: int, tol: float) -> None:
         self.tape = _tape(syms)
-        self.seed = seed
-        self.gen = self.tape.gen
-        self.pts: _Points | None = None     # of the run's seed
+        self.pts = self.tape.at(seed)
         self.tol = tol
         self.trials = trials if syms else 1
         self.exprs: list = []
@@ -417,20 +396,7 @@ class _Group:
         self.reach: list = []
         self.worst: list = []
 
-    def _sync(self) -> _Points:
-        """The points of the run's seed, and each member's root again if
-        the tape was rebuilt since: a call made while ``exprs`` is taken
-        can drop those points or rebuild the tape."""
-        tape = self.tape
-        if self.gen != tape.gen:
-            self.gen = tape.gen
-            self.root = [tape.slot[e] for e in self.exprs]
-            self.reach = list(accumulate(self.root, max))
-        self.pts = tape.at(self.seed)
-        return self.pts
-
     def add(self, e: Expr, index: int) -> None:
-        self._sync()
         tape = self.tape
         root = tape.slot.get(e)
         if root is None:
@@ -444,7 +410,7 @@ class _Group:
 
     def run(self, j: int, n: int) -> None:
         """Point ``j``'s values as far as members 0..n-1 need."""
-        self._sync().run(self.tape, j, self.reach[n - 1] + 1)
+        self.pts.run(self.tape, j, self.reach[n - 1] + 1)
 
     def judge(self, i: int, j: int) -> ZeroResult | None:
         """Member ``i``'s result if it is not zero at point ``j``, else
@@ -455,15 +421,12 @@ class _Group:
         if root < len(val):
             v, s = val[root], pts.scs[j][root]
         else:
-            own: list = []
-            order = _extend(own, {}, self.exprs[i])
-            val, sc = [], []
-            fault = _run(own, env, val, sc, len(own))
-            if fault is not None:
-                note = f"{fault} in {_note_text(order[len(val)])}"
+            try:
+                v, s = scaled_eval(self.exprs[i], env)
+            except EvalError as err:
+                note = f"{err} in {_note_text(err.subtree)}"
                 return ZeroResult("inconclusive", self.worst[i], self.trials,
                                   witness=dict(env) or None, note=note)
-            v, s = val[-1], sc[-1]
         resid = abs(v) / (1.0 + s)
         self.worst[i] = max(self.worst[i], resid)
         if resid >= self.tol:
@@ -484,9 +447,12 @@ def are_zero(exprs, seed: int = 0, trials: int = 32,
     lazily at the first point, up to the first expression that is not
     zero there; every point runs a tape only from where its values end up
     to the last root still needed.  A call at a third seed drops the
-    larger value set first.  Where a run stops at an entry that fails
-    before an expression's root, that expression is evaluated there on a
-    tape of its own.  The tapes hold no expression alive.
+    larger value set first, and a call that finds its set's tape more than
+    half dead starts the set afresh on a new tape; a call keeps the tape
+    and points it began with to its end.  Where a run stops at an entry
+    that fails before an expression's root, that expression is evaluated
+    there alone by :func:`scaled_eval`.  The tapes hold no expression
+    alive.
     """
     if not isinstance(trials, Integral) or trials < 1:
         raise ValueError(f"trials must be an integer of at least 1, "

@@ -243,7 +243,8 @@ def test_calls_at_interleaved_seeds_give_what_a_fresh_is_zero_gives(data):
     # shared parts, at seeds drawn from a few: a call reads the values an
     # earlier one left at its seed, or drops another seed's; a residual
     # dropped after its call leaves dead entries, and a tape more than half
-    # dead is rebuilt.  Each result is what is_zero gives on empty tapes
+    # dead is started afresh.  Each result is what is_zero gives on empty
+    # tapes
     sets, parts = _parts(data.draw)
     seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=1,
                                max_size=3, unique=True))
@@ -253,6 +254,46 @@ def test_calls_at_interleaved_seeds_give_what_a_fresh_is_zero_gives(data):
         got = are_zero(es, seed, trials)
         for r, e in zip(got, es):
             assert _result(r) == _result(_fresh_is_zero(e, seed, trials))
+
+
+def test_a_call_at_a_third_seed_inside_exprs_starts_the_set_afresh():
+    # the property's fresh start, on every run: calls at two seeds leave
+    # residuals that die, then a call at the first seed grades the same
+    # symbol set at a third seed from inside its generator, finds the tape
+    # more than half dead and starts the set afresh; the outer call goes
+    # on with the tape it began with, through an exp overflow at a later
+    # point and a zero base at a negative power
+    import gc
+    poly = add(mul(num(2), X0), ONE)
+    root = sqrt(add(mul(M0, conj(M0)), ONE))
+    inverse = power(add(sqrt(power(M0, 2)), mul(MINUS_ONE, M0)), -1)
+    dead = [_vanishing(add(poly, num(918300 + k)), mul(root, X0))
+            for k in range(6)]
+    for seed in (11, 12):
+        assert [r.verdict for r in are_zero(dead, seed)] == ["zero"] * 6
+    syms = free_symbols(add(poly, M0))
+    tape = zeros._TAPES[syms]
+    del dead
+    gc.collect()
+    outer = [_vanishing(poly, M0), _vanishing(exp(mul(num(420), X0)), root),
+             _vanishing(inverse, X0)]
+    inner = [_vanishing(root, poly), _vanishing(mul(inverse, X0), M0)]
+    got_inner = []
+
+    def exprs():
+        yield outer[0]
+        assert 2 * len(tape.slot) < len(tape.entries)
+        got_inner.extend(are_zero(inner, 13))
+        assert zeros._TAPES[syms] is not tape
+        yield from outer[1:]
+    got = are_zero(exprs(), 11)
+    assert [r.verdict for r in got] == ["zero", "inconclusive"]
+    assert got[1].note == "exp overflow in exp(420*x0)"
+    assert [r.verdict for r in got_inner] == ["zero", "inconclusive"]
+    for r, e in zip(got, outer):
+        assert _result(r) == _result(_fresh_is_zero(e, 11, 32))
+    for r, e in zip(got_inner, inner):
+        assert _result(r) == _result(_fresh_is_zero(e, 13, 32))
 
 
 # -- overflow at a later point, in a shared node and in an unshared one -----

@@ -1,5 +1,7 @@
 """Claim catalog semantics: verdicts, witnesses, seed stability, and the
 serialized report format."""
+import contextlib
+import io
 import json
 import os
 import re
@@ -17,6 +19,7 @@ import kk6.verify
 from kk6.ansatz import (
     AnsatzError, dirac_metric, photon_metric, weak_field_block,
 )
+from kk6.cli import main
 from kk6.expr import ONE, ZERO, num
 from kk6.report import (
     CONDITIONAL, CONFIRMED, INCONCLUSIVE, REFUTED, ClaimReport, Report,
@@ -28,7 +31,7 @@ from kk6.verify import (
 )
 from kk6.tensor import identity_residual
 from kk6.zeros import are_zero, is_zero
-from test_golden_records import CASES
+from test_golden_records import CASES, CURVATURE
 from test_zeros import _evaluated, _once_per_point
 
 ALL_IDS = {
@@ -913,17 +916,40 @@ def test_a_verify_pass_evaluates_each_tape_entry_once_per_point(
     # values of each of its points: at one seed no entry is evaluated twice
     # at one point, although the metrics' singularity checks grade at seed
     # 0 between the pass's calls, and a second pass at another seed builds
-    # no entry
+    # no entry and starts no symbol set afresh
     from kk6 import zeros
     runs = _evaluated(monkeypatch)
     built = []
+    tapes = []
     for seed in (7001, 7002):
         for label, cid, params in ALL_RUNS:
             run_claim(cid, seed=seed, params=params)
         built.append(sum(len(t.entries) for t in zeros._TAPES.values()))
+        tapes.append(dict(zeros._TAPES))
     assert _once_per_point(runs) > 0
     assert built[0] == built[1]
-    assert all(tape.gen == 0 for tape in zeros._TAPES.values())
+    assert _same_tapes(*tapes)
+
+
+def _same_tapes(first: dict, second: dict) -> bool:
+    """Whether ``second`` holds the very tape objects of ``first``."""
+    return first.keys() == second.keys() and \
+        all(second[syms] is tape for syms, tape in first.items())
+
+
+def test_a_second_curvature_pass_starts_no_symbol_set_afresh():
+    # the benchmark's eight ``kk6 curvature`` inputs at one seed, then at
+    # the next: the second pass finds the tapes the first one left
+    from kk6 import zeros
+    tapes = []
+    for seed in (7001, 7002):
+        for aid, args in CURVATURE.items():
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["curvature", f"ansatz={aid}", *args,
+                             f"--seed={seed}"]) == 0
+        tapes.append(dict(zeros._TAPES))
+    assert tapes[0]
+    assert _same_tapes(*tapes)
 
 
 @pytest.fixture

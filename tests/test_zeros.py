@@ -344,10 +344,10 @@ def test_a_tape_holds_the_values_of_two_seeds_and_drops_the_larger():
     assert set(tape.held) == {9, 3}
 
 
-def test_a_half_dead_tape_is_rebuilt(monkeypatch):
+def test_a_half_dead_tape_is_started_afresh():
     # once more than half of the entries belong to dead nodes, the next
-    # call rebuilds the tape from the live ones, each after its children,
-    # and keeps their values: the live residual is evaluated no further
+    # call starts the set afresh: its new tape holds the live residual's
+    # nodes alone, each after its children, and no dead entry
     import gc
     from kk6 import zeros
     e = _vanishing(x0, x1)
@@ -358,18 +358,16 @@ def test_a_half_dead_tape_is_rebuilt(monkeypatch):
     del f
     gc.collect()
     assert 2 * len(tape.slot) < len(tape.entries)
-    runs = _evaluated(monkeypatch)
-    assert are_zero([e]) == [is_zero(e)]
-    assert runs == []
-    assert tape.gen == 1
-    assert len(tape.entries) == len(tape.slot) < 2 * len(_nodes(e))
-    assert _nodes(e) <= set(tape.slot)
-    for i, (op, arg, _) in enumerate(tape.entries):
+    got = are_zero([e])
+    fresh = _tape_of(e)
+    assert fresh is not tape
+    assert set(fresh.slot) == _nodes(e)
+    assert len(fresh.entries) == len(_nodes(e))
+    for i, (op, arg, _) in enumerate(fresh.entries):
         kids = arg if isinstance(arg, tuple) else () if arg is None else (arg,)
         assert all(k < i for k in kids)
-    assert [len(v) for v in tape.held[0].vals] == [len(tape.entries)] * 32
     zeros._TAPES.clear()
-    assert are_zero([e]) == [is_zero(e)]
+    assert got == [is_zero(e)]
 
 
 def test_a_fault_in_another_calls_slot_leaves_later_results_as_is_zero():
@@ -401,24 +399,27 @@ def test_a_fault_in_another_calls_slot_leaves_later_results_as_is_zero():
 
 def test_a_call_made_while_exprs_is_taken_changes_no_result(monkeypatch):
     # the residuals' own generator grades the same symbol set at another
-    # seed, after the tape's dead entries make it rebuild: the outer call
-    # reads its points again and finds each root at its new slot, so it
-    # evaluates nothing on a tape of its own
+    # seed once the tape is more than half dead, so that call starts the
+    # set afresh: the outer call ends on the tape it began with, each
+    # member's root where it was added, and evaluates nothing alone
     import gc
     from kk6 import zeros
-    shared = []
-    original = zeros._extend
-
-    def extend(tape, slot, e):
-        shared.append(any(tape is t.entries for t in zeros._TAPES.values()))
-        return original(tape, slot, e)
-    monkeypatch.setattr(zeros, "_extend", extend)
     held = [_vanishing(_vanishing(sqrt(add(mul(x0, x1, x1), num(918277))),
                                   exp(x1)), add(x0, num(3)))]
     e, g = _vanishing(x0, x1), _vanishing(mul(x0, x1), x1)
     are_zero([held[0], e], seed=4)
     tape = _tape_of(e)
     before = tape.slot[e]
+    judged, alone = [], []
+    judge = zeros._Group.judge
+
+    def spy(group, i, j):
+        judged.append((group.tape, group.exprs[i], group.root[i]))
+        return judge(group, i, j)
+    monkeypatch.setattr(zeros._Group, "judge", spy)
+    monkeypatch.setattr(zeros, "scaled_eval",
+                        lambda *args: alone.append(args) or
+                        scaled_eval(*args))
 
     def exprs():
         yield e
@@ -426,11 +427,14 @@ def test_a_call_made_while_exprs_is_taken_changes_no_result(monkeypatch):
         gc.collect()
         assert 2 * len(tape.slot) < len(tape.entries)
         assert is_zero(add(x0, x1), seed=5, trials=2).verdict == "nonzero"
-        assert tape.gen == 1
-        assert tape.slot[e] < before
+        assert _tape_of(e) is not tape
         yield g
     got = are_zero(exprs(), seed=4)
-    assert shared and all(shared)
+    outer = [(t, x, root) for t, x, root in judged if x in (e, g)]
+    assert len(outer) == 2 * 32
+    assert all(t is tape and root == tape.slot[x] for t, x, root in outer)
+    assert tape.slot[e] == before
+    assert alone == []
     zeros._TAPES.clear()
     assert got == [is_zero(e, seed=4), is_zero(g, seed=4)]
 
