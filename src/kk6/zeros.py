@@ -61,8 +61,8 @@ the roots already evaluated and runs a point only from where its values
 end up to the last root still needed.  A call at a third seed first drops
 the larger of the two value sets: a check at a fixed seed between the
 calls of a pass leaves the pass's values, and the next pass's seed drops
-them; the values live until they are dropped so.  The tape holds no
-expression alive: its entries hold symbol names and numbers, and it finds
+them; the values live until they are dropped so, or until the set
+starts afresh.  The tape holds no expression alive: its entries hold symbol names and numbers, and it finds
 its nodes through a weak map from node to slot.  Once more than half of
 its entries belong to nodes that have died, the next call starts the set
 afresh on a new tape, so no tape grows without bound.  A call keeps the
