@@ -222,8 +222,9 @@ def integrate(initial: GeodesicState, tau_end: float, steps: int,
     with ``aborted`` set; so does an overflow, a pole or a non-finite
     connection inside a step.  The step enters each product as the
     complex h + 0j, so a component that is an exact -0.0 may read +0.0
-    after a step.  Fewer than 2 steps, or an affine span tau_end - tau
-    that is zero or not finite, is refused.
+    after a step.  Fewer than 2 steps, an affine span tau_end - tau that
+    is zero or not finite, or a step whose reciprocal overflows, is
+    refused.
 
     Each state is the one the dense form (numpy arrays and ``einsum``
     over all 216 entries) gives, bit for bit, except in a step whose
@@ -242,6 +243,9 @@ def integrate(initial: GeodesicState, tau_end: float, steps: int,
     if not math.isfinite(span) or h == 0:
         raise DynamicsError(
             f"need a finite nonzero affine span, got tau_end - tau = {span!r}")
+    if not math.isfinite(1 / h):
+        raise DynamicsError(f"need a step of at least 1/DBL_MAX in magnitude, "
+                            f"got (tau_end - tau) / steps = {h!r}")
     if len(initial.x) != DIM or len(initial.v) != DIM:
         raise DynamicsError("a state has six coordinates and six velocities")
     # the dense form's arithmetic, operation for operation: numpy makes

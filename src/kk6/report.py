@@ -4,7 +4,8 @@ A claim check produces a ``ClaimReport``; a run produces a ``Report``
 wrapping the records plus the resolved configuration.  Serialization uses
 a fixed key order with all timing data isolated under one ``timing`` key,
 so two runs with identical config and seed emit byte-identical JSON once
-that single key is dropped.
+that single key is dropped.  The JSON is strict: a non-finite number
+raises ``ValueError`` instead of being written as ``NaN`` or ``Infinity``.
 """
 from __future__ import annotations
 
@@ -95,4 +96,4 @@ def report_dict(rep: Report) -> dict:
 
 
 def to_json(rep: Report) -> str:
-    return json.dumps(report_dict(rep), indent=2) + "\n"
+    return json.dumps(report_dict(rep), indent=2, allow_nan=False) + "\n"

@@ -226,6 +226,10 @@ def read_params(spec: dict, given: dict, reader: str) -> dict:
     if "tau_end" in out:        # the geodesic command
         if not float(out["tau_end"]) > 0:
             raise ClaimParamError("tau_end must be positive")
+        h = float(out["tau_end"]) / out["steps"]
+        if h == 0 or not math.isfinite(1 / h):  # integrate's 1/h, finite
+            raise ClaimParamError("tau_end/steps must be at least 1/DBL_MAX "
+                                  "(about 5.6e-309)")
         if float(out["m0"]) == 0:
             raise ClaimParamError("geodesic integration needs m0 != 0 (the "
                                   "compact phase degenerates otherwise)")

@@ -52,23 +52,22 @@ inconclusive verdict with a note naming the subtree (its text cut after
 unchanged.
 
 Expressions with the same free symbols draw the same sample points at a
-seed, so all of them, in any call, share one process-wide tape per
-free-symbol set: an expression adds only the nodes the tape does not hold
-yet.  For two seeds at most, the tape also holds each sample point drawn
-so far and the values and scales of its first entries there, so at one
-seed each node is evaluated once per point, across calls.  A call reads
-the roots already evaluated and runs a point only from where its values
-end up to the last root still needed.  A call at a third seed first drops
-the larger of the two value sets: a check at a fixed seed between the
-calls of a pass leaves the pass's values, and the next pass's seed drops
-them; the values live until they are dropped so, or until the set
-starts afresh.  The tape holds no expression alive: its entries hold symbol names and numbers, and it finds
-its nodes through a weak map from node to slot.  Once more than half of
-its entries belong to nodes that have died, the next call starts the set
-afresh on a new tape, so no tape grows without bound.  A call keeps the
-tape and the points it began with to its end, so a call made while its
-expressions are taken, which can start the set afresh or drop the seed,
-changes none of its results.
+seed, so all of them, in any :func:`are_zero` call, share one process-wide
+tape per free-symbol set: an expression adds only the nodes the tape does
+not hold yet.  For the last seed graded on it, the tape also holds each
+sample point drawn so far and the values and scales of its first entries
+there, so at one seed each node is evaluated once per point, across
+calls.  A call reads the roots already evaluated and runs a point only
+from where its values end up to the last root still needed.
+:func:`is_zero` grades its one expression alone, on a tape of its own,
+and leaves the shared tapes as they were.  The tape holds no expression
+alive: its entries hold symbol names and numbers, and it finds its nodes
+through a weak map from node to slot.  Once more than half of its entries
+belong to nodes that have died, the next call starts the set afresh on a
+new tape, so no tape grows without bound.  A call keeps the tape and the
+points it began with to its end, so a call made while its expressions are
+taken, which can start the set or its values afresh, changes none of its
+results.
 A run of a shared tape stops at its first entry that fails, which can
 belong to another expression.  A member whose root lies past that entry
 is evaluated at that point alone by :func:`scaled_eval`, as
@@ -304,19 +303,22 @@ def is_zero(e: Expr, seed: int = 0, trials: int = 32,
     Raises ``ValueError`` for ``trials`` not an integer of at least 1, or
     ``tol`` not a real number in (0, 1), any of which would let a
     sample-free or NaN test read ``zero`` or fail with a bare ``TypeError``.
+    ``e`` is graded alone, on a tape of its own, as :func:`are_zero`
+    grades a list; the shared tapes are left as they were.
     """
-    return are_zero((e,), seed, trials, tol)[0]
+    return _graded((e,), seed, trials, tol, {})[0]
 
 
 class _Points:
-    """The sample points of one seed on a tape: ``envs[j]`` is point j,
+    """The sample points of ``seed`` on a tape: ``envs[j]`` is point j,
     drawn in turn from ``rng``, and ``vals[j]`` and ``scs[j]`` the values
     and scales of the tape's first entries there, up to the first entry
     that fails."""
 
-    __slots__ = ("rng", "envs", "vals", "scs")
+    __slots__ = ("seed", "rng", "envs", "vals", "scs")
 
     def __init__(self, seed: int) -> None:
+        self.seed = seed
         self.rng = random.Random(seed)
         self.envs: list = []
         self.vals: list = []
@@ -335,61 +337,54 @@ class _Points:
 
 
 class _Tape:
-    """The process-wide tape of one free-symbol set: each distinct node's
-    entry once, found through ``slot``, a weak map from node to slot;
-    ``held`` maps a seed to its points.  The entries of nodes that have
+    """The tape of one free-symbol set: each distinct node's entry once,
+    found through ``slot``, a weak map from node to slot, and ``pts``, the
+    points of the last seed graded on it.  The entries of nodes that have
     died stay until the set starts afresh on a new tape."""
 
-    __slots__ = ("syms", "slot", "entries", "held")
+    __slots__ = ("syms", "slot", "entries", "pts")
 
     def __init__(self, syms) -> None:
         self.syms = sorted(syms, key=lambda s: s.name)
         self.slot: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self.entries: list = []
-        self.held: dict = {}
+        self.pts: _Points | None = None
 
     def at(self, seed: int) -> _Points:
-        """The points of ``seed``.  The values of two seeds are held at
-        most: a third drops the larger set first, so a check at a fixed
-        seed between a pass's calls leaves the pass's values, and the next
-        pass's seed drops them."""
-        pts = self.held.get(seed)
-        if pts is None:
-            if len(self.held) == 2:
-                del self.held[max(self.held, key=lambda s: sum(
-                    map(len, self.held[s].vals)))]
-            pts = self.held[seed] = _Points(seed)
-        return pts
+        """The points of ``seed``, in place of another seed's."""
+        if self.pts is None or self.pts.seed != seed:
+            self.pts = _Points(seed)
+        return self.pts
 
 
-# The tapes, one per free-symbol set that any call has graded.
+# The process-wide tapes of are_zero, one per free-symbol set it has graded.
 _TAPES: dict = {}
 
 
-def _tape(syms) -> _Tape:
-    """The tape of ``syms``, a new one in place of a tape more than half of
-    whose entries belong to nodes that have died."""
-    tape = _TAPES.get(syms)
+def _tape(tapes: dict, syms) -> _Tape:
+    """The tape of ``syms`` in ``tapes``, a new one in place of a tape more
+    than half of whose entries belong to nodes that have died."""
+    tape = tapes.get(syms)
     if tape is None or 2 * len(tape.slot) < len(tape.entries):
-        tape = _TAPES[syms] = _Tape(syms)
+        tape = tapes[syms] = _Tape(syms)
     return tape
 
 
 class _Group:
-    """The expressions of one free-symbol set in an :func:`are_zero` run,
-    on that set's tape and the points of the run's seed, both taken when
-    the group is made and kept to the run's end: a call made while
-    ``exprs`` is taken can start the set afresh on a new tape or drop the
-    seed's points, and the run goes on with the ones it holds.  Member
+    """The expressions of one free-symbol set in a run, on ``tape`` and
+    the points of the run's seed, both taken when the group is made and
+    kept to the run's end: a call made while ``exprs`` is taken can start
+    the set afresh on a new tape or put another seed's points in place of
+    these, and the run goes on with the ones it holds.  Member
     ``i`` is expression ``index[i]`` of the run, its value is at slot
     ``root[i]``, ``reach[i]`` is the largest root of members 0..i and
     ``worst[i]`` its largest residual so far."""
 
-    def __init__(self, syms, seed: int, trials: int, tol: float) -> None:
-        self.tape = _tape(syms)
-        self.pts = self.tape.at(seed)
+    def __init__(self, tape, seed: int, trials: int, tol: float) -> None:
+        self.tape = tape
+        self.pts = tape.at(seed)
         self.tol = tol
-        self.trials = trials if syms else 1
+        self.trials = trials if tape.syms else 1
         self.exprs: list = []
         self.index: list = []
         self.root: list = []
@@ -441,19 +436,23 @@ def are_zero(exprs, seed: int = 0, trials: int = 32,
     is not zero, each result bit for bit what ``is_zero`` gives.
 
     Expressions with the same free symbols draw the same sample points, so
-    they share their set's tape, which holds each distinct node once and,
-    for two seeds at most, the values of each point so far: each node is
-    evaluated once per point at a seed, across calls.  ``exprs`` is taken
-    lazily at the first point, up to the first expression that is not
-    zero there; every point runs a tape only from where its values end up
-    to the last root still needed.  A call at a third seed drops the
-    larger value set first, and a call that finds its set's tape more than
-    half dead starts the set afresh on a new tape; a call keeps the tape
-    and points it began with to its end.  Where a run stops at an entry
-    that fails before an expression's root, that expression is evaluated
-    there alone by :func:`scaled_eval`.  The tapes hold no expression
-    alive.
+    they share their set's process-wide tape, which holds each distinct
+    node once and the values of each point so far at the last seed graded
+    on it: at one seed each node is evaluated once per point, across
+    calls.  ``exprs`` is taken lazily at the first point, up to the first
+    expression that is not zero there; every point runs a tape only from
+    where its values end up to the last root still needed.  A call that
+    finds its set's tape more than half dead starts the set afresh on a
+    new tape; a call keeps the tape and points it began with to its end.
+    Where a run stops at an entry that fails before an expression's root,
+    that expression is evaluated there alone by :func:`scaled_eval`.  The
+    tapes hold no expression alive.
     """
+    return _graded(exprs, seed, trials, tol, _TAPES)
+
+
+def _graded(exprs, seed, trials, tol, tapes: dict) -> list[ZeroResult]:
+    """:func:`are_zero` of ``exprs`` on the tapes of ``tapes``."""
     if not isinstance(trials, Integral) or trials < 1:
         raise ValueError(f"trials must be an integer of at least 1, "
                          f"got {trials!r}")
@@ -465,7 +464,7 @@ def are_zero(exprs, seed: int = 0, trials: int = 32,
         syms = free_symbols(e)
         g = groups.get(syms)
         if g is None:
-            g = groups[syms] = _Group(syms, seed, trials, tol)
+            g = groups[syms] = _Group(_tape(tapes, syms), seed, trials, tol)
         member.append((g, len(g.index)))
         g.add(e, len(out))
         g.run(0, len(g.index))

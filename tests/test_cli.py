@@ -26,6 +26,8 @@ from test_golden_records import CURVATURE
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 GEO_HEADER = "tau," + ",".join(f"re_x{a},im_x{a}" for a in range(6))
+# the refusal of a geodesic step whose reciprocal overflows a float
+_TINY_STEP = "tau_end/steps must be at least 1/DBL_MAX (about 5.6e-309)"
 
 
 def run(argv, capsys):
@@ -428,7 +430,11 @@ def test_exit_2_on_usage_errors(capsys):
              "pol must be 1..2, got 3"),
             (["curvature", "ansatz=coupled", "sol=9"],
              "sol must be 1..4, got 9"),
-            (["geodesic", "tau_end=0"], "tau_end must be positive")):
+            (["geodesic", "tau_end=0"], "tau_end must be positive"),
+            # a step whose reciprocal overflows, or that rounds to zero
+            (["geodesic", "tau_end=1e-308", "steps=100000"], _TINY_STEP),
+            (["geodesic", "tau_end=1e-320", "steps=2"], _TINY_STEP),
+            (["geodesic", "tau_end=1e-320", "steps=100000"], _TINY_STEP)):
         code, out, err = run(argv, capsys)
         assert code == 2 and out == ""
         assert err == f"error[config]: {message}\n"
@@ -747,6 +753,39 @@ def test_readme_quick_start_line_runs(line, tmp_path, monkeypatch, capsys):
     argv = shlex.split(line, comments=True)[1:]
     code, _, err = run(argv, capsys)
     assert code == (1 if "# exit 1" in line else 0), err
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} in a report")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("line", _quick_start_lines() + [
+    "kk6 geodesic tau_end=1.2e-308 steps=2",
+    "kk6 geodesic tau_end=1e-308 steps=100000  # exit 2",
+    "kk6 geodesic tau_end=1e-320 steps=2  # exit 2",
+])
+def test_reports_are_strict_json(line, tmp_path, monkeypatch, capsys):
+    # every report of the quick start, and the one at a step just above
+    # the smallest the integrator takes, holds no NaN or Infinity; a step
+    # whose reciprocal overflows is refused with one line and no report
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("command=verify\nclaims=fsq.null\n")
+    argv = shlex.split(line, comments=True)[1:]
+    if "--out" not in argv:
+        argv += ["--out", "report"]
+    code, out, err = run(argv, capsys)
+    reports = list(tmp_path.rglob("report.json"))
+    if "# exit 2" in line:
+        assert (code, out, reports) == (2, "", [])
+        assert err == f"error[config]: {_TINY_STEP}\n"
+        return
+    assert code == (1 if "# exit 1" in line else 0), err
+    assert len(reports) == 1
+    rep = _strict_json(reports[0].read_text())
+    if "tau_end=1.2e-308" in line:
+        assert math.isfinite(rep["data"]["max_step_defect"])
 
 
 # ---------------------------------------------------------------------------

@@ -429,6 +429,18 @@ def test_integrate_refuses_a_zero_or_non_finite_span(tau_end):
         integrate(start, tau_end, 4, accel)
 
 
+@pytest.mark.parametrize("tau_end,steps", [(1e-308, 100000), (1e-320, 2)])
+def test_integrate_refuses_a_step_whose_reciprocal_overflows(tau_end, steps):
+    # each step is nonzero but below 1/DBL_MAX, so the defect's 1/h would
+    # be infinite and every residual 0 * inf, NaN; a step just above runs
+    accel = connection_evaluator(_metric())
+    start = closed_form_state(0.0, P, M0, CONST)
+    with pytest.raises(DynamicsError, match="step of at least 1/DBL_MAX"):
+        integrate(start, tau_end, steps, accel)
+    path = integrate(start, 1.2e-308, 2, accel)
+    assert all(map(math.isfinite, path.residuals))
+
+
 def test_integrate_residuals_are_the_largest_defect_magnitudes():
     # each residual is the largest |defect| of its step, formed from the
     # states and the accelerations at them as integrate forms it, within

@@ -241,7 +241,7 @@ def _fresh_is_zero(e, seed, trials):
 def test_calls_at_interleaved_seeds_give_what_a_fresh_is_zero_gives(data):
     # a sequence of calls over residuals formed anew from one pool of
     # shared parts, at seeds drawn from a few: a call reads the values an
-    # earlier one left at its seed, or drops another seed's; a residual
+    # earlier one left at its seed, or replaces another seed's; a residual
     # dropped after its call leaves dead entries, and a tape more than half
     # dead is started afresh.  Each result is what is_zero gives on empty
     # tapes
@@ -258,11 +258,13 @@ def test_calls_at_interleaved_seeds_give_what_a_fresh_is_zero_gives(data):
 
 def test_a_call_at_a_third_seed_inside_exprs_starts_the_set_afresh():
     # the property's fresh start, on every run: calls at two seeds leave
-    # residuals that die, then a call at the first seed grades the same
-    # symbol set at a third seed from inside its generator, finds the tape
-    # more than half dead and starts the set afresh; the outer call goes
-    # on with the tape it began with, through an exp overflow at a later
-    # point and a zero base at a negative power
+    # residuals that die and the values of the second seed alone; a call
+    # at the first seed finds the tape more than half dead and starts the
+    # set afresh, and from inside its generator a call at a third seed
+    # grades the same symbol set on that new tape, whose points it
+    # replaces with its own; the outer call goes on with the points it
+    # began with, through an exp overflow at a later point and a zero base
+    # at a negative power
     import gc
     poly = add(mul(num(2), X0), ONE)
     root = sqrt(add(mul(M0, conj(M0)), ONE))
@@ -273,6 +275,7 @@ def test_a_call_at_a_third_seed_inside_exprs_starts_the_set_afresh():
         assert [r.verdict for r in are_zero(dead, seed)] == ["zero"] * 6
     syms = free_symbols(add(poly, M0))
     tape = zeros._TAPES[syms]
+    assert tape.pts.seed == 12
     del dead
     gc.collect()
     outer = [_vanishing(poly, M0), _vanishing(exp(mul(num(420), X0)), root),
@@ -283,8 +286,10 @@ def test_a_call_at_a_third_seed_inside_exprs_starts_the_set_afresh():
     def exprs():
         yield outer[0]
         assert 2 * len(tape.slot) < len(tape.entries)
+        fresh = zeros._TAPES[syms]
+        assert fresh is not tape and fresh.pts.seed == 11
         got_inner.extend(are_zero(inner, 13))
-        assert zeros._TAPES[syms] is not tape
+        assert zeros._TAPES[syms] is fresh and fresh.pts.seed == 13
         yield from outer[1:]
     got = are_zero(exprs(), 11)
     assert [r.verdict for r in got] == ["zero", "inconclusive"]

@@ -3,6 +3,7 @@ serialized report format."""
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -730,6 +731,17 @@ def test_report_json_isolated_timing_key():
     assert list(without["config"]) == ["a", "b"]   # sorted, stable
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_report_refuses_a_non_finite_number(bad):
+    # strict JSON: a non-finite number raises instead of being written as
+    # NaN or Infinity, which a strict JSON reader refuses
+    rep = Report(version="1", command="geodesic", config={}, seed=0,
+                 records=(), data={"max_step_defect": bad})
+    with pytest.raises(ValueError, match="JSON compliant"):
+        to_json(rep)
+    assert json.loads(to_json(replace(rep, data={"max_step_defect": 0.5})))
+
+
 def test_identical_runs_serialize_identically():
     def once():
         recs = run_suite(claims=["fsq.null", "inverse.photon"], seed=9)
@@ -831,10 +843,17 @@ class Counted(OrderedDict):
 
 calls = {"_extend": 0, "_entry": 0, "integrate": 0}
 
-def counting(module, name):
+def shared(args):
+    # an entry built for a shared tape or by scaled_eval's walk, not for
+    # the weak-keyed tape of a lone is_zero check
+    slot = args[1]
+    return type(slot) is dict or \
+        any(slot is t.slot for t in zeros._TAPES.values())
+
+def counting(module, name, counted=lambda args: True):
     original = getattr(module, name)
     def call(*args):
-        calls[name] += 1
+        calls[name] += counted(args)
         return original(*args)
     setattr(module, name, call)
 
@@ -843,9 +862,9 @@ for label, cid, params in runs:
     run_claim(cid, seed=0, params=params)
 expr._CONTRACTED = Counted(expr._CONTRACTED)
 Counted.stores = 0
-for module, name in ((zeros, "_extend"), (zeros, "_entry"),
-                     (verify, "integrate")):
-    counting(module, name)
+counting(zeros, "_extend", shared)
+counting(zeros, "_entry", shared)
+counting(verify, "integrate")
 records = {label: record_dict(run_claim(cid, seed=1, params=params))
            for label, cid, params in runs}
 print(json.dumps({"misses": Counted.stores, "calls": calls,
@@ -914,9 +933,9 @@ def test_a_verify_pass_evaluates_each_tape_entry_once_per_point(
         monkeypatch):
     # the grading calls of a pass share a tape per symbol set and the
     # values of each of its points: at one seed no entry is evaluated twice
-    # at one point, although the metrics' singularity checks grade at seed
-    # 0 between the pass's calls, and a second pass at another seed builds
-    # no entry and starts no symbol set afresh
+    # at one point, as the metrics' singularity checks grade at seed 0
+    # between the pass's calls on tapes of their own, and a second pass at
+    # another seed builds no entry and starts no symbol set afresh
     from kk6 import zeros
     runs = _evaluated(monkeypatch)
     built = []
@@ -928,18 +947,15 @@ def test_a_verify_pass_evaluates_each_tape_entry_once_per_point(
         tapes.append(dict(zeros._TAPES))
     assert _once_per_point(runs) > 0
     assert built[0] == built[1]
-    assert _same_tapes(*tapes)
-
-
-def _same_tapes(first: dict, second: dict) -> bool:
-    """Whether ``second`` holds the very tape objects of ``first``."""
-    return first.keys() == second.keys() and \
-        all(second[syms] is tape for syms, tape in first.items())
+    # the second pass finds the very tape objects the first one left
+    assert tapes[0].keys() == tapes[1].keys()
+    assert all(tapes[1][syms] is t for syms, t in tapes[0].items())
 
 
 def test_a_second_curvature_pass_starts_no_symbol_set_afresh():
     # the benchmark's eight ``kk6 curvature`` inputs at one seed, then at
-    # the next: the second pass finds the tapes the first one left
+    # the next: their zero tests are the metrics' lone singularity checks,
+    # so neither pass makes or starts afresh a shared tape
     from kk6 import zeros
     tapes = []
     for seed in (7001, 7002):
@@ -948,8 +964,7 @@ def test_a_second_curvature_pass_starts_no_symbol_set_afresh():
                 assert main(["curvature", f"ansatz={aid}", *args,
                              f"--seed={seed}"]) == 0
         tapes.append(dict(zeros._TAPES))
-    assert tapes[0]
-    assert _same_tapes(*tapes)
+    assert tapes == [{}, {}]
 
 
 @pytest.fixture

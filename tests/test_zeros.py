@@ -198,10 +198,10 @@ def _evaluated(monkeypatch):
         start = len(val)
         fault = original(entries, values, val, sc, stop)
         for t in zeros._TAPES.values():
-            for seed, pts in t.held.items():
-                for j, v in enumerate(pts.vals):
-                    if v is val:
-                        runs.append((id(t), seed, j, range(start, len(val))))
+            pts = t.pts
+            for j, v in enumerate(pts.vals if pts else ()):
+                if v is val:
+                    runs.append((id(t), pts.seed, j, range(start, len(val))))
         return fault
     monkeypatch.setattr(zeros, "_run", run)
     return runs
@@ -329,19 +329,55 @@ def test_a_second_call_reads_the_kept_tape(monkeypatch):
     assert len(built) == len(_nodes(e, f, g)) - len(_nodes(e, f)) > 0
 
 
-def test_a_tape_holds_the_values_of_two_seeds_and_drops_the_larger():
-    # a small check at seed 9 between calls at seed 0 leaves seed 0's
-    # values; a third seed drops seed 0's, the larger set
+def test_a_tape_holds_one_seeds_values_and_another_seed_replaces_them(
+        monkeypatch):
+    # a lone check at seed 9 between calls at seed 0 leaves seed 0's
+    # values; a call at seed 9 replaces them, so a call back at seed 0
+    # evaluates every entry again, and gives what the first call gave
+    runs = _evaluated(monkeypatch)
     e = _vanishing(sqrt(add(mul(x0, x1), ONE)), x0)
-    small = add(x0, x1)
-    are_zero([e], seed=0)
+    first = are_zero([e], seed=0)
     tape = _tape_of(e)
-    kept = tape.held[0]
-    assert is_zero(small, seed=9, trials=4).verdict == "nonzero"
-    assert set(tape.held) == {0, 9}
+    kept = tape.pts
+    assert is_zero(add(x0, x1), seed=9, trials=4).verdict == "nonzero"
     assert tape.at(0) is kept
-    assert are_zero([e], seed=3)[0] == is_zero(e, seed=3)
-    assert set(tape.held) == {9, 3}
+    assert are_zero([e], seed=9) == [is_zero(e, seed=9)]
+    assert tape.pts.seed == 9
+    runs.clear()
+    assert are_zero([e], seed=0) == first
+    assert tape.pts is not kept
+    assert _once_per_point(runs) == 32 * len(_nodes(e))
+
+
+def test_is_zero_leaves_the_shared_tapes_as_they_were():
+    # a lone check over a symbol set that has a shared tape, and one over
+    # a set that has none, adds no tape, no entry and no point, and
+    # replaces no seed's values; its result is what are_zero gives on
+    # emptied tapes
+    from kk6 import zeros
+    shared = _vanishing(sqrt(add(mul(x0, x1), ONE)), x0)
+    are_zero([shared, _vanishing(exp(x2), x0)], seed=0)
+
+    def state():
+        return {syms: (t, list(t.entries), t.pts, t.pts.seed,
+                       list(t.pts.envs), [list(v) for v in t.pts.vals],
+                       [list(c) for c in t.pts.scs])
+                for syms, t in zeros._TAPES.items()}
+    before = state()
+    checks = [(e, seed, trials)
+              for e in (_vanishing(add(mul(x0, x1), num(918281)), x1),
+                        add(mul(x0, x1), ONE), exp(mul(x0, x1, x2, m0)))
+              for seed, trials in ((0, 32), (5, 16))]
+    got = [is_zero(*check) for check in checks]
+    after = state()
+    assert after.keys() == before.keys()
+    for syms, (t, *held) in before.items():
+        assert after[syms][0] is t
+        assert after[syms][1:] == tuple(held)
+    zeros._TAPES.clear()
+    assert got == [are_zero([e], seed, trials)[0]
+                   for e, seed, trials in checks]
+    assert [r.verdict for r in got[::2]] == ["zero", "nonzero", "nonzero"]
 
 
 def test_a_half_dead_tape_is_started_afresh():
@@ -386,7 +422,7 @@ def test_a_fault_in_another_calls_slot_leaves_later_results_as_is_zero():
     got = are_zero([good])
     assert tape.slot[good] > tape.slot[bad]
     # every point stops at the failing entry
-    assert [len(v) for v in tape.held[0].vals] == [tape.slot[inverse]] * 32
+    assert [len(v) for v in tape.pts.vals] == [tape.slot[inverse]] * 32
     worse = _vanishing(inverse, x0)     # holds it
     later = are_zero([good, worse])
     zeros._TAPES.clear()
@@ -426,7 +462,8 @@ def test_a_call_made_while_exprs_is_taken_changes_no_result(monkeypatch):
         held.clear()
         gc.collect()
         assert 2 * len(tape.slot) < len(tape.entries)
-        assert is_zero(add(x0, x1), seed=5, trials=2).verdict == "nonzero"
+        assert are_zero([add(x0, x1)], seed=5, trials=2)[0].verdict == \
+            "nonzero"
         assert _tape_of(e) is not tape
         yield g
     got = are_zero(exprs(), seed=4)
